@@ -33,11 +33,10 @@ from .groebner import (
     is_unit_ideal,
 )
 from .infinity import ConeConstancyResult, InfinityReport, cone_constancy_check, fiber_infinity
-from .polycore import PolyMap, Polynomial
+from .polycore import FloatKernel, PolyMap, Polynomial
 from .properness import (
     JelonekIdeal,
     ProbeSchedule,
-    _FloatMap,
     _sphere_minimize,
     is_proper_at_complex,
     jelonek_ideal,
@@ -598,21 +597,6 @@ def classify_rational(
 # -- probes shared by the report layer ---------------------------------------------
 
 
-class _RationalFloat:
-    """Duck-typed float adapter so rational maps reuse the sphere optimizer."""
-
-    def __init__(self, r: RationalMap):
-        self.n = r.n
-        self.p = r.p
-        self._r = r
-
-    def value(self, x):
-        return list(self._r.evaluate_float(x))
-
-    def jacobian(self, x):
-        return self._r.jacobian_float(x)
-
-
 def lipschitz_gradient_probe(
     mapping: PolyMap | RationalMap,
     value: Sequence[float],
@@ -631,19 +615,20 @@ def lipschitz_gradient_probe(
     """
     cfg = config or AnalysisConfig()
     if isinstance(mapping, RationalMap):
-        fmap = _RationalFloat(mapping)
+        evaluate, jacobian = mapping.evaluate_float, mapping.jacobian_float
     else:
-        fmap = _FloatMap(mapping)
+        kernel = FloatKernel(mapping.components)
+        evaluate, jacobian = kernel.value, kernel.jacobian
     cvals = np.array([float(x) for x in value])
 
     def toward_fiber(x, radius, steps=25):
         """Gauss-Newton from a sphere start toward the fiber, kept in the ball."""
         x = np.array(x, dtype=float)
         for _ in range(steps):
-            resid = np.array(fmap.value(list(x))) - cvals
+            resid = np.array(evaluate(list(x))) - cvals
             if float(np.linalg.norm(resid)) < 1e-10:
                 break
-            jac = np.array(fmap.jacobian(list(x)))
+            jac = np.array(jacobian(list(x)))
             try:
                 step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
             except np.linalg.LinAlgError:
@@ -663,17 +648,17 @@ def lipschitz_gradient_probe(
         best_norm = None
         best_mu = float("inf")
         for _ in range(restarts):
-            u = rng.normal(size=fmap.n)
+            u = rng.normal(size=mapping.n)
             u_norm = float(np.linalg.norm(u))
             if u_norm == 0.0:
                 continue
             x = toward_fiber(radius * u / u_norm, radius)
             if not np.all(np.isfinite(x)):
                 continue
-            mu = float(np.linalg.norm(np.array(fmap.value(list(x))) - cvals))
+            mu = float(np.linalg.norm(np.array(evaluate(list(x))) - cvals))
             best_mu = min(best_mu, mu)
             if mu < neighborhood:
-                jac = np.array(fmap.jacobian(list(x)))
+                jac = np.array(jacobian(list(x)))
                 norm = float(np.linalg.svd(jac, compute_uv=False)[0])
                 if best_norm is None or norm > best_norm:
                     best_norm = norm
@@ -723,7 +708,7 @@ def tube_distance_probe(
 
     if list(c) == list(t):
         raise ValueError("levels must differ")
-    fmap = _FloatMap(f)
+    kernel = FloatKernel(f.components)
     n = f.n
     cv = [float(x) for x in c]
     tv = [float(x) for x in t]
@@ -738,10 +723,10 @@ def tube_distance_probe(
         """Gauss-Newton steps toward {f = target}, kept inside the ball."""
         z = list(z)
         for _ in range(steps):
-            resid = np.array(fmap.value(z)) - np.array(target)
+            resid = np.array(kernel.value(z)) - np.array(target)
             if float(np.linalg.norm(resid)) < 1e-12:
                 break
-            jac = np.array(fmap.jacobian(z))
+            jac = np.array(kernel.jacobian(z))
             try:
                 step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
             except np.linalg.LinAlgError:
@@ -752,16 +737,16 @@ def tube_distance_probe(
         return z
 
     def residual_norms(x, y):
-        rx = sqrt(sum((a - b) ** 2 for a, b in zip(fmap.value(x), cv)))
-        ry = sqrt(sum((a - b) ** 2 for a, b in zip(fmap.value(y), tv)))
+        rx = sqrt(sum((a - b) ** 2 for a, b in zip(kernel.value(x), cv)))
+        ry = sqrt(sum((a - b) ** 2 for a, b in zip(kernel.value(y), tv)))
         return rx, ry
 
     def penalty_descent(x, y, mu, radius):
         """Minimize |x-y|^2 + mu*(|f(x)-c|^2 + |f(y)-t|^2) by projected GD."""
 
         def objective(x_, y_):
-            rx = fmap.value(x_)
-            ry = fmap.value(y_)
+            rx = kernel.value(x_)
+            ry = kernel.value(y_)
             total = sum((a - b) ** 2 for a, b in zip(x_, y_))
             total += mu * sum((a - b) ** 2 for a, b in zip(rx, cv))
             total += mu * sum((a - b) ** 2 for a, b in zip(ry, tv))
@@ -769,11 +754,11 @@ def tube_distance_probe(
 
         fx = objective(x, y)
         for _ in range(max_iter):
-            vx, vy = fmap.value(x), fmap.value(y)
-            jx, jy = fmap.jacobian(x), fmap.jacobian(y)
+            vx, vy = kernel.value(x), kernel.value(y)
+            jx, jy = kernel.jacobian(x), kernel.jacobian(y)
             gx = [2.0 * (a - b) for a, b in zip(x, y)]
             gy = [-v for v in gx]
-            for i in range(fmap.p):
+            for i in range(kernel.p):
                 rx2 = 2.0 * mu * (vx[i] - cv[i])
                 ry2 = 2.0 * mu * (vy[i] - tv[i])
                 for j in range(n):
@@ -817,7 +802,7 @@ def tube_distance_probe(
             for target in (cv, tv):
                 sub_rng = np.random.default_rng((seed, 2741, k, frac_idx))
                 _, point = _sphere_minimize(
-                    fmap, target, frac * radius, sub_rng, 8, max_iter
+                    kernel, target, frac * radius, sub_rng, 8, max_iter
                 )
                 if all(np.isfinite(point)):
                     starts.append((list(point), list(point)))

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .classifier import (
@@ -26,7 +27,7 @@ from .groebner import BudgetExceededError, GroebnerBudget
 from .infinity import fiber_infinity
 from .parsing import ParseError, parse_input, print_polynomial
 from .polycore import PolyMap
-from .properness import properness_probe_real
+from .properness import jelonek_ideal, properness_probe_real
 from .rational import RationalMap
 from .report import emit_report, render_text, report_document, schema_skeleton
 
@@ -208,7 +209,6 @@ def run(argv=None) -> int:
 
         if args.command == "jelonek":
             from .dependence import factor_through_projection
-            from .properness import jelonek_ideal
 
             fact = factor_through_projection(poly)
             jel = jelonek_ideal(fact.g, cfg.budget)
@@ -308,11 +308,14 @@ def run(argv=None) -> int:
             reduced = factor_through_projection(poly).g
             values = _parse_values(args.values, reduced.p)
             sched = cfg.schedule()
+            # J(g) at most once, and only once a finite fiber needs it, so a
+            # budget error surfaces at the same value as without the cache.
+            jelonek = cache(lambda: jelonek_ideal(reduced, cfg.budget))
             entries = []
             for value in values:
                 verdict = properness_probe_real(
                     reduced, [float(x) for x in value], sched, mu_floor=cfg.mu_floor,
-                    budget=cfg.budget,
+                    jelonek=jelonek, budget=cfg.budget,
                 )
                 entries.append(
                     {

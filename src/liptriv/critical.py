@@ -22,8 +22,8 @@ from .groebner import (
     eliminate,
     real_roots,
 )
-from .polycore import PolyMap, Polynomial
-from .properness import _FloatMap, target_ring
+from .polycore import FloatKernel, PolyMap, Polynomial
+from .properness import target_ring
 
 
 def jacobian(g: PolyMap) -> tuple[tuple[Polynomial, ...], ...]:
@@ -176,9 +176,7 @@ def _newton_critical_points(
     """Multi-start Newton for the gradient system of a scalar map."""
     m = g.n
     comp = g.components[0]
-    grad_polys = [comp.partial(j) for j in range(m)]
-    grad = PolyMap(g.vars, tuple(grad_polys), "grad")
-    gmap = _FloatMap(grad)
+    gmap = FloatKernel([comp.partial(j) for j in range(m)])
 
     rng = np.random.default_rng(seed)
     found: list[tuple[list[float], float]] = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import sqrt
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -568,6 +569,99 @@ class PolyMap:
                     acc = acc + Polynomial.variable(vs, j) * lin.rows[i][j]
             images.append(acc)
         return PolyMap(vs, tuple(c.subs(vs, images) for c in self.components), self.name)
+
+
+class FloatKernel:
+    """Polynomials, their Jacobian and a sphere trial compiled to float code.
+
+    The probes evaluate a handful of polynomials millions of times at
+    n <= 3 variables, where per-term interpretation and numpy's per-call cost
+    both dominate the arithmetic.  The constructor therefore generates
+    straight-line Python once and `compile()`s it.  The generated code does
+    exactly the float operations of `Polynomial.eval_float`, in its order:
+    `term = coeff; term *= x_i ** k` for each variable in turn (`x ** 1`
+    included: it maps a NaN to a NaN of another sign), then `total += term`
+    from left to right starting at 0.0.  Results are bit-identical to the
+    interpreted loops they replace.  Points are used as given, not converted: a numpy
+    scalar overflows to inf where a Python float raises OverflowError.
+
+    The source names only x0..x{n-1}, integer exponents and indices into the
+    coefficient tuple C, never a variable name or coefficient text of the
+    input.  It defines, for points of length n:
+
+    - `value(x)`: the list of polynomial values;
+    - `jacobian(x)`: rows of partial derivatives, one row per polynomial;
+    - `sphere_trial(x, t, alpha, radius, c)`: one backtracking trial on the
+      sphere of radius `radius`.  It steps `y = x - alpha*t`, retracts with
+      `radius * y / tn`, `tn = sqrt(sum(y_i*y_i))`, and returns
+      `(sum of (value_i - c_i)^2, retracted point)`.
+    """
+
+    def __init__(self, polys: Sequence[Polynomial]):
+        polys = tuple(polys)
+        if not polys or not polys[0].vars:
+            raise ValueError("a kernel needs at least one polynomial and one variable")
+        if any(q.vars != polys[0].vars for q in polys):
+            raise ValueError("polynomials live in different rings")
+        n = self.n = polys[0].nvars
+        self.p = len(polys)
+        coeffs: list[float] = []
+
+        def accumulate(target: str, poly: Polynomial) -> list[str]:
+            lines = [f"{target} = 0.0"]
+            for exp, c in poly.terms:
+                factors = [f"C[{len(coeffs)}]"]
+                coeffs.append(float(c))
+                factors += [f"x{i} ** {k}" for i, k in enumerate(exp) if k]
+                lines.append(f"{target} += {' * '.join(factors)}")
+            return lines
+
+        def tup(items) -> str:
+            """Tuple display, with the trailing comma a single item needs."""
+            items = list(items)
+            return ", ".join(items) + ("," if len(items) == 1 else "")
+
+        def function(header: str, body: list[str]) -> list[str]:
+            return [header] + ["    " + line for line in body]
+
+        xs = [f"x{i}" for i in range(n)]
+        ys = [f"y{i}" for i in range(n)]
+        vs = [f"v{i}" for i in range(self.p)]
+        ds = [[f"d{i}_{j}" for j in range(n)] for i in range(self.p)]
+        value_body = [line for v, q in zip(vs, polys) for line in accumulate(v, q)]
+        jac_body = [
+            line
+            for row, q in zip(ds, polys)
+            for j, d in enumerate(row)
+            for line in accumulate(d, q.partial(j))
+        ]
+        trial_body = [
+            f"{tup(xs)} = x",
+            f"{tup(f't{i}' for i in range(n))} = t",
+            f"{tup(f'c{i}' for i in range(self.p))} = c",
+        ]
+        trial_body += [f"y{i} = x{i} - alpha * t{i}" for i in range(n)]
+        trial_body.append(f"tn = sqrt(sum(({tup(f'{y} * {y}' for y in ys)})))")
+        trial_body += [f"x{i} = radius * y{i} / tn" for i in range(n)]
+        trial_body += value_body + ["f = 0.0"]
+        for i in range(self.p):
+            trial_body += [f"r = v{i} - c{i}", "f += r * r"]
+        trial_body.append(f"return f, [{', '.join(xs)}]")
+
+        self.source = "\n".join(
+            function("def value(x):", [f"{tup(xs)} = x"] + value_body + [f"return [{', '.join(vs)}]"])
+            + function(
+                "def jacobian(x):",
+                [f"{tup(xs)} = x"] + jac_body
+                + ["return [" + ", ".join(f"[{', '.join(row)}]" for row in ds) + "]"],
+            )
+            + function("def sphere_trial(x, t, alpha, radius, c):", trial_body)
+        ) + "\n"
+        namespace = {"C": tuple(coeffs), "sqrt": sqrt, "sum": sum}
+        exec(compile(self.source, "<liptriv float kernel>", "exec"), namespace)
+        self.value = namespace["value"]
+        self.jacobian = namespace["jacobian"]
+        self.sphere_trial = namespace["sphere_trial"]
 
 
 def fresh_name(base: str, taken: Iterable[str]) -> str:

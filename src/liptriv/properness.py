@@ -5,13 +5,22 @@ source, cuts with the hyperplane at infinity, and projects to the target;
 the resulting variety is the set of values at which the complex mapping is
 not proper.  Real properness at individual values is probed numerically by
 minimizing |g(x) - c| over spheres of growing radius.
+
+Each probe call compiles g once into a `polycore.FloatKernel`: straight-line
+Python for the values, the Jacobian and a fused sphere trial (step, retraction
+to radius R, objective).  The kernel does the same float operations in the
+same order as `Polynomial.eval_float` and the interpreted trial loop it
+replaced, so every mu, argmin and verdict is bit-identical.  It stays scalar
+rather than numpy: at n <= 3 a numpy call costs more than the arithmetic, and
+evaluating all restarts as one batch would change the restarts' early exit
+and the order of the sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +33,14 @@ from .groebner import (
     intersect,
     saturate,
 )
-from .polycore import LinearMap, PolyMap, Polynomial, as_fraction, fresh_name
+from .polycore import (
+    FloatKernel,
+    LinearMap,
+    PolyMap,
+    Polynomial,
+    as_fraction,
+    fresh_name,
+)
 
 
 @dataclass(frozen=True)
@@ -145,10 +161,14 @@ class PropernessVerdict:
 def is_proper_at_complex(
     g: PolyMap,
     c: Sequence[Fraction],
-    jelonek: JelonekIdeal | None = None,
+    jelonek: JelonekIdeal | Callable[[], JelonekIdeal] | None = None,
     budget: GroebnerBudget = DEFAULT_BUDGET,
 ) -> PropernessVerdict:
-    """Exact certificate: proper iff c misses J(g) and the fiber is finite."""
+    """Exact certificate: proper iff c misses J(g) and the fiber is finite.
+
+    J(g) is needed only when the fiber is finite.  `jelonek` gives it, or a
+    function returning it that is called only then; None computes it here.
+    """
     cvec = tuple(as_fraction(x) for x in c)
 
     fiber = Ideal.make(
@@ -161,8 +181,11 @@ def is_proper_at_complex(
         # Positive-dimensional fiber: never proper at c, no need for J(g).
         return PropernessVerdict(cvec, "exact_complex", "non_proper", evidence)
 
-    jel = jelonek if jelonek is not None else jelonek_ideal(g, budget)
-    values = [gen.eval_exact(list(cvec)) for gen in jel.ideal.generators]
+    if jelonek is None:
+        jelonek = jelonek_ideal(g, budget)
+    elif callable(jelonek):
+        jelonek = jelonek()
+    values = [gen.eval_exact(list(cvec)) for gen in jelonek.ideal.generators]
     off_jelonek = any(v != 0 for v in values)
     evidence["jelonek_values"] = [str(v) for v in values]
 
@@ -171,51 +194,8 @@ def is_proper_at_complex(
     )
 
 
-# -- float compilation --------------------------------------------------------
-
-
-class _FloatMap:
-    """Plain-float compiled evaluation of a PolyMap and its Jacobian.
-
-    Term lists of (coefficient, [(index, power), ...]) beat numpy for the
-    tiny dimensions the probes run at.
-    """
-
-    def __init__(self, g: PolyMap):
-        self.n = g.n
-        self.p = g.p
-        self.comp_data = [self._compile(comp) for comp in g.components]
-        self.jac_data = [
-            [self._compile(comp.partial(j)) for j in range(g.n)]
-            for comp in g.components
-        ]
-
-    @staticmethod
-    def _compile(poly: Polynomial):
-        return [
-            (float(c), tuple((i, k) for i, k in enumerate(e) if k))
-            for e, c in poly.terms
-        ]
-
-    @staticmethod
-    def _eval_one(data, x) -> float:
-        total = 0.0
-        for coeff, powers in data:
-            term = coeff
-            for i, k in powers:
-                term *= x[i] ** k
-            total += term
-        return total
-
-    def value(self, x) -> list[float]:
-        return [self._eval_one(d, x) for d in self.comp_data]
-
-    def jacobian(self, x) -> list[list[float]]:
-        return [[self._eval_one(d, x) for d in row] for row in self.jac_data]
-
-
 def _sphere_minimize(
-    fmap: _FloatMap,
+    kernel: FloatKernel,
     c: Sequence[float],
     radius: float,
     rng: np.random.Generator,
@@ -226,24 +206,26 @@ def _sphere_minimize(
     """Multi-start projected gradient descent for min |g(x)-c|^2 on |x| = R.
 
     Backtracking Armijo line search along the sphere tangent, retracted by
-    normalization.  Restarts are independent; results merge by minimum.
+    normalization; each trial step is one `kernel.sphere_trial` call.
+    Restarts are independent; results merge by minimum.
     """
     from math import isfinite, sqrt
 
-    n = fmap.n
-    p = fmap.p
+    n = kernel.n
+    p = kernel.p
     cvals = [float(v) for v in c]
+    sphere_trial = kernel.sphere_trial
 
     def objective(x):
         total = 0.0
-        for v, cv in zip(fmap.value(x), cvals):
+        for v, cv in zip(kernel.value(x), cvals):
             r = v - cv
             total += r * r
         return total
 
     def gradient(x):
-        vals = fmap.value(x)
-        jac = fmap.jacobian(x)
+        vals = kernel.value(x)
+        jac = kernel.jacobian(x)
         grad = [0.0] * n
         for i in range(p):
             ri2 = 2.0 * (vals[i] - cvals[i])
@@ -276,10 +258,7 @@ def _sphere_minimize(
             alpha = 0.1 * radius / tnorm
             improved = False
             for _ in range(60):
-                trial = [xv - alpha * tv for xv, tv in zip(x, tangent)]
-                tn = sqrt(sum(tv * tv for tv in trial))
-                trial = [radius * tv / tn for tv in trial]
-                ft = objective(trial)
+                ft, trial = sphere_trial(x, tangent, alpha, radius, cvals)
                 if isfinite(ft) and ft <= fx - 1e-4 * alpha * tnorm * tnorm:
                     x, fx = trial, ft
                     improved = True
@@ -304,7 +283,7 @@ def properness_probe_real(
     c: Sequence[float],
     sched: ProbeSchedule = ProbeSchedule(),
     mu_floor: float = 1e-3,
-    jelonek: JelonekIdeal | None = None,
+    jelonek: JelonekIdeal | Callable[[], JelonekIdeal] | None = None,
     budget: GroebnerBudget = DEFAULT_BUDGET,
     skip_exact: bool = False,
 ) -> PropernessVerdict:
@@ -329,14 +308,14 @@ def properness_probe_real(
             evidence["certificate"] = "complex properness restricts to the reals"
             return PropernessVerdict(cvec, "exact_complex", "proper", evidence)
 
-    fmap = _FloatMap(g)
+    kernel = FloatKernel(g.components)
     trace = []
     mus = []
     stop_below = (sched.tol_zero * 1e-3) ** 2
     for k, radius in enumerate(sched.radii):
         rng = np.random.default_rng((sched.seed, k))
         mu, arg = _sphere_minimize(
-            fmap, cvec, radius, rng, sched.restarts, sched.max_iter, stop_below
+            kernel, cvec, radius, rng, sched.restarts, sched.max_iter, stop_below
         )
         mus.append(mu)
         trace.append(

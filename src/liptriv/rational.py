@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .dependence import Subspace, kernel_basis
@@ -21,7 +22,7 @@ from .groebner import (
     is_unit_ideal,
 )
 from .parsing import print_polynomial
-from .polycore import PolyMap, Polynomial
+from .polycore import FloatKernel, PolyMap, Polynomial
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,29 @@ class RationalMap:
             raise ValueError("mapping has nontrivial denominators")
         return PolyMap(self.vars, self.numerators, self.name)
 
+    @cached_property
+    def _float_kernel(self) -> FloatKernel:
+        """Numerators, then denominators, and their partials, compiled once."""
+        return FloatKernel(self.numerators + self.denominators)
+
     def evaluate_float(self, point: Sequence[float]) -> tuple[float, ...]:
-        out = []
-        for num, den in zip(self.numerators, self.denominators):
-            out.append(num.eval_float(point) / den.eval_float(point))
-        return tuple(out)
+        # Convert like Polynomial.eval_float: Python floats raise on overflow.
+        vals = self._float_kernel.value([float(v) for v in point])
+        p = self.p
+        return tuple(vals[i] / vals[p + i] for i in range(p))
 
     def jacobian_float(self, point: Sequence[float]) -> list[list[float]]:
         """Quotient-rule Jacobian evaluated at a float point."""
+        x = [float(v) for v in point]
+        vals = self._float_kernel.value(x)
+        jac = self._float_kernel.jacobian(x)
+        p = self.p
         rows = []
-        for num, den in zip(self.numerators, self.denominators):
-            nv = num.eval_float(point)
-            dv = den.eval_float(point)
-            row = []
-            for j in range(self.n):
-                npv = num.partial(j).eval_float(point)
-                dpv = den.partial(j).eval_float(point)
-                row.append((npv * dv - nv * dpv) / (dv * dv))
-            rows.append(row)
+        for i in range(p):
+            nv, dv = vals[i], vals[p + i]
+            rows.append(
+                [(npv * dv - nv * dpv) / (dv * dv) for npv, dpv in zip(jac[i], jac[p + i])]
+            )
         return rows
 
 

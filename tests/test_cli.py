@@ -141,6 +141,38 @@ class TestProbe:
         assert verdicts[0.5] == "proper"
         assert verdicts[2.0] == "non_proper"
 
+    def test_jelonek_ideal_computed_at_most_once(self, capsys, monkeypatch, tmp_path):
+        import liptriv.cli
+        import liptriv.properness
+
+        calls = []
+        original = liptriv.properness.jelonek_ideal
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(liptriv.properness, "jelonek_ideal", counting)
+        monkeypatch.setattr(liptriv.cli, "jelonek_ideal", counting)
+        shear = tmp_path / "shear.map"
+        shear.write_text("ring Q[x,y]; map f: (x, x*y)")
+
+        # Every fiber is finite, so every value needs J(g): computed once.
+        code, doc = run_json(capsys, ["probe", "-i", str(shear), "--values", "1,1;2,-3;5,5"])
+        assert code == 0
+        assert [e["evidence"]["fiber_dimension"] for e in doc["probes"]] == [0, 0, 0]
+        assert [e["verdict"] for e in doc["probes"]] == ["proper"] * 3
+        assert len(calls) == 1
+
+        # The fiber over (0, 0) is the line x = 0, non-proper without J(g).
+        calls.clear()
+        code, doc = run_json(
+            capsys, ["probe", "-i", str(shear), "--values", "0,0", "--radii", "10,100"]
+        )
+        assert code == 0
+        assert doc["probes"][0]["verdict"] == "non_proper"
+        assert calls == []
+
 
 class TestCompare:
     def test_containment_check(self, capsys):

@@ -7,11 +7,10 @@ import pytest
 
 from conftest import poly
 from liptriv.parsing import print_polynomial
-from liptriv.polycore import LinearMap, PolyMap
+from liptriv.polycore import FloatKernel, LinearMap, PolyMap
 from liptriv.properness import (
     CurveFamily,
     ProbeSchedule,
-    _FloatMap,
     _sphere_minimize,
     is_proper_at_complex,
     jelonek_ideal,
@@ -152,7 +151,7 @@ class TestPropernessProbe:
             jel = jelonek_ideal(g)
             if jel.is_empty_set():
                 continue
-            fmap = _FloatMap(g)
+            kernel = FloatKernel(g.components)
             import numpy as np
 
             test_value = [1.0, -1.0]
@@ -162,7 +161,7 @@ class TestPropernessProbe:
             mus = []
             for k, radius in enumerate((10.0, 100.0)):
                 rng_np = np.random.default_rng((59, k))
-                mu, _ = _sphere_minimize(fmap, test_value, radius, rng_np, 12, 150)
+                mu, _ = _sphere_minimize(kernel, test_value, radius, rng_np, 12, 150)
                 mus.append(mu)
             assert mus[-1] > 1e-3
 
