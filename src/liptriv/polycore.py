@@ -582,8 +582,8 @@ class FloatKernel:
     `term = coeff; term *= x_i ** k` for each variable in turn (`x ** 1`
     included: it maps a NaN to a NaN of another sign), then `total += term`
     from left to right starting at 0.0.  Results are bit-identical to the
-    interpreted loops they replace.  Points are used as given, not converted: a numpy
-    scalar overflows to inf where a Python float raises OverflowError.
+    interpreted loops they replace.  Points are used as given, not converted:
+    a numpy scalar overflows to inf where a Python float raises OverflowError.
 
     The source names only x0..x{n-1}, integer exponents and indices into the
     coefficient tuple C, never a variable name or coefficient text of the
@@ -616,10 +616,8 @@ class FloatKernel:
                 lines.append(f"{target} += {' * '.join(factors)}")
             return lines
 
-        def tup(items) -> str:
-            """Tuple display, with the trailing comma a single item needs."""
-            items = list(items)
-            return ", ".join(items) + ("," if len(items) == 1 else "")
+        def listing(names) -> str:
+            return "[" + ", ".join(names) + "]"
 
         def function(header: str, body: list[str]) -> list[str]:
             return [header] + ["    " + line for line in body]
@@ -636,24 +634,25 @@ class FloatKernel:
             for line in accumulate(d, q.partial(j))
         ]
         trial_body = [
-            f"{tup(xs)} = x",
-            f"{tup(f't{i}' for i in range(n))} = t",
-            f"{tup(f'c{i}' for i in range(self.p))} = c",
+            f"{listing(xs)} = x",
+            f"{listing(f't{i}' for i in range(n))} = t",
+            f"{listing(f'c{i}' for i in range(self.p))} = c",
         ]
         trial_body += [f"y{i} = x{i} - alpha * t{i}" for i in range(n)]
-        trial_body.append(f"tn = sqrt(sum(({tup(f'{y} * {y}' for y in ys)})))")
+        # sum(), like the loop this replaced: Python 3.12+ compensates its
+        # rounding, so a chain of + would match it only on older versions.
+        trial_body.append(f"tn = sqrt(sum({listing(f'{y} * {y}' for y in ys)}))")
         trial_body += [f"x{i} = radius * y{i} / tn" for i in range(n)]
         trial_body += value_body + ["f = 0.0"]
         for i in range(self.p):
             trial_body += [f"r = v{i} - c{i}", "f += r * r"]
-        trial_body.append(f"return f, [{', '.join(xs)}]")
+        trial_body.append(f"return f, {listing(xs)}")
 
         self.source = "\n".join(
-            function("def value(x):", [f"{tup(xs)} = x"] + value_body + [f"return [{', '.join(vs)}]"])
+            function("def value(x):", [f"{listing(xs)} = x"] + value_body + [f"return {listing(vs)}"])
             + function(
                 "def jacobian(x):",
-                [f"{tup(xs)} = x"] + jac_body
-                + ["return [" + ", ".join(f"[{', '.join(row)}]" for row in ds) + "]"],
+                [f"{listing(xs)} = x"] + jac_body + [f"return {listing(map(listing, ds))}"],
             )
             + function("def sphere_trial(x, t, alpha, radius, c):", trial_body)
         ) + "\n"
