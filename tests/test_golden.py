@@ -1,9 +1,13 @@
-"""Golden corpus reports: `liptriv analyze --output json`, byte for byte.
+"""Golden corpus reports and probe outputs, byte for byte.
 
 tests/golden/ holds the JSON report of every corpus map in both fields, with
 the exit codes and the interpreter version they were recorded with in
 MANIFEST.json.  A change that keeps the analyzer's answers must leave every
 byte of them as it is, probe `mu` values included.
+
+The `probe.*.json` files pin the float probes directly: the full output of
+`tube_distance_probe` and `lipschitz_gradient_probe`, and the verdict and
+evidence of `properness_probe_real`, written by `dump` below.
 """
 
 import json
@@ -13,7 +17,10 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR
+from liptriv.classifier import lipschitz_gradient_probe, tube_distance_probe
 from liptriv.cli import run
+from liptriv.parsing import parse_input, parse_mapping
+from liptriv.properness import properness_probe_real
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "MANIFEST.json").read_text())
@@ -40,3 +47,46 @@ def test_analyze_report_matches_golden(case, capsys):
     out = capsys.readouterr().out
     assert code == MANIFEST["exit_codes"][case]
     assert out == (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+
+
+SEXTIC = "x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1"
+
+
+def _mapping(ring, expr):
+    return parse_mapping(f"ring Q[{ring}]; map f: ({expr})")
+
+
+def _properness(ring, expr, value):
+    verdict = properness_probe_real(_mapping(ring, expr), [value])
+    return {"value": verdict.value, "mode": verdict.mode, "verdict": verdict.verdict,
+            "evidence": verdict.evidence}
+
+
+PROBES = {
+    # The unreduced sextic: its fiber at 0.5 contains a line, yet the probe
+    # answers inconclusive.  The pinned bytes keep that known defect as it is.
+    "properness.sextic3@0.5": lambda: _properness("x,y,z", SEXTIC, 0.5),
+    "properness.sextic2@2": lambda: _properness("x,y", SEXTIC, 2.0),
+    "properness.xy@1": lambda: _properness("x,y", "x*y", 1.0),
+    "tube.sextic2@2-3": lambda: tube_distance_probe(
+        _mapping("x,y", SEXTIC), [2.0], [3.0], radii=(10.0, 25.0), restarts=3
+    ),
+    "gradient.regulous@0": lambda: lipschitz_gradient_probe(
+        parse_input((DATA_DIR / "regulous.map").read_text(encoding="utf-8")),
+        (0.0,), radii=(10.0, 1e2, 1e4, 1e6),
+    ),
+    "gradient.sextic2@2": lambda: lipschitz_gradient_probe(
+        _mapping("x,y", SEXTIC), (2.0,), radii=(1.0, 10.0, 100.0)
+    ),
+}
+
+
+def dump(output) -> str:
+    """The probe output as JSON; floats keep every bit (repr round-trips)."""
+    return json.dumps(output, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("case", sorted(PROBES))
+def test_probe_output_matches_golden(case):
+    got = dump(PROBES[case]())
+    assert got == (GOLDEN / f"probe.{case}.json").read_text(encoding="utf-8")
