@@ -338,11 +338,6 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
     return Polynomial.from_dict(f.vars, out)
 
 
-def ideal_membership(p: Polynomial, ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
-    gb = buchberger(ideal, MonomialOrder.grevlex(), budget)
-    return normal_form(p, gb, budget).is_zero()
-
-
 def is_unit_ideal(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
     if ideal.is_zero_ideal():
         return False
@@ -418,12 +413,6 @@ def intersect(a: Ideal, b: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> Id
     gens += [(one - u) * g.embed(vs) for g in b.generators]
     result = eliminate(Ideal(vs, tuple(gens)), [aux], budget)
     return Ideal(a.vars, result.generators)
-
-
-def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    if a.vars != b.vars:
-        raise ValueError("ring mismatch")
-    return Ideal.make(a.vars, list(a.generators) + list(b.generators))
 
 
 # -- dimension ----------------------------------------------------------------

@@ -132,9 +132,6 @@ class Polynomial:
     def monomials(self) -> list[Exponent]:
         return [e for e, _ in self.terms]
 
-    def term_dict(self) -> dict[Exponent, Fraction]:
-        return dict(self.terms)
-
     def _require_same_ring(self, other: "Polynomial") -> None:
         if self.vars != other.vars:
             raise ValueError(f"ring mismatch: {self.vars} vs {other.vars}")
@@ -369,27 +366,6 @@ class Polynomial:
                     term *= abs(float(x)) ** k
             magnitude += term
         return value, len(self.terms) * _EPS * magnitude
-
-    # -- misc -------------------------------------------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-primitive; 0 for zero."""
-        if not self.terms:
-            return Fraction(0)
-        from math import gcd
-
-        num = 0
-        den = 1
-        for _, c in self.terms:
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
-
-    def primitive_part(self) -> "Polynomial":
-        c = self.content()
-        if c in (0, 1):
-            return self
-        return self * (1 / c)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         from .parsing import print_polynomial
