@@ -699,7 +699,9 @@ def tube_distance_probe(
     Penalty continuation on |f(x)-c|^2 + |f(y)-t|^2 + lambda |x-y|^2 with
     decreasing lambda (optimized in the rescaled form |x-y|^2 + (1/lambda) *
     residuals, whose distance gradient does not vanish), alternated with
-    Gauss-Newton projection of each endpoint onto its own fiber.  A pair of
+    Gauss-Newton projection of each endpoint onto its own fiber.  Each
+    penalty stage is one call of the compiled `kernel.penalty_descent`, a
+    projected gradient descent with backtracking inside the ball.  A pair of
     levels whose distance decays toward zero while |c - t| stays fixed
     violates the bi-Lipschitz bounds a trivialization over both values would
     impose and is flagged as a collapse.
@@ -741,48 +743,6 @@ def tube_distance_probe(
         ry = sqrt(sum((a - b) ** 2 for a, b in zip(kernel.value(y), tv)))
         return rx, ry
 
-    def penalty_descent(x, y, mu, radius):
-        """Minimize |x-y|^2 + mu*(|f(x)-c|^2 + |f(y)-t|^2) by projected GD."""
-
-        def objective(x_, y_):
-            rx = kernel.value(x_)
-            ry = kernel.value(y_)
-            total = sum((a - b) ** 2 for a, b in zip(x_, y_))
-            total += mu * sum((a - b) ** 2 for a, b in zip(rx, cv))
-            total += mu * sum((a - b) ** 2 for a, b in zip(ry, tv))
-            return total
-
-        fx = objective(x, y)
-        for _ in range(max_iter):
-            vx, vy = kernel.value(x), kernel.value(y)
-            jx, jy = kernel.jacobian(x), kernel.jacobian(y)
-            gx = [2.0 * (a - b) for a, b in zip(x, y)]
-            gy = [-v for v in gx]
-            for i in range(kernel.p):
-                rx2 = 2.0 * mu * (vx[i] - cv[i])
-                ry2 = 2.0 * mu * (vy[i] - tv[i])
-                for j in range(n):
-                    gx[j] += rx2 * jx[i][j]
-                    gy[j] += ry2 * jy[i][j]
-            gnorm = sqrt(sum(v * v for v in gx) + sum(v * v for v in gy))
-            if not isfinite(gnorm) or gnorm < 1e-14:
-                break
-            dist = sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
-            alpha = 0.5 * max(dist, 1e-3) / gnorm
-            improved = False
-            for _ in range(50):
-                nx = project_ball([a - alpha * d for a, d in zip(x, gx)], radius)
-                ny = project_ball([a - alpha * d for a, d in zip(y, gy)], radius)
-                fn = objective(nx, ny)
-                if isfinite(fn) and fn < fx - 1e-8 * alpha * gnorm * gnorm:
-                    x, y, fx = nx, ny, fn
-                    improved = True
-                    break
-                alpha *= 0.5
-            if not improved:
-                break
-        return x, y
-
     per_radius = []
     dists = []
     warm: list[tuple[list[float], list[float]]] = []
@@ -810,7 +770,7 @@ def tube_distance_probe(
             x = fiber_project(x0, cv, radius)
             y = fiber_project(y0, tv, radius)
             for lam in sorted(lambdas, reverse=True):
-                x, y = penalty_descent(x, y, 1.0 / lam, radius)
+                x, y = kernel.penalty_descent(x, y, 1.0 / lam, radius, cv, tv, max_iter)
             x = fiber_project(x, cv, radius)
             y = fiber_project(y, tv, radius)
             rx, ry = residual_norms(x, y)

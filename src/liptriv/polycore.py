@@ -12,8 +12,9 @@ The zero polynomial has an empty term tuple and total degree -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -547,30 +548,54 @@ class PolyMap:
         return PolyMap(vs, tuple(c.subs(vs, images) for c in self.components), self.name)
 
 
+def _listing(names: Iterable[str]) -> str:
+    return "[" + ", ".join(names) + "]"
+
+
+def _indent(lines: Iterable[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
 class FloatKernel:
-    """Polynomials, their Jacobian and a sphere trial compiled to float code.
+    """Polynomials, their Jacobian and two descent loops compiled to float code.
 
     The probes evaluate a handful of polynomials millions of times at
-    n <= 3 variables, where per-term interpretation and numpy's per-call cost
-    both dominate the arithmetic.  The constructor therefore generates
-    straight-line Python once and `compile()`s it.  The generated code does
-    exactly the float operations of `Polynomial.eval_float`, in its order:
-    `term = coeff; term *= x_i ** k` for each variable in turn (`x ** 1`
-    included: it maps a NaN to a NaN of another sign), then `total += term`
-    from left to right starting at 0.0.  Results are bit-identical to the
-    interpreted loops they replace.  Points are used as given, not converted:
-    a numpy scalar overflows to inf where a Python float raises OverflowError.
-
-    The source names only x0..x{n-1}, integer exponents and indices into the
-    coefficient tuple C, never a variable name or coefficient text of the
-    input.  It defines, for points of length n:
+    n <= 3 variables, inside descent loops, where interpreted loop code,
+    per-call overhead and numpy's per-call cost all cost more than the
+    arithmetic.  The kernel therefore generates straight-line Python and
+    `compile()`s it, each function on its first use: a caller of `value` and
+    `jacobian` alone never pays for the loops.  For points of length n:
 
     - `value(x)`: the list of polynomial values;
     - `jacobian(x)`: rows of partial derivatives, one row per polynomial;
-    - `sphere_trial(x, t, alpha, radius, c)`: one backtracking trial on the
-      sphere of radius `radius`.  It steps `y = x - alpha*t`, retracts with
-      `radius * y / tn`, `tn = sqrt(sum(y_i*y_i))`, and returns
-      `(sum of (value_i - c_i)^2, retracted point)`.
+    - `sphere_descent(x, radius, c, max_iter) -> (fx, x)`: one restart of the
+      properness probe's descent of |g - c|^2 on the sphere |x| = radius.
+      Each step takes the gradient (skipping components whose residual is
+      0.0), its tangent part, and an Armijo backtracking of at most 60
+      halvings; a trial steps `y = x - alpha*t` and retracts to
+      `radius * y / |y|`.  It stops on a non-finite gradient, a tangent norm
+      <= 1e-300 or non-finite, a failed line search, fx <= 1e-300, or after
+      max_iter steps;
+    - `penalty_descent(x, y, mu, radius, c, t, max_iter) -> (x, y)`: the tube
+      probe's projected descent of |x - y|^2 + mu*(|g(x) - c|^2 + |g(y) - t|^2)
+      inside the ball of that radius, with at most 50 halvings per step.
+
+    Every function is assembled from the same per-point blocks.  At a point
+    with coordinates P0..P{n-1} the power block computes each `Pi ** k` a
+    term uses once (`** 1` included: it maps a NaN to a NaN of another sign),
+    and the value and partial blocks share those powers:
+    `vPi = 0.0; vPi += C[m] * P0_2 * P1_1 ...` for the values and `dPi_j`
+    likewise for the partials.
+
+    Bit-identity contract: the generated code does the float operations of
+    `Polynomial.eval_float` and of the interpreted loops it replaced, in
+    their order, so every value, gradient, step and stop is bit-identical to
+    theirs.  Sums stay `sum([...])` calls, whose rounding Python 3.12+
+    compensates.  Points are used as given, not converted: a numpy scalar
+    overflows to inf where a Python float raises OverflowError.  `source(name)`
+    names only positional locals, integer exponents and indices into the
+    coefficient tuple C, never a variable name or coefficient text of the
+    input.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
@@ -583,60 +608,192 @@ class FloatKernel:
         self.p = len(polys)
         coeffs: list[float] = []
 
-        def accumulate(target: str, poly: Polynomial) -> list[str]:
-            lines = [f"{target} = 0.0"]
+        def terms(poly: Polynomial) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+            """Per term: its index into C and its (variable, exponent) powers."""
+            out = []
             for exp, c in poly.terms:
-                factors = [f"C[{len(coeffs)}]"]
+                out.append((len(coeffs), tuple((i, k) for i, k in enumerate(exp) if k)))
                 coeffs.append(float(c))
-                factors += [f"x{i} ** {k}" for i, k in enumerate(exp) if k]
-                lines.append(f"{target} += {' * '.join(factors)}")
+            return out
+
+        def powers(tables) -> list[tuple[int, int]]:
+            return sorted({pw for table in tables for _, pws in table for pw in pws})
+
+        self._values = [terms(q) for q in polys]
+        self._partials = [[terms(q.partial(j)) for j in range(n)] for q in polys]
+        self._coeffs = tuple(coeffs)
+        self._value_powers = powers(self._values)
+        self._partial_powers = powers(table for row in self._partials for table in row)
+
+    # -- compiled functions, each on first use ----------------------------------
+
+    @cached_property
+    def value(self):
+        return self._compile("value")
+
+    @cached_property
+    def jacobian(self):
+        return self._compile("jacobian")
+
+    @cached_property
+    def sphere_descent(self):
+        return self._compile("sphere_descent")
+
+    @cached_property
+    def penalty_descent(self):
+        return self._compile("penalty_descent")
+
+    def _compile(self, name: str):
+        namespace = {"C": self._coeffs, "isfinite": isfinite, "max": max, "sqrt": sqrt, "sum": sum}
+        exec(compile(self.source(name), f"<liptriv float kernel {name}>", "exec"), namespace)
+        return namespace[name]
+
+    def source(self, name: str) -> str:
+        """The generated source of one function: value, jacobian or a descent."""
+        header, body = getattr(self, f"_{name}_code")()
+        return "\n".join([header] + _indent(body)) + "\n"
+
+    # -- per-point blocks ----------------------------------------------------------
+
+    def _coords(self, P: str) -> list[str]:
+        return [f"{P}{i}" for i in range(self.n)]
+
+    def _state(self, P: str) -> list[str]:
+        """The names the value block defines at point P, coordinates included."""
+        return (
+            self._coords(P)
+            + [f"{P}{i}_{k}" for i, k in self._value_powers]
+            + [f"v{P}{i}" for i in range(self.p)]
+        )
+
+    @staticmethod
+    def _accumulate(target: str, terms, P: str) -> list[str]:
+        lines = [f"{target} = 0.0"]
+        for m, pws in terms:
+            factors = [f"C[{m}]"] + [f"{P}{i}_{k}" for i, k in pws]
+            lines.append(f"{target} += {' * '.join(factors)}")
+        return lines
+
+    def _value_block(self, P: str) -> list[str]:
+        lines = [f"{P}{i}_{k} = {P}{i} ** {k}" for i, k in self._value_powers]
+        for i, table in enumerate(self._values):
+            lines += self._accumulate(f"v{P}{i}", table, P)
+        return lines
+
+    def _partial_block(self, P: str, known=()) -> list[str]:
+        """Partials at P; the powers in `known` were computed by its value block."""
+        lines = [f"{P}{i}_{k} = {P}{i} ** {k}" for i, k in self._partial_powers if (i, k) not in known]
+        for i, row in enumerate(self._partials):
+            for j, table in enumerate(row):
+                lines += self._accumulate(f"d{P}{i}_{j}", table, P)
+        return lines
+
+    # -- the four functions ------------------------------------------------------
+
+    def _value_code(self):
+        body = [f"{_listing(self._coords('x'))} = x", *self._value_block("x")]
+        body.append(f"return {_listing(f'vx{i}' for i in range(self.p))}")
+        return "def value(x):", body
+
+    def _jacobian_code(self):
+        rows = [_listing(f"dx{i}_{j}" for j in range(self.n)) for i in range(self.p)]
+        body = [f"{_listing(self._coords('x'))} = x", *self._partial_block("x")]
+        body.append(f"return {_listing(rows)}")
+        return "def jacobian(x):", body
+
+    def _sphere_descent_code(self):
+        n, p = self.n, self.p
+        xs, zs = self._coords("x"), self._coords("z")
+        ts, ys, gs = ([f"{a}{j}" for j in range(n)] for a in "tyg")
+
+        def objective(target: str, P: str) -> list[str]:
+            lines = [f"{target} = 0.0"]
+            for i in range(p):
+                lines += [f"r = v{P}{i} - c{i}", f"{target} += r * r"]
             return lines
 
-        def listing(names) -> str:
-            return "[" + ", ".join(names) + "]"
+        step = self._partial_block("x", self._value_powers)
+        step += [f"{g} = 0.0" for g in gs]
+        for i in range(p):
+            step += [f"ri2 = 2.0 * (vx{i} - c{i})", "if ri2 != 0.0:"]
+            step += [f"    {g} += ri2 * dx{i}_{j}" for j, g in enumerate(gs)]
+        step += [f"if not ({' and '.join(f'isfinite({g})' for g in gs)}):", "    break"]
+        step.append(f"dot = sum({_listing(f'{g} * {x}' for g, x in zip(gs, xs))}) / r2")
+        step += [f"{t} = {g} - dot * {x}" for t, g, x in zip(ts, gs, xs)]
+        step.append(f"tnorm = sqrt(sum({_listing(f'{t} * {t}' for t in ts)}))")
+        step += ["if tnorm <= 1e-300 or not isfinite(tnorm):", "    break"]
+        step.append("alpha = 0.1 * radius / tnorm")
+        trial = [f"{y} = {x} - alpha * {t}" for y, x, t in zip(ys, xs, ts)]
+        trial.append(f"tn = sqrt(sum({_listing(f'{y} * {y}' for y in ys)}))")
+        trial += [f"{z} = radius * {y} / tn" for z, y in zip(zs, ys)]
+        trial += self._value_block("z") + objective("f", "z")
+        trial += ["if isfinite(f) and f <= fx - 1e-4 * alpha * tnorm * tnorm:", "    break"]
+        trial.append("alpha *= 0.5")
+        step += ["for _ in range(60):", *_indent(trial), "else:", "    break"]
+        step += [f"{a} = {b}" for a, b in zip(self._state("x"), self._state("z"))]
+        step += ["fx = f", "if fx <= 1e-300:", "    break"]
 
-        def function(header: str, body: list[str]) -> list[str]:
-            return [header] + ["    " + line for line in body]
+        body = [f"{_listing(xs)} = x", f"{_listing(f'c{i}' for i in range(p))} = c"]
+        body.append("r2 = radius * radius")
+        body += self._value_block("x") + objective("fx", "x")
+        body += ["for _ in range(max_iter):", *_indent(step), f"return fx, {_listing(xs)}"]
+        return "def sphere_descent(x, radius, c, max_iter):", body
 
-        xs = [f"x{i}" for i in range(n)]
-        ys = [f"y{i}" for i in range(n)]
-        vs = [f"v{i}" for i in range(self.p)]
-        ds = [[f"d{i}_{j}" for j in range(n)] for i in range(self.p)]
-        value_body = [line for v, q in zip(vs, polys) for line in accumulate(v, q)]
-        jac_body = [
-            line
-            for row, q in zip(ds, polys)
-            for j, d in enumerate(row)
-            for line in accumulate(d, q.partial(j))
+    def _penalty_descent_code(self):
+        n, p = self.n, self.p
+        xs, ys, us, ws = (self._coords(P) for P in "xyuw")
+        gx, gy = ([f"g{P}{j}" for j in range(n)] for P in "xy")
+
+        def squares(a: list[str], b: list[str]) -> str:
+            return f"sum({_listing(f'({u} - {v}) ** 2' for u, v in zip(a, b))})"
+
+        def objective(target: str, P: str, Q: str) -> list[str]:
+            cs, ts = ([f"{a}{i}" for i in range(p)] for a in "ct")
+            return [
+                f"{target} = {squares(self._coords(P), self._coords(Q))}",
+                f"{target} += mu * {squares([f'v{P}{i}' for i in range(p)], cs)}",
+                f"{target} += mu * {squares([f'v{Q}{i}' for i in range(p)], ts)}",
+            ]
+
+        def project_ball(z: list[str]) -> list[str]:
+            return [
+                f"norm = sqrt(sum({_listing(f'{v} * {v}' for v in z)}))",
+                "if not (norm <= radius or norm == 0.0):",
+                *(f"    {v} = radius * {v} / norm" for v in z),
+            ]
+
+        step = self._partial_block("x", self._value_powers)
+        step += self._partial_block("y", self._value_powers)
+        step += [f"{g} = 2.0 * ({x} - {y})" for g, x, y in zip(gx, xs, ys)]
+        step += [f"{h} = -{g}" for g, h in zip(gx, gy)]
+        for i in range(p):
+            step += [f"rx2 = 2.0 * mu * (vx{i} - c{i})", f"ry2 = 2.0 * mu * (vy{i} - t{i})"]
+            for j in range(n):
+                step += [f"{gx[j]} += rx2 * dx{i}_{j}", f"{gy[j]} += ry2 * dy{i}_{j}"]
+        step.append(
+            f"gnorm = sqrt(sum({_listing(f'{g} * {g}' for g in gx)})"
+            f" + sum({_listing(f'{g} * {g}' for g in gy)}))"
+        )
+        step += ["if not isfinite(gnorm) or gnorm < 1e-14:", "    break"]
+        step.append(f"dist = sqrt({squares(xs, ys)})")
+        step.append("alpha = 0.5 * max(dist, 1e-3) / gnorm")
+        trial = [f"{u} = {x} - alpha * {g}" for u, x, g in zip(us, xs, gx)] + project_ball(us)
+        trial += [f"{w} = {y} - alpha * {g}" for w, y, g in zip(ws, ys, gy)] + project_ball(ws)
+        trial += self._value_block("u") + self._value_block("w") + objective("fn", "u", "w")
+        trial += ["if isfinite(fn) and fn < fx - 1e-8 * alpha * gnorm * gnorm:", "    break"]
+        trial.append("alpha *= 0.5")
+        step += ["for _ in range(50):", *_indent(trial), "else:", "    break"]
+        step += [
+            f"{a} = {b}"
+            for a, b in zip(self._state("x") + self._state("y"), self._state("u") + self._state("w"))
         ]
-        trial_body = [
-            f"{listing(xs)} = x",
-            f"{listing(f't{i}' for i in range(n))} = t",
-            f"{listing(f'c{i}' for i in range(self.p))} = c",
-        ]
-        trial_body += [f"y{i} = x{i} - alpha * t{i}" for i in range(n)]
-        # sum(), like the loop this replaced: Python 3.12+ compensates its
-        # rounding, so a chain of + would match it only on older versions.
-        trial_body.append(f"tn = sqrt(sum({listing(f'{y} * {y}' for y in ys)}))")
-        trial_body += [f"x{i} = radius * y{i} / tn" for i in range(n)]
-        trial_body += value_body + ["f = 0.0"]
-        for i in range(self.p):
-            trial_body += [f"r = v{i} - c{i}", "f += r * r"]
-        trial_body.append(f"return f, {listing(xs)}")
+        step.append("fx = fn")
 
-        self.source = "\n".join(
-            function("def value(x):", [f"{listing(xs)} = x"] + value_body + [f"return {listing(vs)}"])
-            + function(
-                "def jacobian(x):",
-                [f"{listing(xs)} = x"] + jac_body + [f"return {listing(map(listing, ds))}"],
-            )
-            + function("def sphere_trial(x, t, alpha, radius, c):", trial_body)
-        ) + "\n"
-        namespace = {"C": tuple(coeffs), "sqrt": sqrt, "sum": sum}
-        exec(compile(self.source, "<liptriv float kernel>", "exec"), namespace)
-        self.value = namespace["value"]
-        self.jacobian = namespace["jacobian"]
-        self.sphere_trial = namespace["sphere_trial"]
+        body = [f"{_listing(xs)} = x", f"{_listing(ys)} = y"]
+        body += [f"{_listing(f'c{i}' for i in range(p))} = c", f"{_listing(f't{i}' for i in range(p))} = t"]
+        body += self._value_block("x") + self._value_block("y") + objective("fx", "x", "y")
+        body += ["for _ in range(max_iter):", *_indent(step), f"return {_listing(xs)}, {_listing(ys)}"]
+        return "def penalty_descent(x, y, mu, radius, c, t, max_iter):", body
 
 
 def fresh_name(base: str, taken: Iterable[str]) -> str:

@@ -6,14 +6,15 @@ the resulting variety is the set of values at which the complex mapping is
 not proper.  Real properness at individual values is probed numerically by
 minimizing |g(x) - c| over spheres of growing radius.
 
-Each probe call compiles g once into a `polycore.FloatKernel`: straight-line
-Python for the values, the Jacobian and a fused sphere trial (step, retraction
-to radius R, objective).  The kernel does the same float operations in the
-same order as `Polynomial.eval_float` and the interpreted trial loop it
-replaced, so every mu, argmin and verdict is bit-identical.  It stays scalar
-rather than numpy: at n <= 3 a numpy call costs more than the arithmetic, and
-evaluating all restarts as one batch would change the restarts' early exit
-and the order of the sums.
+Each probe call compiles g once into a `polycore.FloatKernel`.  One restart
+of the sphere descent (gradient, tangent, Armijo backtracking with retraction
+to radius R, stop tests) is a single call of its compiled `sphere_descent`;
+only the seeded restarts and the merge by minimum stay in Python.  The kernel
+does the same float operations in the same order as `Polynomial.eval_float`
+and the interpreted loop it replaced, so every mu, argmin and verdict is
+bit-identical.  It stays scalar rather than numpy: at n <= 3 a numpy call
+costs more than the arithmetic, and evaluating all restarts as one batch
+would change the restarts' early exit and the order of the sums.
 """
 
 from __future__ import annotations
@@ -205,69 +206,26 @@ def _sphere_minimize(
 ) -> tuple[float, list[float]]:
     """Multi-start projected gradient descent for min |g(x)-c|^2 on |x| = R.
 
-    Backtracking Armijo line search along the sphere tangent, retracted by
-    normalization; each trial step is one `kernel.sphere_trial` call.
-    Restarts are independent; results merge by minimum.
+    Each restart draws a seeded start on the sphere and runs one
+    `kernel.sphere_descent`: backtracking Armijo line search along the sphere
+    tangent, retracted by normalization.  Restarts are independent; results
+    merge by minimum.
     """
     from math import isfinite, sqrt
 
     n = kernel.n
-    p = kernel.p
     cvals = [float(v) for v in c]
-    sphere_trial = kernel.sphere_trial
-
-    def objective(x):
-        total = 0.0
-        for v, cv in zip(kernel.value(x), cvals):
-            r = v - cv
-            total += r * r
-        return total
-
-    def gradient(x):
-        vals = kernel.value(x)
-        jac = kernel.jacobian(x)
-        grad = [0.0] * n
-        for i in range(p):
-            ri2 = 2.0 * (vals[i] - cvals[i])
-            if ri2 == 0.0:
-                continue
-            row = jac[i]
-            for j in range(n):
-                grad[j] += ri2 * row[j]
-        return grad
-
+    sphere_descent = kernel.sphere_descent
     best_val = float("inf")
     best_x = [float("nan")] * n
-    r2 = radius * radius
     for _ in range(restarts):
         u = rng.normal(size=n)
         norm = float(np.linalg.norm(u))
         if norm == 0.0:
             continue
-        x = [radius * float(v) / norm for v in u]
-        fx = objective(x)
-        for _ in range(max_iter):
-            grad = gradient(x)
-            if not all(isfinite(gv) for gv in grad):
-                break
-            dot = sum(gv * xv for gv, xv in zip(grad, x)) / r2
-            tangent = [gv - dot * xv for gv, xv in zip(grad, x)]
-            tnorm = sqrt(sum(tv * tv for tv in tangent))
-            if tnorm <= 1e-300 or not isfinite(tnorm):
-                break
-            alpha = 0.1 * radius / tnorm
-            improved = False
-            for _ in range(60):
-                ft, trial = sphere_trial(x, tangent, alpha, radius, cvals)
-                if isfinite(ft) and ft <= fx - 1e-4 * alpha * tnorm * tnorm:
-                    x, fx = trial, ft
-                    improved = True
-                    break
-                alpha *= 0.5
-            if not improved:
-                break
-            if fx <= 1e-300:
-                break
+        fx, x = sphere_descent(
+            [radius * float(v) / norm for v in u], radius, cvals, max_iter
+        )
         if fx < best_val and all(isfinite(xv) for xv in x):
             best_val = fx
             best_x = x

@@ -6,7 +6,7 @@ import re
 import struct
 import tokenize
 from fractions import Fraction
-from math import sqrt
+from math import inf, isfinite, nan, sqrt
 
 import numpy as np
 import pytest
@@ -47,16 +47,156 @@ def reference_value(polys, x):
     return out
 
 
-def reference_trial(polys, x, tangent, alpha, radius, c):
-    """One line-search trial of the sphere minimizer, as an interpreted loop."""
-    trial = [xv - alpha * tv for xv, tv in zip(x, tangent)]
-    tn = sqrt(sum(tv * tv for tv in trial))
-    trial = [radius * tv / tn for tv in trial]
-    total = 0.0
-    for v, cv in zip(reference_value(polys, trial), c):
-        r = v - cv
-        total += r * r
-    return total, trial
+def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
+    """One restart of the sphere minimizer as the interpreted loop it was.
+
+    `seen` collects the loop's exits and branches, so tests can check that
+    their examples reach each of them.
+    """
+    seen = set() if seen is None else seen
+    n, p = kernel.n, kernel.p
+
+    def objective(x):
+        total = 0.0
+        for v, cv in zip(kernel.value(x), c):
+            r = v - cv
+            total += r * r
+        return total
+
+    def gradient(x):
+        vals = kernel.value(x)
+        jac = kernel.jacobian(x)
+        grad = [0.0] * n
+        for i in range(p):
+            ri2 = 2.0 * (vals[i] - c[i])
+            if ri2 == 0.0:
+                seen.add("zero residual")
+                continue
+            row = jac[i]
+            for j in range(n):
+                grad[j] += ri2 * row[j]
+        return grad
+
+    def trial_point(x, tangent, alpha):
+        trial = [xv - alpha * tv for xv, tv in zip(x, tangent)]
+        tn = sqrt(sum(tv * tv for tv in trial))
+        trial = [radius * tv / tn for tv in trial]
+        return objective(trial), trial
+
+    r2 = radius * radius
+    fx = objective(x)
+    if not isfinite(fx):
+        seen.add("non-finite start")
+    for _ in range(max_iter):
+        grad = gradient(x)
+        if not all(isfinite(gv) for gv in grad):
+            seen.add("non-finite gradient")
+            break
+        dot = sum(gv * xv for gv, xv in zip(grad, x)) / r2
+        tangent = [gv - dot * xv for gv, xv in zip(grad, x)]
+        tnorm = sqrt(sum(tv * tv for tv in tangent))
+        if tnorm <= 1e-300 or not isfinite(tnorm):
+            seen.add("zero tangent" if tnorm <= 1e-300 else "non-finite tangent")
+            break
+        alpha = 0.1 * radius / tnorm
+        improved = False
+        for _ in range(60):
+            ft, trial = trial_point(x, tangent, alpha)
+            if isfinite(ft) and ft <= fx - 1e-4 * alpha * tnorm * tnorm:
+                x, fx = trial, ft
+                improved = True
+                break
+            alpha *= 0.5
+        if not improved:
+            seen.add("out of halvings")
+            break
+        if fx <= 1e-300:
+            seen.add("converged")
+            break
+    else:
+        seen.add("max_iter")
+    return fx, x
+
+
+def reference_penalty_descent(kernel, x, y, mu, radius, cv, tv, max_iter, seen=None):
+    """The tube probe's penalty descent as the interpreted loop it was."""
+    seen = set() if seen is None else seen
+    n, p = kernel.n, kernel.p
+
+    def project_ball(z, radius):
+        norm = sqrt(sum(v * v for v in z))
+        if norm <= radius or norm == 0.0:
+            seen.add("inside the ball")
+            return z
+        seen.add("outside the ball")
+        return [radius * v / norm for v in z]
+
+    def objective(x_, y_):
+        rx = kernel.value(x_)
+        ry = kernel.value(y_)
+        total = sum((a - b) ** 2 for a, b in zip(x_, y_))
+        total += mu * sum((a - b) ** 2 for a, b in zip(rx, cv))
+        total += mu * sum((a - b) ** 2 for a, b in zip(ry, tv))
+        return total
+
+    fx = objective(x, y)
+    if not isfinite(fx):
+        seen.add("non-finite start")
+    for _ in range(max_iter):
+        vx, vy = kernel.value(x), kernel.value(y)
+        jx, jy = kernel.jacobian(x), kernel.jacobian(y)
+        gx = [2.0 * (a - b) for a, b in zip(x, y)]
+        gy = [-v for v in gx]
+        for i in range(p):
+            rx2 = 2.0 * mu * (vx[i] - cv[i])
+            ry2 = 2.0 * mu * (vy[i] - tv[i])
+            for j in range(n):
+                gx[j] += rx2 * jx[i][j]
+                gy[j] += ry2 * jy[i][j]
+        gnorm = sqrt(sum(v * v for v in gx) + sum(v * v for v in gy))
+        if not isfinite(gnorm) or gnorm < 1e-14:
+            seen.add("zero gradient" if gnorm < 1e-14 else "non-finite gradient")
+            break
+        dist = sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+        alpha = 0.5 * max(dist, 1e-3) / gnorm
+        improved = False
+        for _ in range(50):
+            nx = project_ball([a - alpha * d for a, d in zip(x, gx)], radius)
+            ny = project_ball([a - alpha * d for a, d in zip(y, gy)], radius)
+            fn = objective(nx, ny)
+            if isfinite(fn) and fn < fx - 1e-8 * alpha * gnorm * gnorm:
+                x, y, fx = nx, ny, fn
+                improved = True
+                break
+            alpha *= 0.5
+        if not improved:
+            seen.add("out of halvings")
+            break
+    else:
+        seen.add("max_iter")
+    return x, y
+
+
+def outcome(fn, *args):
+    """What a call did: the exception type it raised, or its result."""
+    try:
+        return "returned", fn(*args)
+    except ArithmeticError as exc:
+        return "raised", type(exc)
+
+
+def same_sphere_outcome(got, want) -> bool:
+    if got[0] != want[0] or got[0] == "raised":
+        return got == want
+    (fx, x), (ref_fx, ref_x) = got[1], want[1]
+    return bits(fx) == bits(ref_fx) and same_bits(x, ref_x)
+
+
+def same_penalty_outcome(got, want) -> bool:
+    if got[0] != want[0] or got[0] == "raised":
+        return got == want
+    (x, y), (ref_x, ref_y) = got[1], want[1]
+    return same_bits(x, ref_x) and same_bits(y, ref_y)
 
 
 # -- strategies -------------------------------------------------------------------
@@ -113,35 +253,111 @@ def test_jacobian_matches_partials_bitwise(case):
         assert same_bits(row, [q.partial(j).eval_float(x) for j in range(q.nvars)])
 
 
-# numpy scalars warn when a step's norm is zero (x/0, 0/0), in both versions.
+# -- the fused descent loops against the interpreted ones ------------------------
+
+levels = st.one_of(
+    st.floats(min_value=-10, max_value=10),
+    st.sampled_from([0.0, -0.0, inf, -inf, nan]),
+)
+
+
+def level(draw, p):
+    return draw(st.lists(levels, min_size=p, max_size=p))
+
+
+U, UV, UVW = ("u",), ("u", "v"), ("u", "v", "w")
+
+# (polynomials, start, radius, level, max_iter): each exit and branch of the
+# sphere loop, checked by test_sphere_examples_reach_every_exit.
+SPHERE_EXAMPLES = [
+    ([poly(UV, "u^2 - v")], [6.0, 8.0], 10.0, [1.0], 250),  # out of halvings
+    ([poly(UV, "u^2 - v")], [6.0, 8.0], 10.0, [1.0], 2),  # max_iter
+    ([poly(UV, "u")], [0.6, 0.8], 1.0, [0.0], 250),  # out of halvings at a minimum
+    ([poly(U, "u^3 - 1/3*u")], [2.0], 2.0, [0.0], 20),  # zero tangent (n = 1)
+    ([poly(UV, "u*v"), poly(UV, "u")], [0.0, 3.0], 3.0, [0.0, 1.0], 20),  # zero residual
+    ([poly(UVW, "u*v*w + w^2")], [1.0, 2.0, 2.0], 3.0, [inf], 20),  # inf start and gradient
+    ([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1")], [3.0, 4.0], 5.0, [2.0], 250),  # converged
+]
+
+# (polynomials, x, y, mu, radius, c, t, max_iter), likewise for the penalty loop.
+PENALTY_EXAMPLES = [
+    ([poly(UV, "u*v")], [1.0, 1.0], [30.0, 0.1], 1e4, 10.0, [1.0], [2.0], 150),  # out of halvings
+    ([poly(UV, "u*v")], [1.0, 1.0], [2.0, 1.5], 1e4, 10.0, [1.0], [2.0], 3),  # max_iter
+    ([poly(UV, "u")], [1.0, 0.0], [1.0, 0.0], 1.0, 5.0, [1.0], [1.0], 10),  # zero gradient
+    ([poly(UV, "u^2 + v")], [1.0, 2.0], [0.5, 0.5], 1.0, 5.0, [inf], [1.0], 10),  # inf
+    ([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1")], [9.0, 0.2], [9.5, 0.1], 1e6, 10.0,
+     [2.0], [3.0], 150),  # max_iter on the sextic's thin branches
+]
+
+
+@st.composite
+def sphere_cases(draw):
+    polys, x = draw(cases())
+    radius = draw(st.sampled_from([1.0, 10.0, 100.0, 1e4]))
+    if draw(st.booleans()):  # start on the sphere, as the probe does
+        norm = sqrt(sum(float(v) * float(v) for v in x))
+        if norm > 0.0:
+            x = [radius * v / norm for v in x]
+    return polys, x, radius, level(draw, len(polys)), draw(st.integers(0, 12))
+
+
+@st.composite
+def penalty_cases(draw):
+    polys, x = draw(cases())
+    y = draw(st.lists(coordinates, min_size=len(x), max_size=len(x)))
+    mu = draw(st.sampled_from([1.0, 100.0, 1e4, 1e6]))
+    radius = draw(st.sampled_from([1.0, 10.0, 50.0, 1e4]))
+    p = len(polys)
+    return polys, x, y, mu, radius, level(draw, p), level(draw, p), draw(st.integers(0, 8))
+
+
+def check_sphere(polys, x, radius, c, max_iter, seen=None):
+    kernel = FloatKernel(polys)
+    want = outcome(reference_sphere_descent, kernel, list(x), radius, c, max_iter, seen)
+    got = outcome(kernel.sphere_descent, list(x), radius, c, max_iter)
+    assert same_sphere_outcome(got, want), (got, want)
+
+
+def check_penalty(polys, x, y, mu, radius, c, t, max_iter, seen=None):
+    kernel = FloatKernel(polys)
+    want = outcome(reference_penalty_descent, kernel, list(x), list(y), mu, radius, c, t, max_iter, seen)
+    got = outcome(kernel.penalty_descent, list(x), list(y), mu, radius, c, t, max_iter)
+    assert same_penalty_outcome(got, want), (got, want)
+
+
+# numpy scalars warn on x/0, inf - inf and the like, in both versions.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
-@given(
-    cases(),
-    st.lists(coordinates, min_size=3, max_size=3),
-    st.floats(min_value=1e-6, max_value=1e3),
-    st.sampled_from([1.0, 10.0, 100.0, 1e4]),
-    st.lists(st.floats(min_value=-10, max_value=10), min_size=3, max_size=3),
-)
-@example(  # numpy's 0/0 NaN meets x ** 1, which flips its sign bit
-    case=([Polynomial(("u",), (((1,), F(1)),))], [np.float64(0.0)]),
-    tangent=[0.0, 0.0, 0.0], alpha=1.0, radius=1.0, c=[0.0, 0.0, 0.0],
-)
-def test_sphere_trial_matches_interpreted_loop_bitwise(case, tangent, alpha, radius, c):
-    polys, x = case
-    n, p = len(x), len(polys)
-    t, cv = tangent[:n], c[:p]
-    kernel = FloatKernel(polys)
-    try:
-        ref_ft, ref_trial = reference_trial(polys, x, t, alpha, radius, cv)
-    except ZeroDivisionError:
-        # The step lands on (or underflows to) the origin: both divide by zero.
-        with pytest.raises(ZeroDivisionError):
-            kernel.sphere_trial(x, t, alpha, radius, cv)
-        return
-    ft, trial = kernel.sphere_trial(x, t, alpha, radius, cv)
-    assert bits(ft) == bits(ref_ft)
-    assert same_bits(trial, ref_trial)
+@given(sphere_cases())
+def test_sphere_descent_matches_interpreted_loop_bitwise(case):
+    check_sphere(*case)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(penalty_cases())
+def test_penalty_descent_matches_interpreted_loop_bitwise(case):
+    check_penalty(*case)
+
+
+def test_sphere_examples_reach_every_exit():
+    seen = set()
+    for example in SPHERE_EXAMPLES:
+        check_sphere(*example, seen=seen)
+    assert seen >= {
+        "out of halvings", "max_iter", "converged", "zero tangent", "zero residual",
+        "non-finite start", "non-finite gradient",
+    }, seen
+
+
+def test_penalty_examples_reach_every_exit():
+    seen = set()
+    for example in PENALTY_EXAMPLES:
+        check_penalty(*example, seen=seen)
+    assert seen >= {
+        "out of halvings", "max_iter", "zero gradient", "non-finite start",
+        "non-finite gradient", "inside the ball", "outside the ball",
+    }, seen
 
 
 def test_one_variable_constant_and_zero_components():
@@ -153,9 +369,17 @@ def test_one_variable_constant_and_zero_components():
     # Constant and zero components have zero partials: plain 0.0, sign included.
     assert kernel.jacobian(x) == [[-10.0], [0.0], [0.0]]
     assert [bits(row[0]) for row in kernel.jacobian(x)[1:]] == [bits(0.0)] * 2
-    ft, trial = kernel.sphere_trial(x, [0.5], 0.25, 2.0, [1.0, 5.0, 0.0])
-    ref = reference_trial(polys, x, [0.5], 0.25, 2.0, [1.0, 5.0, 0.0])
-    assert bits(ft) == bits(ref[0]) and same_bits(trial, ref[1])
+    check_sphere(polys, [2.0], 2.0, [1.0, 5.0, 0.0], 10)
+    check_penalty(polys, [-1.5], [0.5], 10.0, 2.0, [1.0, 5.0, 0.0], [2.0, 5.0, 0.0], 10)
+
+
+def test_loops_compile_on_first_use():
+    kernel = FloatKernel([poly(UV, "u^2*v - v + 1"), poly(UV, "u*v")])
+    assert kernel.value([1.0, 2.0]) == [1.0, 2.0]
+    kernel.jacobian([1.0, 2.0])
+    assert "sphere_descent" not in vars(kernel) and "penalty_descent" not in vars(kernel)
+    kernel.sphere_descent([1.0, 0.0], 1.0, [0.0, 0.0], 1)
+    assert "sphere_descent" in vars(kernel) and "penalty_descent" not in vars(kernel)
 
 
 def test_two_thousand_terms_compile():
@@ -184,27 +408,33 @@ def test_source_holds_no_input_text():
         poly(ring, "7/3*foo^2*C - 123456789/1000*radius + 11/17"),
         poly(ring, "foo*C*radius - 2"),
     ]
+    functions = ("value", "jacobian", "sphere_descent", "penalty_descent")
     kernel = FloatKernel(polys)
-    positional = re.compile(r"[xtcyv]\d+|d\d+_\d+")
+    source = "".join(kernel.source(name) for name in functions)
+    # Coordinates, powers, values and partials at the points x, y, z, u, w;
+    # tangent, step, gradient and level components.
+    positional = re.compile(r"[xyzuwtcg]\d+|[xyzuw]\d+_\d+|v[xyzuw]\d+|d[xyzuw]\d+_\d+|g[xy]\d+")
     fixed = {
-        "value", "jacobian", "sphere_trial", "x", "t", "alpha", "radius", "c",
-        "C", "sqrt", "sum", "tn", "r", "f",
+        *functions, "x", "y", "t", "c", "mu", "radius", "max_iter", "C", "sqrt", "sum",
+        "isfinite", "max", "range", "_", "r2", "fx", "ri2", "dot", "tnorm", "alpha", "tn",
+        "f", "r", "rx2", "ry2", "gnorm", "dist", "norm", "fn",
     }
-    tokens = list(tokenize.generate_tokens(io.StringIO(kernel.source).readline))
+    literals = {"0.0", "0.1", "1e-4", "1e-300", "2.0", "0.5", "1e-3", "1e-8", "1e-14"}
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     for tok in tokens:
         if tok.type == tokenize.NAME:
             assert keyword.iskeyword(tok.string) or tok.string in fixed or positional.fullmatch(tok.string), tok
         elif tok.type == tokenize.NUMBER:
-            assert tok.string == "0.0" or tok.string.isdigit(), tok
+            assert tok.string in literals or tok.string.isdigit(), tok
         else:
             assert tok.type in (
                 tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
                 tokenize.DEDENT, tokenize.ENDMARKER,
             ), tok
-    assert "foo" not in kernel.source
+    assert "foo" not in source
     # Renaming the variables leaves the source as it is.
-    renamed = [Polynomial(("a", "b", "e"), q.terms) for q in polys]
-    assert FloatKernel(renamed).source == kernel.source
+    renamed = FloatKernel([Polynomial(("a", "b", "e"), q.terms) for q in polys])
+    assert "".join(renamed.source(name) for name in functions) == source
 
 
 # -- rational maps -----------------------------------------------------------------
