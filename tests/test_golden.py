@@ -8,6 +8,10 @@ byte of them as it is, probe `mu` values included.
 The `probe.*.json` files pin the float probes directly: the full output of
 `tube_distance_probe` and `lipschitz_gradient_probe`, and the verdict and
 evidence of `properness_probe_real`, written by `dump` below.
+
+The `cli.*` files pin the standard output of further `liptriv` invocations
+(see CLI_CASES): the JSON and the text of every other subcommand, the text of
+`analyze` on the corpus, and `analyze` runs that exhaust a Groebner budget.
 """
 
 import json
@@ -35,6 +39,66 @@ pytestmark = pytest.mark.skipif(
         "(compensated since 3.12) and the C library's pow"
     ),
 )
+
+
+def _cli(command, name, *extra):
+    return [command, "-i", str(DATA_DIR / f"{name}.map"), *extra]
+
+
+_SUBCOMMANDS = {
+    "factor.ex_simple": _cli("factor", "ex_simple"),
+    "factor.motzkin": _cli("factor", "motzkin"),
+    "jelonek.ex_simple": _cli("jelonek", "ex_simple"),
+    "jelonek.cube": _cli("jelonek", "cube"),
+    "critical.motzkin": _cli("critical", "motzkin"),
+    "critical.cube": _cli("critical", "cube"),
+    "infinity.bad.values": _cli("infinity", "bad", "--values", "1,0;2,0"),
+    "infinity.ex_simple": _cli("infinity", "ex_simple"),
+    "probe.motzkin.values": _cli(
+        "probe", "motzkin", "--values", "0.5;2", "--radii", "10,100,1000"
+    ),
+    "probe.ex_simple.tube": _cli(
+        "probe", "ex_simple", "--values", "1,1", "--tube", "1,0|2,0"
+    ),
+    "compare.ex_simple": _cli("compare", "ex_simple"),
+    "compare.cube": _cli("compare", "cube"),
+}
+
+# File name (after "cli.") -> argv; the suffix names the --output format.
+CLI_CASES = {
+    **{f"{key}.json": argv for key, argv in _SUBCOMMANDS.items()},
+    **{f"{key}.txt": argv for key, argv in _SUBCOMMANDS.items()},
+    **{
+        f"analyze.{case}.txt": _cli("analyze", case.split(".")[0], "--field", case.split(".")[1])
+        for case in CASES
+    },
+    # Exhausted budgets; each run pins the set of flags and their messages.
+    **{
+        f"analyze.{name}.{field}.max-degree-{deg}.json": _cli(
+            "analyze", name, "--field", field, "--max-degree", str(deg)
+        )
+        for name, field, deg in (
+            ("ex_simple", "complex", 2),
+            ("ex_simple", "real", 2),
+            ("ex_simple", "complex", 3),
+            ("cube", "complex", 4),
+            ("motzkin", "complex", 1),
+        )
+    },
+}
+
+
+def run_cli_case(case, capsys) -> tuple[int, str]:
+    output = "json" if case.endswith(".json") else "text"
+    code = run(CLI_CASES[case] + ["--output", output])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_output_matches_golden(case, capsys):
+    code, out = run_cli_case(case, capsys)
+    assert code == MANIFEST["cli_exit_codes"][case]
+    assert out == (GOLDEN / f"cli.{case}").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("case", CASES)
