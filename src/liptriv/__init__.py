@@ -39,7 +39,7 @@ from .groebner import (
     real_roots,
     saturate,
 )
-from .infinity import cone_at_infinity, cone_constancy_check, fiber_infinity
+from .infinity import cone_constancy_check, fiber_infinity
 from .parsing import ParseError, parse_input, parse_mapping, print_polynomial
 from .polycore import LinearMap, PolyMap, Polynomial
 from .properness import (
@@ -74,7 +74,6 @@ __all__ = [
     "classify",
     "classify_rational",
     "complexification_compare",
-    "cone_at_infinity",
     "cone_constancy_check",
     "critical_ideal",
     "dimension",

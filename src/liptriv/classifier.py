@@ -2,9 +2,11 @@
 
 classify() chains the whole analysis: reduce the mapping through its maximal
 invariance subspace, compute the exact value-space obstructions (non-properness
-and critical ideals of the reduced mapping over C), check the necessary
-conditions coming from the fibers' accumulation sets at infinity, and assemble
-a field-specific description of the Lipschitz trivial values.
+and critical ideals of the reduced mapping over C) and the fibers'
+accumulation sets at infinity, once for both fields, then check the necessary
+conditions and assemble a field-specific description of the Lipschitz
+trivial values.  complexification_compare derives both fields' reports from
+one run of the exact stages.
 
 Over C the answer is exact: either empty, all values, or the complement of an
 algebraic hypersurface.  Over R the exact algebraic data is reported together
@@ -14,7 +16,7 @@ made beyond what the certificates support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,6 +35,7 @@ from .groebner import (
     is_unit_ideal,
 )
 from .infinity import ConeConstancyResult, InfinityReport, cone_constancy_check, fiber_infinity
+from .parsing import print_polynomial
 from .polycore import FloatKernel, PolyMap, Polynomial
 from .properness import (
     JelonekIdeal,
@@ -99,15 +102,10 @@ class LtvReport:
     sampled_values: tuple
     jelonek: JelonekIdeal | None
     critical: CriticalIdeal | None
-    real_critical: tuple[RealCriticalValue, ...] | None
     ltv: LtvDescription
     checks: tuple[CheckResult, ...]
     flags: dict
     seed: int
-
-    @property
-    def infinity(self) -> InfinityReport | None:
-        return self.infinity_samples[0] if self.infinity_samples else None
 
 
 # -- deterministic value sampling ----------------------------------------------
@@ -139,12 +137,6 @@ def rational_grid(p: int, count: int, start: int = 0) -> list[tuple[Fraction, ..
     return out
 
 
-def _vanishes_at(ideal: Ideal | None, c: Sequence[Fraction]) -> bool:
-    if ideal is None or not ideal.generators:
-        return False
-    return all(g.eval_exact(list(c)) == 0 for g in ideal.generators)
-
-
 def _sample_values(
     f: PolyMap,
     count: int,
@@ -154,15 +146,15 @@ def _sample_values(
 ) -> list[tuple[Fraction, ...]]:
     """Grid values with nonempty complex fiber, off the known discriminant loci."""
     chosen: list[tuple[Fraction, ...]] = []
-    attempts = 0
     j = 0
-    while len(chosen) < count and attempts < 40:
+    while len(chosen) < count and j < 40:
         candidate = rational_grid(f.p, 1, start=j)[0]
         j += 1
-        attempts += 1
-        if _vanishes_at(critical.ideal if critical else None, candidate):
-            continue
-        if _vanishes_at(jelonek.ideal if jelonek else None, candidate):
+        # A missing or zero ideal excludes no value.
+        if any(
+            loci is not None and loci.ideal.generators and loci.ideal.vanishes_at(candidate)
+            for loci in (critical, jelonek)
+        ):
             continue
         fiber = Ideal.make(
             f.vars, [comp - ci for comp, ci in zip(f.components, candidate)]
@@ -179,6 +171,69 @@ def _sample_values(
 # -- classify -------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ExactStages:
+    """Field-independent exact data of one mapping, each stage computed once.
+
+    f = g o pi, the critical and Jelonek ideals of g, the sampled values, one
+    fiber_infinity report per sample and the cone verdict; `flags` names
+    each stage whose budget ran out.
+    """
+
+    f: PolyMap
+    factorization: FactorizationResult
+    critical: CriticalIdeal | None = None
+    jelonek: JelonekIdeal | None = None
+    samples: tuple[tuple[Fraction, ...], ...] = ()
+    infinity_samples: tuple[InfinityReport, ...] = ()
+    cone: ConeConstancyResult | None = None
+    dominant: bool = False  # m = p and the Jacobian of g is not identically singular
+    flags: dict = field(default_factory=dict)
+
+
+def _within_budget(flags: dict, key: str, stage, *args, **kwargs):
+    """stage(*args, **kwargs), or None with flags[key] set if a budget ran out."""
+    try:
+        return stage(*args, **kwargs)
+    except BudgetExceededError as exc:
+        flags[key] = str(exc)
+        return None
+
+
+def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
+    budget = cfg.budget
+    factorization = factor_through_projection(f)
+    if f.is_constant():
+        return ExactStages(f, factorization)
+    g = factorization.g
+    flags: dict = {}
+
+    critical = _within_budget(flags, "critical_budget", critical_ideal, g, budget)
+    jelonek = None
+    if factorization.m == f.p:
+        jelonek = _within_budget(flags, "jelonek_budget", jelonek_ideal, g, budget)
+
+    # Sampled-value analysis: fiber at infinity and cone constancy.
+    samples = tuple(_sample_values(f, max(cfg.cone_samples, 2), critical, jelonek, budget))
+    cone = None
+    if len(samples) >= 2:
+        cone = _within_budget(flags, "cone_budget", cone_constancy_check, f, samples, budget)
+    reports = cone.reports if cone is not None else ()
+    if samples and not reports:
+        # A single sample, or a cone check out of budget: sample 0 on its
+        # own, which fails again exactly when the cone check failed there.
+        inf_report = _within_budget(
+            flags, "infinity_budget", fiber_infinity, f, samples[0], budget
+        )
+        reports = (inf_report,) if inf_report is not None else ()
+
+    # For m = p, dominance is a not-identically-singular Jacobian (char 0).
+    dominant = factorization.m == f.p and any(not q.is_zero() for q in jacobian_minors(g))
+    return ExactStages(
+        f, factorization, critical, jelonek, samples, reports, cone, dominant, flags
+    )
+
+
 def classify(
     f: PolyMap, field_name: str = "complex", config: AnalysisConfig | None = None
 ) -> LtvReport:
@@ -186,18 +241,69 @@ def classify(
     if field_name not in ("real", "complex"):
         raise ValueError("field must be 'real' or 'complex'")
     cfg = config or AnalysisConfig()
-    budget = cfg.budget
+    return _field_report(_exact_stages(f, cfg), field_name, cfg)
+
+
+def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> LtvReport:
+    """The field's verdict from the exact stages, with its checks and flags."""
+    f = stages.f
     checks: list[CheckResult] = []
-    flags: dict = {}
+    flags = dict(stages.flags)
+    samples = stages.samples
+    failures = []
+    if stages.infinity_samples:
+        inf_report = stages.infinity_samples[0]
+        required = f.n - inf_report.m_candidate
+        necessary_failed = stages.factorization.V.dim < required
+        data = {
+            "value": [str(x) for x in samples[0]],
+            "dim_V": stages.factorization.V.dim,
+            "dim_infinity": inf_report.dim_infinity,
+            "m_candidate": inf_report.m_candidate,
+            "required": required,
+            "condition": "dim V >= n - m_candidate",
+        }
+        if field_name == "real":
+            data["field_caveat"] = (
+                "accumulation set computed over C; the real set can be "
+                "smaller, so this check is advisory for real input"
+            )
+        checks.append(
+            CheckResult(
+                "invariance_vs_infinity",
+                "FAIL" if necessary_failed else "PASS",
+                data,
+            )
+        )
+        if necessary_failed:
+            failures.append(
+                "invariance subspace smaller than the codimension of the fiber's "
+                "accumulation set at infinity requires"
+            )
+    cone_result = stages.cone
+    if cone_result is not None:
+        data = {"values": [[str(x) for x in c] for c in samples]}
+        if cone_result.verdict == "PASS" and cone_result.subspace is not None:
+            data["cone_subspace_basis"] = _basis_strings(cone_result.subspace.basis)
+        if cone_result.verdict == "FAIL" and cone_result.witness is not None:
+            i, j = cone_result.witness
+            data["witness_values"] = [
+                [str(x) for x in samples[i]],
+                [str(x) for x in samples[j]],
+            ]
+            data["witness_cones"] = [
+                _cone_string(cone_result.reports[i]),
+                _cone_string(cone_result.reports[j]),
+            ]
+        if field_name == "real":
+            data["field_caveat"] = "cones computed over C"
+        checks.append(CheckResult("cone_constancy", cone_result.verdict, data))
+        if cone_result.verdict == "FAIL":
+            failures.append("accumulation cones at infinity differ between sampled values")
 
-    factorization = factor_through_projection(f)
-    g = factorization.g
-    dim_v = factorization.V.dim
-    m = factorization.m
-
-    # Constant mappings: the single attained value admits no trivialization,
-    # every other value has empty fibers and is trivially Lipschitz trivial.
     if f.is_constant():
+        # The single attained value admits no trivialization, every other
+        # value has empty fibers and is trivially Lipschitz trivial.
         c0 = tuple(comp.constant_value() for comp in f.components)
         tvars = target_ring(f.p)
         gens = tuple(
@@ -209,117 +315,19 @@ def classify(
             reason="constant mapping: the attained value admits no trivialization",
             generators=gens,
         )
-        return LtvReport(
-            field_name, f, factorization, (), (), None, None, None, ltv,
-            tuple(checks), flags, cfg.seed,
-        )
-
-    tvars = target_ring(f.p, g.vars)
-
-    critical: CriticalIdeal | None = None
-    try:
-        critical = critical_ideal(g, budget, tvars)
-    except BudgetExceededError as exc:
-        flags["critical_budget"] = str(exc)
-
-    jelonek: JelonekIdeal | None = None
-    if m == f.p:
-        try:
-            jelonek = jelonek_ideal(g, budget, tvars)
-        except BudgetExceededError as exc:
-            flags["jelonek_budget"] = str(exc)
-
-    # Sampled-value analysis: fiber at infinity and cone constancy.
-    samples = _sample_values(f, max(cfg.cone_samples, 2), critical, jelonek, budget)
-    inf_report: InfinityReport | None = None
-    cone_result: ConeConstancyResult | None = None
-    necessary_failed = False
-    cone_failed = False
-    if samples:
-        try:
-            inf_report = fiber_infinity(f, samples[0], budget)
-            necessary_failed = dim_v < f.n - inf_report.m_candidate
-            data = {
-                "value": [str(x) for x in samples[0]],
-                "dim_V": dim_v,
-                "dim_infinity": inf_report.dim_infinity,
-                "m_candidate": inf_report.m_candidate,
-                "required": f.n - inf_report.m_candidate,
-                "condition": "dim V >= n - m_candidate",
-            }
-            if field_name == "real":
-                data["field_caveat"] = (
-                    "accumulation set computed over C; the real set can be "
-                    "smaller, so this check is advisory for real input"
-                )
-            checks.append(
-                CheckResult(
-                    "invariance_vs_infinity",
-                    "FAIL" if necessary_failed else "PASS",
-                    data,
-                )
-            )
-        except BudgetExceededError as exc:
-            flags["infinity_budget"] = str(exc)
-    if len(samples) >= 2:
-        try:
-            cone_result = cone_constancy_check(f, samples, budget)
-            cone_failed = cone_result.verdict == "FAIL"
-            data = {"values": [[str(x) for x in c] for c in samples]}
-            if cone_result.verdict == "PASS" and cone_result.subspace is not None:
-                data["cone_subspace_basis"] = _basis_strings(cone_result.subspace.basis)
-            if cone_result.verdict == "FAIL" and cone_result.witness is not None:
-                i, j = cone_result.witness
-                data["witness_values"] = [
-                    [str(x) for x in samples[i]],
-                    [str(x) for x in samples[j]],
-                ]
-                data["witness_cones"] = [
-                    _cone_string(cone_result.reports[i]),
-                    _cone_string(cone_result.reports[j]),
-                ]
-            if field_name == "real":
-                data["field_caveat"] = "cones computed over C"
-            checks.append(CheckResult("cone_constancy", cone_result.verdict, data))
-        except BudgetExceededError as exc:
-            flags["cone_budget"] = str(exc)
-
-    failures = []
-    if necessary_failed:
-        failures.append(
-            "invariance subspace smaller than the codimension of the fiber's "
-            "accumulation set at infinity requires"
-        )
-    if cone_failed:
-        failures.append("accumulation cones at infinity differ between sampled values")
-
-    if field_name == "complex":
-        ltv = _complex_verdict(f, factorization, jelonek, critical, failures, flags, budget)
+    elif field_name == "complex":
+        ltv = _complex_verdict(stages, failures, flags, cfg.budget)
     else:
-        ltv = _real_verdict(
-            f, factorization, jelonek, critical, failures, flags, cfg, checks, budget
-        )
-
-    real_critical = None
-    if field_name == "real" and ltv.critical_candidates:
-        real_critical = ltv.critical_candidates
-
-    if cone_result is not None:
-        infinity_samples = cone_result.reports
-    elif inf_report is not None:
-        infinity_samples = (inf_report,)
-    else:
-        infinity_samples = ()
+        ltv = _real_verdict(stages, failures, flags, cfg, checks)
 
     return LtvReport(
         field_name,
         f,
-        factorization,
-        infinity_samples,
-        tuple(samples),
-        jelonek,
-        critical,
-        real_critical,
+        stages.factorization,
+        stages.infinity_samples,
+        samples,
+        stages.jelonek,
+        stages.critical,
         ltv,
         tuple(checks),
         flags,
@@ -332,27 +340,19 @@ def _basis_strings(basis) -> list[list[str]]:
 
 
 def _cone_string(report: InfinityReport) -> dict:
-    from .parsing import print_polynomial
-
     out: dict = {"ideal": [print_polynomial(g) for g in report.cone_ideal.generators]}
     if report.cone_subspace is not None:
         out["subspace_basis"] = _basis_strings(report.cone_subspace.basis)
     return out
 
 
-def _dominant(g: PolyMap) -> bool:
-    """For m = p: dominance is a not-identically-singular Jacobian (char 0)."""
-    minors = jacobian_minors(g)
-    return any(not q.is_zero() for q in minors)
-
-
 def _bifurcation_ideal(
     jelonek: JelonekIdeal, critical: CriticalIdeal, budget: GroebnerBudget
 ) -> Ideal:
     """Reduced generators cutting J(g) union closure K0(g) in the value space."""
-    if jelonek.is_empty_set():
+    if jelonek.ideal.has_unit_generator():
         merged = critical.ideal
-    elif critical.is_empty_set():
+    elif critical.ideal.has_unit_generator():
         merged = jelonek.ideal
     else:
         merged = intersect(jelonek.ideal, critical.ideal, budget)
@@ -361,44 +361,39 @@ def _bifurcation_ideal(
 
 
 def _complex_verdict(
-    f: PolyMap,
-    factorization: FactorizationResult,
-    jelonek: JelonekIdeal | None,
-    critical: CriticalIdeal | None,
+    stages: ExactStages,
     failures: list[str],
     flags: dict,
     budget: GroebnerBudget,
 ) -> LtvDescription:
-    m, p = factorization.m, f.p
+    m, p = stages.factorization.m, stages.f.p
     if m != p:
         failures = failures + [
             f"reduced domain dimension m = {m} differs from the target dimension "
             f"p = {p}; no dominant factorization through K^p exists"
         ]
-    elif not _dominant(factorization.g):
+    elif not stages.dominant:
         failures = failures + ["the reduced mapping is not dominant"]
 
     if failures:
         return LtvDescription("empty", reason="; ".join(failures))
 
-    if jelonek is None or critical is None:
+    if stages.jelonek is None or stages.critical is None:
         return LtvDescription(
             "undetermined",
             reason="exact value-space ideals unavailable (resource budget exceeded)",
         )
 
-    try:
-        bif = _bifurcation_ideal(jelonek, critical, budget)
-    except BudgetExceededError as exc:
-        flags["bifurcation_budget"] = str(exc)
+    bif = _within_budget(
+        flags, "bifurcation_budget", _bifurcation_ideal, stages.jelonek, stages.critical, budget
+    )
+    if bif is None:
         return LtvDescription(
             "undetermined",
             reason="bifurcation ideal unavailable (resource budget exceeded)",
         )
-    if not bif.generators:
-        # Union of two empty sets only: complement of nothing.
-        return LtvDescription("all_values")
-    if any(g.is_constant() and not g.is_zero() for g in bif.generators):
+    if not bif.generators or bif.has_unit_generator():
+        # Both sets empty: complement of nothing.
         return LtvDescription("all_values")
     return LtvDescription("complement", generators=bif.generators)
 
@@ -420,47 +415,42 @@ def _probe_grid_real(
 
 
 def _real_verdict(
-    f: PolyMap,
-    factorization: FactorizationResult,
-    jelonek: JelonekIdeal | None,
-    critical: CriticalIdeal | None,
+    stages: ExactStages,
     failures: list[str],
     flags: dict,
     cfg: AnalysisConfig,
     checks: list[CheckResult],
-    budget: GroebnerBudget,
 ) -> LtvDescription:
-    g = factorization.g
-    m, p = factorization.m, f.p
+    g = stages.factorization.g
+    p = stages.f.p
+    jelonek, critical, budget = stages.jelonek, stages.critical, cfg.budget
 
-    if failures:
-        # Only the cone obstruction is verdict-driving over R: the invariance
-        # condition uses the complex accumulation set, which can overshoot.
-        cone_failures = [msg for msg in failures if "cones" in msg]
-        if cone_failures:
-            return LtvDescription("empty", reason="; ".join(failures))
+    # Only the cone obstruction is verdict-driving over R: the invariance
+    # condition uses the complex accumulation set, which can overshoot.
+    if stages.cone is not None and stages.cone.verdict == "FAIL":
+        return LtvDescription("empty", reason="; ".join(failures))
 
     candidates: tuple[RealCriticalValue, ...] = ()
-    if p == 1 and critical is not None and not critical.is_empty_set():
-        try:
-            candidates = tuple(
-                real_critical_values(g, budget, seed=cfg.seed, crit=critical)
+    if p == 1 and critical is not None and not critical.ideal.has_unit_generator():
+        candidates = tuple(
+            _within_budget(
+                flags, "real_critical_budget", real_critical_values,
+                g, budget, seed=cfg.seed, crit=critical,
             )
-        except BudgetExceededError as exc:
-            flags["real_critical_budget"] = str(exc)
+            or ()
+        )
 
     exact_generators: tuple[Polynomial, ...] = ()
-    exact_note = ""
-    if m == p and jelonek is not None and critical is not None and _dominant(g):
-        try:
-            bif = _bifurcation_ideal(jelonek, critical, budget)
-        except BudgetExceededError as exc:
-            flags["bifurcation_budget"] = str(exc)
-            bif = None
+    note = (
+        "exact critical candidates plus per-value properness verdicts; the "
+        "real non-properness set is probed, not computed exactly"
+    )
+    if stages.dominant and jelonek is not None and critical is not None:
+        bif = _within_budget(
+            flags, "bifurcation_budget", _bifurcation_ideal, jelonek, critical, budget
+        )
         if bif is not None:
-            if not bif.generators or any(
-                q.is_constant() and not q.is_zero() for q in bif.generators
-            ):
+            if not bif.generators or bif.has_unit_generator():
                 return LtvDescription(
                     "all_values",
                     note=(
@@ -469,7 +459,7 @@ def _real_verdict(
                     ),
                 )
             exact_generators = bif.generators
-            exact_note = (
+            note = (
                 "real Lipschitz trivial values = R^p minus the real points of the "
                 "complex bifurcation set of the reduced mapping"
             )
@@ -479,20 +469,17 @@ def _real_verdict(
     table = []
     any_proper = False
     for value in grid:
-        try:
-            verdict = properness_probe_real(
-                g, value, sched, mu_floor=cfg.mu_floor, jelonek=jelonek, budget=budget
-            )
-        except BudgetExceededError as exc:
-            flags["probe_budget"] = str(exc)
-            verdict = properness_probe_real(
-                g, value, sched, mu_floor=cfg.mu_floor, skip_exact=True
-            )
-        regular = True
-        if critical is not None:
-            regular = not _vanishes_at(
-                critical.ideal, [Fraction(x) for x in value]
-            )
+        # Out of budget, the value is probed without the exact certificate.
+        verdict = _within_budget(
+            flags, "probe_budget", properness_probe_real,
+            g, value, sched, mu_floor=cfg.mu_floor, jelonek=jelonek, budget=budget,
+        ) or properness_probe_real(g, value, sched, mu_floor=cfg.mu_floor, skip_exact=True)
+        # A missing or zero critical ideal marks no value critical.
+        regular = not (
+            critical is not None
+            and critical.ideal.generators
+            and critical.ideal.vanishes_at([Fraction(x) for x in value])
+        )
         certified = verdict.mode == "exact_complex" and verdict.verdict == "proper"
         if verdict.verdict == "proper" and regular:
             any_proper = True
@@ -514,18 +501,8 @@ def _real_verdict(
         )
     )
 
-    if exact_generators:
-        return LtvDescription(
-            "real_complement",
-            generators=exact_generators,
-            critical_candidates=candidates,
-            probe_table=tuple(
-                (tuple(e["value"]), e["verdict"], e["mode"]) for e in table
-            ),
-            note=exact_note,
-        )
-
-    if not any_proper:
+    probe_table = tuple((tuple(e["value"]), e["verdict"], e["mode"]) for e in table)
+    if not exact_generators and not any_proper:
         return LtvDescription(
             "undetermined",
             reason=(
@@ -533,19 +510,14 @@ def _real_verdict(
                 "real description needs at least one Lipschitz trivial value"
             ),
             critical_candidates=candidates,
-            probe_table=tuple(
-                (tuple(e["value"]), e["verdict"], e["mode"]) for e in table
-            ),
+            probe_table=probe_table,
         )
-
     return LtvDescription(
         "real_complement",
+        generators=exact_generators,
         critical_candidates=candidates,
-        probe_table=tuple((tuple(e["value"]), e["verdict"], e["mode"]) for e in table),
-        note=(
-            "exact critical candidates plus per-value properness verdicts; the "
-            "real non-properness set is probed, not computed exactly"
-        ),
+        probe_table=probe_table,
+        note=note,
     )
 
 
@@ -590,7 +562,7 @@ def classify_rational(
 
     ltv = LtvDescription("not_applicable", reason=RATIONAL_NOT_APPLICABLE)
     return LtvReport(
-        field_name, r, None, (), (), None, None, None, ltv, tuple(checks), {}, cfg.seed
+        field_name, r, None, (), (), None, None, ltv, tuple(checks), {}, cfg.seed
     )
 
 
@@ -819,58 +791,47 @@ def complexification_compare(
     Lipschitz triviality; containment therefore holds value by value.
     """
     cfg = config or AnalysisConfig()
-    complex_report = classify(f, "complex", cfg)
-    real_report = classify(f, "real", cfg)
+    stages = _exact_stages(f, cfg)
+    complex_report = _field_report(stages, "complex", cfg)
+    real_report = _field_report(stages, "real", cfg)
+    verdict, data = _containment(stages, complex_report.ltv, cfg, sample_count)
+    check = CheckResult("complexification_containment", verdict, data)
+    return real_report, complex_report, check
 
-    if complex_report.ltv.kind == "empty":
-        check = CheckResult(
-            "complexification_containment",
-            "PASS",
-            {"detail": "complex Ltv empty; containment is vacuous", "samples": []},
-        )
-        return real_report, complex_report, check
 
-    if complex_report.ltv.kind not in ("complement", "all_values"):
-        check = CheckResult(
-            "complexification_containment",
-            "INCONCLUSIVE",
-            {"detail": f"complex verdict is {complex_report.ltv.kind}"},
-        )
-        return real_report, complex_report, check
+def _containment(
+    stages: ExactStages, ltv: LtvDescription, cfg: AnalysisConfig, sample_count: int
+) -> tuple[str, dict]:
+    """Verdict and data of the containment check for the complex Ltv `ltv`."""
+    if ltv.kind == "empty":
+        return "PASS", {"detail": "complex Ltv empty; containment is vacuous", "samples": []}
+    if ltv.kind not in ("complement", "all_values"):
+        return "INCONCLUSIVE", {"detail": f"complex verdict is {ltv.kind}"}
 
-    gens = complex_report.ltv.generators
-    g = complex_report.factorization.g
-    samples = []
+    gens = ltv.generators
+    g, critical = stages.factorization.g, stages.critical
+    rows = []
     j = 0
-    while len(samples) < sample_count and j < 40:
-        candidate = rational_grid(f.p, 1, start=j)[0]
+    while len(rows) < sample_count and j < 40:
+        value = rational_grid(stages.f.p, 1, start=j)[0]
         j += 1
         # Stay strictly inside the open complement of the bifurcation set.
-        if gens and any(q.eval_exact(list(candidate)) == 0 for q in gens):
+        if gens and any(q.eval_exact(list(value)) == 0 for q in gens):
             continue
-        samples.append(candidate)
-
-    rows = []
-    verdict = "PASS"
-    for value in samples:
-        proper = is_proper_at_complex(g, value, complex_report.jelonek, cfg.budget)
-        regular = not _vanishes_at(
-            complex_report.critical.ideal if complex_report.critical else None, value
+        proper = is_proper_at_complex(g, value, stages.jelonek, cfg.budget)
+        # A missing or zero critical ideal marks no value critical.
+        regular = not (
+            critical is not None
+            and critical.ideal.generators
+            and critical.ideal.vanishes_at(value)
         )
-        member = proper.verdict == "proper" and regular
-        if not member:
-            verdict = "FAIL"
         rows.append(
             {
                 "value": [str(x) for x in value],
                 "complex_proper": proper.verdict,
                 "regular": regular,
-                "in_real_ltv": member,
+                "in_real_ltv": proper.verdict == "proper" and regular,
             }
         )
-    check = CheckResult(
-        "complexification_containment",
-        verdict,
-        {"samples": rows},
-    )
-    return real_report, complex_report, check
+    verdict = "PASS" if all(row["in_real_ltv"] for row in rows) else "FAIL"
+    return verdict, {"samples": rows}

@@ -3,33 +3,35 @@
 Subcommands: analyze, factor, jelonek, critical, infinity, probe, compare.
 Exit codes: 0 success, 2 parse/usage error, 3 resource budget exhausted (a
 partial report is still emitted when possible).  Diagnostics go to stderr;
-reports go to stdout or --json-path.  LTV_SEED overrides the seed.
+reports go to stdout, and their JSON to --json-path.  LTV_SEED overrides the
+seed.  The documents themselves are built in report.py.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 from functools import cache
 
-from . import __version__
+from . import __version__, report
 from .classifier import (
     AnalysisConfig,
     classify,
     classify_rational,
     complexification_compare,
+    rational_grid,
     tube_distance_probe,
 )
+from .critical import critical_ideal, real_critical_values
+from .dependence import factor_through_projection
 from .groebner import BudgetExceededError, GroebnerBudget
 from .infinity import fiber_infinity
-from .parsing import ParseError, parse_input, print_polynomial
+from .parsing import ParseError, parse_input
 from .polycore import PolyMap
 from .properness import jelonek_ideal, properness_probe_real
 from .rational import RationalMap
-from .report import emit_report, render_text, report_document, schema_skeleton
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,6 +103,14 @@ def _parse_values(text: str, p: int):
     return out
 
 
+def _parse_tube(text: str, p: int):
+    """The two levels of '--tube c|t', each one value of p components."""
+    levels = [_parse_values(level, p) for level in text.split("|")]
+    if len(levels) != 2 or any(len(values) != 1 for values in levels):
+        raise ValueError(f"tube {text!r} needs two values 'c|t'")
+    return [[float(x) for x in values[0]] for values in levels]
+
+
 def _config(args) -> AnalysisConfig:
     seed = args.seed
     if seed is None:
@@ -126,23 +136,58 @@ def _load(path: str):
     return parse_input(text)
 
 
-def _emit(args, report) -> None:
-    payload = emit_report(report)
+def _emit(args, payload, text) -> None:
+    """Write payload() (JSON) to --json-path, and it or text() to stdout."""
+    json_text = payload() if args.json_path or args.output == "json" else None
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    if args.output == "json":
-        sys.stdout.write(payload)
-    else:
-        sys.stdout.write(render_text(report))
+            handle.write(json_text)
+    sys.stdout.write(json_text if args.output == "json" else text())
 
 
-def _emit_json(args, doc: dict) -> None:
-    payload = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    sys.stdout.write(payload)
+def _document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
+    """Run one subcommand other than analyze and build its document."""
+    if args.command == "infinity":
+        if args.values:
+            values = _parse_values(args.values, poly.p)
+        else:
+            values = rational_grid(poly.p, 2)
+        reports = [fiber_infinity(poly, value, cfg.budget) for value in values]
+        return report.infinity_document(poly, args.field, reports)
+    if args.command == "compare":
+        return report.compare_document(poly, *complexification_compare(poly, cfg))
+
+    fact = factor_through_projection(poly)
+    g = fact.g
+    if args.command == "factor":
+        return report.factor_document(poly, args.field, fact)
+    if args.command == "jelonek":
+        return report.jelonek_document(poly, args.field, g, jelonek_ideal(g, cfg.budget))
+    if args.command == "critical":
+        crit = critical_ideal(g, cfg.budget)
+        roots = None
+        if g.p == 1 and not crit.ideal.has_unit_generator():
+            roots = real_critical_values(g, cfg.budget, seed=cfg.seed, crit=crit)
+        return report.critical_document(poly, args.field, g, crit, roots)
+
+    # probe: properness per value is meaningful for the reduced mapping, the
+    # silent coordinates of a suspension make every fiber unbounded.
+    values = _parse_values(args.values, g.p)
+    tube = _parse_tube(args.tube, poly.p) if args.tube else None
+    sched = cfg.schedule()
+    # J(g) at most once, and only once a finite fiber needs it, so a
+    # budget error surfaces at the same value as without the cache.
+    jelonek = cache(lambda: jelonek_ideal(g, cfg.budget))
+    verdicts = [
+        properness_probe_real(
+            g, [float(x) for x in value], sched, mu_floor=cfg.mu_floor,
+            jelonek=jelonek, budget=cfg.budget,
+        )
+        for value in values
+    ]
+    if tube is not None:
+        tube = tube_distance_probe(poly, *tube, seed=cfg.seed)
+    return report.probe_document(poly, g, values, verdicts, tube)
 
 
 def run(argv=None) -> int:
@@ -154,215 +199,27 @@ def run(argv=None) -> int:
 
     try:
         mapping = _load(args.input)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-
-    cfg = _config(args)
-    is_rational = isinstance(mapping, RationalMap) and not mapping.is_polynomial()
-
-    try:
+        cfg = _config(args)
+        if isinstance(mapping, RationalMap) and mapping.is_polynomial():
+            mapping = mapping.to_polymap()
         if args.command == "analyze":
-            if is_rational:
-                report = classify_rational(mapping, getattr(args, "field", "real"), cfg)
+            if isinstance(mapping, RationalMap):
+                result = classify_rational(mapping, args.field, cfg)
             else:
-                poly = mapping.to_polymap() if isinstance(mapping, RationalMap) else mapping
-                report = classify(poly, args.field, cfg)
-            _emit(args, report)
-            return 3 if report.flags else 0
+                result = classify(mapping, args.field, cfg)
+            _emit(args, lambda: report.emit_report(result), lambda: report.render_text(result))
+            return 3 if result.flags else 0
 
-        if is_rational:
+        if isinstance(mapping, RationalMap):
             print(
                 "this subcommand needs a polynomial mapping; "
                 "use 'analyze' for rational input",
                 file=sys.stderr,
             )
             return 2
-        poly: PolyMap = mapping.to_polymap() if isinstance(mapping, RationalMap) else mapping
-
-        if args.command == "factor":
-            from .dependence import factor_through_projection
-
-            fact = factor_through_projection(poly)
-            doc = schema_skeleton(poly, args.field)
-            doc["invariance_dim"] = fact.V.dim
-            doc["invariance_basis"] = [[str(x) for x in v] for v in fact.V.basis]
-            doc["reduced_dim"] = fact.m
-            doc["projection_matrix"] = [[str(x) for x in row] for row in fact.pi.rows]
-            doc["reduced_vars"] = list(fact.g.vars)
-            doc["reduced_map"] = [print_polynomial(c) for c in fact.g.components]
-            if args.output == "json":
-                _emit_json(args, doc)
-            else:
-                print(f"invariance subspace dimension: {doc['invariance_dim']}")
-                for vec in doc["invariance_basis"]:
-                    print(f"  direction: ({', '.join(vec)})")
-                print(f"m = {doc['reduced_dim']}")
-                print("projection matrix rows:")
-                for row in doc["projection_matrix"]:
-                    print(f"  ({', '.join(row)})")
-                print(
-                    f"reduced map g({', '.join(doc['reduced_vars'])}) = "
-                    f"({', '.join(doc['reduced_map'])})"
-                )
-            return 0
-
-        if args.command == "jelonek":
-            from .dependence import factor_through_projection
-
-            fact = factor_through_projection(poly)
-            jel = jelonek_ideal(fact.g, cfg.budget)
-            doc = schema_skeleton(poly, args.field)
-            doc["reduced_map"] = [print_polynomial(c) for c in fact.g.components]
-            doc["jelonek_generators"] = [
-                print_polynomial(g) for g in jel.ideal.generators
-            ]
-            doc["jelonek_empty"] = jel.is_empty_set()
-            if args.output == "json":
-                _emit_json(args, doc)
-            else:
-                gens = ", ".join(doc["jelonek_generators"]) or "0"
-                print(f"jelonek ideal of the reduced map: <{gens}>")
-            return 0
-
-        if args.command == "critical":
-            from .critical import critical_ideal, real_critical_values
-            from .dependence import factor_through_projection
-
-            fact = factor_through_projection(poly)
-            crit = critical_ideal(fact.g, cfg.budget)
-            doc = schema_skeleton(poly, args.field)
-            doc["reduced_map"] = [print_polynomial(c) for c in fact.g.components]
-            doc["critical_generators"] = [
-                print_polynomial(g) for g in crit.ideal.generators
-            ]
-            doc["note"] = crit.note
-            if fact.g.p == 1 and not crit.is_empty_set():
-                roots = real_critical_values(fact.g, cfg.budget, seed=cfg.seed, crit=crit)
-                doc["real_roots"] = [
-                    {
-                        "interval": [str(r.interval[0]), str(r.interval[1])],
-                        "approx": r.approx,
-                        "status": r.status,
-                    }
-                    for r in roots
-                ]
-            if args.output == "json":
-                _emit_json(args, doc)
-            else:
-                gens = ", ".join(doc["critical_generators"]) or "0"
-                print(f"critical ideal (closure of K0): <{gens}>")
-                for entry in doc.get("real_roots", []):
-                    print(
-                        f"  real root ~{entry['approx']}: {entry['status']} "
-                        f"(interval [{entry['interval'][0]}, {entry['interval'][1]}])"
-                    )
-            return 0
-
-        if args.command == "infinity":
-            if args.values:
-                values = _parse_values(args.values, poly.p)
-            else:
-                from .classifier import rational_grid
-
-                values = rational_grid(poly.p, 2)
-            entries = []
-            for value in values:
-                rep = fiber_infinity(poly, value, cfg.budget)
-                entries.append(
-                    {
-                        "value": [str(x) for x in value],
-                        "fiber_empty": rep.fiber_is_empty,
-                        "dim_infinity": rep.dim_infinity,
-                        "m_candidate": rep.m_candidate,
-                        "cone_is_linear": rep.cone_is_linear,
-                        "cone_subspace": [
-                            [str(x) for x in vec] for vec in rep.cone_subspace.basis
-                        ]
-                        if rep.cone_subspace is not None
-                        else None,
-                        "closure_generators": [
-                            print_polynomial(g) for g in rep.closure_ideal.generators
-                        ],
-                    }
-                )
-            doc = schema_skeleton(poly, args.field)
-            doc["infinity_values"] = entries
-            doc["field_caveat"] = "computed over C (Zariski closure)"
-            if args.output == "json":
-                _emit_json(args, doc)
-            else:
-                for entry in entries:
-                    print(
-                        f"value ({', '.join(entry['value'])}): dim_infinity = "
-                        f"{entry['dim_infinity']}, m_candidate = {entry['m_candidate']}, "
-                        f"cone linear: {entry['cone_is_linear']}"
-                    )
-            return 0
-
-        if args.command == "probe":
-            from .dependence import factor_through_projection
-
-            # Properness per value is meaningful for the reduced mapping: the
-            # silent coordinates of a suspension make every fiber unbounded.
-            reduced = factor_through_projection(poly).g
-            values = _parse_values(args.values, reduced.p)
-            sched = cfg.schedule()
-            # J(g) at most once, and only once a finite fiber needs it, so a
-            # budget error surfaces at the same value as without the cache.
-            jelonek = cache(lambda: jelonek_ideal(reduced, cfg.budget))
-            entries = []
-            for value in values:
-                verdict = properness_probe_real(
-                    reduced, [float(x) for x in value], sched, mu_floor=cfg.mu_floor,
-                    jelonek=jelonek, budget=cfg.budget,
-                )
-                entries.append(
-                    {
-                        "value": [float(x) for x in value],
-                        "verdict": verdict.verdict,
-                        "mode": verdict.mode,
-                        "evidence": verdict.evidence,
-                    }
-                )
-            doc = schema_skeleton(poly, "real")
-            doc["reduced_map"] = [print_polynomial(c) for c in reduced.components]
-            doc["probes"] = entries
-            if args.tube:
-                c_text, t_text = args.tube.split("|")
-                c = [float(Fraction(s)) for s in c_text.split(",")]
-                t = [float(Fraction(s)) for s in t_text.split(",")]
-                doc["tube"] = tube_distance_probe(poly, c, t, seed=cfg.seed)
-            if args.output == "json":
-                _emit_json(args, doc)
-            else:
-                for entry in entries:
-                    print(f"c = {entry['value']}: {entry['verdict']} ({entry['mode']})")
-                if "tube" in doc:
-                    tube = doc["tube"]
-                    print(
-                        f"tube probe c={tube['c']} t={tube['t']}: collapse = {tube['collapse']}"
-                    )
-            return 0
-
-        if args.command == "compare":
-            real_report, complex_report, check = complexification_compare(poly, cfg)
-            doc = schema_skeleton(poly, "real")
-            doc["complex_ltv"] = report_document(complex_report)["ltv"]
-            doc["real_ltv"] = report_document(real_report)["ltv"]
-            doc["containment"] = {"verdict": check.verdict, "data": check.data}
-            doc["checks"] = [
-                {"name": check.name, "verdict": check.verdict, "data": check.data}
-            ]
-            if args.output == "json":
-                _emit_json(args, doc)
-            else:
-                print(f"complex Ltv: {doc['complex_ltv']}")
-                print(f"real Ltv: {doc['real_ltv']}")
-                print(f"containment check: {check.verdict}")
-            return 0
-
-        raise AssertionError(f"unhandled command {args.command!r}")
+        doc = _document(args, mapping, cfg)
+        _emit(args, lambda: report.dumps(doc), lambda: report.render(args.command, doc))
+        return 0
     except BudgetExceededError as exc:
         print(f"resource budget exhausted: {exc}", file=sys.stderr)
         return 3

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -67,16 +66,7 @@ class CriticalIdeal:
     """Ideal in the target coordinates cutting the closure of K0(g) over C."""
 
     ideal: Ideal
-    target_vars: tuple[str, ...]
     note: str = "closure_of_K0"
-
-    def is_empty_set(self) -> bool:
-        return any(
-            g.is_constant() and not g.is_zero() for g in self.ideal.generators
-        )
-
-    def vanishes_at(self, c: Sequence[Fraction]) -> bool:
-        return all(g.eval_exact(list(c)) == 0 for g in self.ideal.generators)
 
 
 def critical_ideal(
@@ -97,15 +87,14 @@ def critical_ideal(
         ti = Polynomial.variable(ring, g.n + i)
         gens.append(comp.embed(ring) - ti)
     if g.p <= g.n:
+        # When all minors vanish identically every point is critical and
+        # only the graph equations remain.
         for minor in jacobian_minors(g):
             if not minor.is_zero():
                 gens.append(minor.embed(ring))
-        if len(gens) == g.p:
-            # All minors vanish identically: every point is critical.
-            pass
     projected = eliminate(Ideal.make(ring, gens), g.vars, budget)
     result = Ideal.make(tvars, projected.generators)
-    return CriticalIdeal(result, tvars)
+    return CriticalIdeal(result)
 
 
 @dataclass(frozen=True)
@@ -137,9 +126,7 @@ def real_critical_values(
         raise ValueError("real critical value extraction needs p = 1")
     crit = crit or critical_ideal(g, budget)
     gens = crit.ideal.generators
-    if not gens:
-        return []
-    if crit.is_empty_set():
+    if not gens or crit.ideal.has_unit_generator():
         return []
     # The target ring is univariate, so the elimination ideal is principal;
     # the reduced basis has a single generator.

@@ -93,6 +93,14 @@ class Ideal:
     def is_zero_ideal(self) -> bool:
         return not self.generators
 
+    def has_unit_generator(self) -> bool:
+        """A nonzero constant generator: V(I) is empty (iff, for a reduced basis)."""
+        return any(g.is_constant() and not g.is_zero() for g in self.generators)
+
+    def vanishes_at(self, c: Sequence[Fraction]) -> bool:
+        """Every generator vanishes at c (true for the zero ideal)."""
+        return all(g.eval_exact(list(c)) == 0 for g in self.generators)
+
 
 @dataclass(frozen=True)
 class GroebnerBasis:
@@ -106,6 +114,27 @@ class GroebnerBasis:
     def leading_exponents(self) -> list[Exponent]:
         keyf = self.order.key_function(len(self.vars))
         return [max((e for e, _ in g.terms), key=keyf) for g in self.basis]
+
+    def dimension(self) -> int:
+        """Krull dimension of V(I) over the algebraic closure; -1 for the unit ideal.
+
+        For a grevlex basis: the size of the largest variable subset S such
+        that no leading monomial is supported inside S.
+        """
+        n = len(self.vars)
+        if self.is_unit():
+            return -1
+        supports = []
+        for e in self.leading_exponents():
+            supports.append(frozenset(i for i, k in enumerate(e) if k))
+        best = 0
+        for mask in range(1 << n):
+            subset = frozenset(i for i in range(n) if mask >> i & 1)
+            if len(subset) <= best:
+                continue
+            if all(not s <= subset for s in supports):
+                best = len(subset)
+        return best
 
 
 # -- dict-based core ---------------------------------------------------------
@@ -341,7 +370,7 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
 def is_unit_ideal(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
     if ideal.is_zero_ideal():
         return False
-    if any(g.is_constant() and not g.is_zero() for g in ideal.generators):
+    if ideal.has_unit_generator():
         return True
     return buchberger(ideal, MonomialOrder.grevlex(), budget).is_unit()
 
@@ -419,31 +448,10 @@ def intersect(a: Ideal, b: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> Id
 
 
 def dimension(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> int:
-    """Krull dimension of V(I) over the algebraic closure; -1 for the unit ideal.
-
-    Computed combinatorially from the leading-term ideal of a grevlex basis:
-    the dimension is the size of the largest variable subset S such that no
-    leading monomial is supported inside S.
-    """
-    n = len(ideal.vars)
+    """Krull dimension of V(I) over the algebraic closure; -1 for the unit ideal."""
     if ideal.is_zero_ideal():
-        return n
-    gb = buchberger(ideal, MonomialOrder.grevlex(), budget)
-    if gb.is_unit():
-        return -1
-    if not gb.basis:
-        return n
-    supports = []
-    for e in gb.leading_exponents():
-        supports.append(frozenset(i for i, k in enumerate(e) if k))
-    best = 0
-    for mask in range(1 << n):
-        subset = frozenset(i for i in range(n) if mask >> i & 1)
-        if len(subset) <= best:
-            continue
-        if all(not s <= subset for s in supports):
-            best = len(subset)
-    return best
+        return len(ideal.vars)
+    return buchberger(ideal, MonomialOrder.grevlex(), budget).dimension()
 
 
 # -- univariate helpers and Sturm-sequence root isolation ----------------------

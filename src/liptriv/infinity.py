@@ -16,6 +16,7 @@ from typing import Sequence
 from .dependence import Subspace, kernel_basis
 from .groebner import (
     DEFAULT_BUDGET,
+    GroebnerBasis,
     GroebnerBudget,
     Ideal,
     MonomialOrder,
@@ -37,15 +38,9 @@ class InfinityReport:
     dim_infinity: int  # projective dimension of the fiber at infinity
     m_candidate: int  # n - 1 - dim_infinity
     cone_ideal: Ideal  # in the affine variables, cuts the cone over infinity
+    cone_basis: tuple[Polynomial, ...]  # reduced grevlex basis of cone_ideal
     cone_is_linear: bool
     cone_subspace: Subspace | None
-
-    @property
-    def fiber_is_empty(self) -> bool:
-        """Empty fiber over the algebraic closure (saturated closure is unit)."""
-        return any(
-            g.is_constant() and not g.is_zero() for g in self.closure_ideal.generators
-        )
 
 
 def fiber_infinity(
@@ -74,10 +69,8 @@ def fiber_infinity(
         hom_gens.append(shifted.homogenize(shifted.degree, hom_var))
 
     x0 = Polynomial.variable(hom_vars, 0)
-    if not hom_gens:
-        closure = Ideal(hom_vars, ())
-    else:
-        closure = saturate(Ideal.make(hom_vars, hom_gens), x0, budget)
+    # With no equations left the closure is the zero ideal, which saturate keeps.
+    closure = saturate(Ideal.make(hom_vars, hom_gens), x0, budget)
 
     infinity_ideal = Ideal.make(hom_vars, list(closure.generators) + [x0])
     dim_cone = dimension(infinity_ideal, budget)
@@ -85,7 +78,8 @@ def fiber_infinity(
     m_candidate = f.n - 1 - dim_inf
 
     cone_ideal = _cone_ideal(infinity_ideal, f.vars, hom_var)
-    linear, subspace = _linearity(cone_ideal, budget)
+    cone_basis = buchberger(cone_ideal, MonomialOrder.grevlex(), budget)
+    linear, subspace = _linearity(cone_basis)
 
     return InfinityReport(
         value=cvec,
@@ -95,6 +89,7 @@ def fiber_infinity(
         dim_infinity=dim_inf,
         m_candidate=m_candidate,
         cone_ideal=cone_ideal,
+        cone_basis=cone_basis.basis,
         cone_is_linear=linear,
         cone_subspace=subspace,
     )
@@ -112,36 +107,26 @@ def _cone_ideal(infinity_ideal: Ideal, affine_vars: tuple[str, ...], hom_var: st
     return Ideal.make(affine_vars, gens)
 
 
-def _linearity(
-    cone_ideal: Ideal, budget: GroebnerBudget
-) -> tuple[bool, Subspace | None]:
+def _linearity(gb: GroebnerBasis) -> tuple[bool, Subspace | None]:
     """Decide whether the cone is a linear subspace; if so return it.
 
-    The degree-one elements of a Groebner basis cut a candidate subspace A;
-    the cone always sits inside A.  Equality is verified by substituting a
-    symbolic parametrization of A into every generator, which must vanish
-    identically.  The cone over the empty set is the null subspace.
+    `gb` is the cone ideal's reduced grevlex basis.  Its degree-one elements
+    cut a candidate subspace A; the cone always sits inside A.  Equality is
+    verified by substituting a symbolic parametrization of A into every
+    generator, which must vanish identically.  The cone over the empty set
+    is the null subspace; with no generators the cone is all of K^n.
     """
-    n = len(cone_ideal.vars)
-    if cone_ideal.is_zero_ideal():
-        # No constraints: the cone is all of K^n, linear.
-        basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        return True, Subspace.from_vectors(n, basis)
-
-    gb = buchberger(cone_ideal, MonomialOrder.grevlex(), budget)
-    if gb.is_unit():
-        return True, Subspace.zero(n)
-    dim_cone = dimension(cone_ideal, budget)
+    n = len(gb.vars)
+    dim_cone = gb.dimension()
     if dim_cone <= 0:
         # The cone is at most the origin.
         return True, Subspace.zero(n)
 
     linear_forms = [g for g in gb.basis if g.degree == 1]
-    rows = [[g.coefficient(_unit_exp(n, j)) for j in range(n)] for g in linear_forms]
-    candidate_vectors = kernel_basis(rows, n) if rows else [
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    ]
-    candidate = Subspace.from_vectors(n, candidate_vectors)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rows = [[g.coefficient(e) for e in units] for g in linear_forms]
+    # With no linear forms the kernel is all of K^n.
+    candidate = Subspace.from_vectors(n, kernel_basis(rows, n))
     if candidate.dim != dim_cone:
         return False, None
 
@@ -158,20 +143,6 @@ def _linearity(
         if not g.subs(params, images).is_zero():
             return False, None
     return True, candidate
-
-
-def _unit_exp(n: int, j: int) -> tuple[int, ...]:
-    return tuple(1 if i == j else 0 for i in range(n))
-
-
-def cone_at_infinity(
-    f: PolyMap,
-    c: Sequence[Fraction],
-    budget: GroebnerBudget = DEFAULT_BUDGET,
-) -> tuple[Ideal, bool, Subspace | None]:
-    """Cone over the fiber's accumulation set at infinity, with linearity verdict."""
-    report = fiber_infinity(f, c, budget)
-    return report.cone_ideal, report.cone_is_linear, report.cone_subspace
 
 
 @dataclass(frozen=True)
@@ -203,11 +174,8 @@ def cone_constancy_check(
     if len(samples) < 2:
         raise ValueError("need at least two sample values")
     reports = tuple(fiber_infinity(f, c, budget) for c in samples)
-    canon = [
-        buchberger(r.cone_ideal, MonomialOrder.grevlex(), budget).basis for r in reports
-    ]
-    for i in range(1, len(canon)):
-        if canon[i] != canon[0]:
+    for i in range(1, len(reports)):
+        if reports[i].cone_basis != reports[0].cone_basis:
             return ConeConstancyResult("FAIL", reports, (0, i))
     if all(r.cone_is_linear for r in reports):
         return ConeConstancyResult("PASS", reports)

@@ -49,16 +49,6 @@ class JelonekIdeal:
     """Ideal in the target coordinates whose variety is J(g) over C."""
 
     ideal: Ideal
-    target_vars: tuple[str, ...]
-
-    def is_empty_set(self) -> bool:
-        """True when J(g) = empty, i.e. the ideal is the unit ideal."""
-        return any(
-            g.is_constant() and not g.is_zero() for g in self.ideal.generators
-        )
-
-    def vanishes_at(self, c: Sequence[Fraction]) -> bool:
-        return all(g.eval_exact(list(c)) == 0 for g in self.ideal.generators)
 
 
 def target_ring(p: int, taken: Sequence[str] = ()) -> tuple[str, ...]:
@@ -93,19 +83,18 @@ def jelonek_ideal(
         else:
             moving.append((i, comp))
 
-    tring = tvars
     extra: list[Polynomial] = []
     for i, value in constant_parts:
         extra.append(
-            Polynomial.variable(tring, i) - Polynomial.constant(tring, value)
+            Polynomial.variable(tvars, i) - Polynomial.constant(tvars, value)
         )
 
     if not moving:
         # Constant mapping: not proper exactly at its value (m >= 1).
-        return JelonekIdeal(Ideal.make(tring, extra), tvars)
+        return JelonekIdeal(Ideal.make(tvars, extra))
 
-    hom_var = fresh_name("x0", g.vars + tring)
-    ring = (hom_var,) + g.vars + tring
+    hom_var = fresh_name("x0", g.vars + tvars)
+    ring = (hom_var,) + g.vars + tvars
     x0 = Polynomial.variable(ring, 0)
 
     gens = []
@@ -130,8 +119,8 @@ def jelonek_ideal(
 
     assert cleaned is not None
     projected = eliminate(cleaned, (hom_var,) + g.vars, budget)
-    result = Ideal.make(tring, list(projected.generators) + extra)
-    return JelonekIdeal(result, tvars)
+    result = Ideal.make(tvars, list(projected.generators) + extra)
+    return JelonekIdeal(result)
 
 
 @dataclass(frozen=True)

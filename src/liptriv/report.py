@@ -1,9 +1,16 @@
-"""JSON report emission with a stable schema and deterministic bytes.
+"""JSON and text documents of every subcommand, with deterministic bytes.
 
-Top-level keys, in order: tool_version, input, field, invariance_dim,
-projection_matrix, reduced_map, jelonek_generators, critical_generators,
-ltv, then the verdict-specific extras (reason / ltv_complement / ltv_real),
-then checks.  The same report object always serializes to identical bytes.
+Two key orders.  `analyze` (report_document): tool_version, input, field,
+invariance_dim, invariance_basis, projection_matrix, reduced_map,
+reduced_vars, reduced_dim (rational input: only invariance_dim,
+projection_matrix and reduced_map, all null), jelonek_generators,
+critical_generators, ltv, the verdict-specific extras (reason /
+ltv_complement / ltv_real), flags if a budget ran out, seed, checks.
+Every other subcommand fills schema_skeleton (tool_version, input, field,
+invariance_dim, projection_matrix, reduced_map, jelonek_generators,
+critical_generators, ltv, checks; null where not computed) and appends its
+own keys after checks, in the order its builder lists them.  The same
+analysis always serializes to identical bytes.
 """
 
 from __future__ import annotations
@@ -12,9 +19,13 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .classifier import LtvReport
+from .classifier import CheckResult, LtvReport
+from .critical import CriticalIdeal, RealCriticalValue
+from .dependence import FactorizationResult
+from .infinity import InfinityReport
 from .parsing import print_polynomial
 from .polycore import PolyMap
+from .properness import JelonekIdeal, PropernessVerdict
 from .rational import RationalMap
 
 _LTV_LABEL = {
@@ -27,12 +38,27 @@ _LTV_LABEL = {
 }
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
+# -- sections shared by the documents ------------------------------------------
 
 
 def _matrix(rows) -> list[list[str]]:
-    return [[_frac(x) for x in row] for row in rows]
+    return [[str(x) for x in row] for row in rows]
+
+
+def _polys(polys) -> list[str]:
+    return [print_polynomial(q) for q in polys]
+
+
+def _root(r: RealCriticalValue) -> dict:
+    return {
+        "interval": [str(r.interval[0]), str(r.interval[1])],
+        "approx": r.approx,
+        "status": r.status,
+    }
+
+
+def _check(c: CheckResult) -> dict:
+    return {"name": c.name, "verdict": c.verdict, "data": c.data}
 
 
 def input_block(src: PolyMap | RationalMap) -> dict:
@@ -47,7 +73,7 @@ def input_block(src: PolyMap | RationalMap) -> dict:
                 )
         kind = "ratmap"
     else:
-        components = [print_polynomial(c) for c in src.components]
+        components = _polys(src.components)
         kind = "map"
     return {
         "kind": kind,
@@ -59,9 +85,9 @@ def input_block(src: PolyMap | RationalMap) -> dict:
     }
 
 
-def schema_skeleton(src, field_name: str) -> dict:
-    """All schema keys present, unfilled analysis fields null."""
-    return {
+def schema_skeleton(src, field_name: str, **fields) -> dict:
+    """All schema keys, unfilled ones null; `fields` fill them or follow checks."""
+    skeleton = {
         "tool_version": __version__,
         "input": input_block(src),
         "field": field_name,
@@ -73,6 +99,15 @@ def schema_skeleton(src, field_name: str) -> dict:
         "ltv": None,
         "checks": [],
     }
+    return {**skeleton, **fields}
+
+
+def dumps(doc: dict) -> str:
+    """Deterministic JSON text (stable key order, trailing newline)."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+# -- analyze ------------------------------------------------------------------
 
 
 def report_document(report: LtvReport) -> dict:
@@ -86,7 +121,7 @@ def report_document(report: LtvReport) -> dict:
         doc["invariance_dim"] = fact.V.dim
         doc["invariance_basis"] = _matrix(fact.V.basis)
         doc["projection_matrix"] = _matrix(fact.pi.rows)
-        doc["reduced_map"] = [print_polynomial(c) for c in fact.g.components]
+        doc["reduced_map"] = _polys(fact.g.components)
         doc["reduced_vars"] = list(fact.g.vars)
         doc["reduced_dim"] = fact.m
     else:
@@ -95,12 +130,12 @@ def report_document(report: LtvReport) -> dict:
         doc["reduced_map"] = None
 
     doc["jelonek_generators"] = (
-        [print_polynomial(g) for g in report.jelonek.ideal.generators]
+        _polys(report.jelonek.ideal.generators)
         if report.jelonek is not None
         else None
     )
     doc["critical_generators"] = (
-        [print_polynomial(g) for g in report.critical.ideal.generators]
+        _polys(report.critical.ideal.generators)
         if report.critical is not None
         else None
     )
@@ -110,23 +145,16 @@ def report_document(report: LtvReport) -> dict:
     if ltv.reason:
         doc["reason"] = ltv.reason
     if ltv.kind == "complement":
-        doc["ltv_complement"] = [print_polynomial(g) for g in ltv.generators]
+        doc["ltv_complement"] = _polys(ltv.generators)
     if ltv.kind == "real_complement" or (
         ltv.kind == "undetermined" and (ltv.critical_candidates or ltv.probe_table)
     ):
         real_block: dict = {}
         if ltv.generators:
-            real_block["exact_complement_generators"] = [
-                print_polynomial(g) for g in ltv.generators
-            ]
+            real_block["exact_complement_generators"] = _polys(ltv.generators)
         if ltv.critical_candidates:
             real_block["critical_candidates"] = [
-                {
-                    "interval": [_frac(r.interval[0]), _frac(r.interval[1])],
-                    "approx": r.approx,
-                    "status": r.status,
-                    "witness": list(r.witness) if r.witness else None,
-                }
+                {**_root(r), "witness": list(r.witness) if r.witness else None}
                 for r in ltv.critical_candidates
             ]
         if ltv.probe_table:
@@ -141,20 +169,21 @@ def report_document(report: LtvReport) -> dict:
     if report.flags:
         doc["flags"] = dict(sorted(report.flags.items()))
     doc["seed"] = report.seed
-    doc["checks"] = [
-        {"name": c.name, "verdict": c.verdict, "data": c.data} for c in report.checks
-    ]
+    doc["checks"] = [_check(c) for c in report.checks]
     return doc
 
 
 def emit_report(report: LtvReport) -> str:
     """Deterministic JSON text for the report (stable key order, trailing newline)."""
-    return json.dumps(report_document(report), indent=2, allow_nan=False) + "\n"
+    return dumps(report_document(report))
 
 
 def render_text(report: LtvReport) -> str:
     """Compact human-readable summary for terminal output."""
-    doc = report_document(report)
+    return render("analyze", report_document(report))
+
+
+def _analyze_text(doc: dict) -> list[str]:
     lines = []
     src = doc["input"]
     lines.append(f"mapping {src['name']}: K^{src['n']} -> K^{src['p']}  [{doc['field']}]")
@@ -199,4 +228,174 @@ def render_text(report: LtvReport) -> str:
     if doc.get("flags"):
         for key, value in doc["flags"].items():
             lines.append(f"  flag {key}: {value}")
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+# -- the other subcommands ------------------------------------------------------
+
+
+def factor_document(src: PolyMap, field_name: str, fact: FactorizationResult) -> dict:
+    return schema_skeleton(
+        src, field_name,
+        invariance_dim=fact.V.dim,
+        invariance_basis=_matrix(fact.V.basis),
+        reduced_dim=fact.m,
+        projection_matrix=_matrix(fact.pi.rows),
+        reduced_vars=list(fact.g.vars),
+        reduced_map=_polys(fact.g.components),
+    )
+
+
+def _factor_text(doc: dict) -> list[str]:
+    lines = [f"invariance subspace dimension: {doc['invariance_dim']}"]
+    for vec in doc["invariance_basis"]:
+        lines.append(f"  direction: ({', '.join(vec)})")
+    lines.append(f"m = {doc['reduced_dim']}")
+    lines.append("projection matrix rows:")
+    for row in doc["projection_matrix"]:
+        lines.append(f"  ({', '.join(row)})")
+    lines.append(
+        f"reduced map g({', '.join(doc['reduced_vars'])}) = "
+        f"({', '.join(doc['reduced_map'])})"
+    )
+    return lines
+
+
+def jelonek_document(src: PolyMap, field_name: str, g: PolyMap, jelonek: JelonekIdeal) -> dict:
+    return schema_skeleton(
+        src, field_name,
+        reduced_map=_polys(g.components),
+        jelonek_generators=_polys(jelonek.ideal.generators),
+        jelonek_empty=jelonek.ideal.has_unit_generator(),
+    )
+
+
+def _jelonek_text(doc: dict) -> list[str]:
+    gens = ", ".join(doc["jelonek_generators"]) or "0"
+    return [f"jelonek ideal of the reduced map: <{gens}>"]
+
+
+def critical_document(
+    src: PolyMap, field_name: str, g: PolyMap, critical: CriticalIdeal,
+    roots: list[RealCriticalValue] | None,
+) -> dict:
+    """`roots` are the real critical values, None when not isolated."""
+    doc = schema_skeleton(
+        src, field_name,
+        reduced_map=_polys(g.components),
+        critical_generators=_polys(critical.ideal.generators),
+        note=critical.note,
+    )
+    if roots is not None:
+        doc["real_roots"] = [_root(r) for r in roots]
+    return doc
+
+
+def _critical_text(doc: dict) -> list[str]:
+    gens = ", ".join(doc["critical_generators"]) or "0"
+    lines = [f"critical ideal (closure of K0): <{gens}>"]
+    for entry in doc.get("real_roots", []):
+        lines.append(
+            f"  real root ~{entry['approx']}: {entry['status']} "
+            f"(interval [{entry['interval'][0]}, {entry['interval'][1]}])"
+        )
+    return lines
+
+
+def infinity_document(src: PolyMap, field_name: str, reports: list[InfinityReport]) -> dict:
+    entries = [
+        {
+            "value": [str(x) for x in rep.value],
+            "fiber_empty": rep.closure_ideal.has_unit_generator(),
+            "dim_infinity": rep.dim_infinity,
+            "m_candidate": rep.m_candidate,
+            "cone_is_linear": rep.cone_is_linear,
+            "cone_subspace": (
+                _matrix(rep.cone_subspace.basis) if rep.cone_subspace is not None else None
+            ),
+            "closure_generators": _polys(rep.closure_ideal.generators),
+        }
+        for rep in reports
+    ]
+    return schema_skeleton(
+        src, field_name,
+        infinity_values=entries,
+        field_caveat="computed over C (Zariski closure)",
+    )
+
+
+def _infinity_text(doc: dict) -> list[str]:
+    return [
+        f"value ({', '.join(entry['value'])}): dim_infinity = "
+        f"{entry['dim_infinity']}, m_candidate = {entry['m_candidate']}, "
+        f"cone linear: {entry['cone_is_linear']}"
+        for entry in doc["infinity_values"]
+    ]
+
+
+def probe_document(
+    src: PolyMap, g: PolyMap, values: list[tuple[Fraction, ...]],
+    verdicts: list[PropernessVerdict], tube: dict | None,
+) -> dict:
+    """Properness of the reduced map g at each value, and the tube probe if run."""
+    entries = [
+        {
+            "value": [float(x) for x in value],
+            "verdict": verdict.verdict,
+            "mode": verdict.mode,
+            "evidence": verdict.evidence,
+        }
+        for value, verdict in zip(values, verdicts)
+    ]
+    doc = schema_skeleton(src, "real", reduced_map=_polys(g.components), probes=entries)
+    if tube is not None:
+        doc["tube"] = tube
+    return doc
+
+
+def _probe_text(doc: dict) -> list[str]:
+    lines = []
+    for entry in doc["probes"]:
+        lines.append(f"c = {entry['value']}: {entry['verdict']} ({entry['mode']})")
+    if "tube" in doc:
+        tube = doc["tube"]
+        lines.append(
+            f"tube probe c={tube['c']} t={tube['t']}: collapse = {tube['collapse']}"
+        )
+    return lines
+
+
+def compare_document(
+    src: PolyMap, real_report: LtvReport, complex_report: LtvReport, check: CheckResult
+) -> dict:
+    return schema_skeleton(
+        src, "real",
+        complex_ltv=_LTV_LABEL[complex_report.ltv.kind],
+        real_ltv=_LTV_LABEL[real_report.ltv.kind],
+        containment={"verdict": check.verdict, "data": check.data},
+        checks=[_check(check)],
+    )
+
+
+def _compare_text(doc: dict) -> list[str]:
+    return [
+        f"complex Ltv: {doc['complex_ltv']}",
+        f"real Ltv: {doc['real_ltv']}",
+        f"containment check: {doc['containment']['verdict']}",
+    ]
+
+
+_TEXT = {
+    "analyze": _analyze_text,
+    "factor": _factor_text,
+    "jelonek": _jelonek_text,
+    "critical": _critical_text,
+    "infinity": _infinity_text,
+    "probe": _probe_text,
+    "compare": _compare_text,
+}
+
+
+def render(command: str, doc: dict) -> str:
+    """Terminal text of one subcommand's document."""
+    return "\n".join(_TEXT[command](doc)) + "\n"

@@ -63,3 +63,24 @@ def regulous_map():
 @pytest.fixture(scope="session")
 def motzkin_poly(motzkin_map):
     return motzkin_map.components[0]
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of module.name, wherever it is bound.
+
+    liptriv modules import functions by name, so the counting wrapper replaces
+    the function in every loaded liptriv module that holds it.
+    """
+    import sys
+
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "liptriv" and mod.__dict__.get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls

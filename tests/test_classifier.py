@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import poly
+from conftest import count_calls, poly
 from liptriv.classifier import (
     AnalysisConfig,
     classify,
@@ -200,3 +200,27 @@ class TestSampling:
         assert a[0] == (F(1), F(0))
         assert a[1] == (F(2), F(3))
         assert a[2] == (F(-1), F(1))
+
+
+class TestStageCounts:
+    """Each field-independent exact stage runs once per analysis."""
+
+    def test_classify_computes_each_fiber_and_basis_once(self, simple_map, monkeypatch):
+        import liptriv.groebner
+        import liptriv.infinity
+        from liptriv.groebner import MonomialOrder
+
+        fibers = count_calls(monkeypatch, liptriv.infinity, "fiber_infinity")
+        bases = count_calls(monkeypatch, liptriv.groebner, "buchberger")
+        rep = classify(simple_map, "complex")
+        assert rep.ltv.kind == "complement"
+        # One fiber per sampled value: sample 0 is not computed twice.
+        assert len(rep.sampled_values) == 3
+        assert len(fibers) == 3
+        grevlex = MonomialOrder.grevlex()
+        inputs = {
+            (args[0], (args[1] if len(args) > 1 else kwargs.get("order")) or grevlex)
+            for args, kwargs in bases
+        }
+        assert len(bases) == 20
+        assert len(inputs) == 20

@@ -2,7 +2,7 @@
 
 import json
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, count_calls
 from liptriv.cli import run
 
 SIMPLE = str(DATA_DIR / "ex_simple.map")
@@ -76,6 +76,15 @@ class TestAnalyze:
         )
         assert code == 3
         assert "flags" in doc
+
+    def test_json_path_written_by_subcommand_in_text_mode(self, capsys, tmp_path):
+        target = tmp_path / "factor.json"
+        code = run(["factor", "-i", SIMPLE, "--json-path", str(target)])
+        text = capsys.readouterr().out
+        assert code == 0
+        assert text.startswith("invariance subspace dimension: 1")
+        run(["factor", "-i", SIMPLE, "--output", "json"])
+        assert target.read_text() == capsys.readouterr().out
 
     def test_json_path_written(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -211,8 +220,55 @@ class TestErrors:
         code = run(["analyze", "-i", "/nonexistent.map"])
         assert code == 2
 
+    def test_malformed_radii_exit_two(self, capsys):
+        code = run(["analyze", "-i", CUBE, "--radii", "10,abc"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "abc" in err
+
     def test_rational_rejected_for_factor(self, capsys):
         code = run(["factor", "-i", REGULOUS])
         err = capsys.readouterr().err
         assert code == 2
         assert "analyze" in err
+
+
+class TestStageCounts:
+    def test_compare_runs_each_exact_stage_once(self, capsys, monkeypatch):
+        import liptriv.critical
+        import liptriv.dependence
+        import liptriv.infinity
+        import liptriv.properness
+
+        counted = {
+            name: count_calls(monkeypatch, module, name)
+            for module, name in (
+                (liptriv.dependence, "factor_through_projection"),
+                (liptriv.critical, "critical_ideal"),
+                (liptriv.properness, "jelonek_ideal"),
+                (liptriv.infinity, "cone_constancy_check"),
+                (liptriv.infinity, "fiber_infinity"),
+            )
+        }
+        code, doc = run_json(capsys, ["compare", "-i", SIMPLE])
+        assert code == 0
+        assert doc["containment"]["verdict"] == "PASS"
+        assert {name: len(calls) for name, calls in counted.items()} == {
+            "factor_through_projection": 1,
+            "critical_ideal": 1,
+            "jelonek_ideal": 1,
+            "cone_constancy_check": 1,
+            "fiber_infinity": 3,
+        }
+
+
+class TestProbeTube:
+    def test_malformed_tube_rejected_before_probing(self, capsys, monkeypatch):
+        import liptriv.properness
+
+        probes = count_calls(monkeypatch, liptriv.properness, "properness_probe_real")
+        code = run(["probe", "-i", MOTZKIN, "--values", "0.5;2", "--tube", "1|2,3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'2,3'" in err
+        assert probes == []

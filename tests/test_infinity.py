@@ -11,7 +11,7 @@ import pytest
 from conftest import poly
 from liptriv.dependence import Subspace, factor_through_projection, suspend
 from liptriv.groebner import Ideal, buchberger, saturate
-from liptriv.infinity import cone_at_infinity, cone_constancy_check, fiber_infinity
+from liptriv.infinity import cone_constancy_check, fiber_infinity
 from liptriv.polycore import PolyMap, Polynomial
 
 F = Fraction
@@ -50,7 +50,7 @@ class TestFiberInfinity:
     def test_empty_fiber_detected(self):
         f = PolyMap(("x", "y"), (poly(("x", "y"), "x"), poly(("x", "y"), "x + 1")))
         rep = fiber_infinity(f, [F(0), F(0)])
-        assert rep.fiber_is_empty
+        assert rep.closure_ideal.has_unit_generator()
 
     def test_value_length_checked(self, simple_map):
         with pytest.raises(ValueError):
@@ -81,13 +81,13 @@ class TestFiberInfinity:
 class TestConeAtInfinity:
     def test_shear_cone_constant_direction(self, simple_map):
         for c in ([F(1), F(0)], [F(2), F(3)]):
-            _, linear, sub = cone_at_infinity(simple_map, c)
-            assert linear
-            assert sub.basis == ((F(0), F(1), F(-1)),)
+            rep = fiber_infinity(simple_map, c)
+            assert rep.cone_is_linear
+            assert rep.cone_subspace.basis == ((F(0), F(1), F(-1)),)
 
     def test_twisted_shear_cone_moves_with_value(self, bad_map):
-        _, _, sub1 = cone_at_infinity(bad_map, [F(1), F(0)])
-        _, _, sub2 = cone_at_infinity(bad_map, [F(2), F(0)])
+        sub1 = fiber_infinity(bad_map, [F(1), F(0)]).cone_subspace
+        sub2 = fiber_infinity(bad_map, [F(2), F(0)]).cone_subspace
         assert sub1.basis == ((F(0), F(1), F(-1)),)
         assert sub2.basis == ((F(0), F(1), F(-2)),)
 
