@@ -43,12 +43,10 @@ from .infinity import cone_constancy_check, fiber_infinity
 from .parsing import ParseError, parse_input, parse_mapping, print_polynomial
 from .polycore import LinearMap, PolyMap, Polynomial
 from .properness import (
-    CurveFamily,
     ProbeSchedule,
     is_proper_at_complex,
     jelonek_ideal,
     properness_probe_real,
-    tentacle_probe,
 )
 from .rational import RationalMap, indeterminacy_empty_check, rational_invariance_subspace
 from .report import emit_report, render_text
@@ -56,7 +54,6 @@ from .report import emit_report, render_text
 __all__ = [
     "AnalysisConfig",
     "BudgetExceededError",
-    "CurveFamily",
     "FactorizationResult",
     "GroebnerBudget",
     "Ideal",
@@ -98,6 +95,5 @@ __all__ = [
     "render_text",
     "saturate",
     "suspend",
-    "tentacle_probe",
     "tube_distance_probe",
 ]

@@ -60,8 +60,10 @@ class AnalysisConfig:
     restarts: int = 32
     max_iter: int = 250
     budget: GroebnerBudget = DEFAULT_BUDGET
-    cone_samples: int = 3
-    probe_values: tuple[tuple[float, ...], ...] | None = None
+
+    def __post_init__(self):
+        # Bad probe radii fail here, before any stage runs.
+        self.schedule()
 
     def schedule(self) -> ProbeSchedule:
         return ProbeSchedule(
@@ -214,7 +216,7 @@ def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
         jelonek = _within_budget(flags, "jelonek_budget", jelonek_ideal, g, budget)
 
     # Sampled-value analysis: fiber at infinity and cone constancy.
-    samples = tuple(_sample_values(f, max(cfg.cone_samples, 2), critical, jelonek, budget))
+    samples = tuple(_sample_values(f, 3, critical, jelonek, budget))
     cone = None
     if len(samples) >= 2:
         cone = _within_budget(flags, "cone_budget", cone_constancy_check, f, samples, budget)
@@ -401,10 +403,7 @@ def _complex_verdict(
 def _probe_grid_real(
     p: int,
     candidates: tuple[RealCriticalValue, ...] | None,
-    cfg: AnalysisConfig,
 ) -> list[tuple[float, ...]]:
-    if cfg.probe_values is not None:
-        return [tuple(float(x) for x in v) for v in cfg.probe_values]
     if p == 1 and candidates:
         roots = sorted(r.approx for r in candidates)
         grid = [roots[0] - 1.0]
@@ -464,7 +463,7 @@ def _real_verdict(
                 "complex bifurcation set of the reduced mapping"
             )
 
-    grid = _probe_grid_real(p, candidates or None, cfg)
+    grid = _probe_grid_real(p, candidates or None)
     sched = cfg.schedule()
     table = []
     any_proper = False
@@ -573,17 +572,15 @@ def lipschitz_gradient_probe(
     mapping: PolyMap | RationalMap,
     value: Sequence[float],
     radii: Sequence[float] = (1.0, 2.0, 5.0, 10.0, 100.0),
-    neighborhood: float = 0.5,
-    restarts: int = 12,
     config: AnalysisConfig | None = None,
 ) -> dict:
     """Sampled operator-norm bound of the Jacobian over near-fiber points.
 
-    For each radius, sphere points minimizing |f(x) - c| are kept when they
-    land inside the value neighborhood; the largest singular value of the
-    Jacobian is recorded there.  Growth of those suprema with the radius is
-    reported as UNBOUNDED, which contradicts the Lipschitz bound a trivial
-    value would impose.
+    For each radius, 12 seeded sphere starts are pulled toward the fiber and
+    kept when they land within 0.5 of the value; the largest singular value
+    of the Jacobian is recorded there.  Growth of those suprema with the
+    radius is reported as UNBOUNDED, which contradicts the Lipschitz bound a
+    trivial value would impose.
     """
     cfg = config or AnalysisConfig()
     if isinstance(mapping, RationalMap):
@@ -619,7 +616,7 @@ def lipschitz_gradient_probe(
         rng = np.random.default_rng((cfg.seed, 977, k))
         best_norm = None
         best_mu = float("inf")
-        for _ in range(restarts):
+        for _ in range(12):
             u = rng.normal(size=mapping.n)
             u_norm = float(np.linalg.norm(u))
             if u_norm == 0.0:
@@ -629,7 +626,7 @@ def lipschitz_gradient_probe(
                 continue
             mu = float(np.linalg.norm(np.array(evaluate(list(x))) - cvals))
             best_mu = min(best_mu, mu)
-            if mu < neighborhood:
+            if mu < 0.5:
                 jac = np.array(jacobian(list(x)))
                 norm = float(np.linalg.svd(jac, compute_uv=False)[0])
                 if best_norm is None or norm > best_norm:
@@ -654,29 +651,31 @@ def lipschitz_gradient_probe(
     }
 
 
+# Step cap of each sphere descent and penalty stage of the tube probe.
+_TUBE_MAX_ITER = 150
+
+
 def tube_distance_probe(
     f: PolyMap,
     c: Sequence[float],
     t: Sequence[float],
     radii: Sequence[float] = (10.0, 25.0, 50.0),
     restarts: int = 12,
-    max_iter: int = 150,
-    lambdas: Sequence[float] = (1e-2, 1e-4, 1e-6),
-    residual_tol: float = 1e-3,
-    collapse_tol: float = 0.05,
     seed: int = 42,
 ) -> dict:
     """Estimate the distance between two levels inside growing balls.
 
     Penalty continuation on |f(x)-c|^2 + |f(y)-t|^2 + lambda |x-y|^2 with
-    decreasing lambda (optimized in the rescaled form |x-y|^2 + (1/lambda) *
-    residuals, whose distance gradient does not vanish), alternated with
-    Gauss-Newton projection of each endpoint onto its own fiber.  Each
-    penalty stage is one call of the compiled `kernel.penalty_descent`, a
-    projected gradient descent with backtracking inside the ball.  A pair of
-    levels whose distance decays toward zero while |c - t| stays fixed
-    violates the bi-Lipschitz bounds a trivialization over both values would
-    impose and is flagged as a collapse.
+    lambda = 1e-2, 1e-4, 1e-6 (optimized in the rescaled form |x-y|^2 +
+    (1/lambda) * residuals, whose distance gradient does not vanish),
+    alternated with Gauss-Newton projection of each endpoint onto its own
+    fiber.  Each penalty stage is one call of the compiled
+    `kernel.penalty_descent`, a projected gradient descent with backtracking
+    inside the ball.  Only endpoint pairs with both residuals below 1e-3
+    count.  A pair of levels whose distance decays toward zero (below 0.05)
+    while |c - t| stays fixed violates the bi-Lipschitz bounds a
+    trivialization over both values would impose and is flagged as a
+    collapse.
     """
     from math import isfinite, sqrt
 
@@ -734,19 +733,21 @@ def tube_distance_probe(
             for target in (cv, tv):
                 sub_rng = np.random.default_rng((seed, 2741, k, frac_idx))
                 _, point = _sphere_minimize(
-                    kernel, target, frac * radius, sub_rng, 8, max_iter
+                    kernel, target, frac * radius, sub_rng, 8, _TUBE_MAX_ITER
                 )
                 if all(np.isfinite(point)):
                     starts.append((list(point), list(point)))
         for x0, y0 in starts:
             x = fiber_project(x0, cv, radius)
             y = fiber_project(y0, tv, radius)
-            for lam in sorted(lambdas, reverse=True):
-                x, y = kernel.penalty_descent(x, y, 1.0 / lam, radius, cv, tv, max_iter)
+            for lam in (1e-2, 1e-4, 1e-6):
+                x, y = kernel.penalty_descent(
+                    x, y, 1.0 / lam, radius, cv, tv, _TUBE_MAX_ITER
+                )
             x = fiber_project(x, cv, radius)
             y = fiber_project(y, tv, radius)
             rx, ry = residual_norms(x, y)
-            if max(rx, ry) < residual_tol:
+            if max(rx, ry) < 1e-3:
                 dist = sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
                 if best is None or dist < best[0]:
                     best = (dist, list(x), list(y), max(rx, ry))
@@ -765,7 +766,7 @@ def tube_distance_probe(
     collapse = (
         len(finite) >= 2
         and isfinite(dists[-1])
-        and dists[-1] < collapse_tol
+        and dists[-1] < 0.05
         and dists[-1] < 0.5 * finite[0]
     )
     separation = sqrt(sum((a - b) ** 2 for a, b in zip(cv, tv)))
@@ -782,7 +783,7 @@ def tube_distance_probe(
 
 
 def complexification_compare(
-    f: PolyMap, config: AnalysisConfig | None = None, sample_count: int = 3
+    f: PolyMap, config: AnalysisConfig | None = None
 ) -> tuple[LtvReport, LtvReport, CheckResult]:
     """Check Ltv(f_C) intersect R^p inside Ltv(f_R) on sampled rational values.
 
@@ -794,13 +795,13 @@ def complexification_compare(
     stages = _exact_stages(f, cfg)
     complex_report = _field_report(stages, "complex", cfg)
     real_report = _field_report(stages, "real", cfg)
-    verdict, data = _containment(stages, complex_report.ltv, cfg, sample_count)
+    verdict, data = _containment(stages, complex_report.ltv, cfg)
     check = CheckResult("complexification_containment", verdict, data)
     return real_report, complex_report, check
 
 
 def _containment(
-    stages: ExactStages, ltv: LtvDescription, cfg: AnalysisConfig, sample_count: int
+    stages: ExactStages, ltv: LtvDescription, cfg: AnalysisConfig
 ) -> tuple[str, dict]:
     """Verdict and data of the containment check for the complex Ltv `ltv`."""
     if ltv.kind == "empty":
@@ -812,7 +813,7 @@ def _containment(
     g, critical = stages.factorization.g, stages.critical
     rows = []
     j = 0
-    while len(rows) < sample_count and j < 40:
+    while len(rows) < 3 and j < 40:
         value = rational_grid(stages.f.p, 1, start=j)[0]
         j += 1
         # Stay strictly inside the open complement of the bifurcation set.

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,13 +67,12 @@ class CriticalIdeal:
     """Ideal in the target coordinates cutting the closure of K0(g) over C."""
 
     ideal: Ideal
-    note: str = "closure_of_K0"
+    note: ClassVar[str] = "closure_of_K0"
 
 
 def critical_ideal(
     g: PolyMap,
     budget: GroebnerBudget = DEFAULT_BUDGET,
-    tvars: tuple[str, ...] | None = None,
 ) -> CriticalIdeal:
     """Closure of the critical value set by eliminating the source variables.
 
@@ -80,7 +80,7 @@ def critical_ideal(
     p > m the differential can never be surjective, so every point is
     critical and the result is the closure of the whole image.
     """
-    tvars = tvars or target_ring(g.p, g.vars)
+    tvars = target_ring(g.p, g.vars)
     ring = g.vars + tvars
     gens = []
     for i, comp in enumerate(g.components):
@@ -108,18 +108,20 @@ class RealCriticalValue:
     residual: float | None
 
 
+# Residual and value gap below which a Newton point witnesses a critical value.
+_NEWTON_TOL = 1e-8
+
+
 def real_critical_values(
     g: PolyMap,
     budget: GroebnerBudget = DEFAULT_BUDGET,
-    newton_tol: float = 1e-8,
-    restarts: int = 200,
     seed: int = 42,
     crit: CriticalIdeal | None = None,
 ) -> list[RealCriticalValue]:
     """Real roots of the eliminated critical ideal, flagged by attainment.
 
     Requires p = 1.  Attainment looks for a real critical point via
-    multi-start Newton on the gradient system and accepts a witness whose
+    200-start Newton on the gradient system and accepts a witness whose
     gradient residual and value gap are both below the tolerance.
     """
     if g.p != 1:
@@ -133,7 +135,7 @@ def real_critical_values(
     generator = gens[0]
     roots = real_roots(generator)
 
-    witnesses = _newton_critical_points(g, restarts, seed, newton_tol)
+    witnesses = _newton_critical_points(g, seed)
     out = []
     for interval in roots:
         mid = (interval[0] + interval[1]) / 2
@@ -146,7 +148,7 @@ def real_critical_values(
             gap = abs(value - approx)
             if interval[0] != interval[1]:
                 gap = max(0.0, gap - float(interval[1] - interval[0]))
-            if resid < newton_tol and gap < newton_tol:
+            if resid < _NEWTON_TOL and gap < _NEWTON_TOL:
                 status = "attained"
                 best_witness = tuple(point)
                 best_resid = resid
@@ -158,7 +160,7 @@ def real_critical_values(
 
 
 def _newton_critical_points(
-    g: PolyMap, restarts: int, seed: int, tol: float
+    g: PolyMap, seed: int
 ) -> list[tuple[list[float], float]]:
     """Multi-start Newton for the gradient system of a scalar map."""
     m = g.n
@@ -167,13 +169,13 @@ def _newton_critical_points(
 
     rng = np.random.default_rng(seed)
     found: list[tuple[list[float], float]] = []
-    for _ in range(restarts):
+    for _ in range(200):
         x = rng.uniform(-3.0, 3.0, size=m)
         for _ in range(60):
             val = np.array(gmap.value(list(x)))
             if not np.all(np.isfinite(val)):
                 break
-            if float(np.linalg.norm(val)) < tol * 1e-4:
+            if float(np.linalg.norm(val)) < _NEWTON_TOL * 1e-4:
                 break
             jac = np.array(gmap.jacobian(list(x)))
             try:
@@ -187,6 +189,6 @@ def _newton_critical_points(
                 break
         val = np.array(gmap.value(list(x)))
         resid = float(np.linalg.norm(val))
-        if np.all(np.isfinite(x)) and resid < tol:
+        if np.all(np.isfinite(x)) and resid < _NEWTON_TOL:
             found.append(([float(v) for v in x], resid))
     return found

@@ -479,18 +479,6 @@ def _uni_trim(c: list[Fraction]) -> list[Fraction]:
     return c
 
 
-def _uni_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    db, lb = _uni_degree(b), b[-1]
-    while a and _uni_degree(a) >= db:
-        shift = _uni_degree(a) - db
-        factor = a[-1] / lb
-        for i in range(len(b)):
-            a[i + shift] -= factor * b[i]
-        _uni_trim(a)
-    return a
-
-
 def _uni_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     a = a[:]
     db, lb = _uni_degree(b), b[-1]
@@ -508,7 +496,7 @@ def _uni_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], l
 def _uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a, b = a[:], b[:]
     while b:
-        a, b = b, _uni_rem(a, b)
+        a, b = b, _uni_divmod(a, b)[1]
         if b:
             inv = 1 / b[-1]
             b = [x * inv for x in b]
@@ -538,7 +526,7 @@ def sturm_sequence(coeffs: list[Fraction]) -> list[list[Fraction]]:
             square_free, _ = _uni_divmod(coeffs, g)
     chain = [square_free, _uni_derivative(square_free)]
     while chain[-1]:
-        nxt = [-x for x in _uni_rem(chain[-2], chain[-1])]
+        nxt = [-x for x in _uni_divmod(chain[-2], chain[-1])[1]]
         chain.append(nxt)
     chain.pop()
     return chain
@@ -574,9 +562,11 @@ def count_real_roots(p: Polynomial) -> int:
     return _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
 
 
-def real_roots(
-    p: Polynomial, refine_width: Fraction = Fraction(1, 64)
-) -> list[tuple[Fraction, Fraction]]:
+# Width below which real_roots stops refining an isolating interval.
+_ROOT_WIDTH = Fraction(1, 64)
+
+
+def real_roots(p: Polynomial) -> list[tuple[Fraction, Fraction]]:
     """Isolating rational intervals, one per distinct real root.
 
     Degenerate intervals [r, r] flag exact (bisection-reachable) rational
@@ -618,7 +608,7 @@ def real_roots(
             results.append((a, b))
             continue
         va = _variations_at(chain, a)
-        while b - a > refine_width:
+        while b - a > _ROOT_WIDTH:
             mid = (a + b) / 2
             if _uni_eval(sf, mid) == 0:
                 a = b = mid
@@ -631,25 +621,3 @@ def real_roots(
         results.append((a, b))
     results.sort(key=lambda iv: iv[0])
     return results
-
-
-def refine_root(
-    p: Polynomial, interval: tuple[Fraction, Fraction], width: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval below the requested width by bisection."""
-    lo, hi = interval
-    if lo == hi:
-        return interval
-    chain = sturm_sequence(_uni_coeffs(p))
-    sf = chain[0]
-    vlo = _variations_at(chain, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if _uni_eval(sf, mid) == 0:
-            return (mid, mid)
-        vmid = _variations_at(chain, mid)
-        if vlo - vmid >= 1:
-            hi = mid
-        else:
-            lo, vlo = mid, vmid
-    return (lo, hi)

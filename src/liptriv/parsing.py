@@ -242,7 +242,10 @@ def parse_source(text: str) -> MappingSource:
 
 def parse_mapping(text: str) -> PolyMap:
     """Parse a polynomial mapping file into an exact PolyMap."""
-    src = parse_source(text)
+    return _polymap(parse_source(text))
+
+
+def _polymap(src: MappingSource) -> PolyMap:
     if src.kind != "map":
         raise ParseError("expected a polynomial map, found ratmap", 1, 1)
     comps = []
@@ -253,11 +256,10 @@ def parse_mapping(text: str) -> PolyMap:
     return PolyMap(src.ring_vars, tuple(comps), src.map_name)
 
 
-def parse_rational_mapping(text: str):
-    """Parse a ratmap file into a RationalMap (den = 1 components allowed)."""
+def _rational_map(src: MappingSource):
+    """The RationalMap of a parsed ratmap file (den = 1 components allowed)."""
     from .rational import RationalMap
 
-    src = parse_source(text)
     nums = tuple(num for num, _ in src.components)
     dens = tuple(den for _, den in src.components)
     return RationalMap(src.ring_vars, nums, dens, src.map_name)
@@ -267,8 +269,8 @@ def parse_input(text: str):
     """Dispatch on the map/ratmap keyword; returns PolyMap or RationalMap."""
     src = parse_source(text)
     if src.kind == "map":
-        return parse_mapping(text)
-    return parse_rational_mapping(text)
+        return _polymap(src)
+    return _rational_map(src)
 
 
 # -- printing ---------------------------------------------------------------

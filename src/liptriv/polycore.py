@@ -23,9 +23,6 @@ Exponent = tuple[int, ...]
 # Per-variable exponent cap; exceeding it raises instead of wrapping around.
 MAX_EXPONENT = 2**31 - 1
 
-# IEEE double unit roundoff, used for the float-evaluation error bound.
-_EPS = 2.0**-53
-
 
 def as_fraction(c: Scalar) -> Fraction:
     if isinstance(c, Fraction):
@@ -315,13 +312,6 @@ class Polynomial:
                 acc.pop(ne, None)
         return Polynomial(vs, _canon(acc))
 
-    def leading_form(self) -> "Polynomial":
-        """Sum of the top-total-degree terms."""
-        if not self.terms:
-            raise ValueError("leading form of the zero polynomial")
-        d = self.degree
-        return Polynomial(self.vars, tuple((e, c) for e, c in self.terms if sum(e) == d))
-
     def is_homogeneous(self) -> bool:
         if not self.terms:
             return True
@@ -355,18 +345,6 @@ class Polynomial:
                     term *= float(x) ** k
             total += term
         return total
-
-    def eval_float_with_error(self, point: Sequence[float]) -> tuple[float, float]:
-        """Float value plus the relative error bound n_terms * eps * |p|(|x|)."""
-        value = self.eval_float(point)
-        magnitude = 0.0
-        for e, c in self.terms:
-            term = abs(float(c))
-            for x, k in zip(point, e):
-                if k:
-                    term *= abs(float(x)) ** k
-            magnitude += term
-        return value, len(self.terms) * _EPS * magnitude
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         from .parsing import print_polynomial
@@ -489,10 +467,6 @@ class PolyMap:
             if comp.vars != self.vars:
                 raise ValueError("components live in different rings")
 
-    @staticmethod
-    def make(variables: Sequence[str], components: Sequence[Polynomial], name: str = "f") -> "PolyMap":
-        return PolyMap(tuple(variables), tuple(components), name)
-
     @property
     def n(self) -> int:
         return len(self.vars)
@@ -501,17 +475,11 @@ class PolyMap:
     def p(self) -> int:
         return len(self.components)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(c.degree for c in self.components)
-
     def is_constant(self) -> bool:
         return all(c.is_constant() for c in self.components)
 
     def evaluate(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
         return tuple(c.eval_exact(point) for c in self.components)
-
-    def evaluate_float(self, point: Sequence[float]) -> tuple[float, ...]:
-        return tuple(c.eval_float(point) for c in self.components)
 
     def directional_derivative(self, v: Sequence[Scalar]) -> "PolyMap":
         """Component-wise sum_j v_j * d/dx_j, exact in the same ring."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +37,6 @@ from .groebner import (
 )
 from .polycore import (
     FloatKernel,
-    LinearMap,
     PolyMap,
     Polynomial,
     as_fraction,
@@ -65,7 +65,6 @@ def target_ring(p: int, taken: Sequence[str] = ()) -> tuple[str, ...]:
 def jelonek_ideal(
     g: PolyMap,
     budget: GroebnerBudget = DEFAULT_BUDGET,
-    tvars: tuple[str, ...] | None = None,
 ) -> JelonekIdeal:
     """Exact ideal of the complex non-properness set of g.
 
@@ -74,7 +73,7 @@ def jelonek_ideal(
     (closure of the graph), cut with x0 = 0, saturate by the irrelevant ideal
     of the source projective space, and eliminate all source variables.
     """
-    tvars = tvars or target_ring(g.p, g.vars)
+    tvars = target_ring(g.p, g.vars)
     constant_parts: list[tuple[int, Fraction]] = []
     moving: list[tuple[int, Polynomial]] = []
     for i, comp in enumerate(g.components):
@@ -134,6 +133,8 @@ class ProbeSchedule:
     max_iter: int = 250
 
     def __post_init__(self):
+        if not self.radii or not all(isfinite(r) and r > 0 for r in self.radii):
+            raise ValueError("need radii, each finite and positive")
         if list(self.radii) != sorted(self.radii) or len(set(self.radii)) != len(self.radii):
             raise ValueError("radii must be strictly increasing")
         if self.restarts < 1:
@@ -200,8 +201,6 @@ def _sphere_minimize(
     tangent, retracted by normalization.  Restarts are independent; results
     merge by minimum.
     """
-    from math import isfinite, sqrt
-
     n = kernel.n
     cvals = [float(v) for v in c]
     sphere_descent = kernel.sphere_descent
@@ -295,108 +294,3 @@ def properness_probe_real(
         return PropernessVerdict(cvec, "probe_real", "proper", evidence)
 
     return PropernessVerdict(cvec, "probe_real", "inconclusive", evidence)
-
-
-# -- curve probes modeled on escape arcs ---------------------------------------
-
-
-@dataclass(frozen=True)
-class CurveFamily:
-    """Polynomial escape curves t -> (t^d, p(t) + eps) in adapted coordinates."""
-
-    d: int
-    p_coeffs: tuple[tuple[Fraction, ...], ...] = ()  # per remaining coordinate
-    epsilon_box: float = 0.5
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("curve degree must be positive")
-        for coeffs in self.p_coeffs:
-            if len(coeffs) > self.d:
-                raise ValueError("deg p must be at most d - 1")
-
-
-def tentacle_probe(
-    f: PolyMap,
-    direction: Sequence[Fraction],
-    fam: CurveFamily = CurveFamily(1),
-    t_values: Sequence[float] = (10.0, 100.0, 1000.0, 10000.0),
-    eps_samples: int = 4,
-    seed: int = 42,
-) -> dict:
-    """Evaluate f along escape curves toward the given direction at infinity.
-
-    Reports whether f stabilizes (is numerically constant) along every sampled
-    curve and whether the derivative of f along the escape direction vanishes
-    there, as expected near a Lipschitz trivial value.
-    """
-    v = [as_fraction(x) for x in direction]
-    if all(x == 0 for x in v):
-        raise ValueError("direction must be nonzero")
-    n = f.n
-
-    from .dependence import Subspace
-
-    span = Subspace.from_vectors(n, [v])
-    pivot = span.pivot_columns()[0]
-    columns = [list(v)]
-    for j in range(n):
-        if j != pivot:
-            columns.append([Fraction(int(i == j)) for i in range(n)])
-    frame = LinearMap.from_columns(columns)
-
-    deriv = f.directional_derivative(v)
-    rng = np.random.default_rng(seed)
-    eps_list = [np.zeros(n - 1)]
-    for _ in range(max(eps_samples - 1, 0)):
-        eps_list.append(rng.uniform(-fam.epsilon_box, fam.epsilon_box, size=n - 1))
-
-    def curve_point(t: float, eps: np.ndarray) -> list[float]:
-        local = [t**fam.d]
-        for i in range(n - 1):
-            coeffs = fam.p_coeffs[i] if i < len(fam.p_coeffs) else ()
-            val = 0.0
-            for k, ck in enumerate(coeffs):
-                val += float(ck) * t**k
-            local.append(val + float(eps[i]))
-        frame_rows = [[float(x) for x in row] for row in frame.rows]
-        return [
-            sum(frame_rows[i][j] * local[j] for j in range(n)) for i in range(n)
-        ]
-
-    curves = []
-    stabilizes = True
-    derivative_vanishes = True
-    bounded = True
-    for eps in eps_list:
-        rows = []
-        values = []
-        for t in t_values:
-            x = curve_point(t, eps)
-            fx = f.evaluate_float(x)
-            dx = deriv.evaluate_float(x)
-            values.append(fx)
-            rows.append(
-                {
-                    "t": t,
-                    "f": [float(a) for a in fx],
-                    "dv_f": [float(a) for a in dx],
-                }
-            )
-            if max(abs(a) for a in dx) > 1e-6 * (1.0 + max(abs(a) for a in fx)):
-                derivative_vanishes = False
-        last, prev = np.array(values[-1]), np.array(values[-2])
-        scale = 1.0 + float(np.max(np.abs(last)))
-        if float(np.max(np.abs(last - prev))) > 1e-6 * scale:
-            stabilizes = False
-        if not np.all(np.isfinite(last)) or np.max(np.abs(last)) > 1e150:
-            bounded = False
-        curves.append({"eps": [float(e) for e in eps], "samples": rows})
-
-    return {
-        "direction": [str(x) for x in v],
-        "stabilizes": stabilizes,
-        "bounded": bounded,
-        "derivative_vanishes": derivative_vanishes,
-        "curves": curves,
-    }

@@ -220,11 +220,30 @@ class TestErrors:
         code = run(["analyze", "-i", "/nonexistent.map"])
         assert code == 2
 
-    def test_malformed_radii_exit_two(self, capsys):
+    def test_malformed_radii_exit_two(self, capsys, monkeypatch):
+        import liptriv.dependence
+        import liptriv.properness
+
+        probes = count_calls(monkeypatch, liptriv.properness, "properness_probe_real")
+        factors = count_calls(monkeypatch, liptriv.dependence, "factor_through_projection")
         code = run(["analyze", "-i", CUBE, "--radii", "10,abc"])
         err = capsys.readouterr().err
         assert code == 2
         assert "abc" in err
+        # Zero, NaN, infinite and decreasing radii fail before any stage runs.
+        for args in (
+            ["probe", "-i", MOTZKIN, "--values", "2", "--radii", "0,10"],
+            ["probe", "-i", MOTZKIN, "--values", "2", "--radii", "nan,10"],
+            ["probe", "-i", MOTZKIN, "--values", "2", "--radii", "10,inf"],
+            ["analyze", "-i", MOTZKIN, "--radii", "100,10"],
+            ["analyze", "-i", MOTZKIN, "--radii", "100,10", "--field", "real"],
+        ):
+            code = run(args)
+            err = capsys.readouterr().err
+            assert code == 2, args
+            assert "invalid input" in err, args
+        assert probes == []
+        assert factors == []
 
     def test_rational_rejected_for_factor(self, capsys):
         code = run(["factor", "-i", REGULOUS])
@@ -260,6 +279,14 @@ class TestStageCounts:
             "cone_constancy_check": 1,
             "fiber_infinity": 3,
         }
+
+    def test_factor_parses_input_once(self, capsys, monkeypatch):
+        import liptriv.parsing
+
+        parses = count_calls(monkeypatch, liptriv.parsing, "parse_source")
+        assert run(["factor", "-i", SIMPLE]) == 0
+        capsys.readouterr()
+        assert len(parses) == 1
 
 
 class TestProbeTube:

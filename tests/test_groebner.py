@@ -20,7 +20,6 @@ from liptriv.groebner import (
     is_unit_ideal,
     normal_form,
     real_roots,
-    refine_root,
     saturate,
     spolynomial,
 )
@@ -195,13 +194,6 @@ class TestRealRoots:
         assert len(roots) == 3
         for (a1, b1), (a2, b2) in zip(roots, roots[1:]):
             assert b1 <= a2
-
-    def test_refine_to_double_precision(self):
-        p = poly(("t",), "3*t - 1")
-        (interval,) = real_roots(p)
-        lo, hi = refine_root(p, interval, Fraction(1, 2**53))
-        assert hi - lo <= Fraction(1, 2**53)
-        assert lo <= Fraction(1, 3) <= hi
 
     def test_count_matches_isolation(self):
         rng = random.Random(47)

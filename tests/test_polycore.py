@@ -153,23 +153,6 @@ class TestHomogenize:
             assert h.dehomogenize(0) == p
 
 
-class TestLeadingForm:
-    def test_top_degree_terms(self, motzkin_poly):
-        inner = motzkin_poly.drop_vars([2])
-        assert inner.leading_form() == poly(XY, "x^4*y^2 + x^2*y^4")
-
-    def test_homogeneous_fixed_point(self):
-        p = poly(XY, "x^2 + x*y")
-        assert p.leading_form() == p
-
-    def test_affine(self):
-        assert poly(XY, "x + 1").leading_form() == poly(XY, "x")
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            Polynomial.zero(XY).leading_form()
-
-
 class TestEvaluate:
     def test_exact_point(self, simple_map):
         assert simple_map.evaluate([1, 2, 3]) == (Fraction(1), Fraction(5))
@@ -193,12 +176,6 @@ class TestEvaluate:
             assert p.eval_float([float(v) for v in x]) == pytest.approx(
                 float(p.eval_exact(x)), rel=1e-12, abs=1e-12
             )
-
-    def test_float_error_bound(self):
-        p = poly(XY, "x^3*y - 7*x + 2")
-        value, bound = p.eval_float_with_error([1.5, -2.25])
-        exact = float(p.eval_exact([Fraction(3, 2), Fraction(-9, 4)]))
-        assert abs(value - exact) <= bound
 
 
 class TestCanonicalForm:

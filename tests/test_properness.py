@@ -9,13 +9,11 @@ from conftest import poly
 from liptriv.parsing import print_polynomial
 from liptriv.polycore import FloatKernel, LinearMap, PolyMap
 from liptriv.properness import (
-    CurveFamily,
     ProbeSchedule,
     _sphere_minimize,
     is_proper_at_complex,
     jelonek_ideal,
     properness_probe_real,
-    tentacle_probe,
 )
 
 F = Fraction
@@ -168,33 +166,8 @@ class TestPropernessProbe:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             ProbeSchedule(radii=(100.0, 10.0))
+        for radii in ((), (0.0, 10.0), (-1.0, 10.0), (float("nan"), 10.0), (10.0, float("inf"))):
+            with pytest.raises(ValueError):
+                ProbeSchedule(radii=radii)
         with pytest.raises(ValueError):
             ProbeSchedule(restarts=0)
-
-
-class TestTentacleProbe:
-    def test_invariant_direction_stabilizes(self, simple_map):
-        rep = tentacle_probe(simple_map, [F(0), F(1), F(-1)])
-        assert rep["stabilizes"]
-        assert rep["bounded"]
-        assert rep["derivative_vanishes"]
-
-    def test_moving_direction_escapes(self, bad_map):
-        rep = tentacle_probe(bad_map, [F(0), F(1), F(0)])
-        assert not rep["stabilizes"]
-        assert not rep["derivative_vanishes"]
-
-    def test_constant_map_constant_along_any_curve(self):
-        ring = ("x", "y")
-        f = PolyMap(ring, (poly(ring, "5"),))
-        rep = tentacle_probe(f, [F(1), F(0)], CurveFamily(2))
-        assert rep["stabilizes"]
-        assert rep["bounded"]
-
-    def test_zero_direction_rejected(self, simple_map):
-        with pytest.raises(ValueError):
-            tentacle_probe(simple_map, [F(0), F(0), F(0)])
-
-    def test_curve_degree_constraint(self):
-        with pytest.raises(ValueError):
-            CurveFamily(1, ((F(1), F(2)),))
