@@ -248,12 +248,8 @@ def parse_mapping(text: str) -> PolyMap:
 def _polymap(src: MappingSource) -> PolyMap:
     if src.kind != "map":
         raise ParseError("expected a polynomial map, found ratmap", 1, 1)
-    comps = []
-    for num, den in src.components:
-        if not (den.is_constant() and den.constant_value() == 1):
-            raise ParseError("division is not in the grammar", 1, 1)
-        comps.append(num)
-    return PolyMap(src.ring_vars, tuple(comps), src.map_name)
+    # The grammar of a map file has no division, so every denominator is 1.
+    return PolyMap(src.ring_vars, tuple(num for num, _ in src.components), src.map_name)
 
 
 def _rational_map(src: MappingSource):
