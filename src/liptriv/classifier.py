@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .critical import CriticalIdeal, RealCriticalValue, critical_ideal, jacobian_minors, real_critical_values
+from .critical import RealCriticalValue, critical_ideal, jacobian_minors, real_critical_values
 from .dependence import FactorizationResult, factor_through_projection
 from .groebner import (
     DEFAULT_BUDGET,
@@ -38,9 +38,9 @@ from .infinity import ConeConstancyResult, InfinityReport, cone_constancy_check,
 from .parsing import print_polynomial
 from .polycore import FloatKernel, PolyMap, Polynomial
 from .properness import (
-    JelonekIdeal,
     ProbeSchedule,
     _sphere_minimize,
+    check_radii,
     is_proper_at_complex,
     jelonek_ideal,
     properness_probe_real,
@@ -51,28 +51,14 @@ from .rational import RationalMap, indeterminacy_empty_check, rational_invarianc
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Reproducible knobs for the whole pipeline (seeded determinism)."""
+    """Reproducible knobs for the whole pipeline (seeded determinism).
 
-    seed: int = 42
-    radii: tuple[float, ...] = (10.0, 100.0, 1000.0, 10000.0)
-    tol_zero: float = 1e-6
-    mu_floor: float = 1e-3
-    restarts: int = 32
-    max_iter: int = 250
+    `probe` holds the probe settings and the seed; bad radii fail when it is
+    built, before any stage runs.
+    """
+
+    probe: ProbeSchedule = ProbeSchedule()
     budget: GroebnerBudget = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        # Bad probe radii fail here, before any stage runs.
-        self.schedule()
-
-    def schedule(self) -> ProbeSchedule:
-        return ProbeSchedule(
-            radii=self.radii,
-            restarts=self.restarts,
-            seed=self.seed,
-            tol_zero=self.tol_zero,
-            max_iter=self.max_iter,
-        )
 
 
 @dataclass(frozen=True)
@@ -102,8 +88,8 @@ class LtvReport:
     factorization: FactorizationResult | None
     infinity_samples: tuple[InfinityReport, ...]
     sampled_values: tuple
-    jelonek: JelonekIdeal | None
-    critical: CriticalIdeal | None
+    jelonek: Ideal | None
+    critical: Ideal | None
     ltv: LtvDescription
     checks: tuple[CheckResult, ...]
     flags: dict
@@ -120,10 +106,10 @@ _BASE_GRID = [
 ]
 
 
-def rational_grid(p: int, count: int, start: int = 0) -> list[tuple[Fraction, ...]]:
+def rational_grid(p: int, count: int) -> list[tuple[Fraction, ...]]:
     """Deterministic low-discrepancy rational grid in the value space."""
     out = []
-    j = start
+    j = 0
     seen = set()
     while len(out) < count:
         idx = j * p
@@ -139,35 +125,43 @@ def rational_grid(p: int, count: int, start: int = 0) -> list[tuple[Fraction, ..
     return out
 
 
+def _grid_values(
+    p: int, count: int, keep: Callable[[tuple], bool]
+) -> list[tuple[Fraction, ...]]:
+    """The first `count` distinct grid values, among the first 40, that keep() accepts."""
+    chosen: list[tuple[Fraction, ...]] = []
+    for value in rational_grid(p, 40):
+        if keep(value):
+            chosen.append(value)
+            if len(chosen) == count:
+                break
+    return chosen
+
+
+def _on_locus(ideal: Ideal | None, value: Sequence[Fraction]) -> bool:
+    """value lies on V(ideal); a missing or zero ideal marks no value."""
+    return ideal is not None and bool(ideal.generators) and ideal.vanishes_at(value)
+
+
 def _sample_values(
     f: PolyMap,
     count: int,
-    critical: CriticalIdeal | None,
-    jelonek: JelonekIdeal | None,
+    critical: Ideal | None,
+    jelonek: Ideal | None,
     budget: GroebnerBudget,
 ) -> list[tuple[Fraction, ...]]:
     """Grid values with nonempty complex fiber, off the known discriminant loci."""
-    chosen: list[tuple[Fraction, ...]] = []
-    j = 0
-    while len(chosen) < count and j < 40:
-        candidate = rational_grid(f.p, 1, start=j)[0]
-        j += 1
-        # A missing or zero ideal excludes no value.
-        if any(
-            loci is not None and loci.ideal.generators and loci.ideal.vanishes_at(candidate)
-            for loci in (critical, jelonek)
-        ):
-            continue
-        fiber = Ideal.make(
-            f.vars, [comp - ci for comp, ci in zip(f.components, candidate)]
-        )
+
+    def keep(value: tuple[Fraction, ...]) -> bool:
+        if _on_locus(critical, value) or _on_locus(jelonek, value):
+            return False
+        fiber = Ideal.make(f.vars, [comp - ci for comp, ci in zip(f.components, value)])
         try:
-            if is_unit_ideal(fiber, budget):
-                continue
+            return not is_unit_ideal(fiber, budget)
         except BudgetExceededError:
-            continue
-        chosen.append(candidate)
-    return chosen
+            return False
+
+    return _grid_values(f.p, count, keep)
 
 
 # -- classify -------------------------------------------------------------------
@@ -178,18 +172,19 @@ class ExactStages:
     """Field-independent exact data of one mapping, each stage computed once.
 
     f = g o pi, the critical and Jelonek ideals of g, the sampled values, one
-    fiber_infinity report per sample and the cone verdict; `flags` names
-    each stage whose budget ran out.
+    fiber_infinity report per sample, the cone verdict and the bifurcation
+    ideal; `flags` names each stage whose budget ran out.
     """
 
     f: PolyMap
     factorization: FactorizationResult
-    critical: CriticalIdeal | None = None
-    jelonek: JelonekIdeal | None = None
+    critical: Ideal | None = None
+    jelonek: Ideal | None = None
     samples: tuple[tuple[Fraction, ...], ...] = ()
     infinity_samples: tuple[InfinityReport, ...] = ()
     cone: ConeConstancyResult | None = None
     dominant: bool = False  # m = p and the Jacobian of g is not identically singular
+    bifurcation: Ideal | None = None  # J(g) union closure K0(g), when a verdict reads it
     flags: dict = field(default_factory=dict)
 
 
@@ -231,8 +226,18 @@ def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
 
     # For m = p, dominance is a not-identically-singular Jacobian (char 0).
     dominant = factorization.m == f.p and any(not q.is_zero() for q in jacobian_minors(g))
+    # Both verdicts read the bifurcation ideal only here.  The complex one
+    # also needs the invariance check to pass, which it does at samples off
+    # J(g) and K0(g): there the fiber is a union of translates of V.
+    bifurcation = None
+    if dominant and jelonek is not None and critical is not None and not (
+        cone is not None and cone.verdict == "FAIL"
+    ):
+        bifurcation = _within_budget(
+            flags, "bifurcation_budget", _bifurcation_ideal, jelonek, critical, budget
+        )
     return ExactStages(
-        f, factorization, critical, jelonek, samples, reports, cone, dominant, flags
+        f, factorization, critical, jelonek, samples, reports, cone, dominant, bifurcation, flags
     )
 
 
@@ -318,7 +323,7 @@ def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> 
             generators=gens,
         )
     elif field_name == "complex":
-        ltv = _complex_verdict(stages, failures, flags, cfg.budget)
+        ltv = _complex_verdict(stages, failures)
     else:
         ltv = _real_verdict(stages, failures, flags, cfg, checks)
 
@@ -333,7 +338,7 @@ def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> 
         ltv,
         tuple(checks),
         flags,
-        cfg.seed,
+        cfg.probe.seed,
     )
 
 
@@ -348,26 +353,19 @@ def _cone_string(report: InfinityReport) -> dict:
     return out
 
 
-def _bifurcation_ideal(
-    jelonek: JelonekIdeal, critical: CriticalIdeal, budget: GroebnerBudget
-) -> Ideal:
+def _bifurcation_ideal(jelonek: Ideal, critical: Ideal, budget: GroebnerBudget) -> Ideal:
     """Reduced generators cutting J(g) union closure K0(g) in the value space."""
-    if jelonek.ideal.has_unit_generator():
-        merged = critical.ideal
-    elif critical.ideal.has_unit_generator():
-        merged = jelonek.ideal
+    if jelonek.has_unit_generator():
+        merged = critical
+    elif critical.has_unit_generator():
+        merged = jelonek
     else:
-        merged = intersect(jelonek.ideal, critical.ideal, budget)
+        merged = intersect(jelonek, critical, budget)
     gb = buchberger(merged, MonomialOrder.grevlex(), budget)
     return Ideal(merged.vars, gb.basis)
 
 
-def _complex_verdict(
-    stages: ExactStages,
-    failures: list[str],
-    flags: dict,
-    budget: GroebnerBudget,
-) -> LtvDescription:
+def _complex_verdict(stages: ExactStages, failures: list[str]) -> LtvDescription:
     m, p = stages.factorization.m, stages.f.p
     if m != p:
         failures = failures + [
@@ -386,9 +384,7 @@ def _complex_verdict(
             reason="exact value-space ideals unavailable (resource budget exceeded)",
         )
 
-    bif = _within_budget(
-        flags, "bifurcation_budget", _bifurcation_ideal, stages.jelonek, stages.critical, budget
-    )
+    bif = stages.bifurcation
     if bif is None:
         return LtvDescription(
             "undetermined",
@@ -423,6 +419,7 @@ def _real_verdict(
     g = stages.factorization.g
     p = stages.f.p
     jelonek, critical, budget = stages.jelonek, stages.critical, cfg.budget
+    bif = stages.bifurcation
 
     # Only the cone obstruction is verdict-driving over R: the invariance
     # condition uses the complex accumulation set, which can overshoot.
@@ -430,11 +427,11 @@ def _real_verdict(
         return LtvDescription("empty", reason="; ".join(failures))
 
     candidates: tuple[RealCriticalValue, ...] = ()
-    if p == 1 and critical is not None and not critical.ideal.has_unit_generator():
+    if p == 1 and critical is not None and not critical.has_unit_generator():
         candidates = tuple(
             _within_budget(
                 flags, "real_critical_budget", real_critical_values,
-                g, budget, seed=cfg.seed, crit=critical,
+                g, budget, seed=cfg.probe.seed, crit=critical,
             )
             or ()
         )
@@ -444,41 +441,32 @@ def _real_verdict(
         "exact critical candidates plus per-value properness verdicts; the "
         "real non-properness set is probed, not computed exactly"
     )
-    if stages.dominant and jelonek is not None and critical is not None:
-        bif = _within_budget(
-            flags, "bifurcation_budget", _bifurcation_ideal, jelonek, critical, budget
-        )
-        if bif is not None:
-            if not bif.generators or bif.has_unit_generator():
-                return LtvDescription(
-                    "all_values",
-                    note=(
-                        "complex bifurcation set empty: every value is proper and "
-                        "regular over C, hence Lipschitz trivial over R"
-                    ),
-                )
-            exact_generators = bif.generators
-            note = (
-                "real Lipschitz trivial values = R^p minus the real points of the "
-                "complex bifurcation set of the reduced mapping"
+    if bif is not None:
+        if not bif.generators or bif.has_unit_generator():
+            return LtvDescription(
+                "all_values",
+                note=(
+                    "complex bifurcation set empty: every value is proper and "
+                    "regular over C, hence Lipschitz trivial over R"
+                ),
             )
+        exact_generators = bif.generators
+        note = (
+            "real Lipschitz trivial values = R^p minus the real points of the "
+            "complex bifurcation set of the reduced mapping"
+        )
 
     grid = _probe_grid_real(p, candidates or None)
-    sched = cfg.schedule()
+    sched = cfg.probe
     table = []
     any_proper = False
     for value in grid:
         # Out of budget, the value is probed without the exact certificate.
         verdict = _within_budget(
             flags, "probe_budget", properness_probe_real,
-            g, value, sched, mu_floor=cfg.mu_floor, jelonek=jelonek, budget=budget,
-        ) or properness_probe_real(g, value, sched, mu_floor=cfg.mu_floor, skip_exact=True)
-        # A missing or zero critical ideal marks no value critical.
-        regular = not (
-            critical is not None
-            and critical.ideal.generators
-            and critical.ideal.vanishes_at([Fraction(x) for x in value])
-        )
+            g, value, sched, jelonek=jelonek, budget=budget,
+        ) or properness_probe_real(g, value, sched, skip_exact=True)
+        regular = not _on_locus(critical, [Fraction(x) for x in value])
         certified = verdict.mode == "exact_complex" and verdict.verdict == "proper"
         if verdict.verdict == "proper" and regular:
             any_proper = True
@@ -555,13 +543,13 @@ def classify_rational(
         )
     )
     grad = lipschitz_gradient_probe(
-        r, tuple(0.0 for _ in range(r.p)), radii=(10.0, 1e2, 1e4, 1e6), config=cfg
+        r, tuple(0.0 for _ in range(r.p)), radii=(10.0, 1e2, 1e4, 1e6), seed=cfg.probe.seed
     )
     checks.append(CheckResult("gradient_bound", grad["verdict"], grad))
 
     ltv = LtvDescription("not_applicable", reason=RATIONAL_NOT_APPLICABLE)
     return LtvReport(
-        field_name, r, None, (), (), None, None, ltv, tuple(checks), {}, cfg.seed
+        field_name, r, None, (), (), None, None, ltv, tuple(checks), {}, cfg.probe.seed
     )
 
 
@@ -572,7 +560,7 @@ def lipschitz_gradient_probe(
     mapping: PolyMap | RationalMap,
     value: Sequence[float],
     radii: Sequence[float] = (1.0, 2.0, 5.0, 10.0, 100.0),
-    config: AnalysisConfig | None = None,
+    seed: int = 42,
 ) -> dict:
     """Sampled operator-norm bound of the Jacobian over near-fiber points.
 
@@ -582,7 +570,7 @@ def lipschitz_gradient_probe(
     radius is reported as UNBOUNDED, which contradicts the Lipschitz bound a
     trivial value would impose.
     """
-    cfg = config or AnalysisConfig()
+    check_radii(radii)
     if isinstance(mapping, RationalMap):
         evaluate, jacobian = mapping.evaluate_float, mapping.jacobian_float
     else:
@@ -613,7 +601,7 @@ def lipschitz_gradient_probe(
     per_radius = []
     sups = []
     for k, radius in enumerate(sorted(radii)):
-        rng = np.random.default_rng((cfg.seed, 977, k))
+        rng = np.random.default_rng((seed, 977, k))
         best_norm = None
         best_mu = float("inf")
         for _ in range(12):
@@ -679,6 +667,7 @@ def tube_distance_probe(
     """
     from math import isfinite, sqrt
 
+    check_radii(radii)
     if list(c) == list(t):
         raise ValueError("levels must differ")
     kernel = FloatKernel(f.components)
@@ -811,21 +800,15 @@ def _containment(
 
     gens = ltv.generators
     g, critical = stages.factorization.g, stages.critical
-    rows = []
-    j = 0
-    while len(rows) < 3 and j < 40:
-        value = rational_grid(stages.f.p, 1, start=j)[0]
-        j += 1
+
+    def off_bifurcation(value: tuple[Fraction, ...]) -> bool:
         # Stay strictly inside the open complement of the bifurcation set.
-        if gens and any(q.eval_exact(list(value)) == 0 for q in gens):
-            continue
+        return all(q.eval_exact(list(value)) != 0 for q in gens)
+
+    rows = []
+    for value in _grid_values(stages.f.p, 3, off_bifurcation):
         proper = is_proper_at_complex(g, value, stages.jelonek, cfg.budget)
-        # A missing or zero critical ideal marks no value critical.
-        regular = not (
-            critical is not None
-            and critical.ideal.generators
-            and critical.ideal.vanishes_at(value)
-        )
+        regular = not _on_locus(critical, value)
         rows.append(
             {
                 "value": [str(x) for x in value],

@@ -30,7 +30,7 @@ from .groebner import BudgetExceededError, GroebnerBudget
 from .infinity import fiber_infinity
 from .parsing import ParseError, parse_input
 from .polycore import PolyMap
-from .properness import jelonek_ideal, properness_probe_real
+from .properness import ProbeSchedule, jelonek_ideal, properness_probe_real
 from .rational import RationalMap
 
 
@@ -119,11 +119,8 @@ def _config(args) -> AnalysisConfig:
     if args.radii:
         radii = tuple(float(s) for s in args.radii.split(","))
     return AnalysisConfig(
-        seed=seed,
-        radii=radii,
-        tol_zero=args.tol_zero,
-        mu_floor=args.mu_floor,
-        budget=GroebnerBudget(max_basis=args.max_basis, max_degree=args.max_degree),
+        ProbeSchedule(radii=radii, seed=seed, tol_zero=args.tol_zero, mu_floor=args.mu_floor),
+        GroebnerBudget(max_basis=args.max_basis, max_degree=args.max_degree),
     )
 
 
@@ -166,27 +163,25 @@ def _document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
     if args.command == "critical":
         crit = critical_ideal(g, cfg.budget)
         roots = None
-        if g.p == 1 and not crit.ideal.has_unit_generator():
-            roots = real_critical_values(g, cfg.budget, seed=cfg.seed, crit=crit)
+        if g.p == 1 and not crit.has_unit_generator():
+            roots = real_critical_values(g, cfg.budget, seed=cfg.probe.seed, crit=crit)
         return report.critical_document(poly, args.field, g, crit, roots)
 
     # probe: properness per value is meaningful for the reduced mapping, the
     # silent coordinates of a suspension make every fiber unbounded.
     values = _parse_values(args.values, g.p)
     tube = _parse_tube(args.tube, poly.p) if args.tube else None
-    sched = cfg.schedule()
     # J(g) at most once, and only once a finite fiber needs it, so a
     # budget error surfaces at the same value as without the cache.
     jelonek = cache(lambda: jelonek_ideal(g, cfg.budget))
     verdicts = [
         properness_probe_real(
-            g, [float(x) for x in value], sched, mu_floor=cfg.mu_floor,
-            jelonek=jelonek, budget=cfg.budget,
+            g, [float(x) for x in value], cfg.probe, jelonek=jelonek, budget=cfg.budget
         )
         for value in values
     ]
     if tube is not None:
-        tube = tube_distance_probe(poly, *tube, seed=cfg.seed)
+        tube = tube_distance_probe(poly, *tube, seed=cfg.probe.seed)
     return report.probe_document(poly, g, values, verdicts, tube)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import ClassVar
 
 import numpy as np
 
@@ -62,23 +61,16 @@ def jacobian_minors(g: PolyMap) -> list[Polynomial]:
     return minors
 
 
-@dataclass(frozen=True)
-class CriticalIdeal:
-    """Ideal in the target coordinates cutting the closure of K0(g) over C."""
-
-    ideal: Ideal
-    note: ClassVar[str] = "closure_of_K0"
-
-
 def critical_ideal(
     g: PolyMap,
     budget: GroebnerBudget = DEFAULT_BUDGET,
-) -> CriticalIdeal:
-    """Closure of the critical value set by eliminating the source variables.
+) -> Ideal:
+    """Closure of the critical value set K0(g) by eliminating the source variables.
 
-    For p <= m the critical locus is cut by all p x p Jacobian minors; for
-    p > m the differential can never be surjective, so every point is
-    critical and the result is the closure of the whole image.
+    The result is an ideal in the target coordinates.  For p <= m the
+    critical locus is cut by all p x p Jacobian minors; for p > m the
+    differential can never be surjective, so every point is critical and the
+    result is the closure of the whole image.
     """
     tvars = target_ring(g.p, g.vars)
     ring = g.vars + tvars
@@ -93,8 +85,7 @@ def critical_ideal(
             if not minor.is_zero():
                 gens.append(minor.embed(ring))
     projected = eliminate(Ideal.make(ring, gens), g.vars, budget)
-    result = Ideal.make(tvars, projected.generators)
-    return CriticalIdeal(result)
+    return Ideal.make(tvars, projected.generators)
 
 
 @dataclass(frozen=True)
@@ -116,7 +107,7 @@ def real_critical_values(
     g: PolyMap,
     budget: GroebnerBudget = DEFAULT_BUDGET,
     seed: int = 42,
-    crit: CriticalIdeal | None = None,
+    crit: Ideal | None = None,
 ) -> list[RealCriticalValue]:
     """Real roots of the eliminated critical ideal, flagged by attainment.
 
@@ -127,8 +118,8 @@ def real_critical_values(
     if g.p != 1:
         raise ValueError("real critical value extraction needs p = 1")
     crit = crit or critical_ideal(g, budget)
-    gens = crit.ideal.generators
-    if not gens or crit.ideal.has_unit_generator():
+    gens = crit.generators
+    if not gens or crit.has_unit_generator():
         return []
     # The target ring is univariate, so the elimination ideal is principal;
     # the reduced basis has a single generator.

@@ -10,81 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
-from .polycore import LinearMap, PolyMap, Polynomial, as_fraction, fresh_name
-
-
-def _clear_denominators(rows: list[list[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
-
-
-def _fraction_free_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Bareiss fraction-free elimination; returns echelon rows and pivot columns."""
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    m = [row[:] for row in m]
-    prev = 1
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(ncols):
-                if j == col:
-                    continue
-                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
-            m[i][col] = 0
-        prev = m[r][col]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form over Q (Bareiss forward pass, exact back-substitution)."""
-    cleaned = [[as_fraction(x) for x in row] for row in rows if any(x != 0 for x in row)]
-    if not cleaned:
-        return [], []
-    echelon, pivots = _fraction_free_echelon(_clear_denominators(cleaned))
-    work = [[Fraction(x) for x in row] for row in echelon]
-    for i in reversed(range(len(work))):
-        col = pivots[i]
-        inv = 1 / work[i][col]
-        work[i] = [x * inv for x in work[i]]
-        for k in range(i):
-            f = work[k][col]
-            if f:
-                work[k] = [a - f * b for a, b in zip(work[k], work[i])]
-    return work, pivots
-
-
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, one vector per free column, in RREF shape."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -reduced[i][j]
-        basis.append(tuple(vec))
-    return basis
+from .polycore import LinearMap, PolyMap, Polynomial, as_fraction, fresh_name, kernel_basis, rref
 
 
 @dataclass(frozen=True)
@@ -130,25 +58,28 @@ class FactorizationResult:
     g: PolyMap
 
 
+def condition_kernel(conditions: Sequence[Sequence[Polynomial]], n: int) -> Subspace:
+    """Directions v in K^n with sum_j v_j * q[j] = 0 for every list q in conditions.
+
+    Solved as the exact kernel of the linear system whose rows are, for every
+    q and every monomial of its entries, the coefficient vector over j.
+    """
+    rows: list[list[Fraction]] = []
+    for qs in conditions:
+        monomials = sorted({e for q in qs for e, _ in q.terms})
+        for mono in monomials:
+            rows.append([q.coefficient(mono) for q in qs])
+    return Subspace.from_vectors(n, kernel_basis(rows, n))
+
+
 def invariance_subspace(f: PolyMap) -> Subspace:
     """Maximal subspace of directions v with the derivative of f along v zero.
 
-    Solved as the exact kernel of the linear system whose rows are, for every
-    component i and every monomial of its gradient, the coefficient vector
-    over j of d f_i / d x_j.
+    The condition on v for each component is sum_j v_j * d f_i / d x_j = 0.
     """
-    n = f.n
-    rows: list[list[Fraction]] = []
-    for comp in f.components:
-        partials = [comp.partial(j) for j in range(n)]
-        monomials = sorted({e for q in partials for e, _ in q.terms})
-        for mono in monomials:
-            rows.append([q.coefficient(mono) for q in partials])
-    if not rows:
-        return Subspace.from_vectors(
-            n, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-    return Subspace.from_vectors(n, kernel_basis(rows, n))
+    return condition_kernel(
+        [[comp.partial(j) for j in range(f.n)] for comp in f.components], f.n
+    )
 
 
 def _complement_positions(sub: Subspace) -> list[int]:

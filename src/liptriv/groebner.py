@@ -222,6 +222,28 @@ def _entry(gd: dict, keyf) -> tuple[Exponent, Fraction, dict]:
     return (lead, gd[lead], gd)
 
 
+def _spoly(
+    a: tuple[Exponent, Fraction, dict], b: tuple[Exponent, Fraction, dict], lcm: Exponent
+) -> dict:
+    """S-polynomial (lcm/lt(a)) * a - (lcm/lt(b)) * b of two basis entries."""
+    lead_a, lc_a, da = a
+    lead_b, lc_b, db = b
+    out: dict = {}
+    shift = _sub_exp(lcm, lead_a)
+    for e, c in da.items():
+        ne = _add_exp(e, shift)
+        out[ne] = out.get(ne, Fraction(0)) + c / lc_a
+    shift = _sub_exp(lcm, lead_b)
+    for e, c in db.items():
+        ne = _add_exp(e, shift)
+        s = out.get(ne, Fraction(0)) - c / lc_b
+        if s:
+            out[ne] = s
+        else:
+            out.pop(ne, None)
+    return out
+
+
 def buchberger(
     ideal: Ideal,
     order: MonomialOrder | None = None,
@@ -254,10 +276,8 @@ def buchberger(
             pending.items(), key=lambda kv: (sum(kv[1]), keyf(kv[1]), kv[0])
         )
         del pending[(i, j)]
-        lead_i, lc_i, gi = basis[i]
-        lead_j, lc_j, gj = basis[j]
         # First criterion: coprime leading monomials.
-        if lcm == _add_exp(lead_i, lead_j):
+        if lcm == _add_exp(basis[i][0], basis[j][0]):
             continue
         # Chain criterion: some k with lt_k | lcm and both cross pairs done.
         skip = False
@@ -274,20 +294,7 @@ def buchberger(
         if skip:
             continue
 
-        spoly: dict = {}
-        shift_i = _sub_exp(lcm, lead_i)
-        for e, c in gi.items():
-            ne = _add_exp(e, shift_i)
-            spoly[ne] = spoly.get(ne, Fraction(0)) + c / lc_i
-        shift_j = _sub_exp(lcm, lead_j)
-        for e, c in gj.items():
-            ne = _add_exp(e, shift_j)
-            s = spoly.get(ne, Fraction(0)) - c / lc_j
-            if s:
-                spoly[ne] = s
-            else:
-                spoly.pop(ne, None)
-
+        spoly = _spoly(basis[i], basis[j], lcm)
         remainder = _reduce_full(spoly, basis, keyf, budget.max_degree)
         if not remainder:
             continue
@@ -350,21 +357,9 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
     if f.vars != g.vars:
         raise ValueError("ring mismatch")
     keyf = order.key_function(len(f.vars))
-    fl, fc, fd = _entry(_prepare(f), keyf)
-    gl, gc, gd = _entry(_prepare(g), keyf)
-    lcm = _lcm_exp(fl, gl)
-    out: dict = {}
-    for e, c in fd.items():
-        ne = _add_exp(e, _sub_exp(lcm, fl))
-        out[ne] = out.get(ne, Fraction(0)) + c / fc
-    for e, c in gd.items():
-        ne = _add_exp(e, _sub_exp(lcm, gl))
-        s = out.get(ne, Fraction(0)) - c / gc
-        if s:
-            out[ne] = s
-        else:
-            out.pop(ne, None)
-    return Polynomial.from_dict(f.vars, out)
+    a = _entry(_prepare(f), keyf)
+    b = _entry(_prepare(g), keyf)
+    return Polynomial.from_dict(f.vars, _spoly(a, b, _lcm_exp(a[0], b[0])))
 
 
 def is_unit_ideal(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:

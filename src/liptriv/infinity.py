@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dependence import Subspace, kernel_basis
+from .dependence import Subspace
 from .groebner import (
     DEFAULT_BUDGET,
     GroebnerBasis,
@@ -24,7 +24,7 @@ from .groebner import (
     dimension,
     saturate,
 )
-from .polycore import PolyMap, Polynomial, as_fraction, fresh_name
+from .polycore import PolyMap, Polynomial, as_fraction, fresh_name, kernel_basis
 
 
 @dataclass(frozen=True)

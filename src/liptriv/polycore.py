@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import isfinite, sqrt
+from math import gcd, isfinite, sqrt
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -352,6 +352,77 @@ class Polynomial:
         return f"<{print_polynomial(self)}>"
 
 
+def _clear_denominators(rows: list[list[Fraction]]) -> list[list[int]]:
+    out = []
+    for row in rows:
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        out.append([int(x * den) for x in row])
+    return out
+
+
+def _fraction_free_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Bareiss fraction-free elimination; returns echelon rows and pivot columns."""
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    m = [row[:] for row in m]
+    prev = 1
+    r = 0
+    pivots = []
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nrows):
+            for j in range(ncols):
+                if j == col:
+                    continue
+                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
+            m[i][col] = 0
+        prev = m[r][col]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon form over Q (Bareiss forward pass, exact back-substitution)."""
+    cleaned = [[as_fraction(x) for x in row] for row in rows if any(x != 0 for x in row)]
+    if not cleaned:
+        return [], []
+    echelon, pivots = _fraction_free_echelon(_clear_denominators(cleaned))
+    work = [[Fraction(x) for x in row] for row in echelon]
+    for i in reversed(range(len(work))):
+        col = pivots[i]
+        inv = 1 / work[i][col]
+        work[i] = [x * inv for x in work[i]]
+        for k in range(i):
+            f = work[k][col]
+            if f:
+                work[k] = [a - f * b for a, b in zip(work[k], work[i])]
+    return work, pivots
+
+
+def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel, one vector per free column, in RREF shape."""
+    reduced, pivots = rref(rows)
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    basis = []
+    for j in free:
+        vec = [Fraction(0)] * ncols
+        vec[j] = Fraction(1)
+        for i, col in enumerate(pivots):
+            vec[col] = -reduced[i][j]
+        basis.append(tuple(vec))
+    return basis
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """Exact rational matrix, mapping K^cols -> K^rows by left multiplication."""
@@ -409,21 +480,7 @@ class LinearMap:
         )
 
     def rank(self) -> int:
-        m = [list(r) for r in self.rows]
-        rank = 0
-        for col in range(self.ncols):
-            piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = 1 / m[rank][col]
-            m[rank] = [x * inv for x in m[rank]]
-            for i in range(len(m)):
-                if i != rank and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-            rank += 1
-        return rank
+        return len(rref(self.rows)[0])
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -432,22 +489,16 @@ class LinearMap:
         return self.rank() == self.nrows
 
     def inverse(self) -> "LinearMap":
+        """The right half of rref([A | I]); A is singular unless its pivots lead."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("not square")
-        m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            m[col], m[piv] = m[piv], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for i in range(n):
-                if i != col and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-        return LinearMap.from_rows([row[n:] for row in m])
+        reduced, pivots = rref(
+            [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
+        )
+        if pivots != list(range(n)):
+            raise ValueError("matrix is singular")
+        return LinearMap.from_rows([row[n:] for row in reduced])
 
 
 @dataclass(frozen=True)

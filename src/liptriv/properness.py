@@ -44,13 +44,6 @@ from .polycore import (
 )
 
 
-@dataclass(frozen=True)
-class JelonekIdeal:
-    """Ideal in the target coordinates whose variety is J(g) over C."""
-
-    ideal: Ideal
-
-
 def target_ring(p: int, taken: Sequence[str] = ()) -> tuple[str, ...]:
     """Names t1..tp for the value space, avoiding collisions with taken names."""
     names: list[str] = []
@@ -65,8 +58,8 @@ def target_ring(p: int, taken: Sequence[str] = ()) -> tuple[str, ...]:
 def jelonek_ideal(
     g: PolyMap,
     budget: GroebnerBudget = DEFAULT_BUDGET,
-) -> JelonekIdeal:
-    """Exact ideal of the complex non-properness set of g.
+) -> Ideal:
+    """Exact ideal, in the target coordinates, of the complex non-properness set J(g).
 
     Construction: homogenize each component to its degree with x0, impose
     g_i = t_i on the affine chart via gh_i - t_i*x0^{d_i}, saturate by x0
@@ -90,7 +83,7 @@ def jelonek_ideal(
 
     if not moving:
         # Constant mapping: not proper exactly at its value (m >= 1).
-        return JelonekIdeal(Ideal.make(tvars, extra))
+        return Ideal.make(tvars, extra)
 
     hom_var = fresh_name("x0", g.vars + tvars)
     ring = (hom_var,) + g.vars + tvars
@@ -118,8 +111,13 @@ def jelonek_ideal(
 
     assert cleaned is not None
     projected = eliminate(cleaned, (hom_var,) + g.vars, budget)
-    result = Ideal.make(tvars, list(projected.generators) + extra)
-    return JelonekIdeal(result)
+    return Ideal.make(tvars, list(projected.generators) + extra)
+
+
+def check_radii(radii: Sequence[float]) -> None:
+    """Reject an empty radius list and any radius that is not finite and > 0."""
+    if not radii or not all(isfinite(r) and r > 0 for r in radii):
+        raise ValueError("need radii, each finite and positive")
 
 
 @dataclass(frozen=True)
@@ -131,10 +129,10 @@ class ProbeSchedule:
     seed: int = 42
     tol_zero: float = 1e-6
     max_iter: int = 250
+    mu_floor: float = 1e-3
 
     def __post_init__(self):
-        if not self.radii or not all(isfinite(r) and r > 0 for r in self.radii):
-            raise ValueError("need radii, each finite and positive")
+        check_radii(self.radii)
         if list(self.radii) != sorted(self.radii) or len(set(self.radii)) != len(self.radii):
             raise ValueError("radii must be strictly increasing")
         if self.restarts < 1:
@@ -152,7 +150,7 @@ class PropernessVerdict:
 def is_proper_at_complex(
     g: PolyMap,
     c: Sequence[Fraction],
-    jelonek: JelonekIdeal | Callable[[], JelonekIdeal] | None = None,
+    jelonek: Ideal | Callable[[], Ideal] | None = None,
     budget: GroebnerBudget = DEFAULT_BUDGET,
 ) -> PropernessVerdict:
     """Exact certificate: proper iff c misses J(g) and the fiber is finite.
@@ -176,7 +174,7 @@ def is_proper_at_complex(
         jelonek = jelonek_ideal(g, budget)
     elif callable(jelonek):
         jelonek = jelonek()
-    values = [gen.eval_exact(list(cvec)) for gen in jelonek.ideal.generators]
+    values = [gen.eval_exact(list(cvec)) for gen in jelonek.generators]
     off_jelonek = any(v != 0 for v in values)
     evidence["jelonek_values"] = [str(v) for v in values]
 
@@ -228,8 +226,7 @@ def properness_probe_real(
     g: PolyMap,
     c: Sequence[float],
     sched: ProbeSchedule = ProbeSchedule(),
-    mu_floor: float = 1e-3,
-    jelonek: JelonekIdeal | Callable[[], JelonekIdeal] | None = None,
+    jelonek: Ideal | Callable[[], Ideal] | None = None,
     budget: GroebnerBudget = DEFAULT_BUDGET,
     skip_exact: bool = False,
 ) -> PropernessVerdict:
@@ -272,7 +269,7 @@ def properness_probe_real(
             }
         )
 
-    evidence = {"mu_trace": trace, "tol_zero": sched.tol_zero, "mu_floor": mu_floor}
+    evidence = {"mu_trace": trace, "tol_zero": sched.tol_zero, "mu_floor": sched.mu_floor}
     if not all(np.isfinite(mus)):
         return PropernessVerdict(cvec, "probe_real", "inconclusive", evidence)
 
@@ -288,7 +285,7 @@ def properness_probe_real(
     if small[-1] and (all(small[1:]) or halving_tail):
         return PropernessVerdict(cvec, "probe_real", "non_proper", evidence)
 
-    bounded_below = all(m >= mu_floor for m in mus)
+    bounded_below = all(m >= sched.mu_floor for m in mus)
     nondecreasing_tail = len(mus) >= 2 and mus[-1] >= 0.99 * mus[-2]
     if bounded_below and nondecreasing_tail:
         return PropernessVerdict(cvec, "probe_real", "proper", evidence)

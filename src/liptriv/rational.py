@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .dependence import Subspace, kernel_basis
+from .dependence import Subspace, condition_kernel
 from .groebner import (
     DEFAULT_BUDGET,
     GroebnerBudget,
@@ -168,25 +168,18 @@ def rational_invariance_subspace(r: RationalMap) -> RationalInvarianceResult:
     re-verified symbolically before the subspace is reported.
     """
     n = r.n
-    rows: list[list[Fraction]] = []
-    for num, den in zip(r.numerators, r.denominators):
-        # Coefficient rows of d_j(num)*den - num*d_j(den), stacked over monomials.
-        conditions = [num.partial(j) * den - num * den.partial(j) for j in range(n)]
-        monomials = sorted({e for q in conditions for e, _ in q.terms})
-        for mono in monomials:
-            rows.append([q.coefficient(mono) for q in conditions])
-    if rows:
-        vectors = kernel_basis(rows, n)
-    else:
-        vectors = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    candidate = Subspace.from_vectors(n, vectors)
+    conditions = [
+        [num.partial(j) * den - num * den.partial(j) for j in range(n)]
+        for num, den in zip(r.numerators, r.denominators)
+    ]
+    candidate = condition_kernel(conditions, n)
 
     def qualifies(v: Sequence[Fraction]) -> bool:
-        for num, den in zip(r.numerators, r.denominators):
+        for qs in conditions:
             acc = Polynomial.zero(r.vars)
-            for j, vj in enumerate(v):
+            for q, vj in zip(qs, v):
                 if vj:
-                    acc = acc + (num.partial(j) * den - num * den.partial(j)) * vj
+                    acc = acc + q * vj
             if not acc.is_zero():
                 return False
         return True

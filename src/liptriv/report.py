@@ -20,12 +20,13 @@ from fractions import Fraction
 
 from . import __version__
 from .classifier import CheckResult, LtvReport
-from .critical import CriticalIdeal, RealCriticalValue
+from .critical import RealCriticalValue
 from .dependence import FactorizationResult
+from .groebner import Ideal
 from .infinity import InfinityReport
 from .parsing import print_polynomial
 from .polycore import PolyMap
-from .properness import JelonekIdeal, PropernessVerdict
+from .properness import PropernessVerdict
 from .rational import RationalMap
 
 _LTV_LABEL = {
@@ -130,12 +131,12 @@ def report_document(report: LtvReport) -> dict:
         doc["reduced_map"] = None
 
     doc["jelonek_generators"] = (
-        _polys(report.jelonek.ideal.generators)
+        _polys(report.jelonek.generators)
         if report.jelonek is not None
         else None
     )
     doc["critical_generators"] = (
-        _polys(report.critical.ideal.generators)
+        _polys(report.critical.generators)
         if report.critical is not None
         else None
     )
@@ -261,12 +262,12 @@ def _factor_text(doc: dict) -> list[str]:
     return lines
 
 
-def jelonek_document(src: PolyMap, field_name: str, g: PolyMap, jelonek: JelonekIdeal) -> dict:
+def jelonek_document(src: PolyMap, field_name: str, g: PolyMap, jelonek: Ideal) -> dict:
     return schema_skeleton(
         src, field_name,
         reduced_map=_polys(g.components),
-        jelonek_generators=_polys(jelonek.ideal.generators),
-        jelonek_empty=jelonek.ideal.has_unit_generator(),
+        jelonek_generators=_polys(jelonek.generators),
+        jelonek_empty=jelonek.has_unit_generator(),
     )
 
 
@@ -276,15 +277,15 @@ def _jelonek_text(doc: dict) -> list[str]:
 
 
 def critical_document(
-    src: PolyMap, field_name: str, g: PolyMap, critical: CriticalIdeal,
+    src: PolyMap, field_name: str, g: PolyMap, critical: Ideal,
     roots: list[RealCriticalValue] | None,
 ) -> dict:
     """`roots` are the real critical values, None when not isolated."""
     doc = schema_skeleton(
         src, field_name,
         reduced_map=_polys(g.components),
-        critical_generators=_polys(critical.ideal.generators),
-        note=critical.note,
+        critical_generators=_polys(critical.generators),
+        note="closure_of_K0",
     )
     if roots is not None:
         doc["real_roots"] = [_root(r) for r in roots]

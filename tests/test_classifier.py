@@ -17,11 +17,12 @@ from liptriv.dependence import suspend
 from liptriv.groebner import GroebnerBudget
 from liptriv.parsing import print_polynomial
 from liptriv.polycore import PolyMap
+from liptriv.properness import ProbeSchedule
 from liptriv.report import emit_report
 
 F = Fraction
 
-LIGHT = AnalysisConfig(radii=(10.0, 100.0, 1000.0), restarts=12, max_iter=150)
+LIGHT = AnalysisConfig(ProbeSchedule(radii=(10.0, 100.0, 1000.0), restarts=12, max_iter=150))
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,15 @@ class TestBudgetDegradation:
         assert rep.ltv.kind in ("undetermined", "empty")
 
 
+# Radii that each probe rejects before any work.
+BAD_RADII = ((), (0.0, 10.0), (-1.0, 10.0), (float("nan"), 10.0), (10.0, float("inf")))
+
+
+def xy_map() -> PolyMap:
+    ring = ("x", "y")
+    return PolyMap(ring, (poly(ring, "x*y"),))
+
+
 class TestTubeProbe:
     def test_parallel_line_fibers_keep_distance(self, simple_map):
         out = tube_distance_probe(
@@ -153,6 +163,11 @@ class TestTubeProbe:
     def test_equal_levels_rejected(self, simple_map):
         with pytest.raises(ValueError):
             tube_distance_probe(simple_map, [1.0, 0.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("radii", BAD_RADII)
+    def test_bad_radii_rejected(self, radii):
+        with pytest.raises(ValueError, match="radii"):
+            tube_distance_probe(xy_map(), [1.0], [2.0], radii=radii, restarts=1)
 
 
 class TestGradientProbe:
@@ -171,6 +186,11 @@ class TestGradientProbe:
             simple_map, [0.0, 0.0], radii=(2.0, 10.0, 100.0, 1000.0)
         )
         assert out["verdict"] == "UNBOUNDED"
+
+    @pytest.mark.parametrize("radii", BAD_RADII)
+    def test_bad_radii_rejected(self, radii):
+        with pytest.raises(ValueError, match="radii"):
+            lipschitz_gradient_probe(xy_map(), [1.0], radii=radii)
 
 
 class TestComplexificationCompare:
@@ -200,6 +220,15 @@ class TestSampling:
         assert a[0] == (F(1), F(0))
         assert a[1] == (F(2), F(3))
         assert a[2] == (F(-1), F(1))
+
+    def test_samples_are_distinct(self):
+        # The p = 1 grid starts 1, 0, 2, 3, -1, 1, 3, -2 and the critical
+        # values are 0, 2, 3 and 5, so a scan by grid index meets 1 twice.
+        ring = ("x", "y")
+        f = PolyMap(ring, (poly(ring, "8*x^3 - 6*x^4 + 12*y^3 - 9*y^4"),))
+        rep = classify(f, "complex")
+        cone = next(c for c in rep.checks if c.name == "cone_constancy")
+        assert cone.data["values"] == [["1"], ["-1"], ["-2"]]
 
 
 class TestStageCounts:

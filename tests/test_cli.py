@@ -256,6 +256,7 @@ class TestStageCounts:
     def test_compare_runs_each_exact_stage_once(self, capsys, monkeypatch):
         import liptriv.critical
         import liptriv.dependence
+        import liptriv.groebner
         import liptriv.infinity
         import liptriv.properness
 
@@ -267,6 +268,8 @@ class TestStageCounts:
                 (liptriv.properness, "jelonek_ideal"),
                 (liptriv.infinity, "cone_constancy_check"),
                 (liptriv.infinity, "fiber_infinity"),
+                (liptriv.groebner, "buchberger"),
+                (liptriv.groebner, "intersect"),
             )
         }
         code, doc = run_json(capsys, ["compare", "-i", SIMPLE])
@@ -278,6 +281,8 @@ class TestStageCounts:
             "jelonek_ideal": 1,
             "cone_constancy_check": 1,
             "fiber_infinity": 3,
+            "buchberger": 26,
+            "intersect": 2,
         }
 
     def test_factor_parses_input_once(self, capsys, monkeypatch):

@@ -7,8 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liptriv.dependence import rref
-from liptriv.polycore import LinearMap
+from liptriv.polycore import LinearMap, rref
 
 # Small entries with many zeros, so rank-deficient matrices are common.
 ENTRIES = st.one_of(

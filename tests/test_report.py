@@ -64,12 +64,13 @@ class TestRegularValueInvariant:
         critical_value = [0, 0]
         assert any(
             g.eval_exact(critical_value) == 0 for g in rep.ltv.generators
-        ) or all(g.eval_exact(critical_value) == 0 for g in rep.critical.ideal.generators)
+        ) or all(g.eval_exact(critical_value) == 0 for g in rep.critical.generators)
         assert all(g.eval_exact(critical_value) == 0 for g in rep.ltv.generators)
 
     def test_real_candidates_carry_attainment_flags(self, motzkin_map):
         from liptriv.classifier import AnalysisConfig
+        from liptriv.properness import ProbeSchedule
 
-        cfg = AnalysisConfig(radii=(10.0, 100.0), restarts=8, max_iter=80)
+        cfg = AnalysisConfig(ProbeSchedule(radii=(10.0, 100.0), restarts=8, max_iter=80))
         rep = classify(motzkin_map, "real", cfg)
         assert {r.status for r in rep.ltv.critical_candidates} == {"attained"}
