@@ -223,7 +223,7 @@ class TestSampling:
 
     def test_samples_are_distinct(self):
         # The p = 1 grid starts 1, 0, 2, 3, -1, 1, 3, -2 and the critical
-        # values are 0, 2, 3 and 5, so a scan by grid index meets 1 twice.
+        # values are 0, 2, 3 and 5; the repeated 1 is not sampled again.
         ring = ("x", "y")
         f = PolyMap(ring, (poly(ring, "8*x^3 - 6*x^4 + 12*y^3 - 9*y^4"),))
         rep = classify(f, "complex")
