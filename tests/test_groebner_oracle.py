@@ -14,6 +14,7 @@ from liptriv.groebner import (
     dimension,
     eliminate,
     intersect,
+    normal_form,
     saturate,
 )
 from liptriv.polycore import Polynomial
@@ -76,6 +77,24 @@ def test_buchberger_matches_sympy(ideal, order_name):
     theirs = sympy_basis(exprs, ideal.vars, order_name)
     n = len(ideal.vars)
     assert monic(ours, order, n) == monic(theirs, order, n)
+
+
+@settings(deadline=None)
+@given(ideals(), st.sampled_from(["grevlex", "lex"]), st.data())
+def test_normal_form_matches_sympy(ideal, order_name, data):
+    """The remainder modulo a Groebner basis is unique, so both must agree."""
+    order = MonomialOrder.grevlex() if order_name == "grevlex" else MonomialOrder.lex()
+    p = Polynomial.from_dict(ideal.vars, data.draw(term_maps(ideal.vars, max_degree=4)))
+    ours = dict(normal_form(p, buchberger(ideal, order)).terms)
+    gens = sympy.symbols(ideal.vars)
+    expr = to_sympy(p)
+    exprs = [to_sympy(g) for g in ideal.generators]
+    if exprs:
+        basis = sympy.groebner(exprs, *gens, order=order_name, domain="QQ")
+        expr = basis.reduce(expr)[1]
+    rem = sympy.Poly(expr, *gens, domain="QQ").as_dict()
+    theirs = {e: Fraction(int(c.p), int(c.q)) for e, c in rem.items()}
+    assert ours == theirs
 
 
 @settings(deadline=None)
