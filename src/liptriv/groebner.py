@@ -8,6 +8,7 @@ BudgetExceededError rather than returning a truncated answer.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -156,6 +157,23 @@ def _add_exp(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
 
+class _KeyMemo(dict):
+    """Exponent -> order key, each key computed once.  A monomial's key never
+    changes, so one memo serves a whole Buchberger run."""
+
+    def __init__(self, keyf: Callable[[Exponent], object]):
+        super().__init__()
+        self.keyf = keyf
+
+    def __missing__(self, e: Exponent):
+        key = self[e] = self.keyf(e)
+        return key
+
+
+def _order_key(order: MonomialOrder, nvars: int) -> Callable[[Exponent], object]:
+    return _KeyMemo(order.key_function(nvars)).__getitem__
+
+
 def _lead(d: dict, keyf) -> Exponent:
     return max(d, key=keyf)
 
@@ -251,13 +269,13 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis by Buchberger's algorithm.
 
-    Pair selection follows the normal strategy (minimal lcm degree) and skips
-    pairs by the coprimality and chain criteria.  Every intermediate result is
+    Pair selection follows the normal strategy (minimal lcm degree, then the
+    order, then the pair's indices) from a heap, and skips pairs by the
+    coprimality and chain criteria.  Every intermediate result is
     content-normalized to keep coefficients small.
     """
     order = order or MonomialOrder.grevlex()
-    nvars = len(ideal.vars)
-    keyf = order.key_function(nvars)
+    keyf = _order_key(order, len(ideal.vars))
 
     basis: list[tuple[Exponent, Fraction, dict]] = []
     for g in ideal.generators:
@@ -266,15 +284,21 @@ def buchberger(
             basis.append(_entry(gd, keyf))
     basis.sort(key=lambda t: keyf(t[0]))
 
+    # Each pair is pushed once and popped once; pending holds the pairs not
+    # yet popped, for the chain criterion.
     pending: dict[tuple[int, int], Exponent] = {}
+    heap: list = []
+
+    def push(i: int, j: int) -> None:
+        lcm = pending[(i, j)] = _lcm_exp(basis[i][0], basis[j][0])
+        heapq.heappush(heap, (sum(lcm), keyf(lcm), (i, j), lcm))
+
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            pending[(i, j)] = _lcm_exp(basis[i][0], basis[j][0])
+            push(i, j)
 
-    while pending:
-        (i, j), lcm = min(
-            pending.items(), key=lambda kv: (sum(kv[1]), keyf(kv[1]), kv[0])
-        )
+    while heap:
+        _, _, (i, j), lcm = heapq.heappop(heap)
         del pending[(i, j)]
         # First criterion: coprime leading monomials.
         if lcm == _add_exp(basis[i][0], basis[j][0]):
@@ -307,7 +331,7 @@ def buchberger(
             raise BudgetExceededError("degree", budget.max_degree, sum(entry[0]))
         basis.append(entry)
         for k in range(new_index):
-            pending[(k, new_index)] = _lcm_exp(basis[k][0], entry[0])
+            push(k, new_index)
 
     return _reduce_basis(ideal.vars, order, basis, keyf, budget)
 
@@ -321,12 +345,11 @@ def _reduce_basis(
 ) -> GroebnerBasis:
     # Minimal basis: drop entries whose leading term another one divides.
     minimal: list[tuple[Exponent, Fraction, dict]] = []
-    for idx, (lead, lc, gd) in enumerate(sorted(basis, key=lambda t: keyf(t[0]))):
-        if any(_divides(other[0], lead) for other in minimal):
-            continue
-        minimal.append((lead, lc, gd))
+    for entry in sorted(basis, key=lambda t: keyf(t[0])):
+        if not any(_divides(other[0], entry[0]) for other in minimal):
+            minimal.append(entry)
     # Inter-reduce tails and normalize to monic.
-    reduced: list[Polynomial] = []
+    reduced: list[tuple[object, Polynomial]] = []
     for idx, (lead, lc, gd) in enumerate(minimal):
         others = [minimal[k] for k in range(len(minimal)) if k != idx]
         tail = _reduce_full(gd, others, keyf, budget.max_degree)
@@ -335,18 +358,16 @@ def _reduce_basis(
         lead2 = _lead(tail, keyf)
         inv = 1 / tail[lead2]
         poly = Polynomial.from_dict(vars_, {e: c * inv for e, c in tail.items()})
-        reduced.append(poly)
-    reduced.sort(key=lambda p: keyf(max((e for e, _ in p.terms), key=keyf)))
-    if not reduced:
-        return GroebnerBasis(vars_, order, ())
-    return GroebnerBasis(vars_, order, tuple(reduced))
+        reduced.append((keyf(lead2), poly))
+    reduced.sort(key=lambda t: t[0])
+    return GroebnerBasis(vars_, order, tuple(poly for _, poly in reduced))
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis, budget: GroebnerBudget = DEFAULT_BUDGET) -> Polynomial:
     """Remainder of multivariate division; zero exactly when p is in the ideal."""
     if p.vars != gb.vars:
         raise ValueError("ring mismatch")
-    keyf = gb.order.key_function(len(gb.vars))
+    keyf = _order_key(gb.order, len(gb.vars))
     basis = [_entry(_prepare(g), keyf) for g in gb.basis]
     rem = _reduce_full(_prepare(p), basis, keyf, budget.max_degree)
     return Polynomial.from_dict(p.vars, rem)

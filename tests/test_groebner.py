@@ -204,6 +204,37 @@ class TestRealRoots:
             assert count_real_roots(p) == len(real_roots(p))
 
 
+class TestOrderKeys:
+    @pytest.mark.parametrize(
+        "order",
+        [MonomialOrder.grevlex(), MonomialOrder.lex(), MonomialOrder.elimination([0, 2])],
+        ids=["grevlex", "lex", "block-drop-2"],
+    )
+    def test_each_exponent_keyed_once_per_run(self, order, monkeypatch):
+        keyed = []
+        key_function = MonomialOrder.key_function
+
+        def counting(self, nvars):
+            keyf = key_function(self, nvars)
+
+            def key(e):
+                keyed.append(e)
+                return keyf(e)
+
+            return key
+
+        monkeypatch.setattr(MonomialOrder, "key_function", counting)
+        ring = ("x", "y", "z", "w")
+        gens = [
+            poly(ring, "x^2 + y*z - w"),
+            poly(ring, "y^2 - x*w + 2"),
+            poly(ring, "z*w - x*y - 1"),
+        ]
+        gb = buchberger(Ideal.make(ring, gens), order)
+        assert len(gb.basis) > len(gens)
+        assert len(keyed) == len(set(keyed))
+
+
 class TestBudget:
     def test_degree_budget_raises(self):
         ring = ("x", "y", "z")
