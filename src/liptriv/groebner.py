@@ -31,6 +31,12 @@ class GroebnerBudget:
     max_basis: int = 5000
     max_degree: int = 60
 
+    def __post_init__(self):
+        # A limit below 1 fails every run, so it is a bad setting, not a
+        # budget that runs out.
+        if self.max_basis < 1 or self.max_degree < 1:
+            raise ValueError("Groebner budget limits must be at least 1")
+
 
 DEFAULT_BUDGET = GroebnerBudget()
 

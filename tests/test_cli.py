@@ -245,6 +245,22 @@ class TestErrors:
         assert probes == []
         assert factors == []
 
+    def test_budget_below_one_exit_two(self, capsys, monkeypatch):
+        import liptriv.dependence
+
+        factors = count_calls(monkeypatch, liptriv.dependence, "factor_through_projection")
+        for extra in (
+            ["--max-basis", "0"],
+            ["--max-basis", "-3"],
+            ["--max-degree", "0"],
+            ["--max-degree", "-1"],
+        ):
+            code = run(["analyze", "-i", CUBE, *extra])
+            err = capsys.readouterr().err
+            assert code == 2, extra
+            assert "invalid input" in err, extra
+        assert factors == []
+
     def test_rational_rejected_for_factor(self, capsys):
         code = run(["factor", "-i", REGULOUS])
         err = capsys.readouterr().err

@@ -248,6 +248,11 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             buchberger(Ideal.make(ring, gens), budget=GroebnerBudget(max_basis=3))
 
+    def test_limit_below_one_rejected(self):
+        for limits in ({"max_basis": 0}, {"max_basis": -3}, {"max_degree": 0}, {"max_degree": -1}):
+            with pytest.raises(ValueError):
+                GroebnerBudget(**limits)
+
     def test_error_is_explicit_not_truncation(self):
         ring = ("x", "y", "z")
         gens = [poly(ring, "x^2 + y*z - 1"), poly(ring, "y^2 + x*z - 2"), poly(ring, "z^2 + x*y - 3")]
