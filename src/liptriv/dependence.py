@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import LinearMap, PolyMap, Polynomial, as_fraction, fresh_name, kernel_basis, rref
+from .polycore import LinearMap, PolyMap, Polynomial, fresh_name, kernel_basis, rref
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,6 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return not self.basis
-
-    def contains(self, vector: Sequence[Fraction]) -> bool:
-        stacked = [list(b) for b in self.basis] + [[as_fraction(x) for x in vector]]
-        reduced, _ = rref(stacked)
-        return len(reduced) == self.dim
 
     def pivot_columns(self) -> list[int]:
         return [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
@@ -139,19 +134,6 @@ def factor_through_projection(f: PolyMap) -> FactorizationResult:
     ]
     pi = LinearMap.from_rows(projection_rows).compose(ell.inverse())
     return FactorizationResult(sub, m, ell, pi, g)
-
-
-def verify_factorization(f: PolyMap, result: FactorizationResult) -> bool:
-    """Check the exact polynomial identity f = g o pi."""
-    if result.m == 0:
-        point = [Fraction(0)] * result.g.n
-        values = result.g.evaluate(point)
-        return all(
-            comp.is_constant() and comp.constant_value() == val
-            for comp, val in zip(f.components, values)
-        )
-    composed = result.g.compose_linear(result.pi, new_vars=f.vars)
-    return composed.components == f.components
 
 
 def suspend(g: PolyMap, extra_vars: int) -> PolyMap:

@@ -563,27 +563,6 @@ def _variations_at(chain: list[list[Fraction]], x: Fraction) -> int:
     return _sign_variations([_uni_eval(c, x) for c in chain])
 
 
-def _variations_at_infinity(chain: list[list[Fraction]], positive: bool) -> int:
-    values = []
-    for c in chain:
-        if not c:
-            continue
-        lead = c[-1]
-        if not positive and _uni_degree(c) % 2 == 1:
-            lead = -lead
-        values.append(lead)
-    return _sign_variations(values)
-
-
-def count_real_roots(p: Polynomial) -> int:
-    """Number of distinct real roots, by sign variations at minus/plus infinity."""
-    coeffs = _uni_coeffs(p)
-    if _uni_degree(coeffs) < 1:
-        return 0
-    chain = sturm_sequence(coeffs)
-    return _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
-
-
 # Width below which real_roots stops refining an isolating interval.
 _ROOT_WIDTH = Fraction(1, 64)
 

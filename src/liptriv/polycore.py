@@ -482,12 +482,6 @@ class LinearMap:
     def rank(self) -> int:
         return len(rref(self.rows)[0])
 
-    def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
-    def is_surjective(self) -> bool:
-        return self.rank() == self.nrows
-
     def inverse(self) -> "LinearMap":
         """The right half of rref([A | I]); A is singular unless its pivots lead."""
         n = self.nrows

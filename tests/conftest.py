@@ -65,6 +65,36 @@ def motzkin_poly(motzkin_map):
     return motzkin_map.components[0]
 
 
+def is_invertible(lin) -> bool:
+    """A square LinearMap of full rank."""
+    return lin.nrows == lin.ncols and lin.rank() == lin.nrows
+
+
+def count_real_roots(p) -> int:
+    """Distinct real roots of a univariate p, from the sign variations of its
+    Sturm chain at minus and plus infinity: an oracle for real_roots, which
+    counts by bisection."""
+    from liptriv.groebner import _sign_variations, _uni_coeffs, _uni_degree, sturm_sequence
+
+    coeffs = _uni_coeffs(p)
+    if _uni_degree(coeffs) < 1:
+        return 0
+    chain = sturm_sequence(coeffs)
+
+    def variations_at_infinity(positive: bool) -> int:
+        leads = []
+        for c in chain:
+            if not c:
+                continue
+            lead = c[-1]
+            if not positive and _uni_degree(c) % 2 == 1:
+                lead = -lead
+            leads.append(lead)
+        return _sign_variations(leads)
+
+    return variations_at_infinity(False) - variations_at_infinity(True)
+
+
 def count_calls(monkeypatch, module, name):
     """Record the arguments of every call of module.name, wherever it is bound.
 

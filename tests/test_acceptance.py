@@ -14,7 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import poly, rand_poly
+from conftest import count_real_roots, poly, rand_poly
 from liptriv.classifier import (
     AnalysisConfig,
     classify,
@@ -27,7 +27,6 @@ from liptriv.dependence import factor_through_projection, invariance_subspace, s
 from liptriv.groebner import (
     Ideal,
     buchberger,
-    count_real_roots,
     dimension,
     eliminate,
     normal_form,

@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import poly, rand_poly
+from conftest import count_real_roots, poly, rand_poly
 from liptriv.groebner import (
     BudgetExceededError,
     GroebnerBudget,
     Ideal,
     MonomialOrder,
     buchberger,
-    count_real_roots,
     dimension,
     eliminate,
     intersect,
