@@ -6,7 +6,8 @@ exactly as it is.  For each polynomial corpus map, pair_order.json holds the
 lcm of every pair that reaches the S-polynomial, in order, for the critical
 ideal and the Jelonek ideal of the reduced map g (as the pipeline forms them)
 and for the fibers over the first three grid values.  The rational corpus map
-forms none of these ideals.
+forms none of these ideals.  Two classic ideals in four variables, under each
+kind of order, add runs with more pairs pending at once.
 
 Re-record (only for a change meant to alter the order) with
     PYTHONPATH=src python tests/test_pair_order.py
@@ -17,21 +18,47 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, poly
 from liptriv import groebner
 from liptriv.classifier import rational_grid
 from liptriv.critical import critical_ideal
 from liptriv.dependence import factor_through_projection
+from liptriv.groebner import Ideal, MonomialOrder, buchberger
 from liptriv.infinity import fiber_infinity
 from liptriv.parsing import parse_mapping
 from liptriv.properness import jelonek_ideal
 
 PINNED = Path(__file__).resolve().parent / "pair_order.json"
 MAPS = ("bad", "cube", "ex_simple", "motzkin")
+ABCD = ("a", "b", "c", "d")
+CLASSIC = {
+    "katsura3": (
+        "a + 2*b + 2*c + 2*d - 1",
+        "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
+        "2*a*b + 2*b*c + 2*c*d - b",
+        "b^2 + 2*a*c + 2*b*d - c",
+    ),
+    "cyclic4": (
+        "a + b + c + d",
+        "a*b + b*c + c*d + d*a",
+        "a*b*c + b*c*d + c*d*a + d*a*b",
+        "a*b*c*d - 1",
+    ),
+}
+ORDERS = {
+    "grevlex": MonomialOrder.grevlex(),
+    "lex": MonomialOrder.lex(),
+    "block a,c": MonomialOrder.elimination([0, 2]),
+}
 
 
 def _stages(name: str):
-    """(label, thunk) for each ideal of the map whose pair order is pinned."""
+    """(label, thunk) for each ideal of the case whose pair order is pinned."""
+    if name in CLASSIC:
+        ideal = Ideal.make(ABCD, [poly(ABCD, g) for g in CLASSIC[name]])
+        for label, order in ORDERS.items():
+            yield label, lambda order=order: buchberger(ideal, order)
+        return
     f = parse_mapping((DATA_DIR / f"{name}.map").read_text())
     fact = factor_through_projection(f)
     g = fact.g
@@ -67,7 +94,7 @@ def pair_order(name: str, seen: list) -> dict:
     return out
 
 
-@pytest.mark.parametrize("name", MAPS)
+@pytest.mark.parametrize("name", MAPS + tuple(CLASSIC))
 def test_pair_order_matches_pin(name, monkeypatch):
     seen = []
     monkeypatch.setattr(groebner, "_spoly", _recorder(seen))
@@ -78,5 +105,5 @@ def test_pair_order_matches_pin(name, monkeypatch):
 if __name__ == "__main__":
     seen = []
     groebner._spoly = _recorder(seen)
-    orders = {name: pair_order(name, seen) for name in MAPS}
+    orders = {name: pair_order(name, seen) for name in MAPS + tuple(CLASSIC)}
     PINNED.write_text(json.dumps(orders, indent=2, sort_keys=True) + "\n")
