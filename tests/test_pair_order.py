@@ -1,4 +1,5 @@
-"""The order in which buchberger forms S-polynomials, pinned on the corpus.
+"""The order in which buchberger forms S-polynomials, pinned on the corpus
+and on two classic ideals.
 
 Pair selection decides which reductions run, how the basis grows and where a
 budget fires, so a change to how pending pairs are kept must leave this order
