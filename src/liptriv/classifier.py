@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -419,6 +420,10 @@ def _real_verdict(
     g = stages.factorization.g
     p = stages.f.p
     jelonek, critical, budget = stages.jelonek, stages.critical, cfg.budget
+    if jelonek is None:
+        # Skipped by the exact stages (m < p or out of budget): computed on
+        # first need and kept once it succeeds, so a budget error recurs.
+        jelonek = cache(lambda: jelonek_ideal(g, budget))
     bif = stages.bifurcation
 
     # Only the cone obstruction is verdict-driving over R: the invariance

@@ -97,10 +97,21 @@ def _parse_values(text: str, p: int):
         parts = [s.strip() for s in chunk.split(",")]
         if len(parts) != p:
             raise ValueError(f"value {chunk!r} needs {p} components")
-        out.append(tuple(Fraction(s) for s in parts))
+        try:
+            out.append(tuple(Fraction(s) for s in parts))
+        except ZeroDivisionError:
+            raise ValueError(f"value {chunk!r} divides by zero") from None
     if not out:
         raise ValueError("no values given")
     return out
+
+
+def _floats(value) -> list[float]:
+    """A parsed value as floats, for the probes; too large a value is rejected."""
+    try:
+        return [float(x) for x in value]
+    except OverflowError:
+        raise ValueError(f"value {', '.join(map(str, value))} is too large for a float") from None
 
 
 def _parse_tube(text: str, p: int):
@@ -108,7 +119,7 @@ def _parse_tube(text: str, p: int):
     levels = [_parse_values(level, p) for level in text.split("|")]
     if len(levels) != 2 or any(len(values) != 1 for values in levels):
         raise ValueError(f"tube {text!r} needs two values 'c|t'")
-    return [[float(x) for x in values[0]] for values in levels]
+    return [_floats(values[0]) for values in levels]
 
 
 def _config(args) -> AnalysisConfig:
@@ -137,8 +148,11 @@ def _emit(args, payload, text) -> None:
     """Write payload() (JSON) to --json-path, and it or text() to stdout."""
     json_text = payload() if args.json_path or args.output == "json" else None
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            handle.write(json_text)
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as handle:
+                handle.write(json_text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.json_path!r}: {exc.strerror}") from exc
     sys.stdout.write(json_text if args.output == "json" else text())
 
 
@@ -153,6 +167,8 @@ def _document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
         return report.infinity_document(poly, args.field, reports)
     if args.command == "compare":
         return report.compare_document(poly, *complexification_compare(poly, cfg))
+    if args.command == "probe":
+        return _probe_document(args, poly, cfg)
 
     fact = factor_through_projection(poly)
     g = fact.g
@@ -167,18 +183,22 @@ def _document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
             roots = real_critical_values(g, cfg.budget, seed=cfg.probe.seed, crit=crit)
         return report.critical_document(poly, args.field, g, crit, roots)
 
-    # probe: properness per value is meaningful for the reduced mapping, the
-    # silent coordinates of a suspension make every fiber unbounded.
-    values = _parse_values(args.values, g.p)
+
+def _probe_document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
+    # Every value and both tube levels are read as floats before any stage
+    # runs; g has the p components of poly.
+    values = _parse_values(args.values, poly.p)
+    points = [_floats(value) for value in values]
     tube = _parse_tube(args.tube, poly.p) if args.tube else None
+    # Properness per value is meaningful for the reduced mapping, the silent
+    # coordinates of a suspension make every fiber unbounded.
+    g = factor_through_projection(poly).g
     # J(g) at most once, and only once a finite fiber needs it, so a
     # budget error surfaces at the same value as without the cache.
     jelonek = cache(lambda: jelonek_ideal(g, cfg.budget))
     verdicts = [
-        properness_probe_real(
-            g, [float(x) for x in value], cfg.probe, jelonek=jelonek, budget=cfg.budget
-        )
-        for value in values
+        properness_probe_real(g, point, cfg.probe, jelonek=jelonek, budget=cfg.budget)
+        for point in points
     ]
     if tube is not None:
         tube = tube_distance_probe(poly, *tube, seed=cfg.probe.seed)

@@ -129,10 +129,8 @@ def factor_through_projection(f: PolyMap) -> FactorizationResult:
     )
     g = PolyMap(reduced_vars, renamed, f.name)
 
-    projection_rows = [
-        [Fraction(int(j == sub.dim + i)) for j in range(n)] for i in range(m)
-    ]
-    pi = LinearMap.from_rows(projection_rows).compose(ell.inverse())
+    # pi o ell keeps the last m coordinates, so pi is the last m rows of ell^-1.
+    pi = LinearMap(ell.inverse().rows[sub.dim:])
     return FactorizationResult(sub, m, ell, pi, g)
 
 

@@ -24,7 +24,7 @@ from .groebner import (
     dimension,
     saturate,
 )
-from .polycore import PolyMap, Polynomial, as_fraction, fresh_name, kernel_basis
+from .polycore import LinearMap, PolyMap, Polynomial, as_fraction, fresh_name, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,7 @@ class InfinityReport:
     """Projective data of one fiber: closure, part at infinity, cone."""
 
     value: tuple[Fraction, ...]
-    hom_var: str
-    closure_ideal: Ideal  # homogeneous, saturated with respect to hom_var
-    infinity_ideal: Ideal  # closure + (hom_var)
+    closure_ideal: Ideal  # homogeneous, saturated with respect to the prepended x0
     dim_infinity: int  # projective dimension of the fiber at infinity
     m_candidate: int  # n - 1 - dim_infinity
     cone_ideal: Ideal  # in the affine variables, cuts the cone over infinity
@@ -66,7 +64,7 @@ def fiber_infinity(
         if shifted.is_zero():
             # Component identically equal to c_i: the fiber condition is vacuous.
             continue
-        hom_gens.append(shifted.homogenize(shifted.degree, hom_var))
+        hom_gens.append(shifted.homogenize(hom_var))
 
     x0 = Polynomial.variable(hom_vars, 0)
     # With no equations left the closure is the zero ideal, which saturate keeps.
@@ -77,15 +75,13 @@ def fiber_infinity(
     dim_inf = max(dim_cone - 1, -1)
     m_candidate = f.n - 1 - dim_inf
 
-    cone_ideal = _cone_ideal(infinity_ideal, f.vars, hom_var)
+    cone_ideal = _cone_ideal(infinity_ideal, f.vars)
     cone_basis = buchberger(cone_ideal, MonomialOrder.grevlex(), budget)
     linear, subspace = _linearity(cone_basis)
 
     return InfinityReport(
         value=cvec,
-        hom_var=hom_var,
         closure_ideal=closure,
-        infinity_ideal=infinity_ideal,
         dim_infinity=dim_inf,
         m_candidate=m_candidate,
         cone_ideal=cone_ideal,
@@ -95,16 +91,13 @@ def fiber_infinity(
     )
 
 
-def _cone_ideal(infinity_ideal: Ideal, affine_vars: tuple[str, ...], hom_var: str) -> Ideal:
-    """Set the homogenization variable to zero and remove it from the ring."""
-    idx = infinity_ideal.vars.index(hom_var)
-    gens = []
-    for g in infinity_ideal.generators:
-        cut = g.substitute_value(idx, 0)
-        if cut.is_zero():
-            continue
-        gens.append(cut.drop_vars([idx]))
-    return Ideal.make(affine_vars, gens)
+def _cone_ideal(infinity_ideal: Ideal, affine_vars: tuple[str, ...]) -> Ideal:
+    """Set the homogenization variable x0, the first, to zero: keep the terms free of it."""
+    cuts = [
+        Polynomial.from_dict(affine_vars, {e[1:]: c for e, c in g.terms if not e[0]})
+        for g in infinity_ideal.generators
+    ]
+    return Ideal.make(affine_vars, cuts)
 
 
 def _linearity(gb: GroebnerBasis) -> tuple[bool, Subspace | None]:
@@ -131,16 +124,11 @@ def _linearity(gb: GroebnerBasis) -> tuple[bool, Subspace | None]:
         return False, None
 
     # Substitute x = sum_k s_k b_k into every generator; all must vanish.
-    params = tuple(f"s{k + 1}" for k in range(candidate.dim))
-    images = []
-    for j in range(n):
-        acc = Polynomial.zero(params)
-        for k, vec in enumerate(candidate.basis):
-            if vec[j]:
-                acc = acc + Polynomial.variable(params, k) * vec[j]
-        images.append(acc)
-    for g in gb.basis:
-        if not g.subs(params, images).is_zero():
+    if gb.basis:
+        params = tuple(f"s{k + 1}" for k in range(candidate.dim))
+        parametrization = LinearMap.from_columns(candidate.basis)
+        cone = PolyMap(gb.vars, gb.basis).compose_linear(parametrization, params)
+        if any(not q.is_zero() for q in cone.components):
             return False, None
     return True, candidate
 

@@ -89,16 +89,6 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class MappingSource:
-    """Parsed header data plus exact components, before field selection."""
-
-    ring_vars: tuple[str, ...]
-    map_name: str
-    kind: str  # "map" | "ratmap"
-    components: tuple  # Polynomial pairs (num, den); den is 1 for plain maps
-
-
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -128,7 +118,8 @@ class _Parser:
 
     # -- header ---------------------------------------------------------------
 
-    def parse_file(self) -> MappingSource:
+    def parse_file(self):
+        """The PolyMap of a map file or the RationalMap of a ratmap file."""
         kw = self.expect("ident")
         if kw.text != "ring":
             raise self.error("input must start with a ring declaration", kw)
@@ -165,7 +156,13 @@ class _Parser:
             self.next()
         if self.peek().kind != "eof":
             raise self.error("trailing input after mapping")
-        return MappingSource(self.ring_vars, map_name, kind, tuple(components))
+        nums, dens = zip(*components)
+        if kind == "map":
+            # The grammar of a map file has no division, so every denominator is 1.
+            return PolyMap(self.ring_vars, nums, map_name)
+        from .rational import RationalMap
+
+        return RationalMap(self.ring_vars, nums, dens, map_name)
 
     def parse_component(self, kind: str):
         num = self.parse_expr()
@@ -236,37 +233,17 @@ class _Parser:
         raise self.error(f"expected an expression, found {got!r}", tok)
 
 
-def parse_source(text: str) -> MappingSource:
-    return _Parser(text).parse_file()
-
-
 def parse_mapping(text: str) -> PolyMap:
     """Parse a polynomial mapping file into an exact PolyMap."""
-    return _polymap(parse_source(text))
-
-
-def _polymap(src: MappingSource) -> PolyMap:
-    if src.kind != "map":
+    mapping = parse_input(text)
+    if not isinstance(mapping, PolyMap):
         raise ParseError("expected a polynomial map, found ratmap", 1, 1)
-    # The grammar of a map file has no division, so every denominator is 1.
-    return PolyMap(src.ring_vars, tuple(num for num, _ in src.components), src.map_name)
-
-
-def _rational_map(src: MappingSource):
-    """The RationalMap of a parsed ratmap file (den = 1 components allowed)."""
-    from .rational import RationalMap
-
-    nums = tuple(num for num, _ in src.components)
-    dens = tuple(den for _, den in src.components)
-    return RationalMap(src.ring_vars, nums, dens, src.map_name)
+    return mapping
 
 
 def parse_input(text: str):
     """Dispatch on the map/ratmap keyword; returns PolyMap or RationalMap."""
-    src = parse_source(text)
-    if src.kind == "map":
-        return _polymap(src)
-    return _rational_map(src)
+    return _Parser(text).parse_file()
 
 
 # -- printing ---------------------------------------------------------------

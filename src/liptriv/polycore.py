@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, isfinite, sqrt
+from math import isfinite, sqrt
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -240,17 +240,6 @@ class Polynomial:
             result = result + term
         return result
 
-    def substitute_value(self, index: int, value: "Polynomial | Scalar") -> "Polynomial":
-        """Replace one variable by a constant or a polynomial of the same ring."""
-        if isinstance(value, (int, Fraction)):
-            value = Polynomial.constant(self.vars, value)
-        self._require_same_ring(value)
-        images = [
-            value if i == index else Polynomial.variable(self.vars, i)
-            for i in range(self.nvars)
-        ]
-        return self.subs(self.vars, images)
-
     def uses_var(self, index: int) -> bool:
         return any(e[index] for e, _ in self.terms)
 
@@ -283,20 +272,13 @@ class Polynomial:
 
     # -- homogenization and leading form --------------------------------------
 
-    def homogenize(self, target_degree: int, hom_var: str = "x0") -> "Polynomial":
-        """Homogenize to the given degree; the new variable is prepended."""
-        d = self.degree
-        if d < 0:
-            d = 0
-        if target_degree < d:
-            raise ValueError(f"target degree {target_degree} below degree {d}")
+    def homogenize(self, hom_var: str) -> "Polynomial":
+        """Homogenize to the polynomial's own degree; the new variable is prepended."""
         if hom_var in self.vars:
             raise ValueError(f"variable {hom_var!r} already in ring")
+        d = self.degree
         vs = (hom_var,) + self.vars
-        acc = {}
-        for e, c in self.terms:
-            acc[(target_degree - sum(e),) + e] = c
-        return Polynomial(vs, _canon(acc))
+        return Polynomial(vs, _canon({(d - sum(e),) + e: c for e, c in self.terms}))
 
     def dehomogenize(self, index: int = 0) -> "Polynomial":
         """Set the index-th variable to 1 and remove it from the ring."""
@@ -352,60 +334,29 @@ class Polynomial:
         return f"<{print_polynomial(self)}>"
 
 
-def _clear_denominators(rows: list[list[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon form over Q by Gauss-Jordan elimination, and its pivot columns.
 
-
-def _fraction_free_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Bareiss fraction-free elimination; returns echelon rows and pivot columns."""
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    m = [row[:] for row in m]
-    prev = 1
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+    The RREF of a matrix is unique, so every kernel, inverse and subspace read
+    off it is independent of how the elimination runs.
+    """
+    work = [[as_fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(ncols):
-                if j == col:
-                    continue
-                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
-            m[i][col] = 0
-        prev = m[r][col]
+        inv = 1 / work[piv][col]
+        top = [x * inv for x in work[piv]]
+        work[piv] = work[r]
+        work[r] = top
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != r:
+                work[i] = [a - f * b for a, b in zip(row, top)]
         pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form over Q (Bareiss forward pass, exact back-substitution)."""
-    cleaned = [[as_fraction(x) for x in row] for row in rows if any(x != 0 for x in row)]
-    if not cleaned:
-        return [], []
-    echelon, pivots = _fraction_free_echelon(_clear_denominators(cleaned))
-    work = [[Fraction(x) for x in row] for row in echelon]
-    for i in reversed(range(len(work))):
-        col = pivots[i]
-        inv = 1 / work[i][col]
-        work[i] = [x * inv for x in work[i]]
-        for k in range(i):
-            f = work[k][col]
-            if f:
-                work[k] = [a - f * b for a, b in zip(work[k], work[i])]
-    return work, pivots
+    return work[: len(pivots)], pivots
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -464,20 +415,6 @@ class LinearMap:
             raise ValueError("dimension mismatch")
         v = [as_fraction(x) for x in vec]
         return tuple(sum((r[j] * v[j] for j in range(self.ncols)), Fraction(0)) for r in self.rows)
-
-    def compose(self, inner: "LinearMap") -> "LinearMap":
-        """self o inner, applying inner first."""
-        if inner.nrows != self.ncols:
-            raise ValueError("dimension mismatch")
-        return LinearMap.from_rows(
-            [
-                [
-                    sum((self.rows[i][k] * inner.rows[k][j] for k in range(self.ncols)), Fraction(0))
-                    for j in range(inner.ncols)
-                ]
-                for i in range(self.nrows)
-            ]
-        )
 
     def rank(self) -> int:
         return len(rref(self.rows)[0])
@@ -540,17 +477,14 @@ class PolyMap:
             comps.append(acc)
         return PolyMap(self.vars, tuple(comps), self.name)
 
-    def compose_linear(self, lin: LinearMap, new_vars: Sequence[str] | None = None) -> "PolyMap":
-        """Exact substitution x -> L x, for L mapping K^k into the domain."""
+    def compose_linear(self, lin: LinearMap, new_vars: Sequence[str]) -> "PolyMap":
+        """Exact substitution x -> L x, for L mapping K^k (named new_vars) into the domain."""
         if lin.nrows != self.n:
             raise ValueError("dimension mismatch")
         k = lin.ncols
-        if new_vars is None:
-            vs = self.vars if k == self.n else tuple(f"u{i + 1}" for i in range(k))
-        else:
-            vs = tuple(new_vars)
-            if len(vs) != k:
-                raise ValueError("need one name per new variable")
+        vs = tuple(new_vars)
+        if len(vs) != k:
+            raise ValueError("need one name per new variable")
         images = []
         for i in range(self.n):
             acc = Polynomial.zero(vs)

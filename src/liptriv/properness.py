@@ -92,7 +92,7 @@ def jelonek_ideal(
     gens = []
     for i, comp in moving:
         d = comp.degree
-        gh = comp.homogenize(d, hom_var).embed(ring)
+        gh = comp.homogenize(hom_var).embed(ring)
         ti = Polynomial.variable(ring, 1 + g.n + i)
         gens.append(gh - ti * x0**d)
 
@@ -137,6 +137,8 @@ class ProbeSchedule:
             raise ValueError("radii must be strictly increasing")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
+        if not all(isfinite(t) and t > 0 for t in (self.tol_zero, self.mu_floor)):
+            raise ValueError("tol_zero and mu_floor must each be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from .groebner import (
     Ideal,
     MonomialOrder,
     buchberger,
-    is_unit_ideal,
 )
 from .parsing import print_polynomial
 from .polycore import FloatKernel, PolyMap, Polynomial
@@ -138,14 +137,13 @@ def indeterminacy_empty_check(
             entry["verdict"] = "PASS"
             details.append(entry)
             continue
-        pair = Ideal.make(r.vars, [num, den])
-        if is_unit_ideal(pair, budget):
+        gb = buchberger(Ideal.make(r.vars, [num, den]), MonomialOrder.grevlex(), budget)
+        if gb.is_unit():
             entry["certificate"] = "unit_ideal"
             entry["detail"] = "numerator and denominator generate the unit ideal over C"
             entry["verdict"] = "PASS"
             details.append(entry)
             continue
-        gb = buchberger(pair, MonomialOrder.grevlex(), budget)
         entry["verdict"] = "FAIL"
         entry["common_zero_ideal"] = [print_polynomial(g) for g in gb.basis]
         status = "FAIL"
@@ -157,7 +155,6 @@ def indeterminacy_empty_check(
 class RationalInvarianceResult:
     subspace: Subspace
     closed_under_addition: bool
-    verified_directions: tuple[tuple[Fraction, ...], ...]
 
 
 def rational_invariance_subspace(r: RationalMap) -> RationalInvarianceResult:
@@ -194,4 +191,4 @@ def rational_invariance_subspace(r: RationalMap) -> RationalInvarianceResult:
     subspace = Subspace.from_vectors(n, verified) if closed else Subspace.from_vectors(n, [])
     if len(verified) == len(candidate.basis) and closed:
         subspace = candidate
-    return RationalInvarianceResult(subspace, closed, tuple(verified))
+    return RationalInvarianceResult(subspace, closed)

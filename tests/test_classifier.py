@@ -253,3 +253,11 @@ class TestStageCounts:
         }
         assert len(bases) == 20
         assert len(inputs) == 20
+
+    def test_real_analysis_computes_jelonek_once(self, monkeypatch):
+        import liptriv.properness
+
+        # m = 1 < p = 2: the exact stages skip J(g), the real probes need it.
+        jelonek = count_calls(monkeypatch, liptriv.properness, "jelonek_ideal")
+        classify(PolyMap(("x",), (poly(("x",), "x"), poly(("x",), "x^2"))), "real", LIGHT)
+        assert len(jelonek) == 1

@@ -261,6 +261,52 @@ class TestErrors:
             assert "invalid input" in err, extra
         assert factors == []
 
+    def test_bad_values_rejected_before_probing(self, capsys, monkeypatch):
+        import liptriv.infinity
+        import liptriv.properness
+
+        probes = count_calls(monkeypatch, liptriv.properness, "properness_probe_real")
+        fibers = count_calls(monkeypatch, liptriv.infinity, "fiber_infinity")
+        for args in (
+            ["infinity", "-i", CUBE, "--values", "1/0"],
+            ["probe", "-i", MOTZKIN, "--values", "2;1/0"],
+            ["probe", "-i", MOTZKIN, "--values", "2;1e400"],
+            ["probe", "-i", MOTZKIN, "--values", "2", "--tube", "1e400|2"],
+            ["probe", "-i", MOTZKIN, "--values", "2", "--tube", "1|-1e400"],
+        ):
+            code = run(args)
+            err = capsys.readouterr().err
+            assert code == 2, args
+            assert "invalid input" in err, args
+        assert probes == []
+        assert fibers == []
+        # The infinity subcommand stays exact, so a huge value is fine there.
+        assert run(["infinity", "-i", CUBE, "--values", "1e400"]) == 0
+        capsys.readouterr()
+
+    def test_bad_tolerances_exit_two(self, capsys, monkeypatch):
+        import liptriv.dependence
+
+        factors = count_calls(monkeypatch, liptriv.dependence, "factor_through_projection")
+        for extra in (
+            ["--tol-zero", "nan"],
+            ["--tol-zero", "0"],
+            ["--mu-floor", "-1"],
+            ["--mu-floor", "inf"],
+        ):
+            code = run(["analyze", "-i", CUBE, "--field", "real", *extra])
+            err = capsys.readouterr().err
+            assert code == 2, extra
+            assert "invalid input" in err, extra
+        assert factors == []
+
+    def test_unwritable_json_path_exit_two(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "x.json")
+        code = run(["factor", "-i", CUBE, "--json-path", target])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert target in err
+
     def test_rational_rejected_for_factor(self, capsys):
         code = run(["factor", "-i", REGULOUS])
         err = capsys.readouterr().err
@@ -304,7 +350,7 @@ class TestStageCounts:
     def test_factor_parses_input_once(self, capsys, monkeypatch):
         import liptriv.parsing
 
-        parses = count_calls(monkeypatch, liptriv.parsing, "parse_source")
+        parses = count_calls(monkeypatch, liptriv.parsing, "parse_input")
         assert run(["factor", "-i", SIMPLE]) == 0
         capsys.readouterr()
         assert len(parses) == 1

@@ -99,7 +99,8 @@ class TestDirectionalDerivative:
 
 class TestComposeLinear:
     def test_identity(self, simple_map):
-        assert simple_map.compose_linear(LinearMap.identity(3)).components == simple_map.components
+        identity = LinearMap.identity(3)
+        assert simple_map.compose_linear(identity, simple_map.vars).components == simple_map.components
 
     def test_swap_symmetric(self):
         f = PolyMap(XY, (poly(XY, "x*y"),))
@@ -125,22 +126,18 @@ class TestComposeLinear:
 
 class TestHomogenize:
     def test_pads_with_new_variable(self):
-        h = poly(XYZ, "x*y + z").homogenize(2)
+        h = poly(XYZ, "x*y + z").homogenize("x0")
         assert h == poly(("x0",) + XYZ, "x*y + z*x0")
 
     def test_homogeneous_input_unchanged(self):
         p = poly(XY, "x^2 + x*y")
-        h = p.homogenize(2)
+        h = p.homogenize("x0")
         assert not h.uses_var(0)
         assert h.dehomogenize(0) == p
 
     def test_constant(self):
-        h = poly(XY, "1").homogenize(3)
-        assert h == poly(("x0",) + XY, "x0^3")
-
-    def test_degree_too_small(self):
-        with pytest.raises(ValueError):
-            poly(XY, "x^2").homogenize(1)
+        h = poly(XY, "3").homogenize("x0")
+        assert h == poly(("x0",) + XY, "3")
 
     def test_dehomogenize_inverts(self):
         rng = random.Random(23)
@@ -148,7 +145,7 @@ class TestHomogenize:
             p = rand_poly(rng, XYZ, 5)
             if p.is_zero():
                 continue
-            h = p.homogenize(p.degree + rng.randint(0, 2))
+            h = p.homogenize("x0")
             assert h.is_homogeneous()
             assert h.dehomogenize(0) == p
 

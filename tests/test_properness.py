@@ -171,3 +171,8 @@ class TestPropernessProbe:
                 ProbeSchedule(radii=radii)
         with pytest.raises(ValueError):
             ProbeSchedule(restarts=0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ProbeSchedule(tol_zero=bad)
+            with pytest.raises(ValueError):
+                ProbeSchedule(mu_floor=bad)

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from conftest import poly, rand_poly
+from conftest import count_calls, poly, rand_poly
 from liptriv.classifier import RATIONAL_NOT_APPLICABLE, classify_rational
 from liptriv.dependence import invariance_subspace
 from liptriv.parsing import parse_input
@@ -25,11 +25,16 @@ class TestIndeterminacy:
         assert verdict.status == "PASS"
         assert verdict.per_component[0]["certificate"] == "sum_of_squares"
 
-    def test_coordinate_quotient_fails(self):
+    def test_coordinate_quotient_fails(self, monkeypatch):
+        import liptriv.groebner
+
         r = parse_input("ring Q[x,y]; ratmap f: (x / y)")
+        runs = count_calls(monkeypatch, liptriv.groebner, "buchberger")
         verdict = indeterminacy_empty_check(r)
         assert verdict.status == "FAIL"
-        assert "common_zero_ideal" in verdict.per_component[0]
+        assert verdict.per_component[0]["common_zero_ideal"] == ["y", "x"]
+        # The verdict and the printed basis come from one Groebner run.
+        assert len(runs) == 1
 
     def test_polynomial_component_passes(self):
         r = parse_input("ring Q[x,y]; ratmap f: (x*y + x)")
