@@ -37,7 +37,7 @@ from .groebner import (
 )
 from .infinity import ConeConstancyResult, InfinityReport, cone_constancy_check, fiber_infinity
 from .parsing import print_polynomial
-from .polycore import FloatKernel, PolyMap, Polynomial
+from .polycore import FloatKernel, PolyMap, Polynomial, check_value
 from .properness import (
     ProbeSchedule,
     _sphere_minimize,
@@ -87,8 +87,6 @@ class LtvReport:
     field: str
     source: PolyMap | RationalMap
     factorization: FactorizationResult | None
-    infinity_samples: tuple[InfinityReport, ...]
-    sampled_values: tuple
     jelonek: Ideal | None
     critical: Ideal | None
     ltv: LtvDescription
@@ -332,8 +330,6 @@ def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> 
         field_name,
         f,
         stages.factorization,
-        stages.infinity_samples,
-        samples,
         stages.jelonek,
         stages.critical,
         ltv,
@@ -399,7 +395,7 @@ def _complex_verdict(stages: ExactStages, failures: list[str]) -> LtvDescription
 
 def _probe_grid_real(
     p: int,
-    candidates: tuple[RealCriticalValue, ...] | None,
+    candidates: tuple[RealCriticalValue, ...],
 ) -> list[tuple[float, ...]]:
     if p == 1 and candidates:
         roots = sorted(r.approx for r in candidates)
@@ -461,7 +457,7 @@ def _real_verdict(
             "complex bifurcation set of the reduced mapping"
         )
 
-    grid = _probe_grid_real(p, candidates or None)
+    grid = _probe_grid_real(p, candidates)
     sched = cfg.probe
     table = []
     any_proper = False
@@ -539,11 +535,12 @@ def classify_rational(
     checks.append(
         CheckResult(
             "rational_invariance",
-            "ZERO" if inv.subspace.is_zero() else "NONZERO",
+            "ZERO" if inv.is_zero() else "NONZERO",
             {
-                "dim": inv.subspace.dim,
-                "basis": _basis_strings(inv.subspace.basis),
-                "closed_under_addition": inv.closed_under_addition,
+                "dim": inv.dim,
+                "basis": _basis_strings(inv.basis),
+                # The directions are the kernel of linear conditions, a subspace.
+                "closed_under_addition": True,
             },
         )
     )
@@ -554,7 +551,7 @@ def classify_rational(
 
     ltv = LtvDescription("not_applicable", reason=RATIONAL_NOT_APPLICABLE)
     return LtvReport(
-        field_name, r, None, (), (), None, None, ltv, tuple(checks), {}, cfg.probe.seed
+        field_name, r, None, None, None, ltv, tuple(checks), {}, cfg.probe.seed
     )
 
 
@@ -576,6 +573,7 @@ def lipschitz_gradient_probe(
     trivial value would impose.
     """
     check_radii(radii)
+    check_value(value, mapping.p)
     if isinstance(mapping, RationalMap):
         evaluate, jacobian = mapping.evaluate_float, mapping.jacobian_float
     else:
@@ -583,10 +581,10 @@ def lipschitz_gradient_probe(
         evaluate, jacobian = kernel.value, kernel.jacobian
     cvals = np.array([float(x) for x in value])
 
-    def toward_fiber(x, radius, steps=25):
-        """Gauss-Newton from a sphere start toward the fiber, kept in the ball."""
+    def toward_fiber(x, radius):
+        """At most 25 Gauss-Newton steps from a sphere start toward the fiber, in the ball."""
         x = np.array(x, dtype=float)
-        for _ in range(steps):
+        for _ in range(25):
             resid = np.array(evaluate(list(x))) - cvals
             if float(np.linalg.norm(resid)) < 1e-10:
                 break
@@ -673,6 +671,8 @@ def tube_distance_probe(
     from math import isfinite, sqrt
 
     check_radii(radii)
+    check_value(c, f.p)
+    check_value(t, f.p)
     if list(c) == list(t):
         raise ValueError("levels must differ")
     kernel = FloatKernel(f.components)
@@ -686,10 +686,10 @@ def tube_distance_probe(
             return z
         return [radius * v / norm for v in z]
 
-    def fiber_project(z, target, radius, steps=12):
-        """Gauss-Newton steps toward {f = target}, kept inside the ball."""
+    def fiber_project(z, target, radius):
+        """At most 12 Gauss-Newton steps toward {f = target}, kept inside the ball."""
         z = list(z)
-        for _ in range(steps):
+        for _ in range(12):
             resid = np.array(kernel.value(z)) - np.array(target)
             if float(np.linalg.norm(resid)) < 1e-12:
                 break

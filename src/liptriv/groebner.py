@@ -379,16 +379,6 @@ def normal_form(p: Polynomial, gb: GroebnerBasis, budget: GroebnerBudget = DEFAU
     return Polynomial.from_dict(p.vars, rem)
 
 
-def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """S-polynomial under the given order (used by the property suite)."""
-    if f.vars != g.vars:
-        raise ValueError("ring mismatch")
-    keyf = order.key_function(len(f.vars))
-    a = _entry(_prepare(f), keyf)
-    b = _entry(_prepare(g), keyf)
-    return Polynomial.from_dict(f.vars, _spoly(a, b, _lcm_exp(a[0], b[0])))
-
-
 def is_unit_ideal(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
     if ideal.is_zero_ideal():
         return False

@@ -24,7 +24,7 @@ from .groebner import (
     dimension,
     saturate,
 )
-from .polycore import LinearMap, PolyMap, Polynomial, as_fraction, fresh_name, kernel_basis
+from .polycore import LinearMap, PolyMap, Polynomial, as_fraction, check_value, fresh_name, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ def fiber_infinity(
     the n+1 homogeneous variables drops by one, clamped at -1 when the cone is
     a point or empty.
     """
-    if len(c) != f.p:
-        raise ValueError("value must have one coordinate per component")
+    check_value(c, f.p)
     cvec = tuple(as_fraction(x) for x in c)
     hom_var = fresh_name("x0", f.vars)
     hom_vars = (hom_var,) + f.vars

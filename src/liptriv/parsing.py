@@ -284,10 +284,3 @@ def print_polynomial(p: Polynomial) -> str:
         else:
             pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
     return "".join(pieces)
-
-
-def print_mapping(f: PolyMap) -> str:
-    """Full source text in the input grammar (round-trip stable)."""
-    ring = ",".join(f.vars)
-    comps = ", ".join(print_polynomial(c) for c in f.components)
-    return f"ring Q[{ring}]; map {f.name}: ({comps})"

@@ -127,9 +127,6 @@ class Polynomial:
                 return c
         return Fraction(0)
 
-    def monomials(self) -> list[Exponent]:
-        return [e for e, _ in self.terms]
-
     def _require_same_ring(self, other: "Polynomial") -> None:
         if self.vars != other.vars:
             raise ValueError(f"ring mismatch: {self.vars} vs {other.vars}")
@@ -280,26 +277,6 @@ class Polynomial:
         vs = (hom_var,) + self.vars
         return Polynomial(vs, _canon({(d - sum(e),) + e: c for e, c in self.terms}))
 
-    def dehomogenize(self, index: int = 0) -> "Polynomial":
-        """Set the index-th variable to 1 and remove it from the ring."""
-        keep = [i for i in range(self.nvars) if i != index]
-        vs = tuple(self.vars[i] for i in keep)
-        acc: dict[Exponent, Fraction] = {}
-        for e, c in self.terms:
-            ne = tuple(e[i] for i in keep)
-            s = acc.get(ne, Fraction(0)) + c
-            if s:
-                acc[ne] = s
-            else:
-                acc.pop(ne, None)
-        return Polynomial(vs, _canon(acc))
-
-    def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        d = sum(self.terms[0][0])
-        return all(sum(e) == d for e, _ in self.terms)
-
     # -- evaluation ------------------------------------------------------------
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
@@ -410,15 +387,6 @@ class LinearMap:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def apply(self, vec: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
-        v = [as_fraction(x) for x in vec]
-        return tuple(sum((r[j] * v[j] for j in range(self.ncols)), Fraction(0)) for r in self.rows)
-
-    def rank(self) -> int:
-        return len(rref(self.rows)[0])
-
     def inverse(self) -> "LinearMap":
         """The right half of rref([A | I]); A is singular unless its pivots lead."""
         n = self.nrows
@@ -460,23 +428,6 @@ class PolyMap:
     def is_constant(self) -> bool:
         return all(c.is_constant() for c in self.components)
 
-    def evaluate(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        return tuple(c.eval_exact(point) for c in self.components)
-
-    def directional_derivative(self, v: Sequence[Scalar]) -> "PolyMap":
-        """Component-wise sum_j v_j * d/dx_j, exact in the same ring."""
-        if len(v) != self.n:
-            raise ValueError("dimension mismatch")
-        vf = [as_fraction(x) for x in v]
-        comps = []
-        for comp in self.components:
-            acc = Polynomial.zero(self.vars)
-            for j, vj in enumerate(vf):
-                if vj:
-                    acc = acc + comp.partial(j) * vj
-            comps.append(acc)
-        return PolyMap(self.vars, tuple(comps), self.name)
-
     def compose_linear(self, lin: LinearMap, new_vars: Sequence[str]) -> "PolyMap":
         """Exact substitution x -> L x, for L mapping K^k (named new_vars) into the domain."""
         if lin.nrows != self.n:
@@ -493,6 +444,12 @@ class PolyMap:
                     acc = acc + Polynomial.variable(vs, j) * lin.rows[i][j]
             images.append(acc)
         return PolyMap(vs, tuple(c.subs(vs, images) for c in self.components), self.name)
+
+
+def check_value(c: Sequence, p: int) -> None:
+    """Reject a value of a p-component mapping that does not have p coordinates."""
+    if len(c) != p:
+        raise ValueError("value must have one coordinate per component")
 
 
 def _listing(names: Iterable[str]) -> str:

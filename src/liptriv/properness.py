@@ -40,6 +40,7 @@ from .polycore import (
     PolyMap,
     Polynomial,
     as_fraction,
+    check_value,
     fresh_name,
 )
 
@@ -135,8 +136,9 @@ class ProbeSchedule:
         check_radii(self.radii)
         if list(self.radii) != sorted(self.radii) or len(set(self.radii)) != len(self.radii):
             raise ValueError("radii must be strictly increasing")
-        if self.restarts < 1:
-            raise ValueError("need at least one restart")
+        # No descent step at all leaves each start where it was drawn.
+        if self.restarts < 1 or self.max_iter < 1:
+            raise ValueError("need at least one restart and one descent step")
         if not all(isfinite(t) and t > 0 for t in (self.tol_zero, self.mu_floor)):
             raise ValueError("tol_zero and mu_floor must each be finite and positive")
 
@@ -160,6 +162,7 @@ def is_proper_at_complex(
     J(g) is needed only when the fiber is finite.  `jelonek` gives it, or a
     function returning it that is called only then; None computes it here.
     """
+    check_value(c, g.p)
     cvec = tuple(as_fraction(x) for x in c)
 
     fiber = Ideal.make(
@@ -240,6 +243,7 @@ def properness_probe_real(
     and non-decreasing at the end.  A complex-properness certificate wins
     immediately (restricting a proper map to a closed subset stays proper).
     """
+    check_value(c, g.p)
     cvec = tuple(float(x) for x in c)
 
     if not skip_exact:

@@ -8,7 +8,6 @@ no rational analogue; no Ltv classification is attempted for rational input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -124,71 +123,42 @@ def indeterminacy_empty_check(
     details = []
     status = "PASS"
     for num, den in zip(r.numerators, r.denominators):
-        entry: dict = {}
         if den.is_constant():
-            entry["certificate"] = "constant denominator"
-            entry["verdict"] = "PASS"
-            details.append(entry)
-            continue
-        if is_one_plus_sum_of_squares(den):
+            entry = {"certificate": "constant denominator", "verdict": "PASS"}
+        elif is_one_plus_sum_of_squares(den):
             # den >= c0 > 0 on R^n: no real zeros at all, so no real common zeros.
-            entry["certificate"] = "sum_of_squares"
-            entry["detail"] = "denominator is a positive constant plus a sum of even squares"
-            entry["verdict"] = "PASS"
-            details.append(entry)
-            continue
-        gb = buchberger(Ideal.make(r.vars, [num, den]), MonomialOrder.grevlex(), budget)
-        if gb.is_unit():
-            entry["certificate"] = "unit_ideal"
-            entry["detail"] = "numerator and denominator generate the unit ideal over C"
-            entry["verdict"] = "PASS"
-            details.append(entry)
-            continue
-        entry["verdict"] = "FAIL"
-        entry["common_zero_ideal"] = [print_polynomial(g) for g in gb.basis]
-        status = "FAIL"
+            entry = {
+                "certificate": "sum_of_squares",
+                "detail": "denominator is a positive constant plus a sum of even squares",
+                "verdict": "PASS",
+            }
+        elif (
+            gb := buchberger(Ideal.make(r.vars, [num, den]), MonomialOrder.grevlex(), budget)
+        ).is_unit():
+            entry = {
+                "certificate": "unit_ideal",
+                "detail": "numerator and denominator generate the unit ideal over C",
+                "verdict": "PASS",
+            }
+        else:
+            entry = {
+                "verdict": "FAIL",
+                "common_zero_ideal": [print_polynomial(g) for g in gb.basis],
+            }
+            status = "FAIL"
         details.append(entry)
     return IndeterminacyVerdict(status, tuple(details))
 
 
-@dataclass(frozen=True)
-class RationalInvarianceResult:
-    subspace: Subspace
-    closed_under_addition: bool
-
-
-def rational_invariance_subspace(r: RationalMap) -> RationalInvarianceResult:
+def rational_invariance_subspace(r: RationalMap) -> Subspace:
     """Directions v with d_v(num)*den - num*d_v(den) = 0 for every component.
 
-    The defining condition is linear in v, so the candidate kernel is already
-    a subspace; each basis vector and all pairwise sums are nevertheless
-    re-verified symbolically before the subspace is reported.
+    The condition is linear in v, so these directions are exactly the kernel
+    of the linear conditions, a subspace.
     """
     n = r.n
     conditions = [
         [num.partial(j) * den - num * den.partial(j) for j in range(n)]
         for num, den in zip(r.numerators, r.denominators)
     ]
-    candidate = condition_kernel(conditions, n)
-
-    def qualifies(v: Sequence[Fraction]) -> bool:
-        for qs in conditions:
-            acc = Polynomial.zero(r.vars)
-            for q, vj in zip(qs, v):
-                if vj:
-                    acc = acc + q * vj
-            if not acc.is_zero():
-                return False
-        return True
-
-    verified = [v for v in candidate.basis if qualifies(v)]
-    closed = True
-    for i in range(len(verified)):
-        for j in range(i + 1, len(verified)):
-            s = tuple(a + b for a, b in zip(verified[i], verified[j]))
-            if not qualifies(s):
-                closed = False
-    subspace = Subspace.from_vectors(n, verified) if closed else Subspace.from_vectors(n, [])
-    if len(verified) == len(candidate.basis) and closed:
-        subspace = candidate
-    return RationalInvarianceResult(subspace, closed)
+    return condition_kernel(conditions, n)

@@ -65,9 +65,63 @@ def motzkin_poly(motzkin_map):
     return motzkin_map.components[0]
 
 
+def rank(lin) -> int:
+    """Rank of a LinearMap: the number of nonzero rows of its RREF."""
+    from liptriv.polycore import rref
+
+    return len(rref(lin.rows)[0])
+
+
 def is_invertible(lin) -> bool:
     """A square LinearMap of full rank."""
-    return lin.nrows == lin.ncols and lin.rank() == lin.nrows
+    return lin.nrows == lin.ncols and rank(lin) == lin.nrows
+
+
+def apply(lin, vec) -> tuple:
+    """The product of a LinearMap with an exact column vector."""
+    from liptriv.polycore import as_fraction
+
+    if len(vec) != lin.ncols:
+        raise ValueError("dimension mismatch")
+    v = [as_fraction(x) for x in vec]
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in lin.rows)
+
+
+def evaluate(f, point) -> tuple:
+    """A PolyMap at an exact point, one component at a time."""
+    return tuple(c.eval_exact(point) for c in f.components)
+
+
+def directional_derivative(f, v):
+    """Componentwise sum_j v_j * d/dx_j of a PolyMap, exact in the same ring."""
+    from liptriv.polycore import PolyMap, Polynomial, as_fraction
+
+    if len(v) != f.n:
+        raise ValueError("dimension mismatch")
+    comps = []
+    for comp in f.components:
+        acc = Polynomial.zero(f.vars)
+        for j, vj in enumerate(v):
+            if vj:
+                acc = acc + comp.partial(j) * as_fraction(vj)
+        comps.append(acc)
+    return PolyMap(f.vars, tuple(comps), f.name)
+
+
+def spolynomial(f, g, order):
+    """S-polynomial of f and g under a monomial order, from Polynomial
+    arithmetic: an oracle for the Groebner engine's own S-polynomial."""
+    from liptriv.polycore import Polynomial
+
+    key = order.key_function(f.nvars)
+    ea, ca = max(f.terms, key=lambda t: key(t[0]))
+    eb, cb = max(g.terms, key=lambda t: key(t[0]))
+    lcm = tuple(max(a, b) for a, b in zip(ea, eb))
+
+    def cofactor(e, c):
+        return Polynomial.from_dict(f.vars, {tuple(x - y for x, y in zip(lcm, e)): 1 / c})
+
+    return cofactor(ea, ca) * f - cofactor(eb, cb) * g
 
 
 def count_real_roots(p) -> int:

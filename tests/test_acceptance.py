@@ -14,7 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import count_real_roots, poly, rand_poly
+from conftest import count_real_roots, poly, rand_poly, spolynomial
 from liptriv.classifier import (
     AnalysisConfig,
     classify,
@@ -31,7 +31,6 @@ from liptriv.groebner import (
     eliminate,
     normal_form,
     real_roots,
-    spolynomial,
 )
 from liptriv.parsing import print_polynomial
 from liptriv.polycore import PolyMap, Polynomial
@@ -382,7 +381,7 @@ def test_criterion_7_rational_counterexample(regulous_map):
         assert indet.per_component[0]["certificate"] == "sum_of_squares"
 
         inv = rational_invariance_subspace(regulous_map)
-        assert inv.subspace.dim == 0
+        assert inv.dim == 0
 
         rep = classify_rational(regulous_map)
         assert rep.ltv.reason == (

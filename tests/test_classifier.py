@@ -244,7 +244,8 @@ class TestStageCounts:
         rep = classify(simple_map, "complex")
         assert rep.ltv.kind == "complement"
         # One fiber per sampled value: sample 0 is not computed twice.
-        assert len(rep.sampled_values) == 3
+        cone = next(c for c in rep.checks if c.name == "cone_constancy")
+        assert len(cone.data["values"]) == 3
         assert len(fibers) == 3
         grevlex = MonomialOrder.grevlex()
         inputs = {

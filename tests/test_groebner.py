@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_real_roots, poly, rand_poly
+from conftest import count_real_roots, poly, rand_poly, spolynomial
 from liptriv.groebner import (
     BudgetExceededError,
     GroebnerBudget,
@@ -20,7 +20,6 @@ from liptriv.groebner import (
     normal_form,
     real_roots,
     saturate,
-    spolynomial,
 )
 
 XY = ("x", "y")

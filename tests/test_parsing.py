@@ -10,7 +10,6 @@ from liptriv.parsing import (
     ParseError,
     parse_input,
     parse_mapping,
-    print_mapping,
     print_polynomial,
 )
 from liptriv.polycore import PolyMap
@@ -121,7 +120,8 @@ class TestPrinting:
             for _ in range(rng.randint(1, 3)):
                 comps.append(rand_poly(rng, variables, 5))
             f = PolyMap(tuple(variables), tuple(comps))
-            text = print_mapping(f)
+            comps_text = ", ".join(print_polynomial(c) for c in f.components)
+            text = f"ring Q[{','.join(f.vars)}]; map f: ({comps_text})"
             back = parse_mapping(text)
             assert back.vars == f.vars
             assert back.components == f.components

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import poly, rand_poly
+from conftest import apply, directional_derivative, evaluate, poly, rand_poly
 from liptriv.polycore import LinearMap, PolyMap, Polynomial
 
 XY = ("x", "y")
@@ -71,16 +71,16 @@ class TestPartialDerivative:
 
 class TestDirectionalDerivative:
     def test_invariant_direction_annihilates(self, simple_map):
-        dd = simple_map.directional_derivative([0, 1, -1])
+        dd = directional_derivative(simple_map, [0, 1, -1])
         assert all(c.is_zero() for c in dd.components)
 
     def test_non_invariant_direction(self, bad_map):
-        dd = bad_map.directional_derivative([0, 1, -1])
+        dd = directional_derivative(bad_map, [0, 1, -1])
         assert dd.components[0].is_zero()
         assert dd.components[1] == poly(XYZ, "x - 1")
 
     def test_zero_direction(self, simple_map):
-        dd = simple_map.directional_derivative([0, 0, 0])
+        dd = directional_derivative(simple_map, [0, 0, 0])
         assert all(c.is_zero() for c in dd.components)
 
     def test_linearity_in_direction(self, bad_map):
@@ -89,9 +89,9 @@ class TestDirectionalDerivative:
             u = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
             v = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
             w = [a + b for a, b in zip(u, v)]
-            left = bad_map.directional_derivative(w)
-            du = bad_map.directional_derivative(u)
-            dv = bad_map.directional_derivative(v)
+            left = directional_derivative(bad_map, w)
+            du = directional_derivative(bad_map, u)
+            dv = directional_derivative(bad_map, v)
             assert left.components == tuple(
                 a + b for a, b in zip(du.components, dv.components)
             )
@@ -121,7 +121,7 @@ class TestComposeLinear:
             lin = LinearMap.from_rows(rows)
             x = [Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))]
             composed = f.compose_linear(lin, new_vars=XY)
-            assert composed.evaluate(x) == f.evaluate(lin.apply(x))
+            assert evaluate(composed, x) == evaluate(f, apply(lin, x))
 
 
 class TestHomogenize:
@@ -131,9 +131,7 @@ class TestHomogenize:
 
     def test_homogeneous_input_unchanged(self):
         p = poly(XY, "x^2 + x*y")
-        h = p.homogenize("x0")
-        assert not h.uses_var(0)
-        assert h.dehomogenize(0) == p
+        assert p.homogenize("x0") == p.embed(("x0",) + XY)
 
     def test_constant(self):
         h = poly(XY, "3").homogenize("x0")
@@ -141,29 +139,31 @@ class TestHomogenize:
 
     def test_dehomogenize_inverts(self):
         rng = random.Random(23)
+        # x0 -> 1, and each of x, y, z to itself.
+        images = [Polynomial.constant(XYZ, 1)] + [Polynomial.variable(XYZ, i) for i in range(3)]
         for _ in range(200):
             p = rand_poly(rng, XYZ, 5)
             if p.is_zero():
                 continue
             h = p.homogenize("x0")
-            assert h.is_homogeneous()
-            assert h.dehomogenize(0) == p
+            assert len({sum(e) for e, _ in h.terms}) == 1
+            assert h.subs(XYZ, images) == p
 
 
 class TestEvaluate:
     def test_exact_point(self, simple_map):
-        assert simple_map.evaluate([1, 2, 3]) == (Fraction(1), Fraction(5))
+        assert evaluate(simple_map, [1, 2, 3]) == (Fraction(1), Fraction(5))
 
     def test_at_origin_gives_constants(self, bad_map):
-        assert bad_map.evaluate([0, 0, 0]) == (Fraction(0), Fraction(0))
+        assert evaluate(bad_map, [0, 0, 0]) == (Fraction(0), Fraction(0))
 
     def test_degree_six_zero(self, motzkin_map):
         # 1 + 1 - 3 + 1 = 0: the value 0 is attained.
-        assert motzkin_map.evaluate([1, 1, 0]) == (Fraction(0),)
+        assert evaluate(motzkin_map, [1, 1, 0]) == (Fraction(0),)
 
     def test_dimension_mismatch(self, simple_map):
         with pytest.raises(ValueError):
-            simple_map.evaluate([1, 2])
+            evaluate(simple_map, [1, 2])
 
     def test_float_matches_exact(self):
         rng = random.Random(29)

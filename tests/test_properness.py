@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import poly
+from conftest import count_calls, poly
+from liptriv.classifier import lipschitz_gradient_probe, tube_distance_probe
 from liptriv.parsing import print_polynomial
 from liptriv.polycore import FloatKernel, LinearMap, PolyMap
 from liptriv.properness import (
@@ -176,3 +177,44 @@ class TestPropernessProbe:
                 ProbeSchedule(tol_zero=bad)
             with pytest.raises(ValueError):
                 ProbeSchedule(mu_floor=bad)
+
+    def test_max_iter_below_one_rejected(self):
+        # x*y has the unbounded fiber {x*y = 1}; with no descent step the
+        # sphere minima stay at their random starts and read as proper.
+        xy = PolyMap(("x", "y"), (poly(("x", "y"), "x*y"),))
+        assert properness_probe_real(xy, [1.0], FAST, skip_exact=True).verdict == "non_proper"
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="descent step"):
+                ProbeSchedule(max_iter=bad)
+
+
+class TestValueLength:
+    """A value with the wrong number of coordinates fails before any stage."""
+
+    @pytest.fixture(scope="class")
+    def shear(self):
+        ring = ("x", "y")
+        return PolyMap(ring, (poly(ring, "x"), poly(ring, "x*y")))
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            lambda g, c: is_proper_at_complex(g, [Fraction(x) for x in c]),
+            lambda g, c: properness_probe_real(g, c, FAST),
+            lambda g, c: properness_probe_real(g, c, FAST, skip_exact=True),
+            lambda g, c: tube_distance_probe(g, c, [2.0, 2.0], radii=(10.0,), restarts=1),
+            lambda g, c: tube_distance_probe(g, [2.0, 2.0], c, radii=(10.0,), restarts=1),
+            lambda g, c: lipschitz_gradient_probe(g, c, radii=(10.0,)),
+        ],
+        ids=["complex", "real", "real-skip-exact", "tube-c", "tube-t", "gradient"],
+    )
+    @pytest.mark.parametrize("value", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])
+    def test_wrong_length_rejected(self, shear, probe, value, monkeypatch):
+        import liptriv.groebner
+        import liptriv.polycore
+
+        bases = count_calls(monkeypatch, liptriv.groebner, "buchberger")
+        kernels = count_calls(monkeypatch, liptriv.polycore, "FloatKernel")
+        with pytest.raises(ValueError, match="one coordinate per component"):
+            probe(shear, value)
+        assert bases == [] and kernels == []

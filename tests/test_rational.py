@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import count_calls, poly, rand_poly
 from liptriv.classifier import RATIONAL_NOT_APPLICABLE, classify_rational
 from liptriv.dependence import invariance_subspace
@@ -61,16 +63,45 @@ class TestSumOfSquaresPattern:
         assert not is_one_plus_sum_of_squares(poly(XY, "x^2"))
 
 
+def leaves_invariant(r: RationalMap, v) -> bool:
+    """d_v(num)*den - num*d_v(den) is the zero polynomial for every component:
+    the quotient-rule condition, built again for one direction v."""
+    for num, den in zip(r.numerators, r.denominators):
+        acc = Polynomial.zero(r.vars)
+        for j, vj in enumerate(v):
+            if vj:
+                acc = acc + (num.partial(j) * den - num * den.partial(j)) * vj
+        if not acc.is_zero():
+            return False
+    return True
+
+
 class TestRationalInvariance:
     def test_regulous_graph_has_no_direction(self, regulous_map):
-        result = rational_invariance_subspace(regulous_map)
-        assert result.subspace.dim == 0
-        assert result.closed_under_addition
+        assert rational_invariance_subspace(regulous_map).dim == 0
+
+    @pytest.mark.parametrize(
+        "text, dim",
+        [
+            ("ring Q[x,y]; ratmap f: ((y*(1 + x^2) - 1) / (1 + x^2))", 0),
+            ("ring Q[x,y,z]; ratmap f: ((x + y) / (1 + (x + y)^2), z / (x + y + 1))", 1),
+            ("ring Q[x,y,z]; ratmap f: ((x - y)^2 / (1 + z^2 + (x - y)^2))", 1),
+            ("ring Q[x,y,z]; ratmap f: (x / (1 + x^2))", 2),
+        ],
+    )
+    def test_kernel_directions_leave_the_map_invariant(self, text, dim):
+        r = parse_input(text)
+        basis = rational_invariance_subspace(r).basis
+        assert len(basis) == dim
+        for v in basis:
+            assert leaves_invariant(r, v)
+        for i, u in enumerate(basis):
+            for w in basis[i + 1 :]:
+                assert leaves_invariant(r, [a + b for a, b in zip(u, w)])
 
     def test_unused_variable_direction(self):
         r = parse_input("ring Q[x,y]; ratmap f: (1 / (x^2 + 1))")
-        result = rational_invariance_subspace(r)
-        assert result.subspace.basis == ((F(0), F(1)),)
+        assert rational_invariance_subspace(r).basis == ((F(0), F(1)),)
 
     def test_consistent_with_polynomial_module(self):
         rng = random.Random(83)
@@ -83,7 +114,7 @@ class TestRationalInvariance:
                 continue
             f = PolyMap(ring, comps)
             r = RationalMap(ring, comps, tuple(one for _ in comps))
-            assert rational_invariance_subspace(r).subspace == invariance_subspace(f)
+            assert rational_invariance_subspace(r) == invariance_subspace(f)
             done += 1
 
 

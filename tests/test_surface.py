@@ -1,0 +1,76 @@
+"""Every function and method in src/liptriv is reached from src/liptriv.
+
+A function that only tests call belongs in the tests as an oracle; one that
+nothing calls belongs nowhere. The check is by name: a method counts as used
+when some attribute access in the package names it, a function when some name
+or attribute does, in both cases outside the function's own body.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+import liptriv
+
+SRC = Path(liptriv.__file__).resolve().parent
+
+# Definitions reached in a way the name check cannot see, each with its reason.
+ALLOWED = {
+    "polycore.FloatKernel._value_code": "reached through getattr(self, f'_{name}_code')",
+    "polycore.FloatKernel._jacobian_code": "reached through getattr(self, f'_{name}_code')",
+    "polycore.FloatKernel._sphere_descent_code": "reached through getattr(self, f'_{name}_code')",
+    "polycore.FloatKernel._penalty_descent_code": "reached through getattr(self, f'_{name}_code')",
+    "cli.main": "the console-script entry point named in pyproject.toml",
+    "groebner.MonomialOrder.lex": (
+        "constructor of the exported order's lex kind, which key_function "
+        "implements and the sympy oracle and the S-pair order pin run under"
+    ),
+}
+
+
+def _scan():
+    """Every definition as (qualified name, is_method, node), and every
+    reference as name -> [(node, is_attribute)]."""
+    defs, refs = [], defaultdict(list)
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = f"{prefix}.{child.name}"
+                defs.append((qual, in_class, child))
+                visit(child, qual, False)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", True)
+            else:
+                if isinstance(child, ast.Attribute):
+                    refs[child.attr].append((child, True))
+                elif isinstance(child, ast.Name):
+                    refs[child.id].append((child, False))
+                visit(child, prefix, in_class)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, False)
+    return defs, refs
+
+
+def test_every_definition_is_used_in_the_package():
+    defs, refs = _scan()
+    unused = []
+    for qual, is_method, node in defs:
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue  # dunders are called by the interpreter
+        if name in liptriv.__all__ or qual in ALLOWED:
+            continue
+        own = {id(n) for n in ast.walk(node)}
+        if not any(
+            id(ref) not in own and (is_attr or not is_method)
+            for ref, is_attr in refs[name]
+        ):
+            unused.append(qual)
+    assert not unused, f"defined in src/liptriv but not used there: {unused}"
+
+
+def test_allowlist_names_existing_definitions():
+    defs, _ = _scan()
+    assert set(ALLOWED) <= {qual for qual, _, _ in defs}
