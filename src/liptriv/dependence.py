@@ -48,7 +48,6 @@ class FactorizationResult:
 
     V: Subspace
     m: int
-    ell: LinearMap  # invertible n x n; first dim(V) columns span V
     pi: LinearMap  # surjective n -> m
     g: PolyMap
 
@@ -77,61 +76,53 @@ def invariance_subspace(f: PolyMap) -> Subspace:
     )
 
 
-def _complement_positions(sub: Subspace) -> list[int]:
-    pivots = set(sub.pivot_columns())
-    return [j for j in range(sub.ambient_dim) if j not in pivots]
-
-
 def factor_through_projection(f: PolyMap) -> FactorizationResult:
     """Factor f as g o pi with g free of invariance directions.
 
-    The change of coordinates ell has the echelon basis of V as its first
-    columns, extended by standard unit vectors at the non-pivot positions;
-    that keeps g's coefficients small and pins a deterministic result.
+    V's basis is in reduced row-echelon form, so its pivot columns and the
+    free columns split the coordinates.  f is constant along V, so g is f on
+    the free coordinates with every pivot coordinate set to zero: the terms
+    free of the pivot variables.  pi moves x along V into that coordinate
+    subspace: for each free column j its row is e_j - sum_k b_k[j] e_{p_k},
+    b_k being the k-th basis vector and p_k its pivot.  g keeps f's own
+    coefficients, and the result is unique because V's RREF basis is.
     """
     n = f.n
     sub = invariance_subspace(f)
-    if sub.dim == 0:
-        identity = LinearMap.identity(n)
-        return FactorizationResult(sub, n, identity, identity, f)
-
-    free = _complement_positions(sub)
-    m = len(free)
-    columns = [list(b) for b in sub.basis]
-    for j in free:
-        columns.append([Fraction(int(i == j)) for i in range(n)])
-    ell = LinearMap.from_columns(columns)
-
-    composed = f.compose_linear(ell, new_vars=tuple(f"u{i + 1}" for i in range(n)))
-    for comp in composed.components:
-        for idx in range(sub.dim):
-            if comp.uses_var(idx):
-                raise AssertionError("composition still depends on an invariance direction")
-
-    if m == 0:
+    pivots = sub.pivot_columns()
+    free = [j for j in range(n) if j not in pivots]
+    if not free:
         # Constant mapping; g lives on a one-variable dummy domain onto whose
         # zero subspace pi collapses everything.
         dummy = (fresh_name("u1", f.vars),)
         g_components = tuple(
-            Polynomial.constant(dummy, comp.constant_value()) for comp in composed.components
+            Polynomial.constant(dummy, comp.constant_value()) for comp in f.components
         )
         g = PolyMap(dummy, g_components, f.name)
         pi = LinearMap.from_rows([[Fraction(0)] * n])
-        return FactorizationResult(sub, 0, ell, pi, g)
+        return FactorizationResult(sub, 0, pi, g)
 
-    # Rename the surviving coordinates back to the original variable names at
-    # the complement positions (keeps reports readable and makes suspension
-    # round-trips exact).
+    rows = []
+    for j in free:
+        row = [Fraction(int(i == j)) for i in range(n)]
+        for b, p in zip(sub.basis, pivots):
+            row[p] = -b[j]
+        rows.append(row)
+    pi = LinearMap.from_rows(rows)
+    if sub.is_zero():
+        return FactorizationResult(sub, n, pi, f)
+
+    # The surviving coordinates keep their original names (keeps reports
+    # readable and makes suspension round-trips exact).
     reduced_vars = tuple(f.vars[j] for j in free)
-    renamed = tuple(
-        Polynomial(reduced_vars, comp.drop_vars(range(sub.dim)).terms)
-        for comp in composed.components
+    g_components = tuple(
+        Polynomial.from_dict(
+            reduced_vars,
+            {tuple(e[j] for j in free): c for e, c in comp.terms if not any(e[p] for p in pivots)},
+        )
+        for comp in f.components
     )
-    g = PolyMap(reduced_vars, renamed, f.name)
-
-    # pi o ell keeps the last m coordinates, so pi is the last m rows of ell^-1.
-    pi = LinearMap(ell.inverse().rows[sub.dim:])
-    return FactorizationResult(sub, m, ell, pi, g)
+    return FactorizationResult(sub, len(free), pi, PolyMap(reduced_vars, g_components, f.name))
 
 
 def suspend(g: PolyMap, extra_vars: int) -> PolyMap:

@@ -24,7 +24,7 @@ from .groebner import (
     dimension,
     saturate,
 )
-from .polycore import LinearMap, PolyMap, Polynomial, as_fraction, check_value, fresh_name, kernel_basis
+from .polycore import PolyMap, Polynomial, as_fraction, check_value, fresh_name, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -102,34 +102,22 @@ def _cone_ideal(infinity_ideal: Ideal, affine_vars: tuple[str, ...]) -> Ideal:
 def _linearity(gb: GroebnerBasis) -> tuple[bool, Subspace | None]:
     """Decide whether the cone is a linear subspace; if so return it.
 
-    `gb` is the cone ideal's reduced grevlex basis.  Its degree-one elements
-    cut a candidate subspace A; the cone always sits inside A.  Equality is
-    verified by substituting a symbolic parametrization of A into every
-    generator, which must vanish identically.  The cone over the empty set
-    is the null subspace; with no generators the cone is all of K^n.
+    `gb` is the cone ideal's reduced grevlex basis.  The cone over the empty
+    set is the null subspace.  Otherwise the cone is linear exactly when every
+    basis element is a linear form, and it is then their common kernel (all
+    of K^n with no generators).  A reduced element that is not a linear form
+    is in normal form with respect to the linear forms, so it lies outside
+    their ideal, the ideal of that kernel.
     """
     n = len(gb.vars)
-    dim_cone = gb.dimension()
-    if dim_cone <= 0:
+    if gb.dimension() <= 0:
         # The cone is at most the origin.
         return True, Subspace.zero(n)
-
-    linear_forms = [g for g in gb.basis if g.degree == 1]
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    rows = [[g.coefficient(e) for e in units] for g in linear_forms]
-    # With no linear forms the kernel is all of K^n.
-    candidate = Subspace.from_vectors(n, kernel_basis(rows, n))
-    if candidate.dim != dim_cone:
+    if any(sum(e) != 1 for g in gb.basis for e, _ in g.terms):
         return False, None
-
-    # Substitute x = sum_k s_k b_k into every generator; all must vanish.
-    if gb.basis:
-        params = tuple(f"s{k + 1}" for k in range(candidate.dim))
-        parametrization = LinearMap.from_columns(candidate.basis)
-        cone = PolyMap(gb.vars, gb.basis).compose_linear(parametrization, params)
-        if any(not q.is_zero() for q in cone.components):
-            return False, None
-    return True, candidate
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rows = [[g.coefficient(e) for e in units] for g in gb.basis]
+    return True, Subspace.from_vectors(n, kernel_basis(rows, n))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polycore import Polynomial, PolyMap
+from .polycore import MAX_EXPONENT, Polynomial, PolyMap
 
 
 class ParseError(ValueError):
@@ -108,6 +108,13 @@ class _Parser:
         tok = tok or self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    def under_cap(self, tok: Token, compute) -> Polynomial:
+        """compute(), with an exponent past the cap reported at tok."""
+        try:
+            return compute()
+        except OverflowError:
+            raise self.error(f"exponent exceeds cap {MAX_EXPONENT}", tok) from None
+
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
@@ -189,8 +196,9 @@ class _Parser:
     def parse_term(self) -> Polynomial:
         value = self.parse_factor()
         while self.peek().text == "*":
-            self.next()
-            value = value * self.parse_factor()
+            star = self.next()
+            rhs = self.parse_factor()
+            value = self.under_cap(star, lambda: value * rhs)
         return value
 
     def parse_factor(self) -> Polynomial:
@@ -201,7 +209,7 @@ class _Parser:
             if tok.kind != "int":
                 raise self.error("exponent must be a non-negative integer", tok)
             self.next()
-            return base ** int(tok.text)
+            return self.under_cap(tok, lambda: base ** int(tok.text))
         return base
 
     def parse_base(self) -> Polynomial:

@@ -207,36 +207,6 @@ class Polynomial:
             acc[ne] = acc.get(ne, Fraction(0)) + c * k
         return Polynomial(self.vars, _canon(acc))
 
-    # -- substitution ---------------------------------------------------------
-
-    def subs(self, variables: Sequence[str], images: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute a polynomial of the target ring for every variable."""
-        if len(images) != self.nvars:
-            raise ValueError("need one image per variable")
-        vs = tuple(variables)
-        for q in images:
-            if q.vars != vs:
-                raise ValueError("images live in different rings")
-        one = Polynomial.constant(vs, 1)
-        # Power tables keep repeated exponents cheap.
-        powers: list[dict[int, Polynomial]] = [{0: one} for _ in range(self.nvars)]
-        result = Polynomial.zero(vs)
-        for e, c in self.terms:
-            term = Polynomial.constant(vs, c)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                tab = powers[i]
-                if k not in tab:
-                    top = max(tab)
-                    acc = tab[top]
-                    for j in range(top + 1, k + 1):
-                        acc = acc * images[i]
-                        tab[j] = acc
-                term = term * tab[k]
-            result = result + term
-        return result
-
     def uses_var(self, index: int) -> bool:
         return any(e[index] for e, _ in self.terms)
 
@@ -314,7 +284,7 @@ class Polynomial:
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row-echelon form over Q by Gauss-Jordan elimination, and its pivot columns.
 
-    The RREF of a matrix is unique, so every kernel, inverse and subspace read
+    The RREF of a matrix is unique, so every kernel and subspace read
     off it is independent of how the elimination runs.
     """
     work = [[as_fraction(x) for x in row] for row in rows]
@@ -364,41 +334,6 @@ class LinearMap:
             raise ValueError("ragged matrix")
         return LinearMap(fixed)
 
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence[Scalar]]) -> "LinearMap":
-        if not cols:
-            raise ValueError("no columns")
-        height = len(cols[0])
-        return LinearMap.from_rows(
-            [[cols[j][i] for j in range(len(cols))] for i in range(height)]
-        )
-
-    @staticmethod
-    def identity(n: int) -> "LinearMap":
-        return LinearMap.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def inverse(self) -> "LinearMap":
-        """The right half of rref([A | I]); A is singular unless its pivots lead."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("not square")
-        reduced, pivots = rref(
-            [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
-        )
-        if pivots != list(range(n)):
-            raise ValueError("matrix is singular")
-        return LinearMap.from_rows([row[n:] for row in reduced])
-
 
 @dataclass(frozen=True)
 class PolyMap:
@@ -427,23 +362,6 @@ class PolyMap:
 
     def is_constant(self) -> bool:
         return all(c.is_constant() for c in self.components)
-
-    def compose_linear(self, lin: LinearMap, new_vars: Sequence[str]) -> "PolyMap":
-        """Exact substitution x -> L x, for L mapping K^k (named new_vars) into the domain."""
-        if lin.nrows != self.n:
-            raise ValueError("dimension mismatch")
-        k = lin.ncols
-        vs = tuple(new_vars)
-        if len(vs) != k:
-            raise ValueError("need one name per new variable")
-        images = []
-        for i in range(self.n):
-            acc = Polynomial.zero(vs)
-            for j in range(k):
-                if lin.rows[i][j]:
-                    acc = acc + Polynomial.variable(vs, j) * lin.rows[i][j]
-            images.append(acc)
-        return PolyMap(vs, tuple(c.subs(vs, images) for c in self.components), self.name)
 
 
 def check_value(c: Sequence, p: int) -> None:

@@ -139,6 +139,8 @@ class ProbeSchedule:
         # No descent step at all leaves each start where it was drawn.
         if self.restarts < 1 or self.max_iter < 1:
             raise ValueError("need at least one restart and one descent step")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not all(isfinite(t) and t > 0 for t in (self.tol_zero, self.mu_floor)):
             raise ValueError("tol_zero and mu_floor must each be finite and positive")
 

@@ -74,14 +74,35 @@ def rank(lin) -> int:
 
 def is_invertible(lin) -> bool:
     """A square LinearMap of full rank."""
-    return lin.nrows == lin.ncols and rank(lin) == lin.nrows
+    return all(len(row) == len(lin.rows) for row in lin.rows) and rank(lin) == len(lin.rows)
+
+
+def identity(n: int):
+    """The n x n identity LinearMap."""
+    from liptriv.polycore import LinearMap
+
+    return LinearMap.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def inverse(lin):
+    """The inverse of a square LinearMap: the right half of rref([A | I]),
+    which leads with the pivots 0..n-1 unless A is singular."""
+    from liptriv.polycore import LinearMap, rref
+
+    n = len(lin.rows)
+    if any(len(row) != n for row in lin.rows):
+        raise ValueError("not square")
+    reduced, pivots = rref([list(row) + list(unit) for row, unit in zip(lin.rows, identity(n).rows)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return LinearMap.from_rows([row[n:] for row in reduced])
 
 
 def apply(lin, vec) -> tuple:
     """The product of a LinearMap with an exact column vector."""
     from liptriv.polycore import as_fraction
 
-    if len(vec) != lin.ncols:
+    if any(len(row) != len(vec) for row in lin.rows):
         raise ValueError("dimension mismatch")
     v = [as_fraction(x) for x in vec]
     return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in lin.rows)
@@ -90,6 +111,36 @@ def apply(lin, vec) -> tuple:
 def evaluate(f, point) -> tuple:
     """A PolyMap at an exact point, one component at a time."""
     return tuple(c.eval_exact(point) for c in f.components)
+
+
+def subs(p, variables, images):
+    """Substitute a polynomial of the ring `variables` for every variable of p."""
+    from liptriv.polycore import Polynomial
+
+    if len(images) != p.nvars or any(q.vars != tuple(variables) for q in images):
+        raise ValueError("need one image per variable, all in the target ring")
+    result = Polynomial.zero(variables)
+    for e, c in p.terms:
+        term = Polynomial.constant(variables, c)
+        for q, k in zip(images, e):
+            term = term * q**k
+        result = result + term
+    return result
+
+
+def compose_linear(f, lin, new_vars):
+    """The PolyMap x -> f(L x), for L mapping K^k (named new_vars) into f's
+    domain, by substitution: an oracle for the factorization f = g o pi."""
+    from liptriv.polycore import PolyMap, Polynomial
+
+    vs = tuple(new_vars)
+    if len(lin.rows) != f.n or any(len(row) != len(vs) for row in lin.rows):
+        raise ValueError("dimension mismatch")
+    images = [
+        sum((Polynomial.variable(vs, j) * a for j, a in enumerate(row)), Polynomial.zero(vs))
+        for row in lin.rows
+    ]
+    return PolyMap(vs, tuple(subs(c, vs, images) for c in f.components), f.name)
 
 
 def directional_derivative(f, v):

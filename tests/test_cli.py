@@ -300,6 +300,34 @@ class TestErrors:
             assert "invalid input" in err, extra
         assert factors == []
 
+    def test_huge_exponent_exit_two(self, capsys, tmp_path):
+        # The exponent cap is hit while the parser multiplies; the error
+        # points at the token of that operation, the exponent or the '*'.
+        for text, where in (
+            ("ring Q[x]; map f: (x^3000000000)", "1:22:"),
+            ("ring Q[x];\nmap f: (x^2147483647 * x)", "2:22:"),
+        ):
+            source = tmp_path / "huge.map"
+            source.write_text(text)
+            code = run(["analyze", "-i", str(source)])
+            err = capsys.readouterr().err
+            assert code == 2, text
+            assert err.startswith(f"parse error: {where} exponent"), err
+
+    def test_negative_seed_exit_two_before_any_stage(self, capsys, monkeypatch):
+        import liptriv.dependence
+
+        factors = count_calls(monkeypatch, liptriv.dependence, "factor_through_projection")
+        for field in ("complex", "real"):
+            code = run(["analyze", "-i", CUBE, "--field", field, "--seed", "-1"])
+            assert code == 2, field
+            assert "invalid input: seed" in capsys.readouterr().err
+        monkeypatch.setenv("LTV_SEED", "-1")
+        code = run(["analyze", "-i", CUBE, "--field", "real"])
+        assert code == 2
+        assert "invalid input: seed" in capsys.readouterr().err
+        assert factors == []
+
     def test_unwritable_json_path_exit_two(self, capsys, tmp_path):
         target = str(tmp_path / "missing" / "x.json")
         code = run(["factor", "-i", CUBE, "--json-path", target])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import is_invertible, poly
+from conftest import compose_linear, is_invertible, poly
 from liptriv.critical import critical_ideal, jacobian, real_critical_values
 from liptriv.groebner import buchberger
 from liptriv.parsing import print_polynomial
@@ -83,7 +83,7 @@ class TestCriticalIdeal:
             lin = LinearMap.from_rows(rows)
             if not is_invertible(lin):
                 continue
-            conj = g.compose_linear(lin, new_vars=ring)
+            conj = compose_linear(g, lin, new_vars=ring)
             a = buchberger(critical_ideal(g)).basis
             b = buchberger(critical_ideal(conj)).basis
             assert a == b

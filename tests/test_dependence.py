@@ -7,12 +7,15 @@ import pytest
 
 from conftest import (
     apply,
+    compose_linear,
     directional_derivative,
     evaluate,
-    is_invertible,
+    identity,
+    inverse,
     poly,
     rand_poly,
     rank,
+    subs,
 )
 from liptriv.dependence import (
     FactorizationResult,
@@ -21,13 +24,13 @@ from liptriv.dependence import (
     invariance_subspace,
     suspend,
 )
-from liptriv.polycore import LinearMap, PolyMap, Polynomial, as_fraction, rref
+from liptriv.polycore import LinearMap, PolyMap, Polynomial, as_fraction, kernel_basis, rref
 
 XYZ = ("x", "y", "z")
 
 
 def verify_factorization(f: PolyMap, result: FactorizationResult) -> bool:
-    """Check the exact polynomial identity f = g o pi."""
+    """Check the exact polynomial identity f = g o pi by substitution."""
     if result.m == 0:
         point = [Fraction(0)] * result.g.n
         values = evaluate(result.g, point)
@@ -35,7 +38,7 @@ def verify_factorization(f: PolyMap, result: FactorizationResult) -> bool:
             comp.is_constant() and comp.constant_value() == val
             for comp, val in zip(f.components, values)
         )
-    composed = result.g.compose_linear(result.pi, new_vars=f.vars)
+    composed = compose_linear(result.g, result.pi, new_vars=f.vars)
     return composed.components == f.components
 
 
@@ -47,7 +50,38 @@ def contains(sub: Subspace, vector) -> bool:
 
 
 def is_surjective(lin: LinearMap) -> bool:
-    return rank(lin) == lin.nrows
+    return rank(lin) == len(lin.rows)
+
+
+def hidden_direction_maps(rng: random.Random, count: int):
+    """Pairs (f, A): f = g(A x) for A of r < n rows with rational entries.
+
+    Each term of g is a product of the r linear forms A x, so f is invariant
+    along the kernel of A, and along more when g happens not to be reduced.
+    """
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        r = rng.randint(1, n - 1)
+        xs = tuple(f"x{i}" for i in range(n))
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(r)]
+        forms = [
+            sum((Polynomial.variable(xs, j) * c for j, c in enumerate(row)), Polynomial.zero(xs))
+            for row in rows
+        ]
+        comps = []
+        for _ in range(rng.randint(1, 2)):
+            acc = Polynomial.zero(xs)
+            for _ in range(rng.randint(1, 3)):
+                term = Polynomial.constant(xs, rng.choice([-2, -1, 1, 3]))
+                for _ in range(rng.randint(0, 3)):
+                    term = term * forms[rng.randrange(r)]
+                acc = acc + term
+            comps.append(acc)
+        f = PolyMap(xs, tuple(comps))
+        if not f.is_constant():  # the constant map has its own test
+            out.append((f, LinearMap.from_rows(rows)))
+    return out
 
 
 class TestInvarianceSubspace:
@@ -80,7 +114,7 @@ class TestInvarianceSubspace:
                 Polynomial.variable(ext, i) + t * v[i] for i in range(3)
             ]
             for comp in simple_map.components:
-                shifted = comp.subs(ext, images)
+                shifted = subs(comp, ext, images)
                 assert shifted - comp.embed(ext) == Polynomial.zero(ext)
 
     def test_permutation_conjugates_subspace(self):
@@ -92,11 +126,11 @@ class TestInvarianceSubspace:
             mat = LinearMap.from_rows(
                 [[Fraction(int(perm[i] == j)) for j in range(3)] for i in range(3)]
             )
-            permuted = f.compose_linear(mat, new_vars=XYZ)
+            permuted = compose_linear(f, mat, new_vars=XYZ)
             sub = invariance_subspace(f)
             sub_p = invariance_subspace(permuted)
             mapped = Subspace.from_vectors(
-                3, [apply(mat.inverse(), v) for v in sub.basis]
+                3, [apply(inverse(mat), v) for v in sub.basis]
             )
             assert sub_p == mapped
 
@@ -125,16 +159,30 @@ class TestFactorization:
         res = factor_through_projection(f)
         assert res.m == 3
         assert res.g is f
-        assert res.pi.rows == LinearMap.identity(3).rows
+        assert res.pi.rows == identity(3).rows
 
-    def test_ell_columns_span_invariance_subspace(self, simple_map):
-        res = factor_through_projection(simple_map)
-        k = res.V.dim
-        for j in range(k):
-            column = [res.ell.rows[i][j] for i in range(simple_map.n)]
-            assert contains(res.V, column)
-        assert is_invertible(res.ell)
-        assert is_surjective(res.pi)
+    def test_pi_kills_invariance_subspace_and_keeps_free_coordinates(self, simple_map):
+        maps = [simple_map] + [f for f, _ in hidden_direction_maps(random.Random(29), 20)]
+        for f in maps:
+            res = factor_through_projection(f)
+            for b in res.V.basis:
+                assert all(x == 0 for x in apply(res.pi, b))
+            pivots = res.V.pivot_columns()
+            free = [j for j in range(f.n) if j not in pivots]
+            assert tuple(tuple(row[j] for j in free) for row in res.pi.rows) == identity(res.m).rows
+            assert is_surjective(res.pi)
+
+    def test_exact_identity_on_hidden_rational_directions(self):
+        # g(Ax) with A rank-deficient and non-integer: V holds the kernel of
+        # A, and pi has entries other than 0 and +-1.
+        unusual = 0
+        for f, a in hidden_direction_maps(random.Random(31), 40):
+            res = factor_through_projection(f)
+            assert verify_factorization(f, res)
+            assert all(contains(res.V, v) for v in kernel_basis(a.rows, f.n))
+            assert invariance_subspace(res.g).dim == 0
+            unusual += any(x not in (0, 1, -1) for row in res.pi.rows for x in row)
+        assert unusual > 0
 
     def test_exact_identity_on_random_suspensions(self):
         rng = random.Random(17)

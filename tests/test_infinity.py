@@ -7,14 +7,53 @@ documents where the real accumulation set is strictly smaller.
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import poly
+from conftest import compose_linear, poly
 from liptriv.dependence import Subspace, factor_through_projection, suspend
-from liptriv.groebner import Ideal, buchberger, saturate
-from liptriv.infinity import cone_constancy_check, fiber_infinity
-from liptriv.polycore import PolyMap, Polynomial
+from liptriv.groebner import Ideal, MonomialOrder, buchberger, saturate
+from liptriv.infinity import _linearity, cone_constancy_check, fiber_infinity
+from liptriv.polycore import LinearMap, PolyMap, Polynomial, kernel_basis
 
 F = Fraction
+XYZ = ("x", "y", "z")
+
+
+def substituted_linearity(gb):
+    """Linearity of the cone by substitution: the degree-one elements of its
+    reduced basis cut a candidate subspace A holding the cone, and the cone
+    is A exactly when the dimensions agree and every element vanishes on a
+    symbolic parametrization of A.  An oracle for _linearity."""
+    n = len(gb.vars)
+    dim_cone = gb.dimension()
+    if dim_cone <= 0:
+        return True, Subspace.zero(n)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rows = [[g.coefficient(e) for e in units] for g in gb.basis if g.degree == 1]
+    candidate = Subspace.from_vectors(n, kernel_basis(rows, n))
+    if candidate.dim != dim_cone:
+        return False, None
+    if gb.basis:
+        params = tuple(f"s{k + 1}" for k in range(candidate.dim))
+        columns = LinearMap.from_rows([list(col) for col in zip(*candidate.basis)])
+        cone = compose_linear(PolyMap(gb.vars, gb.basis), columns, params)
+        if any(not q.is_zero() for q in cone.components):
+            return False, None
+    return True, candidate
+
+
+@st.composite
+def homogeneous_generators(draw):
+    """Up to three homogeneous generators in x, y, z of degree 1 to 3, each a
+    map from exponent to coefficient."""
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.integers(1, 3))
+        monomials = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+        picked = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
+        gens.append({e: draw(st.sampled_from([-2, -1, 1, 2])) for e in picked})
+    return gens
 
 
 class TestFiberInfinity:
@@ -101,6 +140,21 @@ class TestConeAtInfinity:
         kernel = Subspace.from_vectors(3, [[F(0), F(0), F(1)]])
         assert rep.cone_subspace == kernel
         assert all(sum(row[2] for row in res.pi.rows) == 0 for _ in (0,))
+
+
+class TestLinearity:
+    @settings(deadline=None, max_examples=300)
+    @given(homogeneous_generators())
+    @example([{(2, 0, 0): 1}])  # <x^2>: a linear variety, not a linear ideal
+    @example([{(2, 0, 0): 1}, {(0, 1, 0): 1}])  # <x^2, y>
+    @example([{(1, 1, 0): 1}])  # <x*y>: two planes
+    @example([{(1, 0, 0): 1, (0, 1, 0): -1}, {(2, 0, 0): 1}])  # <x - y, x^2>
+    @example([{(1, 0, 0): 1, (0, 0, 0): 1}])  # <x + 1>: not homogeneous
+    @example([])  # the zero ideal: the cone is all of K^3
+    def test_matches_substitution(self, gens):
+        ideal = Ideal.make(XYZ, [Polynomial.from_dict(XYZ, g) for g in gens])
+        gb = buchberger(ideal, MonomialOrder.grevlex())
+        assert _linearity(gb) == substituted_linearity(gb)
 
 
 class TestConeConstancy:

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rank
+from conftest import inverse, rank
 from liptriv.polycore import LinearMap, rref
 
 # Small entries with many zeros, so rank-deficient matrices are common.
@@ -55,6 +55,6 @@ def test_inverse_matches_sympy(rows):
     theirs = to_sympy(rows)
     if theirs.det() == 0:
         with pytest.raises(ValueError):
-            LinearMap.from_rows(rows).inverse()
+            inverse(LinearMap.from_rows(rows))
         return
-    assert [list(r) for r in LinearMap.from_rows(rows).inverse().rows] == from_sympy(theirs.inv())
+    assert [list(r) for r in inverse(LinearMap.from_rows(rows)).rows] == from_sympy(theirs.inv())

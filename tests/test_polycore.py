@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import apply, directional_derivative, evaluate, poly, rand_poly
+from conftest import (
+    apply,
+    compose_linear,
+    directional_derivative,
+    evaluate,
+    identity,
+    poly,
+    rand_poly,
+    subs,
+)
 from liptriv.polycore import LinearMap, PolyMap, Polynomial
 
 XY = ("x", "y")
@@ -99,18 +108,18 @@ class TestDirectionalDerivative:
 
 class TestComposeLinear:
     def test_identity(self, simple_map):
-        identity = LinearMap.identity(3)
-        assert simple_map.compose_linear(identity, simple_map.vars).components == simple_map.components
+        composed = compose_linear(simple_map, identity(3), simple_map.vars)
+        assert composed.components == simple_map.components
 
     def test_swap_symmetric(self):
         f = PolyMap(XY, (poly(XY, "x*y"),))
         swap = LinearMap.from_rows([[0, 1], [1, 0]])
-        assert f.compose_linear(swap, new_vars=XY).components == f.components
+        assert compose_linear(f, swap, new_vars=XY).components == f.components
 
     def test_sum_substitution_expands(self):
         f = PolyMap(("x",), (poly(("x",), "x^2"),))
         lin = LinearMap.from_rows([[1, 1]])
-        composed = f.compose_linear(lin, new_vars=("u", "v"))
+        composed = compose_linear(f, lin, new_vars=("u", "v"))
         assert composed.components[0] == poly(("u", "v"), "u^2 + 2*u*v + v^2")
 
     def test_evaluation_commutes(self):
@@ -120,7 +129,7 @@ class TestComposeLinear:
             rows = [[Fraction(rng.randint(-2, 2)) for _ in range(2)] for _ in range(2)]
             lin = LinearMap.from_rows(rows)
             x = [Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))]
-            composed = f.compose_linear(lin, new_vars=XY)
+            composed = compose_linear(f, lin, new_vars=XY)
             assert evaluate(composed, x) == evaluate(f, apply(lin, x))
 
 
@@ -147,7 +156,7 @@ class TestHomogenize:
                 continue
             h = p.homogenize("x0")
             assert len({sum(e) for e, _ in h.terms}) == 1
-            assert h.subs(XYZ, images) == p
+            assert subs(h, XYZ, images) == p
 
 
 class TestEvaluate:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls, poly
+from conftest import compose_linear, count_calls, poly
 from liptriv.classifier import lipschitz_gradient_probe, tube_distance_probe
 from liptriv.parsing import print_polynomial
 from liptriv.polycore import FloatKernel, LinearMap, PolyMap
@@ -121,7 +121,7 @@ class TestPropernessProbe:
     def test_mu_invariant_under_rotation(self, plane_sextic):
         # Exact rational rotation (3/5, 4/5; -4/5, 3/5) of the domain.
         rot = LinearMap.from_rows([[F(3, 5), F(4, 5)], [F(-4, 5), F(3, 5)]])
-        rotated = plane_sextic.compose_linear(rot, new_vars=("x", "y"))
+        rotated = compose_linear(plane_sextic, rot, new_vars=("x", "y"))
         sched = ProbeSchedule(radii=(10.0, 100.0), restarts=16, max_iter=150)
         for c in (0.5, -1.0):
             a = properness_probe_real(plane_sextic, [c], sched, skip_exact=True)
@@ -177,6 +177,8 @@ class TestPropernessProbe:
                 ProbeSchedule(tol_zero=bad)
             with pytest.raises(ValueError):
                 ProbeSchedule(mu_floor=bad)
+        with pytest.raises(ValueError, match="seed"):
+            ProbeSchedule(seed=-1)
 
     def test_max_iter_below_one_rejected(self):
         # x*y has the unbounded fiber {x*y = 1}; with no descent step the

@@ -1,9 +1,11 @@
-"""Every function and method in src/liptriv is reached from src/liptriv.
+"""Every function, method and dataclass field in src/liptriv is reached from
+src/liptriv.
 
 A function that only tests call belongs in the tests as an oracle; one that
-nothing calls belongs nowhere. The check is by name: a method counts as used
-when some attribute access in the package names it, a function when some name
-or attribute does, in both cases outside the function's own body.
+nothing calls belongs nowhere, and so does a field that nothing reads. The
+check is by name: a method counts as used when some attribute access in the
+package names it, a function when some name or attribute does, in both cases
+outside the function's own body, and a field when some attribute access does.
 """
 
 import ast
@@ -24,6 +26,17 @@ ALLOWED = {
     "groebner.MonomialOrder.lex": (
         "constructor of the exported order's lex kind, which key_function "
         "implements and the sympy oracle and the S-pair order pin run under"
+    ),
+}
+
+# Dataclass fields no attribute access in the package reads, each with its reason.
+ALLOWED_FIELDS = {
+    "critical.RealCriticalValue.residual": (
+        "attainment evidence of a critical value, read by the acceptance suite"
+    ),
+    "dependence.Subspace.ambient_dim": (
+        "part of the value the generated __eq__ compares: the zero subspaces "
+        "of K^2 and K^3 hold the same empty basis"
     ),
 }
 
@@ -71,6 +84,33 @@ def test_every_definition_is_used_in_the_package():
     assert not unused, f"defined in src/liptriv but not used there: {unused}"
 
 
+def _fields():
+    """Every dataclass field as (qualified name, field name)."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                out += [
+                    (f"{path.stem}.{node.name}.{stmt.target.id}", stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    return out
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    _, refs = _scan()
+    unread = [
+        qual
+        for qual, name in _fields()
+        if qual not in ALLOWED_FIELDS and not any(is_attr for _, is_attr in refs[name])
+    ]
+    assert not unread, f"dataclass fields no attribute access in src/liptriv reads: {unread}"
+
+
 def test_allowlist_names_existing_definitions():
     defs, _ = _scan()
     assert set(ALLOWED) <= {qual for qual, _, _ in defs}
+    assert set(ALLOWED_FIELDS) <= {qual for qual, _ in _fields()}
