@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -150,10 +151,22 @@ def real_critical_values(
     return out
 
 
+def _norm(v: list[float]) -> float:
+    return sqrt(sum([a * a for a in v]))
+
+
 def _newton_critical_points(
     g: PolyMap, seed: int
 ) -> list[tuple[list[float], float]]:
-    """Multi-start Newton for the gradient system of a scalar map."""
+    """Multi-start Newton for the gradient system of a scalar map.
+
+    Each step is numpy's least-squares solve of J(x) s = -grad(x); around
+    it the loop runs on Python floats, since the map has at most a few
+    variables.  The least-squares solve takes the minimum-norm step where
+    the Hessian is singular (as at every point of `x*y` on the line x = 0),
+    where an elimination step would stop.  A start whose powers overflow a
+    float is dropped.
+    """
     m = g.n
     comp = g.components[0]
     gmap = FloatKernel([comp.partial(j) for j in range(m)])
@@ -161,25 +174,24 @@ def _newton_critical_points(
     rng = np.random.default_rng(seed)
     found: list[tuple[list[float], float]] = []
     for _ in range(200):
-        x = rng.uniform(-3.0, 3.0, size=m)
-        for _ in range(60):
-            val = np.array(gmap.value(list(x)))
-            if not np.all(np.isfinite(val)):
-                break
-            if float(np.linalg.norm(val)) < _NEWTON_TOL * 1e-4:
-                break
-            jac = np.array(gmap.jacobian(list(x)))
-            try:
-                step, *_ = np.linalg.lstsq(jac, -val, rcond=None)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            x = x + step
-            if float(np.linalg.norm(step)) < 1e-14 * (1.0 + float(np.linalg.norm(x))):
-                break
-        val = np.array(gmap.value(list(x)))
-        resid = float(np.linalg.norm(val))
-        if np.all(np.isfinite(x)) and resid < _NEWTON_TOL:
-            found.append(([float(v) for v in x], resid))
+        x = rng.uniform(-3.0, 3.0, size=m).tolist()
+        try:
+            for _ in range(60):
+                val = gmap.value(x)
+                if not all(isfinite(v) for v in val) or _norm(val) < _NEWTON_TOL * 1e-4:
+                    break
+                try:
+                    step = np.linalg.lstsq(gmap.jacobian(x), [-v for v in val], rcond=None)[0].tolist()
+                except (OverflowError, np.linalg.LinAlgError):
+                    break
+                if not all(isfinite(s) for s in step):
+                    break
+                x = [a + s for a, s in zip(x, step)]
+                if _norm(step) < 1e-14 * (1.0 + _norm(x)):
+                    break
+            resid = _norm(gmap.value(x))
+        except OverflowError:
+            continue
+        if all(isfinite(a) for a in x) and resid < _NEWTON_TOL:
+            found.append((x, resid))
     return found

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -394,13 +394,19 @@ class FloatKernel:
       properness probe's descent of |g - c|^2 on the sphere |x| = radius.
       Each step takes the gradient (skipping components whose residual is
       0.0), its tangent part, and an Armijo backtracking of at most 60
-      halvings; a trial steps `y = x - alpha*t` and retracts to
-      `radius * y / |y|`.  It stops on a non-finite gradient, a tangent norm
-      <= 1e-300 or non-finite, a failed line search, fx <= 1e-300, or after
-      max_iter steps;
+      halvings from `alpha = 0.1*radius/|t|`; a trial steps `y = x - alpha*t`
+      and retracts to `radius * y / |y|`.  It stops on a non-finite gradient,
+      a tangent norm <= 1e-300 or non-finite, a failed line search,
+      fx <= 1e-300, or after max_iter steps;
     - `penalty_descent(x, y, mu, radius, c, t, max_iter) -> (x, y)`: the tube
       probe's projected descent of |x - y|^2 + mu*(|g(x) - c|^2 + |g(y) - t|^2)
-      inside the ball of that radius, with at most 50 halvings per step.
+      inside the ball of that radius, with at most 50 halvings per step from
+      `alpha = 0.5*max(|x - y|, 1e-3)/|grad|`.
+
+    Both loops warm-start their line search: each step's first trial is
+    capped at 4x the step last accepted in the same call, so a descent
+    whose steps shrink does not halve down from the cold size again at
+    every step.  The factor is fixed, not a setting.
 
     Every function is assembled from the same per-point blocks.  At a point
     with coordinates P0..P{n-1} the power block computes each `Pi ** k` a
@@ -410,9 +416,9 @@ class FloatKernel:
     likewise for the partials.
 
     Bit-identity contract: the generated code does the float operations of
-    `Polynomial.eval_float` and of the interpreted loops it replaced, in
-    their order, so every value, gradient, step and stop is bit-identical to
-    theirs.  Sums stay `sum([...])` calls, whose rounding Python 3.12+
+    `Polynomial.eval_float` and of the interpreted reference loops in
+    `tests/test_float_kernel.py`, in their order, so every value, gradient,
+    step and stop is bit-identical to theirs.  Sums stay `sum([...])` calls, whose rounding Python 3.12+
     compensates.  Points are used as given, not converted: a numpy scalar
     overflows to inf where a Python float raises OverflowError.  `source(name)`
     names only positional locals, integer exponents and indices into the
@@ -466,7 +472,10 @@ class FloatKernel:
         return self._compile("penalty_descent")
 
     def _compile(self, name: str):
-        namespace = {"C": self._coeffs, "isfinite": isfinite, "max": max, "sqrt": sqrt, "sum": sum}
+        namespace = {
+            "C": self._coeffs, "inf": inf, "isfinite": isfinite, "max": max, "min": min,
+            "sqrt": sqrt, "sum": sum,
+        }
         exec(compile(self.source(name), f"<liptriv float kernel {name}>", "exec"), namespace)
         return namespace[name]
 
@@ -544,19 +553,19 @@ class FloatKernel:
         step += [f"{t} = {g} - dot * {x}" for t, g, x in zip(ts, gs, xs)]
         step.append(f"tnorm = sqrt(sum({_listing(f'{t} * {t}' for t in ts)}))")
         step += ["if tnorm <= 1e-300 or not isfinite(tnorm):", "    break"]
-        step.append("alpha = 0.1 * radius / tnorm")
+        step.append("alpha = min(0.1 * radius / tnorm, 4.0 * last)")
         trial = [f"{y} = {x} - alpha * {t}" for y, x, t in zip(ys, xs, ts)]
         trial.append(f"tn = sqrt(sum({_listing(f'{y} * {y}' for y in ys)}))")
         trial += [f"{z} = radius * {y} / tn" for z, y in zip(zs, ys)]
         trial += self._value_block("z") + objective("f", "z")
         trial += ["if isfinite(f) and f <= fx - 1e-4 * alpha * tnorm * tnorm:", "    break"]
         trial.append("alpha *= 0.5")
-        step += ["for _ in range(60):", *_indent(trial), "else:", "    break"]
+        step += ["for _ in range(60):", *_indent(trial), "else:", "    break", "last = alpha"]
         step += [f"{a} = {b}" for a, b in zip(self._state("x"), self._state("z"))]
         step += ["fx = f", "if fx <= 1e-300:", "    break"]
 
         body = [f"{_listing(xs)} = x", f"{_listing(f'c{i}' for i in range(p))} = c"]
-        body.append("r2 = radius * radius")
+        body += ["r2 = radius * radius", "last = inf"]
         body += self._value_block("x") + objective("fx", "x")
         body += ["for _ in range(max_iter):", *_indent(step), f"return fx, {_listing(xs)}"]
         return "def sphere_descent(x, radius, c, max_iter):", body
@@ -598,13 +607,13 @@ class FloatKernel:
         )
         step += ["if not isfinite(gnorm) or gnorm < 1e-14:", "    break"]
         step.append(f"dist = sqrt({squares(xs, ys)})")
-        step.append("alpha = 0.5 * max(dist, 1e-3) / gnorm")
+        step.append("alpha = min(0.5 * max(dist, 1e-3) / gnorm, 4.0 * last)")
         trial = [f"{u} = {x} - alpha * {g}" for u, x, g in zip(us, xs, gx)] + project_ball(us)
         trial += [f"{w} = {y} - alpha * {g}" for w, y, g in zip(ws, ys, gy)] + project_ball(ws)
         trial += self._value_block("u") + self._value_block("w") + objective("fn", "u", "w")
         trial += ["if isfinite(fn) and fn < fx - 1e-8 * alpha * gnorm * gnorm:", "    break"]
         trial.append("alpha *= 0.5")
-        step += ["for _ in range(50):", *_indent(trial), "else:", "    break"]
+        step += ["for _ in range(50):", *_indent(trial), "else:", "    break", "last = alpha"]
         step += [
             f"{a} = {b}"
             for a, b in zip(self._state("x") + self._state("y"), self._state("u") + self._state("w"))
@@ -614,6 +623,7 @@ class FloatKernel:
         body = [f"{_listing(xs)} = x", f"{_listing(ys)} = y"]
         body += [f"{_listing(f'c{i}' for i in range(p))} = c", f"{_listing(f't{i}' for i in range(p))} = t"]
         body += self._value_block("x") + self._value_block("y") + objective("fx", "x", "y")
+        body.append("last = inf")
         body += ["for _ in range(max_iter):", *_indent(step), f"return {_listing(xs)}, {_listing(ys)}"]
         return "def penalty_descent(x, y, mu, radius, c, t, max_iter):", body
 

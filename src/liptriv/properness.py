@@ -9,12 +9,14 @@ minimizing |g(x) - c| over spheres of growing radius.
 Each probe call compiles g once into a `polycore.FloatKernel`.  One restart
 of the sphere descent (gradient, tangent, Armijo backtracking with retraction
 to radius R, stop tests) is a single call of its compiled `sphere_descent`;
-only the seeded restarts and the merge by minimum stay in Python.  The kernel
-does the same float operations in the same order as `Polynomial.eval_float`
-and the interpreted loop it replaced, so every mu, argmin and verdict is
-bit-identical.  It stays scalar rather than numpy: at n <= 3 a numpy call
-costs more than the arithmetic, and evaluating all restarts as one batch
-would change the restarts' early exit and the order of the sums.
+only the seeded restarts and the merge by minimum stay in Python.  Its line
+search starts each step at no more than 4x the last accepted step.  The
+kernel does the same float operations in the same order as
+`Polynomial.eval_float` and the interpreted reference loop of its tests, so
+mu, argmin and verdict are bit-identical to that loop's.  It stays scalar
+rather than numpy: at n <= 3 a numpy call costs more than the arithmetic,
+and evaluating all restarts as one batch would change the restarts' early
+exit and the order of the sums.
 """
 
 from __future__ import annotations

@@ -219,3 +219,43 @@ def count_calls(monkeypatch, module, name):
         if mod_name.split(".")[0] == "liptriv" and mod.__dict__.get(name) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def reference_newton_critical_points(g, seed):
+    """Multi-start Newton for the gradient system of a scalar map, on numpy
+    arrays: an oracle for critical._newton_critical_points, which runs the
+    same steps on Python floats."""
+    import numpy as np
+
+    from liptriv.critical import _NEWTON_TOL
+    from liptriv.polycore import FloatKernel
+
+    m = g.n
+    comp = g.components[0]
+    gmap = FloatKernel([comp.partial(j) for j in range(m)])
+
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(200):
+        x = rng.uniform(-3.0, 3.0, size=m)
+        for _ in range(60):
+            val = np.array(gmap.value(list(x)))
+            if not np.all(np.isfinite(val)):
+                break
+            if float(np.linalg.norm(val)) < _NEWTON_TOL * 1e-4:
+                break
+            jac = np.array(gmap.jacobian(list(x)))
+            try:
+                step, *_ = np.linalg.lstsq(jac, -val, rcond=None)
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(step)):
+                break
+            x = x + step
+            if float(np.linalg.norm(step)) < 1e-14 * (1.0 + float(np.linalg.norm(x))):
+                break
+        val = np.array(gmap.value(list(x)))
+        resid = float(np.linalg.norm(val))
+        if np.all(np.isfinite(x)) and resid < _NEWTON_TOL:
+            found.append(([float(v) for v in x], resid))
+    return found

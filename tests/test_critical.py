@@ -1,16 +1,22 @@
 """Critical value ideals by minor elimination and real attainment checks."""
 
 import random
+import struct
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import compose_linear, is_invertible, poly
+from conftest import compose_linear, is_invertible, poly, reference_newton_critical_points
+from liptriv import critical
 from liptriv.critical import critical_ideal, jacobian, real_critical_values
 from liptriv.groebner import buchberger
 from liptriv.parsing import print_polynomial
-from liptriv.polycore import LinearMap, PolyMap
+from liptriv.polycore import LinearMap, PolyMap, Polynomial
 
 F = Fraction
 
@@ -126,3 +132,62 @@ class TestRealCriticalValues:
             g0 = grads[0].eval_float(list(r.witness))
             g1 = grads[1].eval_float(list(r.witness))
             assert (g0 * g0 + g1 * g1) ** 0.5 < 1e-8
+
+
+# -- the Newton loop against its numpy oracle ---------------------------------------
+
+XYZ = ("x", "y", "z")
+
+
+def bits(value) -> int:
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def scalar_map(ring, text):
+    return PolyMap(ring, (poly(ring, text),))
+
+
+@st.composite
+def scalar_maps(draw):
+    """Maps of degree <= 4 in 1-3 variables, some of which may be unused."""
+    ring = XYZ[: draw(st.integers(1, 3))]
+    exps = draw(
+        st.lists(
+            st.lists(st.integers(0, len(ring) - 1), max_size=4).map(
+                lambda idx: tuple(idx.count(i) for i in range(len(ring)))
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    coeffs = {e: Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))) for e in exps}
+    return PolyMap(ring, (Polynomial.from_dict(ring, coeffs),))
+
+
+# numpy scalars warn where a Newton step overflows.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@given(scalar_maps())
+# Singular Hessians along a critical line, and variables the map does not use:
+# the minimum-norm least-squares step still reaches a critical point.
+@example(scalar_map(XYZ, "-2*x^2"))
+@example(scalar_map(XYZ[:2], "x*y"))
+@example(scalar_map(XYZ[:2], "x^2*y"))
+@example(scalar_map(XYZ, "x*y"))
+@example(scalar_map(XYZ[:1], "x^3 - 3*x"))
+def test_newton_matches_numpy_loop(g):
+    got = critical._newton_critical_points(g, 42)
+    want = reference_newton_critical_points(g, 42)
+    assert [[bits(v) for v in x] for x, _ in got] == [[bits(v) for v in x] for x, _ in want]
+    # The residual norm sums in another order than numpy's dot product.
+    for (_, r), (_, ref) in zip(got, want):
+        assert abs(r - ref) <= 4 * sys.float_info.epsilon * ref
+
+    crit = critical_ideal(g)
+    roots = real_critical_values(g, crit=crit)
+    with mock.patch.object(critical, "_newton_critical_points", lambda g, seed: want):
+        ref_roots = real_critical_values(g, crit=crit)
+    assert [(r.interval, r.status) for r in roots] == [(r.interval, r.status) for r in ref_roots]
+    assert [r.witness and [bits(v) for v in r.witness] for r in roots] == [
+        r.witness and [bits(v) for v in r.witness] for r in ref_roots
+    ]

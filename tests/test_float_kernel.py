@@ -1,4 +1,4 @@
-"""Compiled float kernel: bit-identical to the interpreted loops it replaces."""
+"""Compiled float kernel: bit-identical to interpreted reference loops."""
 
 import io
 import keyword
@@ -29,7 +29,7 @@ def same_bits(a, b) -> bool:
     return len(a) == len(b) and all(bits(x) == bits(y) for x, y in zip(a, b))
 
 
-# -- reference copies of the interpreted evaluators the kernel replaced ---------
+# -- interpreted reference evaluators and loops ---------------------------------
 
 
 def reference_value(polys, x):
@@ -48,9 +48,10 @@ def reference_value(polys, x):
 
 
 def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
-    """One restart of the sphere minimizer as the interpreted loop it was.
+    """One restart of the sphere minimizer as an interpreted loop.
 
-    `seen` collects the loop's exits and branches, so tests can check that
+    Each step's backtracking starts from the cold step size, capped at 4x
+    the last accepted step.  `seen` collects the loop's exits and branches, so tests can check that
     their examples reach each of them.
     """
     seen = set() if seen is None else seen
@@ -84,6 +85,7 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
         return objective(trial), trial
 
     r2 = radius * radius
+    last = inf
     fx = objective(x)
     if not isfinite(fx):
         seen.add("non-finite start")
@@ -98,12 +100,12 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
         if tnorm <= 1e-300 or not isfinite(tnorm):
             seen.add("zero tangent" if tnorm <= 1e-300 else "non-finite tangent")
             break
-        alpha = 0.1 * radius / tnorm
+        alpha = min(0.1 * radius / tnorm, 4.0 * last)
         improved = False
         for _ in range(60):
             ft, trial = trial_point(x, tangent, alpha)
             if isfinite(ft) and ft <= fx - 1e-4 * alpha * tnorm * tnorm:
-                x, fx = trial, ft
+                x, fx, last = trial, ft, alpha
                 improved = True
                 break
             alpha *= 0.5
@@ -119,7 +121,8 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
 
 
 def reference_penalty_descent(kernel, x, y, mu, radius, cv, tv, max_iter, seen=None):
-    """The tube probe's penalty descent as the interpreted loop it was."""
+    """The tube probe's penalty descent as an interpreted loop, with the same
+    4x warm-start cap on each step as the sphere loop."""
     seen = set() if seen is None else seen
     n, p = kernel.n, kernel.p
 
@@ -142,6 +145,7 @@ def reference_penalty_descent(kernel, x, y, mu, radius, cv, tv, max_iter, seen=N
     fx = objective(x, y)
     if not isfinite(fx):
         seen.add("non-finite start")
+    last = inf
     for _ in range(max_iter):
         vx, vy = kernel.value(x), kernel.value(y)
         jx, jy = kernel.jacobian(x), kernel.jacobian(y)
@@ -158,14 +162,14 @@ def reference_penalty_descent(kernel, x, y, mu, radius, cv, tv, max_iter, seen=N
             seen.add("zero gradient" if gnorm < 1e-14 else "non-finite gradient")
             break
         dist = sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
-        alpha = 0.5 * max(dist, 1e-3) / gnorm
+        alpha = min(0.5 * max(dist, 1e-3) / gnorm, 4.0 * last)
         improved = False
         for _ in range(50):
             nx = project_ball([a - alpha * d for a, d in zip(x, gx)], radius)
             ny = project_ball([a - alpha * d for a, d in zip(y, gy)], radius)
             fn = objective(nx, ny)
             if isfinite(fn) and fn < fx - 1e-8 * alpha * gnorm * gnorm:
-                x, y, fx = nx, ny, fn
+                x, y, fx, last = nx, ny, fn, alpha
                 improved = True
                 break
             alpha *= 0.5
@@ -270,9 +274,9 @@ U, UV, UVW = ("u",), ("u", "v"), ("u", "v", "w")
 # (polynomials, start, radius, level, max_iter): each exit and branch of the
 # sphere loop, checked by test_sphere_examples_reach_every_exit.
 SPHERE_EXAMPLES = [
-    ([poly(UV, "u^2 - v")], [6.0, 8.0], 10.0, [1.0], 250),  # out of halvings
+    ([poly(UV, "u + v")], [0.6, 0.8], 1.0, [-5.0], 250),  # out of halvings at a minimum
     ([poly(UV, "u^2 - v")], [6.0, 8.0], 10.0, [1.0], 2),  # max_iter
-    ([poly(UV, "u")], [0.6, 0.8], 1.0, [0.0], 250),  # out of halvings at a minimum
+    ([poly(UV, "u")], [0.6, 0.8], 1.0, [0.0], 250),  # converged onto the line u = 0
     ([poly(U, "u^3 - 1/3*u")], [2.0], 2.0, [0.0], 20),  # zero tangent (n = 1)
     ([poly(UV, "u*v"), poly(UV, "u")], [0.0, 3.0], 3.0, [0.0, 1.0], 20),  # zero residual
     ([poly(UVW, "u*v*w + w^2")], [1.0, 2.0, 2.0], 3.0, [inf], 20),  # inf start and gradient
@@ -417,9 +421,9 @@ def test_source_holds_no_input_text():
     fixed = {
         *functions, "x", "y", "t", "c", "mu", "radius", "max_iter", "C", "sqrt", "sum",
         "isfinite", "max", "range", "_", "r2", "fx", "ri2", "dot", "tnorm", "alpha", "tn",
-        "f", "r", "rx2", "ry2", "gnorm", "dist", "norm", "fn",
+        "f", "r", "rx2", "ry2", "gnorm", "dist", "norm", "fn", "last", "min", "inf",
     }
-    literals = {"0.0", "0.1", "1e-4", "1e-300", "2.0", "0.5", "1e-3", "1e-8", "1e-14"}
+    literals = {"0.0", "0.1", "1e-4", "1e-300", "2.0", "0.5", "1e-3", "1e-8", "1e-14", "4.0"}
     tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     for tok in tokens:
         if tok.type == tokenize.NAME:

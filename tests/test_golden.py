@@ -12,8 +12,22 @@ evidence of `properness_probe_real`, written by `dump` below.
 The `cli.*` files pin the standard output of further `liptriv` invocations
 (see CLI_CASES): the JSON and the text of every other subcommand, the text of
 `analyze` on the corpus, and `analyze` runs that exhaust a Groebner budget.
+
+A change that moves probe floats on purpose re-records the files it moves,
+each by name, through the same runs the tests make:
+
+    PYTHONPATH=src python tests/test_golden.py --record motzkin.real.json ...
+
+The re-record refuses, writes nothing and exits 1 when an exit code or any
+leaf of a file other than a float differs from what is on disk: a verdict,
+a flag, a generator or a key.  A text file has no float leaves, so it can
+only be re-recorded unchanged.
 """
 
+import argparse
+import contextlib
+import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -88,27 +102,35 @@ CLI_CASES = {
 }
 
 
-def run_cli_case(case, capsys) -> tuple[int, str]:
+def _stdout_of(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+def run_cli_case(case) -> tuple[int, str]:
     output = "json" if case.endswith(".json") else "text"
-    code = run(CLI_CASES[case] + ["--output", output])
-    return code, capsys.readouterr().out
+    return _stdout_of(CLI_CASES[case] + ["--output", output])
+
+
+def run_analyze_case(case) -> tuple[int, str]:
+    name, field = case.split(".")
+    return _stdout_of(
+        ["analyze", "-i", str(DATA_DIR / f"{name}.map"), "--field", field, "--output", "json"]
+    )
 
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
-def test_cli_output_matches_golden(case, capsys):
-    code, out = run_cli_case(case, capsys)
+def test_cli_output_matches_golden(case):
+    code, out = run_cli_case(case)
     assert code == MANIFEST["cli_exit_codes"][case]
     assert out == (GOLDEN / f"cli.{case}").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_analyze_report_matches_golden(case, capsys):
-    name, field = case.split(".")
-    code = run(
-        ["analyze", "-i", str(DATA_DIR / f"{name}.map"), "--field", field,
-         "--output", "json"]
-    )
-    out = capsys.readouterr().out
+def test_analyze_report_matches_golden(case):
+    code, out = run_analyze_case(case)
     assert code == MANIFEST["exit_codes"][case]
     assert out == (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
 
@@ -154,3 +176,113 @@ def dump(output) -> str:
 def test_probe_output_matches_golden(case):
     got = dump(PROBES[case]())
     assert got == (GOLDEN / f"probe.{case}.json").read_text(encoding="utf-8")
+
+
+# -- re-recording ---------------------------------------------------------------------
+
+
+def render(name) -> tuple[int | None, str]:
+    """The exit code and output that golden file `name` pins (no code for a probe)."""
+    if name.startswith("probe."):
+        return None, dump(PROBES[name.removeprefix("probe.").removesuffix(".json")]())
+    if name.startswith("cli."):
+        return run_cli_case(name.removeprefix("cli."))
+    return run_analyze_case(name.removesuffix(".json"))
+
+
+def recorded_code(name) -> int | None:
+    if name.startswith("probe."):
+        return None
+    if name.startswith("cli."):
+        return MANIFEST["cli_exit_codes"][name.removeprefix("cli.")]
+    return MANIFEST["exit_codes"][name.removesuffix(".json")]
+
+
+GOLDEN_FILES = sorted(
+    [f"{case}.json" for case in CASES]
+    + [f"cli.{case}" for case in CLI_CASES]
+    + [f"probe.{case}.json" for case in PROBES]
+)
+
+
+def without_floats(name, text):
+    """A file's content with every float leaf masked; a text file has none."""
+    if not name.endswith(".json"):
+        return text
+
+    def mask(node):
+        if isinstance(node, dict):
+            return {key: mask(value) for key, value in node.items()}
+        if isinstance(node, list):
+            return [mask(value) for value in node]
+        return float if isinstance(node, float) else node
+
+    return mask(json.loads(text))
+
+
+def record(names, golden=GOLDEN) -> int:
+    """Re-record the named golden files; refuse them all if any moved more than floats."""
+    if RUNNING != MANIFEST["python"]:
+        print(f"golden files are recorded on Python {MANIFEST['python']}, this is {RUNNING}",
+              file=sys.stderr)
+        return 2
+    unknown = [name for name in names if name not in GOLDEN_FILES]
+    if unknown:
+        print(f"not a golden file: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    outputs, refused = {}, []
+    for name in names:
+        code, text = render(name)
+        old = (golden / name).read_text(encoding="utf-8")
+        if code != recorded_code(name) or without_floats(name, text) != without_floats(name, old):
+            refused.append(name)
+        outputs[name] = text
+    if refused:
+        print(f"refused, more than floats moved: {', '.join(refused)}", file=sys.stderr)
+        return 1
+    for name, text in outputs.items():
+        (golden / name).write_text(text, encoding="utf-8")
+        print(f"recorded {name}")
+    return 0
+
+
+def test_record_rewrites_moved_floats(tmp_path):
+    name = "probe.properness.xy@1.json"
+    moved = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    moved["evidence"]["mu_trace"][0]["mu"] += 1.0
+    (tmp_path / name).write_text(dump(moved), encoding="utf-8")
+    assert record([name], tmp_path) == 0
+    assert (tmp_path / name).read_text(encoding="utf-8") == render(name)[1]
+
+
+def test_record_refuses_a_moved_verdict(tmp_path, monkeypatch):
+    name = "probe.properness.xy@1.json"
+    (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
+
+    probe = properness_probe_real
+
+    def planted(*args, **kwargs):
+        return dataclasses.replace(probe(*args, **kwargs), verdict="proper")
+
+    monkeypatch.setitem(globals(), "properness_probe_real", planted)
+    assert record([name], tmp_path) == 1
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_record_refuses_a_moved_exit_code(tmp_path, monkeypatch):
+    name = "cli.factor.motzkin.json"
+    (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
+    monkeypatch.setitem(MANIFEST["cli_exit_codes"], "factor.motzkin.json", 3)
+    assert record([name], tmp_path) == 1
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Re-record golden files whose floats moved.")
+    parser.add_argument("--record", nargs="+", metavar="NAME", required=True,
+                        help="golden file names, as in tests/golden/")
+    return record(parser.parse_args(argv).record)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
