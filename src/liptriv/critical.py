@@ -163,9 +163,9 @@ def _newton_critical_points(
     Each step is numpy's least-squares solve of J(x) s = -grad(x); around
     it the loop runs on Python floats, since the map has at most a few
     variables.  The least-squares solve takes the minimum-norm step where
-    the Hessian is singular (as at every point of `x*y` on the line x = 0),
-    where an elimination step would stop.  A start whose powers overflow a
-    float is dropped.
+    the Hessian is singular (everywhere for `-2*x^2` in Q[x,y,z], on the
+    line x = 0 for `x^2*y`), where an elimination step would stop.  A start
+    whose powers overflow a float is dropped.
     """
     m = g.n
     comp = g.components[0]

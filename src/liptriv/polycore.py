@@ -418,12 +418,12 @@ class FloatKernel:
     Bit-identity contract: the generated code does the float operations of
     `Polynomial.eval_float` and of the interpreted reference loops in
     `tests/test_float_kernel.py`, in their order, so every value, gradient,
-    step and stop is bit-identical to theirs.  Sums stay `sum([...])` calls, whose rounding Python 3.12+
-    compensates.  Points are used as given, not converted: a numpy scalar
-    overflows to inf where a Python float raises OverflowError.  `source(name)`
-    names only positional locals, integer exponents and indices into the
-    coefficient tuple C, never a variable name or coefficient text of the
-    input.
+    step and stop is bit-identical to theirs.  Sums stay `sum([...])` calls,
+    whose rounding Python 3.12+ compensates.  Points are used as given, not
+    converted: a numpy scalar overflows to inf where a Python float raises
+    OverflowError.  `source(name)` names only positional locals, integer
+    exponents and indices into the coefficient tuple C, never a variable
+    name or coefficient text of the input.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):

@@ -51,8 +51,8 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
     """One restart of the sphere minimizer as an interpreted loop.
 
     Each step's backtracking starts from the cold step size, capped at 4x
-    the last accepted step.  `seen` collects the loop's exits and branches, so tests can check that
-    their examples reach each of them.
+    the last accepted step.  `seen` collects the loop's exits and branches,
+    so tests can check that their examples reach each of them.
     """
     seen = set() if seen is None else seen
     n, p = kernel.n, kernel.p
