@@ -35,7 +35,6 @@ from .groebner import (
     buchberger,
     dimension,
     eliminate,
-    normal_form,
     real_roots,
     saturate,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "jacobian",
     "jelonek_ideal",
     "lipschitz_gradient_probe",
-    "normal_form",
     "parse_input",
     "parse_mapping",
     "print_polynomial",

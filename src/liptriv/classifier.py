@@ -32,8 +32,8 @@ from .groebner import (
     Ideal,
     MonomialOrder,
     buchberger,
+    dimension,
     intersect,
-    is_unit_ideal,
 )
 from .infinity import ConeConstancyResult, InfinityReport, cone_constancy_check, fiber_infinity
 from .parsing import print_polynomial
@@ -156,7 +156,7 @@ def _sample_values(
             return False
         fiber = Ideal.make(f.vars, [comp - ci for comp, ci in zip(f.components, value)])
         try:
-            return not is_unit_ideal(fiber, budget)
+            return dimension(fiber, budget) >= 0
         except BudgetExceededError:
             return False
 

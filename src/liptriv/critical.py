@@ -128,6 +128,7 @@ def real_critical_values(
     roots = real_roots(generator)
 
     witnesses = _newton_critical_points(g, seed)
+    value_at = FloatKernel(g.components).value
     out = []
     for interval in roots:
         mid = (interval[0] + interval[1]) / 2
@@ -136,7 +137,7 @@ def real_critical_values(
         best_witness = None
         best_resid = None
         for point, resid in witnesses:
-            value = g.components[0].eval_float(point)
+            value = value_at(point)[0]
             gap = abs(value - approx)
             if interval[0] != interval[1]:
                 gap = max(0.0, gap - float(interval[1] - interval[0]))

@@ -1,4 +1,4 @@
-"""Exact ideal engine: Buchberger, normal forms, elimination, saturation,
+"""Exact ideal engine: Buchberger, elimination, saturation, intersection,
 dimension, and univariate real-root isolation by Sturm sequences.
 
 All arithmetic is over exact rationals.  Computations carry an explicit
@@ -369,24 +369,6 @@ def _reduce_basis(
     return GroebnerBasis(vars_, order, tuple(poly for _, poly in reduced))
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis, budget: GroebnerBudget = DEFAULT_BUDGET) -> Polynomial:
-    """Remainder of multivariate division; zero exactly when p is in the ideal."""
-    if p.vars != gb.vars:
-        raise ValueError("ring mismatch")
-    keyf = _order_key(gb.order, len(gb.vars))
-    basis = [_entry(_prepare(g), keyf) for g in gb.basis]
-    rem = _reduce_full(_prepare(p), basis, keyf, budget.max_degree)
-    return Polynomial.from_dict(p.vars, rem)
-
-
-def is_unit_ideal(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
-    if ideal.is_zero_ideal():
-        return False
-    if ideal.has_unit_generator():
-        return True
-    return buchberger(ideal, MonomialOrder.grevlex(), budget).is_unit()
-
-
 # -- elimination, saturation, intersection -----------------------------------
 
 
@@ -463,6 +445,8 @@ def dimension(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> int:
     """Krull dimension of V(I) over the algebraic closure; -1 for the unit ideal."""
     if ideal.is_zero_ideal():
         return len(ideal.vars)
+    if ideal.has_unit_generator():
+        return -1
     return buchberger(ideal, MonomialOrder.grevlex(), budget).dimension()
 
 

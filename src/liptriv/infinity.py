@@ -5,6 +5,13 @@ equations f_i - c_i and saturating by the homogenization variable; cutting
 with that variable gives the part at infinity.  All computations here are
 Zariski (over the algebraic closure); for real input the true real
 accumulation set can be strictly smaller, which callers must flag.
+
+One Groebner basis answers every question about the part at infinity.  Its
+ideal is J + (x0), where J, the cone ideal, cuts the closure's generators at
+x0 = 0, so no generator of J involves x0.  The reduced grevlex basis of
+J + (x0) is therefore J's reduced grevlex basis plus x0, and its variety
+{0} x V(J) has the dimension of V(J).  The dimension at infinity, the cone
+and its linearity are all read off J's basis.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from .groebner import (
     Ideal,
     MonomialOrder,
     buchberger,
-    dimension,
     saturate,
 )
 from .polycore import PolyMap, Polynomial, as_fraction, check_value, fresh_name, kernel_basis
@@ -48,9 +54,13 @@ def fiber_infinity(
 ) -> InfinityReport:
     """Projective closure of the fiber over c and its part at infinity.
 
-    dim_infinity follows the convention dim(empty) = -1: the cone dimension in
-    the n+1 homogeneous variables drops by one, clamped at -1 when the cone is
-    a point or empty.
+    dim_infinity follows the convention dim(empty) = -1: the dimension of the
+    cone drops by one, clamped at -1 when the cone is a point or empty.  The
+    cone ideal's reduced grevlex basis is the one Groebner basis computed
+    after the saturation: the infinity ideal closure + (x0) has that basis
+    plus x0 and the same dimension (see the module docstring), so it is
+    never built.  A budget therefore runs out, or does not, on the cone's
+    basis, which lacks the element x0.
     """
     check_value(c, f.p)
     cvec = tuple(as_fraction(x) for x in c)
@@ -69,14 +79,12 @@ def fiber_infinity(
     # With no equations left the closure is the zero ideal, which saturate keeps.
     closure = saturate(Ideal.make(hom_vars, hom_gens), x0, budget)
 
-    infinity_ideal = Ideal.make(hom_vars, list(closure.generators) + [x0])
-    dim_cone = dimension(infinity_ideal, budget)
+    cone_ideal = _cone_ideal(closure, f.vars)
+    cone_basis = buchberger(cone_ideal, MonomialOrder.grevlex(), budget)
+    dim_cone = cone_basis.dimension()
     dim_inf = max(dim_cone - 1, -1)
     m_candidate = f.n - 1 - dim_inf
-
-    cone_ideal = _cone_ideal(infinity_ideal, f.vars)
-    cone_basis = buchberger(cone_ideal, MonomialOrder.grevlex(), budget)
-    linear, subspace = _linearity(cone_basis)
+    linear, subspace = _linearity(cone_basis, dim_cone)
 
     return InfinityReport(
         value=cvec,
@@ -90,27 +98,28 @@ def fiber_infinity(
     )
 
 
-def _cone_ideal(infinity_ideal: Ideal, affine_vars: tuple[str, ...]) -> Ideal:
+def _cone_ideal(closure: Ideal, affine_vars: tuple[str, ...]) -> Ideal:
     """Set the homogenization variable x0, the first, to zero: keep the terms free of it."""
     cuts = [
         Polynomial.from_dict(affine_vars, {e[1:]: c for e, c in g.terms if not e[0]})
-        for g in infinity_ideal.generators
+        for g in closure.generators
     ]
     return Ideal.make(affine_vars, cuts)
 
 
-def _linearity(gb: GroebnerBasis) -> tuple[bool, Subspace | None]:
+def _linearity(gb: GroebnerBasis, dim_cone: int) -> tuple[bool, Subspace | None]:
     """Decide whether the cone is a linear subspace; if so return it.
 
-    `gb` is the cone ideal's reduced grevlex basis.  The cone over the empty
-    set is the null subspace.  Otherwise the cone is linear exactly when every
-    basis element is a linear form, and it is then their common kernel (all
-    of K^n with no generators).  A reduced element that is not a linear form
-    is in normal form with respect to the linear forms, so it lies outside
-    their ideal, the ideal of that kernel.
+    `gb` is the cone ideal's reduced grevlex basis and `dim_cone` is
+    `gb.dimension()`.  The cone over the empty set is the null subspace.
+    Otherwise the cone is linear exactly when every basis element is a
+    linear form, and it is then their common kernel (all of K^n with no
+    generators).  A reduced element that is not a linear form is in normal
+    form with respect to the linear forms, so it lies outside their ideal,
+    the ideal of that kernel.
     """
     n = len(gb.vars)
-    if gb.dimension() <= 0:
+    if dim_cone <= 0:
         # The cone is at most the origin.
         return True, Subspace.zero(n)
     if any(sum(e) != 1 for g in gb.basis for e, _ in g.terms):

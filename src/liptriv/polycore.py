@@ -262,19 +262,6 @@ class Polynomial:
             total += term
         return total
 
-    def eval_float(self, point: Sequence[float]) -> float:
-        """Direct term summation at IEEE double precision (probe path)."""
-        if len(point) != self.nvars:
-            raise ValueError("dimension mismatch")
-        total = 0.0
-        for e, c in self.terms:
-            term = float(c)
-            for x, k in zip(point, e):
-                if k:
-                    term *= float(x) ** k
-            total += term
-        return total
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         from .parsing import print_polynomial
 
@@ -416,7 +403,9 @@ class FloatKernel:
     likewise for the partials.
 
     Bit-identity contract: the generated code does the float operations of
-    `Polynomial.eval_float` and of the interpreted reference loops in
+    plain term-by-term summation (each term `float(c)` times its powers in
+    variable order, added to 0.0 in term order: `eval_float` in
+    `tests/conftest.py`) and of the interpreted reference loops in
     `tests/test_float_kernel.py`, in their order, so every value, gradient,
     step and stop is bit-identical to theirs.  Sums stay `sum([...])` calls,
     whose rounding Python 3.12+ compensates.  Points are used as given, not

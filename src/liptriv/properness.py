@@ -11,9 +11,9 @@ of the sphere descent (gradient, tangent, Armijo backtracking with retraction
 to radius R, stop tests) is a single call of its compiled `sphere_descent`;
 only the seeded restarts and the merge by minimum stay in Python.  Its line
 search starts each step at no more than 4x the last accepted step.  The
-kernel does the same float operations in the same order as
-`Polynomial.eval_float` and the interpreted reference loop of its tests, so
-mu, argmin and verdict are bit-identical to that loop's.  It stays scalar
+kernel does the same float operations in the same order as term-by-term
+summation and the interpreted reference loop of its tests, so mu, argmin
+and verdict are bit-identical to that loop's.  It stays scalar
 rather than numpy: at n <= 3 a numpy call costs more than the arithmetic,
 and evaluating all restarts as one batch would change the restarts' early
 exit and the order of the sums.

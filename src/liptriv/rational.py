@@ -68,7 +68,7 @@ class RationalMap:
         return FloatKernel(self.numerators + self.denominators)
 
     def evaluate_float(self, point: Sequence[float]) -> tuple[float, ...]:
-        # Convert like Polynomial.eval_float: Python floats raise on overflow.
+        # Convert to Python floats, which raise on overflow where numpy's give inf.
         vals = self._float_kernel.value([float(v) for v in point])
         p = self.p
         return tuple(vals[i] / vals[p + i] for i in range(p))

@@ -175,6 +175,57 @@ def spolynomial(f, g, order):
     return cofactor(ea, ca) * f - cofactor(eb, cb) * g
 
 
+def normal_form(p, gb):
+    """Remainder of p by multivariate division by the basis gb, zero exactly
+    when p is in its ideal: the membership test of the Groebner suites."""
+    from liptriv.groebner import DEFAULT_BUDGET, _entry, _order_key, _prepare, _reduce_full
+    from liptriv.polycore import Polynomial
+
+    if p.vars != gb.vars:
+        raise ValueError("ring mismatch")
+    keyf = _order_key(gb.order, len(gb.vars))
+    basis = [_entry(_prepare(g), keyf) for g in gb.basis]
+    rem = _reduce_full(_prepare(p), basis, keyf, DEFAULT_BUDGET.max_degree)
+    return Polynomial.from_dict(p.vars, rem)
+
+
+def eval_float(p, point) -> float:
+    """p at a float point by direct term summation: each term float(c) times
+    its powers in variable order, added to 0.0 in term order.  The bitwise
+    oracle of FloatKernel.value."""
+    if len(point) != p.nvars:
+        raise ValueError("dimension mismatch")
+    total = 0.0
+    for e, c in p.terms:
+        term = float(c)
+        for x, k in zip(point, e):
+            if k:
+                term *= float(x) ** k
+        total += term
+    return total
+
+
+def infinity_by_x0(closure):
+    """The part at infinity of a fiber from its closure, built the long way:
+    the infinity ideal closure + (x0), with x0 the first variable, its
+    dimension, and its reduced grevlex basis with x0 dropped.  Returns
+    (dim_infinity, m_candidate, cone basis as a GroebnerBasis in the affine
+    variables): an oracle for fiber_infinity, which reads all three off the
+    cone ideal's basis."""
+    from liptriv.groebner import GroebnerBasis, Ideal, MonomialOrder, buchberger, dimension
+    from liptriv.polycore import Polynomial
+
+    x0 = Polynomial.variable(closure.vars, 0)
+    infinity = Ideal.make(closure.vars, list(closure.generators) + [x0])
+    dim_inf = max(dimension(infinity) - 1, -1)
+    grevlex = MonomialOrder.grevlex()
+    basis = buchberger(infinity, grevlex).basis
+    cone = GroebnerBasis(
+        closure.vars[1:], grevlex, tuple(g.drop_vars([0]) for g in basis if g != x0)
+    )
+    return dim_inf, len(cone.vars) - 1 - dim_inf, cone
+
+
 def count_real_roots(p) -> int:
     """Distinct real roots of a univariate p, from the sign variations of its
     Sturm chain at minus and plus infinity: an oracle for real_roots, which

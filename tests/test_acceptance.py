@@ -14,7 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import count_real_roots, poly, rand_poly, spolynomial
+from conftest import count_real_roots, normal_form, poly, rand_poly, spolynomial
 from liptriv.classifier import (
     AnalysisConfig,
     classify,
@@ -29,7 +29,6 @@ from liptriv.groebner import (
     buchberger,
     dimension,
     eliminate,
-    normal_form,
     real_roots,
 )
 from liptriv.parsing import print_polynomial

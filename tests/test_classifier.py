@@ -252,8 +252,8 @@ class TestStageCounts:
             (args[0], (args[1] if len(args) > 1 else kwargs.get("order")) or grevlex)
             for args, kwargs in bases
         }
-        assert len(bases) == 20
-        assert len(inputs) == 20
+        assert len(bases) == 17
+        assert len(inputs) == 17
 
     def test_real_analysis_computes_jelonek_once(self, monkeypatch):
         import liptriv.properness

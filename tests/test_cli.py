@@ -371,7 +371,7 @@ class TestStageCounts:
             "jelonek_ideal": 1,
             "cone_constancy_check": 1,
             "fiber_infinity": 3,
-            "buchberger": 26,
+            "buchberger": 23,
             "intersect": 2,
         }
 

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import compose_linear, is_invertible, poly, reference_newton_critical_points
+from conftest import (
+    compose_linear,
+    eval_float,
+    is_invertible,
+    poly,
+    reference_newton_critical_points,
+)
 from liptriv import critical
 from liptriv.critical import critical_ideal, jacobian, real_critical_values
 from liptriv.groebner import buchberger
@@ -105,7 +111,7 @@ class TestRealCriticalValues:
         ]
         for r in roots:
             assert r.residual is not None and r.residual < 1e-8
-            value = plane_sextic.components[0].eval_float(list(r.witness))
+            value = eval_float(plane_sextic.components[0], list(r.witness))
             assert abs(value - r.approx) < 1e-8
 
     def test_square_attains_minimum(self):
@@ -129,8 +135,8 @@ class TestRealCriticalValues:
         # For p = 1 rank deficiency is a vanishing gradient.
         grads = [plane_sextic.components[0].partial(j) for j in range(2)]
         for r in real_critical_values(plane_sextic):
-            g0 = grads[0].eval_float(list(r.witness))
-            g1 = grads[1].eval_float(list(r.witness))
+            g0 = eval_float(grads[0], list(r.witness))
+            g1 = eval_float(grads[1], list(r.witness))
             assert (g0 * g0 + g1 * g1) ** 0.5 < 1e-8
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_real_roots, poly, rand_poly, spolynomial
+from conftest import count_real_roots, normal_form, poly, rand_poly, spolynomial
 from liptriv.groebner import (
     BudgetExceededError,
     GroebnerBudget,
@@ -16,8 +16,6 @@ from liptriv.groebner import (
     dimension,
     eliminate,
     intersect,
-    is_unit_ideal,
-    normal_form,
     real_roots,
     saturate,
 )
@@ -264,8 +262,10 @@ class TestBudget:
 
 
 class TestIsUnitIdeal:
+    """The unit-ideal test is dimension -1."""
+
     def test_unit(self):
-        assert is_unit_ideal(Ideal.make(("x",), [poly(("x",), "x - 1"), poly(("x",), "x")]))
+        assert dimension(Ideal.make(("x",), [poly(("x",), "x - 1"), poly(("x",), "x")])) == -1
 
     def test_not_unit(self):
-        assert not is_unit_ideal(Ideal.make(XY, [poly(XY, "x")]))
+        assert dimension(Ideal.make(XY, [poly(XY, "x")])) >= 0

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import normal_form
 from liptriv.groebner import (
     Ideal,
     MonomialOrder,
@@ -14,7 +15,6 @@ from liptriv.groebner import (
     dimension,
     eliminate,
     intersect,
-    normal_form,
     saturate,
 )
 from liptriv.polycore import Polynomial

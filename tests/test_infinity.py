@@ -4,16 +4,19 @@ All computations here are Zariski (complex); the degree-six suspension case
 documents where the real accumulation set is strictly smaller.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import compose_linear, poly
+from conftest import DATA_DIR, compose_linear, infinity_by_x0, poly, rand_poly
+from liptriv.classifier import rational_grid
 from liptriv.dependence import Subspace, factor_through_projection, suspend
 from liptriv.groebner import Ideal, MonomialOrder, buchberger, saturate
 from liptriv.infinity import _linearity, cone_constancy_check, fiber_infinity
+from liptriv.parsing import parse_mapping
 from liptriv.polycore import LinearMap, PolyMap, Polynomial, kernel_basis
 
 F = Fraction
@@ -117,6 +120,57 @@ class TestFiberInfinity:
         assert not rep.cone_is_linear
 
 
+def random_fibers(count, seed=12):
+    """Seeded random maps with one or two components in 1 to 3 variables,
+    suspended by 0 to 2 unused ones, each with a small integer value; a
+    constant component makes the fiber empty or drops out of the closure."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        vs = XYZ[: rng.randint(1, 3)]
+        comps = tuple(rand_poly(rng, vs, max_degree=3, max_terms=3) for _ in range(rng.randint(1, 2)))
+        value = [F(rng.randint(-1, 1)) for _ in comps]
+        cases.append((suspend(PolyMap(vs, comps), rng.randint(0, 2)), value))
+    return cases
+
+
+XY = ("x", "y")
+PLANTED = [
+    # x = 0 and x = -1: the empty fiber, whose closure is the unit ideal.
+    (suspend(PolyMap(XY, (poly(XY, "x"), poly(XY, "x + 1"))), 1), [F(0), F(0)]),
+    # A constant map at its value: the fiber is everything, the closure zero.
+    (PolyMap(XY, (Polynomial.constant(XY, 2),)), [F(2)]),
+    (suspend(PolyMap(("x",), (Polynomial.constant(("x",), -1),)), 2), [F(-1)]),
+]
+
+
+class TestAgainstInfinityIdeal:
+    """fiber_infinity reads the dimension at infinity, the cone and its
+    linearity off the cone ideal's basis; the infinity ideal closure + (x0),
+    built and reduced separately, must give the same answers."""
+
+    @staticmethod
+    def check(f, value):
+        rep = fiber_infinity(f, value)
+        dim_inf, m_candidate, cone = infinity_by_x0(rep.closure_ideal)
+        assert (rep.dim_infinity, rep.m_candidate) == (dim_inf, m_candidate)
+        assert rep.cone_basis == cone.basis
+        assert (rep.cone_is_linear, rep.cone_subspace) == substituted_linearity(cone)
+        return rep
+
+    @pytest.mark.parametrize("name", ("bad", "cube", "ex_simple", "motzkin"))
+    def test_corpus_first_grid_values(self, name):
+        f = parse_mapping((DATA_DIR / f"{name}.map").read_text())
+        for value in rational_grid(f.p, 3):
+            self.check(f, value)
+
+    def test_random_and_planted_maps(self):
+        reps = [self.check(f, value) for f, value in random_fibers(200) + PLANTED]
+        assert any(r.closure_ideal.has_unit_generator() for r in reps)
+        assert any(r.closure_ideal.is_zero_ideal() for r in reps)
+        assert len({r.dim_infinity for r in reps}) >= 3
+
+
 class TestConeAtInfinity:
     def test_shear_cone_constant_direction(self, simple_map):
         for c in ([F(1), F(0)], [F(2), F(3)]):
@@ -154,7 +208,7 @@ class TestLinearity:
     def test_matches_substitution(self, gens):
         ideal = Ideal.make(XYZ, [Polynomial.from_dict(XYZ, g) for g in gens])
         gb = buchberger(ideal, MonomialOrder.grevlex())
-        assert _linearity(gb) == substituted_linearity(gb)
+        assert _linearity(gb, gb.dimension()) == substituted_linearity(gb)
 
 
 class TestConeConstancy:

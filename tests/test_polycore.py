@@ -9,6 +9,7 @@ from conftest import (
     apply,
     compose_linear,
     directional_derivative,
+    eval_float,
     evaluate,
     identity,
     poly,
@@ -179,7 +180,7 @@ class TestEvaluate:
         for _ in range(100):
             p = rand_poly(rng, XY, 4)
             x = [rng.randint(-3, 3), rng.randint(-3, 3)]
-            assert p.eval_float([float(v) for v in x]) == pytest.approx(
+            assert eval_float(p, [float(v) for v in x]) == pytest.approx(
                 float(p.eval_exact(x)), rel=1e-12, abs=1e-12
             )
 

@@ -1,11 +1,13 @@
 """Every function, method and dataclass field in src/liptriv is reached from
-src/liptriv.
+src/liptriv, and every name a module imports is read there.
 
 A function that only tests call belongs in the tests as an oracle; one that
 nothing calls belongs nowhere, and so does a field that nothing reads. The
 check is by name: a method counts as used when some attribute access in the
 package names it, a function when some name or attribute does, in both cases
 outside the function's own body, and a field when some attribute access does.
+An imported name counts as read when the module names it; the package's
+__init__ reads nothing, so each name it imports must be listed in __all__.
 """
 
 import ast
@@ -114,3 +116,24 @@ def test_allowlist_names_existing_definitions():
     defs, _ = _scan()
     assert set(ALLOWED) <= {qual for qual, _, _ in defs}
     assert set(ALLOWED_FIELDS) <= {qual for qual, _ in _fields()}
+
+
+def _imported_names(tree):
+    """Each name an import binds in the module, __future__ features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.stem == "__init__":
+            read = set(liptriv.__all__)
+        else:
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.stem}.{name}" for name in _imported_names(tree) if name not in read]
+    assert not unread, f"imported in src/liptriv but not read there (or, in __init__, not in __all__): {unread}"
