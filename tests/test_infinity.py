@@ -20,6 +20,7 @@ from liptriv.parsing import parse_mapping
 from liptriv.polycore import LinearMap, PolyMap, Polynomial, kernel_basis
 
 F = Fraction
+XY = ("x", "y")
 XYZ = ("x", "y", "z")
 
 
@@ -134,7 +135,6 @@ def random_fibers(count, seed=12):
     return cases
 
 
-XY = ("x", "y")
 PLANTED = [
     # x = 0 and x = -1: the empty fiber, whose closure is the unit ideal.
     (suspend(PolyMap(XY, (poly(XY, "x"), poly(XY, "x + 1"))), 1), [F(0), F(0)]),

@@ -136,4 +136,4 @@ def test_every_import_is_read():
         else:
             read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unread += [f"{path.stem}.{name}" for name in _imported_names(tree) if name not in read]
-    assert not unread, f"imported in src/liptriv but not read there (or, in __init__, not in __all__): {unread}"
+    assert not unread, f"imported in src/liptriv but not read there (__init__: not in __all__): {unread}"
