@@ -170,9 +170,12 @@ def _sample_values(
 class ExactStages:
     """Field-independent exact data of one mapping, each stage computed once.
 
-    f = g o pi, the critical and Jelonek ideals of g, the sampled values, one
-    fiber_infinity report per sample, the cone verdict and the bifurcation
-    ideal; `flags` names each stage whose budget ran out.
+    f = g o pi, the critical and Jelonek ideals of g, the sampled values,
+    their fiber_infinity reports in sample order up to the first budget
+    error, the cone verdict (once every sample has its report) and the
+    bifurcation ideal.  `flags` names each stage whose budget ran out; a
+    fiber's budget error sets `infinity_budget` when sample 0 has no report
+    and `cone_budget` when there are at least two samples.
     """
 
     f: PolyMap
@@ -209,19 +212,20 @@ def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
     if factorization.m == f.p:
         jelonek = _within_budget(flags, "jelonek_budget", jelonek_ideal, g, budget)
 
-    # Sampled-value analysis: fiber at infinity and cone constancy.
+    # Sampled-value analysis: each fiber at infinity once, then the cones
+    # compared when every sample has its report.
     samples = tuple(_sample_values(f, 3, critical, jelonek, budget))
-    cone = None
-    if len(samples) >= 2:
-        cone = _within_budget(flags, "cone_budget", cone_constancy_check, f, samples, budget)
-    reports = cone.reports if cone is not None else ()
-    if samples and not reports:
-        # A single sample, or a cone check out of budget: sample 0 on its
-        # own, which fails again exactly when the cone check failed there.
-        inf_report = _within_budget(
-            flags, "infinity_budget", fiber_infinity, f, samples[0], budget
-        )
-        reports = (inf_report,) if inf_report is not None else ()
+    reports: tuple[InfinityReport, ...] = ()
+    for value in samples:
+        try:
+            reports += (fiber_infinity(f, value, budget),)
+        except BudgetExceededError as exc:
+            if not reports:
+                flags["infinity_budget"] = str(exc)
+            if len(samples) >= 2:
+                flags["cone_budget"] = str(exc)
+            break
+    cone = cone_constancy_check(reports) if len(reports) == len(samples) >= 2 else None
 
     # For m = p, dominance is a not-identically-singular Jacobian (char 0).
     dominant = factorization.m == f.p and any(not q.is_zero() for q in jacobian_minors(g))
@@ -288,19 +292,17 @@ def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> 
             )
     cone_result = stages.cone
     if cone_result is not None:
+        reports = stages.infinity_samples
         data = {"values": [[str(x) for x in c] for c in samples]}
-        if cone_result.verdict == "PASS" and cone_result.subspace is not None:
-            data["cone_subspace_basis"] = _basis_strings(cone_result.subspace.basis)
+        if cone_result.verdict == "PASS":  # every cone linear, so a subspace
+            data["cone_subspace_basis"] = _basis_strings(reports[0].cone_subspace.basis)
         if cone_result.verdict == "FAIL" and cone_result.witness is not None:
             i, j = cone_result.witness
             data["witness_values"] = [
                 [str(x) for x in samples[i]],
                 [str(x) for x in samples[j]],
             ]
-            data["witness_cones"] = [
-                _cone_string(cone_result.reports[i]),
-                _cone_string(cone_result.reports[j]),
-            ]
+            data["witness_cones"] = [_cone_string(reports[i]), _cone_string(reports[j])]
         if field_name == "real":
             data["field_caveat"] = "cones computed over C"
         checks.append(CheckResult("cone_constancy", cone_result.verdict, data))
@@ -431,8 +433,7 @@ def _real_verdict(
     if p == 1 and critical is not None and not critical.has_unit_generator():
         candidates = tuple(
             _within_budget(
-                flags, "real_critical_budget", real_critical_values,
-                g, budget, seed=cfg.probe.seed, crit=critical,
+                flags, "real_critical_budget", real_critical_values, g, critical, cfg.probe.seed
             )
             or ()
         )
@@ -612,16 +613,20 @@ def lipschitz_gradient_probe(
             u_norm = float(np.linalg.norm(u))
             if u_norm == 0.0:
                 continue
-            x = toward_fiber(radius * u / u_norm, radius)
-            if not np.all(np.isfinite(x)):
-                continue
-            mu = float(np.linalg.norm(np.array(evaluate(list(x))) - cvals))
+            try:
+                x = toward_fiber(radius * u / u_norm, radius)
+                if not np.all(np.isfinite(x)):
+                    continue
+                mu = float(np.linalg.norm(np.array(evaluate(list(x))) - cvals))
+                norm = None
+                if mu < 0.5:
+                    jac = np.array(jacobian(list(x)))
+                    norm = float(np.linalg.svd(jac, compute_uv=False)[0])
+            except OverflowError:
+                continue  # a power overflows a float on this start's path
             best_mu = min(best_mu, mu)
-            if mu < 0.5:
-                jac = np.array(jacobian(list(x)))
-                norm = float(np.linalg.svd(jac, compute_uv=False)[0])
-                if best_norm is None or norm > best_norm:
-                    best_norm = norm
+            if norm is not None and (best_norm is None or norm > best_norm):
+                best_norm = norm
         entry = {"radius": float(radius), "mu": best_mu, "jacobian_norm": best_norm}
         if best_norm is not None:
             sups.append(best_norm)
@@ -732,15 +737,18 @@ def tube_distance_probe(
                 if all(np.isfinite(point)):
                     starts.append((list(point), list(point)))
         for x0, y0 in starts:
-            x = fiber_project(x0, cv, radius)
-            y = fiber_project(y0, tv, radius)
-            for lam in (1e-2, 1e-4, 1e-6):
-                x, y = kernel.penalty_descent(
-                    x, y, 1.0 / lam, radius, cv, tv, _TUBE_MAX_ITER
-                )
-            x = fiber_project(x, cv, radius)
-            y = fiber_project(y, tv, radius)
-            rx, ry = residual_norms(x, y)
+            try:
+                x = fiber_project(x0, cv, radius)
+                y = fiber_project(y0, tv, radius)
+                for lam in (1e-2, 1e-4, 1e-6):
+                    x, y = kernel.penalty_descent(
+                        x, y, 1.0 / lam, radius, cv, tv, _TUBE_MAX_ITER
+                    )
+                x = fiber_project(x, cv, radius)
+                y = fiber_project(y, tv, radius)
+                rx, ry = residual_norms(x, y)
+            except OverflowError:
+                continue  # a power overflows a float on this start's path
             if max(rx, ry) < 1e-3:
                 dist = sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
                 if best is None or dist < best[0]:

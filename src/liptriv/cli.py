@@ -180,7 +180,7 @@ def _document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
         crit = critical_ideal(g, cfg.budget)
         roots = None
         if g.p == 1 and not crit.has_unit_generator():
-            roots = real_critical_values(g, cfg.budget, seed=cfg.probe.seed, crit=crit)
+            roots = real_critical_values(g, crit, cfg.probe.seed)
         return report.critical_document(poly, args.field, g, crit, roots)
 
 

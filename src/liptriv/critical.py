@@ -104,13 +104,8 @@ class RealCriticalValue:
 _NEWTON_TOL = 1e-8
 
 
-def real_critical_values(
-    g: PolyMap,
-    budget: GroebnerBudget = DEFAULT_BUDGET,
-    seed: int = 42,
-    crit: Ideal | None = None,
-) -> list[RealCriticalValue]:
-    """Real roots of the eliminated critical ideal, flagged by attainment.
+def real_critical_values(g: PolyMap, crit: Ideal, seed: int = 42) -> list[RealCriticalValue]:
+    """Real roots of the eliminated critical ideal `crit` of g, flagged by attainment.
 
     Requires p = 1.  Attainment looks for a real critical point via
     200-start Newton on the gradient system and accepts a witness whose
@@ -118,14 +113,11 @@ def real_critical_values(
     """
     if g.p != 1:
         raise ValueError("real critical value extraction needs p = 1")
-    crit = crit or critical_ideal(g, budget)
-    gens = crit.generators
-    if not gens or crit.has_unit_generator():
+    if not crit.generators or crit.has_unit_generator():
         return []
     # The target ring is univariate, so the elimination ideal is principal;
     # the reduced basis has a single generator.
-    generator = gens[0]
-    roots = real_roots(generator)
+    roots = real_roots(crit.generators[0])
 
     witnesses = _newton_critical_points(g, seed)
     value_at = FloatKernel(g.components).value

@@ -537,15 +537,19 @@ def _variations_at(chain: list[list[Fraction]], x: Fraction) -> int:
     return _sign_variations([_uni_eval(c, x) for c in chain])
 
 
-# Width below which real_roots stops refining an isolating interval.
+# Width at or below which real_roots stops refining an isolating interval.
 _ROOT_WIDTH = Fraction(1, 64)
 
 
 def real_roots(p: Polynomial) -> list[tuple[Fraction, Fraction]]:
-    """Isolating rational intervals, one per distinct real root.
+    """Isolating rational intervals, one per distinct real root, left to right.
 
     Degenerate intervals [r, r] flag exact (bisection-reachable) rational
     roots; open intervals (lo, hi) contain exactly one root in their interior.
+    One bisection isolates and refines: an interval (a, b] holding one root
+    is kept once it is at most _ROOT_WIDTH wide.  It runs on an explicit
+    stack, since a root bound past 2^990 needs more halvings than Python's
+    recursion limit allows.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -554,45 +558,21 @@ def real_roots(p: Polynomial) -> list[tuple[Fraction, Fraction]]:
         return []
     chain = sturm_sequence(coeffs)
     sf = chain[0]
-    lead = abs(sf[-1])
-    bound = Fraction(1) + max(abs(c) for c in sf) / lead
-    lo, hi = -bound, bound
-
-    raw: list[tuple[Fraction, Fraction]] = []
-
-    def isolate(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        count = va - vb
-        if count == 0:
-            return
-        if count == 1:
+    bound = 1 + max(abs(c) for c in sf) / abs(sf[-1])
+    results: list[tuple[Fraction, Fraction]] = []
+    # (a, b, variations at a, variations at b): va - vb roots lie in (a, b].
+    stack = [(-bound, bound, _variations_at(chain, -bound), _variations_at(chain, bound))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va == vb:
+            continue
+        if va - vb == 1:
             if _uni_eval(sf, b) == 0:
-                raw.append((b, b))
-            else:
-                raw.append((a, b))
-            return
+                a = b  # the root is b itself
+            if b - a <= _ROOT_WIDTH:
+                results.append((a, b))
+                continue
         mid = (a + b) / 2
         vm = _variations_at(chain, mid)
-        isolate(a, mid, va, vm)
-        isolate(mid, b, vm, vb)
-
-    isolate(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))
-
-    results: list[tuple[Fraction, Fraction]] = []
-    for a, b in raw:
-        if a == b:
-            results.append((a, b))
-            continue
-        va = _variations_at(chain, a)
-        while b - a > _ROOT_WIDTH:
-            mid = (a + b) / 2
-            if _uni_eval(sf, mid) == 0:
-                a = b = mid
-                break
-            vm = _variations_at(chain, mid)
-            if va - vm >= 1:
-                b = mid
-            else:
-                a, va = mid, vm
-        results.append((a, b))
-    results.sort(key=lambda iv: iv[0])
+        stack += [(mid, b, vm, vb), (a, mid, va, vm)]  # the left half is popped first
     return results

@@ -67,14 +67,8 @@ def fiber_infinity(
     hom_var = fresh_name("x0", f.vars)
     hom_vars = (hom_var,) + f.vars
 
-    hom_gens = []
-    for comp, ci in zip(f.components, cvec):
-        shifted = comp - ci
-        if shifted.is_zero():
-            # Component identically equal to c_i: the fiber condition is vacuous.
-            continue
-        hom_gens.append(shifted.homogenize(hom_var))
-
+    # A component identically c_i homogenizes to zero, which Ideal.make drops.
+    hom_gens = [(comp - ci).homogenize(hom_var) for comp, ci in zip(f.components, cvec)]
     x0 = Polynomial.variable(hom_vars, 0)
     # With no equations left the closure is the zero ideal, which saturate keeps.
     closure = saturate(Ideal.make(hom_vars, hom_gens), x0, budget)
@@ -134,33 +128,21 @@ class ConeConstancyResult:
     """Outcome of comparing fiber cones across sampled values."""
 
     verdict: str  # "PASS" | "FAIL" | "CONSTANT_NOT_LINEAR"
-    reports: tuple[InfinityReport, ...]
     witness: tuple[int, int] | None = None  # indices of the first differing pair
 
-    @property
-    def subspace(self) -> Subspace | None:
-        if self.verdict == "PASS":
-            return self.reports[0].cone_subspace
-        return None
 
+def cone_constancy_check(reports: Sequence[InfinityReport]) -> ConeConstancyResult:
+    """PASS when the cones of all reports are the same linear subspace.
 
-def cone_constancy_check(
-    f: PolyMap,
-    samples: Sequence[Sequence[Fraction]],
-    budget: GroebnerBudget = DEFAULT_BUDGET,
-) -> ConeConstancyResult:
-    """PASS when every sampled cone is the same linear subspace.
-
-    Cones are compared as reduced Groebner bases of their ideals, so two
-    differing non-linear cones also FAIL; constant but non-linear cones get
-    their own verdict since linearity over the reals may still hold.
+    `reports` holds one `fiber_infinity` report per sampled value, and the
+    witness indexes into it.  Cones are compared as reduced Groebner bases
+    of their ideals, so two differing non-linear cones also FAIL; constant
+    but non-linear cones get their own verdict since linearity over the
+    reals may still hold.
     """
-    if len(samples) < 2:
-        raise ValueError("need at least two sample values")
-    reports = tuple(fiber_infinity(f, c, budget) for c in samples)
     for i in range(1, len(reports)):
         if reports[i].cone_basis != reports[0].cone_basis:
-            return ConeConstancyResult("FAIL", reports, (0, i))
+            return ConeConstancyResult("FAIL", (0, i))
     if all(r.cone_is_linear for r in reports):
-        return ConeConstancyResult("PASS", reports)
-    return ConeConstancyResult("CONSTANT_NOT_LINEAR", reports)
+        return ConeConstancyResult("PASS")
+    return ConeConstancyResult("CONSTANT_NOT_LINEAR")

@@ -206,7 +206,7 @@ def _sphere_minimize(
     Each restart draws a seeded start on the sphere and runs one
     `kernel.sphere_descent`: backtracking Armijo line search along the sphere
     tangent, retracted by normalization.  Restarts are independent; results
-    merge by minimum.
+    merge by minimum, and a restart whose powers overflow a float is dropped.
     """
     n = kernel.n
     cvals = [float(v) for v in c]
@@ -218,9 +218,10 @@ def _sphere_minimize(
         norm = float(np.linalg.norm(u))
         if norm == 0.0:
             continue
-        fx, x = sphere_descent(
-            [radius * float(v) / norm for v in u], radius, cvals, max_iter
-        )
+        try:
+            fx, x = sphere_descent([radius * float(v) / norm for v in u], radius, cvals, max_iter)
+        except OverflowError:
+            continue  # a power overflows a float on this restart's path
         if fx < best_val and all(isfinite(xv) for xv in x):
             best_val = fx
             best_x = x

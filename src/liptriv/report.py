@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import isfinite
 
 from . import __version__
 from .classifier import CheckResult, LtvReport
@@ -103,9 +104,19 @@ def schema_skeleton(src, field_name: str, **fields) -> dict:
     return {**skeleton, **fields}
 
 
+def _finite(node):
+    """node with every non-finite float as None, like a value not computed."""
+    if isinstance(node, dict):
+        return {key: _finite(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_finite(value) for value in node]
+    return None if isinstance(node, float) and not isfinite(node) else node
+
+
 def dumps(doc: dict) -> str:
-    """Deterministic JSON text (stable key order, trailing newline)."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text (stable key order, trailing newline); a
+    non-finite float, such as the `mu` of a probe with no finite minimum, is null."""
+    return json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
 
 
 # -- analyze ------------------------------------------------------------------

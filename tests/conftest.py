@@ -251,6 +251,62 @@ def count_real_roots(p) -> int:
     return variations_at_infinity(False) - variations_at_infinity(True)
 
 
+def two_phase_real_roots(p):
+    """Isolating intervals in two phases: a bisection down to one sign
+    variation per interval, then a separate refine loop per interval and a
+    sort.  An oracle for real_roots, which isolates and refines in one
+    bisection."""
+    from liptriv.groebner import (
+        _ROOT_WIDTH,
+        _uni_coeffs,
+        _uni_degree,
+        _uni_eval,
+        _variations_at,
+        sturm_sequence,
+    )
+
+    coeffs = _uni_coeffs(p)
+    if _uni_degree(coeffs) < 1:
+        return []
+    chain = sturm_sequence(coeffs)
+    sf = chain[0]
+    bound = 1 + max(abs(c) for c in sf) / abs(sf[-1])
+
+    raw = []
+
+    def isolate(a, b, va, vb):
+        count = va - vb
+        if count == 0:
+            return
+        if count == 1:
+            raw.append((b, b) if _uni_eval(sf, b) == 0 else (a, b))
+            return
+        mid = (a + b) / 2
+        vm = _variations_at(chain, mid)
+        isolate(a, mid, va, vm)
+        isolate(mid, b, vm, vb)
+
+    isolate(-bound, bound, _variations_at(chain, -bound), _variations_at(chain, bound))
+
+    results = []
+    for a, b in raw:
+        if a != b:
+            va = _variations_at(chain, a)
+            while b - a > _ROOT_WIDTH:
+                mid = (a + b) / 2
+                if _uni_eval(sf, mid) == 0:
+                    a = b = mid
+                    break
+                vm = _variations_at(chain, mid)
+                if va - vm >= 1:
+                    b = mid
+                else:
+                    a, va = mid, vm
+        results.append((a, b))
+    results.sort(key=lambda iv: iv[0])
+    return results
+
+
 def count_calls(monkeypatch, module, name):
     """Record the arguments of every call of module.name, wherever it is bound.
 

@@ -22,7 +22,7 @@ from liptriv.classifier import (
     complexification_compare,
     tube_distance_probe,
 )
-from liptriv.critical import real_critical_values
+from liptriv.critical import critical_ideal, real_critical_values
 from liptriv.dependence import factor_through_projection, invariance_subspace, suspend
 from liptriv.groebner import (
     Ideal,
@@ -79,7 +79,7 @@ def test_criterion_2_degree_six_suspension(motzkin_map):
         start = time.monotonic()
         reduced = factor_through_projection(motzkin_map).g
 
-        roots = real_critical_values(reduced)
+        roots = real_critical_values(reduced, critical_ideal(reduced))
         assert [(r.approx, r.status) for r in roots] == [
             (0.0, "attained"),
             (1.0, "attained"),

@@ -152,6 +152,13 @@ def xy_map() -> PolyMap:
 
 
 class TestTubeProbe:
+    def test_overflowing_starts_are_dropped(self):
+        ring = ("x", "y")
+        # x^200 overflows a float once |x| > 34.5, inside the ball of radius 50.
+        out = tube_distance_probe(PolyMap(ring, (poly(ring, "x^200 + y"),)), [1.0], [2.0])
+        assert [entry["radius"] for entry in out["per_radius"]] == [10.0, 25.0, 50.0]
+        assert not out["collapse"]
+
     def test_parallel_line_fibers_keep_distance(self, simple_map):
         out = tube_distance_probe(
             simple_map, [1.0, 0.0], [1.0, 1.0], radii=(10.0, 25.0), restarts=8
@@ -254,6 +261,24 @@ class TestStageCounts:
         }
         assert len(bases) == 17
         assert len(inputs) == 17
+
+    def test_budget_after_sample_zero_flags_the_cone_only(self, monkeypatch):
+        import liptriv.groebner
+        import liptriv.infinity
+        from liptriv.parsing import parse_input
+
+        fibers = count_calls(monkeypatch, liptriv.infinity, "fiber_infinity")
+        bases = count_calls(monkeypatch, liptriv.groebner, "buchberger")
+        f = parse_input("ring Q[x,y,z]; map f: (x^2 + y^3*x, z*x + y)")
+        rep = classify(f, "complex", AnalysisConfig(budget=GroebnerBudget(max_degree=6)))
+        # Sample 1's fiber runs out of budget: sample 0 keeps its report,
+        # which is not computed again, and the cones are not compared.
+        assert sorted(rep.flags) == ["cone_budget", "critical_budget"]
+        assert len(fibers) == 2
+        assert len(bases) == 7
+        names = [c.name for c in rep.checks]
+        assert "invariance_vs_infinity" in names
+        assert "cone_constancy" not in names
 
     def test_real_analysis_computes_jelonek_once(self, monkeypatch):
         import liptriv.properness

@@ -182,6 +182,18 @@ class TestProbe:
         assert doc["probes"][0]["verdict"] == "non_proper"
         assert calls == []
 
+    def test_no_finite_minimum_is_null_in_json(self, capsys):
+        # No sphere restart of radius 1e60 has finite powers: mu stays inf.
+        argv = ["probe", "-i", MOTZKIN, "--values", "0.5", "--radii", "10,1e60"]
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert "inconclusive" in text and doc["probes"][0]["verdict"] == "inconclusive"
+        trace = doc["probes"][0]["evidence"]["mu_trace"]
+        assert [e["mu"] for e in trace] == [0.5, None]
+        assert trace[1]["argmin"] == [None, None]
+
 
 class TestCompare:
     def test_containment_check(self, capsys):
@@ -327,6 +339,22 @@ class TestErrors:
         assert code == 2
         assert "invalid input: seed" in capsys.readouterr().err
         assert factors == []
+
+    def test_overflowing_sphere_restarts_are_dropped(self, capsys, tmp_path):
+        source = tmp_path / "steep.map"
+        source.write_text("ring Q[x,y]; map f: (x^100 + y)")
+        code = run(["analyze", "-i", str(source), "--field", "real"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in captured.err
+        assert "flag probe_budget" in captured.out
+
+    def test_overflowing_gradient_starts_are_dropped(self, capsys, tmp_path):
+        source = tmp_path / "steep.map"
+        source.write_text("ring Q[x,y]; ratmap f: (x^60/(1+y^2))")
+        code, doc = run_json(capsys, ["analyze", "-i", str(source)])
+        assert code == 0
+        assert {c["name"]: c["verdict"] for c in doc["checks"]}["gradient_bound"] == "NO_SAMPLES"
 
     def test_unwritable_json_path_exit_two(self, capsys, tmp_path):
         target = str(tmp_path / "missing" / "x.json")

@@ -104,7 +104,7 @@ class TestCriticalIdeal:
 
 class TestRealCriticalValues:
     def test_plane_sextic_attains_both(self, plane_sextic):
-        roots = real_critical_values(plane_sextic)
+        roots = real_critical_values(plane_sextic, critical_ideal(plane_sextic))
         assert [(r.approx, r.status) for r in roots] == [
             (0.0, "attained"),
             (1.0, "attained"),
@@ -116,25 +116,25 @@ class TestRealCriticalValues:
 
     def test_square_attains_minimum(self):
         g = PolyMap(("u",), (poly(("u",), "u^2"),))
-        roots = real_critical_values(g)
+        roots = real_critical_values(g, critical_ideal(g))
         assert [(r.approx, r.status) for r in roots] == [(0.0, "attained")]
 
     def test_shifted_paraboloid(self):
         ring = ("x", "y")
         g = PolyMap(ring, (poly(ring, "x^2 + y^2 + 1"),))
-        roots = real_critical_values(g)
+        roots = real_critical_values(g, critical_ideal(g))
         assert [(r.approx, r.status) for r in roots] == [(1.0, "attained")]
         # Gradient vanishes only at the origin.
         assert np.linalg.norm(roots[0].witness) < 1e-6
 
     def test_requires_single_component(self, reduced_shear):
         with pytest.raises(ValueError):
-            real_critical_values(reduced_shear)
+            real_critical_values(reduced_shear, critical_ideal(reduced_shear))
 
     def test_witness_is_rank_deficient(self, plane_sextic):
         # For p = 1 rank deficiency is a vanishing gradient.
         grads = [plane_sextic.components[0].partial(j) for j in range(2)]
-        for r in real_critical_values(plane_sextic):
+        for r in real_critical_values(plane_sextic, critical_ideal(plane_sextic)):
             g0 = eval_float(grads[0], list(r.witness))
             g1 = eval_float(grads[1], list(r.witness))
             assert (g0 * g0 + g1 * g1) ** 0.5 < 1e-8
@@ -190,9 +190,9 @@ def test_newton_matches_numpy_loop(g):
         assert abs(r - ref) <= 4 * sys.float_info.epsilon * ref
 
     crit = critical_ideal(g)
-    roots = real_critical_values(g, crit=crit)
+    roots = real_critical_values(g, crit)
     with mock.patch.object(critical, "_newton_critical_points", lambda *_: want):
-        ref_roots = real_critical_values(g, crit=crit)
+        ref_roots = real_critical_values(g, crit)
     assert [(r.interval, r.status) for r in roots] == [(r.interval, r.status) for r in ref_roots]
     assert [r.witness and [bits(v) for v in r.witness] for r in roots] == [
         r.witness and [bits(v) for v in r.witness] for r in ref_roots

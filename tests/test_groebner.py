@@ -5,8 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import count_real_roots, normal_form, poly, rand_poly, spolynomial
+from conftest import (
+    count_real_roots,
+    normal_form,
+    poly,
+    rand_poly,
+    spolynomial,
+    two_phase_real_roots,
+)
 from liptriv.groebner import (
     BudgetExceededError,
     GroebnerBudget,
@@ -19,8 +28,34 @@ from liptriv.groebner import (
     real_roots,
     saturate,
 )
+from liptriv.polycore import Polynomial
 
 XY = ("x", "y")
+
+
+def _times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def univariate(draw):
+    """A product of (t - r)^k over dyadic roots r, some clustered within
+    2^-12 of each other, times a factor with random integer coefficients."""
+    coeffs = [Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))]
+    for _ in range(draw(st.integers(0, 4))):
+        root = Fraction(draw(st.integers(-40, 40)), 2 ** draw(st.integers(0, 10)))
+        for cluster in range(draw(st.integers(1, 2))):
+            r = root + Fraction(cluster, 4096)
+            for _ in range(draw(st.integers(1, 3))):
+                coeffs = _times(coeffs, [-r, Fraction(1)])
+    extra = draw(st.lists(st.integers(-6, 6), max_size=5))
+    if any(extra):
+        coeffs = _times(coeffs, [Fraction(c) for c in extra])
+    return Polynomial.from_dict(("t",), {(i,): c for i, c in enumerate(coeffs) if c})
 
 
 def gb_of(variables, *exprs, order=None):
@@ -180,8 +215,6 @@ class TestRealRoots:
         assert real_roots(poly(("t",), "t^3")) == [(Fraction(0), Fraction(0))]
 
     def test_zero_rejected(self):
-        from liptriv.polycore import Polynomial
-
         with pytest.raises(ValueError):
             real_roots(Polynomial.zero(("t",)))
 
@@ -198,6 +231,28 @@ class TestRealRoots:
             if p.is_zero() or p.degree < 1:
                 continue
             assert count_real_roots(p) == len(real_roots(p))
+
+    def test_roots_past_the_recursion_limit(self):
+        # A root bound past 2^990 takes more halvings than Python's recursion limit.
+        big = Fraction(2) ** 1000
+        roots = [big, big + 1]
+        one = Polynomial.from_dict(("t",), {(1,): Fraction(1), (0,): -big})
+        two = Polynomial.from_dict(
+            ("t",), {(2,): Fraction(1), (1,): -2 * big - 1, (0,): big * (big + 1)}
+        )
+        assert real_roots(one) == two_phase_real_roots(one)
+        intervals = real_roots(two)
+        assert len(intervals) == 2
+        for (a, b), r in zip(intervals, roots):
+            assert a <= r <= b and b - a <= Fraction(1, 64)
+
+    @settings(deadline=None, max_examples=200)
+    @given(univariate())
+    @example(poly(("t",), "t^3 - 3*t^2 + 2*t"))
+    @example(poly(("t",), "(t - 1/3)^2*(t - 1/2)*(t^2 - 2)"))
+    @example(poly(("t",), "4096*t^2 - 4096*t + 1023"))  # roots 31/64 and 33/64
+    def test_matches_two_phase_bisection(self, p):
+        assert real_roots(p) == two_phase_real_roots(p)
 
 
 class TestOrderKeys:

@@ -15,7 +15,12 @@ from conftest import DATA_DIR, compose_linear, infinity_by_x0, poly, rand_poly
 from liptriv.classifier import rational_grid
 from liptriv.dependence import Subspace, factor_through_projection, suspend
 from liptriv.groebner import Ideal, MonomialOrder, buchberger, saturate
-from liptriv.infinity import _linearity, cone_constancy_check, fiber_infinity
+from liptriv.infinity import (
+    ConeConstancyResult,
+    _linearity,
+    cone_constancy_check,
+    fiber_infinity,
+)
 from liptriv.parsing import parse_mapping
 from liptriv.polycore import LinearMap, PolyMap, Polynomial, kernel_basis
 
@@ -213,23 +218,19 @@ class TestLinearity:
 
 class TestConeConstancy:
     def test_constant_cone_passes(self, simple_map):
-        result = cone_constancy_check(
-            simple_map, [[F(1), F(0)], [F(2), F(3)], [F(-1), F(1)]]
-        )
-        assert result.verdict == "PASS"
-        assert result.subspace.basis == ((F(0), F(1), F(-1)),)
+        samples = [[F(1), F(0)], [F(2), F(3)], [F(-1), F(1)]]
+        reports = [fiber_infinity(simple_map, c) for c in samples]
+        assert cone_constancy_check(reports) == ConeConstancyResult("PASS")
+        assert all(r.cone_subspace.basis == ((F(0), F(1), F(-1)),) for r in reports)
 
     def test_moving_cone_fails_with_witness(self, bad_map):
-        result = cone_constancy_check(bad_map, [[F(1), F(0)], [F(2), F(0)]])
+        reports = [fiber_infinity(bad_map, c) for c in ([F(1), F(0)], [F(2), F(0)])]
+        result = cone_constancy_check(reports)
         assert result.verdict == "FAIL"
         i, j = result.witness
-        assert result.reports[i].cone_subspace.basis == ((F(0), F(1), F(-1)),)
-        assert result.reports[j].cone_subspace.basis == ((F(0), F(1), F(-2)),)
+        assert reports[i].cone_subspace.basis == ((F(0), F(1), F(-1)),)
+        assert reports[j].cone_subspace.basis == ((F(0), F(1), F(-2)),)
 
     def test_constant_nonlinear_reported(self, motzkin_map):
-        result = cone_constancy_check(motzkin_map, [[F(2)], [F(3)]])
-        assert result.verdict == "CONSTANT_NOT_LINEAR"
-
-    def test_needs_two_samples(self, simple_map):
-        with pytest.raises(ValueError):
-            cone_constancy_check(simple_map, [[F(1), F(0)]])
+        reports = [fiber_infinity(motzkin_map, [c]) for c in (F(2), F(3))]
+        assert cone_constancy_check(reports) == ConeConstancyResult("CONSTANT_NOT_LINEAR")

@@ -8,9 +8,15 @@ package names it, a function when some name or attribute does, in both cases
 outside the function's own body, and a field when some attribute access does.
 An imported name counts as read when the module names it; the package's
 __init__ reads nothing, so each name it imports must be listed in __all__.
+
+The two sizes the ROADMAP tracks are printed by
+
+    PYTHONPATH=src python tests/test_surface.py --count
 """
 
+import argparse
 import ast
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -87,7 +93,7 @@ def test_every_definition_is_used_in_the_package():
 
 
 def _fields():
-    """Every dataclass field as (qualified name, field name)."""
+    """Every dataclass field as (qualified name, field name); a ClassVar is no field."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -97,7 +103,9 @@ def _fields():
                 out += [
                     (f"{path.stem}.{node.name}.{stmt.target.id}", stmt.target.id)
                     for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)
                 ]
     return out
 
@@ -137,3 +145,42 @@ def test_every_import_is_read():
             read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unread += [f"{path.stem}.{name}" for name in _imported_names(tree) if name not in read]
     assert not unread, f"imported in src/liptriv but not read there (__init__: not in __all__): {unread}"
+
+
+def sizes() -> tuple[int, int]:
+    """The lines of src/liptriv that are neither blank nor start with '#'
+    once indentation is stripped, and the settable values: parameters with a
+    default plus dataclass fields."""
+    lines = settable = 0
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines += sum(1 for line in text.splitlines() if line.strip()[:1] not in ("", "#"))
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                settable += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    return lines, settable + len(_fields())
+
+
+def test_count_prints_both_sizes(capsys):
+    assert main(["--count"]) == 0
+    lines, settable = sizes()
+    assert capsys.readouterr().out == (
+        f"src/liptriv lines (non-blank, not starting with '#'): {lines}\n"
+        f"settable values (parameters with a default, dataclass fields): {settable}\n"
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print the sizes of src/liptriv.")
+    parser.add_argument("--count", action="store_true", required=True,
+                        help="print the line count and the number of settable values")
+    parser.parse_args(argv)
+    lines, settable = sizes()
+    print(f"src/liptriv lines (non-blank, not starting with '#'): {lines}")
+    print(f"settable values (parameters with a default, dataclass fields): {settable}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
