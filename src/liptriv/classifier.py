@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from math import isfinite, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,10 +37,10 @@ from .groebner import (
     intersect,
 )
 from .infinity import ConeConstancyResult, InfinityReport, cone_constancy_check, fiber_infinity
-from .parsing import print_polynomial
 from .polycore import FloatKernel, PolyMap, Polynomial, check_value
 from .properness import (
     ProbeSchedule,
+    PropernessVerdict,
     _sphere_minimize,
     check_radii,
     is_proper_at_complex,
@@ -170,16 +171,18 @@ def _sample_values(
 class ExactStages:
     """Field-independent exact data of one mapping, each stage computed once.
 
-    f = g o pi, the critical and Jelonek ideals of g, the sampled values,
-    their fiber_infinity reports in sample order up to the first budget
-    error, the cone verdict (once every sample has its report) and the
-    bifurcation ideal.  `flags` names each stage whose budget ran out; a
-    fiber's budget error sets `infinity_budget` when sample 0 has no report
-    and `cone_budget` when there are at least two samples.
+    f = g o pi, the complex properness certificate of g at a value, the
+    critical and Jelonek ideals of g, the sampled values, their
+    fiber_infinity reports in sample order up to the first budget error, the
+    cone verdict (once every sample has its report) and the bifurcation
+    ideal.  `flags` names each stage whose budget ran out; a fiber's budget
+    error sets `infinity_budget` when sample 0 has no report and
+    `cone_budget` when there are at least two samples.
     """
 
     f: PolyMap
     factorization: FactorizationResult
+    certify: Callable[[tuple[Fraction, ...]], PropernessVerdict]
     critical: Ideal | None = None
     jelonek: Ideal | None = None
     samples: tuple[tuple[Fraction, ...], ...] = ()
@@ -199,12 +202,22 @@ def _within_budget(flags: dict, key: str, stage, *args, **kwargs):
         return None
 
 
+def _certifier(g: PolyMap, jelonek: Ideal | None, budget: GroebnerBudget):
+    """is_proper_at_complex on g, once per exact value.
+
+    J(g) is `jelonek` when given, else computed on first need and kept once
+    it succeeds; a budget error is not cached, so it recurs at the same value.
+    """
+    ideal = (lambda: jelonek) if jelonek is not None else cache(lambda: jelonek_ideal(g, budget))
+    return cache(lambda value: is_proper_at_complex(g, value, ideal, budget))
+
+
 def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
     budget = cfg.budget
     factorization = factor_through_projection(f)
-    if f.is_constant():
-        return ExactStages(f, factorization)
     g = factorization.g
+    if f.is_constant():
+        return ExactStages(f, factorization, _certifier(g, None, budget))
     flags: dict = {}
 
     critical = _within_budget(flags, "critical_budget", critical_ideal, g, budget)
@@ -239,8 +252,10 @@ def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
         bifurcation = _within_budget(
             flags, "bifurcation_budget", _bifurcation_ideal, jelonek, critical, budget
         )
+    certify = _certifier(g, jelonek, budget)
     return ExactStages(
-        f, factorization, critical, jelonek, samples, reports, cone, dominant, bifurcation, flags
+        f, factorization, certify, critical, jelonek, samples, reports, cone, dominant,
+        bifurcation, flags,
     )
 
 
@@ -266,7 +281,7 @@ def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> 
         required = f.n - inf_report.m_candidate
         necessary_failed = stages.factorization.V.dim < required
         data = {
-            "value": [str(x) for x in samples[0]],
+            "value": samples[0],
             "dim_V": stages.factorization.V.dim,
             "dim_infinity": inf_report.dim_infinity,
             "m_candidate": inf_report.m_candidate,
@@ -293,16 +308,13 @@ def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> 
     cone_result = stages.cone
     if cone_result is not None:
         reports = stages.infinity_samples
-        data = {"values": [[str(x) for x in c] for c in samples]}
+        data = {"values": samples}
         if cone_result.verdict == "PASS":  # every cone linear, so a subspace
-            data["cone_subspace_basis"] = _basis_strings(reports[0].cone_subspace.basis)
+            data["cone_subspace_basis"] = reports[0].cone_subspace.basis
         if cone_result.verdict == "FAIL" and cone_result.witness is not None:
             i, j = cone_result.witness
-            data["witness_values"] = [
-                [str(x) for x in samples[i]],
-                [str(x) for x in samples[j]],
-            ]
-            data["witness_cones"] = [_cone_string(reports[i]), _cone_string(reports[j])]
+            data["witness_values"] = [samples[i], samples[j]]
+            data["witness_cones"] = [_cone_data(reports[i]), _cone_data(reports[j])]
         if field_name == "real":
             data["field_caveat"] = "cones computed over C"
         checks.append(CheckResult("cone_constancy", cone_result.verdict, data))
@@ -341,14 +353,10 @@ def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> 
     )
 
 
-def _basis_strings(basis) -> list[list[str]]:
-    return [[str(x) for x in vec] for vec in basis]
-
-
-def _cone_string(report: InfinityReport) -> dict:
-    out: dict = {"ideal": [print_polynomial(g) for g in report.cone_ideal.generators]}
+def _cone_data(report: InfinityReport) -> dict:
+    out: dict = {"ideal": report.cone_ideal.generators}
     if report.cone_subspace is not None:
-        out["subspace_basis"] = _basis_strings(report.cone_subspace.basis)
+        out["subspace_basis"] = report.cone_subspace.basis
     return out
 
 
@@ -417,11 +425,7 @@ def _real_verdict(
 ) -> LtvDescription:
     g = stages.factorization.g
     p = stages.f.p
-    jelonek, critical, budget = stages.jelonek, stages.critical, cfg.budget
-    if jelonek is None:
-        # Skipped by the exact stages (m < p or out of budget): computed on
-        # first need and kept once it succeeds, so a budget error recurs.
-        jelonek = cache(lambda: jelonek_ideal(g, budget))
+    critical = stages.critical
     bif = stages.bifurcation
 
     # Only the cone obstruction is verdict-driving over R: the invariance
@@ -430,13 +434,8 @@ def _real_verdict(
         return LtvDescription("empty", reason="; ".join(failures))
 
     candidates: tuple[RealCriticalValue, ...] = ()
-    if p == 1 and critical is not None and not critical.has_unit_generator():
-        candidates = tuple(
-            _within_budget(
-                flags, "real_critical_budget", real_critical_values, g, critical, cfg.probe.seed
-            )
-            or ()
-        )
+    if p == 1 and critical is not None:
+        candidates = tuple(real_critical_values(g, critical, cfg.probe.seed))
 
     exact_generators: tuple[Polynomial, ...] = ()
     note = (
@@ -459,15 +458,12 @@ def _real_verdict(
         )
 
     grid = _probe_grid_real(p, candidates)
-    sched = cfg.probe
+    # Out of budget, a value is probed without the exact certificate.
+    certify = partial(_within_budget, flags, "probe_budget", stages.certify)
     table = []
     any_proper = False
     for value in grid:
-        # Out of budget, the value is probed without the exact certificate.
-        verdict = _within_budget(
-            flags, "probe_budget", properness_probe_real,
-            g, value, sched, jelonek=jelonek, budget=budget,
-        ) or properness_probe_real(g, value, sched, skip_exact=True)
+        verdict = properness_probe_real(g, value, cfg.probe, certify)
         regular = not _on_locus(critical, [Fraction(x) for x in value])
         certified = verdict.mode == "exact_complex" and verdict.verdict == "proper"
         if verdict.verdict == "proper" and regular:
@@ -539,7 +535,7 @@ def classify_rational(
             "ZERO" if inv.is_zero() else "NONZERO",
             {
                 "dim": inv.dim,
-                "basis": _basis_strings(inv.basis),
+                "basis": inv.basis,
                 # The directions are the kernel of linear conditions, a subspace.
                 "closed_under_addition": True,
             },
@@ -559,6 +555,25 @@ def classify_rational(
 # -- probes shared by the report layer ---------------------------------------------
 
 
+def _gauss_newton_step(resid: np.ndarray, jacobian: Callable[[], list], tol: float):
+    """The least-squares step solving jacobian() @ step = resid, or None to
+    stop: |resid| < tol, a failed solve or a step that is not finite.  It
+    stops before LAPACK sees a non-finite input, which it reports on stderr."""
+    if not np.all(np.isfinite(resid)) or float(np.linalg.norm(resid)) < tol:
+        return None
+    jac = np.array(jacobian())
+    if not np.all(np.isfinite(jac)):
+        return None
+    try:
+        step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
+    except np.linalg.LinAlgError:
+        return None
+    return step if np.all(np.isfinite(step)) else None
+
+
+# In both probes a start's values can grow past a float; a norm of huge
+# finite values is then inf, which drops the start, without a warning.
+@np.errstate(over="ignore")
 def lipschitz_gradient_probe(
     mapping: PolyMap | RationalMap,
     value: Sequence[float],
@@ -587,14 +602,8 @@ def lipschitz_gradient_probe(
         x = np.array(x, dtype=float)
         for _ in range(25):
             resid = np.array(evaluate(list(x))) - cvals
-            if float(np.linalg.norm(resid)) < 1e-10:
-                break
-            jac = np.array(jacobian(list(x)))
-            try:
-                step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
+            step = _gauss_newton_step(resid, lambda: jacobian(list(x)), 1e-10)
+            if step is None:
                 break
             x = x - step
             norm = float(np.linalg.norm(x))
@@ -651,6 +660,7 @@ def lipschitz_gradient_probe(
 _TUBE_MAX_ITER = 150
 
 
+@np.errstate(over="ignore")
 def tube_distance_probe(
     f: PolyMap,
     c: Sequence[float],
@@ -673,8 +683,6 @@ def tube_distance_probe(
     trivialization over both values would impose and is flagged as a
     collapse.
     """
-    from math import isfinite, sqrt
-
     check_radii(radii)
     check_value(c, f.p)
     check_value(t, f.p)
@@ -696,14 +704,8 @@ def tube_distance_probe(
         z = list(z)
         for _ in range(12):
             resid = np.array(kernel.value(z)) - np.array(target)
-            if float(np.linalg.norm(resid)) < 1e-12:
-                break
-            jac = np.array(kernel.jacobian(z))
-            try:
-                step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
+            step = _gauss_newton_step(resid, lambda: kernel.jacobian(z), 1e-12)
+            if step is None:
                 break
             z = project_ball([a - float(s) for a, s in zip(z, step)], radius)
         return z
@@ -797,14 +799,12 @@ def complexification_compare(
     stages = _exact_stages(f, cfg)
     complex_report = _field_report(stages, "complex", cfg)
     real_report = _field_report(stages, "real", cfg)
-    verdict, data = _containment(stages, complex_report.ltv, cfg)
+    verdict, data = _containment(stages, complex_report.ltv)
     check = CheckResult("complexification_containment", verdict, data)
     return real_report, complex_report, check
 
 
-def _containment(
-    stages: ExactStages, ltv: LtvDescription, cfg: AnalysisConfig
-) -> tuple[str, dict]:
+def _containment(stages: ExactStages, ltv: LtvDescription) -> tuple[str, dict]:
     """Verdict and data of the containment check for the complex Ltv `ltv`."""
     if ltv.kind == "empty":
         return "PASS", {"detail": "complex Ltv empty; containment is vacuous", "samples": []}
@@ -812,7 +812,7 @@ def _containment(
         return "INCONCLUSIVE", {"detail": f"complex verdict is {ltv.kind}"}
 
     gens = ltv.generators
-    g, critical = stages.factorization.g, stages.critical
+    critical = stages.critical
 
     def off_bifurcation(value: tuple[Fraction, ...]) -> bool:
         # Stay strictly inside the open complement of the bifurcation set.
@@ -820,11 +820,11 @@ def _containment(
 
     rows = []
     for value in _grid_values(stages.f.p, 3, off_bifurcation):
-        proper = is_proper_at_complex(g, value, stages.jelonek, cfg.budget)
+        proper = stages.certify(value)
         regular = not _on_locus(critical, value)
         rows.append(
             {
-                "value": [str(x) for x in value],
+                "value": value,
                 "complex_proper": proper.verdict,
                 "regular": regular,
                 "in_real_ltv": proper.verdict == "proper" and regular,

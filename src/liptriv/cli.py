@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from . import __version__, report
 from .classifier import (
@@ -26,12 +26,14 @@ from .classifier import (
 )
 from .critical import critical_ideal, real_critical_values
 from .dependence import factor_through_projection
-from .groebner import BudgetExceededError, GroebnerBudget
+from .groebner import DEFAULT_BUDGET, BudgetExceededError, GroebnerBudget
 from .infinity import fiber_infinity
 from .parsing import ParseError, parse_input
 from .polycore import PolyMap
-from .properness import ProbeSchedule, jelonek_ideal, properness_probe_real
+from .properness import ProbeSchedule, is_proper_at_complex, jelonek_ideal, properness_probe_real
 from .rational import RationalMap
+
+_PROBE = ProbeSchedule()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,15 +51,16 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--field", choices=("real", "complex"), default="complex",
                 help="coefficient field for the analysis (default complex)",
             )
-        p.add_argument("--seed", type=int, default=None, help="probe seed (default 42)")
+        p.add_argument("--seed", type=int, default=None, help=f"probe seed (default {_PROBE.seed})")
         p.add_argument(
             "--radii", default=None,
-            help="comma-separated increasing probe radii (default 10,100,1000,10000)",
+            help="comma-separated increasing probe radii (default "
+            + ",".join(f"{r:g}" for r in _PROBE.radii) + ")",
         )
-        p.add_argument("--tol-zero", type=float, default=1e-6)
-        p.add_argument("--mu-floor", type=float, default=1e-3)
-        p.add_argument("--max-basis", type=int, default=5000)
-        p.add_argument("--max-degree", type=int, default=60)
+        p.add_argument("--tol-zero", type=float, default=_PROBE.tol_zero)
+        p.add_argument("--mu-floor", type=float, default=_PROBE.mu_floor)
+        p.add_argument("--max-basis", type=int, default=DEFAULT_BUDGET.max_basis)
+        p.add_argument("--max-degree", type=int, default=DEFAULT_BUDGET.max_degree)
         p.add_argument("--output", choices=("text", "json"), default="text")
         p.add_argument("--json-path", default=None, help="also write the JSON report here")
 
@@ -125,8 +128,8 @@ def _parse_tube(text: str, p: int):
 def _config(args) -> AnalysisConfig:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("LTV_SEED", "42"))
-    radii = (10.0, 100.0, 1000.0, 10000.0)
+        seed = int(os.environ.get("LTV_SEED", _PROBE.seed))
+    radii = _PROBE.radii
     if args.radii:
         radii = tuple(float(s) for s in args.radii.split(","))
     return AnalysisConfig(
@@ -196,10 +199,8 @@ def _probe_document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
     # J(g) at most once, and only once a finite fiber needs it, so a
     # budget error surfaces at the same value as without the cache.
     jelonek = cache(lambda: jelonek_ideal(g, cfg.budget))
-    verdicts = [
-        properness_probe_real(g, point, cfg.probe, jelonek=jelonek, budget=cfg.budget)
-        for point in points
-    ]
+    certify = partial(is_proper_at_complex, g, jelonek=jelonek, budget=cfg.budget)
+    verdicts = [properness_probe_real(g, point, cfg.probe, certify) for point in points]
     if tube is not None:
         tube = tube_distance_probe(poly, *tube, seed=cfg.probe.seed)
     return report.probe_document(poly, g, values, verdicts, tube)

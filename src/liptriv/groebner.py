@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .polycore import Exponent, Polynomial, fresh_name, grevlex_key
@@ -186,8 +187,6 @@ def _lead(d: dict, keyf) -> Exponent:
 
 def _normalize_content(d: dict) -> dict:
     """Scale by a positive rational so coefficients are coprime integers."""
-    from math import gcd
-
     if not d:
         return d
     num = 0

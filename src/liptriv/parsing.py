@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polycore import MAX_EXPONENT, Polynomial, PolyMap
+from .rational import RationalMap
 
 
 class ParseError(ValueError):
@@ -167,8 +168,6 @@ class _Parser:
         if kind == "map":
             # The grammar of a map file has no division, so every denominator is 1.
             return PolyMap(self.ring_vars, nums, map_name)
-        from .rational import RationalMap
-
         return RationalMap(self.ring_vars, nums, dens, map_name)
 
     def parse_component(self, kind: str):

@@ -158,13 +158,13 @@ class PropernessVerdict:
 def is_proper_at_complex(
     g: PolyMap,
     c: Sequence[Fraction],
-    jelonek: Ideal | Callable[[], Ideal] | None = None,
+    jelonek: Callable[[], Ideal] | None = None,
     budget: GroebnerBudget = DEFAULT_BUDGET,
 ) -> PropernessVerdict:
     """Exact certificate: proper iff c misses J(g) and the fiber is finite.
 
-    J(g) is needed only when the fiber is finite.  `jelonek` gives it, or a
-    function returning it that is called only then; None computes it here.
+    J(g) is needed only when the fiber is finite.  `jelonek` is a function
+    returning it, called only then; None computes it here.
     """
     check_value(c, g.p)
     cvec = tuple(as_fraction(x) for x in c)
@@ -179,13 +179,10 @@ def is_proper_at_complex(
         # Positive-dimensional fiber: never proper at c, no need for J(g).
         return PropernessVerdict(cvec, "exact_complex", "non_proper", evidence)
 
-    if jelonek is None:
-        jelonek = jelonek_ideal(g, budget)
-    elif callable(jelonek):
-        jelonek = jelonek()
-    values = [gen.eval_exact(list(cvec)) for gen in jelonek.generators]
+    ideal = jelonek_ideal(g, budget) if jelonek is None else jelonek()
+    values = [gen.eval_exact(list(cvec)) for gen in ideal.generators]
     off_jelonek = any(v != 0 for v in values)
-    evidence["jelonek_values"] = [str(v) for v in values]
+    evidence["jelonek_values"] = values
 
     return PropernessVerdict(
         cvec, "exact_complex", "proper" if off_jelonek else "non_proper", evidence
@@ -236,9 +233,7 @@ def properness_probe_real(
     g: PolyMap,
     c: Sequence[float],
     sched: ProbeSchedule = ProbeSchedule(),
-    jelonek: Ideal | Callable[[], Ideal] | None = None,
-    budget: GroebnerBudget = DEFAULT_BUDGET,
-    skip_exact: bool = False,
+    certify: Callable[[tuple[Fraction, ...]], PropernessVerdict | None] | None = None,
 ) -> PropernessVerdict:
     """Per-value real properness verdict with full mu(R) evidence.
 
@@ -247,20 +242,20 @@ def properness_probe_real(
     over the last two steps; properness needs mu bounded below by mu_floor
     and non-decreasing at the end.  A complex-properness certificate wins
     immediately (restricting a proper map to a closed subset stays proper).
+    `certify(value)` gives that certificate, or None when there is none;
+    None means is_proper_at_complex on g.
     """
     check_value(c, g.p)
     cvec = tuple(float(x) for x in c)
 
-    if not skip_exact:
-        # Floats are dyadic rationals, so the conversion is exact and the
-        # complex certificate applies to the probed value itself.
-        exact = is_proper_at_complex(
-            g, [Fraction(x) for x in cvec], jelonek, budget
-        )
-        if exact.verdict == "proper":
-            evidence = dict(exact.evidence)
-            evidence["certificate"] = "complex properness restricts to the reals"
-            return PropernessVerdict(cvec, "exact_complex", "proper", evidence)
+    # Floats are dyadic rationals, so the conversion is exact and the
+    # complex certificate applies to the probed value itself.
+    value = tuple(Fraction(x) for x in cvec)
+    exact = certify(value) if certify is not None else is_proper_at_complex(g, value)
+    if exact is not None and exact.verdict == "proper":
+        evidence = dict(exact.evidence)
+        evidence["certificate"] = "complex properness restricts to the reals"
+        return PropernessVerdict(cvec, "exact_complex", "proper", evidence)
 
     kernel = FloatKernel(g.components)
     trace = []

@@ -19,7 +19,6 @@ from .groebner import (
     MonomialOrder,
     buchberger,
 )
-from .parsing import print_polynomial
 from .polycore import FloatKernel, PolyMap, Polynomial
 
 
@@ -143,7 +142,7 @@ def indeterminacy_empty_check(
         else:
             entry = {
                 "verdict": "FAIL",
-                "common_zero_ideal": [print_polynomial(g) for g in gb.basis],
+                "common_zero_ideal": gb.basis,
             }
             status = "FAIL"
         details.append(entry)

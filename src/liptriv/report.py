@@ -11,6 +11,9 @@ invariance_dim, projection_matrix, reduced_map, jelonek_generators,
 critical_generators, ltv, checks; null where not computed) and appends its
 own keys after checks, in the order its builder lists them.  The same
 analysis always serializes to identical bytes.
+
+Check data, evidence and the builders hold Fractions and Polynomials; only
+dumps and render turn them into text, by one walker (_plain).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .dependence import FactorizationResult
 from .groebner import Ideal
 from .infinity import InfinityReport
 from .parsing import print_polynomial
-from .polycore import PolyMap
+from .polycore import PolyMap, Polynomial
 from .properness import PropernessVerdict
 from .rational import RationalMap
 
@@ -43,17 +46,9 @@ _LTV_LABEL = {
 # -- sections shared by the documents ------------------------------------------
 
 
-def _matrix(rows) -> list[list[str]]:
-    return [[str(x) for x in row] for row in rows]
-
-
-def _polys(polys) -> list[str]:
-    return [print_polynomial(q) for q in polys]
-
-
 def _root(r: RealCriticalValue) -> dict:
     return {
-        "interval": [str(r.interval[0]), str(r.interval[1])],
+        "interval": r.interval,
         "approx": r.approx,
         "status": r.status,
     }
@@ -65,17 +60,15 @@ def _check(c: CheckResult) -> dict:
 
 def input_block(src: PolyMap | RationalMap) -> dict:
     if isinstance(src, RationalMap):
-        components = []
-        for num, den in zip(src.numerators, src.denominators):
-            if den.is_constant() and den.constant_value() == 1:
-                components.append(print_polynomial(num))
-            else:
-                components.append(
-                    f"({print_polynomial(num)}) / ({print_polynomial(den)})"
-                )
+        components = [
+            num
+            if den.is_constant() and den.constant_value() == 1
+            else f"({print_polynomial(num)}) / ({print_polynomial(den)})"
+            for num, den in zip(src.numerators, src.denominators)
+        ]
         kind = "ratmap"
     else:
-        components = _polys(src.components)
+        components = src.components
         kind = "map"
     return {
         "kind": kind,
@@ -104,19 +97,24 @@ def schema_skeleton(src, field_name: str, **fields) -> dict:
     return {**skeleton, **fields}
 
 
-def _finite(node):
-    """node with every non-finite float as None, like a value not computed."""
+def _plain(node):
+    """node as JSON data, the one place exact values become text: a Fraction
+    as str, a Polynomial printed, and a non-finite float (the `mu` of a probe
+    with no finite minimum) as None, like a value not computed."""
     if isinstance(node, dict):
-        return {key: _finite(value) for key, value in node.items()}
+        return {key: _plain(value) for key, value in node.items()}
     if isinstance(node, (list, tuple)):
-        return [_finite(value) for value in node]
+        return [_plain(value) for value in node]
+    if isinstance(node, Fraction):
+        return str(node)
+    if isinstance(node, Polynomial):
+        return print_polynomial(node)
     return None if isinstance(node, float) and not isfinite(node) else node
 
 
 def dumps(doc: dict) -> str:
-    """Deterministic JSON text (stable key order, trailing newline); a
-    non-finite float, such as the `mu` of a probe with no finite minimum, is null."""
-    return json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text of a document (stable key order, trailing newline)."""
+    return json.dumps(_plain(doc), indent=2, allow_nan=False) + "\n"
 
 
 # -- analyze ------------------------------------------------------------------
@@ -131,9 +129,9 @@ def report_document(report: LtvReport) -> dict:
     if report.factorization is not None:
         fact = report.factorization
         doc["invariance_dim"] = fact.V.dim
-        doc["invariance_basis"] = _matrix(fact.V.basis)
-        doc["projection_matrix"] = _matrix(fact.pi.rows)
-        doc["reduced_map"] = _polys(fact.g.components)
+        doc["invariance_basis"] = fact.V.basis
+        doc["projection_matrix"] = fact.pi.rows
+        doc["reduced_map"] = fact.g.components
         doc["reduced_vars"] = list(fact.g.vars)
         doc["reduced_dim"] = fact.m
     else:
@@ -141,29 +139,21 @@ def report_document(report: LtvReport) -> dict:
         doc["projection_matrix"] = None
         doc["reduced_map"] = None
 
-    doc["jelonek_generators"] = (
-        _polys(report.jelonek.generators)
-        if report.jelonek is not None
-        else None
-    )
-    doc["critical_generators"] = (
-        _polys(report.critical.generators)
-        if report.critical is not None
-        else None
-    )
+    doc["jelonek_generators"] = report.jelonek.generators if report.jelonek is not None else None
+    doc["critical_generators"] = report.critical.generators if report.critical is not None else None
 
     ltv = report.ltv
     doc["ltv"] = _LTV_LABEL[ltv.kind]
     if ltv.reason:
         doc["reason"] = ltv.reason
     if ltv.kind == "complement":
-        doc["ltv_complement"] = _polys(ltv.generators)
+        doc["ltv_complement"] = ltv.generators
     if ltv.kind == "real_complement" or (
         ltv.kind == "undetermined" and (ltv.critical_candidates or ltv.probe_table)
     ):
         real_block: dict = {}
         if ltv.generators:
-            real_block["exact_complement_generators"] = _polys(ltv.generators)
+            real_block["exact_complement_generators"] = ltv.generators
         if ltv.critical_candidates:
             real_block["critical_candidates"] = [
                 {**_root(r), "witness": list(r.witness) if r.witness else None}
@@ -182,7 +172,7 @@ def report_document(report: LtvReport) -> dict:
         doc["flags"] = dict(sorted(report.flags.items()))
     doc["seed"] = report.seed
     doc["checks"] = [_check(c) for c in report.checks]
-    return doc
+    return _plain(doc)
 
 
 def emit_report(report: LtvReport) -> str:
@@ -250,11 +240,11 @@ def factor_document(src: PolyMap, field_name: str, fact: FactorizationResult) ->
     return schema_skeleton(
         src, field_name,
         invariance_dim=fact.V.dim,
-        invariance_basis=_matrix(fact.V.basis),
+        invariance_basis=fact.V.basis,
         reduced_dim=fact.m,
-        projection_matrix=_matrix(fact.pi.rows),
+        projection_matrix=fact.pi.rows,
         reduced_vars=list(fact.g.vars),
-        reduced_map=_polys(fact.g.components),
+        reduced_map=fact.g.components,
     )
 
 
@@ -276,8 +266,8 @@ def _factor_text(doc: dict) -> list[str]:
 def jelonek_document(src: PolyMap, field_name: str, g: PolyMap, jelonek: Ideal) -> dict:
     return schema_skeleton(
         src, field_name,
-        reduced_map=_polys(g.components),
-        jelonek_generators=_polys(jelonek.generators),
+        reduced_map=g.components,
+        jelonek_generators=jelonek.generators,
         jelonek_empty=jelonek.has_unit_generator(),
     )
 
@@ -294,8 +284,8 @@ def critical_document(
     """`roots` are the real critical values, None when not isolated."""
     doc = schema_skeleton(
         src, field_name,
-        reduced_map=_polys(g.components),
-        critical_generators=_polys(critical.generators),
+        reduced_map=g.components,
+        critical_generators=critical.generators,
         note="closure_of_K0",
     )
     if roots is not None:
@@ -317,15 +307,15 @@ def _critical_text(doc: dict) -> list[str]:
 def infinity_document(src: PolyMap, field_name: str, reports: list[InfinityReport]) -> dict:
     entries = [
         {
-            "value": [str(x) for x in rep.value],
+            "value": rep.value,
             "fiber_empty": rep.closure_ideal.has_unit_generator(),
             "dim_infinity": rep.dim_infinity,
             "m_candidate": rep.m_candidate,
             "cone_is_linear": rep.cone_is_linear,
             "cone_subspace": (
-                _matrix(rep.cone_subspace.basis) if rep.cone_subspace is not None else None
+                rep.cone_subspace.basis if rep.cone_subspace is not None else None
             ),
-            "closure_generators": _polys(rep.closure_ideal.generators),
+            "closure_generators": rep.closure_ideal.generators,
         }
         for rep in reports
     ]
@@ -359,7 +349,7 @@ def probe_document(
         }
         for value, verdict in zip(values, verdicts)
     ]
-    doc = schema_skeleton(src, "real", reduced_map=_polys(g.components), probes=entries)
+    doc = schema_skeleton(src, "real", reduced_map=g.components, probes=entries)
     if tube is not None:
         doc["tube"] = tube
     return doc
@@ -410,4 +400,4 @@ _TEXT = {
 
 def render(command: str, doc: dict) -> str:
     """Terminal text of one subcommand's document."""
-    return "\n".join(_TEXT[command](doc)) + "\n"
+    return "\n".join(_TEXT[command](_plain(doc))) + "\n"

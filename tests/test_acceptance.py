@@ -121,10 +121,14 @@ def test_criterion_3_twisted_shear_rejection(bad_map):
 
             cone = checks["cone_constancy"]
             assert cone.verdict == "FAIL"
-            assert cone.data["witness_values"][0][0] == "1"
-            assert cone.data["witness_values"][1][0] == "2"
-            assert cone.data["witness_cones"][0]["subspace_basis"] == [["0", "1", "-1"]]
-            assert cone.data["witness_cones"][1]["subspace_basis"] == [["0", "1", "-2"]]
+            assert cone.data["witness_values"][0][0] == Fraction(1)
+            assert cone.data["witness_values"][1][0] == Fraction(2)
+            assert cone.data["witness_cones"][0]["subspace_basis"] == (
+                (Fraction(0), Fraction(1), Fraction(-1)),
+            )
+            assert cone.data["witness_cones"][1]["subspace_basis"] == (
+                (Fraction(0), Fraction(1), Fraction(-2)),
+            )
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"runtime {elapsed:.1f}s exceeds 5s"
 

@@ -1,5 +1,6 @@
 """Full pipeline: verdicts, checks, probes, suspension invariance, determinism."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from liptriv.classifier import (
 )
 from liptriv.dependence import suspend
 from liptriv.groebner import GroebnerBudget
-from liptriv.parsing import print_polynomial
+from liptriv.parsing import parse_input, print_polynomial
 from liptriv.polycore import PolyMap
 from liptriv.properness import ProbeSchedule
 from liptriv.report import emit_report
@@ -159,6 +160,16 @@ class TestTubeProbe:
         assert [entry["radius"] for entry in out["per_radius"]] == [10.0, 25.0, 50.0]
         assert not out["collapse"]
 
+    def test_overflowing_starts_are_quiet(self, capfd):
+        # Values that reach inf stop the Gauss-Newton projection before numpy
+        # warns about a norm or LAPACK reports a non-finite matrix.
+        ring = ("x", "y")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tube_distance_probe(PolyMap(ring, (poly(ring, "x^200 + y"),)), [1.0], [2.0])
+        captured = capfd.readouterr()
+        assert "DLASCL" not in captured.out + captured.err
+
     def test_parallel_line_fibers_keep_distance(self, simple_map):
         out = tube_distance_probe(
             simple_map, [1.0, 0.0], [1.0, 1.0], radii=(10.0, 25.0), restarts=8
@@ -199,6 +210,17 @@ class TestGradientProbe:
         with pytest.raises(ValueError, match="radii"):
             lipschitz_gradient_probe(xy_map(), [1.0], radii=radii)
 
+    def test_overflowing_starts_are_quiet(self, capfd):
+        # Residuals past 1e154 have a norm of inf and values past the floats
+        # stop the descent, both without a warning or a LAPACK message.
+        r = parse_input("ring Q[x,y]; ratmap f: (x^60/(1+y^2))")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lipschitz_gradient_probe(r, [0.0], radii=(10.0, 1e2, 1e4, 1e6))
+        assert out["verdict"] == "NO_SAMPLES"
+        captured = capfd.readouterr()
+        assert "DLASCL" not in captured.out + captured.err
+
 
 class TestComplexificationCompare:
     def test_shear_containment(self, simple_map):
@@ -235,7 +257,7 @@ class TestSampling:
         f = PolyMap(ring, (poly(ring, "8*x^3 - 6*x^4 + 12*y^3 - 9*y^4"),))
         rep = classify(f, "complex")
         cone = next(c for c in rep.checks if c.name == "cone_constancy")
-        assert cone.data["values"] == [["1"], ["-1"], ["-2"]]
+        assert cone.data["values"] == ((Fraction(1),), (Fraction(-1),), (Fraction(-2),))
 
 
 class TestStageCounts:

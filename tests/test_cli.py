@@ -371,7 +371,9 @@ class TestErrors:
 
 
 class TestStageCounts:
-    def test_compare_runs_each_exact_stage_once(self, capsys, monkeypatch):
+    # compare reuses the real probe table's complex certificates in its
+    # containment rows, so no Groebner input is computed twice.
+    def _compare_counts(self, capsys, monkeypatch, source):
         import liptriv.critical
         import liptriv.dependence
         import liptriv.groebner
@@ -390,17 +392,36 @@ class TestStageCounts:
                 (liptriv.groebner, "intersect"),
             )
         }
-        code, doc = run_json(capsys, ["compare", "-i", SIMPLE])
+        code, doc = run_json(capsys, ["compare", "-i", source])
         assert code == 0
         assert doc["containment"]["verdict"] == "PASS"
-        assert {name: len(calls) for name, calls in counted.items()} == {
+        counts = {name: len(calls) for name, calls in counted.items()}
+        # buchberger(ideal, order, budget): the distinct (ideal, order) inputs.
+        counts["buchberger_inputs"] = len({args[:2] for args, _ in counted["buchberger"]})
+        return counts
+
+    def test_compare_runs_each_exact_stage_once(self, capsys, monkeypatch):
+        assert self._compare_counts(capsys, monkeypatch, SIMPLE) == {
             "factor_through_projection": 1,
             "critical_ideal": 1,
             "jelonek_ideal": 1,
             "cone_constancy_check": 1,
             "fiber_infinity": 3,
-            "buchberger": 23,
+            "buchberger": 20,
+            "buchberger_inputs": 20,
             "intersect": 2,
+        }
+
+    def test_compare_on_cube_runs_each_exact_stage_once(self, capsys, monkeypatch):
+        assert self._compare_counts(capsys, monkeypatch, CUBE) == {
+            "factor_through_projection": 1,
+            "critical_ideal": 1,
+            "jelonek_ideal": 1,
+            "cone_constancy_check": 1,
+            "fiber_infinity": 3,
+            "buchberger": 19,
+            "buchberger_inputs": 19,
+            "intersect": 0,
         }
 
     def test_factor_parses_input_once(self, capsys, monkeypatch):

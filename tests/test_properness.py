@@ -21,6 +21,11 @@ F = Fraction
 FAST = ProbeSchedule(radii=(10.0, 100.0, 1000.0), restarts=16, max_iter=150)
 
 
+def no_certificate(value):
+    """A complex certificate that never certifies: the probe always runs."""
+    return None
+
+
 @pytest.fixture(scope="module")
 def reduced_shear():
     # The reduced form of the invariant shear: (x, x*w) on K^2.
@@ -114,8 +119,8 @@ class TestPropernessProbe:
                 assert probe.verdict == "proper"
 
     def test_deterministic_evidence(self, plane_sextic):
-        a = properness_probe_real(plane_sextic, [2.0], FAST, skip_exact=True)
-        b = properness_probe_real(plane_sextic, [2.0], FAST, skip_exact=True)
+        a = properness_probe_real(plane_sextic, [2.0], FAST, no_certificate)
+        b = properness_probe_real(plane_sextic, [2.0], FAST, no_certificate)
         assert a.evidence == b.evidence
 
     def test_mu_invariant_under_rotation(self, plane_sextic):
@@ -124,8 +129,8 @@ class TestPropernessProbe:
         rotated = compose_linear(plane_sextic, rot, new_vars=("x", "y"))
         sched = ProbeSchedule(radii=(10.0, 100.0), restarts=16, max_iter=150)
         for c in (0.5, -1.0):
-            a = properness_probe_real(plane_sextic, [c], sched, skip_exact=True)
-            b = properness_probe_real(rotated, [c], sched, skip_exact=True)
+            a = properness_probe_real(plane_sextic, [c], sched, no_certificate)
+            b = properness_probe_real(rotated, [c], sched, no_certificate)
             for ea, eb in zip(a.evidence["mu_trace"], b.evidence["mu_trace"]):
                 assert ea["mu"] == pytest.approx(eb["mu"], abs=1e-3)
 
@@ -184,7 +189,7 @@ class TestPropernessProbe:
         # x*y has the unbounded fiber {x*y = 1}; with no descent step the
         # sphere minima stay at their random starts and read as proper.
         xy = PolyMap(("x", "y"), (poly(("x", "y"), "x*y"),))
-        assert properness_probe_real(xy, [1.0], FAST, skip_exact=True).verdict == "non_proper"
+        assert properness_probe_real(xy, [1.0], FAST, no_certificate).verdict == "non_proper"
         for bad in (0, -5):
             with pytest.raises(ValueError, match="descent step"):
                 ProbeSchedule(max_iter=bad)
@@ -203,7 +208,7 @@ class TestValueLength:
         [
             lambda g, c: is_proper_at_complex(g, [Fraction(x) for x in c]),
             lambda g, c: properness_probe_real(g, c, FAST),
-            lambda g, c: properness_probe_real(g, c, FAST, skip_exact=True),
+            lambda g, c: properness_probe_real(g, c, FAST, no_certificate),
             lambda g, c: tube_distance_probe(g, c, [2.0, 2.0], radii=(10.0,), restarts=1),
             lambda g, c: tube_distance_probe(g, [2.0, 2.0], c, radii=(10.0,), restarts=1),
             lambda g, c: lipschitz_gradient_probe(g, c, radii=(10.0,)),

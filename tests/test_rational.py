@@ -34,7 +34,7 @@ class TestIndeterminacy:
         runs = count_calls(monkeypatch, liptriv.groebner, "buchberger")
         verdict = indeterminacy_empty_check(r)
         assert verdict.status == "FAIL"
-        assert verdict.per_component[0]["common_zero_ideal"] == ["y", "x"]
+        assert verdict.per_component[0]["common_zero_ideal"] == (poly(XY, "y"), poly(XY, "x"))
         # The verdict and the printed basis come from one Groebner run.
         assert len(runs) == 1
 
