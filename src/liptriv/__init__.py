@@ -14,7 +14,6 @@ from .classifier import (
     LtvDescription,
     LtvReport,
     classify,
-    classify_rational,
     complexification_compare,
     lipschitz_gradient_probe,
     tube_distance_probe,
@@ -68,7 +67,6 @@ __all__ = [
     "Subspace",
     "buchberger",
     "classify",
-    "classify_rational",
     "complexification_compare",
     "cone_constancy_check",
     "critical_ideal",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from math import isfinite, sqrt
 from typing import Callable, Sequence
 
@@ -42,8 +42,8 @@ from .properness import (
     ProbeSchedule,
     PropernessVerdict,
     _sphere_minimize,
+    certifier,
     check_radii,
-    is_proper_at_complex,
     jelonek_ideal,
     properness_probe_real,
     target_ring,
@@ -139,8 +139,8 @@ def _grid_values(
 
 
 def _on_locus(ideal: Ideal | None, value: Sequence[Fraction]) -> bool:
-    """value lies on V(ideal); a missing or zero ideal marks no value."""
-    return ideal is not None and bool(ideal.generators) and ideal.vanishes_at(value)
+    """value lies on V(ideal); a missing ideal marks no value."""
+    return ideal is not None and ideal.vanishes_at(value)
 
 
 def _sample_values(
@@ -172,8 +172,8 @@ class ExactStages:
     """Field-independent exact data of one mapping, each stage computed once.
 
     f = g o pi, the complex properness certificate of g at a value, the
-    critical and Jelonek ideals of g, the sampled values, their
-    fiber_infinity reports in sample order up to the first budget error, the
+    critical and Jelonek ideals of g, the fiber_infinity reports of the
+    sampled values in sample order up to the first budget error, the
     cone verdict (once every sample has its report) and the bifurcation
     ideal.  `flags` names each stage whose budget ran out; a fiber's budget
     error sets `infinity_budget` when sample 0 has no report and
@@ -185,7 +185,6 @@ class ExactStages:
     certify: Callable[[tuple[Fraction, ...]], PropernessVerdict]
     critical: Ideal | None = None
     jelonek: Ideal | None = None
-    samples: tuple[tuple[Fraction, ...], ...] = ()
     infinity_samples: tuple[InfinityReport, ...] = ()
     cone: ConeConstancyResult | None = None
     dominant: bool = False  # m = p and the Jacobian of g is not identically singular
@@ -202,22 +201,12 @@ def _within_budget(flags: dict, key: str, stage, *args, **kwargs):
         return None
 
 
-def _certifier(g: PolyMap, jelonek: Ideal | None, budget: GroebnerBudget):
-    """is_proper_at_complex on g, once per exact value.
-
-    J(g) is `jelonek` when given, else computed on first need and kept once
-    it succeeds; a budget error is not cached, so it recurs at the same value.
-    """
-    ideal = (lambda: jelonek) if jelonek is not None else cache(lambda: jelonek_ideal(g, budget))
-    return cache(lambda value: is_proper_at_complex(g, value, ideal, budget))
-
-
 def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
     budget = cfg.budget
     factorization = factor_through_projection(f)
     g = factorization.g
     if f.is_constant():
-        return ExactStages(f, factorization, _certifier(g, None, budget))
+        return ExactStages(f, factorization, certifier(g, None, budget))
     flags: dict = {}
 
     critical = _within_budget(flags, "critical_budget", critical_ideal, g, budget)
@@ -252,20 +241,25 @@ def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
         bifurcation = _within_budget(
             flags, "bifurcation_budget", _bifurcation_ideal, jelonek, critical, budget
         )
-    certify = _certifier(g, jelonek, budget)
+    certify = certifier(g, jelonek, budget)
     return ExactStages(
-        f, factorization, certify, critical, jelonek, samples, reports, cone, dominant,
-        bifurcation, flags,
+        f, factorization, certify, critical, jelonek, reports, cone, dominant, bifurcation,
+        flags,
     )
 
 
 def classify(
-    f: PolyMap, field_name: str = "complex", config: AnalysisConfig | None = None
+    f: PolyMap | RationalMap, field_name: str = "complex", config: AnalysisConfig | None = None
 ) -> LtvReport:
-    """Full decision pipeline; see the module docstring for the stages."""
+    """Full decision pipeline; see the module docstring for the stages.
+
+    A RationalMap gets the counterexample checks, never a classification.
+    """
     if field_name not in ("real", "complex"):
         raise ValueError("field must be 'real' or 'complex'")
     cfg = config or AnalysisConfig()
+    if isinstance(f, RationalMap):
+        return _rational_report(f, field_name, cfg)
     return _field_report(_exact_stages(f, cfg), field_name, cfg)
 
 
@@ -274,7 +268,7 @@ def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> 
     f = stages.f
     checks: list[CheckResult] = []
     flags = dict(stages.flags)
-    samples = stages.samples
+    samples = tuple(r.value for r in stages.infinity_samples)
     failures = []
     if stages.infinity_samples:
         inf_report = stages.infinity_samples[0]
@@ -397,7 +391,7 @@ def _complex_verdict(stages: ExactStages, failures: list[str]) -> LtvDescription
             "undetermined",
             reason="bifurcation ideal unavailable (resource budget exceeded)",
         )
-    if not bif.generators or bif.has_unit_generator():
+    if bif.has_unit_generator():
         # Both sets empty: complement of nothing.
         return LtvDescription("all_values")
     return LtvDescription("complement", generators=bif.generators)
@@ -443,7 +437,7 @@ def _real_verdict(
         "real non-properness set is probed, not computed exactly"
     )
     if bif is not None:
-        if not bif.generators or bif.has_unit_generator():
+        if bif.has_unit_generator():
             return LtvDescription(
                 "all_values",
                 note=(
@@ -511,15 +505,9 @@ def _real_verdict(
 RATIONAL_NOT_APPLICABLE = "polynomial factorization theorem not applicable (rational input)"
 
 
-def classify_rational(
-    r: RationalMap, field_name: str = "real", config: AnalysisConfig | None = None
-) -> LtvReport:
-    """Rational mappings get the counterexample checks, never a classification."""
-    cfg = config or AnalysisConfig()
+def _rational_report(r: RationalMap, field_name: str, cfg: AnalysisConfig) -> LtvReport:
+    """The counterexample checks of a rational mapping."""
     checks: list[CheckResult] = []
-    if r.is_polynomial():
-        return classify(r.to_polymap(), field_name, cfg)
-
     indet = indeterminacy_empty_check(r, cfg.budget)
     checks.append(
         CheckResult(
@@ -577,7 +565,7 @@ def _gauss_newton_step(resid: np.ndarray, jacobian: Callable[[], list], tol: flo
 def lipschitz_gradient_probe(
     mapping: PolyMap | RationalMap,
     value: Sequence[float],
-    radii: Sequence[float] = (1.0, 2.0, 5.0, 10.0, 100.0),
+    radii: Sequence[float],
     seed: int = 42,
 ) -> dict:
     """Sampled operator-norm bound of the Jacobian over near-fiber points.

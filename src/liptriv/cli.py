@@ -13,13 +13,11 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from functools import cache, partial
 
 from . import __version__, report
 from .classifier import (
     AnalysisConfig,
     classify,
-    classify_rational,
     complexification_compare,
     rational_grid,
     tube_distance_probe,
@@ -30,7 +28,7 @@ from .groebner import DEFAULT_BUDGET, BudgetExceededError, GroebnerBudget
 from .infinity import fiber_infinity
 from .parsing import ParseError, parse_input
 from .polycore import PolyMap
-from .properness import ProbeSchedule, is_proper_at_complex, jelonek_ideal, properness_probe_real
+from .properness import ProbeSchedule, certifier, jelonek_ideal, properness_probe_real
 from .rational import RationalMap
 
 _PROBE = ProbeSchedule()
@@ -196,10 +194,7 @@ def _probe_document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
     # Properness per value is meaningful for the reduced mapping, the silent
     # coordinates of a suspension make every fiber unbounded.
     g = factor_through_projection(poly).g
-    # J(g) at most once, and only once a finite fiber needs it, so a
-    # budget error surfaces at the same value as without the cache.
-    jelonek = cache(lambda: jelonek_ideal(g, cfg.budget))
-    certify = partial(is_proper_at_complex, g, jelonek=jelonek, budget=cfg.budget)
+    certify = certifier(g, None, cfg.budget)
     verdicts = [properness_probe_real(g, point, cfg.probe, certify) for point in points]
     if tube is not None:
         tube = tube_distance_probe(poly, *tube, seed=cfg.probe.seed)
@@ -216,13 +211,8 @@ def run(argv=None) -> int:
     try:
         mapping = _load(args.input)
         cfg = _config(args)
-        if isinstance(mapping, RationalMap) and mapping.is_polynomial():
-            mapping = mapping.to_polymap()
         if args.command == "analyze":
-            if isinstance(mapping, RationalMap):
-                result = classify_rational(mapping, args.field, cfg)
-            else:
-                result = classify(mapping, args.field, cfg)
+            result = classify(mapping, args.field, cfg)
             _emit(args, lambda: report.emit_report(result), lambda: report.render_text(result))
             return 3 if result.flags else 0
 

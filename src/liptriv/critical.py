@@ -113,7 +113,7 @@ def real_critical_values(g: PolyMap, crit: Ideal, seed: int = 42) -> list[RealCr
     """
     if g.p != 1:
         raise ValueError("real critical value extraction needs p = 1")
-    if not crit.generators or crit.has_unit_generator():
+    if crit.has_unit_generator():
         return []
     # The target ring is univariate, so the elimination ideal is principal;
     # the reduced basis has a single generator.

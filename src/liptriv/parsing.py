@@ -14,7 +14,8 @@ multiplication)::
     rational  := uint ("/" uint)?
 
 Coefficients are integers or a/b rationals; decimals are rejected.  Every
-diagnostic carries a line:column position.
+diagnostic carries a line:column position.  A ratmap whose denominators are
+all 1 parses as a PolyMap, like the same map file.
 """
 
 from __future__ import annotations
@@ -165,8 +166,9 @@ class _Parser:
         if self.peek().kind != "eof":
             raise self.error("trailing input after mapping")
         nums, dens = zip(*components)
-        if kind == "map":
-            # The grammar of a map file has no division, so every denominator is 1.
+        # A map file has no division, so every denominator is 1; a ratmap
+        # whose denominators are all 1 is a polynomial map too.
+        if all(d.is_constant() and d.constant_value() == 1 for d in dens):
             return PolyMap(self.ring_vars, nums, map_name)
         return RationalMap(self.ring_vars, nums, dens, map_name)
 
@@ -249,7 +251,7 @@ def parse_mapping(text: str) -> PolyMap:
 
 
 def parse_input(text: str):
-    """Dispatch on the map/ratmap keyword; returns PolyMap or RationalMap."""
+    """A PolyMap when every denominator is 1 (always for a map file), else a RationalMap."""
     return _Parser(text).parse_file()
 
 

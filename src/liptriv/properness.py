@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isfinite, sqrt
 from typing import Callable, Sequence
 
@@ -187,6 +188,18 @@ def is_proper_at_complex(
     return PropernessVerdict(
         cvec, "exact_complex", "proper" if off_jelonek else "non_proper", evidence
     )
+
+
+def certifier(
+    g: PolyMap, jelonek: Ideal | None, budget: GroebnerBudget
+) -> Callable[[tuple[Fraction, ...]], PropernessVerdict]:
+    """is_proper_at_complex on g, once per exact value.
+
+    J(g) is `jelonek` when given, else computed on first need and kept once
+    it succeeds; a budget error is not cached, so it recurs at the same value.
+    """
+    ideal = (lambda: jelonek) if jelonek is not None else cache(lambda: jelonek_ideal(g, budget))
+    return cache(lambda value: is_proper_at_complex(g, value, ideal, budget))
 
 
 def _sphere_minimize(

@@ -19,7 +19,7 @@ from .groebner import (
     MonomialOrder,
     buchberger,
 )
-from .polycore import FloatKernel, PolyMap, Polynomial
+from .polycore import FloatKernel, Polynomial
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,6 @@ class RationalMap:
     @property
     def p(self) -> int:
         return len(self.numerators)
-
-    def is_polynomial(self) -> bool:
-        return all(
-            d.is_constant() and d.constant_value() == 1 for d in self.denominators
-        )
-
-    def to_polymap(self) -> PolyMap:
-        if not self.is_polynomial():
-            raise ValueError("mapping has nontrivial denominators")
-        return PolyMap(self.vars, self.numerators, self.name)
 
     @cached_property
     def _float_kernel(self) -> FloatKernel:

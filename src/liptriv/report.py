@@ -33,15 +33,6 @@ from .polycore import PolyMap, Polynomial
 from .properness import PropernessVerdict
 from .rational import RationalMap
 
-_LTV_LABEL = {
-    "empty": "empty",
-    "all_values": "all values",
-    "complement": "complement",
-    "real_complement": "real complement",
-    "undetermined": "undetermined",
-    "not_applicable": "not applicable",
-}
-
 
 # -- sections shared by the documents ------------------------------------------
 
@@ -143,7 +134,7 @@ def report_document(report: LtvReport) -> dict:
     doc["critical_generators"] = report.critical.generators if report.critical is not None else None
 
     ltv = report.ltv
-    doc["ltv"] = _LTV_LABEL[ltv.kind]
+    doc["ltv"] = ltv.kind.replace("_", " ")
     if ltv.reason:
         doc["reason"] = ltv.reason
     if ltv.kind == "complement":
@@ -372,8 +363,8 @@ def compare_document(
 ) -> dict:
     return schema_skeleton(
         src, "real",
-        complex_ltv=_LTV_LABEL[complex_report.ltv.kind],
-        real_ltv=_LTV_LABEL[real_report.ltv.kind],
+        complex_ltv=complex_report.ltv.kind.replace("_", " "),
+        real_ltv=real_report.ltv.kind.replace("_", " "),
         containment={"verdict": check.verdict, "data": check.data},
         checks=[_check(check)],
     )

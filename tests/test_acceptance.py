@@ -18,7 +18,6 @@ from conftest import count_real_roots, normal_form, poly, rand_poly, spolynomial
 from liptriv.classifier import (
     AnalysisConfig,
     classify,
-    classify_rational,
     complexification_compare,
     tube_distance_probe,
 )
@@ -386,7 +385,7 @@ def test_criterion_7_rational_counterexample(regulous_map):
         inv = rational_invariance_subspace(regulous_map)
         assert inv.dim == 0
 
-        rep = classify_rational(regulous_map)
+        rep = classify(regulous_map, "real")
         assert rep.ltv.reason == (
             "polynomial factorization theorem not applicable (rational input)"
         )

@@ -8,6 +8,7 @@ import pytest
 from conftest import count_calls, poly
 from liptriv.classifier import (
     AnalysisConfig,
+    _on_locus,
     classify,
     complexification_compare,
     lipschitz_gradient_probe,
@@ -15,7 +16,7 @@ from liptriv.classifier import (
     tube_distance_probe,
 )
 from liptriv.dependence import suspend
-from liptriv.groebner import GroebnerBudget
+from liptriv.groebner import GroebnerBudget, Ideal
 from liptriv.parsing import parse_input, print_polynomial
 from liptriv.polycore import PolyMap
 from liptriv.properness import ProbeSchedule
@@ -241,6 +242,11 @@ class TestComplexificationCompare:
 
 
 class TestSampling:
+    def test_zero_ideal_marks_every_value(self):
+        # V(0) is the whole value space.
+        assert _on_locus(Ideal(("t1",), ()), (F(3),))
+        assert not _on_locus(None, (F(3),))
+
     def test_grid_deterministic_and_distinct(self):
         a = rational_grid(2, 5)
         b = rational_grid(2, 5)

@@ -182,6 +182,17 @@ class TestProbe:
         assert doc["probes"][0]["verdict"] == "non_proper"
         assert calls == []
 
+    def test_repeated_value_certified_once(self, capsys, monkeypatch, tmp_path):
+        import liptriv.properness
+
+        calls = count_calls(monkeypatch, liptriv.properness, "is_proper_at_complex")
+        shear = tmp_path / "shear.map"
+        shear.write_text("ring Q[x,y]; map f: (x, x*y)")
+        code, doc = run_json(capsys, ["probe", "-i", str(shear), "--values", "1,1;1,1"])
+        assert code == 0
+        assert [e["verdict"] for e in doc["probes"]] == ["proper"] * 2
+        assert len(calls) == 1
+
     def test_no_finite_minimum_is_null_in_json(self, capsys):
         # No sphere restart of radius 1e60 has finite powers: mu stays inf.
         argv = ["probe", "-i", MOTZKIN, "--values", "0.5", "--radii", "10,1e60"]

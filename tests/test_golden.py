@@ -35,10 +35,11 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR
-from liptriv.classifier import lipschitz_gradient_probe, tube_distance_probe
+from liptriv.classifier import classify, lipschitz_gradient_probe, tube_distance_probe
 from liptriv.cli import run
 from liptriv.parsing import parse_input, parse_mapping
 from liptriv.properness import properness_probe_real
+from liptriv.report import emit_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "MANIFEST.json").read_text())
@@ -133,6 +134,14 @@ def test_analyze_report_matches_golden(case):
     code, out = run_analyze_case(case)
     assert code == MANIFEST["exit_codes"][case]
     assert out == (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_classify_on_rational_map_matches_golden(field):
+    # The library call gives the bytes `analyze` gives for a ratmap.
+    regulous = parse_input((DATA_DIR / "regulous.map").read_text(encoding="utf-8"))
+    got = emit_report(classify(regulous, field))
+    assert got == (GOLDEN / f"regulous.{field}.json").read_text(encoding="utf-8")
 
 
 SEXTIC = "x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1"

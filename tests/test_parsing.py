@@ -93,6 +93,15 @@ class TestRatmap:
         f = parse_input("ring Q[x]; map f: (x)")
         assert isinstance(f, PolyMap)
 
+    def test_denominators_all_one_yield_polymap(self):
+        r = parse_input("ring Q[x,y]; ratmap f: ((x + y)^3 / 1)")
+        assert r == parse_input("ring Q[x,y]; map f: ((x + y)^3)")
+
+    @pytest.mark.parametrize("components", ["x / 2", "x, 1/y"])
+    def test_other_denominators_yield_rational_map(self, components):
+        r = parse_input(f"ring Q[x,y]; ratmap f: ({components})")
+        assert isinstance(r, RationalMap)
+
 
 class TestPrinting:
     def test_difference_of_squares(self):

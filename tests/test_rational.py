@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import count_calls, poly, rand_poly
-from liptriv.classifier import RATIONAL_NOT_APPLICABLE, classify_rational
+from liptriv.classifier import RATIONAL_NOT_APPLICABLE, classify
 from liptriv.dependence import invariance_subspace
 from liptriv.parsing import parse_input
 from liptriv.polycore import PolyMap, Polynomial
@@ -39,7 +39,7 @@ class TestIndeterminacy:
         assert len(runs) == 1
 
     def test_polynomial_component_passes(self):
-        r = parse_input("ring Q[x,y]; ratmap f: (x*y + x)")
+        r = parse_input("ring Q[x,y]; ratmap f: (x*y + x, 1/(1 + x^2))")
         verdict = indeterminacy_empty_check(r)
         assert verdict.status == "PASS"
         assert verdict.per_component[0]["certificate"] == "constant denominator"
@@ -120,7 +120,7 @@ class TestRationalInvariance:
 
 class TestClassifyRational:
     def test_not_applicable_with_counterexample_evidence(self, regulous_map):
-        rep = classify_rational(regulous_map)
+        rep = classify(regulous_map, "real")
         assert rep.ltv.kind == "not_applicable"
         assert rep.ltv.reason == RATIONAL_NOT_APPLICABLE
         names = {c.name: c for c in rep.checks}
@@ -131,5 +131,5 @@ class TestClassifyRational:
 
     def test_polynomial_ratmap_gets_full_pipeline(self):
         r = parse_input("ring Q[x,y]; ratmap f: ((x + y)^3 / 1)")
-        rep = classify_rational(r, "complex")
+        rep = classify(r, "complex")
         assert rep.ltv.kind == "complement"
