@@ -305,7 +305,7 @@ def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> 
         data = {"values": samples}
         if cone_result.verdict == "PASS":  # every cone linear, so a subspace
             data["cone_subspace_basis"] = reports[0].cone_subspace.basis
-        if cone_result.verdict == "FAIL" and cone_result.witness is not None:
+        if cone_result.verdict == "FAIL":
             i, j = cone_result.witness
             data["witness_values"] = [samples[i], samples[j]]
             data["witness_cones"] = [_cone_data(reports[i]), _cone_data(reports[j])]
@@ -566,7 +566,7 @@ def lipschitz_gradient_probe(
     mapping: PolyMap | RationalMap,
     value: Sequence[float],
     radii: Sequence[float],
-    seed: int = 42,
+    seed: int = ProbeSchedule.seed,
 ) -> dict:
     """Sampled operator-norm bound of the Jacobian over near-fiber points.
 
@@ -655,7 +655,7 @@ def tube_distance_probe(
     t: Sequence[float],
     radii: Sequence[float] = (10.0, 25.0, 50.0),
     restarts: int = 12,
-    seed: int = 42,
+    seed: int = ProbeSchedule.seed,
 ) -> dict:
     """Estimate the distance between two levels inside growing balls.
 

@@ -23,7 +23,7 @@ from .groebner import (
     real_roots,
 )
 from .polycore import FloatKernel, PolyMap, Polynomial
-from .properness import target_ring
+from .properness import ProbeSchedule, target_ring
 
 
 def jacobian(g: PolyMap) -> tuple[tuple[Polynomial, ...], ...]:
@@ -91,25 +91,35 @@ def critical_ideal(
 
 @dataclass(frozen=True)
 class RealCriticalValue:
-    """An isolated real candidate critical value with its attainment status."""
+    """An isolated real candidate critical value, with a real critical point
+    attaining it when Newton found one."""
 
     interval: tuple[Fraction, Fraction]
-    approx: float
-    status: str  # "attained" | "candidate_only"
     witness: tuple[float, ...] | None
-    residual: float | None
+
+    @property
+    def approx(self) -> float:
+        """The isolating interval's midpoint as a float."""
+        return float((self.interval[0] + self.interval[1]) / 2)
+
+    @property
+    def status(self) -> str:
+        """Whether Newton found a witness: "attained", else "candidate_only"."""
+        return "candidate_only" if self.witness is None else "attained"
 
 
-# Residual and value gap below which a Newton point witnesses a critical value.
+# Gradient norm and value gap below which a Newton point witnesses a critical value.
 _NEWTON_TOL = 1e-8
 
 
-def real_critical_values(g: PolyMap, crit: Ideal, seed: int = 42) -> list[RealCriticalValue]:
+def real_critical_values(
+    g: PolyMap, crit: Ideal, seed: int = ProbeSchedule.seed
+) -> list[RealCriticalValue]:
     """Real roots of the eliminated critical ideal `crit` of g, flagged by attainment.
 
     Requires p = 1.  Attainment looks for a real critical point via
     200-start Newton on the gradient system and accepts a witness whose
-    gradient residual and value gap are both below the tolerance.
+    gradient norm and value gap are both below the tolerance.
     """
     if g.p != 1:
         raise ValueError("real critical value extraction needs p = 1")
@@ -123,24 +133,16 @@ def real_critical_values(g: PolyMap, crit: Ideal, seed: int = 42) -> list[RealCr
     value_at = FloatKernel(g.components).value
     out = []
     for interval in roots:
-        mid = (interval[0] + interval[1]) / 2
-        approx = float(mid)
-        status = "candidate_only"
-        best_witness = None
-        best_resid = None
-        for point, resid in witnesses:
-            value = value_at(point)[0]
-            gap = abs(value - approx)
+        approx = float((interval[0] + interval[1]) / 2)
+        witness = None
+        for point in witnesses:
+            gap = abs(value_at(point)[0] - approx)
             if interval[0] != interval[1]:
                 gap = max(0.0, gap - float(interval[1] - interval[0]))
-            if resid < _NEWTON_TOL and gap < _NEWTON_TOL:
-                status = "attained"
-                best_witness = tuple(point)
-                best_resid = resid
+            if gap < _NEWTON_TOL:
+                witness = tuple(point)
                 break
-        out.append(
-            RealCriticalValue(interval, approx, status, best_witness, best_resid)
-        )
+        out.append(RealCriticalValue(interval, witness))
     return out
 
 
@@ -148,10 +150,9 @@ def _norm(v: list[float]) -> float:
     return sqrt(sum([a * a for a in v]))
 
 
-def _newton_critical_points(
-    g: PolyMap, seed: int
-) -> list[tuple[list[float], float]]:
-    """Multi-start Newton for the gradient system of a scalar map.
+def _newton_critical_points(g: PolyMap, seed: int) -> list[list[float]]:
+    """Multi-start Newton for the gradient system of a scalar map: the end
+    points whose gradient norm is below _NEWTON_TOL.
 
     Each step is numpy's least-squares solve of J(x) s = -grad(x); around
     it the loop runs on Python floats, since the map has at most a few
@@ -165,7 +166,7 @@ def _newton_critical_points(
     gmap = FloatKernel([comp.partial(j) for j in range(m)])
 
     rng = np.random.default_rng(seed)
-    found: list[tuple[list[float], float]] = []
+    found: list[list[float]] = []
     for _ in range(200):
         x = rng.uniform(-3.0, 3.0, size=m).tolist()
         try:
@@ -186,5 +187,5 @@ def _newton_critical_points(
         except OverflowError:
             continue
         if all(isfinite(a) for a in x) and resid < _NEWTON_TOL:
-            found.append((x, resid))
+            found.append(x)
     return found

@@ -47,9 +47,13 @@ class FactorizationResult:
     """Data of f = g o pi with pi surjective linear and g fully reduced."""
 
     V: Subspace
-    m: int
     pi: LinearMap  # surjective n -> m
     g: PolyMap
+
+    @property
+    def m(self) -> int:
+        """Dimension of g's domain K^m: the codimension of V."""
+        return self.V.ambient_dim - self.V.dim
 
 
 def condition_kernel(conditions: Sequence[Sequence[Polynomial]], n: int) -> Subspace:
@@ -100,7 +104,7 @@ def factor_through_projection(f: PolyMap) -> FactorizationResult:
         )
         g = PolyMap(dummy, g_components, f.name)
         pi = LinearMap.from_rows([[Fraction(0)] * n])
-        return FactorizationResult(sub, 0, pi, g)
+        return FactorizationResult(sub, pi, g)
 
     rows = []
     for j in free:
@@ -110,7 +114,7 @@ def factor_through_projection(f: PolyMap) -> FactorizationResult:
         rows.append(row)
     pi = LinearMap.from_rows(rows)
     if sub.is_zero():
-        return FactorizationResult(sub, n, pi, f)
+        return FactorizationResult(sub, pi, f)
 
     # The surviving coordinates keep their original names (keeps reports
     # readable and makes suspension round-trips exact).
@@ -122,7 +126,7 @@ def factor_through_projection(f: PolyMap) -> FactorizationResult:
         )
         for comp in f.components
     )
-    return FactorizationResult(sub, len(free), pi, PolyMap(reduced_vars, g_components, f.name))
+    return FactorizationResult(sub, pi, PolyMap(reduced_vars, g_components, f.name))
 
 
 def suspend(g: PolyMap, extra_vars: int) -> PolyMap:

@@ -44,40 +44,32 @@ DEFAULT_BUDGET = GroebnerBudget()
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """grevlex, lex, or an elimination block order (drop block first)."""
+    """grevlex, or an elimination block order: the block's variables first,
+    grevlex within each block.  The empty block is grevlex."""
 
-    kind: str = "grevlex"
     block: tuple[int, ...] = ()  # variable indices eliminated first
 
     @staticmethod
     def grevlex() -> "MonomialOrder":
-        return MonomialOrder("grevlex")
-
-    @staticmethod
-    def lex() -> "MonomialOrder":
-        return MonomialOrder("lex")
+        return MonomialOrder()
 
     @staticmethod
     def elimination(drop: Iterable[int]) -> "MonomialOrder":
-        return MonomialOrder("block", tuple(sorted(set(drop))))
+        return MonomialOrder(tuple(sorted(set(drop))))
 
     def key_function(self, nvars: int) -> Callable[[Exponent], object]:
-        if self.kind == "grevlex":
+        if not self.block:
             return grevlex_key
-        if self.kind == "lex":
-            return lambda e: e
-        if self.kind == "block":
-            drop = self.block
-            keep = tuple(i for i in range(nvars) if i not in set(drop))
+        drop = self.block
+        keep = tuple(i for i in range(nvars) if i not in set(drop))
 
-            def key(e: Exponent):
-                return (
-                    grevlex_key(tuple(e[i] for i in drop)),
-                    grevlex_key(tuple(e[i] for i in keep)),
-                )
+        def key(e: Exponent):
+            return (
+                grevlex_key(tuple(e[i] for i in drop)),
+                grevlex_key(tuple(e[i] for i in keep)),
+            )
 
-            return key
-        raise ValueError(f"unknown order kind {self.kind!r}")
+        return key
 
 
 @dataclass(frozen=True)
@@ -116,9 +108,6 @@ class GroebnerBasis:
     order: MonomialOrder
     basis: tuple[Polynomial, ...]  # reduced, monic, sorted by leading term
 
-    def is_unit(self) -> bool:
-        return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero()
-
     def leading_exponents(self) -> list[Exponent]:
         keyf = self.order.key_function(len(self.vars))
         return [max((e for e, _ in g.terms), key=keyf) for g in self.basis]
@@ -130,7 +119,8 @@ class GroebnerBasis:
         that no leading monomial is supported inside S.
         """
         n = len(self.vars)
-        if self.is_unit():
+        if self.basis and self.basis[0].is_constant():
+            # A reduced basis holding a constant is (1).
             return -1
         supports = []
         for e in self.leading_exponents():
@@ -236,10 +226,6 @@ def _reduce_full(
     return remainder
 
 
-def _prepare(g: Polynomial) -> dict:
-    return dict(g.terms)
-
-
 def _entry(gd: dict, keyf) -> tuple[Exponent, Fraction, dict]:
     lead = _lead(gd, keyf)
     return (lead, gd[lead], gd)
@@ -284,7 +270,7 @@ def buchberger(
 
     basis: list[tuple[Exponent, Fraction, dict]] = []
     for g in ideal.generators:
-        gd = _normalize_content(_prepare(g))
+        gd = _normalize_content(dict(g.terms))
         if gd:
             basis.append(_entry(gd, keyf))
     basis.sort(key=lambda t: keyf(t[0]))

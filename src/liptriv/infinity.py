@@ -40,11 +40,15 @@ class InfinityReport:
     value: tuple[Fraction, ...]
     closure_ideal: Ideal  # homogeneous, saturated with respect to the prepended x0
     dim_infinity: int  # projective dimension of the fiber at infinity
-    m_candidate: int  # n - 1 - dim_infinity
     cone_ideal: Ideal  # in the affine variables, cuts the cone over infinity
     cone_basis: tuple[Polynomial, ...]  # reduced grevlex basis of cone_ideal
-    cone_is_linear: bool
-    cone_subspace: Subspace | None
+    cone_subspace: Subspace | None  # the cone, when it is a linear subspace
+
+    @property
+    def m_candidate(self) -> int:
+        """The paper's m as this fiber suggests it: the codimension n - 1 -
+        dim_infinity of the accumulation set at infinity."""
+        return len(self.cone_ideal.vars) - 1 - self.dim_infinity
 
 
 def fiber_infinity(
@@ -76,19 +80,14 @@ def fiber_infinity(
     cone_ideal = _cone_ideal(closure, f.vars)
     cone_basis = buchberger(cone_ideal, MonomialOrder.grevlex(), budget)
     dim_cone = cone_basis.dimension()
-    dim_inf = max(dim_cone - 1, -1)
-    m_candidate = f.n - 1 - dim_inf
-    linear, subspace = _linearity(cone_basis, dim_cone)
 
     return InfinityReport(
         value=cvec,
         closure_ideal=closure,
-        dim_infinity=dim_inf,
-        m_candidate=m_candidate,
+        dim_infinity=max(dim_cone - 1, -1),
         cone_ideal=cone_ideal,
         cone_basis=cone_basis.basis,
-        cone_is_linear=linear,
-        cone_subspace=subspace,
+        cone_subspace=_linearity(cone_basis, dim_cone),
     )
 
 
@@ -101,8 +100,8 @@ def _cone_ideal(closure: Ideal, affine_vars: tuple[str, ...]) -> Ideal:
     return Ideal.make(affine_vars, cuts)
 
 
-def _linearity(gb: GroebnerBasis, dim_cone: int) -> tuple[bool, Subspace | None]:
-    """Decide whether the cone is a linear subspace; if so return it.
+def _linearity(gb: GroebnerBasis, dim_cone: int) -> Subspace | None:
+    """The cone as a linear subspace, or None when it is not one.
 
     `gb` is the cone ideal's reduced grevlex basis and `dim_cone` is
     `gb.dimension()`.  The cone over the empty set is the null subspace.
@@ -115,12 +114,12 @@ def _linearity(gb: GroebnerBasis, dim_cone: int) -> tuple[bool, Subspace | None]
     n = len(gb.vars)
     if dim_cone <= 0:
         # The cone is at most the origin.
-        return True, Subspace.zero(n)
+        return Subspace.zero(n)
     if any(sum(e) != 1 for g in gb.basis for e, _ in g.terms):
-        return False, None
+        return None
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     rows = [[g.coefficient(e) for e in units] for g in gb.basis]
-    return True, Subspace.from_vectors(n, kernel_basis(rows, n))
+    return Subspace.from_vectors(n, kernel_basis(rows, n))
 
 
 @dataclass(frozen=True)
@@ -143,6 +142,6 @@ def cone_constancy_check(reports: Sequence[InfinityReport]) -> ConeConstancyResu
     for i in range(1, len(reports)):
         if reports[i].cone_basis != reports[0].cone_basis:
             return ConeConstancyResult("FAIL", (0, i))
-    if all(r.cone_is_linear for r in reports):
+    if all(r.cone_subspace is not None for r in reports):
         return ConeConstancyResult("PASS")
     return ConeConstancyResult("CONSTANT_NOT_LINEAR")

@@ -96,8 +96,12 @@ def is_one_plus_sum_of_squares(p: Polynomial) -> bool:
 
 @dataclass(frozen=True)
 class IndeterminacyVerdict:
-    status: str  # "PASS" | "FAIL"
     per_component: tuple[dict, ...]
+
+    @property
+    def status(self) -> str:
+        """PASS when every component passes, else FAIL."""
+        return "PASS" if all(e["verdict"] == "PASS" for e in self.per_component) else "FAIL"
 
 
 def indeterminacy_empty_check(
@@ -110,7 +114,6 @@ def indeterminacy_empty_check(
     when the complex common zero set is nonempty.
     """
     details = []
-    status = "PASS"
     for num, den in zip(r.numerators, r.denominators):
         if den.is_constant():
             entry = {"certificate": "constant denominator", "verdict": "PASS"}
@@ -123,7 +126,7 @@ def indeterminacy_empty_check(
             }
         elif (
             gb := buchberger(Ideal.make(r.vars, [num, den]), MonomialOrder.grevlex(), budget)
-        ).is_unit():
+        ).dimension() == -1:
             entry = {
                 "certificate": "unit_ideal",
                 "detail": "numerator and denominator generate the unit ideal over C",
@@ -134,9 +137,8 @@ def indeterminacy_empty_check(
                 "verdict": "FAIL",
                 "common_zero_ideal": gb.basis,
             }
-            status = "FAIL"
         details.append(entry)
-    return IndeterminacyVerdict(status, tuple(details))
+    return IndeterminacyVerdict(tuple(details))
 
 
 def rational_invariance_subspace(r: RationalMap) -> Subspace:

@@ -302,7 +302,7 @@ def infinity_document(src: PolyMap, field_name: str, reports: list[InfinityRepor
             "fiber_empty": rep.closure_ideal.has_unit_generator(),
             "dim_infinity": rep.dim_infinity,
             "m_candidate": rep.m_candidate,
-            "cone_is_linear": rep.cone_is_linear,
+            "cone_is_linear": rep.cone_subspace is not None,
             "cone_subspace": (
                 rep.cone_subspace.basis if rep.cone_subspace is not None else None
             ),

@@ -178,14 +178,14 @@ def spolynomial(f, g, order):
 def normal_form(p, gb):
     """Remainder of p by multivariate division by the basis gb, zero exactly
     when p is in its ideal: the membership test of the Groebner suites."""
-    from liptriv.groebner import DEFAULT_BUDGET, _entry, _order_key, _prepare, _reduce_full
+    from liptriv.groebner import DEFAULT_BUDGET, _entry, _order_key, _reduce_full
     from liptriv.polycore import Polynomial
 
     if p.vars != gb.vars:
         raise ValueError("ring mismatch")
     keyf = _order_key(gb.order, len(gb.vars))
-    basis = [_entry(_prepare(g), keyf) for g in gb.basis]
-    rem = _reduce_full(_prepare(p), basis, keyf, DEFAULT_BUDGET.max_degree)
+    basis = [_entry(dict(g.terms), keyf) for g in gb.basis]
+    rem = _reduce_full(dict(p.terms), basis, keyf, DEFAULT_BUDGET.max_degree)
     return Polynomial.from_dict(p.vars, rem)
 
 
@@ -330,8 +330,9 @@ def count_calls(monkeypatch, module, name):
 
 def reference_newton_critical_points(g, seed):
     """Multi-start Newton for the gradient system of a scalar map, on numpy
-    arrays: an oracle for critical._newton_critical_points, which runs the
-    same steps on Python floats."""
+    arrays: the end points whose gradient norm is below the tolerance.  An
+    oracle for critical._newton_critical_points, which runs the same steps
+    on Python floats."""
     import numpy as np
 
     from liptriv.critical import _NEWTON_TOL
@@ -364,5 +365,5 @@ def reference_newton_critical_points(g, seed):
         val = np.array(gmap.value(list(x)))
         resid = float(np.linalg.norm(val))
         if np.all(np.isfinite(x)) and resid < _NEWTON_TOL:
-            found.append(([float(v) for v in x], resid))
+            found.append([float(v) for v in x])
     return found

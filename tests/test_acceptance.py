@@ -14,7 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import count_real_roots, normal_form, poly, rand_poly, spolynomial
+from conftest import count_real_roots, eval_float, normal_form, poly, rand_poly, spolynomial
 from liptriv.classifier import (
     AnalysisConfig,
     classify,
@@ -83,7 +83,11 @@ def test_criterion_2_degree_six_suspension(motzkin_map):
             (0.0, "attained"),
             (1.0, "attained"),
         ]
-        assert all(r.residual is not None and r.residual < 1e-8 for r in roots)
+        # Each witness is a critical point: the gradient of g vanishes there.
+        grads = [reduced.components[0].partial(j) for j in range(reduced.n)]
+        for r in roots:
+            point = list(r.witness)
+            assert sum(eval_float(d, point) ** 2 for d in grads) ** 0.5 < 1e-8
 
         sched = ProbeSchedule()
         for c in (-1.0, 0.5, 0.9):

@@ -6,6 +6,7 @@ from itertools import combinations
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.orderings import ProductOrder, grevlex
 
 from conftest import normal_form
 from liptriv.groebner import (
@@ -20,6 +21,16 @@ from liptriv.groebner import (
 from liptriv.polycore import Polynomial
 
 RINGS = (("x",), ("x", "y"), ("x", "y", "z"))
+
+# The orders the pipeline runs, each with sympy's spelling: grevlex, and the
+# block order that eliminates the first variable, grevlex within each block.
+ORDERS = {
+    "grevlex": (MonomialOrder.grevlex(), "grevlex"),
+    "block": (
+        MonomialOrder.elimination([0]),
+        ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:])),
+    ),
+}
 
 
 def term_maps(ring, max_degree=3):
@@ -46,7 +57,7 @@ def to_sympy(p: Polynomial):
     return sympy.Poly.from_dict(terms, *gens).as_expr()
 
 
-def sympy_basis(exprs, names, order: str) -> list[dict]:
+def sympy_basis(exprs, names, order) -> list[dict]:
     """sympy's reduced basis of the ideal generated by exprs, as term maps."""
     if not exprs:
         return []
@@ -69,28 +80,28 @@ def monic(term_maps, order: MonomialOrder, nvars: int) -> set:
 
 
 @settings(deadline=None)
-@given(ideals(), st.sampled_from(["grevlex", "lex"]))
+@given(ideals(), st.sampled_from(sorted(ORDERS)))
 def test_buchberger_matches_sympy(ideal, order_name):
-    order = MonomialOrder.grevlex() if order_name == "grevlex" else MonomialOrder.lex()
+    order, sympy_order = ORDERS[order_name]
     ours = [dict(g.terms) for g in buchberger(ideal, order).basis]
     exprs = [to_sympy(g) for g in ideal.generators]
-    theirs = sympy_basis(exprs, ideal.vars, order_name)
+    theirs = sympy_basis(exprs, ideal.vars, sympy_order)
     n = len(ideal.vars)
     assert monic(ours, order, n) == monic(theirs, order, n)
 
 
 @settings(deadline=None)
-@given(ideals(), st.sampled_from(["grevlex", "lex"]), st.data())
+@given(ideals(), st.sampled_from(sorted(ORDERS)), st.data())
 def test_normal_form_matches_sympy(ideal, order_name, data):
     """The remainder modulo a Groebner basis is unique, so both must agree."""
-    order = MonomialOrder.grevlex() if order_name == "grevlex" else MonomialOrder.lex()
+    order, sympy_order = ORDERS[order_name]
     p = Polynomial.from_dict(ideal.vars, data.draw(term_maps(ideal.vars, max_degree=4)))
     ours = dict(normal_form(p, buchberger(ideal, order)).terms)
     gens = sympy.symbols(ideal.vars)
     expr = to_sympy(p)
     exprs = [to_sympy(g) for g in ideal.generators]
     if exprs:
-        basis = sympy.groebner(exprs, *gens, order=order_name, domain="QQ")
+        basis = sympy.groebner(exprs, *gens, order=sympy_order, domain="QQ")
         expr = basis.reduce(expr)[1]
     rem = sympy.Poly(expr, *gens, domain="QQ").as_dict()
     theirs = {e: Fraction(int(c.p), int(c.q)) for e, c in rem.items()}

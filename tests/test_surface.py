@@ -32,21 +32,6 @@ ALLOWED = {
     "polycore.FloatKernel._sphere_descent_code": "reached through getattr(self, f'_{name}_code')",
     "polycore.FloatKernel._penalty_descent_code": "reached through getattr(self, f'_{name}_code')",
     "cli.main": "the console-script entry point named in pyproject.toml",
-    "groebner.MonomialOrder.lex": (
-        "constructor of the exported order's lex kind, which key_function "
-        "implements and the sympy oracle and the S-pair order pin run under"
-    ),
-}
-
-# Dataclass fields no attribute access in the package reads, each with its reason.
-ALLOWED_FIELDS = {
-    "critical.RealCriticalValue.residual": (
-        "attainment evidence of a critical value, read by the acceptance suite"
-    ),
-    "dependence.Subspace.ambient_dim": (
-        "part of the value the generated __eq__ compares: the zero subspaces "
-        "of K^2 and K^3 hold the same empty basis"
-    ),
 }
 
 
@@ -125,7 +110,7 @@ def test_every_dataclass_field_is_read_in_the_package():
     unread = [
         qual
         for qual, name in _fields()
-        if qual not in ALLOWED_FIELDS and not any(is_attr for _, is_attr in refs[name])
+        if not any(is_attr for _, is_attr in refs[name])
     ]
     assert not unread, f"dataclass fields no attribute access in src/liptriv reads: {unread}"
 
@@ -133,7 +118,6 @@ def test_every_dataclass_field_is_read_in_the_package():
 def test_allowlist_names_existing_definitions():
     defs, _ = _scan()
     assert set(ALLOWED) | set(ALLOWED_LOCAL_IMPORTS) <= {qual for qual, _, _ in defs}
-    assert set(ALLOWED_FIELDS) <= {qual for qual, _ in _fields()}
 
 
 def _imported_names(tree):
