@@ -1,9 +1,11 @@
 """Exact ideal engine: Buchberger, elimination, saturation, intersection,
 dimension, and univariate real-root isolation by Sturm sequences.
 
-All arithmetic is over exact rationals.  Computations carry an explicit
-resource budget (basis size and total degree); exceeding it raises
-BudgetExceededError rather than returning a truncated answer.
+All arithmetic is exact: Buchberger runs on integer coefficients, and
+polynomials cross the module boundary with `Fraction` coefficients.
+Computations carry an explicit resource budget (basis size and total
+degree); exceeding it raises BudgetExceededError rather than returning a
+truncated answer.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Iterable, Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Sequence
 
-from .polycore import Exponent, Polynomial, fresh_name, grevlex_key
+from .polycore import Exponent, Polynomial, fresh_name
 
 
 class BudgetExceededError(RuntimeError):
@@ -57,20 +60,6 @@ class MonomialOrder:
     def elimination(drop: Iterable[int]) -> "MonomialOrder":
         return MonomialOrder(tuple(sorted(set(drop))))
 
-    def key_function(self, nvars: int) -> Callable[[Exponent], object]:
-        if not self.block:
-            return grevlex_key
-        drop = self.block
-        keep = tuple(i for i in range(nvars) if i not in set(drop))
-
-        def key(e: Exponent):
-            return (
-                grevlex_key(tuple(e[i] for i in drop)),
-                grevlex_key(tuple(e[i] for i in keep)),
-            )
-
-        return key
-
 
 @dataclass(frozen=True)
 class Ideal:
@@ -109,8 +98,8 @@ class GroebnerBasis:
     basis: tuple[Polynomial, ...]  # reduced, monic, sorted by leading term
 
     def leading_exponents(self) -> list[Exponent]:
-        keyf = self.order.key_function(len(self.vars))
-        return [max((e for e, _ in g.terms), key=keyf) for g in self.basis]
+        packing = _Packing(self.order, len(self.vars), max((g.degree for g in self.basis), default=0))
+        return [max((e for e, _ in g.terms), key=packing.pack) for g in self.basis]
 
     def dimension(self) -> int:
         """Krull dimension of V(I) over the algebraic closure; -1 for the unit ideal.
@@ -135,121 +124,142 @@ class GroebnerBasis:
         return best
 
 
-# -- dict-based core ---------------------------------------------------------
+# -- integer core ------------------------------------------------------------
+#
+# A Buchberger run keeps each polynomial as a dict from a packed monomial (an
+# int, see _Packing) to an integer coefficient.  Basis entries are primitive
+# with a positive leading coefficient, and every intermediate is a positive
+# integer multiple of the one exact rational arithmetic would give, so leading
+# monomials, zero reductions, pair order and budget trips are the same.
 
 
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+class _Packing:
+    """The monomials of one run as ints whose integer order is the run's order.
+
+    Each block of the order (one for grevlex; the eliminated variables, then
+    the rest, for an elimination order) is a degree field followed by its
+    variables in reversed order, each stored as bias - e, so comparing words
+    compares each block's grevlex_key in turn.  A last field holds the total
+    degree.  Every field has a guard bit that stays clear for monomials of
+    total degree up to 2 * degree.  The word is affine in the exponent, so a
+    product of monomials is a sum of words less pack((0, ..., 0)).
+    """
+
+    def __init__(self, order: MonomialOrder, nvars: int, degree: int):
+        width = (2 * degree).bit_length() + 1
+        self.mask = (1 << width) - 1
+        self.bias = bias = self.mask >> 1
+        drop = order.block
+        blocks = [tuple(i for i in range(nvars) if i not in drop)]
+        if drop:
+            blocks.append(drop)
+        self.weights = [1] * nvars  # the total degree field, at shift 0
+        self.shifts = [0] * nvars
+        self.base = var_guard = 0
+        shift = width
+        for block in blocks:  # the least significant block first
+            for i in block:
+                self.weights[i] -= 1 << shift
+                self.shifts[i] = shift
+                self.base += bias << shift
+                var_guard |= 1 << shift + width - 1
+                shift += width
+            for i in block:
+                self.weights[i] += 1 << shift
+            shift += width
+        self.var_guard = var_guard
+        self.guard = sum(1 << s - 1 for s in range(width, shift + 1, width))
+
+    def pack(self, e: Iterable[int]) -> int:
+        return self.base + sum(map(mul, e, self.weights))
+
+    def unpack(self, word: int) -> Exponent:
+        bias, mask = self.bias, self.mask
+        return tuple([bias - (word >> s & mask) for s in self.shifts])
+
+    def divides(self, a: int, b: int) -> bool:
+        """The monomial a divides b: no variable field of a is below b's."""
+        return (a | self.guard) - b & self.var_guard == self.var_guard
 
 
-def _sub_exp(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+def _integer_terms(p: Polynomial, packing: _Packing) -> dict:
+    """p times the lcm of its denominators, on packed monomials."""
+    den = lcm(*(c.denominator for _, c in p.terms))
+    return {packing.pack(e): c.numerator * (den // c.denominator) for e, c in p.terms}
 
 
-def _lcm_exp(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _entry(terms: dict, packing: _Packing) -> tuple:
+    """(lead word, lead coefficient, terms, lead exponent, packing) of the
+    primitive multiple of terms with a positive leading coefficient."""
+    lead = max(terms)
+    content = gcd(*terms.values())
+    if terms[lead] < 0:
+        content = -content
+    if content != 1:
+        terms = {k: c // content for k, c in terms.items()}
+    return (lead, terms[lead], terms, packing.unpack(lead), packing)
 
 
-def _add_exp(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+def _reduce_full(p: dict, basis: list[tuple], packing: _Packing, max_degree: int) -> tuple[dict, int]:
+    """Full multivariate division remainder of p by the basis (deterministic),
+    times the positive integer returned with it.
 
-
-class _KeyMemo(dict):
-    """Exponent -> order key, each key computed once.  A monomial's key never
-    changes, so one memo serves a whole Buchberger run."""
-
-    def __init__(self, keyf: Callable[[Exponent], object]):
-        super().__init__()
-        self.keyf = keyf
-
-    def __missing__(self, e: Exponent):
-        key = self[e] = self.keyf(e)
-        return key
-
-
-def _order_key(order: MonomialOrder, nvars: int) -> Callable[[Exponent], object]:
-    return _KeyMemo(order.key_function(nvars)).__getitem__
-
-
-def _lead(d: dict, keyf) -> Exponent:
-    return max(d, key=keyf)
-
-
-def _normalize_content(d: dict) -> dict:
-    """Scale by a positive rational so coefficients are coprime integers."""
-    if not d:
-        return d
-    num = 0
-    den = 1
-    for c in d.values():
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    scale = Fraction(den, num)
-    if scale == 1:
-        return d
-    return {e: c * scale for e, c in d.items()}
-
-
-def _reduce_full(
-    p: dict,
-    basis: list[tuple[Exponent, Fraction, dict]],
-    keyf,
-    max_degree: int,
-) -> dict:
-    """Full multivariate division remainder of p by the basis (deterministic)."""
+    Before each step the working polynomial and the remainder are scaled by
+    lc / gcd(coefficient, lc), so that the step is integral.
+    """
+    guard, var_guard, mask = packing.guard, packing.var_guard, packing.mask
+    divisors = [(entry[0] | guard, entry) for entry in basis]
     work = dict(p)
     remainder: dict = {}
+    scale = 1
     while work:
-        mono = _lead(work, keyf)
-        if sum(mono) > max_degree:
-            raise BudgetExceededError("degree", max_degree, sum(mono))
+        mono = max(work)
+        if mono & mask > max_degree:
+            raise BudgetExceededError("degree", max_degree, mono & mask)
         coeff = work[mono]
-        hit = None
-        for lead, lc, gd in basis:
-            if _divides(lead, mono):
-                hit = (lead, lc, gd)
+        for top, (lead, lc, terms, _, _) in divisors:
+            if top - mono & var_guard == var_guard:
                 break
-        if hit is None:
+        else:
             remainder[mono] = coeff
             del work[mono]
             continue
-        lead, lc, gd = hit
-        shift = _sub_exp(mono, lead)
-        factor = coeff / lc
-        for e, c in gd.items():
-            ne = _add_exp(e, shift)
-            s = work.get(ne, Fraction(0)) - factor * c
+        g = gcd(coeff, lc)
+        if g != lc:
+            m = lc // g
+            work = {k: c * m for k, c in work.items()}
+            remainder = {k: c * m for k, c in remainder.items()}
+            scale *= m
+        factor = coeff // g
+        shift = mono - lead
+        for e, c in terms.items():
+            ne = e + shift
+            s = work.get(ne, 0) - factor * c
             if s:
                 work[ne] = s
             else:
-                work.pop(ne, None)
-    return remainder
+                del work[ne]
+    return remainder, scale
 
 
-def _entry(gd: dict, keyf) -> tuple[Exponent, Fraction, dict]:
-    lead = _lead(gd, keyf)
-    return (lead, gd[lead], gd)
-
-
-def _spoly(
-    a: tuple[Exponent, Fraction, dict], b: tuple[Exponent, Fraction, dict], lcm: Exponent
-) -> dict:
-    """S-polynomial (lcm/lt(a)) * a - (lcm/lt(b)) * b of two basis entries."""
-    lead_a, lc_a, da = a
-    lead_b, lc_b, db = b
-    out: dict = {}
-    shift = _sub_exp(lcm, lead_a)
-    for e, c in da.items():
-        ne = _add_exp(e, shift)
-        out[ne] = out.get(ne, Fraction(0)) + c / lc_a
-    shift = _sub_exp(lcm, lead_b)
-    for e, c in db.items():
-        ne = _add_exp(e, shift)
-        s = out.get(ne, Fraction(0)) - c / lc_b
+def _spoly(a: tuple, b: tuple, lcm: Exponent) -> dict:
+    """S-polynomial (lc_b/g) * (lcm/lt(a)) * a - (lc_a/g) * (lcm/lt(b)) * b of
+    two basis entries, g = gcd(lc_a, lc_b): a positive multiple of the monic one."""
+    lead_a, lc_a, terms_a, _, packing = a
+    lead_b, lc_b, terms_b, _, _ = b
+    word = packing.pack(lcm)
+    g = gcd(lc_a, lc_b)
+    fa, fb = lc_b // g, lc_a // g
+    shift = word - lead_a
+    out = {e + shift: c * fa for e, c in terms_a.items()}
+    shift = word - lead_b
+    for e, c in terms_b.items():
+        ne = e + shift
+        s = out.get(ne, 0) - c * fb
         if s:
             out[ne] = s
         else:
-            out.pop(ne, None)
+            del out[ne]
     return out
 
 
@@ -262,44 +272,45 @@ def buchberger(
 
     Pair selection follows the normal strategy (minimal lcm degree, then the
     order, then the pair's indices) from a heap, and skips pairs by the
-    coprimality and chain criteria.  Every intermediate result is
-    content-normalized to keep coefficients small.
+    coprimality and chain criteria.  Coefficients are integers, and every new
+    basis entry is made primitive to keep them small.
     """
     order = order or MonomialOrder.grevlex()
-    keyf = _order_key(order, len(ideal.vars))
-
-    basis: list[tuple[Exponent, Fraction, dict]] = []
-    for g in ideal.generators:
-        gd = _normalize_content(dict(g.terms))
-        if gd:
-            basis.append(_entry(gd, keyf))
-    basis.sort(key=lambda t: keyf(t[0]))
+    # Every term a run forms has total degree at most twice this: basis terms
+    # are input terms or passed the degree check when popped.
+    degree = max([budget.max_degree] + [g.degree for g in ideal.generators])
+    packing = _Packing(order, len(ideal.vars), degree)
+    basis = [_entry(_integer_terms(g, packing), packing) for g in ideal.generators if not g.is_zero()]
+    basis.sort(key=lambda t: t[0])
 
     # Each pair is pushed once and popped once; pending holds the pairs not
-    # yet popped, for the chain criterion.
-    pending: dict[tuple[int, int], Exponent] = {}
+    # yet popped, for the chain criterion.  A pair's key is the degree and
+    # the word of the lcm of its leading monomials.
+    pending: set[tuple[int, int]] = set()
     heap: list = []
+    mask = packing.mask
 
     def push(i: int, j: int) -> None:
-        lcm = pending[(i, j)] = _lcm_exp(basis[i][0], basis[j][0])
-        heapq.heappush(heap, (sum(lcm), keyf(lcm), (i, j), lcm))
+        pending.add((i, j))
+        word = packing.pack(map(max, basis[i][3], basis[j][3]))
+        heapq.heappush(heap, (word & mask, word, (i, j)))
 
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             push(i, j)
 
     while heap:
-        _, _, (i, j), lcm = heapq.heappop(heap)
-        del pending[(i, j)]
+        lcm_degree, word, (i, j) = heapq.heappop(heap)
+        pending.remove((i, j))
         # First criterion: coprime leading monomials.
-        if lcm == _add_exp(basis[i][0], basis[j][0]):
+        if lcm_degree == (basis[i][0] & mask) + (basis[j][0] & mask):
             continue
         # Chain criterion: some k with lt_k | lcm and both cross pairs done.
         skip = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if not _divides(basis[k][0], lcm):
+            if not packing.divides(basis[k][0], word):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -309,49 +320,42 @@ def buchberger(
         if skip:
             continue
 
-        spoly = _spoly(basis[i], basis[j], lcm)
-        remainder = _reduce_full(spoly, basis, keyf, budget.max_degree)
+        spoly = _spoly(basis[i], basis[j], packing.unpack(word))
+        remainder, _ = _reduce_full(spoly, basis, packing, budget.max_degree)
         if not remainder:
             continue
-        remainder = _normalize_content(remainder)
         new_index = len(basis)
         if new_index + 1 > budget.max_basis:
             raise BudgetExceededError("basis size", budget.max_basis, new_index + 1)
-        entry = _entry(remainder, keyf)
-        if sum(entry[0]) > budget.max_degree:
-            raise BudgetExceededError("degree", budget.max_degree, sum(entry[0]))
-        basis.append(entry)
+        # Every term of the remainder passed the degree check.
+        basis.append(_entry(remainder, packing))
         for k in range(new_index):
             push(k, new_index)
 
-    return _reduce_basis(ideal.vars, order, basis, keyf, budget)
+    return _reduce_basis(ideal.vars, order, basis, packing, budget)
 
 
 def _reduce_basis(
     vars_: tuple[str, ...],
     order: MonomialOrder,
-    basis: list[tuple[Exponent, Fraction, dict]],
-    keyf,
+    basis: list[tuple],
+    packing: _Packing,
     budget: GroebnerBudget,
 ) -> GroebnerBasis:
     # Minimal basis: drop entries whose leading term another one divides.
-    minimal: list[tuple[Exponent, Fraction, dict]] = []
-    for entry in sorted(basis, key=lambda t: keyf(t[0])):
-        if not any(_divides(other[0], entry[0]) for other in minimal):
+    # Sorted by leading term, an entry's divisors come before it.
+    minimal: list[tuple] = []
+    for entry in sorted(basis, key=lambda t: t[0]):
+        if not any(packing.divides(other[0], entry[0]) for other in minimal):
             minimal.append(entry)
-    # Inter-reduce tails and normalize to monic.
-    reduced: list[tuple[object, Polynomial]] = []
-    for idx, (lead, lc, gd) in enumerate(minimal):
-        others = [minimal[k] for k in range(len(minimal)) if k != idx]
-        tail = _reduce_full(gd, others, keyf, budget.max_degree)
-        if not tail:
-            continue
-        lead2 = _lead(tail, keyf)
-        inv = 1 / tail[lead2]
-        poly = Polynomial.from_dict(vars_, {e: c * inv for e, c in tail.items()})
-        reduced.append((keyf(lead2), poly))
-    reduced.sort(key=lambda t: t[0])
-    return GroebnerBasis(vars_, order, tuple(poly for _, poly in reduced))
+    # Inter-reduce tails and normalize to monic; no other leading term
+    # divides an entry's own, so it stays the leading term.
+    polys = []
+    for idx, (lead, _, terms, _, _) in enumerate(minimal):
+        tail, _ = _reduce_full(terms, minimal[:idx] + minimal[idx + 1 :], packing, budget.max_degree)
+        lc = tail[lead]
+        polys.append(Polynomial.from_dict(vars_, {packing.unpack(k): Fraction(c, lc) for k, c in tail.items()}))
+    return GroebnerBasis(vars_, order, tuple(polys))
 
 
 # -- elimination, saturation, intersection -----------------------------------

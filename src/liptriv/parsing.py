@@ -23,8 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .groebner import BudgetExceededError
 from .polycore import MAX_EXPONENT, Polynomial, PolyMap
 from .rational import RationalMap
+
+# Term pairs one product may multiply while parsing.  A power is expanded in
+# full before any Groebner budget applies, and a product past this takes
+# seconds: (1+x+y+z)^80 would take minutes.
+MAX_PARSE_PRODUCT = 100_000
 
 
 class ParseError(ValueError):
@@ -117,6 +123,24 @@ class _Parser:
         except OverflowError:
             raise self.error(f"exponent exceeds cap {MAX_EXPONENT}", tok) from None
 
+    def product(self, tok: Token, a: Polynomial, b: Polynomial) -> Polynomial:
+        """a * b, refused past MAX_PARSE_PRODUCT term pairs."""
+        pairs = len(a.terms) * len(b.terms)
+        if pairs > MAX_PARSE_PRODUCT:
+            raise BudgetExceededError("parse term pairs of one product", MAX_PARSE_PRODUCT, pairs)
+        return self.under_cap(tok, lambda: a * b)
+
+    def power(self, tok: Token, base: Polynomial, k: int) -> Polynomial:
+        """base ** k by repeated squaring, each product checked by product()."""
+        result = Polynomial.constant(self.ring_vars, 1)
+        while k:
+            if k & 1:
+                result = self.product(tok, result, base)
+            k >>= 1
+            if k:
+                base = self.product(tok, base, base)
+        return result
+
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
@@ -198,8 +222,7 @@ class _Parser:
         value = self.parse_factor()
         while self.peek().text == "*":
             star = self.next()
-            rhs = self.parse_factor()
-            value = self.under_cap(star, lambda: value * rhs)
+            value = self.product(star, value, self.parse_factor())
         return value
 
     def parse_factor(self) -> Polynomial:
@@ -210,7 +233,7 @@ class _Parser:
             if tok.kind != "int":
                 raise self.error("exponent must be a non-negative integer", tok)
             self.next()
-            return self.under_cap(tok, lambda: base ** int(tok.text))
+            return self.power(tok, base, int(tok.text))
         return base
 
     def parse_base(self) -> Polynomial:

@@ -71,7 +71,7 @@ class Polynomial:
             _check_exponent(e)
             c = as_fraction(c)
             if c != 0:
-                fixed[e] = fixed.get(e, Fraction(0)) + c
+                fixed[e] = fixed[e] + c if e in fixed else c
         return Polynomial(vs, _canon(fixed))
 
     @staticmethod

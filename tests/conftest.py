@@ -159,12 +159,31 @@ def directional_derivative(f, v):
     return PolyMap(f.vars, tuple(comps), f.name)
 
 
+def order_key(order, nvars: int):
+    """Sort key of a MonomialOrder on exponent tuples, from grevlex_key: the
+    oracle of the Groebner engine's packed monomials."""
+    from liptriv.polycore import grevlex_key
+
+    if not order.block:
+        return grevlex_key
+    drop = order.block
+    keep = tuple(i for i in range(nvars) if i not in drop)
+
+    def key(e):
+        return (
+            grevlex_key(tuple(e[i] for i in drop)),
+            grevlex_key(tuple(e[i] for i in keep)),
+        )
+
+    return key
+
+
 def spolynomial(f, g, order):
     """S-polynomial of f and g under a monomial order, from Polynomial
     arithmetic: an oracle for the Groebner engine's own S-polynomial."""
     from liptriv.polycore import Polynomial
 
-    key = order.key_function(f.nvars)
+    key = order_key(order, f.nvars)
     ea, ca = max(f.terms, key=lambda t: key(t[0]))
     eb, cb = max(g.terms, key=lambda t: key(t[0]))
     lcm = tuple(max(a, b) for a, b in zip(ea, eb))
@@ -177,16 +196,24 @@ def spolynomial(f, g, order):
 
 def normal_form(p, gb):
     """Remainder of p by multivariate division by the basis gb, zero exactly
-    when p is in its ideal: the membership test of the Groebner suites."""
-    from liptriv.groebner import DEFAULT_BUDGET, _entry, _order_key, _reduce_full
+    when p is in its ideal: the membership test of the Groebner suites.
+
+    The engine divides integer multiples: p is scaled to integer coefficients
+    first, and both that factor and the one the division reports are divided
+    out, so the remainder is the exact rational one."""
+    from math import lcm
+
+    from liptriv.groebner import DEFAULT_BUDGET, _entry, _integer_terms, _Packing, _reduce_full
     from liptriv.polycore import Polynomial
 
     if p.vars != gb.vars:
         raise ValueError("ring mismatch")
-    keyf = _order_key(gb.order, len(gb.vars))
-    basis = [_entry(dict(g.terms), keyf) for g in gb.basis]
-    rem = _reduce_full(dict(p.terms), basis, keyf, DEFAULT_BUDGET.max_degree)
-    return Polynomial.from_dict(p.vars, rem)
+    degree = max([DEFAULT_BUDGET.max_degree, p.degree] + [g.degree for g in gb.basis])
+    packing = _Packing(gb.order, len(gb.vars), degree)
+    basis = [_entry(_integer_terms(g, packing), packing) for g in gb.basis]
+    den = lcm(*(c.denominator for _, c in p.terms))
+    rem, scale = _reduce_full(_integer_terms(p * den, packing), basis, packing, DEFAULT_BUDGET.max_degree)
+    return Polynomial.from_dict(p.vars, {packing.unpack(k): Fraction(c, scale * den) for k, c in rem.items()})
 
 
 def eval_float(p, point) -> float:

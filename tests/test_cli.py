@@ -337,6 +337,24 @@ class TestErrors:
             assert code == 2, text
             assert err.startswith(f"parse error: {where} exponent"), err
 
+    def test_huge_expansion_exit_three(self, capsys, tmp_path):
+        # (1+x+y+z)^80 has 91,881 terms; one squaring on the way multiplies
+        # 969 by 969 terms, past the parser's product cap.
+        import time
+
+        from liptriv.parsing import MAX_PARSE_PRODUCT
+
+        source = tmp_path / "expansion.map"
+        source.write_text("ring Q[x,y,z]; map f: ((1+x+y+z)^80)")
+        start = time.process_time()
+        code = run(["analyze", "-i", str(source)])
+        elapsed = time.process_time() - start
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("resource budget exhausted: budget exceeded: parse"), err
+        assert f"limit {MAX_PARSE_PRODUCT}" in err
+        assert elapsed < 5.0
+
     def test_negative_seed_exit_two_before_any_stage(self, capsys, monkeypatch):
         import liptriv.dependence
 

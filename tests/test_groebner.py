@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     count_real_roots,
     normal_form,
+    order_key,
     poly,
     rand_poly,
     spolynomial,
@@ -18,6 +19,7 @@ from conftest import (
 )
 from liptriv.groebner import (
     BudgetExceededError,
+    _Packing,
     GroebnerBudget,
     Ideal,
     MonomialOrder,
@@ -28,7 +30,7 @@ from liptriv.groebner import (
     real_roots,
     saturate,
 )
-from liptriv.polycore import Polynomial
+from liptriv.polycore import MAX_EXPONENT, Polynomial
 
 XY = ("x", "y")
 
@@ -103,7 +105,7 @@ class TestBuchberger:
 
     def test_basis_is_monic_and_sorted(self):
         gb = gb_of(XY, "2*x^2 - 2*y", "3*y^2")
-        keyf = gb.order.key_function(2)
+        keyf = order_key(gb.order, 2)
         leads = [max((e for e, _ in g.terms), key=keyf) for g in gb.basis]
         assert leads == sorted(leads, key=keyf)
         for g, lead in zip(gb.basis, leads):
@@ -256,35 +258,46 @@ class TestRealRoots:
         assert real_roots(p) == two_phase_real_roots(p)
 
 
-class TestOrderKeys:
+class TestPackedMonomials:
+    """buchberger keeps monomials as packed ints; their integer order must be
+    the monomial order of order_key, the tuple-based oracle."""
+
     @pytest.mark.parametrize(
         "order",
         [MonomialOrder.grevlex(), MonomialOrder.elimination([0, 2])],
         ids=["grevlex", "block-drop-2"],
     )
-    def test_each_exponent_keyed_once_per_run(self, order, monkeypatch):
-        keyed = []
-        key_function = MonomialOrder.key_function
+    def test_word_order_is_the_monomial_order(self, order):
+        nvars, degree = 4, 5
+        top = 2 * degree  # the largest total degree a run packs
+        packing = _Packing(order, nvars, degree)
+        key = order_key(order, nvars)
+        rng = random.Random(11)
 
-        def counting(self, nvars):
-            keyf = key_function(self, nvars)
+        def exponent():
+            e = [0] * nvars
+            for _ in range(rng.randint(0, top)):
+                e[rng.randrange(nvars)] += 1
+            return tuple(e)
 
-            def key(e):
-                keyed.append(e)
-                return keyf(e)
-
-            return key
-
-        monkeypatch.setattr(MonomialOrder, "key_function", counting)
-        ring = ("x", "y", "z", "w")
-        gens = [
-            poly(ring, "x^2 + y*z - w"),
-            poly(ring, "y^2 - x*w + 2"),
-            poly(ring, "z*w - x*y - 1"),
-        ]
-        gb = buchberger(Ideal.make(ring, gens), order)
-        assert len(gb.basis) > len(gens)
-        assert len(keyed) == len(set(keyed))
+        zero = (0,) * nvars
+        # The boundary: the unit, each variable to the full degree, and the
+        # full degree split between the first and last variable.
+        exps = [zero, (top // 2, 0, 0, top - top // 2)]
+        exps += [tuple(top * (i == j) for i in range(nvars)) for j in range(nvars)]
+        exps += [exponent() for _ in range(80)]
+        for a in exps:
+            word = packing.pack(a)
+            assert packing.unpack(word) == a
+            assert word & packing.mask == sum(a)
+            for b in exps:
+                other = packing.pack(b)
+                assert (word < other) == (key(a) < key(b))
+                assert (word == other) == (a == b)
+                assert packing.divides(word, other) == all(x <= y for x, y in zip(a, b))
+                if sum(a) + sum(b) <= top:
+                    ab = tuple(x + y for x, y in zip(a, b))
+                    assert packing.pack(ab) == word + other - packing.pack(zero)
 
 
 class TestBudget:
@@ -315,6 +328,31 @@ class TestBudget:
             assert exc.observed > 3
         else:
             pytest.fail("expected BudgetExceededError")
+
+    def test_exponent_at_the_cap(self):
+        """Packed fields are sized from the input degree too, so an exponent
+        at MAX_EXPONENT neither wraps nor slips past the degree budget."""
+        ring = ("x", "y", "z")
+        n = MAX_EXPONENT
+        # x divides x^n: the basis is (x) without any term of degree n popped.
+        gb = buchberger(Ideal.make(ring, [poly(ring, f"x^{n}"), poly(ring, "x")]))
+        assert gb.basis == (poly(ring, "x"),)
+        gens = [poly(ring, f"x^{n}*y - y"), poly(ring, f"x^{n}*z - z")]
+        with pytest.raises(BudgetExceededError):
+            buchberger(Ideal.make(ring, gens))
+        # The one S-polynomial reduces to zero, and both are reduced already.
+        gb = buchberger(Ideal.make(ring, gens), budget=GroebnerBudget(max_degree=n + 1))
+        assert gb.basis == (gens[1], gens[0])
+        assert gb.leading_exponents() == [(n, 0, 1), (n, 1, 0)]
+
+    def test_large_degree_budget(self):
+        ring = ("x", "y", "z")
+        gens = [poly(ring, "x^2 + y*z - 1"), poly(ring, "y^2 + x*z - 2"), poly(ring, "z^2 + x*y - 3")]
+        for order in (MonomialOrder.grevlex(), MonomialOrder.elimination([0])):
+            expected = buchberger(Ideal.make(ring, gens), order)
+            for max_degree in (2**40, 10**30):
+                budget = GroebnerBudget(max_degree=max_degree)
+                assert buchberger(Ideal.make(ring, gens), order, budget) == expected
 
 
 class TestIsUnitIdeal:

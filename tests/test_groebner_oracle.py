@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.orderings import ProductOrder, grevlex
 
-from conftest import normal_form
+from conftest import normal_form, order_key
 from liptriv.groebner import (
     Ideal,
     MonomialOrder,
@@ -71,7 +71,7 @@ def sympy_basis(exprs, names, order) -> list[dict]:
 
 def monic(term_maps, order: MonomialOrder, nvars: int) -> set:
     """Each polynomial divided by its leading coefficient, as a set of term sets."""
-    keyf = order.key_function(nvars)
+    keyf = order_key(order, nvars)
     out = set()
     for terms in term_maps:
         lead = terms[max(terms, key=keyf)]
@@ -186,7 +186,7 @@ def test_dimension_matches_sympy(ideal):
     """The largest variable set no leading monomial of sympy's basis lives on."""
     n = len(ideal.vars)
     basis = sympy_basis([to_sympy(g) for g in ideal.generators], ideal.vars, "grevlex")
-    keyf = MonomialOrder.grevlex().key_function(n)
+    keyf = order_key(MonomialOrder.grevlex(), n)
     if any(all(not any(e) for e in terms) for terms in basis):
         expected = -1
     else:
