@@ -38,8 +38,6 @@ def _poly_det(rows: list[list[Polynomial]]) -> Polynomial:
     k = len(rows)
     if k == 1:
         return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     vars_ = rows[0][0].vars
     acc = Polynomial.zero(vars_)
     for j in range(k):
@@ -79,12 +77,11 @@ def critical_ideal(
     for i, comp in enumerate(g.components):
         ti = Polynomial.variable(ring, g.n + i)
         gens.append(comp.embed(ring) - ti)
-    if g.p <= g.n:
-        # When all minors vanish identically every point is critical and
-        # only the graph equations remain.
-        for minor in jacobian_minors(g):
-            if not minor.is_zero():
-                gens.append(minor.embed(ring))
+    # For p > m, or when all minors vanish identically, every point is
+    # critical and only the graph equations remain.
+    for minor in jacobian_minors(g):
+        if not minor.is_zero():
+            gens.append(minor.embed(ring))
     projected = eliminate(Ideal.make(ring, gens), g.vars, budget)
     return Ideal.make(tvars, projected.generators)
 

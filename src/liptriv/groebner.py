@@ -79,9 +79,6 @@ class Ideal:
                 fixed.append(g)
         return Ideal(vs, tuple(fixed))
 
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
-
     def has_unit_generator(self) -> bool:
         """A nonzero constant generator: V(I) is empty (iff, for a reduced basis)."""
         return any(g.is_constant() and not g.is_zero() for g in self.generators)
@@ -189,20 +186,20 @@ def _integer_terms(p: Polynomial, packing: _Packing) -> dict:
 
 
 def _entry(terms: dict, packing: _Packing) -> tuple:
-    """(lead word, lead coefficient, terms, lead exponent, packing) of the
-    primitive multiple of terms with a positive leading coefficient."""
+    """(lead word, lead coefficient, terms, lead exponent) of the primitive
+    multiple of terms with a positive leading coefficient."""
     lead = max(terms)
     content = gcd(*terms.values())
     if terms[lead] < 0:
         content = -content
     if content != 1:
         terms = {k: c // content for k, c in terms.items()}
-    return (lead, terms[lead], terms, packing.unpack(lead), packing)
+    return (lead, terms[lead], terms, packing.unpack(lead))
 
 
-def _reduce_full(p: dict, basis: list[tuple], packing: _Packing, max_degree: int) -> tuple[dict, int]:
-    """Full multivariate division remainder of p by the basis (deterministic),
-    times the positive integer returned with it.
+def _reduce_full(p: dict, basis: list[tuple], packing: _Packing, max_degree: int) -> dict:
+    """Full multivariate division remainder of p by the basis (deterministic):
+    a positive integer multiple of the exact rational remainder.
 
     Before each step the working polynomial and the remainder are scaled by
     lc / gcd(coefficient, lc), so that the step is integral.
@@ -211,13 +208,12 @@ def _reduce_full(p: dict, basis: list[tuple], packing: _Packing, max_degree: int
     divisors = [(entry[0] | guard, entry) for entry in basis]
     work = dict(p)
     remainder: dict = {}
-    scale = 1
     while work:
         mono = max(work)
         if mono & mask > max_degree:
             raise BudgetExceededError("degree", max_degree, mono & mask)
         coeff = work[mono]
-        for top, (lead, lc, terms, _, _) in divisors:
+        for top, (lead, lc, terms, _) in divisors:
             if top - mono & var_guard == var_guard:
                 break
         else:
@@ -229,7 +225,6 @@ def _reduce_full(p: dict, basis: list[tuple], packing: _Packing, max_degree: int
             m = lc // g
             work = {k: c * m for k, c in work.items()}
             remainder = {k: c * m for k, c in remainder.items()}
-            scale *= m
         factor = coeff // g
         shift = mono - lead
         for e, c in terms.items():
@@ -239,15 +234,15 @@ def _reduce_full(p: dict, basis: list[tuple], packing: _Packing, max_degree: int
                 work[ne] = s
             else:
                 del work[ne]
-    return remainder, scale
+    return remainder
 
 
-def _spoly(a: tuple, b: tuple, lcm: Exponent) -> dict:
+def _spoly(a: tuple, b: tuple, word: int) -> dict:
     """S-polynomial (lc_b/g) * (lcm/lt(a)) * a - (lc_a/g) * (lcm/lt(b)) * b of
-    two basis entries, g = gcd(lc_a, lc_b): a positive multiple of the monic one."""
-    lead_a, lc_a, terms_a, _, packing = a
-    lead_b, lc_b, terms_b, _, _ = b
-    word = packing.pack(lcm)
+    two basis entries, g = gcd(lc_a, lc_b), with word the packed lcm of their
+    leading monomials: a positive multiple of the monic one."""
+    lead_a, lc_a, terms_a, _ = a
+    lead_b, lc_b, terms_b, _ = b
     g = gcd(lc_a, lc_b)
     fa, fb = lc_b // g, lc_a // g
     shift = word - lead_a
@@ -320,8 +315,7 @@ def buchberger(
         if skip:
             continue
 
-        spoly = _spoly(basis[i], basis[j], packing.unpack(word))
-        remainder, _ = _reduce_full(spoly, basis, packing, budget.max_degree)
+        remainder = _reduce_full(_spoly(basis[i], basis[j], word), basis, packing, budget.max_degree)
         if not remainder:
             continue
         new_index = len(basis)
@@ -351,8 +345,8 @@ def _reduce_basis(
     # Inter-reduce tails and normalize to monic; no other leading term
     # divides an entry's own, so it stays the leading term.
     polys = []
-    for idx, (lead, _, terms, _, _) in enumerate(minimal):
-        tail, _ = _reduce_full(terms, minimal[:idx] + minimal[idx + 1 :], packing, budget.max_degree)
+    for idx, (lead, _, terms, _) in enumerate(minimal):
+        tail = _reduce_full(terms, minimal[:idx] + minimal[idx + 1 :], packing, budget.max_degree)
         lc = tail[lead]
         polys.append(Polynomial.from_dict(vars_, {packing.unpack(k): Fraction(c, lc) for k, c in tail.items()}))
     return GroebnerBasis(vars_, order, tuple(polys))
@@ -376,9 +370,6 @@ def eliminate(
     keep_idx = [i for i in range(len(ideal.vars)) if i not in set(drop_idx)]
     keep_vars = tuple(ideal.vars[i] for i in keep_idx)
 
-    if ideal.is_zero_ideal():
-        return Ideal(keep_vars, ())
-
     order = MonomialOrder.elimination(drop_idx)
     gb = buchberger(ideal, order, budget)
     kept = []
@@ -399,8 +390,6 @@ def saturate(
         raise ValueError("ring mismatch")
     if h.is_zero():
         raise ValueError("cannot saturate by zero")
-    if ideal.is_zero_ideal():
-        return ideal
     aux = fresh_name("y_sat", ideal.vars)
     vs = ideal.vars + (aux,)
     gens = [g.embed(vs) for g in ideal.generators]
@@ -415,8 +404,6 @@ def intersect(a: Ideal, b: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> Id
     """Ideal intersection via u*I + (1-u)*J and elimination of u."""
     if a.vars != b.vars:
         raise ValueError("ring mismatch")
-    if a.is_zero_ideal() or b.is_zero_ideal():
-        return Ideal(a.vars, ())
     aux = fresh_name("u_int", a.vars)
     vs = a.vars + (aux,)
     u = Polynomial.variable(vs, len(vs) - 1)
@@ -432,8 +419,6 @@ def intersect(a: Ideal, b: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> Id
 
 def dimension(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> int:
     """Krull dimension of V(I) over the algebraic closure; -1 for the unit ideal."""
-    if ideal.is_zero_ideal():
-        return len(ideal.vars)
     if ideal.has_unit_generator():
         return -1
     return buchberger(ideal, MonomialOrder.grevlex(), budget).dimension()

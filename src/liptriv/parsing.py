@@ -32,6 +32,10 @@ from .rational import RationalMap
 # seconds: (1+x+y+z)^80 would take minutes.
 MAX_PARSE_PRODUCT = 100_000
 
+# Coefficient bits, numerator or denominator, that the two factors of one
+# product may hold between them; 7^4000000 alone would take seconds.
+MAX_PARSE_BITS = 4_096
+
 
 class ParseError(ValueError):
     """Input rejected by the grammar, with a line:column position."""
@@ -97,6 +101,11 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _bits(p: Polynomial) -> int:
+    """The largest bit length of a numerator or denominator of p."""
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for _, c in p.terms), default=0)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -124,10 +133,14 @@ class _Parser:
             raise self.error(f"exponent exceeds cap {MAX_EXPONENT}", tok) from None
 
     def product(self, tok: Token, a: Polynomial, b: Polynomial) -> Polynomial:
-        """a * b, refused past MAX_PARSE_PRODUCT term pairs."""
+        """a * b, refused past MAX_PARSE_PRODUCT term pairs or MAX_PARSE_BITS
+        coefficient bits."""
         pairs = len(a.terms) * len(b.terms)
         if pairs > MAX_PARSE_PRODUCT:
             raise BudgetExceededError("parse term pairs of one product", MAX_PARSE_PRODUCT, pairs)
+        bits = _bits(a) + _bits(b)
+        if bits > MAX_PARSE_BITS:
+            raise BudgetExceededError("parse coefficient bits of one product", MAX_PARSE_BITS, bits)
         return self.under_cap(tok, lambda: a * b)
 
     def power(self, tok: Token, base: Polynomial, k: int) -> Polynomial:

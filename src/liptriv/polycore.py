@@ -146,18 +146,11 @@ class Polynomial:
                 acc.pop(e, None)
         return Polynomial(self.vars, _canon(acc))
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.vars, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.vars, other)
         return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -177,8 +170,6 @@ class Polynomial:
                 else:
                     acc.pop(e, None)
         return Polynomial(self.vars, _canon(acc))
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:

@@ -150,7 +150,6 @@ class ProbeSchedule:
 
 @dataclass(frozen=True)
 class PropernessVerdict:
-    value: tuple
     mode: str  # "exact_complex" | "probe_real"
     verdict: str  # "proper" | "non_proper" | "inconclusive"
     evidence: dict
@@ -178,16 +177,14 @@ def is_proper_at_complex(
     evidence: dict = {"fiber_dimension": fiber_dim}
     if fiber_dim > 0:
         # Positive-dimensional fiber: never proper at c, no need for J(g).
-        return PropernessVerdict(cvec, "exact_complex", "non_proper", evidence)
+        return PropernessVerdict("exact_complex", "non_proper", evidence)
 
     ideal = jelonek_ideal(g, budget) if jelonek is None else jelonek()
     values = [gen.eval_exact(list(cvec)) for gen in ideal.generators]
     off_jelonek = any(v != 0 for v in values)
     evidence["jelonek_values"] = values
 
-    return PropernessVerdict(
-        cvec, "exact_complex", "proper" if off_jelonek else "non_proper", evidence
-    )
+    return PropernessVerdict("exact_complex", "proper" if off_jelonek else "non_proper", evidence)
 
 
 def certifier(
@@ -237,9 +234,7 @@ def _sphere_minimize(
             best_x = x
         if best_val <= stop_below:
             break
-    if best_val == float("inf"):
-        return float("inf"), best_x
-    return sqrt(max(best_val, 0.0)), best_x
+    return sqrt(best_val), best_x
 
 
 def properness_probe_real(
@@ -268,7 +263,7 @@ def properness_probe_real(
     if exact is not None and exact.verdict == "proper":
         evidence = dict(exact.evidence)
         evidence["certificate"] = "complex properness restricts to the reals"
-        return PropernessVerdict(cvec, "exact_complex", "proper", evidence)
+        return PropernessVerdict("exact_complex", "proper", evidence)
 
     kernel = FloatKernel(g.components)
     trace = []
@@ -290,7 +285,7 @@ def properness_probe_real(
 
     evidence = {"mu_trace": trace, "tol_zero": sched.tol_zero, "mu_floor": sched.mu_floor}
     if not all(np.isfinite(mus)):
-        return PropernessVerdict(cvec, "probe_real", "inconclusive", evidence)
+        return PropernessVerdict("probe_real", "inconclusive", evidence)
 
     # The sphere keeps meeting the fiber (mu ~ 0 throughout: unbounded fiber)
     # or the minima decay geometrically toward an asymptotic value; either way
@@ -302,11 +297,11 @@ def properness_probe_real(
         and mus[-2] < mus[-3] / 2.0
     )
     if small[-1] and (all(small[1:]) or halving_tail):
-        return PropernessVerdict(cvec, "probe_real", "non_proper", evidence)
+        return PropernessVerdict("probe_real", "non_proper", evidence)
 
     bounded_below = all(m >= sched.mu_floor for m in mus)
     nondecreasing_tail = len(mus) >= 2 and mus[-1] >= 0.99 * mus[-2]
     if bounded_below and nondecreasing_tail:
-        return PropernessVerdict(cvec, "probe_real", "proper", evidence)
+        return PropernessVerdict("probe_real", "proper", evidence)
 
-    return PropernessVerdict(cvec, "probe_real", "inconclusive", evidence)
+    return PropernessVerdict("probe_real", "inconclusive", evidence)

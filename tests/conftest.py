@@ -198,22 +198,35 @@ def normal_form(p, gb):
     """Remainder of p by multivariate division by the basis gb, zero exactly
     when p is in its ideal: the membership test of the Groebner suites.
 
-    The engine divides integer multiples: p is scaled to integer coefficients
-    first, and both that factor and the one the division reports are divided
-    out, so the remainder is the exact rational one."""
-    from math import lcm
-
-    from liptriv.groebner import DEFAULT_BUDGET, _entry, _integer_terms, _Packing, _reduce_full
+    Exact `Fraction` division under order_key, independent of the engine's
+    integer kernel."""
     from liptriv.polycore import Polynomial
 
     if p.vars != gb.vars:
         raise ValueError("ring mismatch")
-    degree = max([DEFAULT_BUDGET.max_degree, p.degree] + [g.degree for g in gb.basis])
-    packing = _Packing(gb.order, len(gb.vars), degree)
-    basis = [_entry(_integer_terms(g, packing), packing) for g in gb.basis]
-    den = lcm(*(c.denominator for _, c in p.terms))
-    rem, scale = _reduce_full(_integer_terms(p * den, packing), basis, packing, DEFAULT_BUDGET.max_degree)
-    return Polynomial.from_dict(p.vars, {packing.unpack(k): Fraction(c, scale * den) for k, c in rem.items()})
+    key = order_key(gb.order, p.nvars)
+    divisors = [(max(g.terms, key=lambda t: key(t[0])), g.terms) for g in gb.basis]
+    work, remainder = dict(p.terms), {}
+    while work:
+        mono = max(work, key=key)
+        coeff = work.pop(mono)
+        for (lead, lc), terms in divisors:
+            shift = tuple(a - b for a, b in zip(mono, lead))
+            if min(shift) >= 0:
+                factor = coeff / lc
+                for e, c in terms:
+                    if e == lead:
+                        continue
+                    ne = tuple(a + b for a, b in zip(e, shift))
+                    s = work.get(ne, 0) - factor * c
+                    if s:
+                        work[ne] = s
+                    else:
+                        work.pop(ne, None)
+                break
+        else:
+            remainder[mono] = coeff
+    return Polynomial.from_dict(p.vars, remainder)
 
 
 def eval_float(p, point) -> float:

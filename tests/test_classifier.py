@@ -266,6 +266,54 @@ class TestSampling:
         assert cone.data["values"] == ((Fraction(1),), (Fraction(-1),), (Fraction(-2),))
 
 
+class TestBifurcationIdeal:
+    """The grevlex basis `_bifurcation_ideal` computes is its input's own
+    generators, in order: J(g), K0(g) or their intersection arrive reduced."""
+
+    @staticmethod
+    def merged_and_bases(monkeypatch, maps):
+        import liptriv.classifier
+
+        seen = []
+        original = liptriv.classifier.buchberger
+
+        def recording(ideal, order, budget):
+            gb = original(ideal, order, budget)
+            seen.append((ideal.generators, gb.basis))
+            return gb
+
+        monkeypatch.setattr(liptriv.classifier, "buchberger", recording)
+        for f in maps:
+            classify(f, "complex")
+        return seen
+
+    def test_corpus_maps(self, monkeypatch):
+        from conftest import DATA_DIR
+
+        maps = [
+            parse_input((DATA_DIR / f"{name}.map").read_text(encoding="utf-8"))
+            for name in ("bad", "cube", "ex_simple", "motzkin")
+        ]
+        seen = self.merged_and_bases(monkeypatch, maps)
+        assert len(seen) == 2  # bad and motzkin stop before the bifurcation ideal
+        assert all(basis == merged for merged, basis in seen)
+
+    def test_algebra_generator_maps(self, monkeypatch):
+        import sys
+        from pathlib import Path
+
+        import liptriv
+
+        root = str(Path(__file__).resolve().parents[1])
+        if root not in sys.path:
+            sys.path.insert(0, root)
+        from bench.workloads import random_reduced_maps
+
+        seen = self.merged_and_bases(monkeypatch, random_reduced_maps(liptriv, 5, 20))
+        assert len(seen) == 11  # 11 of the 20 maps reach the bifurcation ideal
+        assert all(basis == merged for merged, basis in seen)
+
+
 class TestStageCounts:
     """Each field-independent exact stage runs once per analysis."""
 

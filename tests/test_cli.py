@@ -355,6 +355,24 @@ class TestErrors:
         assert f"limit {MAX_PARSE_PRODUCT}" in err
         assert elapsed < 5.0
 
+    def test_huge_coefficient_exit_three(self, capsys, tmp_path):
+        # 7^4000000 has 11.2 million bits; one squaring on the way passes the
+        # parser's coefficient cap after a few thousand.
+        import time
+
+        from liptriv.parsing import MAX_PARSE_BITS
+
+        source = tmp_path / "coefficient.map"
+        source.write_text("ring Q[x]; map f: (7^4000000 * x)")
+        start = time.process_time()
+        code = run(["analyze", "-i", str(source)])
+        elapsed = time.process_time() - start
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("resource budget exhausted: budget exceeded: parse coefficient bits"), err
+        assert f"limit {MAX_PARSE_BITS}" in err
+        assert elapsed < 1.0
+
     def test_negative_seed_exit_two_before_any_stage(self, capsys, monkeypatch):
         import liptriv.dependence
 

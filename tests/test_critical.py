@@ -75,6 +75,14 @@ class TestCriticalIdeal:
         crit = critical_ideal(g)
         assert [print_polynomial(q) for q in crit.generators] == ["t1"]
 
+    def test_more_components_than_variables_keeps_the_graph(self):
+        # p = 2 > n = 1: no 2 x 2 minor exists, every point is critical, and
+        # the critical values are the whole image, the parabola t2 = t1^2.
+        g = PolyMap(("x",), (poly(("x",), "x"), poly(("x",), "x^2")))
+        crit = critical_ideal(g)
+        assert crit.vars == ("t1", "t2")
+        assert crit.generators == (poly(("t1", "t2"), "t1^2 - t2"),)
+
     def test_invertible_linear_map_has_no_critical_values(self):
         ring = ("x", "y")
         f = PolyMap(ring, (poly(ring, "x + 2*y"), poly(ring, "x - y")))

@@ -153,7 +153,7 @@ def _mapping(ring, expr):
 
 def _properness(ring, expr, value):
     verdict = properness_probe_real(_mapping(ring, expr), [value])
-    return {"value": verdict.value, "mode": verdict.mode, "verdict": verdict.verdict,
+    return {"value": [value], "mode": verdict.mode, "verdict": verdict.verdict,
             "evidence": verdict.evidence}
 
 

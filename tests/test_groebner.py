@@ -138,6 +138,10 @@ class TestEliminate:
         out = eliminate(Ideal.make(("x",), [poly(("x",), "x")]), ["x"])
         assert out.generators == ()
 
+    def test_zero_ideal(self):
+        ring = ("x", "t", "s")
+        assert eliminate(Ideal(ring, ()), ["x"]) == Ideal(("t", "s"), ())
+
     def test_forced_values_project_fully(self):
         # x = 0 on the variety forces t1 = 0 and, through x*w - t2, also t2 = 0.
         ring = ("x", "w", "t1", "t2")
@@ -173,6 +177,9 @@ class TestSaturate:
         want = buchberger(expected)
         assert got.basis == want.basis
 
+    def test_zero_ideal(self):
+        assert saturate(Ideal(XY, ()), poly(XY, "y")) == Ideal(XY, ())
+
     def test_idempotent(self):
         ring = ("x0", "x", "y", "z")
         ideal = Ideal.make(
@@ -191,6 +198,14 @@ class TestIntersect:
         out = intersect(a, b)
         assert buchberger(out).basis == buchberger(a).basis
 
+    def test_with_the_zero_ideal(self):
+        tv = ("t1", "t2")
+        a = Ideal.make(tv, [poly(tv, "t1"), poly(tv, "t2^2 - 1")])
+        zero = Ideal(tv, ())
+        assert intersect(a, zero) == zero
+        assert intersect(zero, a) == zero
+        assert intersect(zero, zero) == zero
+
 
 class TestDimension:
     def test_hyperplane(self):
@@ -204,6 +219,7 @@ class TestDimension:
 
     def test_zero_ideal_full_space(self):
         assert dimension(Ideal(XY, ())) == 2
+        assert dimension(Ideal(("x", "y", "z"), ())) == 3
 
 
 class TestRealRoots:

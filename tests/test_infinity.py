@@ -173,7 +173,7 @@ class TestAgainstInfinityIdeal:
     def test_random_and_planted_maps(self):
         reps = [self.check(f, value) for f, value in random_fibers(200) + PLANTED]
         assert any(r.closure_ideal.has_unit_generator() for r in reps)
-        assert any(r.closure_ideal.is_zero_ideal() for r in reps)
+        assert any(not r.closure_ideal.generators for r in reps)
         assert len({r.dim_infinity for r in reps}) >= 3
 
 

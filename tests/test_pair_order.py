@@ -71,12 +71,13 @@ def _stages(name: str):
 
 
 def _recorder(seen: list):
-    """groebner._spoly, appending each lcm it is given to seen."""
+    """groebner._spoly, appending to seen the lcm of the leading exponents of
+    each pair it is given (the lcm whose packed word it receives)."""
     spoly = groebner._spoly
 
-    def recording(a, b, lcm):
-        seen.append(lcm)
-        return spoly(a, b, lcm)
+    def recording(a, b, word):
+        seen.append(tuple(map(max, a[3], b[3])))
+        return spoly(a, b, word)
 
     return recording
 

@@ -34,6 +34,11 @@ class TestArithmetic:
         # x^2*y times x*y^4: exponents (2,1) + (1,4) = (3,5).
         assert poly(XY, "x^2*y") * poly(XY, "x*y^4") == poly(XY, "x^3*y^5")
 
+    def test_minus_a_scalar(self):
+        p = poly(XY, "x*y + 2")
+        assert p - 2 == poly(XY, "x*y")
+        assert p - Fraction(1, 3) == poly(XY, "x*y + 5/3")
+
     def test_ring_mismatch_rejected(self):
         with pytest.raises(ValueError, match="ring mismatch"):
             poly(XY, "x") + poly(XYZ, "x")

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import compose_linear, count_calls, poly
@@ -156,8 +157,6 @@ class TestPropernessProbe:
             if jel.has_unit_generator():
                 continue
             kernel = FloatKernel(g.components)
-            import numpy as np
-
             test_value = [1.0, -1.0]
             if jel.vanishes_at([F(1), F(-1)]):
                 test_value = [2.0, 3.0]
@@ -168,6 +167,14 @@ class TestPropernessProbe:
                 mu, _ = _sphere_minimize(kernel, test_value, radius, rng_np, 12, 150)
                 mus.append(mu)
             assert mus[-1] > 1e-3
+
+    def test_every_restart_overflowing(self):
+        # On the circle of radius 10, |x| or |y| is at least 7.07, and
+        # 7.07^400 overflows a float: every restart is dropped.
+        kernel = FloatKernel([poly(("x", "y"), "x^400 + y^400")])
+        mu, point = _sphere_minimize(kernel, [1.0], 10.0, np.random.default_rng(3), 4, 50)
+        assert mu == float("inf")
+        assert len(point) == 2 and all(v != v for v in point)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
