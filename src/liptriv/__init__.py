@@ -39,7 +39,7 @@ from .groebner import (
 )
 from .infinity import cone_constancy_check, fiber_infinity
 from .parsing import ParseError, parse_input, parse_mapping, print_polynomial
-from .polycore import LinearMap, PolyMap, Polynomial
+from .polycore import PolyMap, Polynomial
 from .properness import (
     ProbeSchedule,
     is_proper_at_complex,
@@ -55,7 +55,6 @@ __all__ = [
     "FactorizationResult",
     "GroebnerBudget",
     "Ideal",
-    "LinearMap",
     "LtvDescription",
     "LtvReport",
     "MonomialOrder",

@@ -356,10 +356,11 @@ def _cone_data(report: InfinityReport) -> dict:
 
 def _bifurcation_ideal(jelonek: Ideal, critical: Ideal, budget: GroebnerBudget) -> Ideal:
     """Reduced generators cutting J(g) union closure K0(g) in the value space."""
+    # K0(g) is never empty here: for m = p an empty K0(g) makes det Jg a
+    # nonzero constant, and such a g that is not proper would refute the
+    # Jacobian conjecture.  Either way intersect gives the same basis.
     if jelonek.has_unit_generator():
         merged = critical
-    elif critical.has_unit_generator():
-        merged = jelonek
     else:
         merged = intersect(jelonek, critical, budget)
     gb = buchberger(merged, MonomialOrder.grevlex(), budget)

@@ -51,9 +51,8 @@ def jacobian_minors(g: PolyMap) -> list[Polynomial]:
     """All p x p minors of the Jacobian (complete enumeration, no sampling)."""
     jac = jacobian(g)
     p, m = g.p, g.n
-    if p > m:
-        return []
     minors = []
+    # No p columns to choose when p > m: no minor at all.
     for cols in combinations(range(m), p):
         rows = [[jac[i][j] for j in cols] for i in range(p)]
         minors.append(_poly_det(rows))
@@ -78,10 +77,8 @@ def critical_ideal(
         ti = Polynomial.variable(ring, g.n + i)
         gens.append(comp.embed(ring) - ti)
     # For p > m, or when all minors vanish identically, every point is
-    # critical and only the graph equations remain.
-    for minor in jacobian_minors(g):
-        if not minor.is_zero():
-            gens.append(minor.embed(ring))
+    # critical and only the graph equations remain (Ideal.make drops zeros).
+    gens += [minor.embed(ring) for minor in jacobian_minors(g)]
     projected = eliminate(Ideal.make(ring, gens), g.vars, budget)
     return Ideal.make(tvars, projected.generators)
 
@@ -130,16 +127,16 @@ def real_critical_values(
     value_at = FloatKernel(g.components).value
     out = []
     for interval in roots:
-        approx = float((interval[0] + interval[1]) / 2)
-        witness = None
+        value = RealCriticalValue(interval, None)
+        approx = value.approx
         for point in witnesses:
             gap = abs(value_at(point)[0] - approx)
             if interval[0] != interval[1]:
                 gap = max(0.0, gap - float(interval[1] - interval[0]))
             if gap < _NEWTON_TOL:
-                witness = tuple(point)
+                value = RealCriticalValue(interval, tuple(point))
                 break
-        out.append(RealCriticalValue(interval, witness))
+        out.append(value)
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polycore import LinearMap, PolyMap, Polynomial, fresh_name, kernel_basis, rref
+from .polycore import PolyMap, Polynomial, fresh_name, kernel_basis, rref
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,28 @@ class FactorizationResult:
     """Data of f = g o pi with pi surjective linear and g fully reduced."""
 
     V: Subspace
-    pi: LinearMap  # surjective n -> m
     g: PolyMap
 
     @property
     def m(self) -> int:
         """Dimension of g's domain K^m: the codimension of V."""
         return self.V.ambient_dim - self.V.dim
+
+    @property
+    def pi(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows of the projection along V: for each free column j of V's
+        basis, e_j - sum_k b_k[j] e_{p_k}, b_k being the k-th basis vector
+        and p_k its pivot; a constant map, with no free column, has the one
+        zero row."""
+        n = self.V.ambient_dim
+        pivots = self.V.pivot_columns()
+        rows = []
+        for j in (j for j in range(n) if j not in pivots):
+            row = [Fraction(int(i == j)) for i in range(n)]
+            for b, p in zip(self.V.basis, pivots):
+                row[p] = -b[j]
+            rows.append(tuple(row))
+        return tuple(rows) or ((Fraction(0),) * n,)
 
 
 def condition_kernel(conditions: Sequence[Sequence[Polynomial]], n: int) -> Subspace:
@@ -87,9 +102,8 @@ def factor_through_projection(f: PolyMap) -> FactorizationResult:
     free columns split the coordinates.  f is constant along V, so g is f on
     the free coordinates with every pivot coordinate set to zero: the terms
     free of the pivot variables.  pi moves x along V into that coordinate
-    subspace: for each free column j its row is e_j - sum_k b_k[j] e_{p_k},
-    b_k being the k-th basis vector and p_k its pivot.  g keeps f's own
-    coefficients, and the result is unique because V's RREF basis is.
+    subspace.  g keeps f's own coefficients, and the result is unique because
+    V's RREF basis is.
     """
     n = f.n
     sub = invariance_subspace(f)
@@ -102,19 +116,7 @@ def factor_through_projection(f: PolyMap) -> FactorizationResult:
         g_components = tuple(
             Polynomial.constant(dummy, comp.constant_value()) for comp in f.components
         )
-        g = PolyMap(dummy, g_components, f.name)
-        pi = LinearMap.from_rows([[Fraction(0)] * n])
-        return FactorizationResult(sub, pi, g)
-
-    rows = []
-    for j in free:
-        row = [Fraction(int(i == j)) for i in range(n)]
-        for b, p in zip(sub.basis, pivots):
-            row[p] = -b[j]
-        rows.append(row)
-    pi = LinearMap.from_rows(rows)
-    if sub.is_zero():
-        return FactorizationResult(sub, pi, f)
+        return FactorizationResult(sub, PolyMap(dummy, g_components, f.name))
 
     # The surviving coordinates keep their original names (keeps reports
     # readable and makes suspension round-trips exact).
@@ -126,7 +128,7 @@ def factor_through_projection(f: PolyMap) -> FactorizationResult:
         )
         for comp in f.components
     )
-    return FactorizationResult(sub, pi, PolyMap(reduced_vars, g_components, f.name))
+    return FactorizationResult(sub, PolyMap(reduced_vars, g_components, f.name))
 
 
 def suspend(g: PolyMap, extra_vars: int) -> PolyMap:

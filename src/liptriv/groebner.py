@@ -431,9 +431,7 @@ def _uni_coeffs(p: Polynomial) -> list[Fraction]:
     """Dense coefficient list, constant term first; requires one variable."""
     if p.nvars != 1:
         raise ValueError("polynomial is not univariate")
-    if p.is_zero():
-        return []
-    out = [Fraction(0)] * (p.degree + 1)
+    out = [Fraction(0)] * (p.degree + 1)  # [] for zero, of degree -1
     for e, c in p.terms:
         out[e[0]] = c
     return out
@@ -527,10 +525,8 @@ def real_roots(p: Polynomial) -> list[tuple[Fraction, Fraction]]:
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    coeffs = _uni_coeffs(p)
-    if _uni_degree(coeffs) < 1:
-        return []
-    chain = sturm_sequence(coeffs)
+    # A nonzero constant's chain is itself: no sign change anywhere, no root.
+    chain = sturm_sequence(_uni_coeffs(p))
     sf = chain[0]
     bound = 1 + max(abs(c) for c in sf) / abs(sf[-1])
     results: list[tuple[Fraction, Fraction]] = []

@@ -17,6 +17,7 @@ and its linearity are all read off J's basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,20 +36,34 @@ from .polycore import PolyMap, Polynomial, as_fraction, check_value, fresh_name,
 
 @dataclass(frozen=True)
 class InfinityReport:
-    """Projective data of one fiber: closure, part at infinity, cone."""
+    """Projective data of one fiber: the closure and the cone's basis, which
+    the budgeted runs give, and what is read off them."""
 
     value: tuple[Fraction, ...]
     closure_ideal: Ideal  # homogeneous, saturated with respect to the prepended x0
-    dim_infinity: int  # projective dimension of the fiber at infinity
-    cone_ideal: Ideal  # in the affine variables, cuts the cone over infinity
-    cone_basis: tuple[Polynomial, ...]  # reduced grevlex basis of cone_ideal
-    cone_subspace: Subspace | None  # the cone, when it is a linear subspace
+    cone_basis: GroebnerBasis  # reduced grevlex basis of cone_ideal
+
+    @property
+    def cone_ideal(self) -> Ideal:
+        """In the affine variables, cuts the cone over infinity."""
+        return _cone_ideal(self.closure_ideal, self.cone_basis.vars)
+
+    @cached_property
+    def dim_infinity(self) -> int:
+        """Projective dimension of the fiber at infinity; -1 when it is empty."""
+        # The cone's dimension less one, clamped at -1 for a point or no cone.
+        return max(self.cone_basis.dimension() - 1, -1)
+
+    @cached_property
+    def cone_subspace(self) -> Subspace | None:
+        """The cone, when it is a linear subspace."""
+        return _linearity(self.cone_basis)
 
     @property
     def m_candidate(self) -> int:
         """The paper's m as this fiber suggests it: the codimension n - 1 -
         dim_infinity of the accumulation set at infinity."""
-        return len(self.cone_ideal.vars) - 1 - self.dim_infinity
+        return len(self.cone_basis.vars) - 1 - self.dim_infinity
 
 
 def fiber_infinity(
@@ -58,9 +73,7 @@ def fiber_infinity(
 ) -> InfinityReport:
     """Projective closure of the fiber over c and its part at infinity.
 
-    dim_infinity follows the convention dim(empty) = -1: the dimension of the
-    cone drops by one, clamped at -1 when the cone is a point or empty.  The
-    cone ideal's reduced grevlex basis is the one Groebner basis computed
+    The cone ideal's reduced grevlex basis is the one Groebner basis computed
     after the saturation: the infinity ideal closure + (x0) has that basis
     plus x0 and the same dimension (see the module docstring), so it is
     never built.  A budget therefore runs out, or does not, on the cone's
@@ -77,18 +90,8 @@ def fiber_infinity(
     # With no equations left the closure is the zero ideal, which saturate keeps.
     closure = saturate(Ideal.make(hom_vars, hom_gens), x0, budget)
 
-    cone_ideal = _cone_ideal(closure, f.vars)
-    cone_basis = buchberger(cone_ideal, MonomialOrder.grevlex(), budget)
-    dim_cone = cone_basis.dimension()
-
-    return InfinityReport(
-        value=cvec,
-        closure_ideal=closure,
-        dim_infinity=max(dim_cone - 1, -1),
-        cone_ideal=cone_ideal,
-        cone_basis=cone_basis.basis,
-        cone_subspace=_linearity(cone_basis, dim_cone),
-    )
+    cone_basis = buchberger(_cone_ideal(closure, f.vars), MonomialOrder.grevlex(), budget)
+    return InfinityReport(cvec, closure, cone_basis)
 
 
 def _cone_ideal(closure: Ideal, affine_vars: tuple[str, ...]) -> Ideal:
@@ -100,11 +103,11 @@ def _cone_ideal(closure: Ideal, affine_vars: tuple[str, ...]) -> Ideal:
     return Ideal.make(affine_vars, cuts)
 
 
-def _linearity(gb: GroebnerBasis, dim_cone: int) -> Subspace | None:
+def _linearity(gb: GroebnerBasis) -> Subspace | None:
     """The cone as a linear subspace, or None when it is not one.
 
-    `gb` is the cone ideal's reduced grevlex basis and `dim_cone` is
-    `gb.dimension()`.  The cone over the empty set is the null subspace.
+    `gb` is the cone ideal's reduced grevlex basis.  The cone over the empty
+    set is the null subspace.
     Otherwise the cone is linear exactly when every basis element is a
     linear form, and it is then their common kernel (all of K^n with no
     generators).  A reduced element that is not a linear form is in normal
@@ -112,7 +115,7 @@ def _linearity(gb: GroebnerBasis, dim_cone: int) -> Subspace | None:
     the ideal of that kernel.
     """
     n = len(gb.vars)
-    if dim_cone <= 0:
+    if gb.dimension() <= 0:
         # The cone is at most the origin.
         return Subspace.zero(n)
     if any(sum(e) != 1 for g in gb.basis for e, _ in g.terms):

@@ -152,12 +152,7 @@ class Polynomial:
     def __sub__(self, other) -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if c == 0:
-                return Polynomial.zero(self.vars)
-            return Polynomial(self.vars, tuple((e, k * c) for e, k in self.terms))
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_ring(other)
         acc: dict[Exponent, Fraction] = {}
         for ea, ca in self.terms:
@@ -297,20 +292,6 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[F
             vec[col] = -reduced[i][j]
         basis.append(tuple(vec))
     return basis
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Exact rational matrix, mapping K^cols -> K^rows by left multiplication."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "LinearMap":
-        fixed = tuple(tuple(as_fraction(x) for x in row) for row in rows)
-        if fixed and any(len(r) != len(fixed[0]) for r in fixed):
-            raise ValueError("ragged matrix")
-        return LinearMap(fixed)
 
 
 @dataclass(frozen=True)

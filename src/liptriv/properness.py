@@ -158,13 +158,14 @@ class PropernessVerdict:
 def is_proper_at_complex(
     g: PolyMap,
     c: Sequence[Fraction],
-    jelonek: Callable[[], Ideal] | None = None,
-    budget: GroebnerBudget = DEFAULT_BUDGET,
+    jelonek: Callable[[], Ideal],
+    budget: GroebnerBudget,
 ) -> PropernessVerdict:
     """Exact certificate: proper iff c misses J(g) and the fiber is finite.
 
     J(g) is needed only when the fiber is finite.  `jelonek` is a function
-    returning it, called only then; None computes it here.
+    returning it, called only then; `certifier` builds the one that
+    computes and keeps it.
     """
     check_value(c, g.p)
     cvec = tuple(as_fraction(x) for x in c)
@@ -179,7 +180,7 @@ def is_proper_at_complex(
         # Positive-dimensional fiber: never proper at c, no need for J(g).
         return PropernessVerdict("exact_complex", "non_proper", evidence)
 
-    ideal = jelonek_ideal(g, budget) if jelonek is None else jelonek()
+    ideal = jelonek()
     values = [gen.eval_exact(list(cvec)) for gen in ideal.generators]
     off_jelonek = any(v != 0 for v in values)
     evidence["jelonek_values"] = values
@@ -251,7 +252,7 @@ def properness_probe_real(
     and non-decreasing at the end.  A complex-properness certificate wins
     immediately (restricting a proper map to a closed subset stays proper).
     `certify(value)` gives that certificate, or None when there is none;
-    None means is_proper_at_complex on g.
+    None means `certifier(g, None, DEFAULT_BUDGET)`.
     """
     check_value(c, g.p)
     cvec = tuple(float(x) for x in c)
@@ -259,7 +260,7 @@ def properness_probe_real(
     # Floats are dyadic rationals, so the conversion is exact and the
     # complex certificate applies to the probed value itself.
     value = tuple(Fraction(x) for x in cvec)
-    exact = certify(value) if certify is not None else is_proper_at_complex(g, value)
+    exact = (certify or certifier(g, None, DEFAULT_BUDGET))(value)
     if exact is not None and exact.verdict == "proper":
         evidence = dict(exact.evidence)
         evidence["certificate"] = "complex properness restricts to the reals"

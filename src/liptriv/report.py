@@ -121,7 +121,7 @@ def report_document(report: LtvReport) -> dict:
         fact = report.factorization
         doc["invariance_dim"] = fact.V.dim
         doc["invariance_basis"] = fact.V.basis
-        doc["projection_matrix"] = fact.pi.rows
+        doc["projection_matrix"] = fact.pi
         doc["reduced_map"] = fact.g.components
         doc["reduced_vars"] = list(fact.g.vars)
         doc["reduced_dim"] = fact.m
@@ -233,7 +233,7 @@ def factor_document(src: PolyMap, field_name: str, fact: FactorizationResult) ->
         invariance_dim=fact.V.dim,
         invariance_basis=fact.V.basis,
         reduced_dim=fact.m,
-        projection_matrix=fact.pi.rows,
+        projection_matrix=fact.pi,
         reduced_vars=list(fact.g.vars),
         reduced_map=fact.g.components,
     )

@@ -65,47 +65,45 @@ def motzkin_poly(motzkin_map):
     return motzkin_map.components[0]
 
 
-def rank(lin) -> int:
-    """Rank of a LinearMap: the number of nonzero rows of its RREF."""
+def rank(rows) -> int:
+    """Rank of a matrix given by its rows: the number of nonzero rows of its RREF."""
     from liptriv.polycore import rref
 
-    return len(rref(lin.rows)[0])
+    return len(rref(rows)[0])
 
 
-def is_invertible(lin) -> bool:
-    """A square LinearMap of full rank."""
-    return all(len(row) == len(lin.rows) for row in lin.rows) and rank(lin) == len(lin.rows)
+def is_invertible(rows) -> bool:
+    """A square matrix of full rank."""
+    return all(len(row) == len(rows) for row in rows) and rank(rows) == len(rows)
 
 
-def identity(n: int):
-    """The n x n identity LinearMap."""
-    from liptriv.polycore import LinearMap
-
-    return LinearMap.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+def identity(n: int) -> tuple:
+    """The rows of the n x n identity matrix."""
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def inverse(lin):
-    """The inverse of a square LinearMap: the right half of rref([A | I]),
+def inverse(rows) -> tuple:
+    """The rows of a square matrix's inverse: the right half of rref([A | I]),
     which leads with the pivots 0..n-1 unless A is singular."""
-    from liptriv.polycore import LinearMap, rref
+    from liptriv.polycore import rref
 
-    n = len(lin.rows)
-    if any(len(row) != n for row in lin.rows):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("not square")
-    reduced, pivots = rref([list(row) + list(unit) for row, unit in zip(lin.rows, identity(n).rows)])
+    reduced, pivots = rref([list(row) + list(unit) for row, unit in zip(rows, identity(n))])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return LinearMap.from_rows([row[n:] for row in reduced])
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
-def apply(lin, vec) -> tuple:
-    """The product of a LinearMap with an exact column vector."""
+def apply(rows, vec) -> tuple:
+    """The product of a matrix, given by its rows, with an exact column vector."""
     from liptriv.polycore import as_fraction
 
-    if any(len(row) != len(vec) for row in lin.rows):
+    if any(len(row) != len(vec) for row in rows):
         raise ValueError("dimension mismatch")
     v = [as_fraction(x) for x in vec]
-    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in lin.rows)
+    return tuple(sum((as_fraction(a) * b for a, b in zip(row, v)), Fraction(0)) for row in rows)
 
 
 def evaluate(f, point) -> tuple:
@@ -128,17 +126,21 @@ def subs(p, variables, images):
     return result
 
 
-def compose_linear(f, lin, new_vars):
-    """The PolyMap x -> f(L x), for L mapping K^k (named new_vars) into f's
-    domain, by substitution: an oracle for the factorization f = g o pi."""
+def compose_linear(f, rows, new_vars):
+    """The PolyMap x -> f(L x), for L (given by its rows) mapping K^k (named
+    new_vars) into f's domain, by substitution: an oracle for the
+    factorization f = g o pi."""
     from liptriv.polycore import PolyMap, Polynomial
 
     vs = tuple(new_vars)
-    if len(lin.rows) != f.n or any(len(row) != len(vs) for row in lin.rows):
+    if len(rows) != f.n or any(len(row) != len(vs) for row in rows):
         raise ValueError("dimension mismatch")
     images = [
-        sum((Polynomial.variable(vs, j) * a for j, a in enumerate(row)), Polynomial.zero(vs))
-        for row in lin.rows
+        sum(
+            (Polynomial.constant(vs, a) * Polynomial.variable(vs, j) for j, a in enumerate(row)),
+            Polynomial.zero(vs),
+        )
+        for row in rows
     ]
     return PolyMap(vs, tuple(subs(c, vs, images) for c in f.components), f.name)
 
@@ -154,7 +156,7 @@ def directional_derivative(f, v):
         acc = Polynomial.zero(f.vars)
         for j, vj in enumerate(v):
             if vj:
-                acc = acc + comp.partial(j) * as_fraction(vj)
+                acc = acc + Polynomial.constant(f.vars, as_fraction(vj)) * comp.partial(j)
         comps.append(acc)
     return PolyMap(f.vars, tuple(comps), f.name)
 

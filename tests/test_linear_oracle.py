@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import inverse, rank
-from liptriv.polycore import LinearMap, rref
+from liptriv.polycore import rref
 
 # Small entries with many zeros, so rank-deficient matrices are common.
 ENTRIES = st.one_of(
@@ -46,7 +46,7 @@ def test_rref_matches_sympy(rows):
 @settings(deadline=None, max_examples=300)
 @given(matrices())
 def test_rank_matches_sympy(rows):
-    assert rank(LinearMap.from_rows(rows)) == to_sympy(rows).rank()
+    assert rank(rows) == to_sympy(rows).rank()
 
 
 @settings(deadline=None, max_examples=300)
@@ -55,6 +55,6 @@ def test_inverse_matches_sympy(rows):
     theirs = to_sympy(rows)
     if theirs.det() == 0:
         with pytest.raises(ValueError):
-            inverse(LinearMap.from_rows(rows))
+            inverse(rows)
         return
-    assert [list(r) for r in inverse(LinearMap.from_rows(rows)).rows] == from_sympy(theirs.inv())
+    assert [list(r) for r in inverse(rows)] == from_sympy(theirs.inv())

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import compose_linear, count_calls, poly
 from liptriv.classifier import lipschitz_gradient_probe, tube_distance_probe
+from liptriv.groebner import DEFAULT_BUDGET
 from liptriv.parsing import print_polynomial
-from liptriv.polycore import FloatKernel, LinearMap, PolyMap
+from liptriv.polycore import FloatKernel, PolyMap
 from liptriv.properness import (
     ProbeSchedule,
     _sphere_minimize,
@@ -20,6 +21,11 @@ from liptriv.properness import (
 
 F = Fraction
 FAST = ProbeSchedule(radii=(10.0, 100.0, 1000.0), restarts=16, max_iter=150)
+
+
+def proper_at(g, c):
+    """is_proper_at_complex with J(g) computed when the fiber is finite."""
+    return is_proper_at_complex(g, c, lambda: jelonek_ideal(g), DEFAULT_BUDGET)
 
 
 def no_certificate(value):
@@ -79,16 +85,16 @@ class TestJelonekIdeal:
 
 class TestIsProperAtComplex:
     def test_proper_off_the_line(self, reduced_shear):
-        v = is_proper_at_complex(reduced_shear, [F(1), F(1)])
+        v = proper_at(reduced_shear, [F(1), F(1)])
         assert v.verdict == "proper"
         assert v.mode == "exact_complex"
 
     def test_not_proper_on_the_line(self, reduced_shear):
-        assert is_proper_at_complex(reduced_shear, [F(0), F(0)]).verdict == "non_proper"
+        assert proper_at(reduced_shear, [F(0), F(0)]).verdict == "non_proper"
 
     def test_curve_fibers_never_proper(self, plane_sextic):
         for c in (F(0), F(1, 2), F(2)):
-            v = is_proper_at_complex(plane_sextic, [c])
+            v = proper_at(plane_sextic, [c])
             assert v.verdict == "non_proper"
             assert v.evidence["fiber_dimension"] == 1
 
@@ -112,9 +118,7 @@ class TestPropernessProbe:
 
     def test_exact_implies_probe_consistency(self, reduced_shear):
         for c in ([1.0, 1.0], [2.0, -3.0]):
-            exact = is_proper_at_complex(
-                reduced_shear, [F(x) for x in c]
-            )
+            exact = proper_at(reduced_shear, [F(x) for x in c])
             if exact.verdict == "proper":
                 probe = properness_probe_real(reduced_shear, c, FAST)
                 assert probe.verdict == "proper"
@@ -126,7 +130,7 @@ class TestPropernessProbe:
 
     def test_mu_invariant_under_rotation(self, plane_sextic):
         # Exact rational rotation (3/5, 4/5; -4/5, 3/5) of the domain.
-        rot = LinearMap.from_rows([[F(3, 5), F(4, 5)], [F(-4, 5), F(3, 5)]])
+        rot = [[F(3, 5), F(4, 5)], [F(-4, 5), F(3, 5)]]
         rotated = compose_linear(plane_sextic, rot, new_vars=("x", "y"))
         sched = ProbeSchedule(radii=(10.0, 100.0), restarts=16, max_iter=150)
         for c in (0.5, -1.0):
@@ -213,7 +217,7 @@ class TestValueLength:
     @pytest.mark.parametrize(
         "probe",
         [
-            lambda g, c: is_proper_at_complex(g, [Fraction(x) for x in c]),
+            lambda g, c: proper_at(g, [Fraction(x) for x in c]),
             lambda g, c: properness_probe_real(g, c, FAST),
             lambda g, c: properness_probe_real(g, c, FAST, no_certificate),
             lambda g, c: tube_distance_probe(g, c, [2.0, 2.0], radii=(10.0,), restarts=1),

@@ -70,7 +70,7 @@ def leaves_invariant(r: RationalMap, v) -> bool:
         acc = Polynomial.zero(r.vars)
         for j, vj in enumerate(v):
             if vj:
-                acc = acc + (num.partial(j) * den - num * den.partial(j)) * vj
+                acc = acc + Polynomial.constant(r.vars, vj) * (num.partial(j) * den - num * den.partial(j))
         if not acc.is_zero():
             return False
     return True
