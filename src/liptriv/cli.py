@@ -225,7 +225,8 @@ def run(argv=None) -> int:
             return 2
         doc = _document(args, mapping, cfg)
         _emit(args, lambda: report.dumps(doc), lambda: report.render(args.command, doc))
-        return 0
+        # Only compare's document carries flags: its stages keep going past a budget.
+        return 3 if doc.get("flags") else 0
     except BudgetExceededError as exc:
         print(f"resource budget exhausted: {exc}", file=sys.stderr)
         return 3

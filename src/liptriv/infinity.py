@@ -107,12 +107,11 @@ def _linearity(gb: GroebnerBasis) -> Subspace | None:
     """The cone as a linear subspace, or None when it is not one.
 
     `gb` is the cone ideal's reduced grevlex basis.  The cone over the empty
-    set is the null subspace.
-    Otherwise the cone is linear exactly when every basis element is a
-    linear form, and it is then their common kernel (all of K^n with no
-    generators).  A reduced element that is not a linear form is in normal
-    form with respect to the linear forms, so it lies outside their ideal,
-    the ideal of that kernel.
+    set is the null subspace.  Otherwise the cone is linear exactly when
+    every basis element is a linear form, and it is then their common kernel
+    (all of K^n with no generators).  A reduced element that is not a linear
+    form is in normal form with respect to the linear forms, so it lies
+    outside their ideal, the ideal of that kernel.
     """
     n = len(gb.vars)
     if gb.dimension() <= 0:

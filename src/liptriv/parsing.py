@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor, log10
 
 from .groebner import BudgetExceededError
 from .polycore import MAX_EXPONENT, Polynomial, PolyMap
@@ -35,6 +36,12 @@ MAX_PARSE_PRODUCT = 100_000
 # Coefficient bits, numerator or denominator, that the two factors of one
 # product may hold between them; 7^4000000 alone would take seconds.
 MAX_PARSE_BITS = 4_096
+
+# Digits of the longest integer literal: as many as a MAX_PARSE_BITS-bit
+# integer can have (1,234), below Python's default int conversion limit.
+_MAX_DIGITS = floor(MAX_PARSE_BITS * log10(2)) + 1
+
+_DIGITS = set("0123456789")
 
 
 class ParseError(ValueError):
@@ -73,12 +80,14 @@ def _tokenize(text: str) -> list[Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             if j < len(text) and text[j] == ".":
                 raise ParseError("decimal literals are not allowed; use a/b rationals", line, col)
+            if j - i > _MAX_DIGITS:
+                raise ParseError(f"integer literal of {j - i} digits exceeds {_MAX_DIGITS}", line, col)
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i
             i = j

@@ -361,13 +361,19 @@ def _probe_text(doc: dict) -> list[str]:
 def compare_document(
     src: PolyMap, real_report: LtvReport, complex_report: LtvReport, check: CheckResult
 ) -> dict:
-    return schema_skeleton(
+    """The two fields' verdicts and the containment check; `flags`, both
+    reports' flags, only when a budget ran out."""
+    doc = schema_skeleton(
         src, "real",
         complex_ltv=complex_report.ltv.kind.replace("_", " "),
         real_ltv=real_report.ltv.kind.replace("_", " "),
         containment={"verdict": check.verdict, "data": check.data},
         checks=[_check(check)],
     )
+    flags = {**complex_report.flags, **real_report.flags}
+    if flags:
+        doc["flags"] = dict(sorted(flags.items()))
+    return doc
 
 
 def _compare_text(doc: dict) -> list[str]:
@@ -375,7 +381,7 @@ def _compare_text(doc: dict) -> list[str]:
         f"complex Ltv: {doc['complex_ltv']}",
         f"real Ltv: {doc['real_ltv']}",
         f"containment check: {doc['containment']['verdict']}",
-    ]
+    ] + [f"  flag {key}: {value}" for key, value in doc.get("flags", {}).items()]
 
 
 _TEXT = {

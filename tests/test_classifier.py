@@ -1,5 +1,6 @@
 """Full pipeline: verdicts, checks, probes, suspension invariance, determinism."""
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -221,6 +222,43 @@ class TestGradientProbe:
         assert out["verdict"] == "NO_SAMPLES"
         captured = capfd.readouterr()
         assert "DLASCL" not in captured.out + captured.err
+
+
+class TestVariableNamesTheStagesUse:
+    """A ring may hold the names the stages pick for their own variables
+    (x0, t1, u_int, y_sat); each stage then picks a fresh one, and the
+    analysis is that of the same map over other names, renamed."""
+
+    def test_colliding_names_change_nothing_but_names(self, monkeypatch):
+        import liptriv.dependence
+        import liptriv.groebner
+        import liptriv.infinity
+        import liptriv.polycore
+        import liptriv.properness
+
+        original = liptriv.polycore.fresh_name
+        collided = set()
+
+        def recording(base, taken):
+            taken = tuple(taken)
+            if base in taken:
+                collided.add(base)
+            return original(base, taken)
+
+        for module in (liptriv.dependence, liptriv.groebner, liptriv.infinity, liptriv.properness):
+            monkeypatch.setattr(module, "fresh_name", recording)
+
+        names = ("x0", "t1", "u_int", "y_sat")
+        # Over the colliding ring the target variables are t1_0, t2.
+        rename = {**dict(zip(names, "abcd")), "t1_0": "t1"}
+        for field_name in ("complex", "real"):
+            colliding = emit_report(
+                classify(parse_input("ring Q[x0,t1,u_int,y_sat]; map f: (t1, t1*u_int)"), field_name, LIGHT)
+            )
+            plain = emit_report(classify(parse_input("ring Q[a,b,c,d]; map f: (b, b*c)"), field_name, LIGHT))
+            assert "t1_0" in colliding
+            assert re.sub(r"\w+", lambda m: rename.get(m.group(), m.group()), colliding) == plain
+        assert collided == set(names)
 
 
 class TestComplexificationCompare:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from conftest import DATA_DIR, count_calls
 from liptriv.cli import run
 
@@ -212,6 +214,19 @@ class TestCompare:
         assert code == 0
         assert doc["containment"]["verdict"] == "PASS"
 
+    def test_budget_exhaustion_exits_three_with_flags(self, capsys):
+        # The stages go on past a budget, so the document is complete; its
+        # last key holds both reports' flags and the exit code says so.
+        argv = ["compare", "-i", SIMPLE, "--max-degree", "2"]
+        code, doc = run_json(capsys, argv)
+        assert code == 3
+        assert (doc["complex_ltv"], doc["containment"]["verdict"]) == ("undetermined", "INCONCLUSIVE")
+        assert list(doc)[-2:] == ["containment", "flags"]
+        assert list(doc["flags"]) == ["cone_budget", "infinity_budget", "jelonek_budget", "probe_budget"]
+        assert run(argv) == 3
+        out = capsys.readouterr().out
+        assert "  flag jelonek_budget: budget exceeded: degree 3 > limit 2" in out.splitlines()
+
 
 class TestSchema:
     def test_every_subcommand_json_carries_schema_keys(self, capsys):
@@ -336,6 +351,16 @@ class TestErrors:
             err = capsys.readouterr().err
             assert code == 2, text
             assert err.startswith(f"parse error: {where} exponent"), err
+
+    def test_overlong_literal_exit_two_at_its_position(self, capsys, tmp_path):
+        # 5,000 digits pass Python's default int conversion limit; the parser
+        # refuses the literal before converting it.
+        source = tmp_path / "literal.map"
+        source.write_text(f"ring Q[x]; map f: ({'7' * 5000} * x)")
+        code = run(["factor", "-i", str(source)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "parse error: 1:20: integer literal of 5000 digits exceeds 1234\n"
 
     def test_huge_expansion_exit_three(self, capsys, tmp_path):
         # (1+x+y+z)^80 has 91,881 terms; one squaring on the way multiplies
@@ -481,6 +506,30 @@ class TestStageCounts:
 
 
 class TestProbeTube:
+    def test_empty_value_chunks_are_skipped(self, capsys):
+        args = ["probe", "-i", CUBE, "--radii", "10,100", "--output", "json", "--values"]
+        assert run(args + ["1;2"]) == 0
+        expected = capsys.readouterr().out
+        assert run(args + ["1;;2"]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--values", ";"], "invalid input: no values given"),
+            (["--values", "1", "--tube", "1"], "invalid input: tube '1' needs two values 'c|t'"),
+        ],
+        ids=["no-values", "one-level-tube"],
+    )
+    def test_values_and_tube_rejected_before_probing(self, capsys, monkeypatch, extra, message):
+        import liptriv.properness
+
+        probes = count_calls(monkeypatch, liptriv.properness, "properness_probe_real")
+        code = run(["probe", "-i", CUBE, *extra])
+        assert code == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert probes == []
+
     def test_malformed_tube_rejected_before_probing(self, capsys, monkeypatch):
         import liptriv.properness
 

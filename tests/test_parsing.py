@@ -7,6 +7,8 @@ import pytest
 
 from conftest import rand_poly
 from liptriv.parsing import (
+    _MAX_DIGITS,
+    MAX_PARSE_BITS,
     ParseError,
     parse_input,
     parse_mapping,
@@ -76,6 +78,65 @@ class TestParseMapping:
             parse_mapping("ring Q[x];\nmap f: (x + q)")
         assert err.value.line == 2
         assert err.value.col == 13
+
+
+# Each diagnostic with the input that triggers it and its line:column.
+DIAGNOSTICS = [
+    ("ring Q[x]; map f: (x @ 1)", "unexpected character '@'", 1, 22),
+    ("map f: (x)", "input must start with a ring declaration", 1, 1),
+    ("ring R[x]; map f: (x)", "only rational coefficient rings are supported", 1, 6),
+    ("ring Q[x]; mop f: (x)", "expected 'map' or 'ratmap'", 1, 12),
+    ("ring Q[x]; map f: (x); x", "trailing input after mapping", 1, 24),
+    ("ring Q[x]; ratmap f: (x / (x - x))", "zero denominator", 1, 34),
+    ("ring Q[x]; map f: (x + 1/0)", "zero denominator in rational literal", 1, 24),
+    ("ring Q[x]; map f: (x + )", "expected an expression, found ')'", 1, 24),
+]
+
+
+@pytest.mark.parametrize(
+    "text,message,line,col", DIAGNOSTICS, ids=[m for _, m, _, _ in DIAGNOSTICS]
+)
+def test_diagnostic_message_and_position(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_input(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+def test_parse_mapping_refuses_a_ratmap():
+    with pytest.raises(ParseError) as err:
+        parse_mapping("ring Q[x]; ratmap f: (1 / x)")
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "expected a polynomial map, found ratmap", 1, 1,
+    )
+
+
+class TestIntegerLiterals:
+    """A literal is ASCII digits, at most as many as a MAX_PARSE_BITS-bit
+    integer has; anything else is refused at its position, whatever limit
+    the interpreter puts on int conversion."""
+
+    @pytest.mark.parametrize(
+        "text,char,col", [("(²)", "²", 20), ("(x + ٣)", "٣", 24)], ids=["superscript", "arabic-indic"]
+    )
+    def test_other_digits_are_unexpected_characters(self, text, char, col):
+        with pytest.raises(ParseError) as err:
+            parse_mapping(f"ring Q[x]; map f: {text}")
+        assert err.value.message == f"unexpected character {char!r}"
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_limit_is_the_digits_of_the_largest_parse_bits_integer(self):
+        assert _MAX_DIGITS == len(str(2**MAX_PARSE_BITS - 1)) == 1234
+
+    @pytest.mark.parametrize("digits", [1300, 5000])
+    def test_too_long_literal_refused_at_its_position(self, digits):
+        with pytest.raises(ParseError) as err:
+            parse_mapping(f"ring Q[x];\nmap f: (x + {'7' * digits} * x)")
+        assert err.value.message == f"integer literal of {digits} digits exceeds 1234"
+        assert (err.value.line, err.value.col) == (2, 13)
+
+    def test_thousand_digit_literal_parses(self):
+        f = parse_mapping(f"ring Q[x]; map f: ({'7' * 1000} * x)")
+        assert f.components[0].coefficient((1,)) == (10**1000 - 1) // 9 * 7
 
 
 class TestRatmap:

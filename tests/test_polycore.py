@@ -16,7 +16,7 @@ from conftest import (
     rand_poly,
     subs,
 )
-from liptriv.polycore import PolyMap, Polynomial
+from liptriv.polycore import PolyMap, Polynomial, fresh_name
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -136,6 +136,13 @@ class TestComposeLinear:
             x = [Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))]
             composed = compose_linear(f, rows, new_vars=XY)
             assert evaluate(composed, x) == evaluate(f, apply(rows, x))
+
+
+class TestFreshName:
+    def test_suffix_counts_past_taken_names(self):
+        assert fresh_name("x0", ("x", "y")) == "x0"
+        assert fresh_name("x0", ("x0", "y")) == "x0_0"
+        assert fresh_name("x0", ["x0", "x0_0", "x0_1"]) == "x0_2"
 
 
 class TestHomogenize:

@@ -7,7 +7,10 @@ nothing calls belongs nowhere, and so does a field that nothing reads. The
 check is by name: a method counts as used when some attribute access in the
 package names it, a function when some name or attribute does, in both cases
 outside the function's own body, and a field when some attribute access does.
-An imported name counts as read when the module names it; the package's
+So a field that nothing reads passes when another class's field of the same
+name is read; every field whose name is shared is listed in SHARED_FIELDS
+with a read of its own, and a new one fails until it is listed.  An imported
+name counts as read when the module names it; the package's
 __init__ reads nothing, so each name it imports must be listed in __all__.
 
 The two sizes the ROADMAP tracks are printed by
@@ -32,6 +35,42 @@ ALLOWED = {
     "polycore.FloatKernel._sphere_descent_code": "reached through getattr(self, f'_{name}_code')",
     "polycore.FloatKernel._penalty_descent_code": "reached through getattr(self, f'_{name}_code')",
     "cli.main": "the console-script entry point named in pyproject.toml",
+}
+
+
+# Every dataclass field whose name another dataclass's field shares, with a
+# function of src/liptriv and the attribute read in it that reads the field
+# on an instance of its own class.
+SHARED_FIELDS = {
+    "dependence.Subspace.basis": ("dependence.Subspace.pivot_columns", "self.basis"),
+    "groebner.GroebnerBasis.basis": ("groebner.GroebnerBasis.dimension", "self.basis"),
+    "classifier.LtvReport.critical": ("report.report_document", "report.critical"),
+    "classifier.ExactStages.critical": ("classifier._containment", "stages.critical"),
+    "classifier.LtvReport.factorization": ("report.report_document", "report.factorization"),
+    "classifier.ExactStages.factorization": ("classifier._complex_verdict", "stages.factorization"),
+    "classifier.LtvReport.flags": ("report.report_document", "report.flags"),
+    "classifier.ExactStages.flags": ("classifier._field_report", "stages.flags"),
+    "classifier.LtvDescription.generators": ("classifier._containment", "ltv.generators"),
+    "groebner.Ideal.generators": ("groebner.Ideal.has_unit_generator", "self.generators"),
+    "classifier.LtvReport.jelonek": ("report.report_document", "report.jelonek"),
+    "classifier.ExactStages.jelonek": ("classifier._complex_verdict", "stages.jelonek"),
+    "classifier.LtvDescription.kind": ("report.report_document", "ltv.kind"),
+    "parsing.Token.kind": ("parsing._Parser.expect", "tok.kind"),
+    "classifier.CheckResult.name": ("report._check", "c.name"),
+    "polycore.PolyMap.name": ("dependence.factor_through_projection", "f.name"),
+    "rational.RationalMap.name": ("report.input_block", "src.name"),
+    "classifier.LtvReport.seed": ("report.report_document", "report.seed"),
+    "properness.ProbeSchedule.seed": ("properness.properness_probe_real", "sched.seed"),
+    "groebner.Ideal.vars": ("groebner.intersect", "a.vars"),
+    "groebner.GroebnerBasis.vars": ("groebner.GroebnerBasis.dimension", "self.vars"),
+    "polycore.Polynomial.vars": ("polycore.Polynomial._require_same_ring", "self.vars"),
+    "polycore.PolyMap.vars": ("dependence.factor_through_projection", "f.vars"),
+    "rational.RationalMap.vars": ("rational.RationalMap.__post_init__", "self.vars"),
+    "classifier.CheckResult.verdict": ("report._check", "c.verdict"),
+    "infinity.ConeConstancyResult.verdict": ("classifier._field_report", "cone_result.verdict"),
+    "properness.PropernessVerdict.verdict": ("properness.properness_probe_real", "exact.verdict"),
+    "critical.RealCriticalValue.witness": ("critical.RealCriticalValue.status", "self.witness"),
+    "infinity.ConeConstancyResult.witness": ("classifier._field_report", "cone_result.witness"),
 }
 
 
@@ -113,6 +152,21 @@ def test_every_dataclass_field_is_read_in_the_package():
         if not any(is_attr for _, is_attr in refs[name])
     ]
     assert not unread, f"dataclass fields no attribute access in src/liptriv reads: {unread}"
+
+
+def test_shared_field_names_are_listed_with_their_own_read():
+    by_name = defaultdict(list)
+    for qual, name in _fields():
+        by_name[name].append(qual)
+    shared = {qual for quals in by_name.values() if len(quals) > 1 for qual in quals}
+    assert shared == set(SHARED_FIELDS), "review the fields whose name another field shares"
+    defs = {qual: node for qual, _, node in _scan()[0]}
+    missing = [
+        (field, where, read)
+        for field, (where, read) in SHARED_FIELDS.items()
+        if where not in defs or read not in ast.unparse(defs[where])
+    ]
+    assert not missing, f"listed reads not found: {missing}"
 
 
 def test_allowlist_names_existing_definitions():
