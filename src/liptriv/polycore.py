@@ -356,7 +356,11 @@ class FloatKernel:
       halvings from `alpha = 0.1*radius/|t|`; a trial steps `y = x - alpha*t`
       and retracts to `radius * y / |y|`.  It stops on a non-finite gradient,
       a tangent norm <= 1e-300 or non-finite, a failed line search,
-      fx <= 1e-300, or after max_iter steps;
+      fx <= 1e-300, a stall, or after max_iter steps.  Stalled means that
+      after a multiple of 25 accepted steps fx is not below (1 - 1e-8)
+      times its value 25 steps before (the start is the first such value):
+      a restart settled at a positive minimum stops there, while one still
+      converging geometrically toward 0 keeps a large relative decrease;
     - `penalty_descent(x, y, mu, radius, c, t, max_iter) -> (x, y)`: the tube
       probe's projected descent of |x - y|^2 + mu*(|g(x) - c|^2 + |g(y) - t|^2)
       inside the ball of that radius, with at most 50 halvings per step from
@@ -365,7 +369,8 @@ class FloatKernel:
     Both loops warm-start their line search: each step's first trial is
     capped at 4x the step last accepted in the same call, so a descent
     whose steps shrink does not halve down from the cold size again at
-    every step.  The factor is fixed, not a setting.
+    every step.  The factor is fixed, not a setting, and so are the stall
+    test's window and tolerance.
 
     Every function is assembled from the same per-point blocks.  At a point
     with coordinates P0..P{n-1} the power block computes each `Pi ** k` a
@@ -524,11 +529,12 @@ class FloatKernel:
         step += ["for _ in range(60):", *_indent(trial), "else:", "    break", "last = alpha"]
         step += [f"{a} = {b}" for a, b in zip(self._state("x"), self._state("z"))]
         step += ["fx = f", "if fx <= 1e-300:", "    break"]
+        step += ["if k % 25 == 0:", "    if fx >= 0.99999999 * mark:", "        break", "    mark = fx"]
 
         body = [f"{_listing(xs)} = x", f"{_listing(f'c{i}' for i in range(p))} = c"]
         body += ["r2 = radius * radius", "last = inf"]
-        body += self._value_block("x") + objective("fx", "x")
-        body += ["for _ in range(max_iter):", *_indent(step), f"return fx, {_listing(xs)}"]
+        body += self._value_block("x") + objective("fx", "x") + ["mark = fx"]
+        body += ["for k in range(1, max_iter + 1):", *_indent(step), f"return fx, {_listing(xs)}"]
         return "def sphere_descent(x, radius, c, max_iter):", body
 
     def _penalty_descent_code(self):

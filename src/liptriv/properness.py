@@ -10,7 +10,11 @@ Each probe call compiles g once into a `polycore.FloatKernel`.  One restart
 of the sphere descent (gradient, tangent, Armijo backtracking with retraction
 to radius R, stop tests) is a single call of its compiled `sphere_descent`;
 only the seeded restarts and the merge by minimum stay in Python.  Its line
-search starts each step at no more than 4x the last accepted step.  The
+search starts each step at no more than 4x the last accepted step, and a
+restart stops as stalled when 25 accepted steps have not taken fx below
+(1 - 1e-8) times its value before them; its other exits are a non-finite
+gradient or tangent, a zero tangent, a failed line search, fx <= 1e-300
+and max_iter steps.  The
 kernel does the same float operations in the same order as term-by-term
 summation and the interpreted reference loop of its tests, so mu, argmin
 and verdict are bit-identical to that loop's.  It stays scalar

@@ -5,6 +5,7 @@ import keyword
 import re
 import struct
 import tokenize
+from collections import Counter
 from fractions import Fraction
 from math import inf, isfinite, nan, sqrt
 
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import eval_float, poly
+from liptriv.classifier import classify
 from liptriv.parsing import parse_input
 from liptriv.polycore import FloatKernel, Polynomial
 
@@ -51,8 +53,11 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
     """One restart of the sphere minimizer as an interpreted loop.
 
     Each step's backtracking starts from the cold step size, capped at 4x
-    the last accepted step.  `seen` collects the loop's exits and branches,
-    so tests can check that their examples reach each of them.
+    the last accepted step.  Every 25 accepted steps fx is compared with
+    its value 25 steps before (the start first); a restart whose fx has not
+    dropped below 1 - 1e-8 times that value stops as stalled.  `seen`
+    collects the loop's exits and branches, so tests can check that their
+    examples reach each of them.
     """
     seen = set() if seen is None else seen
     n, p = kernel.n, kernel.p
@@ -89,7 +94,8 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
     fx = objective(x)
     if not isfinite(fx):
         seen.add("non-finite start")
-    for _ in range(max_iter):
+    mark = fx
+    for k in range(1, max_iter + 1):
         grad = gradient(x)
         if not all(isfinite(gv) for gv in grad):
             seen.add("non-finite gradient")
@@ -115,6 +121,11 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
         if fx <= 1e-300:
             seen.add("converged")
             break
+        if k % 25 == 0:
+            if fx >= (1 - 1e-8) * mark:
+                seen.add("stalled")
+                break
+            mark = fx
     else:
         seen.add("max_iter")
     return fx, x
@@ -274,7 +285,8 @@ U, UV, UVW = ("u",), ("u", "v"), ("u", "v", "w")
 # (polynomials, start, radius, level, max_iter): each exit and branch of the
 # sphere loop, checked by test_sphere_examples_reach_every_exit.
 SPHERE_EXAMPLES = [
-    ([poly(UV, "u + v")], [0.6, 0.8], 1.0, [-5.0], 250),  # out of halvings at a minimum
+    ([poly(UV, "u + v")], [1.0, 0.0], 1.0, [-5.0], 250),  # out of halvings at a minimum
+    ([poly(UV, "u + v")], [0.6, 0.8], 1.0, [-5.0], 250),  # stalled at that minimum
     ([poly(UV, "u^2 - v")], [6.0, 8.0], 10.0, [1.0], 2),  # max_iter
     ([poly(UV, "u")], [0.6, 0.8], 1.0, [0.0], 250),  # converged onto the line u = 0
     ([poly(U, "u^3 - 1/3*u")], [2.0], 2.0, [0.0], 20),  # zero tangent (n = 1)
@@ -302,7 +314,8 @@ def sphere_cases(draw):
         norm = sqrt(sum(float(v) * float(v) for v in x))
         if norm > 0.0:
             x = [radius * v / norm for v in x]
-    return polys, x, radius, level(draw, len(polys)), draw(st.integers(0, 12))
+    # Well past 25 steps, so that draws reach the stall test, several times.
+    return polys, x, radius, level(draw, len(polys)), draw(st.integers(0, 150))
 
 
 @st.composite
@@ -349,9 +362,39 @@ def test_sphere_examples_reach_every_exit():
     for example in SPHERE_EXAMPLES:
         check_sphere(*example, seen=seen)
     assert seen >= {
-        "out of halvings", "max_iter", "converged", "zero tangent", "zero residual",
-        "non-finite start", "non-finite gradient",
+        "out of halvings", "max_iter", "converged", "stalled", "zero tangent",
+        "zero residual", "non-finite start", "non-finite gradient",
     }, seen
+
+
+SPHERE_EXITS = {
+    "non-finite gradient", "zero tangent", "non-finite tangent", "out of halvings", "converged",
+    "stalled", "max_iter",
+}
+
+
+def test_motzkin_real_restarts_stop_when_stalled(monkeypatch, motzkin_map):
+    """Each restart of the motzkin real analysis's properness probes, run
+    through the reference loop: most settle at a positive minimum and stop
+    as stalled.  Without the stall test, 257 of its 264 restarts ran all 250
+    steps."""
+    exits = Counter()
+
+    def tallied(kernel):
+        def descent(x, radius, c, max_iter):
+            seen = set()
+            result = reference_sphere_descent(kernel, x, radius, c, max_iter, seen)
+            exits.update(seen & SPHERE_EXITS)
+            return result
+
+        return descent
+
+    monkeypatch.setattr(FloatKernel, "sphere_descent", property(tallied))
+    classify(motzkin_map, "real")
+    restarts = sum(exits.values())
+    assert restarts == 264, exits
+    assert exits["stalled"] >= 0.9 * restarts, exits
+    assert exits["max_iter"] <= 5, exits
 
 
 def test_penalty_examples_reach_every_exit():
@@ -421,9 +464,12 @@ def test_source_holds_no_input_text():
     fixed = {
         *functions, "x", "y", "t", "c", "mu", "radius", "max_iter", "C", "sqrt", "sum",
         "isfinite", "max", "range", "_", "r2", "fx", "ri2", "dot", "tnorm", "alpha", "tn",
-        "f", "r", "rx2", "ry2", "gnorm", "dist", "norm", "fn", "last", "min", "inf",
+        "f", "r", "rx2", "ry2", "gnorm", "dist", "norm", "fn", "last", "min", "inf", "k",
+        "mark",
     }
-    literals = {"0.0", "0.1", "1e-4", "1e-300", "2.0", "0.5", "1e-3", "1e-8", "1e-14", "4.0"}
+    literals = {
+        "0.0", "0.1", "1e-4", "1e-300", "2.0", "0.5", "1e-3", "1e-8", "1e-14", "4.0", "0.99999999",
+    }
     tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     for tok in tokens:
         if tok.type == tokenize.NAME:
