@@ -380,16 +380,16 @@ class FloatKernel:
     likewise for the partials.
 
     Bit-identity contract: the generated code does the float operations of
-    plain term-by-term summation (each term `float(c)` times its powers in
-    variable order, added to 0.0 in term order: `eval_float` in
-    `tests/conftest.py`) and of the interpreted reference loops in
-    `tests/test_float_kernel.py`, in their order, so every value, gradient,
-    step and stop is bit-identical to theirs.  Sums stay `sum([...])` calls,
-    whose rounding Python 3.12+ compensates.  Points are used as given, not
-    converted: a numpy scalar overflows to inf where a Python float raises
-    OverflowError.  `source(name)` names only positional locals, integer
-    exponents and indices into the coefficient tuple C, never a variable
-    name or coefficient text of the input.
+    plain term-by-term summation (each term `float(c)`, a signed inf past
+    the float range, times its powers in variable order, added to 0.0 in
+    term order: `eval_float` in `tests/conftest.py`) and of the interpreted
+    reference loops in `tests/test_float_kernel.py`, in their order, so every
+    value, gradient, step and stop is bit-identical to theirs.  Sums stay
+    `sum([...])` calls, whose rounding Python 3.12+ compensates.  Points are
+    used as given, not converted: a numpy scalar overflows to inf where a
+    Python float raises OverflowError.  `source(name)` names only positional
+    locals, integer exponents and indices into the coefficient tuple C,
+    never a variable name or coefficient text of the input.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
@@ -407,7 +407,10 @@ class FloatKernel:
             out = []
             for exp, c in poly.terms:
                 out.append((len(coeffs), tuple((i, k) for i, k in enumerate(exp) if k)))
-                coeffs.append(float(c))
+                try:
+                    coeffs.append(float(c))
+                except OverflowError:  # past the float range; an underflow gives 0.0
+                    coeffs.append(inf if c > 0 else -inf)
             return out
 
         def powers(tables) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -232,14 +233,17 @@ def normal_form(p, gb):
 
 
 def eval_float(p, point) -> float:
-    """p at a float point by direct term summation: each term float(c) times
-    its powers in variable order, added to 0.0 in term order.  The bitwise
-    oracle of FloatKernel.value."""
+    """p at a float point by direct term summation: each term float(c), a
+    signed inf past the float range, times its powers in variable order,
+    added to 0.0 in term order.  The bitwise oracle of FloatKernel.value."""
     if len(point) != p.nvars:
         raise ValueError("dimension mismatch")
     total = 0.0
     for e, c in p.terms:
-        term = float(c)
+        try:
+            term = float(c)
+        except OverflowError:
+            term = inf if c > 0 else -inf
         for x, k in zip(point, e):
             if k:
                 term *= float(x) ** k

@@ -398,6 +398,18 @@ class TestErrors:
         assert f"limit {MAX_PARSE_BITS}" in err
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("args", [["analyze", "--field", "real"], ["critical"]])
+    def test_coefficient_past_float_range_exit_zero(self, capsys, tmp_path, args):
+        # 7^1400 passes both parse caps but not float(): the float kernel
+        # takes it as inf, so Newton finds no witness and mu is not finite.
+        source = tmp_path / "steep.map"
+        source.write_text("ring Q[x]; map f: (7^1400 * x^5 + x^2)")
+        code = run(args + ["-i", str(source)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        assert "candidate_only" in captured.out
+
     def test_negative_seed_exit_two_before_any_stage(self, capsys, monkeypatch):
         import liptriv.dependence
 

@@ -439,6 +439,15 @@ def test_two_thousand_terms_compile():
     assert same_bits(kernel.jacobian(x)[0], [eval_float(big.partial(j), x) for j in range(3)])
 
 
+def test_coefficient_past_float_range_is_a_signed_inf():
+    # An underflowing coefficient already gives 0.0.
+    polys = [poly(UV, "7^1400*u^2 - v"), poly(UV, "u - 7^1400*v^3"), poly(UV, "1/7^1400*u + v")]
+    kernel = FloatKernel(polys)
+    assert kernel.value([1.0, 2.0]) == [inf, -inf, 2.0]
+    for x in ([1.0, 2.0], [0.0, 0.0], [-0.5, 3.0]):
+        assert same_bits(kernel.value(x), [eval_float(q, x) for q in polys])
+
+
 def test_rings_must_match():
     with pytest.raises(ValueError):
         FloatKernel([poly(("a", "b"), "a"), poly(("a", "c"), "a")])
