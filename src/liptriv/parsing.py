@@ -20,6 +20,7 @@ all 1 parses as a PolyMap, like the same map file.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, log10
@@ -36,6 +37,14 @@ MAX_PARSE_PRODUCT = 100_000
 # Coefficient bits, numerator or denominator, that the two factors of one
 # product may hold between them; 7^4000000 alone would take seconds.
 MAX_PARSE_BITS = 4_096
+
+# Work one parse may do in products: each term pair weighs _PAIR_WEIGHT plus
+# the coefficient bits of its two factors.  A pair of small coefficients
+# takes about 8 us and one of 3,800 bits about 19 us, so the cap is about
+# 2.5 s CPU; under the two per-product caps alone, products chained in one
+# input could take seconds each.
+MAX_PARSE_WORK = 600_000_000
+_PAIR_WEIGHT = 2_048
 
 # Digits of the longest integer literal: as many as a MAX_PARSE_BITS-bit
 # integer can have (1,234), below Python's default int conversion limit.
@@ -60,6 +69,7 @@ class Token:
     text: str
     line: int
     col: int
+    number: int = 0  # the value of an "int" literal, converted here only
 
 
 _PUNCT = set(";,[]():+-*/^")
@@ -88,7 +98,12 @@ def _tokenize(text: str) -> list[Token]:
                 raise ParseError("decimal literals are not allowed; use a/b rationals", line, col)
             if j - i > _MAX_DIGITS:
                 raise ParseError(f"integer literal of {j - i} digits exceeds {_MAX_DIGITS}", line, col)
-            tokens.append(Token("int", text[i:j], line, col))
+            try:
+                number = int(text[i:j])
+            except ValueError:  # past a lowered int conversion limit (PYTHONINTMAXSTRDIGITS)
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(f"integer literal of {j - i} digits exceeds {limit}", line, col) from None
+            tokens.append(Token("int", text[i:j], line, col, number))
             col += j - i
             i = j
             continue
@@ -119,6 +134,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.work = 0
         self.ring_vars: tuple[str, ...] = ()
         self.var_index: dict[str, int] = {}
 
@@ -143,13 +159,16 @@ class _Parser:
 
     def product(self, tok: Token, a: Polynomial, b: Polynomial) -> Polynomial:
         """a * b, refused past MAX_PARSE_PRODUCT term pairs or MAX_PARSE_BITS
-        coefficient bits."""
+        coefficient bits, or once the parse's work would pass MAX_PARSE_WORK."""
         pairs = len(a.terms) * len(b.terms)
         if pairs > MAX_PARSE_PRODUCT:
             raise BudgetExceededError("parse term pairs of one product", MAX_PARSE_PRODUCT, pairs)
         bits = _bits(a) + _bits(b)
         if bits > MAX_PARSE_BITS:
             raise BudgetExceededError("parse coefficient bits of one product", MAX_PARSE_BITS, bits)
+        self.work += pairs * (_PAIR_WEIGHT + bits)
+        if self.work > MAX_PARSE_WORK:
+            raise BudgetExceededError("parse work of the whole input", MAX_PARSE_WORK, self.work)
         return self.under_cap(tok, lambda: a * b)
 
     def power(self, tok: Token, base: Polynomial, k: int) -> Polynomial:
@@ -255,7 +274,7 @@ class _Parser:
             if tok.kind != "int":
                 raise self.error("exponent must be a non-negative integer", tok)
             self.next()
-            return self.power(tok, base, int(tok.text))
+            return self.power(tok, base, tok.number)
         return base
 
     def parse_base(self) -> Polynomial:
@@ -270,10 +289,10 @@ class _Parser:
             return -self.parse_factor()
         if tok.kind == "int":
             self.next()
-            numerator = int(tok.text)
+            numerator = tok.number
             if self.peek().text == "/" and self.tokens[self.pos + 1].kind == "int":
                 self.next()
-                den = int(self.next().text)
+                den = self.next().number
                 if den == 0:
                     raise self.error("zero denominator in rational literal", tok)
                 return Polynomial.constant(self.ring_vars, Fraction(numerator, den))

@@ -410,6 +410,52 @@ class TestErrors:
         assert "Traceback" not in captured.err
         assert "candidate_only" in captured.out
 
+    def test_chained_products_exit_three(self, capsys, tmp_path):
+        # Each squaring passes both per-product caps (90,000 term pairs, about
+        # 4,000 coefficient bits) and takes about 2 s CPU; the parse's running
+        # work total stops the second one.
+        import time
+
+        from liptriv.parsing import MAX_PARSE_WORK
+
+        source = tmp_path / "chain.map"
+        source.write_text(
+            "ring Q[x,y]; map f: ((7^700*(1+x+y)^23)^2, (5^850*(1+x+y)^23)^2, "
+            "(3^1240*(1+x+y)^23)^2)"
+        )
+        start = time.process_time()
+        code = run(["factor", "-i", str(source)])
+        elapsed = time.process_time() - start
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("resource budget exhausted: budget exceeded: parse work"), err
+        assert f"limit {MAX_PARSE_WORK}" in err
+        assert elapsed < 4.0
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [("ring Q[x]; map f: ({} * x)", "1:20"), ("ring Q[x];\nmap f: (x^{})", "2:11")],
+    )
+    def test_literal_past_a_lowered_conversion_limit_exit_two(self, tmp_path, text, where):
+        # 700 digits pass the parser's own cap of 1,234 but not a conversion
+        # limit lowered to 640; the error names the literal, not Python.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        source = tmp_path / "literal.map"
+        source.write_text(text.format("7" * 700))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": src}
+        script = "import sys; from liptriv.cli import run; sys.exit(run(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", script, "factor", "-i", str(source)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr == f"parse error: {where}: integer literal of 700 digits exceeds 640\n"
+
     def test_negative_seed_exit_two_before_any_stage(self, capsys, monkeypatch):
         import liptriv.dependence
 
