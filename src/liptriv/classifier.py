@@ -41,6 +41,7 @@ from .polycore import FloatKernel, PolyMap, Polynomial, check_value
 from .properness import (
     ProbeSchedule,
     PropernessVerdict,
+    _gauss_newton_step,
     _sphere_minimize,
     certifier,
     check_radii,
@@ -542,22 +543,6 @@ def _rational_report(r: RationalMap, field_name: str, cfg: AnalysisConfig) -> Lt
 
 
 # -- probes shared by the report layer ---------------------------------------------
-
-
-def _gauss_newton_step(resid: np.ndarray, jacobian: Callable[[], list], tol: float):
-    """The least-squares step solving jacobian() @ step = resid, or None to
-    stop: |resid| < tol, a failed solve or a step that is not finite.  It
-    stops before LAPACK sees a non-finite input, which it reports on stderr."""
-    if not np.all(np.isfinite(resid)) or float(np.linalg.norm(resid)) < tol:
-        return None
-    jac = np.array(jacobian())
-    if not np.all(np.isfinite(jac)):
-        return None
-    try:
-        step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-    except np.linalg.LinAlgError:
-        return None
-    return step if np.all(np.isfinite(step)) else None
 
 
 # In both probes a start's values can grow past a float; a norm of huge

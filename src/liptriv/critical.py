@@ -3,7 +3,8 @@
 Elimination yields the Zariski closure of the critical value set; whether a
 real root of the eliminated ideal is actually attained by a real critical
 point is then checked numerically by multi-start Newton on the gradient
-system, since the image of the critical locus need not be closed.
+system, since the image of the critical locus need not be closed; the starts
+stop once every real root has a witness.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import isfinite, sqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .groebner import (
     real_roots,
 )
 from .polycore import FloatKernel, PolyMap, Polynomial
-from .properness import ProbeSchedule, target_ring
+from .properness import ProbeSchedule, _gauss_newton_step, target_ring
 
 
 def jacobian(g: PolyMap) -> tuple[tuple[Polynomial, ...], ...]:
@@ -111,9 +113,9 @@ def real_critical_values(
 ) -> list[RealCriticalValue]:
     """Real roots of the eliminated critical ideal `crit` of g, flagged by attainment.
 
-    Requires p = 1.  Attainment looks for a real critical point via
-    200-start Newton on the gradient system and accepts a witness whose
-    gradient norm and value gap are both below the tolerance.
+    Requires p = 1.  A root's witness is the first Newton end point, in start
+    order, whose value is within the tolerance of the root's interval; the
+    search stops once every root has one, and starts only if there is a root.
     """
     if g.p != 1:
         raise ValueError("real critical value extraction needs p = 1")
@@ -121,22 +123,16 @@ def real_critical_values(
         return []
     # The target ring is univariate, so the elimination ideal is principal;
     # the reduced basis has a single generator.
-    roots = real_roots(crit.generators[0])
-
-    witnesses = _newton_critical_points(g, seed)
+    out = [RealCriticalValue(interval, None) for interval in real_roots(crit.generators[0])]
     value_at = FloatKernel(g.components).value
-    out = []
-    for interval in roots:
-        value = RealCriticalValue(interval, None)
-        approx = value.approx
-        for point in witnesses:
-            gap = abs(value_at(point)[0] - approx)
-            if interval[0] != interval[1]:
-                gap = max(0.0, gap - float(interval[1] - interval[0]))
-            if gap < _NEWTON_TOL:
-                value = RealCriticalValue(interval, tuple(point))
-                break
-        out.append(value)
+    for point in _newton_critical_points(g, seed) if out else ():
+        value = value_at(point)[0]
+        for i, root in enumerate(out):
+            lo, hi = root.interval
+            if root.witness is None and abs(value - root.approx) - float(hi - lo) < _NEWTON_TOL:
+                out[i] = RealCriticalValue(root.interval, tuple(point))
+        if all(root.witness is not None for root in out):
+            break
     return out
 
 
@@ -144,11 +140,11 @@ def _norm(v: list[float]) -> float:
     return sqrt(sum([a * a for a in v]))
 
 
-def _newton_critical_points(g: PolyMap, seed: int) -> list[list[float]]:
-    """Multi-start Newton for the gradient system of a scalar map: the end
-    points whose gradient norm is below _NEWTON_TOL.
+def _newton_critical_points(g: PolyMap, seed: int) -> Iterator[list[float]]:
+    """Multi-start Newton for the gradient system of a scalar map: yields, in
+    start order, the end points whose gradient norm is below _NEWTON_TOL.
 
-    Each step is numpy's least-squares solve of J(x) s = -grad(x); around
+    Each step is `_gauss_newton_step` on the gradient and the Hessian; around
     it the loop runs on Python floats, since the map has at most a few
     variables.  The least-squares solve takes the minimum-norm step where
     the Hessian is singular (everywhere for `-2*x^2` in Q[x,y,z], on the
@@ -160,26 +156,21 @@ def _newton_critical_points(g: PolyMap, seed: int) -> list[list[float]]:
     gmap = FloatKernel([comp.partial(j) for j in range(m)])
 
     rng = np.random.default_rng(seed)
-    found: list[list[float]] = []
     for _ in range(200):
         x = rng.uniform(-3.0, 3.0, size=m).tolist()
         try:
             for _ in range(60):
-                val = gmap.value(x)
-                if not all(isfinite(v) for v in val) or _norm(val) < _NEWTON_TOL * 1e-4:
+                step = _gauss_newton_step(
+                    np.array(gmap.value(x)), lambda: gmap.jacobian(x), _NEWTON_TOL * 1e-4
+                )
+                if step is None:
                     break
-                try:
-                    step = np.linalg.lstsq(gmap.jacobian(x), [-v for v in val], rcond=None)[0].tolist()
-                except (OverflowError, np.linalg.LinAlgError):
-                    break
-                if not all(isfinite(s) for s in step):
-                    break
-                x = [a + s for a, s in zip(x, step)]
+                step = step.tolist()
+                x = [a - s for a, s in zip(x, step)]
                 if _norm(step) < 1e-14 * (1.0 + _norm(x)):
                     break
             resid = _norm(gmap.value(x))
         except OverflowError:
             continue
         if all(isfinite(a) for a in x) and resid < _NEWTON_TOL:
-            found.append(x)
-    return found
+            yield x

@@ -204,6 +204,22 @@ def certifier(
     return cache(lambda value: is_proper_at_complex(g, value, ideal, budget))
 
 
+def _gauss_newton_step(resid: np.ndarray, jacobian: Callable[[], list], tol: float):
+    """The least-squares step solving jacobian() @ step = resid, or None to
+    stop: |resid| < tol, a failed solve or a step that is not finite.  It
+    stops before LAPACK sees a non-finite input, which it reports on stderr."""
+    if not np.all(np.isfinite(resid)) or float(np.linalg.norm(resid)) < tol:
+        return None
+    jac = np.array(jacobian())
+    if not np.all(np.isfinite(jac)):
+        return None
+    try:
+        step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
+    except np.linalg.LinAlgError:
+        return None
+    return step if np.all(np.isfinite(step)) else None
+
+
 def _sphere_minimize(
     kernel: FloatKernel,
     c: Sequence[float],

@@ -3,7 +3,6 @@
 import random
 import struct
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +18,9 @@ from conftest import (
 )
 from liptriv import critical
 from liptriv.critical import critical_ideal, jacobian, real_critical_values
-from liptriv.groebner import buchberger
-from liptriv.parsing import print_polynomial
+from liptriv.classifier import classify
+from liptriv.groebner import buchberger, real_roots
+from liptriv.parsing import parse_mapping, print_polynomial
 from liptriv.polycore import PolyMap, Polynomial
 
 F = Fraction
@@ -190,15 +190,73 @@ def scalar_maps(draw):
 @example(scalar_map(XYZ, "x*y"))
 @example(scalar_map(XYZ[:1], "x^3 - 3*x"))
 def test_newton_matches_numpy_loop(g):
-    got = critical._newton_critical_points(g, 42)
+    got = list(critical._newton_critical_points(g, 42))
     want = reference_newton_critical_points(g, 42)
     assert [[bits(v) for v in x] for x in got] == [[bits(v) for v in x] for x in want]
 
+    # Each root's witness is the first reference end point whose value gap
+    # to the root's interval is below the tolerance.
+    def first_match(interval):
+        lo, hi = interval
+        for point in want:
+            gap = abs(eval_float(g.components[0], point) - float((lo + hi) / 2))
+            if lo != hi:
+                gap = max(0.0, gap - float(hi - lo))
+            if gap < critical._NEWTON_TOL:
+                return point
+        return None
+
     crit = critical_ideal(g)
     roots = real_critical_values(g, crit)
-    with mock.patch.object(critical, "_newton_critical_points", lambda *_: want):
-        ref_roots = real_critical_values(g, crit)
-    assert [(r.interval, r.status) for r in roots] == [(r.interval, r.status) for r in ref_roots]
-    assert [r.witness and [bits(v) for v in r.witness] for r in roots] == [
-        r.witness and [bits(v) for v in r.witness] for r in ref_roots
-    ]
+    intervals = [] if crit.has_unit_generator() else real_roots(crit.generators[0])
+    assert [r.interval for r in roots] == intervals
+    for r in roots:
+        expected = first_match(r.interval)
+        assert (r.witness and [bits(v) for v in r.witness]) == (
+            expected and [bits(v) for v in expected]
+        )
+
+
+# -- the witness search stops when it is done ---------------------------------------
+
+
+def taken_points(monkeypatch):
+    """Wraps critical._newton_critical_points: one list per call, made when
+    it is called, holding the end points taken from that call's generator."""
+    original = critical._newton_critical_points
+    calls = []
+
+    def counting(g, seed):
+        taken = []
+        calls.append(taken)
+
+        def points():
+            for point in original(g, seed):
+                taken.append(point)
+                yield point
+
+        return points()
+
+    monkeypatch.setattr(critical, "_newton_critical_points", counting)
+    return calls
+
+
+def test_real_analyses_take_only_the_witnessing_end_points(monkeypatch, cube_map, motzkin_map):
+    """`cube` real has one critical value, which the first end point attains;
+    `motzkin` real has two, which the 17th attains both.  A search that ran
+    all 200 starts before matching took every end point they found."""
+    calls = taken_points(monkeypatch)
+    classify(cube_map, "real")
+    assert [len(taken) for taken in calls] == [1]
+    calls.clear()
+    classify(motzkin_map, "real")
+    assert [len(taken) for taken in calls] == [17]
+
+
+def test_no_real_critical_value_starts_no_newton(monkeypatch):
+    g = parse_mapping("ring Q[x]; map f: (x^3 + x)")
+    crit = critical_ideal(g)
+    assert [print_polynomial(q) for q in crit.generators] == ["t1^2 + 4/27"]
+    calls = taken_points(monkeypatch)
+    assert real_critical_values(g, crit) == []
+    assert calls == []
