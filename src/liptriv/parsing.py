@@ -322,10 +322,28 @@ def parse_input(text: str):
 # -- printing ---------------------------------------------------------------
 
 
-def _format_coefficient(c: Fraction) -> str:
+# Digits per chunk of a decimal conversion: below 640, the least int
+# conversion limit Python accepts, so no PYTHONINTMAXSTRDIGITS refuses one.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """str(n), converted in chunks of at most _CHUNK_DIGITS digits."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    return str(n) + "".join(reversed(chunks))
+
+
+def format_fraction(c: Fraction) -> str:
+    """str(c) under any int conversion limit: "n", or "n/d" in lowest terms."""
     if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+        return _decimal(c.numerator)
+    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
 
 
 def _format_monomial(vars_: tuple[str, ...], exp: tuple[int, ...]) -> str:
@@ -347,11 +365,11 @@ def print_polynomial(p: Polynomial) -> str:
         mono = _format_monomial(p.vars, exp)
         mag = abs(coeff)
         if not mono:
-            body = _format_coefficient(mag)
+            body = format_fraction(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_format_coefficient(mag)}*{mono}"
+            body = f"{format_fraction(mag)}*{mono}"
         if i == 0:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:

@@ -28,7 +28,7 @@ from .critical import RealCriticalValue
 from .dependence import FactorizationResult
 from .groebner import Ideal
 from .infinity import InfinityReport
-from .parsing import print_polynomial
+from .parsing import format_fraction, print_polynomial
 from .polycore import PolyMap, Polynomial
 from .properness import PropernessVerdict
 from .rational import RationalMap
@@ -90,14 +90,15 @@ def schema_skeleton(src, field_name: str, **fields) -> dict:
 
 def _plain(node):
     """node as JSON data, the one place exact values become text: a Fraction
-    as str, a Polynomial printed, and a non-finite float (the `mu` of a probe
+    as its str, a Polynomial printed (both in decimal chunks that no int
+    conversion limit refuses), and a non-finite float (the `mu` of a probe
     with no finite minimum) as None, like a value not computed."""
     if isinstance(node, dict):
         return {key: _plain(value) for key, value in node.items()}
     if isinstance(node, (list, tuple)):
         return [_plain(value) for value in node]
     if isinstance(node, Fraction):
-        return str(node)
+        return format_fraction(node)
     if isinstance(node, Polynomial):
         return print_polynomial(node)
     return None if isinstance(node, float) and not isfinite(node) else node

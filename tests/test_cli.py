@@ -456,6 +456,31 @@ class TestErrors:
         assert done.returncode == 2
         assert done.stderr == f"parse error: {where}: integer literal of 700 digits exceeds 640\n"
 
+    @pytest.mark.parametrize("command", ["critical", "analyze"])
+    def test_computed_number_past_a_lowered_conversion_limit_exit_zero(self, tmp_path, command):
+        # The critical ideal of this map has a 680-digit coefficient; under a
+        # conversion limit lowered to 640 the report prints it in full.
+        import os
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        source = tmp_path / "computed.map"
+        source.write_text("ring Q[x]; map f: (7^400 * x^5 + x^2)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = "import sys; from liptriv.cli import run; sys.exit(run(sys.argv[1:]))"
+        runs = {}
+        for limit in ("640", "0"):  # 0: no limit
+            env = {**os.environ, "PYTHONINTMAXSTRDIGITS": limit, "PYTHONPATH": src}
+            runs[limit] = subprocess.run(
+                [sys.executable, "-c", script, command, "-i", str(source), "--output", "json"],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+        assert [(done.returncode, done.stderr) for done in runs.values()] == [(0, "")] * 2
+        assert runs["640"].stdout == runs["0"].stdout
+        assert max(len(digits) for digits in re.findall(r"\d+", runs["640"].stdout)) > 640
+
     def test_negative_seed_exit_two_before_any_stage(self, capsys, monkeypatch):
         import liptriv.dependence
 

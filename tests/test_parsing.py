@@ -10,6 +10,7 @@ from liptriv.parsing import (
     _MAX_DIGITS,
     MAX_PARSE_BITS,
     ParseError,
+    format_fraction,
     parse_input,
     parse_mapping,
     print_polynomial,
@@ -179,6 +180,14 @@ class TestPrinting:
         from conftest import poly
 
         assert print_polynomial(poly(("x",), "3/2*x")) == "3/2*x"
+
+    @pytest.mark.parametrize("digits", [1, 599, 600, 601, 1200, 1201, 4000])
+    def test_format_fraction_is_str(self, digits):
+        # Around and past the 600-digit chunks, signed, with a denominator;
+        # str itself stays below the default 4,300-digit conversion limit.
+        for n in (int("9" * digits), 10 ** (digits - 1) + 7):  # the second pads chunks with 0
+            for value in (Fraction(n), Fraction(-n), Fraction(n, 7**900), Fraction(-1, n)):
+                assert format_fraction(value) == str(value)
 
     def test_roundtrip_random_maps(self):
         rng = random.Random(101)
