@@ -156,9 +156,8 @@ def _sample_values(
     def keep(value: tuple[Fraction, ...]) -> bool:
         if _on_locus(critical, value) or _on_locus(jelonek, value):
             return False
-        fiber = Ideal.make(f.vars, [comp - ci for comp, ci in zip(f.components, value)])
         try:
-            return dimension(fiber, budget) >= 0
+            return dimension(Ideal.fiber(f, value), budget) >= 0
         except BudgetExceededError:
             return False
 

@@ -116,11 +116,11 @@ def real_critical_values(
     Requires p = 1.  A root's witness is the first Newton end point, in start
     order, whose value is within the tolerance of the root's interval; the
     search stops once every root has one, and starts only if there is a root.
+    An empty critical value set is the unit ideal, whose generator 1 has no
+    real root.
     """
     if g.p != 1:
         raise ValueError("real critical value extraction needs p = 1")
-    if crit.has_unit_generator():
-        return []
     # The target ring is univariate, so the elimination ideal is principal;
     # the reduced basis has a single generator.
     out = [RealCriticalValue(interval, None) for interval in real_roots(crit.generators[0])]

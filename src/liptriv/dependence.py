@@ -120,15 +120,8 @@ def factor_through_projection(f: PolyMap) -> FactorizationResult:
 
     # The surviving coordinates keep their original names (keeps reports
     # readable and makes suspension round-trips exact).
-    reduced_vars = tuple(f.vars[j] for j in free)
-    g_components = tuple(
-        Polynomial.from_dict(
-            reduced_vars,
-            {tuple(e[j] for j in free): c for e, c in comp.terms if not any(e[p] for p in pivots)},
-        )
-        for comp in f.components
-    )
-    return FactorizationResult(sub, PolyMap(reduced_vars, g_components, f.name))
+    g_components = tuple(comp.drop_vars(pivots) for comp in f.components)
+    return FactorizationResult(sub, PolyMap(g_components[0].vars, g_components, f.name))
 
 
 def suspend(g: PolyMap, extra_vars: int) -> PolyMap:

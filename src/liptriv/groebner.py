@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .polycore import Exponent, Polynomial, fresh_name
+from .polycore import Exponent, PolyMap, Polynomial, fresh_name
 
 
 class BudgetExceededError(RuntimeError):
@@ -78,6 +78,11 @@ class Ideal:
             if not g.is_zero():
                 fixed.append(g)
         return Ideal(vs, tuple(fixed))
+
+    @staticmethod
+    def fiber(f: PolyMap, c: Sequence[Fraction]) -> "Ideal":
+        """(f_i - c_i) in f's ring; a component identically c_i gives no generator."""
+        return Ideal.make(f.vars, [comp - ci for comp, ci in zip(f.components, c)])
 
     def has_unit_generator(self) -> bool:
         """A nonzero constant generator: V(I) is empty (iff, for a reduced basis)."""
@@ -372,11 +377,7 @@ def eliminate(
 
     order = MonomialOrder.elimination(drop_idx)
     gb = buchberger(ideal, order, budget)
-    kept = []
-    for g in gb.basis:
-        if any(g.uses_var(i) for i in drop_idx):
-            continue
-        kept.append(g.drop_vars(drop_idx))
+    kept = [g.drop_vars(drop_idx) for g in gb.basis if not any(g.uses_var(i) for i in drop_idx)]
     return Ideal(keep_vars, tuple(kept))
 
 
@@ -418,9 +419,11 @@ def intersect(a: Ideal, b: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> Id
 
 
 def dimension(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> int:
-    """Krull dimension of V(I) over the algebraic closure; -1 for the unit ideal."""
-    if ideal.has_unit_generator():
-        return -1
+    """Krull dimension of V(I) over the algebraic closure; -1 for the unit ideal.
+
+    A constant generator needs no branch: every pair with it is skipped by
+    the coprimality criterion, every other pair by the chain criterion
+    through it, and the reduced basis is (1)."""
     return buchberger(ideal, MonomialOrder.grevlex(), budget).dimension()
 
 
@@ -487,11 +490,11 @@ def _uni_eval(c: list[Fraction], x: Fraction) -> Fraction:
 
 def sturm_sequence(coeffs: list[Fraction]) -> list[list[Fraction]]:
     """Sturm chain of the squarefree part of the given polynomial."""
+    # A constant's derivative is zero, so the gcd is 1 and the constant stays.
     square_free = coeffs
-    if _uni_degree(coeffs) >= 1:
-        g = _uni_gcd(coeffs, _uni_derivative(coeffs))
-        if _uni_degree(g) >= 1:
-            square_free, _ = _uni_divmod(coeffs, g)
+    g = _uni_gcd(coeffs, _uni_derivative(coeffs))
+    if _uni_degree(g) >= 1:
+        square_free, _ = _uni_divmod(coeffs, g)
     chain = [square_free, _uni_derivative(square_free)]
     while chain[-1]:
         nxt = [-x for x in _uni_divmod(chain[-2], chain[-1])[1]]

@@ -46,7 +46,7 @@ class InfinityReport:
     @property
     def cone_ideal(self) -> Ideal:
         """In the affine variables, cuts the cone over infinity."""
-        return _cone_ideal(self.closure_ideal, self.cone_basis.vars)
+        return _cone_ideal(self.closure_ideal)
 
     @cached_property
     def dim_infinity(self) -> int:
@@ -73,7 +73,8 @@ def fiber_infinity(
 ) -> InfinityReport:
     """Projective closure of the fiber over c and its part at infinity.
 
-    The cone ideal's reduced grevlex basis is the one Groebner basis computed
+    The closure saturates by x0 the homogenized generators of the fiber
+    ideal, which has none for a component identically c_i.  The cone ideal's reduced grevlex basis is the one Groebner basis computed
     after the saturation: the infinity ideal closure + (x0) has that basis
     plus x0 and the same dimension (see the module docstring), so it is
     never built.  A budget therefore runs out, or does not, on the cone's
@@ -84,23 +85,19 @@ def fiber_infinity(
     hom_var = fresh_name("x0", f.vars)
     hom_vars = (hom_var,) + f.vars
 
-    # A component identically c_i homogenizes to zero, which Ideal.make drops.
-    hom_gens = [(comp - ci).homogenize(hom_var) for comp, ci in zip(f.components, cvec)]
+    hom_gens = [q.homogenize(hom_var) for q in Ideal.fiber(f, cvec).generators]
     x0 = Polynomial.variable(hom_vars, 0)
     # With no equations left the closure is the zero ideal, which saturate keeps.
     closure = saturate(Ideal.make(hom_vars, hom_gens), x0, budget)
 
-    cone_basis = buchberger(_cone_ideal(closure, f.vars), MonomialOrder.grevlex(), budget)
+    cone_basis = buchberger(_cone_ideal(closure), MonomialOrder.grevlex(), budget)
     return InfinityReport(cvec, closure, cone_basis)
 
 
-def _cone_ideal(closure: Ideal, affine_vars: tuple[str, ...]) -> Ideal:
-    """Set the homogenization variable x0, the first, to zero: keep the terms free of it."""
-    cuts = [
-        Polynomial.from_dict(affine_vars, {e[1:]: c for e, c in g.terms if not e[0]})
-        for g in closure.generators
-    ]
-    return Ideal.make(affine_vars, cuts)
+def _cone_ideal(closure: Ideal) -> Ideal:
+    """The closure cut at x0 = 0, x0 being the first variable, in the affine
+    variables; Ideal.make drops a generator that was a multiple of x0."""
+    return Ideal.make(closure.vars[1:], [q.drop_vars([0]) for q in closure.generators])
 
 
 def _linearity(gb: GroebnerBasis) -> Subspace | None:

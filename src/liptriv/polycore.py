@@ -197,14 +197,12 @@ class Polynomial:
         return any(e[index] for e, _ in self.terms)
 
     def drop_vars(self, indices: Iterable[int]) -> "Polynomial":
-        """Remove variables the polynomial does not involve."""
-        drop = sorted(set(indices))
-        for i in drop:
-            if self.uses_var(i):
-                raise ValueError(f"polynomial involves variable {self.vars[i]!r}")
+        """Set the indexed variables to zero, in the ring without them: the
+        terms free of them, their exponents left out."""
+        drop = set(indices)
         keep = [i for i in range(self.nvars) if i not in drop]
-        vs = tuple(self.vars[i] for i in keep)
-        return Polynomial(vs, _canon({tuple(e[i] for i in keep): c for e, c in self.terms}))
+        kept = {tuple(e[i] for i in keep): c for e, c in self.terms if not any(e[i] for i in drop)}
+        return Polynomial(tuple(self.vars[i] for i in keep), _canon(kept))
 
     def embed(self, variables: Sequence[str]) -> "Polynomial":
         """Reinterpret in a larger ring containing all current variables."""

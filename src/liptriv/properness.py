@@ -174,11 +174,7 @@ def is_proper_at_complex(
     check_value(c, g.p)
     cvec = tuple(as_fraction(x) for x in c)
 
-    fiber = Ideal.make(
-        g.vars,
-        [comp - ci for comp, ci in zip(g.components, cvec)],
-    )
-    fiber_dim = dimension(fiber, budget)
+    fiber_dim = dimension(Ideal.fiber(g, cvec), budget)
     evidence: dict = {"fiber_dimension": fiber_dim}
     if fiber_dim > 0:
         # Positive-dimensional fiber: never proper at c, no need for J(g).

@@ -254,9 +254,14 @@ def test_real_analyses_take_only_the_witnessing_end_points(monkeypatch, cube_map
 
 
 def test_no_real_critical_value_starts_no_newton(monkeypatch):
-    g = parse_mapping("ring Q[x]; map f: (x^3 + x)")
-    crit = critical_ideal(g)
-    assert [print_polynomial(q) for q in crit.generators] == ["t1^2 + 4/27"]
     calls = taken_points(monkeypatch)
-    assert real_critical_values(g, crit) == []
+    for text, generators in [
+        ("ring Q[x]; map f: (x^3 + x)", ["t1^2 + 4/27"]),
+        # No critical point: the critical ideal is (1), whose generator has no root.
+        ("ring Q[x,y]; map f: (2*x - y + 1)", ["1"]),
+    ]:
+        g = parse_mapping(text)
+        crit = critical_ideal(g)
+        assert [print_polynomial(q) for q in crit.generators] == generators
+        assert real_critical_values(g, crit) == []
     assert calls == []

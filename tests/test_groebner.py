@@ -30,7 +30,7 @@ from liptriv.groebner import (
     real_roots,
     saturate,
 )
-from liptriv.polycore import MAX_EXPONENT, Polynomial
+from liptriv.polycore import MAX_EXPONENT, PolyMap, Polynomial
 
 XY = ("x", "y")
 
@@ -221,6 +221,23 @@ class TestDimension:
         assert dimension(Ideal(XY, ())) == 2
         assert dimension(Ideal(("x", "y", "z"), ())) == 3
 
+    def test_unit_ideal_within_a_small_degree_budget(self):
+        """The constant's pairs are all skipped, so a generator past the
+        degree budget is never reduced."""
+        ideal = Ideal.make(XY, [poly(XY, "1"), poly(XY, "x^70*y + y^3")])
+        assert dimension(ideal, GroebnerBudget(max_degree=2)) == -1
+
+
+class TestFiberIdeal:
+    def test_generators_are_the_differences(self):
+        f = PolyMap(XY, (poly(XY, "x*y"), poly(XY, "x + y")))
+        fiber = Ideal.fiber(f, (Fraction(2), Fraction(-1, 3)))
+        assert fiber.generators == (poly(XY, "x*y - 2"), poly(XY, "x + y + 1/3"))
+
+    def test_component_identically_its_value_dropped(self):
+        f = PolyMap(XY, (poly(XY, "x"), poly(XY, "3")))
+        assert Ideal.fiber(f, (Fraction(1), Fraction(3))).generators == (poly(XY, "x - 1"),)
+
 
 class TestRealRoots:
     def test_quadratic_with_exact_roots(self):
@@ -229,6 +246,9 @@ class TestRealRoots:
 
     def test_no_real_roots(self):
         assert real_roots(poly(("t",), "t^2 + 1")) == []
+
+    def test_nonzero_constant_has_no_root(self):
+        assert real_roots(poly(("t",), "-7/2")) == []
 
     def test_multiplicity_collapses(self):
         assert real_roots(poly(("t",), "t^3")) == [(Fraction(0), Fraction(0))]

@@ -58,6 +58,14 @@ class TestArithmetic:
             big * big
 
 
+class TestDropVars:
+    def test_used_variable_set_to_zero(self):
+        assert poly(XY, "x*y + y^2 + x").drop_vars([1]) == poly(("x",), "x")
+
+    def test_unused_variable_removed(self):
+        assert poly(XYZ, "x^2 - 3*z").drop_vars([1]) == poly(("x", "z"), "x^2 - 3*z")
+
+
 class TestPartialDerivative:
     def test_degree_six_polynomial(self, motzkin_poly):
         # d/dx of x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1, differentiated by hand.
