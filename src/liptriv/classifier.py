@@ -402,8 +402,9 @@ def _probe_grid_real(
     p: int,
     candidates: tuple[RealCriticalValue, ...],
 ) -> list[tuple[float, ...]]:
-    if p == 1 and candidates:
-        roots = sorted(r.approx for r in candidates)
+    """Around the finite critical candidates when p = 1, else the rational grid."""
+    roots = sorted(r.approx for r in candidates if isfinite(r.approx))
+    if p == 1 and roots:
         grid = [roots[0] - 1.0]
         grid += [(a + b) / 2.0 for a, b in zip(roots, roots[1:])]
         grid += [roots[-1] + 1.0, roots[-1] + 4.0]

@@ -24,7 +24,7 @@ from .groebner import (
     eliminate,
     real_roots,
 )
-from .polycore import FloatKernel, PolyMap, Polynomial
+from .polycore import FloatKernel, PolyMap, Polynomial, float_or_inf
 from .properness import ProbeSchedule, _gauss_newton_step, target_ring
 
 
@@ -95,8 +95,9 @@ class RealCriticalValue:
 
     @property
     def approx(self) -> float:
-        """The isolating interval's midpoint as a float."""
-        return float((self.interval[0] + self.interval[1]) / 2)
+        """The isolating interval's midpoint as a float, a signed inf past the
+        float range: no Newton end point matches it, so it gets no witness."""
+        return float_or_inf((self.interval[0] + self.interval[1]) / 2)
 
     @property
     def status(self) -> str:

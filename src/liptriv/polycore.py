@@ -32,6 +32,14 @@ def as_fraction(c: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
+def float_or_inf(c: Fraction) -> float:
+    """float(c), or a signed inf past the float range; an underflow gives 0.0."""
+    try:
+        return float(c)
+    except OverflowError:
+        return inf if c > 0 else -inf
+
+
 def grevlex_key(exp: Exponent):
     """Sort key realizing grevlex: max(key) is the grevlex-leading monomial."""
     return (sum(exp), tuple(-e for e in reversed(exp)))
@@ -405,10 +413,7 @@ class FloatKernel:
             out = []
             for exp, c in poly.terms:
                 out.append((len(coeffs), tuple((i, k) for i, k in enumerate(exp) if k)))
-                try:
-                    coeffs.append(float(c))
-                except OverflowError:  # past the float range; an underflow gives 0.0
-                    coeffs.append(inf if c > 0 else -inf)
+                coeffs.append(float_or_inf(c))
             return out
 
         def powers(tables) -> list[tuple[int, int]]:
@@ -448,7 +453,10 @@ class FloatKernel:
 
     def source(self, name: str) -> str:
         """The generated source of one function: value, jacobian or a descent."""
-        header, body = getattr(self, f"_{name}_code")()
+        header, body = {
+            "value": self._value_code, "jacobian": self._jacobian_code,
+            "sphere_descent": self._sphere_descent_code, "penalty_descent": self._penalty_descent_code,
+        }[name]()
         return "\n".join([header] + _indent(body)) + "\n"
 
     # -- per-point blocks ----------------------------------------------------------

@@ -203,9 +203,11 @@ def certifier(
 def _gauss_newton_step(resid: np.ndarray, jacobian: Callable[[], list], tol: float):
     """The least-squares step solving jacobian() @ step = resid, or None to
     stop: |resid| < tol, a failed solve or a step that is not finite.  It
-    stops before LAPACK sees a non-finite input, which it reports on stderr."""
-    if not np.all(np.isfinite(resid)) or float(np.linalg.norm(resid)) < tol:
-        return None
+    stops before LAPACK sees a non-finite input, which it reports on stderr,
+    and the norm of a finite residual past the float range is a quiet inf."""
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(resid)) or float(np.linalg.norm(resid)) < tol:
+            return None
     jac = np.array(jacobian())
     if not np.all(np.isfinite(jac)):
         return None

@@ -511,6 +511,27 @@ class TestErrors:
         assert code == 0
         assert {c["name"]: c["verdict"] for c in doc["checks"]}["gradient_bound"] == "NO_SAMPLES"
 
+    @pytest.mark.parametrize(
+        "args", [["critical"], ["analyze", "--field", "real"], ["compare"]], ids=lambda a: a[0]
+    )
+    def test_critical_value_past_the_float_range_exit_zero(self, capsys, tmp_path, args):
+        # The one critical value, 7^400, has no float: it is printed as null
+        # with no witness, and the real probes fall back to the rational grid.
+        source = tmp_path / "far.map"
+        source.write_text("ring Q[x]; map f: (x^2 + 7^400)")
+        code = run(args + ["-i", str(source), "--output", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        doc = json.loads(captured.out)
+        if args[0] == "compare":
+            assert doc["real_ltv"] == "real complement"
+            return
+        real = doc if args[0] == "critical" else doc["ltv_real"]
+        roots = real["real_roots" if args[0] == "critical" else "critical_candidates"]
+        assert [(r["approx"], r["status"]) for r in roots] == [(None, "candidate_only")]
+        if args[0] == "analyze":
+            assert [e["value"] for e in real["probe_table"]] == [[1.0], [0.0], [2.0]]
+
     def test_unwritable_json_path_exit_two(self, capsys, tmp_path):
         target = str(tmp_path / "missing" / "x.json")
         code = run(["factor", "-i", CUBE, "--json-path", target])

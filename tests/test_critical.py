@@ -2,6 +2,7 @@
 
 import random
 import struct
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from conftest import (
     reference_newton_critical_points,
 )
 from liptriv import critical
-from liptriv.critical import critical_ideal, jacobian, real_critical_values
+from liptriv.critical import RealCriticalValue, critical_ideal, jacobian, real_critical_values
 from liptriv.classifier import classify
 from liptriv.groebner import buchberger, real_roots
 from liptriv.parsing import parse_mapping, print_polynomial
@@ -265,3 +266,21 @@ def test_no_real_critical_value_starts_no_newton(monkeypatch):
         assert [print_polynomial(q) for q in crit.generators] == generators
         assert real_critical_values(g, crit) == []
     assert calls == []
+
+
+def test_approx_past_the_float_range_is_a_signed_inf():
+    big = Fraction(7**400)
+    assert RealCriticalValue((big, big + 1), None).approx == float("inf")
+    assert RealCriticalValue((-big - 1, -big), None).approx == float("-inf")
+    assert RealCriticalValue((Fraction(1, 4), Fraction(1, 2)), None).approx == 0.375
+
+
+def test_newton_search_on_a_huge_residual_is_quiet():
+    # The gradient 3*x^2 - 3*7^200 is finite but past the range of its
+    # squared norm, whose overflow numpy would report as a RuntimeWarning.
+    g = parse_mapping("ring Q[x]; map f: (x^3 - 3*x*7^200)")
+    crit = critical_ideal(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = real_critical_values(g, crit)
+    assert [r.status for r in roots] == ["candidate_only"] * 2

@@ -30,10 +30,6 @@ SRC = Path(liptriv.__file__).resolve().parent
 
 # Definitions reached in a way the name check cannot see, each with its reason.
 ALLOWED = {
-    "polycore.FloatKernel._value_code": "reached through getattr(self, f'_{name}_code')",
-    "polycore.FloatKernel._jacobian_code": "reached through getattr(self, f'_{name}_code')",
-    "polycore.FloatKernel._sphere_descent_code": "reached through getattr(self, f'_{name}_code')",
-    "polycore.FloatKernel._penalty_descent_code": "reached through getattr(self, f'_{name}_code')",
     "cli.main": "the console-script entry point named in pyproject.toml",
 }
 
