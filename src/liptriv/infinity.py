@@ -74,10 +74,11 @@ def fiber_infinity(
     """Projective closure of the fiber over c and its part at infinity.
 
     The closure saturates by x0 the homogenized generators of the fiber
-    ideal, which has none for a component identically c_i.  The cone ideal's reduced grevlex basis is the one Groebner basis computed
-    after the saturation: the infinity ideal closure + (x0) has that basis
-    plus x0 and the same dimension (see the module docstring), so it is
-    never built.  A budget therefore runs out, or does not, on the cone's
+    ideal, which has none for a component identically c_i.  The cone
+    ideal's reduced grevlex basis is the one Groebner basis computed after
+    the saturation: the infinity ideal closure + (x0) has that basis plus
+    x0 and the same dimension (see the module docstring), so it is never
+    built.  A budget therefore runs out, or does not, on the cone's
     basis, which lacks the element x0.
     """
     check_value(c, f.p)
