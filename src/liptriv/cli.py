@@ -10,6 +10,7 @@ seed.  The documents themselves are built in report.py.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -34,7 +35,9 @@ from .rational import RationalMap
 _PROBE = ProbeSchedule()
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="liptriv",
         description="Analyze Lipschitz trivial values of polynomial mappings.",

@@ -339,6 +339,11 @@ def _listing(names: Iterable[str]) -> str:
     return "[" + ", ".join(names) + "]"
 
 
+def _sum(terms: Iterable[str]) -> str:
+    """The terms added left to right from 0.0, as `sum` adds floats on 3.11."""
+    return "(" + " + ".join(["0.0", *terms]) + ")"
+
+
 def _indent(lines: Iterable[str]) -> list[str]:
     return ["    " + line for line in lines]
 
@@ -381,17 +386,20 @@ class FloatKernel:
     Every function is assembled from the same per-point blocks.  At a point
     with coordinates P0..P{n-1} the power block computes each `Pi ** k` a
     term uses once (`** 1` included: it maps a NaN to a NaN of another sign),
-    and the value and partial blocks share those powers:
-    `vPi = 0.0; vPi += C[m] * P0_2 * P1_1 ...` for the values and `dPi_j`
-    likewise for the partials.
+    and the value and partial blocks share those powers: each value is one
+    assignment `vPi = 0.0 + C[m] * P0_2 * P1_1 + ...`, and each partial
+    `dPi_j` likewise.
 
     Bit-identity contract: the generated code does the float operations of
     plain term-by-term summation (each term `float(c)`, a signed inf past
     the float range, times its powers in variable order, added to 0.0 in
     term order: `eval_float` in `tests/conftest.py`) and of the interpreted
     reference loops in `tests/test_float_kernel.py`, in their order, so every
-    value, gradient, step and stop is bit-identical to theirs.  Sums stay
-    `sum([...])` calls, whose rounding Python 3.12+ compensates.  Points are
+    value, gradient, step and stop is bit-identical to theirs.  Every sum is
+    written out as `(0.0 + a + b + ...)`, added left to right as `sum` adds
+    floats on Python 3.11 (whose `0 + a` turns a -0.0 into 0.0, hence the
+    leading 0.0), so no call or list is made per sum and no Python version's
+    `sum` rounding (3.12+ compensates) reaches the bits.  Points are
     used as given, not converted: a numpy scalar overflows to inf where a
     Python float raises OverflowError.  `source(name)` names only positional
     locals, integer exponents and indices into the coefficient tuple C,
@@ -446,7 +454,7 @@ class FloatKernel:
     def _compile(self, name: str):
         namespace = {
             "C": self._coeffs, "inf": inf, "isfinite": isfinite, "max": max, "min": min,
-            "sqrt": sqrt, "sum": sum,
+            "sqrt": sqrt,
         }
         exec(compile(self.source(name), f"<liptriv float kernel {name}>", "exec"), namespace)
         return namespace[name]
@@ -474,11 +482,8 @@ class FloatKernel:
 
     @staticmethod
     def _accumulate(target: str, terms, P: str) -> list[str]:
-        lines = [f"{target} = 0.0"]
-        for m, pws in terms:
-            factors = [f"C[{m}]"] + [f"{P}{i}_{k}" for i, k in pws]
-            lines.append(f"{target} += {' * '.join(factors)}")
-        return lines
+        products = (" * ".join([f"C[{m}]"] + [f"{P}{i}_{k}" for i, k in pws]) for m, pws in terms)
+        return [f"{target} = {' + '.join(['0.0', *products])}"]
 
     def _value_block(self, P: str) -> list[str]:
         lines = [f"{P}{i}_{k} = {P}{i} ** {k}" for i, k in self._value_powers]
@@ -524,13 +529,13 @@ class FloatKernel:
             step += [f"ri2 = 2.0 * (vx{i} - c{i})", "if ri2 != 0.0:"]
             step += [f"    {g} += ri2 * dx{i}_{j}" for j, g in enumerate(gs)]
         step += [f"if not ({' and '.join(f'isfinite({g})' for g in gs)}):", "    break"]
-        step.append(f"dot = sum({_listing(f'{g} * {x}' for g, x in zip(gs, xs))}) / r2")
+        step.append(f"dot = {_sum(f'{g} * {x}' for g, x in zip(gs, xs))} / r2")
         step += [f"{t} = {g} - dot * {x}" for t, g, x in zip(ts, gs, xs)]
-        step.append(f"tnorm = sqrt(sum({_listing(f'{t} * {t}' for t in ts)}))")
+        step.append(f"tnorm = sqrt{_sum(f'{t} * {t}' for t in ts)}")
         step += ["if tnorm <= 1e-300 or not isfinite(tnorm):", "    break"]
         step.append("alpha = min(0.1 * radius / tnorm, 4.0 * last)")
         trial = [f"{y} = {x} - alpha * {t}" for y, x, t in zip(ys, xs, ts)]
-        trial.append(f"tn = sqrt(sum({_listing(f'{y} * {y}' for y in ys)}))")
+        trial.append(f"tn = sqrt{_sum(f'{y} * {y}' for y in ys)}")
         trial += [f"{z} = radius * {y} / tn" for z, y in zip(zs, ys)]
         trial += self._value_block("z") + objective("f", "z")
         trial += ["if isfinite(f) and f <= fx - 1e-4 * alpha * tnorm * tnorm:", "    break"]
@@ -552,7 +557,7 @@ class FloatKernel:
         gx, gy = ([f"g{P}{j}" for j in range(n)] for P in "xy")
 
         def squares(a: list[str], b: list[str]) -> str:
-            return f"sum({_listing(f'({u} - {v}) ** 2' for u, v in zip(a, b))})"
+            return _sum(f"({u} - {v}) ** 2" for u, v in zip(a, b))
 
         def objective(target: str, P: str, Q: str) -> list[str]:
             cs, ts = ([f"{a}{i}" for i in range(p)] for a in "ct")
@@ -564,7 +569,7 @@ class FloatKernel:
 
         def project_ball(z: list[str]) -> list[str]:
             return [
-                f"norm = sqrt(sum({_listing(f'{v} * {v}' for v in z)}))",
+                f"norm = sqrt{_sum(f'{v} * {v}' for v in z)}",
                 "if not (norm <= radius or norm == 0.0):",
                 *(f"    {v} = radius * {v} / norm" for v in z),
             ]
@@ -578,11 +583,11 @@ class FloatKernel:
             for j in range(n):
                 step += [f"{gx[j]} += rx2 * dx{i}_{j}", f"{gy[j]} += ry2 * dy{i}_{j}"]
         step.append(
-            f"gnorm = sqrt(sum({_listing(f'{g} * {g}' for g in gx)})"
-            f" + sum({_listing(f'{g} * {g}' for g in gy)}))"
+            f"gnorm = sqrt({_sum(f'{g} * {g}' for g in gx)}"
+            f" + {_sum(f'{g} * {g}' for g in gy)})"
         )
         step += ["if not isfinite(gnorm) or gnorm < 1e-14:", "    break"]
-        step.append(f"dist = sqrt({squares(xs, ys)})")
+        step.append(f"dist = sqrt{squares(xs, ys)}")
         step.append("alpha = min(0.5 * max(dist, 1e-3) / gnorm, 4.0 * last)")
         trial = [f"{u} = {x} - alpha * {g}" for u, x, g in zip(us, xs, gx)] + project_ball(us)
         trial += [f"{w} = {y} - alpha * {g}" for w, y, g in zip(ws, ys, gy)] + project_ball(ws)

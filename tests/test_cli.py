@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import DATA_DIR, count_calls
-from liptriv.cli import run
+from liptriv.cli import _build_parser, run
 
 SIMPLE = str(DATA_DIR / "ex_simple.map")
 BAD = str(DATA_DIR / "bad.map")
@@ -643,3 +643,37 @@ class TestProbeTube:
         assert code == 2
         assert "'2,3'" in err
         assert probes == []
+
+
+class TestParserReuse:
+    def test_runs_in_one_process_match_each_run_alone(self, capsys, tmp_path):
+        # Subcommands, flags set on one run and left at their defaults on the
+        # next, usage errors, --version and a report that cannot be written.
+        runs = [
+            ["analyze", "-i", SIMPLE, "--output", "json", "--seed", "7", "--max-basis", "500"],
+            ["factor", "-i", SIMPLE],
+            ["critical", "-i", CUBE, "--output", "json"],
+            ["infinity", "-i", SIMPLE, "--values", "1,0;0,1", "--field", "real"],
+            ["probe", "-i", CUBE, "--values", "2", "--radii", "10,100", "--tol-zero", "1e-6"],
+            ["analyze", "-i", SIMPLE],
+            ["analyze", "--field", "real"],
+            ["jelonek", "-i", BAD, "--json-path", str(tmp_path / "missing" / "x.json")],
+            ["jelonek", "-i", BAD],
+            ["--version"],
+            ["nosuch", "-i", SIMPLE],
+            ["probe", "-i", CUBE, "--values", "2"],
+        ]
+
+        def once(args):
+            code = run(args)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        alone = []
+        for args in runs:
+            _build_parser.cache_clear()
+            alone.append(once(args))
+        _build_parser.cache_clear()
+        together = [once(args) for args in runs + runs[::-1]]
+        assert together == alone + alone[::-1]
+        assert [code for code, _, _ in alone] == [0] * 6 + [2, 2, 0, 0, 2, 0]

@@ -1,5 +1,6 @@
 """Compiled float kernel: bit-identical to interpreted reference loops."""
 
+import ast
 import io
 import keyword
 import re
@@ -32,6 +33,14 @@ def same_bits(a, b) -> bool:
 
 
 # -- interpreted reference evaluators and loops ---------------------------------
+
+
+def add(values):
+    """The values added left to right from 0.0; the oracle's only summation."""
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
 
 
 def reference_value(polys, x):
@@ -85,7 +94,7 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
 
     def trial_point(x, tangent, alpha):
         trial = [xv - alpha * tv for xv, tv in zip(x, tangent)]
-        tn = sqrt(sum(tv * tv for tv in trial))
+        tn = sqrt(add(tv * tv for tv in trial))
         trial = [radius * tv / tn for tv in trial]
         return objective(trial), trial
 
@@ -100,9 +109,9 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
         if not all(isfinite(gv) for gv in grad):
             seen.add("non-finite gradient")
             break
-        dot = sum(gv * xv for gv, xv in zip(grad, x)) / r2
+        dot = add(gv * xv for gv, xv in zip(grad, x)) / r2
         tangent = [gv - dot * xv for gv, xv in zip(grad, x)]
-        tnorm = sqrt(sum(tv * tv for tv in tangent))
+        tnorm = sqrt(add(tv * tv for tv in tangent))
         if tnorm <= 1e-300 or not isfinite(tnorm):
             seen.add("zero tangent" if tnorm <= 1e-300 else "non-finite tangent")
             break
@@ -138,7 +147,7 @@ def reference_penalty_descent(kernel, x, y, mu, radius, cv, tv, max_iter, seen=N
     n, p = kernel.n, kernel.p
 
     def project_ball(z, radius):
-        norm = sqrt(sum(v * v for v in z))
+        norm = sqrt(add(v * v for v in z))
         if norm <= radius or norm == 0.0:
             seen.add("inside the ball")
             return z
@@ -148,9 +157,9 @@ def reference_penalty_descent(kernel, x, y, mu, radius, cv, tv, max_iter, seen=N
     def objective(x_, y_):
         rx = kernel.value(x_)
         ry = kernel.value(y_)
-        total = sum((a - b) ** 2 for a, b in zip(x_, y_))
-        total += mu * sum((a - b) ** 2 for a, b in zip(rx, cv))
-        total += mu * sum((a - b) ** 2 for a, b in zip(ry, tv))
+        total = add((a - b) ** 2 for a, b in zip(x_, y_))
+        total += mu * add((a - b) ** 2 for a, b in zip(rx, cv))
+        total += mu * add((a - b) ** 2 for a, b in zip(ry, tv))
         return total
 
     fx = objective(x, y)
@@ -168,11 +177,11 @@ def reference_penalty_descent(kernel, x, y, mu, radius, cv, tv, max_iter, seen=N
             for j in range(n):
                 gx[j] += rx2 * jx[i][j]
                 gy[j] += ry2 * jy[i][j]
-        gnorm = sqrt(sum(v * v for v in gx) + sum(v * v for v in gy))
+        gnorm = sqrt(add(v * v for v in gx) + add(v * v for v in gy))
         if not isfinite(gnorm) or gnorm < 1e-14:
             seen.add("zero gradient" if gnorm < 1e-14 else "non-finite gradient")
             break
-        dist = sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+        dist = sqrt(add((a - b) ** 2 for a, b in zip(x, y)))
         alpha = min(0.5 * max(dist, 1e-3) / gnorm, 4.0 * last)
         improved = False
         for _ in range(50):
@@ -471,7 +480,7 @@ def test_source_holds_no_input_text():
     # tangent, step, gradient and level components.
     positional = re.compile(r"[xyzuwtcg]\d+|[xyzuw]\d+_\d+|v[xyzuw]\d+|d[xyzuw]\d+_\d+|g[xy]\d+")
     fixed = {
-        *functions, "x", "y", "t", "c", "mu", "radius", "max_iter", "C", "sqrt", "sum",
+        *functions, "x", "y", "t", "c", "mu", "radius", "max_iter", "C", "sqrt",
         "isfinite", "max", "range", "_", "r2", "fx", "ri2", "dot", "tnorm", "alpha", "tn",
         "f", "r", "rx2", "ry2", "gnorm", "dist", "norm", "fn", "last", "min", "inf", "k",
         "mark",
@@ -494,6 +503,15 @@ def test_source_holds_no_input_text():
     # Renaming the variables leaves the source as it is.
     renamed = FloatKernel([Polynomial(("a", "b", "e"), q.terms) for q in polys])
     assert "".join(renamed.source(name) for name in functions) == source
+
+
+def test_values_and_partials_are_one_assignment_each():
+    kernel = FloatKernel([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1"), poly(UV, "u*v - 2")])
+    block = re.compile(r"v[xyzuw]\d+|d[xyzuw]\d+_\d+")
+    for name in ("value", "jacobian", "sphere_descent", "penalty_descent"):
+        for node in ast.walk(ast.parse(kernel.source(name))):
+            if isinstance(node, ast.AugAssign):
+                assert not block.fullmatch(node.target.id), ast.unparse(node)
 
 
 # -- rational maps -----------------------------------------------------------------
