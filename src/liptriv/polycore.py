@@ -340,7 +340,11 @@ def _listing(names: Iterable[str]) -> str:
 
 
 def _sum(terms: Iterable[str]) -> str:
-    """The terms added left to right from 0.0, as `sum` adds floats on 3.11."""
+    """The terms added left to right from 0.0, as `sum` adds floats on 3.11.
+
+    The sum is parenthesized, so it stands alone as an operand or as the
+    argument list of a call.
+    """
     return "(" + " + ".join(["0.0", *terms]) + ")"
 
 
@@ -387,7 +391,7 @@ class FloatKernel:
     with coordinates P0..P{n-1} the power block computes each `Pi ** k` a
     term uses once (`** 1` included: it maps a NaN to a NaN of another sign),
     and the value and partial blocks share those powers: each value is one
-    assignment `vPi = 0.0 + C[m] * P0_2 * P1_1 + ...`, and each partial
+    assignment `vPi = (0.0 + C[m] * P0_2 * P1_1 + ...)`, and each partial
     `dPi_j` likewise.
 
     Bit-identity contract: the generated code does the float operations of
@@ -483,7 +487,7 @@ class FloatKernel:
     @staticmethod
     def _accumulate(target: str, terms, P: str) -> list[str]:
         products = (" * ".join([f"C[{m}]"] + [f"{P}{i}_{k}" for i, k in pws]) for m, pws in terms)
-        return [f"{target} = {' + '.join(['0.0', *products])}"]
+        return [f"{target} = {_sum(products)}"]
 
     def _value_block(self, P: str) -> list[str]:
         lines = [f"{P}{i}_{k} = {P}{i} ** {k}" for i, k in self._value_powers]

@@ -36,7 +36,7 @@ def same_bits(a, b) -> bool:
 
 
 def add(values):
-    """The values added left to right from 0.0; the oracle's only summation."""
+    """The values added left to right from 0.0, as the kernel adds them."""
     total = 0.0
     for v in values:
         total = total + v
