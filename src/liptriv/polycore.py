@@ -339,13 +339,18 @@ def _listing(names: Iterable[str]) -> str:
     return "[" + ", ".join(names) + "]"
 
 
-def _sum(terms: Iterable[str]) -> str:
-    """The terms added left to right from 0.0, as `sum` adds floats on 3.11.
+# Addends per generated statement: CPython's compiler recurses once per `+`
+# of a chain and gives up at about 3,000, so a longer sum goes on in the next.
+_CHAIN = 256
 
-    The sum is parenthesized, so it stands alone as an operand or as the
-    argument list of a call.
-    """
-    return "(" + " + ".join(["0.0", *terms]) + ")"
+
+def _add(target: str, terms: Iterable[str]) -> list[str]:
+    """Statements setting target to the terms added left to right from 0.0."""
+    terms = list(terms)
+    return [
+        f"{target} = " + " + ".join([target if k else "0.0", *terms[k:k + _CHAIN]])
+        for k in range(0, max(len(terms), 1), _CHAIN)
+    ]
 
 
 def _indent(lines: Iterable[str]) -> list[str]:
@@ -390,20 +395,25 @@ class FloatKernel:
     Every function is assembled from the same per-point blocks.  At a point
     with coordinates P0..P{n-1} the power block computes each `Pi ** k` a
     term uses once (`** 1` included: it maps a NaN to a NaN of another sign),
-    and the value and partial blocks share those powers: each value is one
-    assignment `vPi = (0.0 + C[m] * P0_2 * P1_1 + ...)`, and each partial
-    `dPi_j` likewise.
+    and the value and partial blocks share those powers: a value of up to
+    256 terms is one assignment `vPi = 0.0 + C[m] * P0_2 * P1_1 + ...`, and
+    a partial `dPi_j` likewise.
 
     Bit-identity contract: the generated code does the float operations of
     plain term-by-term summation (each term `float(c)`, a signed inf past
     the float range, times its powers in variable order, added to 0.0 in
     term order: `eval_float` in `tests/conftest.py`) and of the interpreted
     reference loops in `tests/test_float_kernel.py`, in their order, so every
-    value, gradient, step and stop is bit-identical to theirs.  Every sum is
-    written out as `(0.0 + a + b + ...)`, added left to right as `sum` adds
-    floats on Python 3.11 (whose `0 + a` turns a -0.0 into 0.0, hence the
-    leading 0.0), so no call or list is made per sum and no Python version's
-    `sum` rounding (3.12+ compensates) reaches the bits.  Points are
+    value, gradient, step and stop is bit-identical to theirs.  Every sum,
+    of terms or of a step's squares and products, is written out the same
+    way, `s = 0.0 + a + b + ...`: left to right, as `sum` adds floats on
+    Python 3.11 (whose `0 + a` turns a -0.0 into 0.0, hence the leading
+    0.0).  So no call or list is made per sum, and no Python version's
+    `sum` rounding (3.12+ compensates) reaches the bits.  A sum of more than
+    256 addends goes on as `s = s + ...` in the next statement, the same
+    additions in the same order: CPython's compiler gives up on a chain of
+    about 3,000, and a polynomial within the parser's caps can have
+    thousands of terms.  Points are
     used as given, not converted: a numpy scalar overflows to inf where a
     Python float raises OverflowError.  `source(name)` names only positional
     locals, integer exponents and indices into the coefficient tuple C,
@@ -486,8 +496,8 @@ class FloatKernel:
 
     @staticmethod
     def _accumulate(target: str, terms, P: str) -> list[str]:
-        products = (" * ".join([f"C[{m}]"] + [f"{P}{i}_{k}" for i, k in pws]) for m, pws in terms)
-        return [f"{target} = {_sum(products)}"]
+        products = (" * ".join([f"C[{m}]", *(f"{P}{i}_{k}" for i, k in pws)]) for m, pws in terms)
+        return _add(target, products)
 
     def _value_block(self, P: str) -> list[str]:
         lines = [f"{P}{i}_{k} = {P}{i} ** {k}" for i, k in self._value_powers]
@@ -533,13 +543,13 @@ class FloatKernel:
             step += [f"ri2 = 2.0 * (vx{i} - c{i})", "if ri2 != 0.0:"]
             step += [f"    {g} += ri2 * dx{i}_{j}" for j, g in enumerate(gs)]
         step += [f"if not ({' and '.join(f'isfinite({g})' for g in gs)}):", "    break"]
-        step.append(f"dot = {_sum(f'{g} * {x}' for g, x in zip(gs, xs))} / r2")
+        step += [*_add("dot", (f"{g} * {x}" for g, x in zip(gs, xs))), "dot = dot / r2"]
         step += [f"{t} = {g} - dot * {x}" for t, g, x in zip(ts, gs, xs)]
-        step.append(f"tnorm = sqrt{_sum(f'{t} * {t}' for t in ts)}")
+        step += [*_add("tnorm", (f"{t} * {t}" for t in ts)), "tnorm = sqrt(tnorm)"]
         step += ["if tnorm <= 1e-300 or not isfinite(tnorm):", "    break"]
         step.append("alpha = min(0.1 * radius / tnorm, 4.0 * last)")
         trial = [f"{y} = {x} - alpha * {t}" for y, x, t in zip(ys, xs, ts)]
-        trial.append(f"tn = sqrt{_sum(f'{y} * {y}' for y in ys)}")
+        trial += [*_add("tn", (f"{y} * {y}" for y in ys)), "tn = sqrt(tn)"]
         trial += [f"{z} = radius * {y} / tn" for z, y in zip(zs, ys)]
         trial += self._value_block("z") + objective("f", "z")
         trial += ["if isfinite(f) and f <= fx - 1e-4 * alpha * tnorm * tnorm:", "    break"]
@@ -560,20 +570,20 @@ class FloatKernel:
         xs, ys, us, ws = (self._coords(P) for P in "xyuw")
         gx, gy = ([f"g{P}{j}" for j in range(n)] for P in "xy")
 
-        def squares(a: list[str], b: list[str]) -> str:
-            return _sum(f"({u} - {v}) ** 2" for u, v in zip(a, b))
+        def squares(target: str, a: list[str], b: list[str]) -> list[str]:
+            return _add(target, (f"({u} - {v}) ** 2" for u, v in zip(a, b)))
 
         def objective(target: str, P: str, Q: str) -> list[str]:
             cs, ts = ([f"{a}{i}" for i in range(p)] for a in "ct")
             return [
-                f"{target} = {squares(self._coords(P), self._coords(Q))}",
-                f"{target} += mu * {squares([f'v{P}{i}' for i in range(p)], cs)}",
-                f"{target} += mu * {squares([f'v{Q}{i}' for i in range(p)], ts)}",
+                *squares(target, self._coords(P), self._coords(Q)),
+                *squares("s", [f"v{P}{i}" for i in range(p)], cs), f"{target} += mu * s",
+                *squares("s", [f"v{Q}{i}" for i in range(p)], ts), f"{target} += mu * s",
             ]
 
         def project_ball(z: list[str]) -> list[str]:
             return [
-                f"norm = sqrt{_sum(f'{v} * {v}' for v in z)}",
+                *_add("norm", (f"{v} * {v}" for v in z)), "norm = sqrt(norm)",
                 "if not (norm <= radius or norm == 0.0):",
                 *(f"    {v} = radius * {v} / norm" for v in z),
             ]
@@ -586,12 +596,10 @@ class FloatKernel:
             step += [f"rx2 = 2.0 * mu * (vx{i} - c{i})", f"ry2 = 2.0 * mu * (vy{i} - t{i})"]
             for j in range(n):
                 step += [f"{gx[j]} += rx2 * dx{i}_{j}", f"{gy[j]} += ry2 * dy{i}_{j}"]
-        step.append(
-            f"gnorm = sqrt({_sum(f'{g} * {g}' for g in gx)}"
-            f" + {_sum(f'{g} * {g}' for g in gy)})"
-        )
+        step += _add("gnorm", (f"{g} * {g}" for g in gx)) + _add("s", (f"{g} * {g}" for g in gy))
+        step.append("gnorm = sqrt(gnorm + s)")
         step += ["if not isfinite(gnorm) or gnorm < 1e-14:", "    break"]
-        step.append(f"dist = sqrt{squares(xs, ys)}")
+        step += [*squares("dist", xs, ys), "dist = sqrt(dist)"]
         step.append("alpha = min(0.5 * max(dist, 1e-3) / gnorm, 4.0 * last)")
         trial = [f"{u} = {x} - alpha * {g}" for u, x, g in zip(us, xs, gx)] + project_ball(us)
         trial += [f"{w} = {y} - alpha * {g}" for w, y, g in zip(ws, ys, gy)] + project_ball(ws)

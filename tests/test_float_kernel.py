@@ -483,7 +483,7 @@ def test_source_holds_no_input_text():
         *functions, "x", "y", "t", "c", "mu", "radius", "max_iter", "C", "sqrt",
         "isfinite", "max", "range", "_", "r2", "fx", "ri2", "dot", "tnorm", "alpha", "tn",
         "f", "r", "rx2", "ry2", "gnorm", "dist", "norm", "fn", "last", "min", "inf", "k",
-        "mark",
+        "mark", "s",
     }
     literals = {
         "0.0", "0.1", "1e-4", "1e-300", "2.0", "0.5", "1e-3", "1e-8", "1e-14", "4.0", "0.99999999",
@@ -505,6 +505,16 @@ def test_source_holds_no_input_text():
     assert "".join(renamed.source(name) for name in functions) == source
 
 
+def longest_addition(source: str) -> int:
+    """The most additions and subtractions nested in one expression of source."""
+
+    def depth(node) -> int:
+        own = isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+        return own + max((depth(child) for child in ast.iter_child_nodes(node)), default=0)
+
+    return depth(ast.parse(source))
+
+
 def test_values_and_partials_are_one_assignment_each():
     kernel = FloatKernel([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1"), poly(UV, "u*v - 2")])
     block = re.compile(r"v[xyzuw]\d+|d[xyzuw]\d+_\d+")
@@ -512,6 +522,29 @@ def test_values_and_partials_are_one_assignment_each():
         for node in ast.walk(ast.parse(kernel.source(name))):
             if isinstance(node, ast.AugAssign):
                 assert not block.fullmatch(node.target.id), ast.unparse(node)
+
+
+def test_no_expression_grows_with_the_addends():
+    # 300 terms in the value, and 300 addends in each descent step's sums
+    # of products and squares: no expression holds them all.
+    ring = tuple(f"a{i}" for i in range(300))
+    kernel = FloatKernel([poly(ring, " + ".join(f"{i % 7 + 1}*a{i}^{i % 3 + 1}" for i in range(300)))])
+    for name in ("value", "jacobian", "sphere_descent", "penalty_descent"):
+        assert longest_addition(kernel.source(name)) < 300, name
+
+
+def test_thousands_of_terms_compile():
+    # 4,096 terms, and 4,032 in each partial: one expression per sum would
+    # nest deeper than CPython's compiler goes.
+    factors = [f"(1+{v}^{2 ** k})" for v in "xy" for k in range(6)]
+    mapping = parse_input(f"ring Q[x,y]; map f: ({'*'.join(factors)})")
+    (q,) = mapping.components
+    assert len(q.terms) == 4096
+    kernel = FloatKernel([q])
+    for x in ([0.5, -0.75], [1.0, 1.0], [-1.1, 0.3]):
+        assert same_bits(kernel.value(x), [eval_float(q, x)])
+        assert same_bits(kernel.jacobian(x)[0], [eval_float(q.partial(j), x) for j in range(2)])
+    assert kernel.sphere_descent and kernel.penalty_descent
 
 
 # -- rational maps -----------------------------------------------------------------
