@@ -630,8 +630,10 @@ def lipschitz_gradient_probe(
     }
 
 
-# Step cap of each sphere descent and penalty stage of the tube probe.
+# Step cap of each sphere descent and of the penalty descent of the tube
+# probe, and the penalty weight 1/lambda of the residuals (lambda = 1e-2).
 _TUBE_MAX_ITER = 150
+_TUBE_MU = 100.0
 
 
 @np.errstate(over="ignore")
@@ -645,14 +647,17 @@ def tube_distance_probe(
 ) -> dict:
     """Estimate the distance between two levels inside growing balls.
 
-    Penalty continuation on |f(x)-c|^2 + |f(y)-t|^2 + lambda |x-y|^2 with
-    lambda = 1e-2, 1e-4, 1e-6 (optimized in the rescaled form |x-y|^2 +
-    (1/lambda) * residuals, whose distance gradient does not vanish),
-    alternated with Gauss-Newton projection of each endpoint onto its own
-    fiber.  Each penalty stage is one call of the compiled
-    `kernel.penalty_descent`, a projected gradient descent with backtracking
-    inside the ball.  Only endpoint pairs with both residuals below 1e-3
-    count.  A pair of levels whose distance decays toward zero (below 0.05)
+    Each start pair is projected onto its fibers by Gauss-Newton, then
+    descends one penalty stage, |f(x)-c|^2 + |f(y)-t|^2 + lambda |x-y|^2 with
+    lambda = 1e-2 (optimized in the rescaled form |x-y|^2 + (1/lambda) *
+    residuals, whose distance gradient does not vanish), and is projected
+    again.  The stage is one call of the compiled `kernel.penalty_descent`, a
+    projected gradient descent with backtracking inside the ball that stops
+    once it stalls.  The final Gauss-Newton projection removes the residuals
+    the penalty leaves: stages at smaller lambda only shrank them, at a cost
+    that grows with 1/lambda, since the penalty's conditioning worsens and
+    each step is capped by the pair's distance.  Only endpoint pairs with
+    both residuals below 1e-3 count.  A pair of levels whose distance decays toward zero (below 0.05)
     while |c - t| stays fixed violates the bi-Lipschitz bounds a
     trivialization over both values would impose and is flagged as a
     collapse.
@@ -716,10 +721,7 @@ def tube_distance_probe(
             try:
                 x = fiber_project(x0, cv, radius)
                 y = fiber_project(y0, tv, radius)
-                for lam in (1e-2, 1e-4, 1e-6):
-                    x, y = kernel.penalty_descent(
-                        x, y, 1.0 / lam, radius, cv, tv, _TUBE_MAX_ITER
-                    )
+                x, y = kernel.penalty_descent(x, y, _TUBE_MU, radius, cv, tv, _TUBE_MAX_ITER)
                 x = fiber_project(x, cv, radius)
                 y = fiber_project(y, tv, radius)
                 rx, ry = residual_norms(x, y)

@@ -384,13 +384,15 @@ class FloatKernel:
     - `penalty_descent(x, y, mu, radius, c, t, max_iter) -> (x, y)`: the tube
       probe's projected descent of |x - y|^2 + mu*(|g(x) - c|^2 + |g(y) - t|^2)
       inside the ball of that radius, with at most 50 halvings per step from
-      `alpha = 0.5*max(|x - y|, 1e-3)/|grad|`.
+      `alpha = 0.5*max(|x - y|, 1e-3)/|grad|`.  It stops on a gradient norm
+      below 1e-14 or non-finite, a failed line search, a stall (the sphere
+      descent's test on the penalty objective), or after max_iter steps.
 
     Both loops warm-start their line search: each step's first trial is
     capped at 4x the step last accepted in the same call, so a descent
     whose steps shrink does not halve down from the cold size again at
     every step.  The factor is fixed, not a setting, and so are the stall
-    test's window and tolerance.
+    test's window and tolerance, the same in both loops.
 
     Every function is assembled from the same per-point blocks.  At a point
     with coordinates P0..P{n-1} the power block computes each `Pi ** k` a
@@ -612,12 +614,13 @@ class FloatKernel:
             for a, b in zip(self._state("x") + self._state("y"), self._state("u") + self._state("w"))
         ]
         step.append("fx = fn")
+        step += ["if k % 25 == 0:", "    if fx >= 0.99999999 * mark:", "        break", "    mark = fx"]
 
         body = [f"{_listing(xs)} = x", f"{_listing(ys)} = y"]
         body += [f"{_listing(f'c{i}' for i in range(p))} = c", f"{_listing(f't{i}' for i in range(p))} = t"]
         body += self._value_block("x") + self._value_block("y") + objective("fx", "x", "y")
-        body.append("last = inf")
-        body += ["for _ in range(max_iter):", *_indent(step), f"return {_listing(xs)}, {_listing(ys)}"]
+        body += ["last = inf", "mark = fx"]
+        body += ["for k in range(1, max_iter + 1):", *_indent(step), f"return {_listing(xs)}, {_listing(ys)}"]
         return "def penalty_descent(x, y, mu, radius, c, t, max_iter):", body
 
 

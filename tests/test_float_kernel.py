@@ -142,7 +142,8 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
 
 def reference_penalty_descent(kernel, x, y, mu, radius, cv, tv, max_iter, seen=None):
     """The tube probe's penalty descent as an interpreted loop, with the same
-    4x warm-start cap on each step as the sphere loop."""
+    4x warm-start cap on each step and the same stall test as the sphere
+    loop."""
     seen = set() if seen is None else seen
     n, p = kernel.n, kernel.p
 
@@ -166,7 +167,8 @@ def reference_penalty_descent(kernel, x, y, mu, radius, cv, tv, max_iter, seen=N
     if not isfinite(fx):
         seen.add("non-finite start")
     last = inf
-    for _ in range(max_iter):
+    mark = fx
+    for k in range(1, max_iter + 1):
         vx, vy = kernel.value(x), kernel.value(y)
         jx, jy = kernel.jacobian(x), kernel.jacobian(y)
         gx = [2.0 * (a - b) for a, b in zip(x, y)]
@@ -196,6 +198,11 @@ def reference_penalty_descent(kernel, x, y, mu, radius, cv, tv, max_iter, seen=N
         if not improved:
             seen.add("out of halvings")
             break
+        if k % 25 == 0:
+            if fx >= (1 - 1e-8) * mark:
+                seen.add("stalled")
+                break
+            mark = fx
     else:
         seen.add("max_iter")
     return x, y
@@ -311,7 +318,8 @@ PENALTY_EXAMPLES = [
     ([poly(UV, "u")], [1.0, 0.0], [1.0, 0.0], 1.0, 5.0, [1.0], [1.0], 10),  # zero gradient
     ([poly(UV, "u^2 + v")], [1.0, 2.0], [0.5, 0.5], 1.0, 5.0, [inf], [1.0], 10),  # inf
     ([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1")], [9.0, 0.2], [9.5, 0.1], 1e6, 10.0,
-     [2.0], [3.0], 150),  # max_iter on the sextic's thin branches
+     [2.0], [3.0], 150),  # stalled on the sextic's thin branches
+    ([poly(UV, "u*v")], [0.5, 0.5], [0.1, 0.1], 100.0, 10.0, [1.0], [2.0], 150),  # stalled on u = v
 ]
 
 
@@ -334,7 +342,8 @@ def penalty_cases(draw):
     mu = draw(st.sampled_from([1.0, 100.0, 1e4, 1e6]))
     radius = draw(st.sampled_from([1.0, 10.0, 50.0, 1e4]))
     p = len(polys)
-    return polys, x, y, mu, radius, level(draw, p), level(draw, p), draw(st.integers(0, 8))
+    # Past 25 and 50 steps, so that draws reach the stall test.
+    return polys, x, y, mu, radius, level(draw, p), level(draw, p), draw(st.integers(0, 60))
 
 
 def check_sphere(polys, x, radius, c, max_iter, seen=None):
@@ -411,7 +420,7 @@ def test_penalty_examples_reach_every_exit():
     for example in PENALTY_EXAMPLES:
         check_penalty(*example, seen=seen)
     assert seen >= {
-        "out of halvings", "max_iter", "zero gradient", "non-finite start",
+        "out of halvings", "max_iter", "stalled", "zero gradient", "non-finite start",
         "non-finite gradient", "inside the ball", "outside the ball",
     }, seen
 
