@@ -448,9 +448,13 @@ def _real_verdict(
                 ),
             )
         exact_generators = bif.generators
+        # Proper and regular over C implies proper and regular over R, not
+        # the converse: the real non-properness set can be smaller than the
+        # real points of the complex one (Jelonek, Math. Z. 2002).
         note = (
-            "real Lipschitz trivial values = R^p minus the real points of the "
-            "complex bifurcation set of the reduced mapping"
+            "R^p minus the real points of the complex bifurcation set of the "
+            "reduced mapping is contained in the real Lipschitz trivial values; "
+            "a real point of that set can be Lipschitz trivial too"
         )
 
     grid = _probe_grid_real(p, candidates)

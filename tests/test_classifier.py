@@ -20,7 +20,7 @@ from liptriv.dependence import suspend
 from liptriv.groebner import GroebnerBudget, Ideal
 from liptriv.parsing import parse_input, print_polynomial
 from liptriv.polycore import PolyMap
-from liptriv.properness import ProbeSchedule
+from liptriv.properness import ProbeSchedule, properness_probe_real
 from liptriv.report import emit_report
 
 F = Fraction
@@ -105,6 +105,17 @@ class TestRealBranch:
         assert rep.ltv.kind == "real_complement"
         assert [print_polynomial(g) for g in rep.ltv.generators] == ["t1"]
         assert all(verdict == "proper" for _, verdict, _ in rep.ltv.probe_table)
+
+    def test_exact_part_is_contained_not_equal(self):
+        # (0, -1) lies on the exact part's V(t1^2*t2), yet no real fiber near
+        # it is nonempty (x^2*y^2 >= 0), so it is Lipschitz trivial over R.
+        ring = ("x", "y")
+        f = PolyMap(ring, (poly(ring, "x"), poly(ring, "x^2*y^2")))
+        rep = classify(f, "real")
+        assert rep.ltv.kind == "real_complement"
+        assert all(g.eval_exact((F(0), F(-1))) == 0 for g in rep.ltv.generators)
+        assert "is contained in the real Lipschitz trivial values" in rep.ltv.note
+        assert properness_probe_real(f, [0.0, -1.0]).verdict == "proper"
 
     def test_twisted_shear_real_empty(self, bad_map):
         rep = classify(bad_map, "real")
