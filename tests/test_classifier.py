@@ -19,7 +19,7 @@ from liptriv.classifier import (
 from liptriv.dependence import suspend
 from liptriv.groebner import GroebnerBudget, Ideal
 from liptriv.parsing import parse_input, print_polynomial
-from liptriv.polycore import PolyMap
+from liptriv.polycore import FloatKernel, PolyMap
 from liptriv.properness import ProbeSchedule, properness_probe_real
 from liptriv.report import emit_report
 
@@ -190,6 +190,40 @@ class TestTubeProbe:
         assert not out["collapse"]
         for entry in out["per_radius"]:
             assert entry["distance"] == pytest.approx(0.7071, abs=1e-2)
+
+    @pytest.mark.parametrize("expr", ["x*y", "x^2*y"])
+    def test_levels_approaching_at_infinity_collapse(self, expr):
+        # Levels 1 and 2 are |x| apart, or |x|^2, along y = c/x^k.
+        ring = ("x", "y")
+        assert tube_distance_probe(PolyMap(ring, (poly(ring, expr),)), [1.0], [2.0])["collapse"]
+
+    def test_concentric_circles_keep_distance(self):
+        ring = ("x", "y")
+        out = tube_distance_probe(PolyMap(ring, (poly(ring, "x^2 + y^2"),)), [1.0], [4.0])
+        assert not out["collapse"]
+        for entry in out["per_radius"]:
+            assert abs(entry["distance"] - 1.0) <= 1e-9
+
+    def test_one_penalty_descent_per_start(self, monkeypatch):
+        """One penalty stage at mu = 100 per start, then the projection: the
+        sextic 2|3 tube makes 50 calls, where three stages made 150."""
+        mus = []
+        compiled = FloatKernel.penalty_descent
+
+        def counted(kernel):
+            descent = compiled.__get__(kernel, FloatKernel)
+
+            def call(x, y, mu, *args):
+                mus.append(mu)
+                return descent(x, y, mu, *args)
+
+            return call
+
+        monkeypatch.setattr(FloatKernel, "penalty_descent", property(counted))
+        ring = ("x", "y", "z")
+        sextic = PolyMap(ring, (poly(ring, "x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1"),))
+        assert tube_distance_probe(sextic, [2.0], [3.0])["collapse"]
+        assert mus == [100.0] * 50
 
     def test_equal_levels_rejected(self, simple_map):
         with pytest.raises(ValueError):
