@@ -658,13 +658,13 @@ def tube_distance_probe(
     again.  The stage is one call of the compiled `kernel.penalty_descent`, a
     projected gradient descent with backtracking inside the ball that stops
     once it stalls.  The final Gauss-Newton projection removes the residuals
-    the penalty leaves: stages at smaller lambda only shrank them, at a cost
-    that grows with 1/lambda, since the penalty's conditioning worsens and
-    each step is capped by the pair's distance.  Only endpoint pairs with
-    both residuals below 1e-3 count.  A pair of levels whose distance decays toward zero (below 0.05)
-    while |c - t| stays fixed violates the bi-Lipschitz bounds a
-    trivialization over both values would impose and is flagged as a
-    collapse.
+    the penalty leaves; further stages at smaller lambda would only shrink
+    them, at a cost that grows with 1/lambda, since the penalty's
+    conditioning worsens and each step is capped by the pair's distance.
+    Only endpoint pairs with both residuals below 1e-3 count.  A pair of
+    levels whose distance decays toward zero (below 0.05) while |c - t|
+    stays fixed violates the bi-Lipschitz bounds a trivialization over both
+    values would impose and is flagged as a collapse.
     """
     check_radii(radii)
     check_value(c, f.p)
