@@ -37,7 +37,7 @@ from .groebner import (
     intersect,
 )
 from .infinity import ConeConstancyResult, InfinityReport, cone_constancy_check, fiber_infinity
-from .polycore import FloatKernel, PolyMap, Polynomial, check_value
+from .polycore import PolyMap, Polynomial, check_value
 from .properness import (
     ProbeSchedule,
     PropernessVerdict,
@@ -571,8 +571,7 @@ def lipschitz_gradient_probe(
     if isinstance(mapping, RationalMap):
         evaluate, jacobian = mapping.evaluate_float, mapping.jacobian_float
     else:
-        kernel = FloatKernel(mapping.components)
-        evaluate, jacobian = kernel.value, kernel.jacobian
+        evaluate, jacobian = mapping.kernel.value, mapping.kernel.jacobian
     cvals = np.array([float(x) for x in value])
 
     def toward_fiber(x, radius):
@@ -671,7 +670,7 @@ def tube_distance_probe(
     check_value(t, f.p)
     if list(c) == list(t):
         raise ValueError("levels must differ")
-    kernel = FloatKernel(f.components)
+    kernel = f.kernel
     n = f.n
     cv = [float(x) for x in c]
     tv = [float(x) for x in t]

@@ -194,13 +194,15 @@ def _probe_document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
     values = _parse_values(args.values, poly.p)
     points = [_floats(value) for value in values]
     tube = _parse_tube(args.tube, poly.p) if args.tube else None
+    # The tube probe runs first, so equal levels are refused before any
+    # properness probe; the two outputs are independent and seeded.
+    if tube is not None:
+        tube = tube_distance_probe(poly, *tube, seed=cfg.probe.seed)
     # Properness per value is meaningful for the reduced mapping, the silent
     # coordinates of a suspension make every fiber unbounded.
     g = factor_through_projection(poly).g
     certify = certifier(g, None, cfg.budget)
     verdicts = [properness_probe_real(g, point, cfg.probe, certify) for point in points]
-    if tube is not None:
-        tube = tube_distance_probe(poly, *tube, seed=cfg.probe.seed)
     return report.probe_document(poly, g, values, verdicts, tube)
 
 

@@ -125,7 +125,7 @@ def real_critical_values(
     # The target ring is univariate, so the elimination ideal is principal;
     # the reduced basis has a single generator.
     out = [RealCriticalValue(interval, None) for interval in real_roots(crit.generators[0])]
-    value_at = FloatKernel(g.components).value
+    value_at = g.kernel.value
     for point in _newton_critical_points(g, seed) if out else ():
         value = value_at(point)[0]
         for i, root in enumerate(out):

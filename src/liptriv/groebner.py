@@ -107,7 +107,14 @@ class GroebnerBasis:
         """Krull dimension of V(I) over the algebraic closure; -1 for the unit ideal.
 
         For a grevlex basis: the size of the largest variable subset S such
-        that no leading monomial is supported inside S.
+        that no leading monomial is supported inside S, that is n minus the
+        fewest variables that leave S so that every support loses one.  An
+        exact branch search finds them.  It takes the support with the fewest
+        variables still free to leave, and branches on which of them leaves
+        first; the support's earlier variables stay in S in the later
+        branches, so no two branches share a leaf and there are at most 2^n.
+        It runs on an explicit stack, and a branch that cannot beat the best
+        S found so far is dropped.
         """
         n = len(self.vars)
         if self.basis and self.basis[0].is_constant():
@@ -117,12 +124,19 @@ class GroebnerBasis:
         for e in self.leading_exponents():
             supports.append(frozenset(i for i, k in enumerate(e) if k))
         best = 0
-        for mask in range(1 << n):
-            subset = frozenset(i for i in range(n) if mask >> i & 1)
-            if len(subset) <= best:
+        # (variables out of S, variables kept in S)
+        stack = [(frozenset(), frozenset())]
+        while stack:
+            out, kept = stack.pop()
+            if n - len(out) <= best:
                 continue
-            if all(not s <= subset for s in supports):
-                best = len(subset)
+            unmet = [s - kept for s in supports if not s & out]
+            if not unmet:
+                best = n - len(out)
+                continue
+            choice = sorted(min(unmet, key=len))
+            branches = [(out | {v}, kept.union(choice[:i])) for i, v in enumerate(choice)]
+            stack += reversed(branches)  # the first variable's branch is popped first
         return best
 
 

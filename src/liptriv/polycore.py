@@ -328,11 +328,23 @@ class PolyMap:
     def is_constant(self) -> bool:
         return all(c.is_constant() for c in self.components)
 
+    @cached_property
+    def kernel(self) -> "FloatKernel":
+        """The components and their partials, compiled once per mapping.
+
+        The frozen dataclass still takes it: a cached property writes the
+        instance `__dict__` directly, and equality and hash read the fields."""
+        return FloatKernel(self.components)
+
 
 def check_value(c: Sequence, p: int) -> None:
-    """Reject a value of a p-component mapping that does not have p coordinates."""
+    """Reject a value of a p-component mapping that does not have p coordinates,
+    or a float coordinate that is not finite.  An exact coordinate is not
+    checked: `isfinite` of a huge `Fraction` overflows, and every one is finite."""
     if len(c) != p:
         raise ValueError("value must have one coordinate per component")
+    if any(isinstance(x, float) and not isfinite(x) for x in c):
+        raise ValueError("value coordinates must be finite")
 
 
 def _listing(names: Iterable[str]) -> str:

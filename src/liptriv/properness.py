@@ -6,7 +6,8 @@ the resulting variety is the set of values at which the complex mapping is
 not proper.  Real properness at individual values is probed numerically by
 minimizing |g(x) - c| over spheres of growing radius.
 
-Each probe call compiles g once into a `polycore.FloatKernel`.  One restart
+A mapping compiles once, into its `PolyMap.kernel`, a `polycore.FloatKernel`
+that every probe of it shares.  One restart
 of the sphere descent (gradient, tangent, Armijo backtracking with retraction
 to radius R, stop tests) is a single call of its compiled `sphere_descent`;
 only the seeded restarts and the merge by minimum stay in Python.  Its line
@@ -284,7 +285,7 @@ def properness_probe_real(
         evidence["certificate"] = "complex properness restricts to the reals"
         return PropernessVerdict("exact_complex", "proper", evidence)
 
-    kernel = FloatKernel(g.components)
+    kernel = g.kernel
     trace = []
     mus = []
     stop_below = (sched.tol_zero * 1e-3) ** 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls, poly
+from conftest import count_calls, data_text, poly
 from liptriv.classifier import (
     AnalysisConfig,
     _on_locus,
@@ -58,6 +58,16 @@ class TestComplexBranch:
         ident = PolyMap(ring, (poly(ring, "x"), poly(ring, "y")))
         rep = classify(ident, "complex")
         assert rep.ltv.kind == "all_values"
+
+    @pytest.mark.parametrize("n", [18, 40])
+    def test_many_variable_linear_form_all_values(self, n):
+        """The dimension search does not visit every variable subset: at
+        n = 40 there are 2^40 of them."""
+        ring = tuple(f"x{i}" for i in range(n))
+        rep = classify(PolyMap(ring, (poly(ring, " + ".join(ring)),)), "complex")
+        assert rep.ltv.kind == "all_values"
+        assert rep.factorization.m == 1
+        assert not rep.flags
 
     def test_degenerate_square_empty(self):
         # Reduced but not dominant: both components share the same image line.
@@ -438,6 +448,15 @@ class TestStageCounts:
         names = [c.name for c in rep.checks]
         assert "invariance_vs_infinity" in names
         assert "cone_constancy" not in names
+
+    def test_real_analysis_compiles_two_kernels(self, monkeypatch):
+        import liptriv.polycore
+
+        # g's, which every real probe and the critical-value search read,
+        # and the Newton search's gradient system.
+        kernels = count_calls(monkeypatch, liptriv.polycore, "FloatKernel")
+        classify(parse_input(data_text("motzkin.map")), "real", LIGHT)
+        assert len(kernels) == 2
 
     def test_real_analysis_computes_jelonek_once(self, monkeypatch):
         import liptriv.properness

@@ -622,8 +622,9 @@ class TestProbeTube:
         [
             (["--values", ";"], "invalid input: no values given"),
             (["--values", "1", "--tube", "1"], "invalid input: tube '1' needs two values 'c|t'"),
+            (["--values", "1", "--tube", "1|1"], "invalid input: levels must differ"),
         ],
-        ids=["no-values", "one-level-tube"],
+        ids=["no-values", "one-level-tube", "equal-levels-tube"],
     )
     def test_values_and_tube_rejected_before_probing(self, capsys, monkeypatch, extra, message):
         import liptriv.properness

@@ -20,6 +20,7 @@ from conftest import (
 from liptriv.groebner import (
     BudgetExceededError,
     _Packing,
+    GroebnerBasis,
     GroebnerBudget,
     Ideal,
     MonomialOrder,
@@ -207,7 +208,45 @@ class TestIntersect:
         assert intersect(zero, zero) == zero
 
 
+def subset_scan_dimension(supports, n: int) -> int:
+    """The size of the largest variable subset that holds no support, by
+    scanning all 2^n subsets: the oracle of GroebnerBasis.dimension's search."""
+    best = 0
+    for mask in range(1 << n):
+        subset = frozenset(i for i in range(n) if mask >> i & 1)
+        if len(subset) > best and all(not s <= subset for s in supports):
+            best = len(subset)
+    return best
+
+
+@st.composite
+def monomial_supports(draw):
+    n = draw(st.integers(1, 8))
+    supports = draw(
+        st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n), max_size=10)
+    )
+    return n, supports
+
+
 class TestDimension:
+    @given(monomial_supports())
+    @settings(max_examples=300, deadline=None)
+    @example((4, [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({0, 3})]))
+    @example((6, [frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({0, 3})]))
+    @example((7, [frozenset({0, 1, 2}), frozenset({2, 3, 4}), frozenset({2, 5, 6})]))
+    @example((3, []))
+    def test_branch_search_matches_subset_scan(self, case):
+        """The leading monomials are the monomials themselves, each with
+        exponent 1 or 2 on its support."""
+        n, supports = case
+        ring = tuple(f"x{i}" for i in range(n))
+        basis = tuple(
+            Polynomial.from_dict(ring, {tuple(1 + i % 2 if i in s else 0 for i in range(n)): 1})
+            for s in supports
+        )
+        gb = GroebnerBasis(ring, MonomialOrder.grevlex(), basis)
+        assert gb.dimension() == subset_scan_dimension(supports, n)
+
     def test_hyperplane(self):
         assert dimension(Ideal.make(XY, [poly(XY, "x")])) == 1
 

@@ -206,8 +206,20 @@ class TestPropernessProbe:
                 ProbeSchedule(max_iter=bad)
 
 
+# The probes that take a float value, each on a value c of the shear map.
+FLOAT_PROBES = [
+    lambda g, c: properness_probe_real(g, c, FAST),
+    lambda g, c: properness_probe_real(g, c, FAST, no_certificate),
+    lambda g, c: tube_distance_probe(g, c, [2.0, 2.0], radii=(10.0,), restarts=1),
+    lambda g, c: tube_distance_probe(g, [2.0, 2.0], c, radii=(10.0,), restarts=1),
+    lambda g, c: lipschitz_gradient_probe(g, c, radii=(10.0,)),
+]
+FLOAT_PROBE_IDS = ["real", "real-skip-exact", "tube-c", "tube-t", "gradient"]
+
+
 class TestValueLength:
-    """A value with the wrong number of coordinates fails before any stage."""
+    """A value with the wrong number of coordinates, or a float coordinate
+    that is not finite, fails before any stage."""
 
     @pytest.fixture(scope="class")
     def shear(self):
@@ -216,15 +228,8 @@ class TestValueLength:
 
     @pytest.mark.parametrize(
         "probe",
-        [
-            lambda g, c: proper_at(g, [Fraction(x) for x in c]),
-            lambda g, c: properness_probe_real(g, c, FAST),
-            lambda g, c: properness_probe_real(g, c, FAST, no_certificate),
-            lambda g, c: tube_distance_probe(g, c, [2.0, 2.0], radii=(10.0,), restarts=1),
-            lambda g, c: tube_distance_probe(g, [2.0, 2.0], c, radii=(10.0,), restarts=1),
-            lambda g, c: lipschitz_gradient_probe(g, c, radii=(10.0,)),
-        ],
-        ids=["complex", "real", "real-skip-exact", "tube-c", "tube-t", "gradient"],
+        [lambda g, c: proper_at(g, [Fraction(x) for x in c]), *FLOAT_PROBES],
+        ids=["complex", *FLOAT_PROBE_IDS],
     )
     @pytest.mark.parametrize("value", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])
     def test_wrong_length_rejected(self, shear, probe, value, monkeypatch):
@@ -236,3 +241,59 @@ class TestValueLength:
         with pytest.raises(ValueError, match="one coordinate per component"):
             probe(shear, value)
         assert bases == [] and kernels == []
+
+    @pytest.mark.parametrize("probe", FLOAT_PROBES, ids=FLOAT_PROBE_IDS)
+    @pytest.mark.parametrize(
+        "value", [(float("inf"), 1.0), (1.0, float("nan"))], ids=["inf", "nan"]
+    )
+    def test_non_finite_rejected(self, shear, probe, value, monkeypatch):
+        """Not an OverflowError from Fraction(inf), nor a probe that reads
+        an inf level as no collapse or a nan value as no samples."""
+        import liptriv.groebner
+        import liptriv.polycore
+
+        bases = count_calls(monkeypatch, liptriv.groebner, "buchberger")
+        kernels = count_calls(monkeypatch, liptriv.polycore, "FloatKernel")
+        with pytest.raises(ValueError, match="finite"):
+            probe(shear, value)
+        assert bases == [] and kernels == []
+
+
+class TestOneKernelPerMap:
+    """A mapping compiles its float kernel once, whichever probes read it."""
+
+    @staticmethod
+    def hyperbola():
+        ring = ("x", "y")
+        return PolyMap(ring, (poly(ring, "x*y"),))
+
+    @staticmethod
+    def probes(g):
+        return (
+            properness_probe_real(g, [1.0], FAST, no_certificate),
+            tube_distance_probe(g, [1.0], [2.0], radii=(10.0, 25.0), restarts=2),
+            lipschitz_gradient_probe(g, [1.0], radii=(10.0, 100.0)),
+        )
+
+    def test_probes_of_one_map_build_one_kernel(self, monkeypatch):
+        import liptriv.polycore
+
+        kernels = count_calls(monkeypatch, liptriv.polycore, "FloatKernel")
+        g = self.hyperbola()
+        properness_probe_real(g, [1.0], FAST, no_certificate)
+        properness_probe_real(g, [2.0], FAST, no_certificate)
+        tube_distance_probe(g, [1.0], [2.0], radii=(10.0, 25.0), restarts=2)
+        lipschitz_gradient_probe(g, [1.0], radii=(10.0, 100.0))
+        assert len(kernels) == 1
+
+    def test_compiled_kernel_gives_a_fresh_maps_results(self):
+        warm = self.hyperbola()
+        self.probes(warm)
+        assert self.probes(warm) == self.probes(self.hyperbola())
+
+    def test_compiled_kernel_keeps_equality_and_hash(self):
+        warm, fresh = self.hyperbola(), self.hyperbola()
+        warm.kernel.value([1.0, 2.0])
+        assert "kernel" in vars(warm) and "kernel" not in vars(fresh)
+        assert warm == fresh and hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
