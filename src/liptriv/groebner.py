@@ -107,14 +107,10 @@ class GroebnerBasis:
         """Krull dimension of V(I) over the algebraic closure; -1 for the unit ideal.
 
         For a grevlex basis: the size of the largest variable subset S such
-        that no leading monomial is supported inside S, that is n minus the
-        fewest variables that leave S so that every support loses one.  An
-        exact branch search finds them.  It takes the support with the fewest
-        variables still free to leave, and branches on which of them leaves
-        first; the support's earlier variables stay in S in the later
-        branches, so no two branches share a leaf and there are at most 2^n.
-        It runs on an explicit stack, and a branch that cannot beat the best
-        S found so far is dropped.
+        that no leading monomial is supported inside S.  A branch search
+        takes the support with the fewest variables still free to leave S and
+        branches on which of them leaves first, the earlier ones staying in S:
+        the branches are disjoint, so there are at most 2^n leaves.
         """
         n = len(self.vars)
         if self.basis and self.basis[0].is_constant():

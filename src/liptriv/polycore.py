@@ -330,10 +330,9 @@ class PolyMap:
 
     @cached_property
     def kernel(self) -> "FloatKernel":
-        """The components and their partials, compiled once per mapping.
-
-        The frozen dataclass still takes it: a cached property writes the
-        instance `__dict__` directly, and equality and hash read the fields."""
+        """The components and their partials, compiled once per mapping.  A
+        cached property writes `__dict__` directly, so a frozen dataclass takes
+        it, and equality and hash still read only the fields."""
         return FloatKernel(self.components)
 
 

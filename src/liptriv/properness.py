@@ -285,14 +285,13 @@ def properness_probe_real(
         evidence["certificate"] = "complex properness restricts to the reals"
         return PropernessVerdict("exact_complex", "proper", evidence)
 
-    kernel = g.kernel
     trace = []
     mus = []
     stop_below = (sched.tol_zero * 1e-3) ** 2
     for k, radius in enumerate(sched.radii):
         rng = np.random.default_rng((sched.seed, k))
         mu, arg = _sphere_minimize(
-            kernel, cvec, radius, rng, sched.restarts, sched.max_iter, stop_below
+            g.kernel, cvec, radius, rng, sched.restarts, sched.max_iter, stop_below
         )
         mus.append(mu)
         trace.append(

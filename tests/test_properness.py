@@ -280,10 +280,8 @@ class TestOneKernelPerMap:
 
         kernels = count_calls(monkeypatch, liptriv.polycore, "FloatKernel")
         g = self.hyperbola()
-        properness_probe_real(g, [1.0], FAST, no_certificate)
+        self.probes(g)
         properness_probe_real(g, [2.0], FAST, no_certificate)
-        tube_distance_probe(g, [1.0], [2.0], radii=(10.0, 25.0), restarts=2)
-        lipschitz_gradient_probe(g, [1.0], radii=(10.0, 100.0))
         assert len(kernels) == 1
 
     def test_compiled_kernel_gives_a_fresh_maps_results(self):
