@@ -633,10 +633,9 @@ def lipschitz_gradient_probe(
     }
 
 
-# Step cap of each sphere descent and of the penalty descent of the tube
-# probe, and the penalty weight 1/lambda of the residuals (lambda = 1e-2).
+# Step cap of each sphere descent of the tube probe's structured starts, and
+# round cap of its alternating projections.
 _TUBE_MAX_ITER = 150
-_TUBE_MU = 100.0
 
 
 @np.errstate(over="ignore")
@@ -651,19 +650,16 @@ def tube_distance_probe(
     """Estimate the distance between two levels inside growing balls.
 
     Each start pair is projected onto its fibers by Gauss-Newton, then
-    descends one penalty stage, |f(x)-c|^2 + |f(y)-t|^2 + lambda |x-y|^2 with
-    lambda = 1e-2 (optimized in the rescaled form |x-y|^2 + (1/lambda) *
-    residuals, whose distance gradient does not vanish), and is projected
-    again.  The stage is one call of the compiled `kernel.penalty_descent`, a
-    projected gradient descent with backtracking inside the ball that stops
-    once it stalls.  The final Gauss-Newton projection removes the residuals
-    the penalty leaves; further stages at smaller lambda would only shrink
-    them, at a cost that grows with 1/lambda, since the penalty's
-    conditioning worsens and each step is capped by the pair's distance.
-    Only endpoint pairs with both residuals below 1e-3 count.  A pair of
-    levels whose distance decays toward zero (below 0.05) while |c - t|
-    stays fixed violates the bi-Lipschitz bounds a trivialization over both
-    values would impose and is flagged as a collapse.
+    alternates projections between them (Lewis and Malick, "Alternating
+    projections on manifolds", 2008): a round projects the pair's second
+    point onto {f = c} and that point onto {f = t}, all inside the ball.
+    A round's pair is kept only when it shortens the distance by more than
+    1e-4 of it; otherwise, or after `_TUBE_MAX_ITER` rounds, the last kept
+    pair stands, so a start's distance never grows.  Only endpoint pairs
+    with both residuals below 1e-3 count.  A pair of levels whose distance
+    decays toward zero (below 0.05) while |c - t| stays fixed violates the
+    bi-Lipschitz bounds a trivialization over both values would impose and
+    is flagged as a collapse.
     """
     check_radii(radii)
     check_value(c, f.p)
@@ -691,6 +687,9 @@ def tube_distance_probe(
                 break
             z = project_ball([a - float(s) for a, s in zip(z, step)], radius)
         return z
+
+    def dist(x, y):
+        return sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
 
     def residual_norms(x, y):
         rx = sqrt(sum((a - b) ** 2 for a, b in zip(kernel.value(x), cv)))
@@ -724,16 +723,19 @@ def tube_distance_probe(
             try:
                 x = fiber_project(x0, cv, radius)
                 y = fiber_project(y0, tv, radius)
-                x, y = kernel.penalty_descent(x, y, _TUBE_MU, radius, cv, tv, _TUBE_MAX_ITER)
-                x = fiber_project(x, cv, radius)
-                y = fiber_project(y, tv, radius)
+                d = dist(x, y)
+                for _ in range(_TUBE_MAX_ITER):
+                    u = fiber_project(y, cv, radius)
+                    w = fiber_project(u, tv, radius)
+                    e = dist(u, w)
+                    if not e < d - 1e-4 * d:
+                        break
+                    x, y, d = u, w, e
                 rx, ry = residual_norms(x, y)
             except OverflowError:
                 continue  # a power overflows a float on this start's path
-            if max(rx, ry) < 1e-3:
-                dist = sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
-                if best is None or dist < best[0]:
-                    best = (dist, list(x), list(y), max(rx, ry))
+            if max(rx, ry) < 1e-3 and (best is None or d < best[0]):
+                best = (d, list(x), list(y), max(rx, ry))
         entry = {"radius": float(radius)}
         if best is not None:
             entry["distance"] = best[0]
@@ -752,7 +754,7 @@ def tube_distance_probe(
         and dists[-1] < 0.05
         and dists[-1] < 0.5 * finite[0]
     )
-    separation = sqrt(sum((a - b) ** 2 for a, b in zip(cv, tv)))
+    separation = dist(cv, tv)
     return {
         "c": cv,
         "t": tv,

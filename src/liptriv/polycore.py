@@ -369,14 +369,14 @@ def _indent(lines: Iterable[str]) -> list[str]:
 
 
 class FloatKernel:
-    """Polynomials, their Jacobian and two descent loops compiled to float code.
+    """Polynomials, their Jacobian and a descent loop compiled to float code.
 
     The probes evaluate a handful of polynomials millions of times at
-    n <= 3 variables, inside descent loops, where interpreted loop code,
+    n <= 3 variables, inside a descent loop, where interpreted loop code,
     per-call overhead and numpy's per-call cost all cost more than the
     arithmetic.  The kernel therefore generates straight-line Python and
     `compile()`s it, each function on its first use: a caller of `value` and
-    `jacobian` alone never pays for the loops.  For points of length n:
+    `jacobian` alone never pays for the loop.  For points of length n:
 
     - `value(x)`: the list of polynomial values;
     - `jacobian(x)`: rows of partial derivatives, one row per polynomial;
@@ -391,19 +391,13 @@ class FloatKernel:
       after a multiple of 25 accepted steps fx is not below (1 - 1e-8)
       times its value 25 steps before (the start is the first such value):
       a restart settled at a positive minimum stops there, while one still
-      converging geometrically toward 0 keeps a large relative decrease;
-    - `penalty_descent(x, y, mu, radius, c, t, max_iter) -> (x, y)`: the tube
-      probe's projected descent of |x - y|^2 + mu*(|g(x) - c|^2 + |g(y) - t|^2)
-      inside the ball of that radius, with at most 50 halvings per step from
-      `alpha = 0.5*max(|x - y|, 1e-3)/|grad|`.  It stops on a gradient norm
-      below 1e-14 or non-finite, a failed line search, a stall (the sphere
-      descent's test on the penalty objective), or after max_iter steps.
+      converging geometrically toward 0 keeps a large relative decrease.
 
-    Both loops warm-start their line search: each step's first trial is
+    The descent warm-starts its line search: each step's first trial is
     capped at 4x the step last accepted in the same call, so a descent
     whose steps shrink does not halve down from the cold size again at
     every step.  The factor is fixed, not a setting, and so are the stall
-    test's window and tolerance, the same in both loops.
+    test's window and tolerance.
 
     Every function is assembled from the same per-point blocks.  At a point
     with coordinates P0..P{n-1} the power block computes each `Pi ** k` a
@@ -416,7 +410,7 @@ class FloatKernel:
     plain term-by-term summation (each term `float(c)`, a signed inf past
     the float range, times its powers in variable order, added to 0.0 in
     term order: `eval_float` in `tests/conftest.py`) and of the interpreted
-    reference loops in `tests/test_float_kernel.py`, in their order, so every
+    reference loop in `tests/test_float_kernel.py`, in its order, so every
     value, gradient, step and stop is bit-identical to theirs.  Every sum,
     of terms or of a step's squares and products, is written out the same
     way, `s = 0.0 + a + b + ...`: left to right, as `sum` adds floats on
@@ -474,23 +468,16 @@ class FloatKernel:
     def sphere_descent(self):
         return self._compile("sphere_descent")
 
-    @cached_property
-    def penalty_descent(self):
-        return self._compile("penalty_descent")
-
     def _compile(self, name: str):
-        namespace = {
-            "C": self._coeffs, "inf": inf, "isfinite": isfinite, "max": max, "min": min,
-            "sqrt": sqrt,
-        }
+        namespace = {"C": self._coeffs, "inf": inf, "isfinite": isfinite, "min": min, "sqrt": sqrt}
         exec(compile(self.source(name), f"<liptriv float kernel {name}>", "exec"), namespace)
         return namespace[name]
 
     def source(self, name: str) -> str:
-        """The generated source of one function: value, jacobian or a descent."""
+        """The generated source of one function: value, jacobian or sphere_descent."""
         header, body = {
             "value": self._value_code, "jacobian": self._jacobian_code,
-            "sphere_descent": self._sphere_descent_code, "penalty_descent": self._penalty_descent_code,
+            "sphere_descent": self._sphere_descent_code,
         }[name]()
         return "\n".join([header] + _indent(body)) + "\n"
 
@@ -526,7 +513,7 @@ class FloatKernel:
                 lines += self._accumulate(f"d{P}{i}_{j}", table, P)
         return lines
 
-    # -- the four functions ------------------------------------------------------
+    # -- the three functions -----------------------------------------------------
 
     def _value_code(self):
         body = [f"{_listing(self._coords('x'))} = x", *self._value_block("x")]
@@ -577,62 +564,6 @@ class FloatKernel:
         body += self._value_block("x") + objective("fx", "x") + ["mark = fx"]
         body += ["for k in range(1, max_iter + 1):", *_indent(step), f"return fx, {_listing(xs)}"]
         return "def sphere_descent(x, radius, c, max_iter):", body
-
-    def _penalty_descent_code(self):
-        n, p = self.n, self.p
-        xs, ys, us, ws = (self._coords(P) for P in "xyuw")
-        gx, gy = ([f"g{P}{j}" for j in range(n)] for P in "xy")
-
-        def squares(target: str, a: list[str], b: list[str]) -> list[str]:
-            return _add(target, (f"({u} - {v}) ** 2" for u, v in zip(a, b)))
-
-        def objective(target: str, P: str, Q: str) -> list[str]:
-            cs, ts = ([f"{a}{i}" for i in range(p)] for a in "ct")
-            return [
-                *squares(target, self._coords(P), self._coords(Q)),
-                *squares("s", [f"v{P}{i}" for i in range(p)], cs), f"{target} += mu * s",
-                *squares("s", [f"v{Q}{i}" for i in range(p)], ts), f"{target} += mu * s",
-            ]
-
-        def project_ball(z: list[str]) -> list[str]:
-            return [
-                *_add("norm", (f"{v} * {v}" for v in z)), "norm = sqrt(norm)",
-                "if not (norm <= radius or norm == 0.0):",
-                *(f"    {v} = radius * {v} / norm" for v in z),
-            ]
-
-        step = self._partial_block("x", self._value_powers)
-        step += self._partial_block("y", self._value_powers)
-        step += [f"{g} = 2.0 * ({x} - {y})" for g, x, y in zip(gx, xs, ys)]
-        step += [f"{h} = -{g}" for g, h in zip(gx, gy)]
-        for i in range(p):
-            step += [f"rx2 = 2.0 * mu * (vx{i} - c{i})", f"ry2 = 2.0 * mu * (vy{i} - t{i})"]
-            for j in range(n):
-                step += [f"{gx[j]} += rx2 * dx{i}_{j}", f"{gy[j]} += ry2 * dy{i}_{j}"]
-        step += _add("gnorm", (f"{g} * {g}" for g in gx)) + _add("s", (f"{g} * {g}" for g in gy))
-        step.append("gnorm = sqrt(gnorm + s)")
-        step += ["if not isfinite(gnorm) or gnorm < 1e-14:", "    break"]
-        step += [*squares("dist", xs, ys), "dist = sqrt(dist)"]
-        step.append("alpha = min(0.5 * max(dist, 1e-3) / gnorm, 4.0 * last)")
-        trial = [f"{u} = {x} - alpha * {g}" for u, x, g in zip(us, xs, gx)] + project_ball(us)
-        trial += [f"{w} = {y} - alpha * {g}" for w, y, g in zip(ws, ys, gy)] + project_ball(ws)
-        trial += self._value_block("u") + self._value_block("w") + objective("fn", "u", "w")
-        trial += ["if isfinite(fn) and fn < fx - 1e-8 * alpha * gnorm * gnorm:", "    break"]
-        trial.append("alpha *= 0.5")
-        step += ["for _ in range(50):", *_indent(trial), "else:", "    break", "last = alpha"]
-        step += [
-            f"{a} = {b}"
-            for a, b in zip(self._state("x") + self._state("y"), self._state("u") + self._state("w"))
-        ]
-        step.append("fx = fn")
-        step += ["if k % 25 == 0:", "    if fx >= 0.99999999 * mark:", "        break", "    mark = fx"]
-
-        body = [f"{_listing(xs)} = x", f"{_listing(ys)} = y"]
-        body += [f"{_listing(f'c{i}' for i in range(p))} = c", f"{_listing(f't{i}' for i in range(p))} = t"]
-        body += self._value_block("x") + self._value_block("y") + objective("fx", "x", "y")
-        body += ["last = inf", "mark = fx"]
-        body += ["for k in range(1, max_iter + 1):", *_indent(step), f"return {_listing(xs)}, {_listing(ys)}"]
-        return "def penalty_descent(x, y, mu, radius, c, t, max_iter):", body
 
 
 def fresh_name(base: str, taken: Iterable[str]) -> str:

@@ -181,7 +181,19 @@ class TestTubeProbe:
         # x^200 overflows a float once |x| > 34.5, inside the ball of radius 50.
         out = tube_distance_probe(PolyMap(ring, (poly(ring, "x^200 + y"),)), [1.0], [2.0])
         assert [entry["radius"] for entry in out["per_radius"]] == [10.0, 25.0, 50.0]
-        assert not out["collapse"]
+        # Inside the ball of radius R the fibers y = c - x^200 come within
+        # about 1/(200*x^199) of each other where x^200 is about R: 4.6e-4 at
+        # R = 10, 2.0e-4 at 25 and 1.0e-4 at 50.  The map has no invariance
+        # direction and is non-proper at every value, so no value is
+        # Lipschitz trivial, and the levels 1 and 2 collapse.
+        assert out["collapse"]
+
+    def test_thin_fibers_come_close_inside_the_ball(self):
+        # x^200 + y at levels 1 and 2: about 2.0e-4 apart inside radius 25.
+        ring = ("x", "y")
+        out = tube_distance_probe(PolyMap(ring, (poly(ring, "x^200 + y"),)), [1.0], [2.0])
+        assert out["per_radius"][1]["radius"] == 25.0
+        assert out["per_radius"][1]["distance"] < 3e-4
 
     def test_overflowing_starts_are_quiet(self, capfd):
         # Values that reach inf stop the Gauss-Newton projection before numpy
@@ -214,26 +226,21 @@ class TestTubeProbe:
         for entry in out["per_radius"]:
             assert abs(entry["distance"] - 1.0) <= 1e-9
 
-    def test_one_penalty_descent_per_start(self, monkeypatch):
-        """One penalty stage at mu = 100 per start, then the projection: the
-        sextic 2|3 tube makes 50 calls, where three stages made 150."""
-        mus = []
-        compiled = FloatKernel.penalty_descent
+    def test_alternation_compiles_no_other_kernel_function(self, monkeypatch):
+        """The alternating projections use the kernel's value and Jacobian,
+        and the structured starts its sphere descent: nothing else compiles."""
+        names = []
+        compile_one = FloatKernel._compile
 
-        def counted(kernel):
-            descent = compiled.__get__(kernel, FloatKernel)
+        def recorded(kernel, name):
+            names.append(name)
+            return compile_one(kernel, name)
 
-            def call(x, y, mu, *args):
-                mus.append(mu)
-                return descent(x, y, mu, *args)
-
-            return call
-
-        monkeypatch.setattr(FloatKernel, "penalty_descent", property(counted))
+        monkeypatch.setattr(FloatKernel, "_compile", recorded)
         ring = ("x", "y", "z")
         sextic = PolyMap(ring, (poly(ring, "x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1"),))
         assert tube_distance_probe(sextic, [2.0], [3.0])["collapse"]
-        assert mus == [100.0] * 50
+        assert sorted(names) == ["jacobian", "sphere_descent", "value"]
 
     def test_equal_levels_rejected(self, simple_map):
         with pytest.raises(ValueError):

@@ -140,74 +140,6 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
     return fx, x
 
 
-def reference_penalty_descent(kernel, x, y, mu, radius, cv, tv, max_iter, seen=None):
-    """The tube probe's penalty descent as an interpreted loop, with the same
-    4x warm-start cap on each step and the same stall test as the sphere
-    loop."""
-    seen = set() if seen is None else seen
-    n, p = kernel.n, kernel.p
-
-    def project_ball(z, radius):
-        norm = sqrt(add(v * v for v in z))
-        if norm <= radius or norm == 0.0:
-            seen.add("inside the ball")
-            return z
-        seen.add("outside the ball")
-        return [radius * v / norm for v in z]
-
-    def objective(x_, y_):
-        rx = kernel.value(x_)
-        ry = kernel.value(y_)
-        total = add((a - b) ** 2 for a, b in zip(x_, y_))
-        total += mu * add((a - b) ** 2 for a, b in zip(rx, cv))
-        total += mu * add((a - b) ** 2 for a, b in zip(ry, tv))
-        return total
-
-    fx = objective(x, y)
-    if not isfinite(fx):
-        seen.add("non-finite start")
-    last = inf
-    mark = fx
-    for k in range(1, max_iter + 1):
-        vx, vy = kernel.value(x), kernel.value(y)
-        jx, jy = kernel.jacobian(x), kernel.jacobian(y)
-        gx = [2.0 * (a - b) for a, b in zip(x, y)]
-        gy = [-v for v in gx]
-        for i in range(p):
-            rx2 = 2.0 * mu * (vx[i] - cv[i])
-            ry2 = 2.0 * mu * (vy[i] - tv[i])
-            for j in range(n):
-                gx[j] += rx2 * jx[i][j]
-                gy[j] += ry2 * jy[i][j]
-        gnorm = sqrt(add(v * v for v in gx) + add(v * v for v in gy))
-        if not isfinite(gnorm) or gnorm < 1e-14:
-            seen.add("zero gradient" if gnorm < 1e-14 else "non-finite gradient")
-            break
-        dist = sqrt(add((a - b) ** 2 for a, b in zip(x, y)))
-        alpha = min(0.5 * max(dist, 1e-3) / gnorm, 4.0 * last)
-        improved = False
-        for _ in range(50):
-            nx = project_ball([a - alpha * d for a, d in zip(x, gx)], radius)
-            ny = project_ball([a - alpha * d for a, d in zip(y, gy)], radius)
-            fn = objective(nx, ny)
-            if isfinite(fn) and fn < fx - 1e-8 * alpha * gnorm * gnorm:
-                x, y, fx, last = nx, ny, fn, alpha
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            seen.add("out of halvings")
-            break
-        if k % 25 == 0:
-            if fx >= (1 - 1e-8) * mark:
-                seen.add("stalled")
-                break
-            mark = fx
-    else:
-        seen.add("max_iter")
-    return x, y
-
-
 def outcome(fn, *args):
     """What a call did: the exception type it raised, or its result."""
     try:
@@ -221,13 +153,6 @@ def same_sphere_outcome(got, want) -> bool:
         return got == want
     (fx, x), (ref_fx, ref_x) = got[1], want[1]
     return bits(fx) == bits(ref_fx) and same_bits(x, ref_x)
-
-
-def same_penalty_outcome(got, want) -> bool:
-    if got[0] != want[0] or got[0] == "raised":
-        return got == want
-    (x, y), (ref_x, ref_y) = got[1], want[1]
-    return same_bits(x, ref_x) and same_bits(y, ref_y)
 
 
 # -- strategies -------------------------------------------------------------------
@@ -284,7 +209,7 @@ def test_jacobian_matches_partials_bitwise(case):
         assert same_bits(row, [eval_float(q.partial(j), x) for j in range(q.nvars)])
 
 
-# -- the fused descent loops against the interpreted ones ------------------------
+# -- the fused descent loop against the interpreted one --------------------------
 
 levels = st.one_of(
     st.floats(min_value=-10, max_value=10),
@@ -311,22 +236,6 @@ SPHERE_EXAMPLES = [
     ([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1")], [3.0, 4.0], 5.0, [2.0], 250),  # converged
 ]
 
-# (polynomials, x, y, mu, radius, c, t, max_iter), likewise for the penalty loop.
-PENALTY_EXAMPLES = [
-    ([poly(UV, "u*v")], [1.0, 1.0], [30.0, 0.1], 1e4, 10.0, [1.0], [2.0], 150),  # out of halvings
-    ([poly(UV, "u*v")], [1.0, 1.0], [2.0, 1.5], 1e4, 10.0, [1.0], [2.0], 3),  # max_iter
-    ([poly(UV, "u")], [1.0, 0.0], [1.0, 0.0], 1.0, 5.0, [1.0], [1.0], 10),  # zero gradient
-    ([poly(UV, "u^2 + v")], [1.0, 2.0], [0.5, 0.5], 1.0, 5.0, [inf], [1.0], 10),  # inf
-    ([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1")], [9.0, 0.2], [9.5, 0.1], 1e6, 10.0,
-     [2.0], [3.0], 150),  # stalled on the sextic's thin branches
-    # Stalled at step 125 near the sextic's saddle at the origin, at the probe's
-    # mu.  Over steps 76-100 fx fell by 1.9e-8 of itself, so a looser stall
-    # tolerance would stop at step 100 with other bits.
-    ([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1")], [0.1, 0.1], [0.1, 0.1], 100.0, 10.0,
-     [2.0], [3.0], 150),
-]
-
-
 @st.composite
 def sphere_cases(draw):
     polys, x = draw(cases())
@@ -339,29 +248,11 @@ def sphere_cases(draw):
     return polys, x, radius, level(draw, len(polys)), draw(st.integers(0, 150))
 
 
-@st.composite
-def penalty_cases(draw):
-    polys, x = draw(cases())
-    y = draw(st.lists(coordinates, min_size=len(x), max_size=len(x)))
-    mu = draw(st.sampled_from([1.0, 100.0, 1e4, 1e6]))
-    radius = draw(st.sampled_from([1.0, 10.0, 50.0, 1e4]))
-    p = len(polys)
-    # Past 25 and 50 steps, so that draws reach the stall test.
-    return polys, x, y, mu, radius, level(draw, p), level(draw, p), draw(st.integers(0, 60))
-
-
 def check_sphere(polys, x, radius, c, max_iter, seen=None):
     kernel = FloatKernel(polys)
     want = outcome(reference_sphere_descent, kernel, list(x), radius, c, max_iter, seen)
     got = outcome(kernel.sphere_descent, list(x), radius, c, max_iter)
     assert same_sphere_outcome(got, want), (got, want)
-
-
-def check_penalty(polys, x, y, mu, radius, c, t, max_iter, seen=None):
-    kernel = FloatKernel(polys)
-    want = outcome(reference_penalty_descent, kernel, list(x), list(y), mu, radius, c, t, max_iter, seen)
-    got = outcome(kernel.penalty_descent, list(x), list(y), mu, radius, c, t, max_iter)
-    assert same_penalty_outcome(got, want), (got, want)
 
 
 # numpy scalars warn on x/0, inf - inf and the like, in both versions.
@@ -370,13 +261,6 @@ def check_penalty(polys, x, y, mu, radius, c, t, max_iter, seen=None):
 @given(sphere_cases())
 def test_sphere_descent_matches_interpreted_loop_bitwise(case):
     check_sphere(*case)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=200, deadline=None)
-@given(penalty_cases())
-def test_penalty_descent_matches_interpreted_loop_bitwise(case):
-    check_penalty(*case)
 
 
 def test_sphere_examples_reach_every_exit():
@@ -419,16 +303,6 @@ def test_motzkin_real_restarts_stop_when_stalled(monkeypatch, motzkin_map):
     assert exits["max_iter"] <= 5, exits
 
 
-def test_penalty_examples_reach_every_exit():
-    seen = set()
-    for example in PENALTY_EXAMPLES:
-        check_penalty(*example, seen=seen)
-    assert seen >= {
-        "out of halvings", "max_iter", "stalled", "zero gradient", "non-finite start",
-        "non-finite gradient", "inside the ball", "outside the ball",
-    }, seen
-
-
 def test_one_variable_constant_and_zero_components():
     ring = ("s",)
     polys = [poly(ring, "3*s^2 - s + 1/3"), poly(ring, "5"), Polynomial.zero(ring)]
@@ -439,16 +313,15 @@ def test_one_variable_constant_and_zero_components():
     assert kernel.jacobian(x) == [[-10.0], [0.0], [0.0]]
     assert [bits(row[0]) for row in kernel.jacobian(x)[1:]] == [bits(0.0)] * 2
     check_sphere(polys, [2.0], 2.0, [1.0, 5.0, 0.0], 10)
-    check_penalty(polys, [-1.5], [0.5], 10.0, 2.0, [1.0, 5.0, 0.0], [2.0, 5.0, 0.0], 10)
 
 
 def test_loops_compile_on_first_use():
     kernel = FloatKernel([poly(UV, "u^2*v - v + 1"), poly(UV, "u*v")])
     assert kernel.value([1.0, 2.0]) == [1.0, 2.0]
     kernel.jacobian([1.0, 2.0])
-    assert "sphere_descent" not in vars(kernel) and "penalty_descent" not in vars(kernel)
+    assert "sphere_descent" not in vars(kernel)
     kernel.sphere_descent([1.0, 0.0], 1.0, [0.0, 0.0], 1)
-    assert "sphere_descent" in vars(kernel) and "penalty_descent" not in vars(kernel)
+    assert "sphere_descent" in vars(kernel)
 
 
 def test_two_thousand_terms_compile():
@@ -486,21 +359,18 @@ def test_source_holds_no_input_text():
         poly(ring, "7/3*foo^2*C - 123456789/1000*radius + 11/17"),
         poly(ring, "foo*C*radius - 2"),
     ]
-    functions = ("value", "jacobian", "sphere_descent", "penalty_descent")
+    functions = ("value", "jacobian", "sphere_descent")
     kernel = FloatKernel(polys)
     source = "".join(kernel.source(name) for name in functions)
-    # Coordinates, powers, values and partials at the points x, y, z, u, w;
-    # tangent, step, gradient and level components.
-    positional = re.compile(r"[xyzuwtcg]\d+|[xyzuw]\d+_\d+|v[xyzuw]\d+|d[xyzuw]\d+_\d+|g[xy]\d+")
+    # Coordinates at the points x, y, z, powers and values at x and z,
+    # partials at x; tangent, gradient and level components.
+    positional = re.compile(r"[xyztcg]\d+|[xz]\d+_\d+|v[xz]\d+|dx\d+_\d+")
     fixed = {
-        *functions, "x", "y", "t", "c", "mu", "radius", "max_iter", "C", "sqrt",
-        "isfinite", "max", "range", "_", "r2", "fx", "ri2", "dot", "tnorm", "alpha", "tn",
-        "f", "r", "rx2", "ry2", "gnorm", "dist", "norm", "fn", "last", "min", "inf", "k",
-        "mark", "s",
+        *functions, "x", "c", "radius", "max_iter", "C", "sqrt", "isfinite", "range", "_",
+        "r2", "fx", "ri2", "dot", "tnorm", "alpha", "tn", "f", "r", "last", "min", "inf", "k",
+        "mark",
     }
-    literals = {
-        "0.0", "0.1", "1e-4", "1e-300", "2.0", "0.5", "1e-3", "1e-8", "1e-14", "4.0", "0.99999999",
-    }
+    literals = {"0.0", "0.1", "1e-4", "1e-300", "2.0", "0.5", "4.0", "0.99999999"}
     tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     for tok in tokens:
         if tok.type == tokenize.NAME:
@@ -531,7 +401,7 @@ def longest_addition(source: str) -> int:
 def test_values_and_partials_are_one_assignment_each():
     kernel = FloatKernel([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1"), poly(UV, "u*v - 2")])
     block = re.compile(r"v[xyzuw]\d+|d[xyzuw]\d+_\d+")
-    for name in ("value", "jacobian", "sphere_descent", "penalty_descent"):
+    for name in ("value", "jacobian", "sphere_descent"):
         for node in ast.walk(ast.parse(kernel.source(name))):
             if isinstance(node, ast.AugAssign):
                 assert not block.fullmatch(node.target.id), ast.unparse(node)
@@ -542,7 +412,7 @@ def test_no_expression_grows_with_the_addends():
     # of products and squares: no expression holds them all.
     ring = tuple(f"a{i}" for i in range(300))
     kernel = FloatKernel([poly(ring, " + ".join(f"{i % 7 + 1}*a{i}^{i % 3 + 1}" for i in range(300)))])
-    for name in ("value", "jacobian", "sphere_descent", "penalty_descent"):
+    for name in ("value", "jacobian", "sphere_descent"):
         assert longest_addition(kernel.source(name)) < 300, name
 
 
@@ -557,7 +427,7 @@ def test_thousands_of_terms_compile():
     for x in ([0.5, -0.75], [1.0, 1.0], [-1.1, 0.3]):
         assert same_bits(kernel.value(x), [eval_float(q, x)])
         assert same_bits(kernel.jacobian(x)[0], [eval_float(q.partial(j), x) for j in range(2)])
-    assert kernel.sphere_descent and kernel.penalty_descent
+    assert kernel.sphere_descent
 
 
 # -- rational maps -----------------------------------------------------------------
