@@ -264,7 +264,8 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     """Reduced row-echelon form over Q by Gauss-Jordan elimination, and its pivot columns.
 
     The RREF of a matrix is unique, so every kernel and subspace read
-    off it is independent of how the elimination runs.
+    off it is independent of how the elimination runs.  A row update
+    touches only the pivot row's nonzero columns: `a - f * 0` is `a`.
     """
     work = [[as_fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
@@ -277,10 +278,12 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         top = [x * inv for x in work[piv]]
         work[piv] = work[r]
         work[r] = top
+        support = [j for j, b in enumerate(top) if b]
         for i, row in enumerate(work):
             f = row[col]
             if f and i != r:
-                work[i] = [a - f * b for a, b in zip(row, top)]
+                for j in support:
+                    row[j] -= f * top[j]
         pivots.append(col)
     return work[: len(pivots)], pivots
 
