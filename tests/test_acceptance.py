@@ -14,7 +14,15 @@ from itertools import combinations
 
 import pytest
 
-from conftest import count_real_roots, eval_float, normal_form, poly, rand_poly, spolynomial
+from conftest import (
+    compose_linear,
+    count_real_roots,
+    eval_float,
+    normal_form,
+    poly,
+    rand_poly,
+    spolynomial,
+)
 from liptriv.classifier import (
     AnalysisConfig,
     classify,
@@ -190,6 +198,34 @@ def test_criterion_5_suspension_invariance():
                         f"{field_name} description changed under suspension by {k}: "
                         f"{[print_polynomial(c) for c in g.components]}"
                     )
+
+
+def _unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """A seeded n x n integer matrix of determinant 1 or -1: the identity after
+    3n row additions with multipliers in {-2, -1, 1, 2}, then maybe a sign."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    if rng.random() < 0.5:
+        rows[0] = [-a for a in rows[0]]
+    return rows
+
+
+def test_coordinate_change_invariance():
+    """A unimodular integer change of source coordinates, g -> g o A, leaves
+    every exact answer as it is: the whole description over C, and its kind
+    and generators over R (the real probes sample other points of the same
+    fibers, so their tables may differ)."""
+    rng = random.Random(1998)
+    cfg = AnalysisConfig(ProbeSchedule(radii=(10.0, 100.0), restarts=6, max_iter=80))
+    for g in _random_reduced_maps(40):
+        moved = compose_linear(g, _unimodular(rng, g.n), g.vars)
+        shown = [print_polynomial(c) for c in moved.components]
+        assert classify(moved, "complex").ltv == classify(g, "complex").ltv, shown
+        real, real_moved = classify(g, "real", cfg).ltv, classify(moved, "real", cfg).ltv
+        assert (real_moved.kind, real_moved.generators) == (real.kind, real.generators), shown
 
 
 # -- criterion 6 oracles --------------------------------------------------------
