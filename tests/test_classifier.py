@@ -186,25 +186,28 @@ def xy_map() -> PolyMap:
     return PolyMap(ring, (poly(ring, "x*y"),))
 
 
+@pytest.fixture(scope="module")
+def thin_tube():
+    """The tube of x^200 + y at levels 1 and 2."""
+    ring = ("x", "y")
+    return tube_distance_probe(PolyMap(ring, (poly(ring, "x^200 + y"),)), [1.0], [2.0])
+
+
 class TestTubeProbe:
-    def test_overflowing_starts_are_dropped(self):
-        ring = ("x", "y")
+    def test_overflowing_starts_are_dropped(self, thin_tube):
         # x^200 overflows a float once |x| > 34.5, inside the ball of radius 50.
-        out = tube_distance_probe(PolyMap(ring, (poly(ring, "x^200 + y"),)), [1.0], [2.0])
-        assert [entry["radius"] for entry in out["per_radius"]] == [10.0, 25.0, 50.0]
+        assert [entry["radius"] for entry in thin_tube["per_radius"]] == [10.0, 25.0, 50.0]
         # Inside the ball of radius R the fibers y = c - x^200 come within
         # about 1/(200*x^199) of each other where x^200 is about R: 4.6e-4 at
         # R = 10, 2.0e-4 at 25 and 1.0e-4 at 50.  The map has no invariance
         # direction and is non-proper at every value, so no value is
         # Lipschitz trivial, and the levels 1 and 2 collapse.
-        assert out["collapse"]
+        assert thin_tube["collapse"]
 
-    def test_thin_fibers_come_close_inside_the_ball(self):
-        # x^200 + y at levels 1 and 2: about 2.0e-4 apart inside radius 25.
-        ring = ("x", "y")
-        out = tube_distance_probe(PolyMap(ring, (poly(ring, "x^200 + y"),)), [1.0], [2.0])
-        assert out["per_radius"][1]["radius"] == 25.0
-        assert out["per_radius"][1]["distance"] < 3e-4
+    def test_thin_fibers_come_close_inside_the_ball(self, thin_tube):
+        # About 2.0e-4 apart inside radius 25, derived above.
+        assert thin_tube["per_radius"][1]["radius"] == 25.0
+        assert thin_tube["per_radius"][1]["distance"] < 3e-4
 
     def test_overflowing_starts_are_quiet(self, capfd):
         # Values that reach inf stop the Gauss-Newton projection before numpy
