@@ -42,6 +42,7 @@ from .properness import (
     ProbeSchedule,
     PropernessVerdict,
     _gauss_newton_step,
+    _one_equation_step,
     _sphere_minimize,
     certifier,
     check_radii,
@@ -660,6 +661,10 @@ def tube_distance_probe(
     decays toward zero (below 0.05) while |c - t| stays fixed violates the
     bi-Lipschitz bounds a trivialization over both values would impose and
     is flagged as a collapse.
+
+    A Gauss-Newton step of a scalar map solves its one equation in floats
+    (`_one_equation_step`); with p >= 2 it is `_gauss_newton_step`'s
+    least-squares solve.
     """
     check_radii(radii)
     check_value(c, f.p)
@@ -677,15 +682,22 @@ def tube_distance_probe(
             return z
         return [radius * v / norm for v in z]
 
+    def gauss_newton_step(z, target):
+        if f.p == 1:
+            resid = kernel.value(z)[0] - target[0]
+            return _one_equation_step(resid, lambda: kernel.jacobian(z)[0], 1e-12)
+        resid = np.array(kernel.value(z)) - np.array(target)
+        step = _gauss_newton_step(resid, lambda: kernel.jacobian(z), 1e-12)
+        return None if step is None else step.tolist()
+
     def fiber_project(z, target, radius):
         """At most 12 Gauss-Newton steps toward {f = target}, kept inside the ball."""
         z = list(z)
         for _ in range(12):
-            resid = np.array(kernel.value(z)) - np.array(target)
-            step = _gauss_newton_step(resid, lambda: kernel.jacobian(z), 1e-12)
+            step = gauss_newton_step(z, target)
             if step is None:
                 break
-            z = project_ball([a - float(s) for a, s in zip(z, step)], radius)
+            z = project_ball([a - s for a, s in zip(z, step)], radius)
         return z
 
     def dist(x, y):

@@ -202,10 +202,13 @@ def certifier(
 
 
 def _gauss_newton_step(resid: np.ndarray, jacobian: Callable[[], list], tol: float):
-    """The least-squares step solving jacobian() @ step = resid, or None to
-    stop: |resid| < tol, a failed solve or a step that is not finite.  It
-    stops before LAPACK sees a non-finite input, which it reports on stderr,
-    and the norm of a finite residual past the float range is a quiet inf."""
+    """The minimum-norm least-squares step solving jacobian() @ step = resid
+    by numpy's `lstsq`, or None to stop: |resid| < tol, a failed solve or a
+    step that is not finite.  It stops before LAPACK sees a non-finite
+    input, which it reports on stderr, and the norm of a finite residual
+    past the float range is a quiet inf.  It serves the tube probe when
+    p >= 2, the gradient probe and the Newton witness search; the tube probe
+    of a scalar map takes `_one_equation_step`."""
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(resid)) or float(np.linalg.norm(resid)) < tol:
             return None
@@ -217,6 +220,28 @@ def _gauss_newton_step(resid: np.ndarray, jacobian: Callable[[], list], tol: flo
     except np.linalg.LinAlgError:
         return None
     return step if np.all(np.isfinite(step)) else None
+
+
+def _one_equation_step(resid: float, row: Callable[[], list[float]], tol: float):
+    """`_gauss_newton_step` for one equation, in Python floats: the
+    minimum-norm solution of row() . step = resid, as a list, or None on the
+    same stops (a non-finite residual, sqrt(resid * resid) < tol, which is
+    numpy's norm of one element, and a non-finite row or step).  With m the
+    largest |row()[i]| and u = row() / m, the step is resid / m / sum(u_i^2)
+    times u, so no square overflows or underflows where LAPACK's SVD would
+    not.  A zero row gives the zero step, as `lstsq` does."""
+    if not isfinite(resid) or sqrt(resid * resid) < tol:
+        return None
+    jac = row()
+    if not all(isfinite(v) for v in jac):
+        return None
+    m = max(map(abs, jac), default=0.0)
+    if m == 0.0:
+        return [0.0] * len(jac)
+    u = [v / m for v in jac]
+    scale = resid / m / sum(v * v for v in u)
+    step = [scale * v for v in u]
+    return step if all(isfinite(s) for s in step) else None
 
 
 def _sphere_minimize(

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import inf, nan, nextafter
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from liptriv.parsing import print_polynomial
 from liptriv.polycore import FloatKernel, PolyMap
 from liptriv.properness import (
     ProbeSchedule,
+    _gauss_newton_step,
+    _one_equation_step,
     _sphere_minimize,
     is_proper_at_complex,
     jelonek_ideal,
@@ -204,6 +207,80 @@ class TestPropernessProbe:
         for bad in (0, -5):
             with pytest.raises(ValueError, match="descent step"):
                 ProbeSchedule(max_iter=bad)
+
+
+def lstsq_step(row, resid):
+    """numpy's minimum-norm least-squares solution of row . step = resid."""
+    step, *_ = np.linalg.lstsq(np.array([row]), np.array([resid]), rcond=None)
+    return step
+
+
+class TestOneEquationStep:
+    """_one_equation_step against numpy's lstsq on one row, and its stops
+    against _gauss_newton_step's."""
+
+    @staticmethod
+    def magnitude(rng):
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-150.0, 150.0)
+
+    def test_matches_lstsq_on_seeded_rows(self):
+        rng = random.Random(33)
+        for _ in range(5000):
+            n = rng.randint(1, 4)
+            row = [0.0 if rng.random() < 0.25 else self.magnitude(rng) for _ in range(n)]
+            resid = self.magnitude(rng)
+            got = _one_equation_step(resid, lambda: row, 0.0)
+            want = lstsq_step(row, resid)
+            case = (row, resid)
+            assert (got is not None) == bool(np.all(np.isfinite(want))), case
+            if not any(row):
+                assert got == [0.0] * n, case
+                continue
+            top = float(np.max(np.abs(want)))
+            assert len(got) == n, case
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15 * top, case
+
+    @pytest.mark.parametrize(
+        "row, resid",
+        [
+            ([1e-300], 1e300),  # the step overflows: lstsq gives inf
+            ([5e-324, 0.0], 1.0),
+            ([1e308, 1e308], 1.0),  # |row|^2 overflows, the step does not
+            ([1e-200, 1e-200], 1e-200),  # |row|^2 underflows
+        ],
+    )
+    def test_past_the_squares_range_as_lstsq(self, row, resid):
+        got = _one_equation_step(resid, lambda: row, 0.0)
+        want = lstsq_step(row, resid)
+        if not np.all(np.isfinite(want)):
+            assert got is None
+        else:
+            assert got == pytest.approx(want.tolist(), rel=1e-15, abs=0.0)
+
+    def test_zero_row_gives_the_zero_step(self):
+        for n in (1, 2, 4):
+            assert _one_equation_step(3.0, lambda: [0.0] * n, 1e-12) == [0.0] * n
+            assert lstsq_step([0.0] * n, 3.0).tolist() == [0.0] * n
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-10])
+    def test_stops_as_gauss_newton_step(self, tol):
+        near = [nextafter(tol, 0.0), tol, nextafter(tol, inf), tol * (1 - 1e-15), tol * 3]
+        residuals = [inf, -inf, nan, 0.0, 1e200, *near, *(-r for r in near)]
+        rows = [[1.0, 2.0], [inf, 1.0], [nan, 0.0], [0.0, -inf], [1e-300], [0.0]]
+        for resid in residuals:
+            for row in rows:
+                got = _one_equation_step(resid, lambda: row, tol)
+                want = _gauss_newton_step(np.array([resid]), lambda: [row], tol)
+                assert (got is None) == (want is None), (resid, row)
+                if got is not None:
+                    assert got == pytest.approx(want.tolist(), rel=1e-15, abs=0.0)
+
+    def test_row_read_only_past_the_residual_stops(self):
+        def row():
+            raise AssertionError("row read after a stop")
+
+        for resid in (nan, inf, 1e-13):
+            assert _one_equation_step(resid, row, 1e-12) is None
 
 
 # The probes that take a float value, each on a value c of the shear map.
