@@ -92,12 +92,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _chunks(text: str) -> list[str]:
+    """The values of a ';'-separated list, as the text the user gave."""
+    return [chunk.strip() for chunk in text.split(";") if chunk.strip()]
+
+
 def _parse_values(text: str, p: int):
     out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _chunks(text):
         parts = [s.strip() for s in chunk.split(",")]
         if len(parts) != p:
             raise ValueError(f"value {chunk!r} needs {p} components")
@@ -110,20 +112,22 @@ def _parse_values(text: str, p: int):
     return out
 
 
-def _floats(value) -> list[float]:
-    """A parsed value as floats, for the probes; too large a value is rejected."""
+def _floats(text: str, value) -> list[float]:
+    """A value parsed from text as floats, for the probes; a value past the
+    float range is rejected by that text, not by the digits of the number."""
     try:
         return [float(x) for x in value]
     except OverflowError:
-        raise ValueError(f"value {', '.join(map(str, value))} is too large for a float") from None
+        raise ValueError(f"value {text!r} is too large for a float") from None
 
 
 def _parse_tube(text: str, p: int):
     """The two levels of '--tube c|t', each one value of p components."""
-    levels = [_parse_values(level, p) for level in text.split("|")]
+    texts = text.split("|")
+    levels = [_parse_values(level, p) for level in texts]
     if len(levels) != 2 or any(len(values) != 1 for values in levels):
         raise ValueError(f"tube {text!r} needs two values 'c|t'")
-    return [_floats(values[0]) for values in levels]
+    return [_floats(level.strip(), values[0]) for level, values in zip(texts, levels)]
 
 
 def _config(args) -> AnalysisConfig:
@@ -192,7 +196,7 @@ def _probe_document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
     # Every value and both tube levels are read as floats before any stage
     # runs; g has the p components of poly.
     values = _parse_values(args.values, poly.p)
-    points = [_floats(value) for value in values]
+    points = [_floats(text, value) for text, value in zip(_chunks(args.values), values)]
     tube = _parse_tube(args.tube, poly.p) if args.tube else None
     # The tube probe runs first, so equal levels are refused before any
     # properness probe; the two outputs are independent and seeded.

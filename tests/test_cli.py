@@ -456,6 +456,35 @@ class TestErrors:
         assert done.returncode == 2
         assert done.stderr == f"parse error: {where}: integer literal of 700 digits exceeds 640\n"
 
+    @pytest.mark.parametrize(
+        "values, literal",
+        [
+            (["--values", "1e5000"], "1e5000"),
+            (["--values", "0.5", "--tube", "1e5000|1"], "1e5000"),
+            (["--values", "1e400"], "1e400"),
+        ],
+    )
+    def test_value_past_the_float_range_named_by_its_text(self, capsys, values, literal):
+        # The message quotes the value as given, not its 401 or 5,001 digits,
+        # also under a conversion limit lowered to 640 (the default is 4,300).
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        args = ["probe", "-i", MOTZKIN, *values]
+        outcomes = [(run(args), capsys.readouterr().err)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": src}
+        script = "import sys; from liptriv.cli import run; sys.exit(run(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        outcomes.append((done.returncode, done.stderr))
+        message = f"invalid input: value '{literal}' is too large for a float\n"
+        assert outcomes == [(2, message)] * 2
+
     @pytest.mark.parametrize("command", ["critical", "analyze"])
     def test_computed_number_past_a_lowered_conversion_limit_exit_zero(self, tmp_path, command):
         # The critical ideal of this map has a 680-digit coefficient; under a
