@@ -18,10 +18,12 @@ from conftest import (
     compose_linear,
     count_real_roots,
     eval_float,
+    inverse,
     normal_form,
     poly,
     rand_poly,
     spolynomial,
+    subs,
 )
 from liptriv.classifier import (
     AnalysisConfig,
@@ -226,6 +228,49 @@ def test_coordinate_change_invariance():
         assert classify(moved, "complex").ltv == classify(g, "complex").ltv, shown
         real, real_moved = classify(g, "real", cfg).ltv, classify(moved, "real", cfg).ltv
         assert (real_moved.kind, real_moved.generators) == (real.kind, real.generators), shown
+
+
+def test_target_coordinate_change_moves_the_bifurcation_set():
+    """A unimodular integer change of target coordinates, f -> B o f, maps
+    the Lipschitz trivial values by B, so the complex kind stays and a
+    complement's generators become the parent's composed with B^-1, equal as
+    reduced bases.
+
+    One map breaks the kind today.  The cone check compares the cone ideals
+    of the sampled fibers, not their sets: B o f samples the value (1, 0),
+    whose fiber is three points with the cone ideal (v, u^3), where the
+    other samples have (v^2, u*v, u^2); both cones are empty at infinity, yet
+    the check fails and the kind reads `empty`.  The pin below lists it, and
+    empties once the cones are compared as sets."""
+    rng = random.Random(2718)
+    compared, differing = 0, []
+    for f in _random_reduced_maps(40):
+        if f.p < 2:
+            continue
+        b = _unimodular(rng, f.p)
+        moved = PolyMap(f.vars, tuple(
+            sum((Polynomial.constant(f.vars, F(k)) * comp for k, comp in zip(row, f.components)),
+                Polynomial.zero(f.vars))
+            for row in b
+        ))
+        shown = [print_polynomial(c) for c in moved.components]
+        base, image = classify(f, "complex").ltv, classify(moved, "complex").ltv
+        if image.kind != base.kind:
+            differing.append((shown, base.kind, image.kind))
+            continue
+        if base.kind != "complement":
+            continue
+        tvars = base.generators[0].vars
+        back = [
+            sum((Polynomial.constant(tvars, k) * Polynomial.variable(tvars, j)
+                 for j, k in enumerate(row)), Polynomial.zero(tvars))
+            for row in inverse(b)
+        ]
+        want = buchberger(Ideal.make(tvars, [subs(h, tvars, back) for h in base.generators]))
+        assert buchberger(Ideal.make(tvars, image.generators)).basis == want.basis, shown
+        compared += 1
+    assert compared == 8
+    assert differing == [(["u^3 + u*v - 3*v", "-u*v + 3*v"], "complement", "empty")]
 
 
 # -- criterion 6 oracles --------------------------------------------------------
