@@ -466,7 +466,7 @@ def _real_verdict(
     for value in grid:
         verdict = properness_probe_real(g, value, cfg.probe, certify)
         regular = not _on_locus(critical, [Fraction(x) for x in value])
-        certified = verdict.mode == "exact_complex" and verdict.verdict == "proper"
+        certified = verdict.mode in ("exact_complex", "exact_real") and verdict.verdict == "proper"
         if verdict.verdict == "proper" and regular:
             any_proper = True
         table.append(

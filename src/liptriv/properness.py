@@ -3,8 +3,11 @@
 The exact path closes the graph of the mapping in projective space over the
 source, cuts with the hyperplane at infinity, and projects to the target;
 the resulting variety is the set of values at which the complex mapping is
-not proper.  Real properness at individual values is probed numerically by
-minimizing |g(x) - c| over spheres of growing radius.
+not proper.  Real properness at an individual value is decided exactly
+when one of three certificates applies (complex properness, a coercive
+component, a value of the reduced map of an unreduced scalar map), and
+otherwise probed numerically by minimizing |g(x) - c| over spheres of
+growing radius.
 
 A mapping compiles once, into its `PolyMap.kernel`, a `polycore.FloatKernel`
 that every probe of it shares.  One restart
@@ -34,6 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dependence import factor_through_projection
 from .groebner import (
     DEFAULT_BUDGET,
     GroebnerBudget,
@@ -49,6 +53,7 @@ from .polycore import (
     Polynomial,
     as_fraction,
     check_value,
+    float_or_inf,
     fresh_name,
 )
 
@@ -155,7 +160,7 @@ class ProbeSchedule:
 
 @dataclass(frozen=True)
 class PropernessVerdict:
-    mode: str  # "exact_complex" | "probe_real"
+    mode: str  # "exact_complex" | "exact_real" | "probe_real"
     verdict: str  # "proper" | "non_proper" | "inconclusive"
     evidence: dict
 
@@ -282,6 +287,108 @@ def _sphere_minimize(
     return sqrt(best_val), best_x
 
 
+def _coercive_component(g: PolyMap) -> dict | None:
+    """A component h of g with |h| -> inf as |x| -> inf, as evidence, or None.
+
+    The test: every variable x_i has a highest pure power a_i x_i^(2k_i),
+    the a_i share one sign, and every other term x^e has weight
+    sum_i e_i / (2k_i) < 1.  Then sign * h is at least its weighted
+    principal part sum_i |a_i| x_i^(2k_i), which is positive away from 0,
+    minus terms of lower weight, so it tends to +inf and every fiber of g
+    is compact.  A pure power other than the highest has weight < 1 by
+    construction, so only mixed terms are weighed.
+    """
+    for index, h in enumerate(g.components):
+        top: dict[int, tuple[int, Fraction]] = {}
+        mixed = []
+        for exp, coeff in h.terms:
+            support = [i for i, k in enumerate(exp) if k]
+            if len(support) == 1:
+                i = support[0]
+                if exp[i] > top.get(i, (0, None))[0]:
+                    top[i] = (exp[i], coeff)
+            elif support:
+                mixed.append(exp)
+        if len(top) < g.n:
+            continue
+        degrees = [top[i][0] for i in range(g.n)]
+        signs = {top[i][1] > 0 for i in range(g.n)}
+        if any(d % 2 for d in degrees) or len(signs) != 1:
+            continue
+        if all(sum(Fraction(k, d) for k, d in zip(exp, degrees)) < 1 for exp in mixed):
+            return {
+                "certificate": "a coercive component: |f| -> inf, so every fiber is compact",
+                "component": index,
+                "sign": 1 if signs.pop() else -1,
+                "pure_degrees": degrees,
+            }
+    return None
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _image_witness(f: PolyMap, value: tuple[Fraction, ...], seed: int) -> dict | None:
+    """Two points where the reduced map of a scalar f = g o pi with ker pi != 0
+    is <= c and >= c, evaluated exactly, as evidence, or None.
+
+    g(R^m) is connected, so such points put c in g(R^m), and the fiber of f
+    at c then contains a line along ker pi: f is not proper at c.  Each of 4
+    seeded starts takes at most 60 Gauss-Newton steps (`_one_equation_step`)
+    toward c - delta and toward c + delta, delta = 1e-3 * max(1, |c|),
+    stopping within delta / 2 of the target; the end points are read as
+    exact rationals.  The evidence gives the two points, the floats of g
+    there and the exact signs of g - c.  None when f is reduced, p >= 2, or
+    no start gives both sides.
+    """
+    if f.p != 1:
+        return None
+    fact = factor_through_projection(f)
+    if fact.V.is_zero():
+        return None
+    g = fact.g
+    c = value[0]
+    kernel = g.kernel
+    rng = np.random.default_rng((seed, 4099))
+    cf = float(c)
+    delta = 1e-3 * max(1.0, abs(cf))
+    below = above = None
+    for _ in range(4):
+        start = [float(v) for v in rng.normal(size=g.n)]
+        for target in (cf - delta, cf + delta):
+            x = start
+            try:
+                for _ in range(60):
+                    step = _one_equation_step(
+                        kernel.value(x)[0] - target, lambda: kernel.jacobian(x)[0], delta / 2
+                    )
+                    if step is None:
+                        break
+                    x = [a - s for a, s in zip(x, step)]
+            except OverflowError:
+                continue  # a power overflows a float on this start's path
+            if not all(isfinite(v) for v in x):
+                continue
+            exact = g.components[0].eval_exact([Fraction(v) for v in x])
+            if exact <= c and below is None:
+                below = (x, exact)
+            if exact >= c and above is None:
+                above = (x, exact)
+        if below is not None and above is not None:
+            return {
+                "certificate": (
+                    "g(a) <= c <= g(b) for the reduced map g: c is a value of g, "
+                    "and the fiber contains a line along ker pi"
+                ),
+                "reduced_vars": list(g.vars),
+                "points": [below[0], above[0]],
+                "values": [float_or_inf(below[1]), float_or_inf(above[1])],
+                "signs": [_sign(below[1] - c), _sign(above[1] - c)],
+            }
+    return None
+
+
 def properness_probe_real(
     g: PolyMap,
     c: Sequence[float],
@@ -296,7 +403,11 @@ def properness_probe_real(
     and non-decreasing at the end.  A complex-properness certificate wins
     immediately (restricting a proper map to a closed subset stays proper).
     `certify(value)` gives that certificate, or None when there is none;
-    None means `certifier(g, None, DEFAULT_BUDGET)`.
+    None means `certifier(g, None, DEFAULT_BUDGET)`.  Without it, two exact
+    real certificates come before the spheres, in mode "exact_real": a
+    coercive component (`_coercive_component`) makes g proper, and for an
+    unreduced scalar map a value of its reduced map (`_image_witness`)
+    makes it non-proper.
     """
     check_value(c, g.p)
     cvec = tuple(float(x) for x in c)
@@ -309,6 +420,13 @@ def properness_probe_real(
         evidence = dict(exact.evidence)
         evidence["certificate"] = "complex properness restricts to the reals"
         return PropernessVerdict("exact_complex", "proper", evidence)
+
+    coercive = _coercive_component(g)
+    if coercive is not None:
+        return PropernessVerdict("exact_real", "proper", coercive)
+    witness = _image_witness(g, value, sched.seed)
+    if witness is not None:
+        return PropernessVerdict("exact_real", "non_proper", witness)
 
     trace = []
     mus = []

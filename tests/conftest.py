@@ -146,6 +146,19 @@ def compose_linear(f, rows, new_vars):
     return PolyMap(vs, tuple(subs(c, vs, images) for c in f.components), f.name)
 
 
+def unimodular(rng, n: int) -> list[list[int]]:
+    """A seeded n x n integer matrix of determinant 1 or -1: the identity after
+    3n row additions with multipliers in {-2, -1, 1, 2}, then maybe a sign."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    if rng.random() < 0.5:
+        rows[0] = [-a for a in rows[0]]
+    return rows
+
+
 def directional_derivative(f, v):
     """Componentwise sum_j v_j * d/dx_j of a PolyMap, exact in the same ring."""
     from liptriv.polycore import PolyMap, Polynomial, as_fraction

@@ -138,6 +138,17 @@ class TestRealBranch:
         assert "is contained in the real Lipschitz trivial values" in rep.ltv.note
         assert properness_probe_real(f, [0.0, -1.0]).verdict == "proper"
 
+    def test_coercive_rows_certified(self):
+        # x^2 + y^4 -> inf: each table value is proper by the exact real
+        # rule, and certified where it is regular; the spheres never run.
+        rep = classify(PolyMap(("x", "y"), (poly(("x", "y"), "x^2 + y^4"),)), "real")
+        table = {c.name: c for c in rep.checks}["properness_probe_table"].data["table"]
+        assert table and all(
+            (row["mode"], row["verdict"], row["certified"], row["mu"])
+            == ("exact_real", "proper", row["regular"], [])
+            for row in table
+        )
+
     def test_twisted_shear_real_empty(self, bad_map):
         rep = classify(bad_map, "real")
         assert rep.ltv.kind == "empty"

@@ -7,14 +7,17 @@ from math import inf, nan, nextafter
 import numpy as np
 import pytest
 
-from conftest import compose_linear, count_calls, poly
+from conftest import compose_linear, count_calls, poly, unimodular
 from liptriv.classifier import lipschitz_gradient_probe, tube_distance_probe
+from liptriv.dependence import factor_through_projection
 from liptriv.groebner import DEFAULT_BUDGET
 from liptriv.parsing import print_polynomial
 from liptriv.polycore import FloatKernel, PolyMap
 from liptriv.properness import (
     ProbeSchedule,
     _gauss_newton_step,
+    _coercive_component,
+    _image_witness,
     _one_equation_step,
     _sphere_minimize,
     is_proper_at_complex,
@@ -281,6 +284,120 @@ class TestOneEquationStep:
 
         for resid in (nan, inf, 1e-13):
             assert _one_equation_step(resid, row, 1e-12) is None
+
+
+SEXTIC = "x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1"
+
+
+def scalar(ring, expr):
+    variables = tuple(ring.split(","))
+    return PolyMap(variables, (poly(variables, expr),))
+
+
+class TestExactRealRules:
+    """The two exact real certificates that come before the sphere probe:
+    a coercive component (proper) and a value of the reduced map of an
+    unreduced scalar map (non-proper)."""
+
+    COERCIVE = [("x,y", "x^2 + y^2"), ("x,y,z", "x^2 + y^4 + z^6"), ("x,y", "-x^4 - y^2 + x*y")]
+    # (ring, map, value): every case lies in the image of the reduced map.
+    WITNESSED = [
+        ("x,y,z", SEXTIC, 0.5),
+        ("x,y,z", SEXTIC, 2.0),
+        ("x,y", "x", 0.0),
+        ("x,y,z", "x^2 + z", 1.0),
+    ]
+
+    @pytest.mark.parametrize("ring, expr", COERCIVE)
+    def test_coercive_maps_certified_proper(self, ring, expr, monkeypatch):
+        import liptriv.properness
+
+        spheres = count_calls(monkeypatch, liptriv.properness, "_sphere_minimize")
+        for c in (-1.0, 0.0, 3.0):
+            v = properness_probe_real(scalar(ring, expr), [c])
+            assert (v.mode, v.verdict) == ("exact_real", "proper")
+            assert v.evidence["component"] == 0
+        assert spheres == []
+
+    def test_coercive_evidence(self):
+        assert _coercive_component(scalar("x,y", "-x^4 - y^2 + x*y")) == {
+            "certificate": "a coercive component: |f| -> inf, so every fiber is compact",
+            "component": 0,
+            "sign": -1,
+            "pure_degrees": [4, 2],
+        }
+        # One coercive component decides a map of several.
+        ring = ("x", "y")
+        pair = PolyMap(ring, (poly(ring, "x*y"), poly(ring, "x^2 + y^2 + 1")))
+        assert _coercive_component(pair)["component"] == 1
+
+    @pytest.mark.parametrize(
+        "ring, expr",
+        [
+            ("x,y", "x^2 + y^2 - 3*x*y"),  # hyperbolic fibers
+            ("x,y", "x^4 + y^4 + 3*x^2*y^2"),  # a mixed term of weight exactly 1
+            ("x,y", "x^2 - y^2"),  # pure powers of both signs
+            ("x,y", "x^2 + y^3"),  # an odd highest pure power
+            ("x,y", "x^2 + 1"),  # no pure power of y
+        ],
+    )
+    def test_coercivity_refused(self, ring, expr):
+        assert _coercive_component(scalar(ring, expr)) is None
+
+    @pytest.mark.parametrize("ring, expr, c", WITNESSED)
+    def test_witness_values_straddle_c(self, ring, expr, c, monkeypatch):
+        import liptriv.properness
+
+        spheres = count_calls(monkeypatch, liptriv.properness, "_sphere_minimize")
+        f = scalar(ring, expr)
+        v = properness_probe_real(f, [c])
+        assert (v.mode, v.verdict) == ("exact_real", "non_proper")
+        assert spheres == []
+        # Re-evaluate the end points on the reduced map, in Fraction.
+        g = factor_through_projection(f).g
+        assert v.evidence["reduced_vars"] == list(g.vars)
+        below, above = (g.components[0].eval_exact([F(x) for x in pt]) for pt in v.evidence["points"])
+        assert below <= F(c) <= above
+        assert v.evidence["signs"] == [(x > c) - (x < c) for x in (below, above)]
+
+    def test_value_off_the_image_falls_through(self):
+        # x^2 + 1 never reaches 0; the fiber is empty and the spheres decide.
+        f = scalar("x,y", "x^2 + 1")
+        assert _image_witness(f, (F(0),), 42) is None
+        v = properness_probe_real(f, [0.0], FAST)
+        assert v.mode == "probe_real"
+
+    def test_reduced_map_has_no_witness(self, monkeypatch):
+        import liptriv.polycore
+
+        kernels = count_calls(monkeypatch, liptriv.polycore, "FloatKernel")
+        assert _image_witness(scalar("x,y", "x*y"), (F(1),), 42) is None
+        assert kernels == []
+
+    @pytest.mark.parametrize("ring, expr, c", WITNESSED)
+    def test_witness_survives_coordinate_changes(self, ring, expr, c):
+        rng = random.Random(1998)
+        f = scalar(ring, expr)
+        for _ in range(4):
+            moved = compose_linear(f, unimodular(rng, f.n), f.vars)
+            v = properness_probe_real(moved, [c])
+            assert (v.mode, v.verdict) == ("exact_real", "non_proper"), print_polynomial(
+                moved.components[0]
+            )
+
+    def test_motzkin_real_analysis_still_probes(self, motzkin_map, monkeypatch):
+        # The reduced sextic is neither coercive nor unreduced: its 4 table
+        # values go to the spheres as before (test_golden pins the bytes).
+        import liptriv.properness
+        from liptriv.classifier import classify
+
+        probes = count_calls(monkeypatch, liptriv.properness, "properness_probe_real")
+        spheres = count_calls(monkeypatch, liptriv.properness, "_sphere_minimize")
+        report = classify(motzkin_map, "real")
+        assert len(probes) == 4
+        assert len(spheres) == 4 * len(ProbeSchedule().radii)
+        table = next(c for c in report.checks if c.name == "properness_probe_table")
+        assert {row["mode"] for row in table.data["table"]} == {"probe_real"}
 
 
 # The probes that take a float value, each on a value c of the shear map.
