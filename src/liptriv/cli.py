@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
+from math import isinf
 
 from . import __version__, report
 from .classifier import (
@@ -27,7 +29,7 @@ from .critical import critical_ideal, real_critical_values
 from .dependence import factor_through_projection
 from .groebner import DEFAULT_BUDGET, BudgetExceededError, GroebnerBudget
 from .infinity import fiber_infinity
-from .parsing import ParseError, parse_input
+from .parsing import _MAX_DIGITS, ParseError, parse_input
 from .polycore import PolyMap
 from .properness import ProbeSchedule, certifier, jelonek_ideal, properness_probe_real
 from .rational import RationalMap
@@ -97,37 +99,60 @@ def _chunks(text: str) -> list[str]:
     return [chunk.strip() for chunk in text.split(";") if chunk.strip()]
 
 
-def _parse_values(text: str, p: int):
+# The decimal exponent that ends a literal such as '1e400': its sign and digits.
+_EXPONENT = re.compile(r"[eE]([-+]?)([0-9_]+)\Z")
+
+
+def _literal(chunk: str, s: str, floats: bool) -> Fraction:
+    """One coordinate of the value `chunk`, exact.  A literal with more
+    digits than the map parser takes (`_MAX_DIGITS`, or Python's int
+    conversion limit when that is lower) or a decimal exponent past
+    +-`_MAX_DIGITS` is refused before `Fraction` expands it, which for
+    '1e10000000' takes seconds.  For the probes (`floats`) an exponent past
+    it whose literal has an infinite float raises OverflowError, as the
+    float of a smaller exact value past the float range does."""
+    exponent = _EXPONENT.search(s)
+    mantissa = s[: exponent.start()] if exponent else s
+    digits = sum(ch.isdigit() for ch in mantissa)
+    limit = min(_MAX_DIGITS, sys.get_int_max_str_digits() or _MAX_DIGITS)
+    if digits > limit:
+        raise ValueError(f"value {chunk!r} has {digits} digits, more than {limit}")
+    if exponent:
+        power = exponent[2].replace("_", "").lstrip("0")
+        if len(power) > len(str(_MAX_DIGITS)) or int(power or "0") > _MAX_DIGITS:
+            if floats and exponent[1] != "-" and isinf(float(s)):
+                raise OverflowError
+            raise ValueError(f"value {chunk!r} has a decimal exponent past {_MAX_DIGITS}")
+    return Fraction(s)
+
+
+def _parse_values(text: str, p: int, floats: bool):
+    """The ';'-separated values of `text`, each p comma-separated
+    coordinates: exact, or as floats for the probes, where a value past the
+    float range is rejected by its text, not by the digits of the number."""
     out = []
     for chunk in _chunks(text):
         parts = [s.strip() for s in chunk.split(",")]
         if len(parts) != p:
             raise ValueError(f"value {chunk!r} needs {p} components")
         try:
-            out.append(tuple(Fraction(s) for s in parts))
+            value = tuple(_literal(chunk, s, floats) for s in parts)
+            out.append(tuple(float(x) for x in value) if floats else value)
         except ZeroDivisionError:
             raise ValueError(f"value {chunk!r} divides by zero") from None
+        except OverflowError:
+            raise ValueError(f"value {chunk!r} is too large for a float") from None
     if not out:
         raise ValueError("no values given")
     return out
 
 
-def _floats(text: str, value) -> list[float]:
-    """A value parsed from text as floats, for the probes; a value past the
-    float range is rejected by that text, not by the digits of the number."""
-    try:
-        return [float(x) for x in value]
-    except OverflowError:
-        raise ValueError(f"value {text!r} is too large for a float") from None
-
-
 def _parse_tube(text: str, p: int):
-    """The two levels of '--tube c|t', each one value of p components."""
-    texts = text.split("|")
-    levels = [_parse_values(level, p) for level in texts]
+    """The two levels of '--tube c|t', each one value of p components, as floats."""
+    levels = [_parse_values(level, p, floats=True) for level in text.split("|")]
     if len(levels) != 2 or any(len(values) != 1 for values in levels):
         raise ValueError(f"tube {text!r} needs two values 'c|t'")
-    return [_floats(level.strip(), values[0]) for level, values in zip(texts, levels)]
+    return [values[0] for values in levels]
 
 
 def _config(args) -> AnalysisConfig:
@@ -168,7 +193,7 @@ def _document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
     """Run one subcommand other than analyze and build its document."""
     if args.command == "infinity":
         if args.values:
-            values = _parse_values(args.values, poly.p)
+            values = _parse_values(args.values, poly.p, floats=False)
         else:
             values = rational_grid(poly.p, 2)
         reports = [fiber_infinity(poly, value, cfg.budget) for value in values]
@@ -195,8 +220,7 @@ def _document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
 def _probe_document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
     # Every value and both tube levels are read as floats before any stage
     # runs; g has the p components of poly.
-    values = _parse_values(args.values, poly.p)
-    points = [_floats(text, value) for text, value in zip(_chunks(args.values), values)]
+    points = _parse_values(args.values, poly.p, floats=True)
     tube = _parse_tube(args.tube, poly.p) if args.tube else None
     # The tube probe runs first, so equal levels are refused before any
     # properness probe; the two outputs are independent and seeded.
@@ -207,7 +231,7 @@ def _probe_document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
     g = factor_through_projection(poly).g
     certify = certifier(g, None, cfg.budget)
     verdicts = [properness_probe_real(g, point, cfg.probe, certify) for point in points]
-    return report.probe_document(poly, g, values, verdicts, tube)
+    return report.probe_document(poly, g, points, verdicts, tube)
 
 
 def run(argv=None) -> int:

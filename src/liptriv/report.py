@@ -328,7 +328,7 @@ def _infinity_text(doc: dict) -> list[str]:
 
 
 def probe_document(
-    src: PolyMap, g: PolyMap, values: list[tuple[Fraction, ...]],
+    src: PolyMap, g: PolyMap, values: list[tuple[float, ...]],
     verdicts: list[PropernessVerdict], tube: dict | None,
 ) -> dict:
     """Properness of the reduced map g at each value, and the tube probe if run."""

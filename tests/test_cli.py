@@ -485,6 +485,55 @@ class TestErrors:
         message = f"invalid input: value '{literal}' is too large for a float\n"
         assert outcomes == [(2, message)] * 2
 
+    @pytest.mark.parametrize(
+        "command, literal, message",
+        [
+            ("infinity", "1e10000000", "has a decimal exponent past 1234"),
+            ("infinity", "2E-10000000", "has a decimal exponent past 1234"),
+            ("infinity", "1e0001235", "has a decimal exponent past 1234"),
+            ("infinity", "1" * 1235, "has 1235 digits, more than 1234"),
+            ("probe", "1e10000000", "is too large for a float"),
+            ("probe", "1e-10000000", "has a decimal exponent past 1234"),
+            ("probe", "0e10000000", "has a decimal exponent past 1234"),
+        ],
+    )
+    def test_value_literal_capped_before_expansion(self, capsys, command, literal, message):
+        # Fraction('1e10000000') alone takes seconds; the cap is checked on
+        # the text first.
+        import time
+
+        source = CUBE if command == "infinity" else MOTZKIN
+        start = time.process_time()
+        code = run([command, "-i", source, "--values", literal])
+        assert time.process_time() - start < 2.0
+        assert (code, capsys.readouterr().err) == (2, f"invalid input: value '{literal}' {message}\n")
+
+    def test_value_at_the_caps_accepted(self, capsys):
+        for literal in ("1e1234", "1e-1234", "1" * 1234):
+            assert run(["infinity", "-i", CUBE, "--values", literal, "--output", "json"]) == 0
+            capsys.readouterr()
+
+    @pytest.mark.parametrize("command, source", [("infinity", CUBE), ("probe", MOTZKIN)])
+    def test_value_past_a_lowered_conversion_limit_named(self, command, source):
+        # 701 digits pass the cap of 1,234 but not a conversion limit lowered
+        # to 640; the message names the value, not Python's limit function.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        literal = "7" * 701
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": src}
+        script = "import sys; from liptriv.cli import run; sys.exit(run(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", script, command, "-i", source, "--values", literal],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (
+            2, f"invalid input: value '{literal}' has 701 digits, more than 640\n"
+        )
+
     @pytest.mark.parametrize("command", ["critical", "analyze"])
     def test_computed_number_past_a_lowered_conversion_limit_exit_zero(self, tmp_path, command):
         # The critical ideal of this map has a 680-digit coefficient; under a
