@@ -325,10 +325,6 @@ def _coercive_component(g: PolyMap) -> dict | None:
     return None
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _image_witness(f: PolyMap, value: tuple[Fraction, ...], seed: int) -> dict | None:
     """Two points where the reduced map of a scalar f = g o pi with ker pi != 0
     is <= c and >= c, evaluated exactly, as evidence, or None.
@@ -384,7 +380,7 @@ def _image_witness(f: PolyMap, value: tuple[Fraction, ...], seed: int) -> dict |
                 "reduced_vars": list(g.vars),
                 "points": [below[0], above[0]],
                 "values": [float_or_inf(below[1]), float_or_inf(above[1])],
-                "signs": [_sign(below[1] - c), _sign(above[1] - c)],
+                "signs": [(v > c) - (v < c) for v in (below[1], above[1])],
             }
     return None
 
