@@ -44,7 +44,6 @@ from .groebner import (
     Ideal,
     dimension,
     eliminate,
-    intersect,
     saturate,
 )
 from .polycore import (
@@ -58,12 +57,13 @@ from .polycore import (
 )
 
 
-def target_ring(p: int, taken: Sequence[str] = ()) -> tuple[str, ...]:
-    """Names t1..tp for the value space, avoiding collisions with taken names."""
+def target_ring(p: int, taken: Sequence[str] = (), base: str = "t") -> tuple[str, ...]:
+    """Names base1..basep (t1..tp for the value space), avoiding collisions
+    with taken names."""
     names: list[str] = []
     pool = list(taken)
     for i in range(p):
-        name = fresh_name(f"t{i + 1}", pool)
+        name = fresh_name(f"{base}{i + 1}", pool)
         names.append(name)
         pool.append(name)
     return tuple(names)
@@ -77,54 +77,37 @@ def jelonek_ideal(
 
     Construction: homogenize each component to its degree with x0, impose
     g_i = t_i on the affine chart via gh_i - t_i*x0^{d_i}, saturate by x0
-    (closure of the graph), cut with x0 = 0, saturate by the irrelevant ideal
-    of the source projective space, and eliminate all source variables.
+    (closure of the graph), and cut with x0 = 0.  The cut is then saturated
+    by the irrelevant ideal (x1, ..., xn) of the source projective space and
+    all source variables are eliminated, in one elimination: for an ideal I,
+    I : (x1, ..., xn)^infinity = (I + (1 - sum_j y_j*x_j)) meet Q[x, t]
+    with fresh y1..yn, so adjoining that generator and eliminating the x_j
+    and y_j leaves J(g).  Two Groebner runs in all, whatever n is.
     """
     tvars = target_ring(g.p, g.vars)
-    constant_parts: list[tuple[int, Fraction]] = []
-    moving: list[tuple[int, Polynomial]] = []
-    for i, comp in enumerate(g.components):
-        if comp.is_constant():
-            constant_parts.append((i, comp.constant_value()))
-        else:
-            moving.append((i, comp))
-
-    extra: list[Polynomial] = []
-    for i, value in constant_parts:
-        extra.append(
-            Polynomial.variable(tvars, i) - Polynomial.constant(tvars, value)
-        )
-
-    if not moving:
-        # Constant mapping: not proper exactly at its value (m >= 1).
-        return Ideal.make(tvars, extra)
-
     hom_var = fresh_name("x0", g.vars + tvars)
     ring = (hom_var,) + g.vars + tvars
     x0 = Polynomial.variable(ring, 0)
 
     gens = []
-    for i, comp in moving:
-        d = comp.degree
+    extra: list[Polynomial] = []
+    for i, comp in enumerate(g.components):
+        if comp.is_constant():
+            extra.append(Polynomial.variable(tvars, i) - Polynomial.constant(tvars, comp.constant_value()))
+            continue
         gh = comp.homogenize(hom_var).embed(ring)
         ti = Polynomial.variable(ring, 1 + g.n + i)
-        gens.append(gh - ti * x0**d)
+        gens.append(gh - ti * x0**comp.degree)
 
-    graph = Ideal.make(ring, gens)
-    closed = saturate(graph, x0, budget)
-    at_infinity = Ideal.make(ring, list(closed.generators) + [x0])
-
-    # Remove the irrelevant locus x1 = ... = xm = 0 of the source projective
-    # space: saturate by the irrelevant ideal, i.e. intersect the saturations
-    # by the individual source variables.
-    cleaned: Ideal | None = None
+    closed = saturate(Ideal.make(ring, gens), x0, budget)
+    yvars = target_ring(g.n, ring, "y")
+    cut_ring = ring[1:] + yvars
+    cut = [q.drop_vars([0]).embed(cut_ring) for q in closed.generators]
+    rabinowitsch = Polynomial.constant(cut_ring, 1)
     for j in range(g.n):
-        xj = Polynomial.variable(ring, 1 + j)
-        part = saturate(at_infinity, xj, budget)
-        cleaned = part if cleaned is None else intersect(cleaned, part, budget)
-
-    assert cleaned is not None
-    projected = eliminate(cleaned, (hom_var,) + g.vars, budget)
+        xj = Polynomial.variable(cut_ring, j)
+        rabinowitsch -= Polynomial.variable(cut_ring, g.n + g.p + j) * xj
+    projected = eliminate(Ideal.make(cut_ring, cut + [rabinowitsch]), g.vars + yvars, budget)
     return Ideal.make(tvars, list(projected.generators) + extra)
 
 

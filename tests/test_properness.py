@@ -7,12 +7,12 @@ from math import inf, nan, nextafter
 import numpy as np
 import pytest
 
-from conftest import compose_linear, count_calls, poly, unimodular
+from conftest import compose_linear, count_calls, data_text, poly, unimodular
 from liptriv.classifier import lipschitz_gradient_probe, tube_distance_probe
-from liptriv.dependence import factor_through_projection
-from liptriv.groebner import DEFAULT_BUDGET
-from liptriv.parsing import print_polynomial
-from liptriv.polycore import FloatKernel, PolyMap
+from liptriv.dependence import factor_through_projection, suspend
+from liptriv.groebner import DEFAULT_BUDGET, Ideal, eliminate, intersect, saturate
+from liptriv.parsing import parse_mapping, print_polynomial
+from liptriv.polycore import FloatKernel, PolyMap, Polynomial, fresh_name
 from liptriv.properness import (
     ProbeSchedule,
     _gauss_newton_step,
@@ -23,7 +23,9 @@ from liptriv.properness import (
     is_proper_at_complex,
     jelonek_ideal,
     properness_probe_real,
+    target_ring,
 )
+from test_acceptance import _random_reduced_maps
 
 F = Fraction
 FAST = ProbeSchedule(radii=(10.0, 100.0, 1000.0), restarts=16, max_iter=150)
@@ -87,6 +89,73 @@ class TestJelonekIdeal:
         jel = jelonek_ideal(g)
         assert jel.vanishes_at([F(3)])
         assert not jel.vanishes_at([F(2)])
+
+
+def jelonek_by_saturations(g):
+    """J(g) by the construction's first form, the oracle for jelonek_ideal:
+    the closure of the graph by x0, cut with x0 = 0, saturated by each source
+    variable in turn, the saturations intersected and the source variables
+    eliminated.  2n + 1 Groebner runs for g in n variables."""
+    tvars = target_ring(g.p, g.vars)
+    extra = [
+        Polynomial.variable(tvars, i) - Polynomial.constant(tvars, comp.constant_value())
+        for i, comp in enumerate(g.components)
+        if comp.is_constant()
+    ]
+    moving = [(i, comp) for i, comp in enumerate(g.components) if not comp.is_constant()]
+    if not moving:
+        return Ideal.make(tvars, extra)
+    hom_var = fresh_name("x0", g.vars + tvars)
+    ring = (hom_var,) + g.vars + tvars
+    x0 = Polynomial.variable(ring, 0)
+    gens = [
+        comp.homogenize(hom_var).embed(ring) - Polynomial.variable(ring, 1 + g.n + i) * x0**comp.degree
+        for i, comp in moving
+    ]
+    closed = saturate(Ideal.make(ring, gens), x0)
+    at_infinity = Ideal.make(ring, list(closed.generators) + [x0])
+    cleaned = saturate(at_infinity, Polynomial.variable(ring, 1))
+    for j in range(1, g.n):
+        cleaned = intersect(cleaned, saturate(at_infinity, Polynomial.variable(ring, 1 + j)))
+    projected = eliminate(cleaned, (hom_var,) + g.vars)
+    return Ideal.make(tvars, list(projected.generators) + extra)
+
+
+class TestJelonekOracle:
+    """jelonek_ideal's one elimination after the Rabinowitsch cut gives the
+    reduced basis that the saturations and intersections give."""
+
+    @pytest.mark.parametrize("name", ("bad", "cube", "ex_simple", "motzkin"))
+    def test_corpus(self, name):
+        g = factor_through_projection(parse_mapping(data_text(f"{name}.map"))).g
+        assert jelonek_ideal(g) == jelonek_by_saturations(g)
+
+    def test_random_reduced_maps_and_suspensions(self):
+        for g in _random_reduced_maps(40):
+            for h in (g, suspend(g, 1)):
+                assert jelonek_ideal(h) == jelonek_by_saturations(h), h
+
+    @pytest.mark.parametrize(
+        "text",
+        (
+            "ring Q[x]; map f: (3, 5)",
+            "ring Q[x,y]; map f: (x^2 + y^3, 3)",
+            "ring Q[x,y,z]; map f: (x*y, y*z, x*z)",
+        ),
+    )
+    def test_constant_and_small_maps(self, text):
+        g = parse_mapping(text)
+        assert jelonek_ideal(g) == jelonek_by_saturations(g)
+
+    @pytest.mark.parametrize(
+        "text", ("ring Q[x]; map f: (x^2)", "ring Q[x,y]; map f: (x, x*y)", "ring Q[x,y,z]; map f: (x*y, y*z, x*z)")
+    )
+    def test_two_groebner_runs_in_any_number_of_variables(self, text, monkeypatch):
+        import liptriv.groebner
+
+        runs = count_calls(monkeypatch, liptriv.groebner, "buchberger")
+        jelonek_ideal(parse_mapping(text))
+        assert len(runs) == 2
 
 
 class TestIsProperAtComplex:
