@@ -661,9 +661,9 @@ class TestStageCounts:
             "jelonek_ideal": 1,
             "cone_constancy_check": 1,
             "fiber_infinity": 3,
-            "buchberger": 20,
-            "buchberger_inputs": 20,
-            "intersect": 2,
+            "buchberger": 17,
+            "buchberger_inputs": 17,
+            "intersect": 1,
         }
 
     def test_compare_on_cube_runs_each_exact_stage_once(self, capsys, monkeypatch):
@@ -673,8 +673,8 @@ class TestStageCounts:
             "jelonek_ideal": 1,
             "cone_constancy_check": 1,
             "fiber_infinity": 3,
-            "buchberger": 19,
-            "buchberger_inputs": 19,
+            "buchberger": 18,
+            "buchberger_inputs": 18,
             "intersect": 0,
         }
 
