@@ -380,7 +380,7 @@ class TestGradientProbe:
 
 class TestVariableNamesTheStagesUse:
     """A ring may hold the names the stages pick for their own variables
-    (x0, t1, u_int, y_sat); each stage then picks a fresh one, and the
+    (x0, t1, y1, y_sat); each stage then picks a fresh one, and the
     analysis is that of the same map over other names, renamed."""
 
     def test_colliding_names_change_nothing_but_names(self, monkeypatch):
@@ -402,12 +402,12 @@ class TestVariableNamesTheStagesUse:
         for module in (liptriv.dependence, liptriv.groebner, liptriv.infinity, liptriv.properness):
             monkeypatch.setattr(module, "fresh_name", recording)
 
-        names = ("x0", "t1", "u_int", "y_sat")
+        names = ("x0", "t1", "y1", "y_sat")
         # Over the colliding ring the target variables are t1_0, t2.
         rename = {**dict(zip(names, "abcd")), "t1_0": "t1"}
         for field_name in ("complex", "real"):
             colliding = emit_report(
-                classify(parse_input("ring Q[x0,t1,u_int,y_sat]; map f: (t1, t1*u_int)"), field_name, LIGHT)
+                classify(parse_input("ring Q[x0,t1,y1,y_sat]; map f: (t1, t1*y1)"), field_name, LIGHT)
             )
             plain = emit_report(classify(parse_input("ring Q[a,b,c,d]; map f: (b, b*c)"), field_name, LIGHT))
             assert "t1_0" in colliding
