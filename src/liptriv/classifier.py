@@ -320,7 +320,7 @@ def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> 
         # The single attained value admits no trivialization, every other
         # value has empty fibers and is trivially Lipschitz trivial.
         c0 = tuple(comp.constant_value() for comp in f.components)
-        tvars = target_ring(f.p)
+        tvars = target_ring(f.p, ())
         gens = tuple(
             Polynomial.variable(tvars, i) - Polynomial.constant(tvars, c0[i])
             for i in range(f.p)

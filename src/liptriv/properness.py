@@ -57,7 +57,7 @@ from .polycore import (
 )
 
 
-def target_ring(p: int, taken: Sequence[str] = (), base: str = "t") -> tuple[str, ...]:
+def target_ring(p: int, taken: Sequence[str], base: str = "t") -> tuple[str, ...]:
     """Names base1..basep (t1..tp for the value space), avoiding collisions
     with taken names."""
     names: list[str] = []
@@ -82,7 +82,9 @@ def jelonek_ideal(
     all source variables are eliminated, in one elimination: for an ideal I,
     I : (x1, ..., xn)^infinity = (I + (1 - sum_j y_j*x_j)) meet Q[x, t]
     with fresh y1..yn, so adjoining that generator and eliminating the x_j
-    and y_j leaves J(g).  Two Groebner runs in all, whatever n is.
+    and y_j leaves J(g).  Two Groebner runs in all, whatever n is.  A
+    constant component c_i adds t_i - c_i instead, so a constant map is not
+    proper exactly at its value.
     """
     tvars = target_ring(g.p, g.vars)
     hom_var = fresh_name("x0", g.vars + tvars)
@@ -105,8 +107,7 @@ def jelonek_ideal(
     cut = [q.drop_vars([0]).embed(cut_ring) for q in closed.generators]
     rabinowitsch = Polynomial.constant(cut_ring, 1)
     for j in range(g.n):
-        xj = Polynomial.variable(cut_ring, j)
-        rabinowitsch -= Polynomial.variable(cut_ring, g.n + g.p + j) * xj
+        rabinowitsch -= Polynomial.variable(cut_ring, g.n + g.p + j) * Polynomial.variable(cut_ring, j)
     projected = eliminate(Ideal.make(cut_ring, cut + [rabinowitsch]), g.vars + yvars, budget)
     return Ideal.make(tvars, list(projected.generators) + extra)
 
