@@ -81,7 +81,8 @@ def jelonek_ideal(
     by the irrelevant ideal (x1, ..., xn) of the source projective space and
     all source variables are eliminated, in one elimination: for an ideal I,
     I : (x1, ..., xn)^infinity = (I + (1 - sum_j y_j*x_j)) meet Q[x, t]
-    with fresh y1..yn, so adjoining that generator and eliminating the x_j
+    with fresh y1..yn (Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 4), so adjoining that generator and eliminating the x_j
     and y_j leaves J(g).  Two Groebner runs in all, whatever n is.  A
     constant component c_i adds t_i - c_i instead, so a constant map is not
     proper exactly at its value.
