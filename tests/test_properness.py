@@ -92,10 +92,11 @@ class TestJelonekIdeal:
 
 
 def jelonek_by_saturations(g):
-    """J(g) by the construction's first form, the oracle for jelonek_ideal:
-    the closure of the graph by x0, cut with x0 = 0, saturated by each source
-    variable in turn, the saturations intersected and the source variables
-    eliminated.  2n + 1 Groebner runs for g in n variables."""
+    """J(g) by one saturation per source variable, the oracle for
+    jelonek_ideal: the closure of the graph by x0, cut with x0 = 0,
+    saturated by each source variable in turn, the saturations intersected
+    and the source variables eliminated.  2n + 1 Groebner runs for g in n
+    variables."""
     tvars = target_ring(g.p, g.vars)
     extra = [
         Polynomial.variable(tvars, i) - Polynomial.constant(tvars, comp.constant_value())
