@@ -29,6 +29,7 @@ from .dependence import FactorizationResult, factor_through_projection
 from .groebner import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    GroebnerBasis,
     GroebnerBudget,
     Ideal,
     MonomialOrder,
@@ -145,24 +146,28 @@ def _on_locus(ideal: Ideal | None, value: Sequence[Fraction]) -> bool:
     return ideal is not None and ideal.vanishes_at(value)
 
 
-def _sample_values(
+def _sample_fibers(
     f: PolyMap,
     count: int,
     critical: Ideal | None,
     jelonek: Ideal | None,
     budget: GroebnerBudget,
-) -> list[tuple[Fraction, ...]]:
-    """Grid values with nonempty complex fiber, off the known discriminant loci."""
+) -> list[tuple[tuple[Fraction, ...], GroebnerBasis]]:
+    """Grid values with nonempty complex fiber, off the known discriminant
+    loci, each with the reduced grevlex basis of its fiber ideal: the basis
+    that shows the fiber nonempty is the one its closure is built from."""
+    bases: dict = {}
 
     def keep(value: tuple[Fraction, ...]) -> bool:
         if _on_locus(critical, value) or _on_locus(jelonek, value):
             return False
         try:
-            return dimension(Ideal.fiber(f, value), budget) >= 0
+            bases[value] = buchberger(Ideal.fiber(f, value), MonomialOrder.grevlex(), budget)
         except BudgetExceededError:
             return False
+        return dimension(bases[value]) >= 0
 
-    return _grid_values(f.p, count, keep)
+    return [(value, bases[value]) for value in _grid_values(f.p, count, keep)]
 
 
 # -- classify -------------------------------------------------------------------
@@ -217,11 +222,11 @@ def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
 
     # Sampled-value analysis: each fiber at infinity once, then the cones
     # compared when every sample has its report.
-    samples = tuple(_sample_values(f, 3, critical, jelonek, budget))
+    samples = _sample_fibers(f, 3, critical, jelonek, budget)
     reports: tuple[InfinityReport, ...] = ()
-    for value in samples:
+    for value, basis in samples:
         try:
-            reports += (fiber_infinity(f, value, budget),)
+            reports += (fiber_infinity(basis, value, budget),)
         except BudgetExceededError as exc:
             if not reports:
                 flags["infinity_budget"] = str(exc)

@@ -27,7 +27,14 @@ from .classifier import (
 )
 from .critical import critical_ideal, real_critical_values
 from .dependence import factor_through_projection
-from .groebner import DEFAULT_BUDGET, BudgetExceededError, GroebnerBudget
+from .groebner import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    GroebnerBudget,
+    Ideal,
+    MonomialOrder,
+    buchberger,
+)
 from .infinity import fiber_infinity
 from .parsing import _MAX_DIGITS, ParseError, parse_input
 from .polycore import PolyMap
@@ -196,7 +203,11 @@ def _document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
             values = _parse_values(args.values, poly.p, floats=False)
         else:
             values = rational_grid(poly.p, 2)
-        reports = [fiber_infinity(poly, value, cfg.budget) for value in values]
+        grevlex = MonomialOrder.grevlex()
+        reports = [
+            fiber_infinity(buchberger(Ideal.fiber(poly, value), grevlex, cfg.budget), value, cfg.budget)
+            for value in values
+        ]
         return report.infinity_document(poly, args.field, reports)
     if args.command == "compare":
         return report.compare_document(poly, *complexification_compare(poly, cfg))

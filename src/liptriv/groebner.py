@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .polycore import Exponent, PolyMap, Polynomial, fresh_name
+from .polycore import Exponent, PolyMap, Polynomial, check_value, fresh_name
 
 
 class BudgetExceededError(RuntimeError):
@@ -82,6 +82,7 @@ class Ideal:
     @staticmethod
     def fiber(f: PolyMap, c: Sequence[Fraction]) -> "Ideal":
         """(f_i - c_i) in f's ring; a component identically c_i gives no generator."""
+        check_value(c, f.p)
         return Ideal.make(f.vars, [comp - ci for comp, ci in zip(f.components, c)])
 
     def has_unit_generator(self) -> bool:
@@ -102,38 +103,6 @@ class GroebnerBasis:
     def leading_exponents(self) -> list[Exponent]:
         packing = _Packing(self.order, len(self.vars), max((g.degree for g in self.basis), default=0))
         return [max((e for e, _ in g.terms), key=packing.pack) for g in self.basis]
-
-    def dimension(self) -> int:
-        """Krull dimension of V(I) over the algebraic closure; -1 for the unit ideal.
-
-        For a grevlex basis: the size of the largest variable subset S such
-        that no leading monomial is supported inside S.  A branch search
-        takes the support with the fewest variables still free to leave S and
-        branches on which of them leaves first, the earlier ones staying in S:
-        the branches are disjoint, so there are at most 2^n leaves.
-        """
-        n = len(self.vars)
-        if self.basis and self.basis[0].is_constant():
-            # A reduced basis holding a constant is (1).
-            return -1
-        supports = []
-        for e in self.leading_exponents():
-            supports.append(frozenset(i for i, k in enumerate(e) if k))
-        best = 0
-        # (variables out of S, variables kept in S)
-        stack = [(frozenset(), frozenset())]
-        while stack:
-            out, kept = stack.pop()
-            if n - len(out) <= best:
-                continue
-            unmet = [s - kept for s in supports if not s & out]
-            if not unmet:
-                best = n - len(out)
-                continue
-            choice = sorted(min(unmet, key=len))
-            branches = [(out | {v}, kept.union(choice[:i])) for i, v in enumerate(choice)]
-            stack += reversed(branches)  # the first variable's branch is popped first
-        return best
 
 
 # -- integer core ------------------------------------------------------------
@@ -428,13 +397,41 @@ def intersect(a: Ideal, b: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> Id
 # -- dimension ----------------------------------------------------------------
 
 
-def dimension(ideal: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> int:
-    """Krull dimension of V(I) over the algebraic closure; -1 for the unit ideal.
+def dimension(gb: GroebnerBasis) -> int:
+    """Krull dimension of V(I) over the algebraic closure, read off I's
+    reduced grevlex basis `gb`; -1 for the unit ideal.
 
-    A constant generator needs no branch: every pair with it is skipped by
-    the coprimality criterion, every other pair by the chain criterion
-    through it, and the reduced basis is (1)."""
-    return buchberger(ideal, MonomialOrder.grevlex(), budget).dimension()
+    The unit ideal's reduced basis is (1) however low the degree budget:
+    `buchberger` skips every pair with a constant generator, by the
+    coprimality criterion or the chain criterion through it.  Otherwise the
+    dimension is the size of the largest variable subset S such that no
+    leading monomial is supported inside S.  A branch search takes the
+    support with the fewest variables still free to leave S and branches on
+    which of them leaves first, the earlier ones staying in S: the branches
+    are disjoint, so there are at most 2^n leaves.
+    """
+    n = len(gb.vars)
+    if gb.basis and gb.basis[0].is_constant():
+        # A reduced basis holding a constant is (1).
+        return -1
+    supports = []
+    for e in gb.leading_exponents():
+        supports.append(frozenset(i for i, k in enumerate(e) if k))
+    best = 0
+    # (variables out of S, variables kept in S)
+    stack = [(frozenset(), frozenset())]
+    while stack:
+        out, kept = stack.pop()
+        if n - len(out) <= best:
+            continue
+        unmet = [s - kept for s in supports if not s & out]
+        if not unmet:
+            best = n - len(out)
+            continue
+        choice = sorted(min(unmet, key=len))
+        branches = [(out | {v}, kept.union(choice[:i])) for i, v in enumerate(choice)]
+        stack += reversed(branches)  # the first variable's branch is popped first
+    return best
 
 
 # -- univariate helpers and Sturm-sequence root isolation ----------------------

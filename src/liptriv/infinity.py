@@ -1,8 +1,10 @@
 """Accumulation set at infinity of a fiber, its dimension, and its cone.
 
-The fiber f^{-1}(c) is closed up in projective space by homogenizing the
-equations f_i - c_i and saturating by the homogenization variable; cutting
-with that variable gives the part at infinity.  All computations here are
+The fiber f^{-1}(c) is closed up in projective space by homogenizing a
+grevlex Groebner basis of its ideal (f_i - c_i): grevlex is a graded order,
+so the homogenized basis generates the closure, the homogenized ideal
+saturated by the homogenization variable x0.  Cutting with x0 gives the part
+at infinity.  All computations here are
 Zariski (over the algebraic closure); for real input the true real
 accumulation set can be strictly smaller, which callers must flag.
 
@@ -29,9 +31,9 @@ from .groebner import (
     Ideal,
     MonomialOrder,
     buchberger,
-    saturate,
+    dimension,
 )
-from .polycore import PolyMap, Polynomial, as_fraction, check_value, fresh_name, kernel_basis
+from .polycore import as_fraction, fresh_name, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class InfinityReport:
     def dim_infinity(self) -> int:
         """Projective dimension of the fiber at infinity; -1 when it is empty."""
         # The cone's dimension less one, clamped at -1 for a point or no cone.
-        return max(self.cone_basis.dimension() - 1, -1)
+        return max(dimension(self.cone_basis) - 1, -1)
 
     @cached_property
     def cone_subspace(self) -> Subspace | None:
@@ -67,32 +69,32 @@ class InfinityReport:
 
 
 def fiber_infinity(
-    f: PolyMap,
+    fiber: GroebnerBasis,
     c: Sequence[Fraction],
     budget: GroebnerBudget = DEFAULT_BUDGET,
 ) -> InfinityReport:
     """Projective closure of the fiber over c and its part at infinity.
 
-    The closure saturates by x0 the homogenized generators of the fiber
-    ideal, which has none for a component identically c_i.  The cone
-    ideal's reduced grevlex basis is the one Groebner basis computed after
-    the saturation: the infinity ideal closure + (x0) has that basis plus
-    x0 and the same dimension (see the module docstring), so it is never
-    built.  A budget therefore runs out, or does not, on the cone's
-    basis, which lacks the element x0.
+    `fiber` is the reduced grevlex basis of the fiber ideal (`Ideal.fiber`),
+    which has no generator for a component identically c_i.  Homogenized,
+    it generates the closure I^h = (f - c)^h : x0^infinity (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 8 section 4, Thm 4), so
+    one Buchberger run in the ring with x0 prepended gives the closure's
+    reduced grevlex basis.  The cone ideal's reduced grevlex basis is the
+    one other run: the infinity ideal closure + (x0) has that basis plus x0
+    and the same dimension (see the module docstring), so it is never
+    built.  A budget therefore runs out, or does not, on the cone's basis,
+    which lacks the element x0.
     """
-    check_value(c, f.p)
-    cvec = tuple(as_fraction(x) for x in c)
-    hom_var = fresh_name("x0", f.vars)
-    hom_vars = (hom_var,) + f.vars
-
-    hom_gens = [q.homogenize(hom_var) for q in Ideal.fiber(f, cvec).generators]
-    x0 = Polynomial.variable(hom_vars, 0)
-    # With no equations left the closure is the zero ideal, which saturate keeps.
-    closure = saturate(Ideal.make(hom_vars, hom_gens), x0, budget)
-
-    cone_basis = buchberger(_cone_ideal(closure), MonomialOrder.grevlex(), budget)
-    return InfinityReport(cvec, closure, cone_basis)
+    grevlex = MonomialOrder.grevlex()
+    if fiber.order != grevlex:
+        raise ValueError("the fiber's basis must be a grevlex basis")
+    hom_var = fresh_name("x0", fiber.vars)
+    hom_vars = (hom_var,) + fiber.vars
+    hom_gens = tuple(q.homogenize(hom_var) for q in fiber.basis)
+    closure = Ideal(hom_vars, buchberger(Ideal(hom_vars, hom_gens), grevlex, budget).basis)
+    cone_basis = buchberger(_cone_ideal(closure), grevlex, budget)
+    return InfinityReport(tuple(as_fraction(x) for x in c), closure, cone_basis)
 
 
 def _cone_ideal(closure: Ideal) -> Ideal:
@@ -112,7 +114,7 @@ def _linearity(gb: GroebnerBasis) -> Subspace | None:
     outside their ideal, the ideal of that kernel.
     """
     n = len(gb.vars)
-    if gb.dimension() <= 0:
+    if dimension(gb) <= 0:
         # The cone is at most the origin.
         return Subspace.zero(n)
     if any(sum(e) != 1 for g in gb.basis for e, _ in g.terms):

@@ -42,6 +42,8 @@ from .groebner import (
     DEFAULT_BUDGET,
     GroebnerBudget,
     Ideal,
+    MonomialOrder,
+    buchberger,
     dimension,
     eliminate,
     saturate,
@@ -165,7 +167,7 @@ def is_proper_at_complex(
     check_value(c, g.p)
     cvec = tuple(as_fraction(x) for x in c)
 
-    fiber_dim = dimension(Ideal.fiber(g, cvec), budget)
+    fiber_dim = dimension(buchberger(Ideal.fiber(g, cvec), MonomialOrder.grevlex(), budget))
     evidence: dict = {"fiber_dimension": fiber_dim}
     if fiber_dim > 0:
         # Positive-dimensional fiber: never proper at c, no need for J(g).

@@ -18,6 +18,7 @@ from .groebner import (
     Ideal,
     MonomialOrder,
     buchberger,
+    dimension,
 )
 from .polycore import FloatKernel, Polynomial
 
@@ -124,9 +125,9 @@ def indeterminacy_empty_check(
                 "detail": "denominator is a positive constant plus a sum of even squares",
                 "verdict": "PASS",
             }
-        elif (
+        elif dimension(
             gb := buchberger(Ideal.make(r.vars, [num, den]), MonomialOrder.grevlex(), budget)
-        ).dimension() == -1:
+        ) == -1:
             entry = {
                 "certificate": "unit_ideal",
                 "detail": "numerator and denominator generate the unit ideal over C",

@@ -276,13 +276,25 @@ def infinity_by_x0(closure):
 
     x0 = Polynomial.variable(closure.vars, 0)
     infinity = Ideal.make(closure.vars, list(closure.generators) + [x0])
-    dim_inf = max(dimension(infinity) - 1, -1)
     grevlex = MonomialOrder.grevlex()
-    basis = buchberger(infinity, grevlex).basis
+    gb = buchberger(infinity, grevlex)
+    dim_inf = max(dimension(gb) - 1, -1)
+    basis = gb.basis
     cone = GroebnerBasis(
         closure.vars[1:], grevlex, tuple(g.drop_vars([0]) for g in basis if g != x0)
     )
     return dim_inf, len(cone.vars) - 1 - dim_inf, cone
+
+
+def fiber_report(f, value, budget=None):
+    """fiber_infinity at value as the analysis reaches it: from the reduced
+    grevlex basis of the fiber ideal, under one budget for both."""
+    from liptriv.groebner import DEFAULT_BUDGET, Ideal, MonomialOrder, buchberger
+    from liptriv.infinity import fiber_infinity
+
+    budget = budget or DEFAULT_BUDGET
+    basis = buchberger(Ideal.fiber(f, value), MonomialOrder.grevlex(), budget)
+    return fiber_infinity(basis, value, budget)
 
 
 def count_real_roots(p) -> int:

@@ -18,7 +18,7 @@ from liptriv.classifier import (
     tube_distance_probe,
 )
 from liptriv.dependence import suspend
-from liptriv.groebner import GroebnerBudget, Ideal
+from liptriv.groebner import GroebnerBudget, Ideal, MonomialOrder, buchberger
 from liptriv.parsing import parse_input, print_polynomial
 from liptriv.polycore import FloatKernel, PolyMap
 from liptriv.properness import ProbeSchedule, properness_probe_real
@@ -459,22 +459,23 @@ class TestSampling:
 
 
 class TestBifurcationIdeal:
-    """The grevlex basis `_bifurcation_ideal` computes is its input's own
-    generators, in order: J(g), K0(g) or their intersection arrive reduced."""
+    """`_bifurcation_ideal` returns J(g), K0(g) or their intersection as it
+    arrives, with no Groebner run of its own: each is already a reduced
+    grevlex basis, which buchberger gives back unchanged."""
 
     @staticmethod
     def merged_and_bases(monkeypatch, maps):
         import liptriv.classifier
 
         seen = []
-        original = liptriv.classifier.buchberger
+        original = liptriv.classifier._bifurcation_ideal
 
-        def recording(ideal, order, budget):
-            gb = original(ideal, order, budget)
-            seen.append((ideal.generators, gb.basis))
-            return gb
+        def recording(jelonek, critical, budget):
+            merged = original(jelonek, critical, budget)
+            seen.append((merged.generators, buchberger(merged, MonomialOrder.grevlex()).basis))
+            return merged
 
-        monkeypatch.setattr(liptriv.classifier, "buchberger", recording)
+        monkeypatch.setattr(liptriv.classifier, "_bifurcation_ideal", recording)
         for f in maps:
             classify(f, "complex")
         return seen

@@ -197,4 +197,4 @@ def test_dimension_matches_sympy(ideal):
             for subset in combinations(range(n), size)
             if not any(all(e[i] == 0 for i in range(n) if i not in subset) for e in leads)
         )
-    assert dimension(ideal) == expected
+    assert dimension(buchberger(ideal)) == expected

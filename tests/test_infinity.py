@@ -11,16 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, compose_linear, infinity_by_x0, poly, rand_poly
+from conftest import DATA_DIR, compose_linear, fiber_report, infinity_by_x0, poly, rand_poly
 from liptriv.classifier import rational_grid
 from liptriv.dependence import Subspace, factor_through_projection, suspend
-from liptriv.groebner import Ideal, MonomialOrder, buchberger, saturate
-from liptriv.infinity import (
-    ConeConstancyResult,
-    _linearity,
-    cone_constancy_check,
-    fiber_infinity,
-)
+from liptriv.groebner import Ideal, MonomialOrder, buchberger, dimension, saturate
+from liptriv.infinity import ConeConstancyResult, _linearity, cone_constancy_check
 from liptriv.parsing import parse_mapping
 from liptriv.polycore import PolyMap, Polynomial, kernel_basis
 
@@ -36,7 +31,7 @@ def substituted_linearity(gb):
     element vanishes on a symbolic parametrization of A.  An oracle for
     _linearity."""
     n = len(gb.vars)
-    dim_cone = gb.dimension()
+    dim_cone = dimension(gb)
     if dim_cone <= 0:
         return Subspace.zero(n)
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -68,7 +63,7 @@ def homogeneous_generators(draw):
 
 class TestFiberInfinity:
     def test_shear_fiber_line_at_infinity(self, simple_map):
-        rep = fiber_infinity(simple_map, [F(1), F(1)])
+        rep = fiber_report(simple_map, [F(1), F(1)])
         expected = Ideal.make(
             rep.closure_ideal.vars,
             [
@@ -81,7 +76,7 @@ class TestFiberInfinity:
         assert rep.m_candidate == 2
 
     def test_twisted_shear_line_fiber(self, bad_map):
-        rep = fiber_infinity(bad_map, [F(1), F(0)])
+        rep = fiber_report(bad_map, [F(1), F(0)])
         assert rep.dim_infinity == 0
         assert rep.m_candidate == 2
         assert rep.cone_subspace is not None
@@ -89,7 +84,7 @@ class TestFiberInfinity:
 
     def test_compact_complex_fiber_has_empty_infinity(self):
         f = PolyMap(("x",), (poly(("x",), "x^2 + 1"),))
-        rep = fiber_infinity(f, [F(0)])
+        rep = fiber_report(f, [F(0)])
         assert rep.dim_infinity == -1
         assert rep.m_candidate == 1
         # Cone over the empty set is the null subspace.
@@ -98,20 +93,20 @@ class TestFiberInfinity:
 
     def test_empty_fiber_detected(self):
         f = PolyMap(("x", "y"), (poly(("x", "y"), "x"), poly(("x", "y"), "x + 1")))
-        rep = fiber_infinity(f, [F(0), F(0)])
+        rep = fiber_report(f, [F(0), F(0)])
         assert rep.closure_ideal.has_unit_generator()
 
     def test_value_length_checked(self, simple_map):
         with pytest.raises(ValueError):
-            fiber_infinity(simple_map, [F(1)])
+            fiber_report(simple_map, [F(1)])
 
     def test_arithmetic_identity_m_candidate(self, simple_map, bad_map, motzkin_map):
         for f in (simple_map, bad_map, motzkin_map):
-            rep = fiber_infinity(f, [F(2)] * f.p)
+            rep = fiber_report(f, [F(2)] * f.p)
             assert rep.m_candidate + rep.dim_infinity == f.n - 1
 
     def test_saturation_idempotent_on_closure(self, simple_map):
-        rep = fiber_infinity(simple_map, [F(1), F(1)])
+        rep = fiber_report(simple_map, [F(1), F(1)])
         x0 = Polynomial.variable(rep.closure_ideal.vars, 0)
         again = saturate(rep.closure_ideal, x0)
         assert buchberger(again).basis == buchberger(rep.closure_ideal).basis
@@ -121,7 +116,7 @@ class TestFiberInfinity:
         # so the suspended fiber meets infinity in dimension 1; the real set is
         # only the silent-coordinate direction (dimension 0), which is exactly
         # the caveat the classifier reports for real input.
-        rep = fiber_infinity(motzkin_map, [F(2)])
+        rep = fiber_report(motzkin_map, [F(2)])
         assert rep.dim_infinity == 1
         assert rep.m_candidate == 1
         assert rep.cone_subspace is None
@@ -157,7 +152,7 @@ class TestAgainstInfinityIdeal:
 
     @staticmethod
     def check(f, value):
-        rep = fiber_infinity(f, value)
+        rep = fiber_report(f, value)
         dim_inf, m_candidate, cone = infinity_by_x0(rep.closure_ideal)
         assert (rep.dim_infinity, rep.m_candidate) == (dim_inf, m_candidate)
         assert rep.cone_basis == cone
@@ -180,13 +175,13 @@ class TestAgainstInfinityIdeal:
 class TestConeAtInfinity:
     def test_shear_cone_constant_direction(self, simple_map):
         for c in ([F(1), F(0)], [F(2), F(3)]):
-            rep = fiber_infinity(simple_map, c)
+            rep = fiber_report(simple_map, c)
             assert rep.cone_subspace is not None
             assert rep.cone_subspace.basis == ((F(0), F(1), F(-1)),)
 
     def test_twisted_shear_cone_moves_with_value(self, bad_map):
-        sub1 = fiber_infinity(bad_map, [F(1), F(0)]).cone_subspace
-        sub2 = fiber_infinity(bad_map, [F(2), F(0)]).cone_subspace
+        sub1 = fiber_report(bad_map, [F(1), F(0)]).cone_subspace
+        sub2 = fiber_report(bad_map, [F(2), F(0)]).cone_subspace
         assert sub1.basis == ((F(0), F(1), F(-1)),)
         assert sub2.basis == ((F(0), F(1), F(-2)),)
 
@@ -194,7 +189,7 @@ class TestConeAtInfinity:
         g = PolyMap(("u", "v"), (poly(("u", "v"), "u"), poly(("u", "v"), "v")))
         f = suspend(g, 1)
         res = factor_through_projection(f)
-        rep = fiber_infinity(f, [F(1), F(2)])
+        rep = fiber_report(f, [F(1), F(2)])
         assert rep.cone_subspace is not None
         # Kernel of pi is spanned by the silent coordinate.
         kernel = Subspace.from_vectors(3, [[F(0), F(0), F(1)]])
@@ -220,12 +215,12 @@ class TestLinearity:
 class TestConeConstancy:
     def test_constant_cone_passes(self, simple_map):
         samples = [[F(1), F(0)], [F(2), F(3)], [F(-1), F(1)]]
-        reports = [fiber_infinity(simple_map, c) for c in samples]
+        reports = [fiber_report(simple_map, c) for c in samples]
         assert cone_constancy_check(reports) == ConeConstancyResult("PASS")
         assert all(r.cone_subspace.basis == ((F(0), F(1), F(-1)),) for r in reports)
 
     def test_moving_cone_fails_with_witness(self, bad_map):
-        reports = [fiber_infinity(bad_map, c) for c in ([F(1), F(0)], [F(2), F(0)])]
+        reports = [fiber_report(bad_map, c) for c in ([F(1), F(0)], [F(2), F(0)])]
         result = cone_constancy_check(reports)
         assert result.verdict == "FAIL"
         i, j = result.witness
@@ -233,5 +228,5 @@ class TestConeConstancy:
         assert reports[j].cone_subspace.basis == ((F(0), F(1), F(-2)),)
 
     def test_constant_nonlinear_reported(self, motzkin_map):
-        reports = [fiber_infinity(motzkin_map, [c]) for c in (F(2), F(3))]
+        reports = [fiber_report(motzkin_map, [c]) for c in (F(2), F(3))]
         assert cone_constancy_check(reports) == ConeConstancyResult("CONSTANT_NOT_LINEAR")

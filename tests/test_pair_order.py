@@ -19,13 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR, poly
+from conftest import DATA_DIR, fiber_report, poly
 from liptriv import groebner
 from liptriv.classifier import rational_grid
 from liptriv.critical import critical_ideal
 from liptriv.dependence import factor_through_projection
 from liptriv.groebner import Ideal, MonomialOrder, buchberger
-from liptriv.infinity import fiber_infinity
 from liptriv.parsing import parse_mapping
 from liptriv.properness import jelonek_ideal
 
@@ -67,7 +66,7 @@ def _stages(name: str):
         yield "jelonek", lambda: jelonek_ideal(g)
     for value in rational_grid(f.p, 3):
         label = "fiber " + ",".join(str(x) for x in value)
-        yield label, lambda value=value: fiber_infinity(f, value)
+        yield label, lambda value=value: fiber_report(f, value)
 
 
 def _recorder(seen: list):

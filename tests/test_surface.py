@@ -39,7 +39,7 @@ ALLOWED = {
 # on an instance of its own class.
 SHARED_FIELDS = {
     "dependence.Subspace.basis": ("dependence.Subspace.pivot_columns", "self.basis"),
-    "groebner.GroebnerBasis.basis": ("groebner.GroebnerBasis.dimension", "self.basis"),
+    "groebner.GroebnerBasis.basis": ("groebner.dimension", "gb.basis"),
     "classifier.LtvReport.critical": ("report.report_document", "report.critical"),
     "classifier.ExactStages.critical": ("classifier._containment", "stages.critical"),
     "classifier.LtvReport.factorization": ("report.report_document", "report.factorization"),
@@ -58,7 +58,7 @@ SHARED_FIELDS = {
     "classifier.LtvReport.seed": ("report.report_document", "report.seed"),
     "properness.ProbeSchedule.seed": ("properness.properness_probe_real", "sched.seed"),
     "groebner.Ideal.vars": ("groebner.intersect", "a.vars"),
-    "groebner.GroebnerBasis.vars": ("groebner.GroebnerBasis.dimension", "self.vars"),
+    "groebner.GroebnerBasis.vars": ("groebner.dimension", "gb.vars"),
     "polycore.Polynomial.vars": ("polycore.Polynomial._require_same_ring", "self.vars"),
     "polycore.PolyMap.vars": ("dependence.factor_through_projection", "f.vars"),
     "rational.RationalMap.vars": ("rational.RationalMap.__post_init__", "self.vars"),
