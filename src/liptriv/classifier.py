@@ -361,16 +361,18 @@ def _cone_data(report: InfinityReport) -> dict:
 
 
 def _bifurcation_ideal(jelonek: Ideal, critical: Ideal, budget: GroebnerBudget) -> Ideal:
-    """Reduced generators cutting J(g) union closure K0(g) in the value space."""
+    """Reduced generators cutting J(g) union closure K0(g) in the value space.
+
+    Each ideal that can be returned is already a reduced grevlex basis: the
+    critical ideal and the intersection are the kept elements of an
+    elimination's reduced basis, whose block order is grevlex on them.
+    """
     # K0(g) is never empty here: for m = p an empty K0(g) makes det Jg a
     # nonzero constant, and such a g that is not proper would refute the
     # Jacobian conjecture.  Either way intersect gives the same basis.
     if jelonek.has_unit_generator():
-        merged = critical
-    else:
-        merged = intersect(jelonek, critical, budget)
-    gb = buchberger(merged, MonomialOrder.grevlex(), budget)
-    return Ideal(merged.vars, gb.basis)
+        return critical
+    return intersect(jelonek, critical, budget)
 
 
 def _complex_verdict(stages: ExactStages, failures: list[str]) -> LtvDescription:
