@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import isfinite, sqrt
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,23 +110,26 @@ _BASE_GRID = [
 ]
 
 
-def rational_grid(p: int, count: int) -> list[tuple[Fraction, ...]]:
-    """Deterministic low-discrepancy rational grid in the value space."""
-    out = []
-    j = 0
+def _grid(p: int) -> Iterator[tuple[Fraction, ...]]:
+    """Deterministic low-discrepancy rational grid in the value space, its
+    distinct values in order, without end."""
     seen = set()
-    while len(out) < count:
+    j = 0
+    while True:
         idx = j * p
         value = tuple(
             _BASE_GRID[(idx + i) % len(_BASE_GRID)] + 13 * ((idx + i) // len(_BASE_GRID))
             for i in range(p)
         )
         j += 1
-        if value in seen:
-            continue
-        seen.add(value)
-        out.append(value)
-    return out
+        if value not in seen:
+            seen.add(value)
+            yield value
+
+
+def rational_grid(p: int, count: int) -> list[tuple[Fraction, ...]]:
+    """The first `count` values of the grid."""
+    return list(islice(_grid(p), count))
 
 
 def _grid_values(
@@ -133,7 +137,7 @@ def _grid_values(
 ) -> list[tuple[Fraction, ...]]:
     """The first `count` distinct grid values, among the first 40, that keep() accepts."""
     chosen: list[tuple[Fraction, ...]] = []
-    for value in rational_grid(p, 40):
+    for value in islice(_grid(p), 40):
         if keep(value):
             chosen.append(value)
             if len(chosen) == count:

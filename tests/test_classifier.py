@@ -10,6 +10,7 @@ import pytest
 from conftest import count_calls, data_text, poly
 from liptriv.classifier import (
     AnalysisConfig,
+    _grid_values,
     _on_locus,
     classify,
     complexification_compare,
@@ -447,6 +448,23 @@ class TestSampling:
         assert a[0] == (F(1), F(0))
         assert a[1] == (F(2), F(3))
         assert a[2] == (F(-1), F(1))
+
+    def test_grid_values_scan_the_grid_in_order(self):
+        """The scan asks keep() about the grid's values in rational_grid's
+        order, stops at the value that completes its count, and asks about
+        40 at most."""
+        seen = []
+
+        def keep(value):
+            seen.append(value)
+            return value[0] > 0
+
+        chosen = _grid_values(2, 3, keep)
+        assert seen == rational_grid(2, len(seen))
+        assert chosen == [v for v in seen if v[0] > 0] and seen[-1] == chosen[-1]
+        seen.clear()
+        assert _grid_values(2, 3, lambda value: seen.append(value)) == []
+        assert seen == rational_grid(2, 40)
 
     def test_samples_are_distinct(self):
         # The p = 1 grid starts 1, 0, 2, 3, -1, 1, 3, -2 and the critical
