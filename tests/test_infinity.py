@@ -11,17 +11,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, compose_linear, fiber_report, infinity_by_x0, poly, rand_poly
-from liptriv.classifier import rational_grid
+import liptriv.infinity
+from conftest import (
+    DATA_DIR,
+    compose_linear,
+    count_calls,
+    fiber_report,
+    infinity_by_x0,
+    poly,
+    rand_poly,
+)
+from liptriv.classifier import AnalysisConfig, _exact_stages, classify, rational_grid
 from liptriv.dependence import Subspace, factor_through_projection, suspend
 from liptriv.groebner import Ideal, MonomialOrder, buchberger, dimension, saturate
-from liptriv.infinity import ConeConstancyResult, _linearity, cone_constancy_check
+from liptriv.infinity import (
+    ConeConstancyResult,
+    _linearity,
+    cone_constancy_check,
+    fiber_infinity,
+)
 from liptriv.parsing import parse_mapping
-from liptriv.polycore import PolyMap, Polynomial, kernel_basis
+from liptriv.polycore import PolyMap, Polynomial, fresh_name, kernel_basis
 
 F = Fraction
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
+CORPUS = ("bad", "cube", "ex_simple", "motzkin")
 
 
 def substituted_linearity(gb):
@@ -170,6 +185,103 @@ class TestAgainstInfinityIdeal:
         assert any(r.closure_ideal.has_unit_generator() for r in reps)
         assert any(not r.closure_ideal.generators for r in reps)
         assert len({r.dim_infinity for r in reps}) >= 3
+
+
+def closure_by_saturation(f, value):
+    """The closure of the fiber over value and its cone's reduced grevlex
+    basis, built from the fiber ideal itself: its homogenized generators
+    saturated by x0, then cut at x0 = 0.  An oracle for fiber_infinity,
+    which homogenizes the fiber's grevlex basis instead."""
+    hom_var = fresh_name("x0", f.vars)
+    hom_vars = (hom_var,) + f.vars
+    hom_gens = [q.homogenize(hom_var) for q in Ideal.fiber(f, value).generators]
+    closure = saturate(Ideal.make(hom_vars, hom_gens), Polynomial.variable(hom_vars, 0))
+    cone = Ideal.make(f.vars, [q.drop_vars([0]) for q in closure.generators])
+    return closure, buchberger(cone, MonomialOrder.grevlex())
+
+
+class TestClosureFromTheFiberBasis:
+    """grevlex is a graded order, so the homogenized grevlex basis of the
+    fiber ideal generates its closure, and fiber_infinity's one Buchberger
+    run gives the same closure generators and cone basis as saturating the
+    homogenized fiber ideal by x0."""
+
+    @staticmethod
+    def check(f, rep):
+        assert (rep.closure_ideal, rep.cone_basis) == closure_by_saturation(f, rep.value)
+
+    @staticmethod
+    def sampled_reports(maps):
+        """Each map as given and suspended by 1, with the fiber reports of the
+        values its complex analysis samples."""
+        for g in maps:
+            for f in (g, suspend(g, 1)):
+                reports = _exact_stages(f, AnalysisConfig()).infinity_samples
+                assert reports
+                yield f, reports
+
+    def test_corpus_sampled_values(self):
+        maps = [parse_mapping((DATA_DIR / f"{name}.map").read_text()) for name in CORPUS]
+        for f, reports in self.sampled_reports(maps):
+            for rep in reports:
+                self.check(f, rep)
+
+    def test_random_reduced_maps_sampled_values(self):
+        from test_acceptance import _random_reduced_maps
+
+        checked = 0
+        for f, reports in self.sampled_reports(_random_reduced_maps(40)):
+            for rep in reports:
+                self.check(f, rep)
+                checked += 1
+        assert checked == 240
+
+    @pytest.mark.parametrize(
+        "ring,comps,value",
+        [
+            # Every component identically its value: the zero fiber ideal.
+            (XY, ("2",), (2,)),
+            # One component identically its value, the other not.
+            (XYZ, ("x*y - z", "3"), (1, 3)),
+            # x = 0 and x = -1: the empty fiber.
+            (XY, ("x", "x + 1"), (0, 0)),
+            # Critical values: a node, a cusp, two lines and a double line.
+            (XY, ("x^2 - y^2 + x^3",), (0,)),
+            (XY, ("x^2 - y^3",), (0,)),
+            (XYZ, ("x*y", "z"), (0, 1)),
+            (XYZ, ("(x - y)^2", "z^2 + x"), (0, 0)),
+        ],
+    )
+    def test_planted_fibers(self, ring, comps, value):
+        f = PolyMap(ring, tuple(poly(ring, c) for c in comps))
+        self.check(f, fiber_report(f, [F(c) for c in value]))
+
+    def test_random_fibers(self):
+        for f, value in random_fibers(200):
+            self.check(f, fiber_report(f, value))
+
+    def test_takes_a_grevlex_basis_only(self, simple_map):
+        ideal = Ideal.fiber(simple_map, [F(1), F(1)])
+        basis = buchberger(ideal, MonomialOrder.elimination([0]))
+        with pytest.raises(ValueError):
+            fiber_infinity(basis, [F(1), F(1)])
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_complex_classify_saturates_only_for_the_jelonek_ideal(self, name, monkeypatch):
+        import liptriv.groebner
+        import liptriv.properness
+
+        fibers = count_calls(monkeypatch, liptriv.infinity, "fiber_infinity")
+        saturations = count_calls(monkeypatch, liptriv.groebner, "saturate")
+        jelonek = count_calls(monkeypatch, liptriv.properness, "jelonek_ideal")
+        bases = count_calls(monkeypatch, liptriv.groebner, "buchberger")
+        classify(parse_mapping((DATA_DIR / f"{name}.map").read_text()), "complex")
+        assert len(fibers) == 3
+        assert len(saturations) == len(jelonek) <= 1
+        grevlex = MonomialOrder.grevlex()
+        inputs = [(args[0], (args[1] if len(args) > 1 else kwargs.get("order")) or grevlex)
+                  for args, kwargs in bases]
+        assert len(set(inputs)) == len(inputs)
 
 
 class TestConeAtInfinity:
