@@ -5,8 +5,9 @@ Pair selection decides which reductions run, how the basis grows and where a
 budget fires, so a change to how pending pairs are kept must leave this order
 exactly as it is.  For each polynomial corpus map, pair_order.json holds the
 lcm of every pair that reaches the S-polynomial, in order, for the critical
-ideal and the Jelonek ideal of the reduced map g (as the pipeline forms them)
-and for the fibers over the first three grid values.  The rational corpus map
+ideal and the Jelonek ideal of the reduced map g and for the fibers over the
+first three grid values (each fiber's grevlex basis, its closure and its
+cone), as the pipeline forms them.  The rational corpus map
 forms none of these ideals.  Two classic ideals in four variables, under
 grevlex and under a block order, add runs with more pairs pending at once.
 
