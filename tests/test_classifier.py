@@ -382,7 +382,9 @@ class TestGradientProbe:
 class TestVariableNamesTheStagesUse:
     """A ring may hold the names the stages pick for their own variables
     (x0, t1, y1, y_sat); each stage then picks a fresh one, and the
-    analysis is that of the same map over other names, renamed."""
+    analysis is that of the same map over other names, renamed.  y_sat
+    and y1 are picked only in J(g)'s ring, so the reduced map uses both,
+    and t1; x0, unused, collides in the ring of each fiber closure."""
 
     def test_colliding_names_change_nothing_but_names(self, monkeypatch):
         import liptriv.dependence
@@ -404,13 +406,15 @@ class TestVariableNamesTheStagesUse:
             monkeypatch.setattr(module, "fresh_name", recording)
 
         names = ("x0", "t1", "y1", "y_sat")
-        # Over the colliding ring the target variables are t1_0, t2.
+        # Over the colliding ring the target variables are t1_0, t2, t3.
         rename = {**dict(zip(names, "abcd")), "t1_0": "t1"}
         for field_name in ("complex", "real"):
             colliding = emit_report(
-                classify(parse_input("ring Q[x0,t1,y1,y_sat]; map f: (t1, t1*y1)"), field_name, LIGHT)
+                classify(
+                    parse_input("ring Q[x0,t1,y1,y_sat]; map f: (t1, t1*y1, y_sat)"), field_name, LIGHT
+                )
             )
-            plain = emit_report(classify(parse_input("ring Q[a,b,c,d]; map f: (b, b*c)"), field_name, LIGHT))
+            plain = emit_report(classify(parse_input("ring Q[a,b,c,d]; map f: (b, b*c, d)"), field_name, LIGHT))
             assert "t1_0" in colliding
             assert re.sub(r"\w+", lambda m: rename.get(m.group(), m.group()), colliding) == plain
         assert collided == set(names)
