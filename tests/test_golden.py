@@ -87,7 +87,8 @@ CLI_CASES = {
         f"analyze.{case}.txt": _cli("analyze", case.split(".")[0], "--field", case.split(".")[1])
         for case in CASES
     },
-    # Exhausted budgets; each run pins the set of flags and their messages.
+    # Low budgets; each run pins the set of flags and their messages, and
+    # cube at degree 4 pins a run that finishes: its default-budget report.
     **{
         f"analyze.{name}.{field}.max-degree-{deg}.json": _cli(
             "analyze", name, "--field", field, "--max-degree", str(deg)
