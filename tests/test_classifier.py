@@ -571,6 +571,19 @@ class TestStageCounts:
         assert "invariance_vs_infinity" in names
         assert "cone_constancy" not in names
 
+    def test_budget_at_sample_zero_flags_infinity_and_cone(self, monkeypatch):
+        import liptriv.infinity
+        from liptriv.parsing import parse_input
+
+        fibers = count_calls(monkeypatch, liptriv.infinity, "fiber_infinity")
+        f = parse_input("ring Q[x,y,z]; map f: (x^2 + y^3*x, z*x + y)")
+        rep = classify(f, "complex", AnalysisConfig(budget=GroebnerBudget(max_degree=4)))
+        # Sample 0's fiber basis fits the budget, its closure does not: no
+        # sample has a report, so neither check runs.
+        assert sorted(rep.flags) == ["cone_budget", "critical_budget", "infinity_budget"]
+        assert len(fibers) == 1
+        assert not {"invariance_vs_infinity", "cone_constancy"} & {c.name for c in rep.checks}
+
     def test_real_analysis_compiles_two_kernels(self, monkeypatch):
         import liptriv.polycore
 

@@ -222,7 +222,7 @@ class TestCompare:
         assert code == 3
         assert (doc["complex_ltv"], doc["containment"]["verdict"]) == ("undetermined", "INCONCLUSIVE")
         assert list(doc)[-2:] == ["containment", "flags"]
-        assert list(doc["flags"]) == ["cone_budget", "infinity_budget", "jelonek_budget", "probe_budget"]
+        assert list(doc["flags"]) == ["jelonek_budget", "probe_budget"]
         assert run(argv) == 3
         out = capsys.readouterr().out
         assert "  flag jelonek_budget: budget exceeded: degree 3 > limit 2" in out.splitlines()
