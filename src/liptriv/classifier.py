@@ -16,11 +16,11 @@ made beyond what the certificates support.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import isfinite, sqrt
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -111,17 +111,13 @@ _BASE_GRID = [
 
 
 def _grid(p: int) -> Iterator[tuple[Fraction, ...]]:
-    """Deterministic low-discrepancy rational grid in the value space, its
-    distinct values in order, without end."""
+    """Deterministic low-discrepancy rational grid in the value space, without end."""
     seen = set()
-    j = 0
-    while True:
-        idx = j * p
+    for idx in itertools.count(0, p):
         value = tuple(
             _BASE_GRID[(idx + i) % len(_BASE_GRID)] + 13 * ((idx + i) // len(_BASE_GRID))
             for i in range(p)
         )
-        j += 1
         if value not in seen:
             seen.add(value)
             yield value
@@ -129,15 +125,13 @@ def _grid(p: int) -> Iterator[tuple[Fraction, ...]]:
 
 def rational_grid(p: int, count: int) -> list[tuple[Fraction, ...]]:
     """The first `count` values of the grid."""
-    return list(islice(_grid(p), count))
+    return list(itertools.islice(_grid(p), count))
 
 
-def _grid_values(
-    p: int, count: int, keep: Callable[[tuple], bool]
-) -> list[tuple[Fraction, ...]]:
+def _grid_values(p: int, count: int, keep: Callable[[tuple], bool]) -> list[tuple[Fraction, ...]]:
     """The first `count` distinct grid values, among the first 40, that keep() accepts."""
     chosen: list[tuple[Fraction, ...]] = []
-    for value in islice(_grid(p), 40):
+    for value in itertools.islice(_grid(p), 40):
         if keep(value):
             chosen.append(value)
             if len(chosen) == count:
@@ -158,8 +152,7 @@ def _sample_fibers(
     budget: GroebnerBudget,
 ) -> list[tuple[tuple[Fraction, ...], GroebnerBasis]]:
     """Grid values with nonempty complex fiber, off the known discriminant
-    loci, each with the reduced grevlex basis of its fiber ideal: the basis
-    that shows the fiber nonempty is the one its closure is built from."""
+    loci, each with the reduced grevlex basis that shows its fiber nonempty."""
     bases: dict = {}
 
     def keep(value: tuple[Fraction, ...]) -> bool:
@@ -365,12 +358,9 @@ def _cone_data(report: InfinityReport) -> dict:
 
 
 def _bifurcation_ideal(jelonek: Ideal, critical: Ideal, budget: GroebnerBudget) -> Ideal:
-    """Reduced generators cutting J(g) union closure K0(g) in the value space.
-
-    Each ideal that can be returned is already a reduced grevlex basis: the
-    critical ideal and the intersection are the kept elements of an
-    elimination's reduced basis, whose block order is grevlex on them.
-    """
+    """Reduced generators cutting J(g) union closure K0(g) in the value space:
+    K0(g) and the intersection are kept elements of an elimination's reduced
+    basis, so each is its own reduced grevlex basis."""
     # K0(g) is never empty here: for m = p an empty K0(g) makes det Jg a
     # nonzero constant, and such a g that is not proper would refute the
     # Jacobian conjecture.  Either way intersect gives the same basis.

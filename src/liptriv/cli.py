@@ -27,14 +27,7 @@ from .classifier import (
 )
 from .critical import critical_ideal, real_critical_values
 from .dependence import factor_through_projection
-from .groebner import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    GroebnerBudget,
-    Ideal,
-    MonomialOrder,
-    buchberger,
-)
+from .groebner import DEFAULT_BUDGET, BudgetExceededError, GroebnerBudget, Ideal, MonomialOrder, buchberger
 from .infinity import fiber_infinity
 from .parsing import _MAX_DIGITS, ParseError, parse_input
 from .polycore import PolyMap
@@ -204,10 +197,8 @@ def _document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
         else:
             values = rational_grid(poly.p, 2)
         grevlex = MonomialOrder.grevlex()
-        reports = [
-            fiber_infinity(buchberger(Ideal.fiber(poly, value), grevlex, cfg.budget), value, cfg.budget)
-            for value in values
-        ]
+        bases = (buchberger(Ideal.fiber(poly, c), grevlex, cfg.budget) for c in values)
+        reports = [fiber_infinity(basis, c, cfg.budget) for basis, c in zip(bases, values)]
         return report.infinity_document(poly, args.field, reports)
     if args.command == "compare":
         return report.compare_document(poly, *complexification_compare(poly, cfg))

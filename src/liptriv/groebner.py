@@ -399,24 +399,19 @@ def intersect(a: Ideal, b: Ideal, budget: GroebnerBudget = DEFAULT_BUDGET) -> Id
 
 def dimension(gb: GroebnerBasis) -> int:
     """Krull dimension of V(I) over the algebraic closure, read off I's
-    reduced grevlex basis `gb`; -1 for the unit ideal.
+    reduced grevlex basis; -1 for the unit ideal, whose basis is (1).
 
-    The unit ideal's reduced basis is (1) however low the degree budget:
-    `buchberger` skips every pair with a constant generator, by the
-    coprimality criterion or the chain criterion through it.  Otherwise the
-    dimension is the size of the largest variable subset S such that no
-    leading monomial is supported inside S.  A branch search takes the
-    support with the fewest variables still free to leave S and branches on
-    which of them leaves first, the earlier ones staying in S: the branches
-    are disjoint, so there are at most 2^n leaves.
+    It is the size of the largest variable subset S such that no leading
+    monomial is supported inside S.  A branch search takes the support with
+    the fewest variables still free to leave S and branches on which of them
+    leaves first, the earlier ones staying in S: the branches are disjoint,
+    so there are at most 2^n leaves.
     """
     n = len(gb.vars)
     if gb.basis and gb.basis[0].is_constant():
         # A reduced basis holding a constant is (1).
         return -1
-    supports = []
-    for e in gb.leading_exponents():
-        supports.append(frozenset(i for i, k in enumerate(e) if k))
+    supports = [frozenset(i for i, k in enumerate(e) if k) for e in gb.leading_exponents()]
     best = 0
     # (variables out of S, variables kept in S)
     stack = [(frozenset(), frozenset())]

@@ -1,12 +1,11 @@
 """Accumulation set at infinity of a fiber, its dimension, and its cone.
 
 The fiber f^{-1}(c) is closed up in projective space by homogenizing a
-grevlex Groebner basis of its ideal (f_i - c_i): grevlex is a graded order,
-so the homogenized basis generates the closure, the homogenized ideal
-saturated by the homogenization variable x0.  Cutting with x0 gives the part
-at infinity.  All computations here are
-Zariski (over the algebraic closure); for real input the true real
-accumulation set can be strictly smaller, which callers must flag.
+grevlex basis of its ideal (f_i - c_i), which generates the closure since
+grevlex is graded; cutting with x0 gives the part at infinity.  All
+computations here are Zariski (over the algebraic closure); for real input
+the true real accumulation set can be strictly smaller, which callers must
+flag.
 
 One Groebner basis answers every question about the part at infinity.  Its
 ideal is J + (x0), where J, the cone ideal, cuts the closure's generators at
@@ -75,16 +74,14 @@ def fiber_infinity(
 ) -> InfinityReport:
     """Projective closure of the fiber over c and its part at infinity.
 
-    `fiber` is the reduced grevlex basis of the fiber ideal (`Ideal.fiber`),
-    which has no generator for a component identically c_i.  Homogenized,
-    it generates the closure I^h = (f - c)^h : x0^infinity (Cox, Little and
-    O'Shea, Ideals, Varieties, and Algorithms, ch. 8 section 4, Thm 4), so
-    one Buchberger run in the ring with x0 prepended gives the closure's
-    reduced grevlex basis.  The cone ideal's reduced grevlex basis is the
-    one other run: the infinity ideal closure + (x0) has that basis plus x0
-    and the same dimension (see the module docstring), so it is never
-    built.  A budget therefore runs out, or does not, on the cone's basis,
-    which lacks the element x0.
+    `fiber` is the reduced grevlex basis of the fiber ideal (`Ideal.fiber`).
+    Homogenized, it generates the closure (f - c)^h : x0^infinity (Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 8 section 4,
+    Thm 4), whose reduced grevlex basis one Buchberger run gives.  The cone
+    ideal's basis is the one other run: the infinity ideal closure + (x0)
+    has that basis plus x0 and the same dimension (see the module
+    docstring), so it is never built, and a budget runs out, or does not,
+    on the cone's basis, which lacks x0.
     """
     grevlex = MonomialOrder.grevlex()
     if fiber.order != grevlex:

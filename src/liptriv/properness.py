@@ -164,7 +164,6 @@ def is_proper_at_complex(
     returning it, called only then; `certifier` builds the one that
     computes and keeps it.
     """
-    check_value(c, g.p)
     cvec = tuple(as_fraction(x) for x in c)
 
     fiber_dim = dimension(buchberger(Ideal.fiber(g, cvec), MonomialOrder.grevlex(), budget))
