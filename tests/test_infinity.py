@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import liptriv.infinity
 from conftest import (
     DATA_DIR,
     compose_linear,
@@ -269,6 +268,7 @@ class TestClosureFromTheFiberBasis:
     @pytest.mark.parametrize("name", CORPUS)
     def test_complex_classify_saturates_only_for_the_jelonek_ideal(self, name, monkeypatch):
         import liptriv.groebner
+        import liptriv.infinity
         import liptriv.properness
 
         fibers = count_calls(monkeypatch, liptriv.infinity, "fiber_infinity")
