@@ -180,7 +180,8 @@ class ExactStages:
     cone verdict (once every sample has its report) and the bifurcation
     ideal.  `flags` names each stage whose budget ran out; a fiber's budget
     error sets `infinity_budget` when sample 0 has no report and
-    `cone_budget` when there are at least two samples.
+    `cone_budget` when there are at least two samples, as does a budget
+    error of the cone comparison.
     """
 
     f: PolyMap
@@ -230,7 +231,9 @@ def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
             if len(samples) >= 2:
                 flags["cone_budget"] = str(exc)
             break
-    cone = cone_constancy_check(reports) if len(reports) == len(samples) >= 2 else None
+    cone = None
+    if len(reports) == len(samples) >= 2:
+        cone = _within_budget(flags, "cone_budget", cone_constancy_check, reports, budget)
 
     # For m = p, dominance is a not-identically-singular Jacobian (char 0).
     dominant = factorization.m == f.p and any(not q.is_zero() for q in jacobian_minors(g))

@@ -31,6 +31,7 @@ from .groebner import (
     MonomialOrder,
     buchberger,
     dimension,
+    saturate,
 )
 from .polycore import as_fraction, fresh_name, kernel_basis
 
@@ -129,18 +130,34 @@ class ConeConstancyResult:
     witness: tuple[int, int] | None = None  # indices of the first differing pair
 
 
-def cone_constancy_check(reports: Sequence[InfinityReport]) -> ConeConstancyResult:
+def cone_constancy_check(
+    reports: Sequence[InfinityReport], budget: GroebnerBudget
+) -> ConeConstancyResult:
     """PASS when the cones of all reports are the same linear subspace.
 
     `reports` holds one `fiber_infinity` report per sampled value, and the
-    witness indexes into it.  Cones are compared as reduced Groebner bases
-    of their ideals, so two differing non-linear cones also FAIL; constant
-    but non-linear cones get their own verdict since linearity over the
-    reals may still hold.
+    witness indexes into it.  Cones are compared as sets, since the paper's
+    m reads the accumulation set at infinity, so two differing non-linear
+    cones also FAIL; constant but non-linear cones get their own verdict
+    since linearity over the reals may still hold.
     """
     for i in range(1, len(reports)):
-        if reports[i].cone_basis != reports[0].cone_basis:
+        if not _same_cone(reports[0].cone_basis, reports[i].cone_basis, budget):
             return ConeConstancyResult("FAIL", (0, i))
     if all(r.cone_subspace is not None for r in reports):
         return ConeConstancyResult("PASS")
     return ConeConstancyResult("CONSTANT_NOT_LINEAR")
+
+
+def _same_cone(a: GroebnerBasis, b: GroebnerBasis, budget: GroebnerBudget) -> bool:
+    """V(a) = V(b): each element h of one basis that is not an element of the
+    other lies in the other ideal's radical, that is, saturating that ideal
+    by h gives the unit ideal."""
+    if a == b:
+        return True
+    return all(
+        saturate(Ideal(other.vars, other.basis), h, budget).has_unit_generator()
+        for one, other in ((a, b), (b, a))
+        for h in one.basis
+        if h not in other.basis
+    )

@@ -261,6 +261,33 @@ def test_target_coordinate_change_moves_the_bifurcation_set():
     assert differing == [(["u^3 + u*v - 3*v", "-u*v + 3*v"], "complement", "empty")]
 
 
+# Maps K^2 -> K^2 whose sampled fibers are finitely many points, so every
+# sample is empty at infinity, but whose sampled cone ideals differ, such as
+# (u - 7/2*v, v^2) and (u - 21/2*v, v^2).  The cone check compares the sets
+# at infinity, so the kind is a complement, in every suspension.
+EQUAL_CONE_SETS = [
+    # Maps 9, 11, 39, 49, 57 and 79 of the algebra benchmark.
+    ("2*u*v + 3*v^2 + 1", "-2*v^2"),
+    ("v^2", "-3*u*v"),
+    ("-2*u*v^2 - u*v + 2*u", "-2*u^2*v"),
+    ("u*v - 2*v - 2", "-3*u^2*v"),
+    ("-3*u^2*v + 2*u*v^2 + 3", "-3*u*v^2 - 2*v^2 - 3*v"),
+    ("u^2*v + 2*u*v", "-2*u*v^2 + 2*v^2 - 3"),
+    # Maps 5, 25 and 35 of _random_reduced_maps(40).
+    ("-u^2*v + 2*u*v", "-2*u*v - 3*v"),
+    ("3*v^2", "-3*u*v^2 - 2*v"),
+    ("-3*u*v^2 - 2*v^2", "-3*u^2*v - 1"),
+]
+
+
+@pytest.mark.parametrize("comps", EQUAL_CONE_SETS)
+def test_equal_cone_sets_give_a_complement(comps):
+    g = PolyMap(("u", "v"), tuple(poly(("u", "v"), c) for c in comps))
+    for k in (0, 1, 2):
+        assert classify(suspend(g, k), "complex").ltv.kind == "complement"
+    assert classify(g, "real").ltv.kind == "real_complement"
+
+
 # -- criterion 6 oracles --------------------------------------------------------
 
 

@@ -22,7 +22,7 @@ from conftest import (
 )
 from liptriv.classifier import AnalysisConfig, _exact_stages, classify, rational_grid
 from liptriv.dependence import Subspace, factor_through_projection, suspend
-from liptriv.groebner import Ideal, MonomialOrder, buchberger, dimension, saturate
+from liptriv.groebner import DEFAULT_BUDGET, Ideal, MonomialOrder, buchberger, dimension, saturate
 from liptriv.infinity import (
     ConeConstancyResult,
     _linearity,
@@ -328,12 +328,12 @@ class TestConeConstancy:
     def test_constant_cone_passes(self, simple_map):
         samples = [[F(1), F(0)], [F(2), F(3)], [F(-1), F(1)]]
         reports = [fiber_report(simple_map, c) for c in samples]
-        assert cone_constancy_check(reports) == ConeConstancyResult("PASS")
+        assert cone_constancy_check(reports, DEFAULT_BUDGET) == ConeConstancyResult("PASS")
         assert all(r.cone_subspace.basis == ((F(0), F(1), F(-1)),) for r in reports)
 
     def test_moving_cone_fails_with_witness(self, bad_map):
         reports = [fiber_report(bad_map, c) for c in ([F(1), F(0)], [F(2), F(0)])]
-        result = cone_constancy_check(reports)
+        result = cone_constancy_check(reports, DEFAULT_BUDGET)
         assert result.verdict == "FAIL"
         i, j = result.witness
         assert reports[i].cone_subspace.basis == ((F(0), F(1), F(-1)),)
@@ -341,4 +341,4 @@ class TestConeConstancy:
 
     def test_constant_nonlinear_reported(self, motzkin_map):
         reports = [fiber_report(motzkin_map, [c]) for c in (F(2), F(3))]
-        assert cone_constancy_check(reports) == ConeConstancyResult("CONSTANT_NOT_LINEAR")
+        assert cone_constancy_check(reports, DEFAULT_BUDGET) == ConeConstancyResult("CONSTANT_NOT_LINEAR")
