@@ -224,12 +224,10 @@ def test_target_coordinate_change_moves_the_bifurcation_set():
     complement's generators become the parent's composed with B^-1, equal as
     reduced bases.
 
-    One map breaks the kind today.  The cone check compares the cone ideals
-    of the sampled fibers, not their sets: B o f samples the value (1, 0),
-    whose fiber is three points with the cone ideal (v, u^3), where the
-    other samples have (v^2, u*v, u^2); both cones are empty at infinity, yet
-    the check fails and the kind reads `empty`.  The pin below lists it, and
-    empties once the cones are compared as sets."""
+    B o f of one map samples the value (1, 0), whose fiber is three points
+    with the cone ideal (v, u^3), where the other samples have
+    (v^2, u*v, u^2): both are empty at infinity, and the cone check, which
+    compares the sets, passes."""
     rng = random.Random(2718)
     compared, differing = 0, []
     for f in _random_reduced_maps(40):
@@ -257,8 +255,8 @@ def test_target_coordinate_change_moves_the_bifurcation_set():
         want = buchberger(Ideal.make(tvars, [subs(h, tvars, back) for h in base.generators]))
         assert buchberger(Ideal.make(tvars, image.generators)).basis == want.basis, shown
         compared += 1
-    assert compared == 8
-    assert differing == [(["u^3 + u*v - 3*v", "-u*v + 3*v"], "complement", "empty")]
+    assert compared == 12
+    assert differing == []
 
 
 # Maps K^2 -> K^2 whose sampled fibers are finitely many points, so every
