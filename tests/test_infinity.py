@@ -277,7 +277,9 @@ class TestClosureFromTheFiberBasis:
         bases = count_calls(monkeypatch, liptriv.groebner, "buchberger")
         classify(parse_mapping((DATA_DIR / f"{name}.map").read_text()), "complex")
         assert len(fibers) == 3
-        assert len(saturations) == len(jelonek) <= 1
+        # The twisted shear's cones differ as sets, and the cone check
+        # saturates once to show it.
+        assert len(saturations) == len(jelonek) + (name == "bad") <= 1
         grevlex = MonomialOrder.grevlex()
         inputs = [(args[0], (args[1] if len(args) > 1 else kwargs.get("order")) or grevlex)
                   for args, kwargs in bases]
