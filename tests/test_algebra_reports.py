@@ -24,7 +24,7 @@ if str(ROOT) not in sys.path:
 
 from bench.workloads import random_reduced_maps  # noqa: E402
 
-EXPECTED = "9fd86d4a81ef46d0a45d22a8842c9fd28258568e0bfada8a5b361db1d1a66ee1"
+EXPECTED = "9c13c269cc153e3f15679c19c3f4c12fd44c2551398e2ae5e73dea497e9efb74"
 UNFINISHED = 24
 
 
