@@ -354,7 +354,7 @@ def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> 
 
 
 def _cone_data(report: InfinityReport) -> dict:
-    out: dict = {"ideal": report.cone_ideal.generators}
+    out: dict = {"ideal": report.cone_basis.basis}
     if report.cone_subspace is not None:
         out["subspace_basis"] = report.cone_subspace.basis
     return out

@@ -1,18 +1,20 @@
 """Accumulation set at infinity of a fiber, its dimension, and its cone.
 
 The fiber f^{-1}(c) is closed up in projective space by homogenizing a
-grevlex basis of its ideal (f_i - c_i), which generates the closure since
-grevlex is graded; cutting with x0 gives the part at infinity.  All
-computations here are Zariski (over the algebraic closure); for real input
-the true real accumulation set can be strictly smaller, which callers must
-flag.
+grevlex basis of its ideal (f_i - c_i) with x0 as the last variable, which
+generates the closure since grevlex is graded; cutting with x0 gives the
+part at infinity.  All computations here are Zariski (over the algebraic
+closure); for real input the true real accumulation set can be strictly
+smaller, which callers must flag.
 
-One Groebner basis answers every question about the part at infinity.  Its
-ideal is J + (x0), where J, the cone ideal, cuts the closure's generators at
-x0 = 0, so no generator of J involves x0.  The reduced grevlex basis of
-J + (x0) is therefore J's reduced grevlex basis plus x0, and its variety
-{0} x V(J) has the dimension of V(J).  The dimension at infinity, the cone
-and its linearity are all read off J's basis.
+One Groebner run per fiber answers every question about the part at
+infinity.  The closure is homogeneous and saturated by x0, and grevlex
+orders x0 last, so no leading monomial of its reduced grevlex basis is
+divisible by x0 (Bayer and Stillman, Invent. Math. 1987).  Setting x0 = 0
+in that basis keeps every leading term, so the cut is the reduced grevlex
+basis of the cone ideal.  The variety of the infinity ideal closure + (x0)
+is {0} x V(cone ideal), so the dimension at infinity, the cone and its
+linearity are all read off the cut.
 """
 
 from __future__ import annotations
@@ -38,17 +40,19 @@ from .polycore import as_fraction, fresh_name, kernel_basis
 
 @dataclass(frozen=True)
 class InfinityReport:
-    """Projective data of one fiber: the closure and the cone's basis, which
-    the budgeted runs give, and what is read off them."""
+    """Projective data of one fiber: the closure, which the budgeted run
+    gives, and what is read off it."""
 
     value: tuple[Fraction, ...]
-    closure_ideal: Ideal  # homogeneous, saturated with respect to the prepended x0
-    cone_basis: GroebnerBasis  # reduced grevlex basis of cone_ideal
+    closure_ideal: Ideal  # reduced grevlex basis, saturated by the appended x0
 
-    @property
-    def cone_ideal(self) -> Ideal:
-        """In the affine variables, cuts the cone over infinity."""
-        return _cone_ideal(self.closure_ideal)
+    @cached_property
+    def cone_basis(self) -> GroebnerBasis:
+        """Reduced grevlex basis, in the affine variables, of the ideal that
+        cuts the cone over infinity: the closure at x0 = 0."""
+        n = len(self.closure_ideal.vars) - 1
+        basis = tuple(q.drop_vars([n]) for q in self.closure_ideal.generators)
+        return GroebnerBasis(self.closure_ideal.vars[:n], MonomialOrder.grevlex(), basis)
 
     @cached_property
     def dim_infinity(self) -> int:
@@ -76,29 +80,20 @@ def fiber_infinity(
     """Projective closure of the fiber over c and its part at infinity.
 
     `fiber` is the reduced grevlex basis of the fiber ideal (`Ideal.fiber`).
-    Homogenized, it generates the closure (f - c)^h : x0^infinity (Cox,
-    Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 8 section 4,
-    Thm 4), whose reduced grevlex basis one Buchberger run gives.  The cone
-    ideal's basis is the one other run: the infinity ideal closure + (x0)
-    has that basis plus x0 and the same dimension (see the module
-    docstring), so it is never built, and a budget runs out, or does not,
-    on the cone's basis, which lacks x0.
+    Homogenized with x0 last, it generates the closure (f - c)^h :
+    x0^infinity (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+    ch. 8 section 4, Thm 4), whose reduced grevlex basis one Buchberger run
+    gives.  That run is the only one: its cut at x0 = 0 is the cone's
+    reduced basis (see the module docstring).
     """
     grevlex = MonomialOrder.grevlex()
     if fiber.order != grevlex:
         raise ValueError("the fiber's basis must be a grevlex basis")
     hom_var = fresh_name("x0", fiber.vars)
-    hom_vars = (hom_var,) + fiber.vars
+    hom_vars = fiber.vars + (hom_var,)
     hom_gens = tuple(q.homogenize(hom_var) for q in fiber.basis)
-    closure = Ideal(hom_vars, buchberger(Ideal(hom_vars, hom_gens), grevlex, budget).basis)
-    cone_basis = buchberger(_cone_ideal(closure), grevlex, budget)
-    return InfinityReport(tuple(as_fraction(x) for x in c), closure, cone_basis)
-
-
-def _cone_ideal(closure: Ideal) -> Ideal:
-    """The closure cut at x0 = 0, x0 being the first variable, in the affine
-    variables; Ideal.make drops a generator that was a multiple of x0."""
-    return Ideal.make(closure.vars[1:], [q.drop_vars([0]) for q in closure.generators])
+    closure = buchberger(Ideal(hom_vars, hom_gens), grevlex, budget)
+    return InfinityReport(tuple(as_fraction(x) for x in c), Ideal(hom_vars, closure.basis))
 
 
 def _linearity(gb: GroebnerBasis) -> Subspace | None:

@@ -232,12 +232,12 @@ class Polynomial:
     # -- homogenization and leading form --------------------------------------
 
     def homogenize(self, hom_var: str) -> "Polynomial":
-        """Homogenize to the polynomial's own degree; the new variable is prepended."""
+        """Homogenize to the polynomial's own degree; the new variable is appended."""
         if hom_var in self.vars:
             raise ValueError(f"variable {hom_var!r} already in ring")
         d = self.degree
-        vs = (hom_var,) + self.vars
-        return Polynomial(vs, _canon({(d - sum(e),) + e: c for e, c in self.terms}))
+        vs = self.vars + (hom_var,)
+        return Polynomial(vs, _canon({e + (d - sum(e),): c for e, c in self.terms}))
 
     # -- evaluation ------------------------------------------------------------
 

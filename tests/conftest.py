@@ -266,23 +266,22 @@ def eval_float(p, point) -> float:
 
 def infinity_by_x0(closure):
     """The part at infinity of a fiber from its closure, built the long way:
-    the infinity ideal closure + (x0), with x0 the first variable, its
-    dimension, and its reduced grevlex basis with x0 dropped.  Returns
-    (dim_infinity, m_candidate, cone basis as a GroebnerBasis in the affine
-    variables): an oracle for fiber_infinity, which reads all three off the
-    cone ideal's basis."""
+    the closure moved to a ring with x0, its last variable, first, the
+    infinity ideal closure + (x0) there, its dimension, and its reduced
+    grevlex basis with x0 dropped.  Returns (dim_infinity, m_candidate,
+    cone basis as a GroebnerBasis in the affine variables): an oracle for
+    fiber_infinity, which reads all three off the closure's cut."""
     from liptriv.groebner import GroebnerBasis, Ideal, MonomialOrder, buchberger, dimension
     from liptriv.polycore import Polynomial
 
-    x0 = Polynomial.variable(closure.vars, 0)
-    infinity = Ideal.make(closure.vars, list(closure.generators) + [x0])
+    ring = closure.vars[-1:] + closure.vars[:-1]
+    x0 = Polynomial.variable(ring, 0)
+    infinity = Ideal.make(ring, [q.embed(ring) for q in closure.generators] + [x0])
     grevlex = MonomialOrder.grevlex()
     gb = buchberger(infinity, grevlex)
     dim_inf = max(dimension(gb) - 1, -1)
     basis = gb.basis
-    cone = GroebnerBasis(
-        closure.vars[1:], grevlex, tuple(g.drop_vars([0]) for g in basis if g != x0)
-    )
+    cone = GroebnerBasis(ring[1:], grevlex, tuple(g.drop_vars([0]) for g in basis if g != x0))
     return dim_inf, len(cone.vars) - 1 - dim_inf, cone
 
 

@@ -121,7 +121,7 @@ class TestFiberInfinity:
 
     def test_saturation_idempotent_on_closure(self, simple_map):
         rep = fiber_report(simple_map, [F(1), F(1)])
-        x0 = Polynomial.variable(rep.closure_ideal.vars, 0)
+        x0 = Polynomial.variable(rep.closure_ideal.vars, len(rep.closure_ideal.vars) - 1)
         again = saturate(rep.closure_ideal, x0)
         assert buchberger(again).basis == buchberger(rep.closure_ideal).basis
 
@@ -188,26 +188,42 @@ class TestAgainstInfinityIdeal:
 
 def closure_by_saturation(f, value):
     """The closure of the fiber over value and its cone's reduced grevlex
-    basis, built from the fiber ideal itself: its homogenized generators
-    saturated by x0, then cut at x0 = 0.  An oracle for fiber_infinity,
-    which homogenizes the fiber's grevlex basis instead."""
+    basis, built from the fiber ideal itself, with x0 as the first variable:
+    its homogenized generators saturated by x0, then cut at x0 = 0.  An
+    oracle for fiber_infinity, which homogenizes the fiber's grevlex basis
+    with x0 last instead."""
     hom_var = fresh_name("x0", f.vars)
     hom_vars = (hom_var,) + f.vars
-    hom_gens = [q.homogenize(hom_var) for q in Ideal.fiber(f, value).generators]
+    hom_gens = [q.homogenize(hom_var).embed(hom_vars) for q in Ideal.fiber(f, value).generators]
     closure = saturate(Ideal.make(hom_vars, hom_gens), Polynomial.variable(hom_vars, 0))
     cone = Ideal.make(f.vars, [q.drop_vars([0]) for q in closure.generators])
     return closure, buchberger(cone, MonomialOrder.grevlex())
 
 
+def same_ideal(a, b):
+    """a and b, each a reduced grevlex basis in its own order of the same
+    variables, are one ideal: each basis, recomputed in the other's ring,
+    is the other."""
+    def moved(src, ring):
+        gens = tuple(q.embed(ring) for q in src.generators)
+        return buchberger(Ideal(ring, gens), MonomialOrder.grevlex()).basis
+
+    return moved(a, b.vars) == b.generators and moved(b, a.vars) == a.generators
+
+
 class TestClosureFromTheFiberBasis:
     """grevlex is a graded order, so the homogenized grevlex basis of the
     fiber ideal generates its closure, and fiber_infinity's one Buchberger
-    run gives the same closure generators and cone basis as saturating the
-    homogenized fiber ideal by x0."""
+    run gives the same closure as saturating the homogenized fiber ideal by
+    x0.  With x0 last, the closure's cut at x0 = 0 is the cone's reduced
+    grevlex basis, which a Buchberger run gives back unchanged."""
 
     @staticmethod
     def check(f, rep):
-        assert (rep.closure_ideal, rep.cone_basis) == closure_by_saturation(f, rep.value)
+        closure, cone = closure_by_saturation(f, rep.value)
+        assert same_ideal(rep.closure_ideal, closure)
+        assert rep.cone_basis == cone
+        assert buchberger(Ideal(cone.vars, rep.cone_basis.basis), MonomialOrder.grevlex()) == cone
 
     @staticmethod
     def sampled_reports(maps):
