@@ -296,10 +296,38 @@ class TestClosureFromTheFiberBasis:
         # The twisted shear's cones differ as sets, and the cone check
         # saturates once to show it.
         assert len(saturations) == len(jelonek) + (name == "bad") <= 1
+        assert_distinct_inputs(bases)
+
+    @pytest.mark.parametrize("k", (0, 1, 2))
+    @pytest.mark.parametrize("comp", ("-2*u + 1", "2*u + 2", "u"))
+    def test_one_variable_maps_repeat_no_buchberger_input(self, comp, k, monkeypatch):
+        # Maps 10, 46 and 50 of the algebra benchmark, as given and
+        # suspended: their samples' fibers are single points, whose cones
+        # coincide, so a Buchberger run of its own per cone would repeat.
+        import liptriv.groebner
+
+        bases = count_calls(monkeypatch, liptriv.groebner, "buchberger")
+        classify(suspend(PolyMap(("u",), (poly(("u",), comp),)), k), "complex")
+        assert_distinct_inputs(bases)
+
+    def test_one_buchberger_run_per_fiber(self, monkeypatch):
+        import liptriv.groebner
+
         grevlex = MonomialOrder.grevlex()
-        inputs = [(args[0], (args[1] if len(args) > 1 else kwargs.get("order")) or grevlex)
-                  for args, kwargs in bases]
-        assert len(set(inputs)) == len(inputs)
+        cases = [(buchberger(Ideal.fiber(f, value), grevlex), value)
+                 for f, value in random_fibers(200) + PLANTED]
+        bases = count_calls(monkeypatch, liptriv.groebner, "buchberger")
+        for basis, value in cases:
+            fiber_infinity(basis, value)
+        assert len(bases) == len(cases)
+
+
+def assert_distinct_inputs(calls):
+    """No two recorded buchberger calls share an ideal and an order."""
+    grevlex = MonomialOrder.grevlex()
+    inputs = [(args[0], (args[1] if len(args) > 1 else kwargs.get("order")) or grevlex)
+              for args, kwargs in calls]
+    assert len(set(inputs)) == len(inputs)
 
 
 class TestConeAtInfinity:
