@@ -6,8 +6,8 @@ budget fires, so a change to how pending pairs are kept must leave this order
 exactly as it is.  For each polynomial corpus map, pair_order.json holds the
 lcm of every pair that reaches the S-polynomial, in order, for the critical
 ideal and the Jelonek ideal of the reduced map g and for the fibers over the
-first three grid values (each fiber's grevlex basis, its closure and its
-cone), as the pipeline forms them.  The rational corpus map
+first three grid values (each fiber's grevlex basis and its closure), as
+the pipeline forms them.  The rational corpus map
 forms none of these ideals.  Two classic ideals in four variables, under
 grevlex and under a block order, add runs with more pairs pending at once.
 
