@@ -156,20 +156,20 @@ class TestFreshName:
 class TestHomogenize:
     def test_pads_with_new_variable(self):
         h = poly(XYZ, "x*y + z").homogenize("x0")
-        assert h == poly(("x0",) + XYZ, "x*y + z*x0")
+        assert h == poly(XYZ + ("x0",), "x*y + z*x0")
 
     def test_homogeneous_input_unchanged(self):
         p = poly(XY, "x^2 + x*y")
-        assert p.homogenize("x0") == p.embed(("x0",) + XY)
+        assert p.homogenize("x0") == p.embed(XY + ("x0",))
 
     def test_constant(self):
         h = poly(XY, "3").homogenize("x0")
-        assert h == poly(("x0",) + XY, "3")
+        assert h == poly(XY + ("x0",), "3")
 
     def test_dehomogenize_inverts(self):
         rng = random.Random(23)
-        # x0 -> 1, and each of x, y, z to itself.
-        images = [Polynomial.constant(XYZ, 1)] + [Polynomial.variable(XYZ, i) for i in range(3)]
+        # Each of x, y, z to itself, and x0 -> 1.
+        images = [Polynomial.variable(XYZ, i) for i in range(3)] + [Polynomial.constant(XYZ, 1)]
         for _ in range(200):
             p = rand_poly(rng, XYZ, 5)
             if p.is_zero():
