@@ -81,8 +81,8 @@ class TestFiberInfinity:
         expected = Ideal.make(
             rep.closure_ideal.vars,
             [
-                poly(("x0", "x", "y", "z"), "x - x0"),
-                poly(("x0", "x", "y", "z"), "y + z - x0"),
+                poly(("x", "y", "z", "x0"), "x - x0"),
+                poly(("x", "y", "z", "x0"), "y + z - x0"),
             ],
         )
         assert buchberger(rep.closure_ideal).basis == buchberger(expected).basis
