@@ -661,8 +661,8 @@ class TestStageCounts:
             "jelonek_ideal": 1,
             "cone_constancy_check": 1,
             "fiber_infinity": 3,
-            "buchberger": 16,
-            "buchberger_inputs": 16,
+            "buchberger": 13,
+            "buchberger_inputs": 13,
             "intersect": 1,
         }
 
@@ -673,8 +673,8 @@ class TestStageCounts:
             "jelonek_ideal": 1,
             "cone_constancy_check": 1,
             "fiber_infinity": 3,
-            "buchberger": 17,
-            "buchberger_inputs": 17,
+            "buchberger": 14,
+            "buchberger_inputs": 14,
             "intersect": 0,
         }
 
