@@ -571,6 +571,21 @@ class TestStageCounts:
         assert "invariance_vs_infinity" in names
         assert "cone_constancy" not in names
 
+    def test_budget_in_the_cone_comparison_flags_the_cone_only(self, monkeypatch):
+        import liptriv.infinity
+        from liptriv.parsing import parse_input
+
+        fibers = count_calls(monkeypatch, liptriv.infinity, "fiber_infinity")
+        f = parse_input("ring Q[x,y]; map f: (-x^4, 3*x*y)")
+        rep = classify(f, "complex", AnalysisConfig(budget=GroebnerBudget(max_degree=4)))
+        # Every sample's closure fits the budget, but comparing the cones as
+        # sets saturates past it.
+        assert sorted(rep.flags) == ["cone_budget", "jelonek_budget"]
+        assert len(fibers) == 3
+        names = [c.name for c in rep.checks]
+        assert "invariance_vs_infinity" in names
+        assert "cone_constancy" not in names
+
     def test_budget_at_sample_zero_flags_infinity_and_cone(self, monkeypatch):
         import liptriv.infinity
         from liptriv.parsing import parse_input
