@@ -132,9 +132,9 @@ def cone_constancy_check(
 
     `reports` holds one `fiber_infinity` report per sampled value, and the
     witness indexes into it.  Cones are compared as sets, since the paper's
-    m reads the accumulation set at infinity, so two differing non-linear
-    cones also FAIL; constant but non-linear cones get their own verdict
-    since linearity over the reals may still hold.
+    m reads the accumulation set at infinity: cones that differ as sets
+    FAIL, linear or not; constant but non-linear cones get their own
+    verdict since linearity over the reals may still hold.
     """
     for i in range(1, len(reports)):
         if not _same_cone(reports[0].cone_basis, reports[i].cone_basis, budget):
