@@ -176,12 +176,10 @@ class ExactStages:
 
     f = g o pi, the complex properness certificate of g at a value, the
     critical and Jelonek ideals of g, the fiber_infinity reports of the
-    sampled values in sample order up to the first budget error, the
-    cone verdict (once every sample has its report) and the bifurcation
-    ideal.  `flags` names each stage whose budget ran out; a fiber's budget
-    error sets `infinity_budget` when sample 0 has no report and
-    `cone_budget` when there are at least two samples, as does a budget
-    error of the cone comparison.
+    sampled values in sample order, the cone verdict (when there are at
+    least two samples) and the bifurcation ideal.  `flags` names each stage
+    whose budget ran out; `cone_budget` means that the cone comparison ran
+    out.
     """
 
     f: PolyMap
@@ -218,21 +216,12 @@ def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
     if factorization.m == f.p:
         jelonek = _within_budget(flags, "jelonek_budget", jelonek_ideal, g, budget)
 
-    # Sampled-value analysis: each fiber at infinity once, then the cones
-    # compared when every sample has its report.
+    # Sampled-value analysis: each fiber at infinity once, read off the
+    # scan's basis, then the cones compared.
     samples = _sample_fibers(f, 3, critical, jelonek, budget)
-    reports: tuple[InfinityReport, ...] = ()
-    for value, basis in samples:
-        try:
-            reports += (fiber_infinity(basis, value, budget),)
-        except BudgetExceededError as exc:
-            if not reports:
-                flags["infinity_budget"] = str(exc)
-            if len(samples) >= 2:
-                flags["cone_budget"] = str(exc)
-            break
+    reports = tuple(fiber_infinity(basis, value) for value, basis in samples)
     cone = None
-    if len(reports) == len(samples) >= 2:
+    if len(reports) >= 2:
         cone = _within_budget(flags, "cone_budget", cone_constancy_check, reports, budget)
 
     # For m = p, dominance is a not-identically-singular Jacobian (char 0).

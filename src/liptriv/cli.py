@@ -198,7 +198,7 @@ def _document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
             values = rational_grid(poly.p, 2)
         grevlex = MonomialOrder.grevlex()
         bases = (buchberger(Ideal.fiber(poly, c), grevlex, cfg.budget) for c in values)
-        reports = [fiber_infinity(basis, c, cfg.budget) for basis, c in zip(bases, values)]
+        reports = [fiber_infinity(basis, c) for basis, c in zip(bases, values)]
         return report.infinity_document(poly, args.field, reports)
     if args.command == "compare":
         return report.compare_document(poly, *complexification_compare(poly, cfg))

@@ -1,20 +1,22 @@
 """Accumulation set at infinity of a fiber, its dimension, and its cone.
 
-The fiber f^{-1}(c) is closed up in projective space by homogenizing a
-grevlex basis of its ideal (f_i - c_i) with x0 as the last variable, which
-generates the closure since grevlex is graded; cutting with x0 gives the
-part at infinity.  All computations here are Zariski (over the algebraic
-closure); for real input the true real accumulation set can be strictly
-smaller, which callers must flag.
+The fiber f^{-1}(c) is closed up in projective space by homogenizing the
+reduced grevlex basis of its ideal (f_i - c_i) with x0 as the last
+variable; cutting with x0 gives the part at infinity.  All computations
+here are Zariski (over the algebraic closure); for real input the true
+real accumulation set can be strictly smaller, which callers must flag.
 
-One Groebner run per fiber answers every question about the part at
-infinity.  The closure is homogeneous and saturated by x0, and grevlex
-orders x0 last, so no leading monomial of its reduced grevlex basis is
-divisible by x0 (Bayer and Stillman, Invent. Math. 1987).  Setting x0 = 0
-in that basis keeps every leading term, so the cut is the reduced grevlex
-basis of the cone ideal.  The variety of the infinity ideal closure + (x0)
-is {0} x V(cone ideal), so the dimension at infinity, the cone and its
-linearity are all read off the cut.
+No Groebner run is made per fiber.  grevlex is graded, so the homogenized
+basis generates the closure (f - c)^h : x0^infinity (Cox, Little and
+O'Shea, Ideals, Varieties, and Algorithms, ch. 8 section 4, Thm 4); and
+on homogeneous polynomials grevlex with x0 last is the homogenized order,
+so the homogenized basis is the closure's reduced grevlex basis: its
+leading terms are the fiber basis's, free of x0, and no tail term gains a
+divisible monomial.  Setting x0 = 0 in that basis keeps every leading
+term, so the cut is the reduced grevlex basis of the cone ideal (Bayer and
+Stillman, Invent. Math. 1987).  The variety of the infinity ideal
+closure + (x0) is {0} x V(cone ideal), so the dimension at infinity, the
+cone and its linearity are all read off the cut.
 """
 
 from __future__ import annotations
@@ -25,23 +27,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dependence import Subspace
-from .groebner import (
-    DEFAULT_BUDGET,
-    GroebnerBasis,
-    GroebnerBudget,
-    Ideal,
-    MonomialOrder,
-    buchberger,
-    dimension,
-    saturate,
-)
+from .groebner import GroebnerBasis, GroebnerBudget, Ideal, MonomialOrder, dimension, saturate
 from .polycore import as_fraction, fresh_name, kernel_basis
 
 
 @dataclass(frozen=True)
 class InfinityReport:
-    """Projective data of one fiber: the closure, which the budgeted run
-    gives, and what is read off it."""
+    """Projective data of one fiber: the closure, the fiber's homogenized
+    basis, and what is read off it."""
 
     value: tuple[Fraction, ...]
     closure_ideal: Ideal  # reduced grevlex basis, saturated by the appended x0
@@ -72,28 +65,19 @@ class InfinityReport:
         return len(self.cone_basis.vars) - 1 - self.dim_infinity
 
 
-def fiber_infinity(
-    fiber: GroebnerBasis,
-    c: Sequence[Fraction],
-    budget: GroebnerBudget = DEFAULT_BUDGET,
-) -> InfinityReport:
+def fiber_infinity(fiber: GroebnerBasis, c: Sequence[Fraction]) -> InfinityReport:
     """Projective closure of the fiber over c and its part at infinity.
 
     `fiber` is the reduced grevlex basis of the fiber ideal (`Ideal.fiber`).
-    Homogenized with x0 last, it generates the closure (f - c)^h :
-    x0^infinity (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
-    ch. 8 section 4, Thm 4), whose reduced grevlex basis one Buchberger run
-    gives.  That run is the only one: its cut at x0 = 0 is the cone's
-    reduced basis (see the module docstring).
+    Homogenized with x0 last, it is the closure's reduced grevlex basis, and
+    its cut at x0 = 0 the cone's (see the module docstring).
     """
-    grevlex = MonomialOrder.grevlex()
-    if fiber.order != grevlex:
+    if fiber.order != MonomialOrder.grevlex():
         raise ValueError("the fiber's basis must be a grevlex basis")
     hom_var = fresh_name("x0", fiber.vars)
     hom_vars = fiber.vars + (hom_var,)
-    hom_gens = tuple(q.homogenize(hom_var) for q in fiber.basis)
-    closure = buchberger(Ideal(hom_vars, hom_gens), grevlex, budget)
-    return InfinityReport(tuple(as_fraction(x) for x in c), Ideal(hom_vars, closure.basis))
+    closure = Ideal(hom_vars, tuple(q.homogenize(hom_var) for q in fiber.basis))
+    return InfinityReport(tuple(as_fraction(x) for x in c), closure)
 
 
 def _linearity(gb: GroebnerBasis) -> Subspace | None:

@@ -46,7 +46,6 @@ from .groebner import (
     buchberger,
     dimension,
     eliminate,
-    saturate,
 )
 from .polycore import (
     FloatKernel,
@@ -77,42 +76,37 @@ def jelonek_ideal(
 ) -> Ideal:
     """Exact ideal, in the target coordinates, of the complex non-properness set J(g).
 
-    Construction: homogenize each component to its degree with x0, impose
-    g_i = t_i on the affine chart via gh_i - t_i*x0^{d_i}, saturate by x0
-    (closure of the graph), and cut with x0 = 0.  The cut is then saturated
-    by the irrelevant ideal (x1, ..., xn) of the source projective space and
-    all source variables are eliminated, in one elimination: for an ideal I,
+    Construction: one Buchberger run gives the reduced basis of the graph
+    (g_i - t_i) under the elimination order of the source variables, which
+    compares the x-degree first.  Homogenized in the x_i alone, that basis
+    generates the closure of the graph in P^n x C^p (Cox, Little and O'Shea,
+    Ideals, Varieties, and Algorithms, ch. 8 section 4, Thm 4, with the t_i
+    as coefficients), so the top x-degree forms of its elements generate
+    the closure's cut at infinity.  The cut is then saturated by the
+    irrelevant ideal (x1, ..., xn) of the source projective space and all
+    source variables are eliminated, in one elimination: for an ideal I,
     I : (x1, ..., xn)^infinity = (I + (1 - sum_j y_j*x_j)) meet Q[x, t]
-    with fresh y1..yn (Cox, Little and O'Shea, Ideals, Varieties, and
-    Algorithms, ch. 4), so adjoining that generator and eliminating the x_j
-    and y_j leaves J(g).  Two Groebner runs in all, whatever n is.  A
-    constant component c_i adds t_i - c_i instead, so a constant map is not
-    proper exactly at its value.
+    with fresh y1..yn (ibid., ch. 4), so adjoining that generator and
+    eliminating the x_j and y_j leaves J(g).  Two Groebner runs in all,
+    whatever n is.  A constant component c_i gives the graph equation
+    t_i - c_i, its own top form, so a constant map is not proper exactly
+    at its value.
     """
     tvars = target_ring(g.p, g.vars)
-    hom_var = fresh_name("x0", g.vars + tvars)
-    ring = (hom_var,) + g.vars + tvars
-    x0 = Polynomial.variable(ring, 0)
-
-    gens = []
-    extra: list[Polynomial] = []
-    for i, comp in enumerate(g.components):
-        if comp.is_constant():
-            extra.append(Polynomial.variable(tvars, i) - Polynomial.constant(tvars, comp.constant_value()))
-            continue
-        gh = comp.homogenize(hom_var).embed(ring)
-        ti = Polynomial.variable(ring, 1 + g.n + i)
-        gens.append(gh - ti * x0**comp.degree)
-
-    closed = saturate(Ideal.make(ring, gens), x0, budget)
+    ring = g.vars + tvars
+    graph = [comp.embed(ring) - Polynomial.variable(ring, g.n + i) for i, comp in enumerate(g.components)]
+    closed = buchberger(Ideal.make(ring, graph), MonomialOrder.elimination(range(g.n)), budget)
     yvars = target_ring(g.n, ring, "y")
-    cut_ring = ring[1:] + yvars
-    cut = [q.drop_vars([0]).embed(cut_ring) for q in closed.generators]
+    cut_ring = ring + yvars
+    no_y = (0,) * g.n
+    cut = []
+    for q in closed.basis:
+        top = max(sum(e[: g.n]) for e, _ in q.terms)
+        cut.append(Polynomial.from_dict(cut_ring, {e + no_y: c for e, c in q.terms if sum(e[: g.n]) == top}))
     rabinowitsch = Polynomial.constant(cut_ring, 1)
     for j in range(g.n):
         rabinowitsch -= Polynomial.variable(cut_ring, g.n + g.p + j) * Polynomial.variable(cut_ring, j)
-    projected = eliminate(Ideal.make(cut_ring, cut + [rabinowitsch]), g.vars + yvars, budget)
-    return Ideal.make(tvars, list(projected.generators) + extra)
+    return eliminate(Ideal.make(cut_ring, cut + [rabinowitsch]), g.vars + yvars, budget)
 
 
 def check_radii(radii: Sequence[float]) -> None:

@@ -285,15 +285,14 @@ def infinity_by_x0(closure):
     return dim_inf, len(cone.vars) - 1 - dim_inf, cone
 
 
-def fiber_report(f, value, budget=None):
+def fiber_report(f, value):
     """fiber_infinity at value as the analysis reaches it: from the reduced
-    grevlex basis of the fiber ideal, under one budget for both."""
-    from liptriv.groebner import DEFAULT_BUDGET, Ideal, MonomialOrder, buchberger
+    grevlex basis of the fiber ideal."""
+    from liptriv.groebner import Ideal, MonomialOrder, buchberger
     from liptriv.infinity import fiber_infinity
 
-    budget = budget or DEFAULT_BUDGET
-    basis = buchberger(Ideal.fiber(f, value), MonomialOrder.grevlex(), budget)
-    return fiber_infinity(basis, value, budget)
+    basis = buchberger(Ideal.fiber(f, value), MonomialOrder.grevlex())
+    return fiber_infinity(basis, value)
 
 
 def count_real_roots(p) -> int:

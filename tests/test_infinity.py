@@ -310,7 +310,7 @@ class TestClosureFromTheFiberBasis:
         classify(suspend(PolyMap(("u",), (poly(("u",), comp),)), k), "complex")
         assert_distinct_inputs(bases)
 
-    def test_one_buchberger_run_per_fiber(self, monkeypatch):
+    def test_no_buchberger_run_per_fiber(self, monkeypatch):
         import liptriv.groebner
 
         grevlex = MonomialOrder.grevlex()
@@ -319,7 +319,7 @@ class TestClosureFromTheFiberBasis:
         bases = count_calls(monkeypatch, liptriv.groebner, "buchberger")
         for basis, value in cases:
             fiber_infinity(basis, value)
-        assert len(bases) == len(cases)
+        assert bases == []
 
 
 def assert_distinct_inputs(calls):
