@@ -213,15 +213,17 @@ def same_ideal(a, b):
 
 class TestClosureFromTheFiberBasis:
     """grevlex is a graded order, so the homogenized grevlex basis of the
-    fiber ideal generates its closure, and fiber_infinity's one Buchberger
-    run gives the same closure as saturating the homogenized fiber ideal by
-    x0.  With x0 last, the closure's cut at x0 = 0 is the cone's reduced
-    grevlex basis, which a Buchberger run gives back unchanged."""
+    fiber ideal generates its closure, the ideal that saturating the
+    homogenized fiber ideal by x0 gives.  With x0 last, that homogenized
+    basis is the closure's reduced grevlex basis, and its cut at x0 = 0 the
+    cone's: a Buchberger run gives each back unchanged."""
 
     @staticmethod
     def check(f, rep):
         closure, cone = closure_by_saturation(f, rep.value)
         assert same_ideal(rep.closure_ideal, closure)
+        again = buchberger(rep.closure_ideal, MonomialOrder.grevlex())
+        assert again.basis == rep.closure_ideal.generators
         assert rep.cone_basis == cone
         assert buchberger(Ideal(cone.vars, rep.cone_basis.basis), MonomialOrder.grevlex()) == cone
 

@@ -10,7 +10,17 @@ import pytest
 from conftest import compose_linear, count_calls, data_text, poly, unimodular
 from liptriv.classifier import lipschitz_gradient_probe, tube_distance_probe
 from liptriv.dependence import factor_through_projection, suspend
-from liptriv.groebner import DEFAULT_BUDGET, Ideal, eliminate, intersect, saturate
+from liptriv.groebner import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    GroebnerBudget,
+    Ideal,
+    MonomialOrder,
+    buchberger,
+    eliminate,
+    intersect,
+    saturate,
+)
 from liptriv.parsing import parse_mapping, print_polynomial
 from liptriv.polycore import FloatKernel, PolyMap, Polynomial, fresh_name
 from liptriv.properness import (
@@ -122,20 +132,105 @@ def jelonek_by_saturations(g):
     return Ideal.make(tvars, list(projected.generators) + extra)
 
 
+def jelonek_by_x0(g, budget=DEFAULT_BUDGET):
+    """J(g) from the closure of the graph by saturation, the second oracle
+    for jelonek_ideal: each component homogenized with x0, the graph
+    gh_i - t_i*x0^{d_i} saturated by x0, cut with x0 = 0, and the cut
+    saturated by (x1, ..., xn) and projected in the one Rabinowitsch
+    elimination that jelonek_ideal makes.  A constant component c_i adds
+    t_i - c_i after the projection's generators."""
+    tvars = target_ring(g.p, g.vars)
+    hom_var = fresh_name("x0", g.vars + tvars)
+    ring = (hom_var,) + g.vars + tvars
+    x0 = Polynomial.variable(ring, 0)
+    gens = []
+    extra = []
+    for i, comp in enumerate(g.components):
+        if comp.is_constant():
+            extra.append(Polynomial.variable(tvars, i) - Polynomial.constant(tvars, comp.constant_value()))
+            continue
+        ti = Polynomial.variable(ring, 1 + g.n + i)
+        gens.append(comp.homogenize(hom_var).embed(ring) - ti * x0**comp.degree)
+    closed = saturate(Ideal.make(ring, gens), x0, budget)
+    yvars = target_ring(g.n, ring, "y")
+    cut_ring = ring[1:] + yvars
+    cut = [q.drop_vars([0]).embed(cut_ring) for q in closed.generators]
+    rabinowitsch = Polynomial.constant(cut_ring, 1)
+    for j in range(g.n):
+        rabinowitsch -= Polynomial.variable(cut_ring, g.n + g.p + j) * Polynomial.variable(cut_ring, j)
+    projected = eliminate(Ideal.make(cut_ring, cut + [rabinowitsch]), g.vars + yvars, budget)
+    return Ideal.make(tvars, list(projected.generators) + extra)
+
+
+def assert_same_jelonek(g, oracle):
+    """jelonek_ideal(g) is the oracle's ideal: the same reduced basis, or,
+    when g has a constant component, whose graph equation the oracle
+    appends after the basis, the same ideal."""
+    got, expected = jelonek_ideal(g), oracle(g)
+    if any(comp.is_constant() for comp in g.components):
+        grevlex = MonomialOrder.grevlex()
+        assert buchberger(got, grevlex) == buchberger(expected, grevlex), g
+    else:
+        assert got == expected, g
+
+
+def m_equals_p_algebra_maps():
+    """The m = p maps of the algebra benchmark as given, but for map 24,
+    whose critical ideal does not finish in reasonable time."""
+    import liptriv
+    from bench.workloads import random_reduced_maps
+
+    return [
+        g
+        for i, g in enumerate(random_reduced_maps(liptriv, 5, 80))
+        if i != 24 and factor_through_projection(g).m == g.p
+    ]
+
+
+def least_limit(run, key):
+    """The least value of one GroebnerBudget limit, `key`, at which run(budget)
+    finishes, the other limit at its default; a run that finishes at a limit
+    finishes at every larger one."""
+    low, high = 1, getattr(DEFAULT_BUDGET, key)
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            run(GroebnerBudget(**{key: mid}))
+            high = mid
+        except BudgetExceededError:
+            low = mid + 1
+    return low
+
+
+ORACLES = {"saturations": jelonek_by_saturations, "x0": jelonek_by_x0}
+
+
 class TestJelonekOracle:
-    """jelonek_ideal's one elimination after the Rabinowitsch cut gives the
-    reduced basis that the saturations and intersections give."""
+    """jelonek_ideal reads the graph's cut at infinity off its basis under an
+    x-graded order and makes one elimination after the Rabinowitsch cut; it
+    gives the reduced basis that the saturations and intersections give,
+    and the one that saturating the graph by x0 gives."""
 
+    @pytest.mark.parametrize("oracle", ORACLES)
     @pytest.mark.parametrize("name", ("bad", "cube", "ex_simple", "motzkin"))
-    def test_corpus(self, name):
+    def test_corpus(self, name, oracle):
         g = factor_through_projection(parse_mapping(data_text(f"{name}.map"))).g
-        assert jelonek_ideal(g) == jelonek_by_saturations(g)
+        assert_same_jelonek(g, ORACLES[oracle])
 
-    def test_random_reduced_maps_and_suspensions(self):
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_random_reduced_maps_and_suspensions(self, oracle):
         for g in _random_reduced_maps(40):
             for h in (g, suspend(g, 1)):
-                assert jelonek_ideal(h) == jelonek_by_saturations(h), h
+                assert_same_jelonek(h, ORACLES[oracle])
 
+    def test_m_equals_p_algebra_maps_and_suspensions(self):
+        maps = m_equals_p_algebra_maps()
+        assert len(maps) == 51
+        for g in maps:
+            for k in (0, 1, 2):
+                assert_same_jelonek(suspend(g, k), jelonek_by_x0)
+
+    @pytest.mark.parametrize("oracle", ORACLES)
     @pytest.mark.parametrize(
         "text",
         (
@@ -144,9 +239,8 @@ class TestJelonekOracle:
             "ring Q[x,y,z]; map f: (x*y, y*z, x*z)",
         ),
     )
-    def test_constant_and_small_maps(self, text):
-        g = parse_mapping(text)
-        assert jelonek_ideal(g) == jelonek_by_saturations(g)
+    def test_constant_and_small_maps(self, text, oracle):
+        assert_same_jelonek(parse_mapping(text), ORACLES[oracle])
 
     @pytest.mark.parametrize(
         "text", ("ring Q[x]; map f: (x^2)", "ring Q[x,y]; map f: (x, x*y)", "ring Q[x,y,z]; map f: (x*y, y*z, x*z)")
@@ -157,6 +251,23 @@ class TestJelonekOracle:
         runs = count_calls(monkeypatch, liptriv.groebner, "buchberger")
         jelonek_ideal(parse_mapping(text))
         assert len(runs) == 2
+
+    @pytest.mark.parametrize("key", ("max_degree", "max_basis"))
+    def test_needs_no_higher_budget_than_saturating_by_x0(self, key):
+        # The graph's basis under the x-graded order takes the place of the
+        # saturation's run: on these maps it never needs a larger degree
+        # or basis, and on some it needs a smaller one.
+        maps = [
+            factor_through_projection(parse_mapping(data_text(f"{name}.map"))).g
+            for name in ("cube", "ex_simple")
+        ] + m_equals_p_algebra_maps()
+        lower = 0
+        for g in maps:
+            needed = least_limit(lambda budget: jelonek_ideal(g, budget), key)
+            oracle = least_limit(lambda budget: jelonek_by_x0(g, budget), key)
+            assert needed <= oracle, g
+            lower += needed < oracle
+        assert lower > 0
 
 
 class TestIsProperAtComplex:
