@@ -88,7 +88,8 @@ CLI_CASES = {
         for case in CASES
     },
     # Low budgets; each run pins the set of flags and their messages, and
-    # cube at degree 4 pins a run that finishes: its default-budget report.
+    # ex_simple at degrees 2 and 3 and cube at degree 4 pin runs that
+    # finish: their default-budget reports.
     **{
         f"analyze.{name}.{field}.max-degree-{deg}.json": _cli(
             "analyze", name, "--field", field, "--max-degree", str(deg)
