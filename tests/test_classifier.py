@@ -550,8 +550,8 @@ class TestStageCounts:
             (args[0], (args[1] if len(args) > 1 else kwargs.get("order")) or grevlex)
             for args, kwargs in bases
         }
-        assert len(bases) == 10
-        assert len(inputs) == 10
+        assert len(bases) == 7
+        assert len(inputs) == 7
 
     def test_budget_after_sample_zero_flags_the_cone_only(self, monkeypatch):
         import liptriv.groebner

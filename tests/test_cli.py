@@ -661,8 +661,8 @@ class TestStageCounts:
             "jelonek_ideal": 1,
             "cone_constancy_check": 1,
             "fiber_infinity": 3,
-            "buchberger": 13,
-            "buchberger_inputs": 13,
+            "buchberger": 10,
+            "buchberger_inputs": 10,
             "intersect": 1,
         }
 
@@ -673,8 +673,8 @@ class TestStageCounts:
             "jelonek_ideal": 1,
             "cone_constancy_check": 1,
             "fiber_infinity": 3,
-            "buchberger": 14,
-            "buchberger_inputs": 14,
+            "buchberger": 11,
+            "buchberger_inputs": 11,
             "intersect": 0,
         }
 
