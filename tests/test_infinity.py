@@ -284,20 +284,18 @@ class TestClosureFromTheFiberBasis:
             fiber_infinity(basis, [F(1), F(1)])
 
     @pytest.mark.parametrize("name", CORPUS)
-    def test_complex_classify_saturates_only_for_the_jelonek_ideal(self, name, monkeypatch):
+    def test_complex_classify_saturates_only_to_compare_cones(self, name, monkeypatch):
         import liptriv.groebner
         import liptriv.infinity
-        import liptriv.properness
 
         fibers = count_calls(monkeypatch, liptriv.infinity, "fiber_infinity")
         saturations = count_calls(monkeypatch, liptriv.groebner, "saturate")
-        jelonek = count_calls(monkeypatch, liptriv.properness, "jelonek_ideal")
         bases = count_calls(monkeypatch, liptriv.groebner, "buchberger")
         classify(parse_mapping((DATA_DIR / f"{name}.map").read_text()), "complex")
         assert len(fibers) == 3
-        # The twisted shear's cones differ as sets, and the cone check
+        # Only the twisted shear's cones differ as sets, and the cone check
         # saturates once to show it.
-        assert len(saturations) == len(jelonek) + (name == "bad") <= 1
+        assert len(saturations) == (name == "bad")
         assert_distinct_inputs(bases)
 
     @pytest.mark.parametrize("k", (0, 1, 2))
