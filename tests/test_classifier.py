@@ -382,9 +382,12 @@ class TestGradientProbe:
 class TestVariableNamesTheStagesUse:
     """A ring may hold the names the stages pick for their own variables
     (x0, t1, y1, y_sat); each stage then picks a fresh one, and the
-    analysis is that of the same map over other names, renamed.  y_sat
-    and y1 are picked only in J(g)'s ring, so the reduced map uses both,
-    and t1; x0, unused, collides in the ring of each fiber closure."""
+    analysis is that of the same map over other names, renamed.  y1 is
+    picked only in J(g)'s ring, so the reduced map uses it, and t1; x0,
+    unused, collides in the ring of each fiber closure; y_sat is picked
+    only when the cone comparison saturates, which it does here: the
+    sampled cones are all the x0 axis, but as ideals (y_sat, y1^2,
+    t1 - a*y1) with a moving with the value."""
 
     def test_colliding_names_change_nothing_but_names(self, monkeypatch):
         import liptriv.dependence
@@ -411,10 +414,12 @@ class TestVariableNamesTheStagesUse:
         for field_name in ("complex", "real"):
             colliding = emit_report(
                 classify(
-                    parse_input("ring Q[x0,t1,y1,y_sat]; map f: (t1, t1*y1, y_sat)"), field_name, LIGHT
+                    parse_input("ring Q[x0,t1,y1,y_sat]; map f: (y1^2, -3*t1*y1, y_sat)"), field_name, LIGHT
                 )
             )
-            plain = emit_report(classify(parse_input("ring Q[a,b,c,d]; map f: (b, b*c, d)"), field_name, LIGHT))
+            plain = emit_report(
+                classify(parse_input("ring Q[a,b,c,d]; map f: (c^2, -3*b*c, d)"), field_name, LIGHT)
+            )
             assert "t1_0" in colliding
             assert re.sub(r"\w+", lambda m: rename.get(m.group(), m.group()), colliding) == plain
         assert collided == set(names)
