@@ -217,7 +217,7 @@ class TestCompare:
     def test_budget_exhaustion_exits_three_with_flags(self, capsys):
         # The stages go on past a budget, so the document is complete; its
         # last key holds both reports' flags and the exit code says so.
-        argv = ["compare", "-i", SIMPLE, "--max-degree", "2"]
+        argv = ["compare", "-i", CUBE, "--max-degree", "2"]
         code, doc = run_json(capsys, argv)
         assert code == 3
         assert (doc["complex_ltv"], doc["containment"]["verdict"]) == ("undetermined", "INCONCLUSIVE")
