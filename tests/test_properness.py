@@ -7,9 +7,9 @@ from math import inf, nan, nextafter
 import numpy as np
 import pytest
 
-from conftest import compose_linear, count_calls, data_text, poly, unimodular
+from conftest import compose_linear, count_calls, data_text, poly, rand_poly, unimodular
 from liptriv.classifier import lipschitz_gradient_probe, tube_distance_probe
-from liptriv.dependence import factor_through_projection, suspend
+from liptriv.dependence import factor_through_projection, invariance_subspace, suspend
 from liptriv.groebner import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -187,6 +187,22 @@ def m_equals_p_algebra_maps():
     ]
 
 
+def three_variable_maps(count):
+    """Seeded maps K^3 -> K^3 with trivial invariance subspace, degree <= 3,
+    at most 3 terms per component, none constant.  The acceptance and
+    algebra maps have at most two components; on 4 of the first 60 of
+    these, the top x-degree forms of the graph's grevlex basis, an order
+    that is not x-graded, cut a larger set than J(g)'s."""
+    rng = random.Random(3)
+    ring = ("u", "v", "w")
+    maps = []
+    while len(maps) < count:
+        g = PolyMap(ring, tuple(rand_poly(rng, ring, 3, max_terms=3) for _ in ring))
+        if not any(c.is_constant() for c in g.components) and invariance_subspace(g).dim == 0:
+            maps.append(g)
+    return maps
+
+
 def least_limit(run, key):
     """The least value of one GroebnerBudget limit, `key`, at which run(budget)
     finishes, the other limit at its default; a run that finishes at a limit
@@ -222,6 +238,11 @@ class TestJelonekOracle:
         for g in _random_reduced_maps(40):
             for h in (g, suspend(g, 1)):
                 assert_same_jelonek(h, ORACLES[oracle])
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_random_maps_in_three_variables(self, oracle):
+        for g in three_variable_maps(60):
+            assert_same_jelonek(g, ORACLES[oracle])
 
     def test_m_equals_p_algebra_maps_and_suspensions(self):
         maps = m_equals_p_algebra_maps()
