@@ -293,8 +293,8 @@ class TestClosureFromTheFiberBasis:
         bases = count_calls(monkeypatch, liptriv.groebner, "buchberger")
         classify(parse_mapping((DATA_DIR / f"{name}.map").read_text()), "complex")
         assert len(fibers) == 3
-        # Only the twisted shear's cones differ as sets, and the cone check
-        # saturates once to show it.
+        # Of the corpus maps, only the twisted shear's cones differ, and the
+        # cone check saturates once to show it.
         assert len(saturations) == (name == "bad")
         assert_distinct_inputs(bases)
 
