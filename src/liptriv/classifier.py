@@ -44,7 +44,6 @@ from .properness import (
     ProbeSchedule,
     PropernessVerdict,
     _gauss_newton_step,
-    _one_equation_step,
     _sphere_minimize,
     certifier,
     check_radii,
@@ -655,9 +654,9 @@ def tube_distance_probe(
     bi-Lipschitz bounds a trivialization over both values would impose and
     is flagged as a collapse.
 
-    A Gauss-Newton step of a scalar map solves its one equation in floats
-    (`_one_equation_step`); with p >= 2 it is `_gauss_newton_step`'s
-    least-squares solve.
+    A scalar map's projection is one call of its kernel's compiled
+    `fiber_project`, which solves each step's one equation in floats; with
+    p >= 2 each step is `_gauss_newton_step`'s least-squares solve.
     """
     check_radii(radii)
     check_value(c, f.p)
@@ -675,22 +674,17 @@ def tube_distance_probe(
             return z
         return [radius * v / norm for v in z]
 
-    def gauss_newton_step(z, target):
-        if f.p == 1:
-            resid = kernel.value(z)[0] - target[0]
-            return _one_equation_step(resid, lambda: kernel.jacobian(z)[0], 1e-12)
-        resid = np.array(kernel.value(z)) - np.array(target)
-        step = _gauss_newton_step(resid, lambda: kernel.jacobian(z), 1e-12)
-        return None if step is None else step.tolist()
-
     def fiber_project(z, target, radius):
         """At most 12 Gauss-Newton steps toward {f = target}, kept inside the ball."""
+        if f.p == 1:
+            return kernel.fiber_project(z, target[0], radius, 1e-12, 12)
         z = list(z)
         for _ in range(12):
-            step = gauss_newton_step(z, target)
+            resid = np.array(kernel.value(z)) - np.array(target)
+            step = _gauss_newton_step(resid, lambda: kernel.jacobian(z), 1e-12)
             if step is None:
                 break
-            z = project_ball([a - s for a, s in zip(z, step)], radius)
+            z = project_ball([a - s for a, s in zip(z, step.tolist())], radius)
         return z
 
     def dist(x, y):

@@ -353,18 +353,23 @@ def _listing(names: Iterable[str]) -> str:
     return "[" + ", ".join(names) + "]"
 
 
-# Addends per generated statement: CPython's compiler recurses once per `+`
-# of a chain and gives up at about 3,000, so a longer sum goes on in the next.
+# Operands per generated statement: CPython's compiler recurses once per `+`
+# or `*` of a chain and gives up at about 3,000, so a longer chain goes on in
+# the next.
 _CHAIN = 256
+
+
+def _chain(target: str, op: str, operands: Sequence[str]) -> list[str]:
+    """Statements setting target to the operands joined by op, left to right."""
+    return [
+        f"{target} = " + f" {op} ".join(([target] if k else []) + list(operands[k:k + _CHAIN]))
+        for k in range(0, len(operands), _CHAIN)
+    ]
 
 
 def _add(target: str, terms: Iterable[str]) -> list[str]:
     """Statements setting target to the terms added left to right from 0.0."""
-    terms = list(terms)
-    return [
-        f"{target} = " + " + ".join([target if k else "0.0", *terms[k:k + _CHAIN]])
-        for k in range(0, max(len(terms), 1), _CHAIN)
-    ]
+    return _chain(target, "+", ["0.0", *terms])
 
 
 def _indent(lines: Iterable[str]) -> list[str]:
@@ -471,16 +476,24 @@ class FloatKernel:
     def sphere_descent(self):
         return self._compile("sphere_descent")
 
+    @cached_property
+    def fiber_project(self):
+        return self._compile("fiber_project")
+
     def _compile(self, name: str):
-        namespace = {"C": self._coeffs, "inf": inf, "isfinite": isfinite, "min": min, "sqrt": sqrt}
+        namespace = {
+            "C": self._coeffs, "abs": abs, "inf": inf, "isfinite": isfinite, "max": max, "min": min,
+            "sqrt": sqrt,
+        }
         exec(compile(self.source(name), f"<liptriv float kernel {name}>", "exec"), namespace)
         return namespace[name]
 
     def source(self, name: str) -> str:
-        """The generated source of one function: value, jacobian or sphere_descent."""
+        """The generated source of one function: value, jacobian, sphere_descent
+        or fiber_project."""
         header, body = {
             "value": self._value_code, "jacobian": self._jacobian_code,
-            "sphere_descent": self._sphere_descent_code,
+            "sphere_descent": self._sphere_descent_code, "fiber_project": self._fiber_project_code,
         }[name]()
         return "\n".join([header] + _indent(body)) + "\n"
 
@@ -499,8 +512,16 @@ class FloatKernel:
 
     @staticmethod
     def _accumulate(target: str, terms, P: str) -> list[str]:
-        products = (" * ".join([f"C[{m}]", *(f"{P}{i}_{k}" for i, k in pws)]) for m, pws in terms)
-        return _add(target, products)
+        """Statements adding the terms at P into target; a term of more than
+        `_CHAIN` factors is first multiplied out into its own local w<index>."""
+        lines, products = [], []
+        for index, (m, pws) in enumerate(terms):
+            factors = [f"C[{m}]", *(f"{P}{i}_{k}" for i, k in pws)]
+            if len(factors) > _CHAIN:
+                lines += _chain(f"w{index}", "*", factors)
+                factors = [f"w{index}"]
+            products.append(" * ".join(factors))
+        return lines + _add(target, products)
 
     def _value_block(self, P: str) -> list[str]:
         lines = [f"{P}{i}_{k} = {P}{i} ** {k}" for i, k in self._value_powers]
@@ -516,7 +537,7 @@ class FloatKernel:
                 lines += self._accumulate(f"d{P}{i}_{j}", table, P)
         return lines
 
-    # -- the three functions -----------------------------------------------------
+    # -- the four functions -----------------------------------------------------
 
     def _value_code(self):
         body = [f"{_listing(self._coords('x'))} = x", *self._value_block("x")]
@@ -567,6 +588,32 @@ class FloatKernel:
         body += self._value_block("x") + objective("fx", "x") + ["mark = fx"]
         body += ["for k in range(1, max_iter + 1):", *_indent(step), f"return fx, {_listing(xs)}"]
         return "def sphere_descent(x, radius, c, max_iter):", body
+
+    def _fiber_project_code(self):
+        if self.p != 1:
+            raise ValueError("fiber_project needs a kernel of one polynomial")
+        zs, ys, ss, us = ([f"{a}{j}" for j in range(self.n)] for a in "zysu")
+        ds = [f"dz0_{j}" for j in range(self.n)]
+        biggest = f"max({', '.join(f'abs({d})' for d in ds)})" if self.n > 1 else f"abs({ds[0]})"
+
+        step = self._value_block("z") + ["r = vz0 - target"]
+        step += ["if not isfinite(r) or sqrt(r * r) < tol:", "    break"]
+        step += self._partial_block("z", self._value_powers)
+        step += [f"if not ({' and '.join(f'isfinite({d})' for d in ds)}):", "    break"]
+        step += [f"m = {biggest}", "if m == 0.0:", *_indent(f"{s} = 0.0" for s in ss), "else:"]
+        solve = [f"{u} = {d} / m" for u, d in zip(us, ds)]
+        solve += [*_add("scale", (f"{u} * {u}" for u in us)), "scale = r / m / scale"]
+        solve += [f"{s} = scale * {u}" for s, u in zip(ss, us)]
+        solve += [f"if not ({' and '.join(f'isfinite({s})' for s in ss)}):", "    break"]
+        step += _indent(solve)
+        step += [f"{y} = {z} - {s}" for y, z, s in zip(ys, zs, ss)]
+        step += [*_add("norm", (f"{y} * {y}" for y in ys)), "norm = sqrt(norm)"]
+        step += ["if norm <= radius or norm == 0.0:", *_indent(f"{z} = {y}" for z, y in zip(zs, ys))]
+        step += ["else:", *_indent(f"{z} = radius * {y} / norm" for z, y in zip(zs, ys))]
+
+        body = [f"{_listing(zs)} = z", "for _ in range(steps):", *_indent(step)]
+        body.append(f"return {_listing(zs)}")
+        return "def fiber_project(z, target, radius, tol, steps):", body
 
 
 def fresh_name(base: str, taken: Iterable[str]) -> str:

@@ -13,7 +13,10 @@ A mapping compiles once, into its `PolyMap.kernel`, a `polycore.FloatKernel`
 that every probe of it shares.  One restart
 of the sphere descent (gradient, tangent, Armijo backtracking with retraction
 to radius R, stop tests) is a single call of its compiled `sphere_descent`;
-only the seeded restarts and the merge by minimum stay in Python.  Its line
+only the seeded restarts, the merge by minimum and the stop once a radius's
+mu is below tol_zero stay in Python.  Likewise the Gauss-Newton steps of
+a scalar map toward a level are one call of its compiled `fiber_project`.
+The descent's line
 search starts each step at no more than 4x the last accepted step, and a
 restart stops as stalled when 25 accepted steps have not taken fx below
 (1 - 1e-8) times its value before them; its other exits are a non-finite
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -192,8 +195,8 @@ def _gauss_newton_step(resid: np.ndarray, jacobian: Callable[[], list], tol: flo
     step that is not finite.  It stops before LAPACK sees a non-finite
     input, which it reports on stderr, and the norm of a finite residual
     past the float range is a quiet inf.  It serves the tube probe when
-    p >= 2, the gradient probe and the Newton witness search; the tube probe
-    of a scalar map takes `_one_equation_step`."""
+    p >= 2, the gradient probe and the Newton witness search; a scalar map's
+    projections are its kernel's compiled `fiber_project`."""
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(resid)) or float(np.linalg.norm(resid)) < tol:
             return None
@@ -207,28 +210,6 @@ def _gauss_newton_step(resid: np.ndarray, jacobian: Callable[[], list], tol: flo
     return step if np.all(np.isfinite(step)) else None
 
 
-def _one_equation_step(resid: float, row: Callable[[], list[float]], tol: float):
-    """`_gauss_newton_step` for one equation, in Python floats: the
-    minimum-norm solution of row() . step = resid, as a list, or None on the
-    same stops (a non-finite residual, sqrt(resid * resid) < tol, which is
-    numpy's norm of one element, and a non-finite row or step).  With m the
-    largest |row()[i]| and u = row() / m, the step is resid / m / sum(u_i^2)
-    times u, so no square overflows or underflows where LAPACK's SVD would
-    not.  A zero row gives the zero step, as `lstsq` does."""
-    if not isfinite(resid) or sqrt(resid * resid) < tol:
-        return None
-    jac = row()
-    if not all(isfinite(v) for v in jac):
-        return None
-    m = max(map(abs, jac), default=0.0)
-    if m == 0.0:
-        return [0.0] * len(jac)
-    u = [v / m for v in jac]
-    scale = resid / m / sum(v * v for v in u)
-    step = [scale * v for v in u]
-    return step if all(isfinite(s) for s in step) else None
-
-
 def _sphere_minimize(
     kernel: FloatKernel,
     c: Sequence[float],
@@ -236,14 +217,16 @@ def _sphere_minimize(
     rng: np.random.Generator,
     restarts: int,
     max_iter: int,
-    stop_below: float = 0.0,
+    mu_below: float = 0.0,
 ) -> tuple[float, list[float]]:
-    """Multi-start projected gradient descent for min |g(x)-c|^2 on |x| = R.
+    """Multi-start projected gradient descent for min |g(x)-c|^2 on |x| = R,
+    returned as mu = sqrt of that minimum and its point.
 
     Each restart draws a seeded start on the sphere and runs one
     `kernel.sphere_descent`: backtracking Armijo line search along the sphere
     tangent, retracted by normalization.  Restarts are independent; results
     merge by minimum, and a restart whose powers overflow a float is dropped.
+    The restarts stop at an exact zero, or once mu is below `mu_below`.
     """
     n = kernel.n
     cvals = [float(v) for v in c]
@@ -262,7 +245,7 @@ def _sphere_minimize(
         if fx < best_val and all(isfinite(xv) for xv in x):
             best_val = fx
             best_x = x
-        if best_val <= stop_below:
+        if best_val <= 0.0 or sqrt(best_val) < mu_below:
             break
     return sqrt(best_val), best_x
 
@@ -311,10 +294,10 @@ def _image_witness(f: PolyMap, value: tuple[Fraction, ...], seed: int) -> dict |
 
     g(R^m) is connected, so such points put c in g(R^m), and the fiber of f
     at c then contains a line along ker pi: f is not proper at c.  Each of 4
-    seeded starts takes at most 60 Gauss-Newton steps (`_one_equation_step`)
-    toward c - delta and toward c + delta, delta = 1e-3 * max(1, |c|),
-    stopping within delta / 2 of the target; the end points are read as
-    exact rationals.  The evidence gives the two points, the floats of g
+    seeded starts takes at most 60 Gauss-Newton steps (the kernel's
+    `fiber_project`, with no ball) toward c - delta and toward c + delta,
+    delta = 1e-3 * max(1, |c|), stopping within delta / 2 of the target; the
+    end points are read as exact rationals.  The evidence gives the two points, the floats of g
     there and the exact signs of g - c.  None when f is reduced, p >= 2, or
     no start gives both sides.
     """
@@ -333,15 +316,8 @@ def _image_witness(f: PolyMap, value: tuple[Fraction, ...], seed: int) -> dict |
     for _ in range(4):
         start = [float(v) for v in rng.normal(size=g.n)]
         for target in (cf - delta, cf + delta):
-            x = start
             try:
-                for _ in range(60):
-                    step = _one_equation_step(
-                        kernel.value(x)[0] - target, lambda: kernel.jacobian(x)[0], delta / 2
-                    )
-                    if step is None:
-                        break
-                    x = [a - s for a, s in zip(x, step)]
+                x = kernel.fiber_project(start, target, inf, delta / 2, 60)
             except OverflowError:
                 continue  # a power overflows a float on this start's path
             if not all(isfinite(v) for v in x):
@@ -376,7 +352,12 @@ def properness_probe_real(
     mu(R) estimates the minimum of |g(x) - c| over the sphere of radius R.
     Non-properness needs mu at the largest radius below tol_zero and halving
     over the last two steps; properness needs mu bounded below by mu_floor
-    and non-decreasing at the end.  A complex-properness certificate wins
+    and non-decreasing at the end.  A radius's restarts stop at the first
+    whose mu is below tol_zero, the verdict's own test, so no skipped
+    restart could change whether that radius counts as small; its mu is
+    then that restart's, an upper bound on the sphere's minimum.  A radius
+    with no such restart runs them all and gives their minimum.  Only the
+    halving test reads a small radius's mu itself.  A complex-properness certificate wins
     immediately (restricting a proper map to a closed subset stays proper).
     `certify(value)` gives that certificate, or None when there is none;
     None means `certifier(g, None, DEFAULT_BUDGET)`.  Without it, two exact
@@ -406,11 +387,10 @@ def properness_probe_real(
 
     trace = []
     mus = []
-    stop_below = (sched.tol_zero * 1e-3) ** 2
     for k, radius in enumerate(sched.radii):
         rng = np.random.default_rng((sched.seed, k))
         mu, arg = _sphere_minimize(
-            g.kernel, cvec, radius, rng, sched.restarts, sched.max_iter, stop_below
+            g.kernel, cvec, radius, rng, sched.restarts, sched.max_iter, sched.tol_zero
         )
         mus.append(mu)
         trace.append(

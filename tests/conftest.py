@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import inf
+from math import inf, isfinite, sqrt
 from pathlib import Path
 
 import pytest
@@ -262,6 +262,73 @@ def eval_float(p, point) -> float:
                 term *= float(x) ** k
         total += term
     return total
+
+
+def add(values):
+    """The values added left to right from 0.0, as the float kernel adds them."""
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
+
+
+def one_equation_step(resid, row, tol, seen=None):
+    """The minimum-norm solution of row() . step = resid, in Python floats,
+    as a list, or None to stop: a non-finite residual, sqrt(resid * resid)
+    < tol (numpy's norm of one element), a non-finite row or a non-finite
+    step.  With m the largest |row()[i]| and u = row() / m, the step is
+    resid / m / sum(u_i^2) times u, so no square overflows or underflows
+    where LAPACK's SVD would not; a zero row gives the zero step, as `lstsq`
+    does.  The interpreted step of FloatKernel.fiber_project; `seen`
+    collects which exit each call takes."""
+    seen = set() if seen is None else seen
+    if not isfinite(resid):
+        seen.add("non-finite residual")
+        return None
+    if sqrt(resid * resid) < tol:
+        seen.add("residual under tol")
+        return None
+    jac = row()
+    if not all(isfinite(v) for v in jac):
+        seen.add("non-finite row")
+        return None
+    m = max(map(abs, jac), default=0.0)
+    if m == 0.0:
+        seen.add("zero row")
+        return [0.0] * len(jac)
+    u = [v / m for v in jac]
+    scale = resid / m / add(v * v for v in u)
+    step = [scale * v for v in u]
+    if not all(isfinite(s) for s in step):
+        seen.add("non-finite step")
+        return None
+    return step
+
+
+def reference_fiber_project(kernel, z, target, radius, tol, steps, solve=None, seen=None):
+    """At most `steps` Gauss-Newton steps of a one-polynomial kernel from z
+    toward {q = target}, each step retracted into the ball |z| <= radius
+    (radius inf: no ball): the interpreted loop that FloatKernel.fiber_project
+    compiles.  solve(resid, row, tol) gives a step or None to stop, and is
+    `one_equation_step` by default; `seen` collects the loop's exits."""
+    seen = set() if seen is None else seen
+    if solve is None:
+        def solve(resid, row, tol):
+            return one_equation_step(resid, row, tol, seen)
+
+    z = list(z)
+    for _ in range(steps):
+        step = solve(kernel.value(z)[0] - target, lambda: kernel.jacobian(z)[0], tol)
+        if step is None:
+            break
+        z = [a - s for a, s in zip(z, step)]
+        norm = sqrt(add(v * v for v in z))
+        if not (norm <= radius or norm == 0.0):
+            seen.add("ball")
+            z = [radius * v / norm for v in z]
+    else:
+        seen.add("steps")
+    return z
 
 
 def infinity_by_x0(closure):

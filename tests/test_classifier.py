@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls, data_text, poly
+from conftest import count_calls, data_text, poly, reference_fiber_project
 from liptriv.classifier import (
     AnalysisConfig,
     _grid_values,
@@ -283,8 +283,8 @@ class TestTubeProbe:
         assert sorted(names) == ["jacobian", "sphere_descent", "value"]
 
     def test_scalar_tubes_make_no_lstsq_call(self, monkeypatch, simple_map):
-        """A scalar map's Gauss-Newton steps are `_one_equation_step`, in
-        floats; a tube of p = 2 still solves by lstsq."""
+        """A scalar map's projections are its kernel's compiled
+        `fiber_project`, in floats; a tube of p = 2 still solves by lstsq."""
         import numpy as np
 
         calls = []
@@ -301,29 +301,32 @@ class TestTubeProbe:
         tube_distance_probe(simple_map, [1.0, 0.0], [1.0, 1.0], radii=(10.0,), restarts=2)
         assert calls
 
-    def test_lstsq_steps_give_the_same_tubes(self, monkeypatch, simple_map):
-        """With `_one_equation_step` replaced by an lstsq solve of its one
-        row, every tube of this class keeps its verdict and its distances."""
+    def test_lstsq_steps_give_the_same_tubes(self, monkeypatch):
+        """With each scalar tube's compiled projection replaced by the
+        interpreted reference loop taking lstsq steps on its one row, every
+        scalar tube of this class keeps its verdict and its distances."""
         import numpy as np
 
-        import liptriv.classifier
         from liptriv.properness import _gauss_newton_step
+
+        solved = []
 
         def lstsq_step(resid, row, tol):
             step = _gauss_newton_step(np.array([resid]), lambda: [row()], tol)
+            solved.append(step is not None)
             return None if step is None else step.tolist()
 
-        def tubes():
-            yield "ex_simple", tube_distance_probe(
-                simple_map, [1.0, 0.0], [1.0, 1.0], radii=(10.0, 25.0), restarts=8
-            )
-            for case in SCALAR_TUBES:
-                yield case[1], scalar_tube(*case)
+        def lstsq_projection(kernel):
+            def project(z, target, radius, tol, steps):
+                return reference_fiber_project(kernel, z, target, radius, tol, steps, lstsq_step)
 
-        floats = dict(tubes())
-        monkeypatch.setattr(liptriv.classifier, "_one_equation_step", lstsq_step)
-        for name, want in tubes():
-            got = floats[name]
+            return project
+
+        compiled = {case[1]: scalar_tube(*case) for case in SCALAR_TUBES}
+        monkeypatch.setattr(FloatKernel, "fiber_project", property(lstsq_projection))
+        for case in SCALAR_TUBES:
+            name, got = case[1], scalar_tube(*case)
+            want = compiled[name]
             # lstsq's step differs from the closed form in its last bits (in
             # 1,278 of the 1,401 steps of the x^2*y tube), and a pair slides
             # along its fibers over many rounds: one ulp more or less in every
@@ -334,6 +337,10 @@ class TestTubeProbe:
             assert [e["distance"] for e in got["per_radius"]] == pytest.approx(
                 [e["distance"] for e in want["per_radius"]], rel=tol, abs=0.0
             ), name
+            if name == "x^2*y":
+                # The lstsq steps ran: the distances are not the compiled bits.
+                assert got["per_radius"] != want["per_radius"]
+        assert sum(solved) > 1000
 
     def test_equal_levels_rejected(self, simple_map):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import eval_float, poly
+from conftest import add, eval_float, poly, reference_fiber_project
 from liptriv.classifier import classify
 from liptriv.parsing import parse_input
 from liptriv.polycore import FloatKernel, Polynomial
@@ -33,14 +33,6 @@ def same_bits(a, b) -> bool:
 
 
 # -- interpreted reference evaluators and loops ---------------------------------
-
-
-def add(values):
-    """The values added left to right from 0.0, as the kernel adds them."""
-    total = 0.0
-    for v in values:
-        total = total + v
-    return total
 
 
 def reference_value(polys, x):
@@ -273,6 +265,72 @@ def test_sphere_examples_reach_every_exit():
     }, seen
 
 
+# -- the compiled Gauss-Newton projection against the interpreted one --------------
+
+targets = st.one_of(
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.sampled_from([0.0, -0.0, inf, -inf, nan]),
+)
+
+
+@st.composite
+def fiber_cases(draw):
+    n = draw(st.integers(1, 3))
+    polys = [draw(polynomials(n))]
+    x = draw(st.lists(coordinates, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        x = [np.float64(v) for v in x]
+    radius = draw(st.sampled_from([1.0, 10.0, 100.0, 1e4, inf]))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.5]))
+    return polys, x, draw(targets), radius, tol, draw(st.integers(0, 60))
+
+
+def check_fiber(polys, z, target, radius, tol, steps, seen=None):
+    kernel = FloatKernel(polys)
+    want = outcome(reference_fiber_project, kernel, list(z), target, radius, tol, steps, None, seen)
+    got = outcome(kernel.fiber_project, list(z), target, radius, tol, steps)
+    if want[0] == "raised" and seen is not None:
+        seen.add(want[1].__name__)
+    assert got[0] == want[0], (got, want)
+    assert got == want if got[0] == "raised" else same_bits(got[1], want[1]), (got, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(fiber_cases())
+def test_fiber_project_matches_interpreted_loop_bitwise(case):
+    check_fiber(*case)
+
+
+# (polynomials, start, target, radius, tol, steps): each exit of the
+# projection, checked by test_fiber_examples_reach_every_exit.
+FIBER_EXAMPLES = [
+    ([poly(U, "u^2 - 2")], [1.0], 0.0, inf, 1e-12, 12),  # converges under tol
+    ([poly(UV, "u*v")], [1.0, 2.0], nan, 10.0, 1e-12, 12),  # non-finite residual
+    ([poly(UV, "10^308*u^2 + v")], [0.5, 0.0], 0.0, 10.0, 1e-12, 12),  # non-finite row
+    ([poly(UV, "u^2 + v^2")], [0.0, 0.0], 1.0, 10.0, 1e-12, 12),  # zero row, all steps
+    ([poly(U, "1/10^300*u")], [1.0], 1e300, inf, 1e-12, 12),  # non-finite step
+    ([poly(UV, "u")], [0.0, 0.5], 5.0, 1.0, 1e-12, 12),  # retracted into the ball
+    ([poly(UVW, "u^2*v + w")], [1e200, 1.0, 1.0], 0.0, inf, 1e-12, 12),  # a power overflows
+]
+
+
+def test_fiber_examples_reach_every_exit():
+    seen = set()
+    for example in FIBER_EXAMPLES:
+        check_fiber(*example, seen=seen)
+    assert seen >= {
+        "residual under tol", "non-finite residual", "non-finite row", "zero row",
+        "non-finite step", "ball", "steps", "OverflowError",
+    }, seen
+
+
+def test_fiber_project_needs_one_polynomial():
+    kernel = FloatKernel([poly(UV, "u"), poly(UV, "v")])
+    with pytest.raises(ValueError, match="one polynomial"):
+        kernel.fiber_project
+
+
 SPHERE_EXITS = {
     "non-finite gradient", "zero tangent", "non-finite tangent", "out of halvings", "converged",
     "stalled", "max_iter",
@@ -322,6 +380,11 @@ def test_loops_compile_on_first_use():
     assert "sphere_descent" not in vars(kernel)
     kernel.sphere_descent([1.0, 0.0], 1.0, [0.0, 0.0], 1)
     assert "sphere_descent" in vars(kernel)
+    scalar = FloatKernel([poly(UV, "u^2*v - v + 1")])
+    scalar.value([1.0, 2.0])
+    assert "fiber_project" not in vars(scalar)
+    scalar.fiber_project([1.0, 2.0], 0.0, 10.0, 1e-12, 1)
+    assert "fiber_project" in vars(scalar)
 
 
 def test_two_thousand_terms_compile():
@@ -360,15 +423,17 @@ def test_source_holds_no_input_text():
         poly(ring, "foo*C*radius - 2"),
     ]
     functions = ("value", "jacobian", "sphere_descent")
-    kernel = FloatKernel(polys)
-    source = "".join(kernel.source(name) for name in functions)
+    kernel, scalar = FloatKernel(polys), FloatKernel(polys[:1])
+    sources = [kernel.source(name) for name in functions] + [scalar.source("fiber_project")]
+    source = "".join(sources)
     # Coordinates at the points x, y, z, powers and values at x and z,
-    # partials at x; tangent, gradient and level components.
-    positional = re.compile(r"[xyztcg]\d+|[xz]\d+_\d+|v[xz]\d+|dx\d+_\d+")
+    # partials at x and z; tangent, gradient, level, step and unit-row
+    # components.
+    positional = re.compile(r"[xyztcgsu]\d+|[xz]\d+_\d+|v[xz]\d+|d[xz]\d+_\d+")
     fixed = {
-        *functions, "x", "c", "radius", "max_iter", "C", "sqrt", "isfinite", "range", "_",
-        "r2", "fx", "ri2", "dot", "tnorm", "alpha", "tn", "f", "r", "last", "min", "inf", "k",
-        "mark",
+        *functions, "fiber_project", "x", "z", "c", "radius", "max_iter", "target", "tol", "steps",
+        "C", "sqrt", "isfinite", "range", "abs", "max", "min", "inf", "_", "r2", "fx", "ri2", "dot",
+        "tnorm", "alpha", "tn", "f", "r", "last", "k", "mark", "m", "scale", "norm",
     }
     literals = {"0.0", "0.1", "1e-4", "1e-300", "2.0", "0.5", "4.0", "0.99999999"}
     tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
@@ -384,36 +449,39 @@ def test_source_holds_no_input_text():
             ), tok
     assert "foo" not in source
     # Renaming the variables leaves the source as it is.
-    renamed = FloatKernel([Polynomial(("a", "b", "e"), q.terms) for q in polys])
-    assert "".join(renamed.source(name) for name in functions) == source
+    renamed = [Polynomial(("a", "b", "e"), q.terms) for q in polys]
+    assert [FloatKernel(renamed).source(name) for name in functions] == sources[:-1]
+    assert FloatKernel(renamed[:1]).source("fiber_project") == sources[-1]
 
 
-def longest_addition(source: str) -> int:
-    """The most additions and subtractions nested in one expression of source."""
+def longest_chain(source: str, *ops) -> int:
+    """The most operations of the given types nested in one expression of source."""
 
     def depth(node) -> int:
-        own = isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+        own = isinstance(node, ast.BinOp) and isinstance(node.op, ops)
         return own + max((depth(child) for child in ast.iter_child_nodes(node)), default=0)
 
     return depth(ast.parse(source))
 
 
 def test_values_and_partials_are_one_assignment_each():
-    kernel = FloatKernel([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1"), poly(UV, "u*v - 2")])
+    polys = [poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1"), poly(UV, "u*v - 2")]
+    kernel, scalar = FloatKernel(polys), FloatKernel(polys[:1])
     block = re.compile(r"v[xyzuw]\d+|d[xyzuw]\d+_\d+")
-    for name in ("value", "jacobian", "sphere_descent"):
-        for node in ast.walk(ast.parse(kernel.source(name))):
+    sources = [kernel.source(name) for name in ("value", "jacobian", "sphere_descent")]
+    for source in sources + [scalar.source("fiber_project")]:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.AugAssign):
                 assert not block.fullmatch(node.target.id), ast.unparse(node)
 
 
 def test_no_expression_grows_with_the_addends():
-    # 300 terms in the value, and 300 addends in each descent step's sums
-    # of products and squares: no expression holds them all.
+    # 300 terms in the value, and 300 addends in each descent or projection
+    # step's sums of products and squares: no expression holds them all.
     ring = tuple(f"a{i}" for i in range(300))
     kernel = FloatKernel([poly(ring, " + ".join(f"{i % 7 + 1}*a{i}^{i % 3 + 1}" for i in range(300)))])
-    for name in ("value", "jacobian", "sphere_descent"):
-        assert longest_addition(kernel.source(name)) < 300, name
+    for name in ("value", "jacobian", "sphere_descent", "fiber_project"):
+        assert longest_chain(kernel.source(name), ast.Add, ast.Sub) < 300, name
 
 
 def test_thousands_of_terms_compile():
@@ -428,6 +496,23 @@ def test_thousands_of_terms_compile():
         assert same_bits(kernel.value(x), [eval_float(q, x)])
         assert same_bits(kernel.jacobian(x)[0], [eval_float(q.partial(j), x) for j in range(2)])
     assert kernel.sphere_descent
+
+
+def test_products_of_thousands_of_factors_compile():
+    # One term of 3,101 factors (its coefficient and 3,100 powers) and one of
+    # 301: as one chain each, the first would nest deeper than CPython's
+    # compiler goes.  The Jacobian of such a map is not compiled: its source
+    # grows as n^2.
+    ring = tuple(f"x{i}" for i in range(3100))
+    wide = (1,) * 3100
+    short = (2,) * 300 + (0,) * 2800
+    q = Polynomial.from_dict(ring, {wide: F(3, 7), short: F(-5)})
+    kernel = FloatKernel([q])
+    assert longest_chain(kernel.source("value"), ast.Mult) <= 256
+    rng = np.random.default_rng(5)
+    for x in ([1.0] * 3100, list(rng.uniform(0.9, 1.1, size=3100)), list(rng.uniform(-1.0, 1.0, size=3100))):
+        x = [float(v) for v in x]
+        assert same_bits(kernel.value(x), [eval_float(q, x)])
 
 
 # -- rational maps -----------------------------------------------------------------

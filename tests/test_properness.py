@@ -7,7 +7,15 @@ from math import inf, nan, nextafter
 import numpy as np
 import pytest
 
-from conftest import compose_linear, count_calls, data_text, poly, rand_poly, unimodular
+from conftest import (
+    compose_linear,
+    count_calls,
+    data_text,
+    one_equation_step,
+    poly,
+    rand_poly,
+    unimodular,
+)
 from liptriv.classifier import lipschitz_gradient_probe, tube_distance_probe
 from liptriv.dependence import factor_through_projection, invariance_subspace, suspend
 from liptriv.groebner import (
@@ -28,7 +36,6 @@ from liptriv.properness import (
     _gauss_newton_step,
     _coercive_component,
     _image_witness,
-    _one_equation_step,
     _sphere_minimize,
     is_proper_at_complex,
     jelonek_ideal,
@@ -415,7 +422,8 @@ def lstsq_step(row, resid):
 
 
 class TestOneEquationStep:
-    """_one_equation_step against numpy's lstsq on one row, and its stops
+    """The reference step of FloatKernel.fiber_project, conftest's
+    one_equation_step, against numpy's lstsq on one row, and its stops
     against _gauss_newton_step's."""
 
     @staticmethod
@@ -428,7 +436,7 @@ class TestOneEquationStep:
             n = rng.randint(1, 4)
             row = [0.0 if rng.random() < 0.25 else self.magnitude(rng) for _ in range(n)]
             resid = self.magnitude(rng)
-            got = _one_equation_step(resid, lambda: row, 0.0)
+            got = one_equation_step(resid, lambda: row, 0.0)
             want = lstsq_step(row, resid)
             case = (row, resid)
             assert (got is not None) == bool(np.all(np.isfinite(want))), case
@@ -449,7 +457,7 @@ class TestOneEquationStep:
         ],
     )
     def test_past_the_squares_range_as_lstsq(self, row, resid):
-        got = _one_equation_step(resid, lambda: row, 0.0)
+        got = one_equation_step(resid, lambda: row, 0.0)
         want = lstsq_step(row, resid)
         if not np.all(np.isfinite(want)):
             assert got is None
@@ -458,7 +466,7 @@ class TestOneEquationStep:
 
     def test_zero_row_gives_the_zero_step(self):
         for n in (1, 2, 4):
-            assert _one_equation_step(3.0, lambda: [0.0] * n, 1e-12) == [0.0] * n
+            assert one_equation_step(3.0, lambda: [0.0] * n, 1e-12) == [0.0] * n
             assert lstsq_step([0.0] * n, 3.0).tolist() == [0.0] * n
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-10])
@@ -468,7 +476,7 @@ class TestOneEquationStep:
         rows = [[1.0, 2.0], [inf, 1.0], [nan, 0.0], [0.0, -inf], [1e-300], [0.0]]
         for resid in residuals:
             for row in rows:
-                got = _one_equation_step(resid, lambda: row, tol)
+                got = one_equation_step(resid, lambda: row, tol)
                 want = _gauss_newton_step(np.array([resid]), lambda: [row], tol)
                 assert (got is None) == (want is None), (resid, row)
                 if got is not None:
@@ -479,7 +487,7 @@ class TestOneEquationStep:
             raise AssertionError("row read after a stop")
 
         for resid in (nan, inf, 1e-13):
-            assert _one_equation_step(resid, row, 1e-12) is None
+            assert one_equation_step(resid, row, 1e-12) is None
 
 
 SEXTIC = "x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1"
