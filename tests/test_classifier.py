@@ -267,8 +267,10 @@ class TestTubeProbe:
             assert abs(entry["distance"] - 1.0) <= 1e-9
 
     def test_alternation_compiles_no_other_kernel_function(self, monkeypatch):
-        """The alternating projections use the kernel's value and Jacobian,
-        and the structured starts its sphere descent: nothing else compiles."""
+        """The alternating projections of a scalar map use the kernel's
+        compiled projection and its value, for the residuals, and the
+        structured starts its sphere descent: nothing else compiles, not
+        even the Jacobian."""
         names = []
         compile_one = FloatKernel._compile
 
@@ -280,7 +282,7 @@ class TestTubeProbe:
         ring = ("x", "y", "z")
         sextic = PolyMap(ring, (poly(ring, "x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1"),))
         assert tube_distance_probe(sextic, [2.0], [3.0])["collapse"]
-        assert sorted(names) == ["jacobian", "sphere_descent", "value"]
+        assert sorted(names) == ["fiber_project", "sphere_descent", "value"]
 
     def test_scalar_tubes_make_no_lstsq_call(self, monkeypatch, simple_map):
         """A scalar map's projections are its kernel's compiled
