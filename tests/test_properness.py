@@ -415,6 +415,74 @@ class TestPropernessProbe:
                 ProbeSchedule(max_iter=bad)
 
 
+def probe_truth_cases():
+    """The 23 properness cases of the probe-truth benchmark, as (key,
+    mapping, value, true verdict)."""
+    import sys
+    from pathlib import Path
+
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench.workloads import PROPERNESS_CASES
+
+    return [
+        (key, parse_mapping(f"ring Q[{ring}]; map f: ({expr})"), value, verdict)
+        for key, ring, expr, value, verdict, _ in PROPERNESS_CASES
+    ]
+
+
+class TestRestartsStopAtTolZero:
+    """A radius's sphere restarts stop at the first mu below tol_zero, the
+    verdict's own test of a small radius, so no skipped restart could change
+    that test."""
+
+    @pytest.mark.parametrize("expr", ["x^2 - y^2", "x^3 - y^2"])
+    def test_few_restarts_at_the_largest_radius(self, expr, monkeypatch):
+        # Float evaluation takes mu at radius 1e4 no lower than about 7e-9 for
+        # x^2 - y^2 at 1, so a stop at 1e-3 * tol_zero ran all 32 restarts.
+        compiled = FloatKernel.__dict__["sphere_descent"]
+        radii = []
+
+        def counting(kernel):
+            descent = compiled.__get__(kernel, FloatKernel)
+
+            def run(x, radius, c, max_iter):
+                radii.append(radius)
+                return descent(x, radius, c, max_iter)
+
+            return run
+
+        monkeypatch.setattr(FloatKernel, "sphere_descent", property(counting))
+        v = properness_probe_real(scalar("x,y", expr), [1.0])
+        assert (v.mode, v.verdict) == ("probe_real", "non_proper")
+        assert 1 <= radii.count(1e4) <= 5, radii
+
+    def test_flags_and_verdicts_as_with_every_restart(self, monkeypatch):
+        import liptriv.properness
+
+        minimize = _sphere_minimize
+
+        def every_restart(kernel, c, radius, rng, restarts, max_iter, mu_below=0.0):
+            return minimize(kernel, c, radius, rng, restarts, max_iter)
+
+        got = {key: properness_probe_real(g, [c]) for key, g, c, _ in probe_truth_cases()}
+        monkeypatch.setattr(liptriv.properness, "_sphere_minimize", every_restart)
+        tol = ProbeSchedule().tol_zero
+        stopped = 0
+        for key, g, c, truth in probe_truth_cases():
+            want = properness_probe_real(g, [c])
+            assert want.verdict == truth, key
+            assert (got[key].mode, got[key].verdict) == (want.mode, want.verdict), key
+            for early, full in zip(got[key].evidence.get("mu_trace", []), want.evidence.get("mu_trace", [])):
+                assert (early["mu"] < tol) == (full["mu"] < tol), key
+                if early["mu"] != full["mu"]:
+                    # A stopped radius's mu bounds the minimum of all restarts.
+                    assert full["mu"] < early["mu"] < tol, key
+                    stopped += 1
+        assert stopped > 0
+
+
 def lstsq_step(row, resid):
     """numpy's minimum-norm least-squares solution of row . step = resid."""
     step, *_ = np.linalg.lstsq(np.array([row]), np.array([resid]), rcond=None)
