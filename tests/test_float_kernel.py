@@ -308,7 +308,7 @@ FIBER_EXAMPLES = [
     ([poly(U, "u^2 - 2")], [1.0], 0.0, inf, 1e-12, 12),  # converges under tol
     ([poly(UV, "u*v")], [1.0, 2.0], nan, 10.0, 1e-12, 12),  # non-finite residual
     ([poly(UV, "10^308*u^2 + v")], [0.5, 0.0], 0.0, 10.0, 1e-12, 12),  # non-finite row
-    ([poly(UV, "u^2 + v^2")], [0.0, 0.0], 1.0, 10.0, 1e-12, 12),  # zero row, all steps
+    ([poly(UV, "u^2")], [0.0, 5.0], 1.0, 1.0, 1e-12, 12),  # zero row, then the ball, all steps
     ([poly(U, "1/10^300*u")], [1.0], 1e300, inf, 1e-12, 12),  # non-finite step
     ([poly(UV, "u")], [0.0, 0.5], 5.0, 1.0, 1e-12, 12),  # retracted into the ball
     ([poly(UVW, "u^2*v + w")], [1e200, 1.0, 1.0], 0.0, inf, 1e-12, 12),  # a power overflows

@@ -437,10 +437,9 @@ class TestRestartsStopAtTolZero:
     verdict's own test of a small radius, so no skipped restart could change
     that test."""
 
-    @pytest.mark.parametrize("expr", ["x^2 - y^2", "x^3 - y^2"])
-    def test_few_restarts_at_the_largest_radius(self, expr, monkeypatch):
-        # Float evaluation takes mu at radius 1e4 no lower than about 7e-9 for
-        # x^2 - y^2 at 1, so a stop at 1e-3 * tol_zero ran all 32 restarts.
+    @staticmethod
+    def descents(monkeypatch):
+        """The radius of every sphere descent run from here on."""
         compiled = FloatKernel.__dict__["sphere_descent"]
         radii = []
 
@@ -454,9 +453,33 @@ class TestRestartsStopAtTolZero:
             return run
 
         monkeypatch.setattr(FloatKernel, "sphere_descent", property(counting))
+        return radii
+
+    @pytest.mark.parametrize("expr", ["x^2 - y^2", "x^3 - y^2"])
+    def test_few_restarts_at_the_largest_radius(self, expr, monkeypatch):
+        # Float evaluation takes mu at radius 1e4 no lower than about 7e-9 for
+        # x^2 - y^2 at 1, so a stop at 1e-3 * tol_zero ran all 32 restarts.
+        radii = self.descents(monkeypatch)
         v = properness_probe_real(scalar("x,y", expr), [1.0])
         assert (v.mode, v.verdict) == ("probe_real", "non_proper")
         assert 1 <= radii.count(1e4) <= 5, radii
+
+    @pytest.mark.parametrize("expr", ["x^2 - y^2", "x^3 - y^2"])
+    def test_stop_after_the_first_mu_strictly_below(self, expr, monkeypatch):
+        kernel = scalar("x,y", expr).kernel
+        rng = np.random.default_rng((42, 3))
+        # One restart per call draws what the k-th restart of one call draws.
+        mus = [_sphere_minimize(kernel, [1.0], 1e4, rng, 1, 250)[0] for _ in range(32)]
+        radii = self.descents(monkeypatch)
+        firsts = []
+        for mu_below in (ProbeSchedule().tol_zero, mus[0]):
+            first = next(k for k, mu in enumerate(mus) if mu < mu_below)
+            radii.clear()
+            mu, _ = _sphere_minimize(kernel, [1.0], 1e4, np.random.default_rng((42, 3)), 32, 250, mu_below)
+            assert (len(radii), mu) == (first + 1, min(mus[: first + 1]))
+            firsts.append(first)
+        # Some restarts ran on past a mu at or above the threshold.
+        assert max(firsts) > 0
 
     def test_flags_and_verdicts_as_with_every_restart(self, monkeypatch):
         import liptriv.properness
