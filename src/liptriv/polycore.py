@@ -377,14 +377,14 @@ def _indent(lines: Iterable[str]) -> list[str]:
 
 
 class FloatKernel:
-    """Polynomials, their Jacobian and a descent loop compiled to float code.
+    """Polynomials, their Jacobian and two loops compiled to float code.
 
     The probes evaluate a handful of polynomials millions of times at
     n <= 3 variables, inside a descent loop, where interpreted loop code,
     per-call overhead and numpy's per-call cost all cost more than the
     arithmetic.  The kernel therefore generates straight-line Python and
     `compile()`s it, each function on its first use: a caller of `value` and
-    `jacobian` alone never pays for the loop.  For points of length n:
+    `jacobian` alone never pays for the loops.  For points of length n:
 
     - `value(x)`: the list of polynomial values;
     - `jacobian(x)`: rows of partial derivatives, one row per polynomial;
@@ -399,7 +399,16 @@ class FloatKernel:
       after a multiple of 25 accepted steps fx is not below (1 - 1e-8)
       times its value 25 steps before (the start is the first such value):
       a restart settled at a positive minimum stops there, while one still
-      converging geometrically toward 0 keeps a large relative decrease.
+      converging geometrically toward 0 keeps a large relative decrease;
+    - `fiber_project(z, target, radius, tol, steps) -> z`, for a kernel of
+      one polynomial q: at most `steps` Gauss-Newton steps toward
+      {q = target}.  Each step solves the one equation J . s = r, r = q(z) -
+      target, as the minimum-norm step: with m the largest |J_j| and
+      u = J / m, s = r / m / sum(u_j^2) times u, so no square overflows or
+      underflows; a zero row gives the zero step.  Then z - s is retracted
+      to the sphere of `radius` when its norm is past it (radius inf: no
+      ball).  It stops on a non-finite residual, sqrt(r * r) < tol, a
+      non-finite row or a non-finite step, or after `steps` steps.
 
     The descent warm-starts its line search: each step's first trial is
     capped at 4x the step last accepted in the same call, so a descent
@@ -418,8 +427,10 @@ class FloatKernel:
     plain term-by-term summation (each term `float(c)`, a signed inf past
     the float range, times its powers in variable order, added to 0.0 in
     term order: `eval_float` in `tests/conftest.py`) and of the interpreted
-    reference loop in `tests/test_float_kernel.py`, in its order, so every
-    value, gradient, step and stop is bit-identical to theirs.  Every sum,
+    reference loops (`reference_sphere_descent` in
+    `tests/test_float_kernel.py`, `reference_fiber_project` in
+    `tests/conftest.py`), in their order, so every value, gradient, step
+    and stop is bit-identical to theirs.  Every sum,
     of terms or of a step's squares and products, is written out the same
     way, `s = 0.0 + a + b + ...`: left to right, as `sum` adds floats on
     Python 3.11 (whose `0 + a` turns a -0.0 into 0.0, hence the leading
@@ -428,7 +439,11 @@ class FloatKernel:
     256 addends goes on as `s = s + ...` in the next statement, the same
     additions in the same order: CPython's compiler gives up on a chain of
     about 3,000, and a polynomial within the parser's caps can have
-    thousands of terms.  Points are
+    thousands of terms.  A term of more than 256 factors is likewise
+    multiplied out first, `w = C[m] * ...` and then `w = w * ...`, in
+    variable order, so a monomial in thousands of variables compiles; the
+    Jacobian of such a map is still out of reach, its source growing as
+    n^2.  Points are
     used as given, not converted: a numpy scalar overflows to inf where a
     Python float raises OverflowError.  `source(name)` names only positional
     locals, integer exponents and indices into the coefficient tuple C,

@@ -13,11 +13,11 @@ A mapping compiles once, into its `PolyMap.kernel`, a `polycore.FloatKernel`
 that every probe of it shares.  One restart
 of the sphere descent (gradient, tangent, Armijo backtracking with retraction
 to radius R, stop tests) is a single call of its compiled `sphere_descent`;
-only the seeded restarts, the merge by minimum and the stop once a radius's
-mu is below tol_zero stay in Python.  Likewise the Gauss-Newton steps of
-a scalar map toward a level are one call of its compiled `fiber_project`.
-The descent's line
-search starts each step at no more than 4x the last accepted step, and a
+only the seeded restarts, the merge by minimum and the stop once a
+radius's mu is below tol_zero stay in Python.  Likewise the Gauss-Newton
+steps of a scalar map toward a level are one call of its compiled
+`fiber_project`.  The descent's line search starts each step at no more
+than 4x the last accepted step, and a
 restart stops as stalled when 25 accepted steps have not taken fx below
 (1 - 1e-8) times its value before them; its other exits are a non-finite
 gradient or tangent, a zero tangent, a failed line search, fx <= 1e-300
@@ -296,10 +296,10 @@ def _image_witness(f: PolyMap, value: tuple[Fraction, ...], seed: int) -> dict |
     at c then contains a line along ker pi: f is not proper at c.  Each of 4
     seeded starts takes at most 60 Gauss-Newton steps (the kernel's
     `fiber_project`, with no ball) toward c - delta and toward c + delta,
-    delta = 1e-3 * max(1, |c|), stopping within delta / 2 of the target; the
-    end points are read as exact rationals.  The evidence gives the two points, the floats of g
-    there and the exact signs of g - c.  None when f is reduced, p >= 2, or
-    no start gives both sides.
+    delta = 1e-3 * max(1, |c|), stopping within delta / 2 of the target;
+    the end points are read as exact rationals.  The evidence gives the two
+    points, the floats of g there and the exact signs of g - c.  None when
+    f is reduced, p >= 2, or no start gives both sides.
     """
     if f.p != 1:
         return None
@@ -357,14 +357,16 @@ def properness_probe_real(
     restart could change whether that radius counts as small; its mu is
     then that restart's, an upper bound on the sphere's minimum.  A radius
     with no such restart runs them all and gives their minimum.  Only the
-    halving test reads a small radius's mu itself.  A complex-properness certificate wins
-    immediately (restricting a proper map to a closed subset stays proper).
-    `certify(value)` gives that certificate, or None when there is none;
-    None means `certifier(g, None, DEFAULT_BUDGET)`.  Without it, two exact
-    real certificates come before the spheres, in mode "exact_real": a
-    coercive component (`_coercive_component`) makes g proper, and for an
-    unreduced scalar map a value of its reduced map (`_image_witness`)
-    makes it non-proper.
+    halving test reads a small radius's mu itself.
+
+    A complex-properness certificate wins immediately (restricting a proper
+    map to a closed subset stays proper).  `certify(value)` gives that
+    certificate, or None when there is none; None means
+    `certifier(g, None, DEFAULT_BUDGET)`.  Without it, two exact real
+    certificates come before the spheres, in mode "exact_real": a coercive
+    component (`_coercive_component`) makes g proper, and for an unreduced
+    scalar map a value of its reduced map (`_image_witness`) makes it
+    non-proper.
     """
     check_value(c, g.p)
     cvec = tuple(float(x) for x in c)

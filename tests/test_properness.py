@@ -475,7 +475,8 @@ class TestRestartsStopAtTolZero:
         for mu_below in (ProbeSchedule().tol_zero, mus[0]):
             first = next(k for k, mu in enumerate(mus) if mu < mu_below)
             radii.clear()
-            mu, _ = _sphere_minimize(kernel, [1.0], 1e4, np.random.default_rng((42, 3)), 32, 250, mu_below)
+            rng = np.random.default_rng((42, 3))
+            mu, _ = _sphere_minimize(kernel, [1.0], 1e4, rng, 32, 250, mu_below)
             assert (len(radii), mu) == (first + 1, min(mus[: first + 1]))
             firsts.append(first)
         # Some restarts ran on past a mu at or above the threshold.
@@ -497,7 +498,8 @@ class TestRestartsStopAtTolZero:
             want = properness_probe_real(g, [c])
             assert want.verdict == truth, key
             assert (got[key].mode, got[key].verdict) == (want.mode, want.verdict), key
-            for early, full in zip(got[key].evidence.get("mu_trace", []), want.evidence.get("mu_trace", [])):
+            traces = (v.evidence.get("mu_trace", []) for v in (got[key], want))
+            for early, full in zip(*traces):
                 assert (early["mu"] < tol) == (full["mu"] < tol), key
                 if early["mu"] != full["mu"]:
                     # A stopped radius's mu bounds the minimum of all restarts.
