@@ -165,9 +165,7 @@ PROBES = {
     "properness.sextic3@0.5": lambda: _properness("x,y,z", SEXTIC, 0.5),
     "properness.sextic2@2": lambda: _properness("x,y", SEXTIC, 2.0),
     "properness.xy@1": lambda: _properness("x,y", "x*y", 1.0),
-    "tube.sextic2@2-3": lambda: tube_distance_probe(
-        _mapping("x,y", SEXTIC), [2.0], [3.0], radii=(10.0, 25.0), restarts=3
-    ),
+    "tube.sextic2@2-3": lambda: tube_distance_probe(_mapping("x,y", SEXTIC), [2.0], [3.0]),
     "gradient.regulous@0": lambda: lipschitz_gradient_probe(
         parse_input((DATA_DIR / "regulous.map").read_text(encoding="utf-8")),
         (0.0,), radii=(10.0, 1e2, 1e4, 1e6),
