@@ -145,13 +145,13 @@ def _on_locus(ideal: Ideal | None, value: Sequence[Fraction]) -> bool:
 
 def _sample_fibers(
     f: PolyMap,
-    count: int,
     critical: Ideal | None,
     jelonek: Ideal | None,
     budget: GroebnerBudget,
 ) -> list[tuple[tuple[Fraction, ...], GroebnerBasis]]:
-    """Grid values with nonempty complex fiber, off the known discriminant
-    loci, each with the reduced grevlex basis that shows its fiber nonempty."""
+    """Up to 3 grid values with nonempty complex fiber, off the known
+    discriminant loci, each with the reduced grevlex basis that shows its
+    fiber nonempty."""
     bases: dict = {}
 
     def keep(value: tuple[Fraction, ...]) -> bool:
@@ -163,7 +163,7 @@ def _sample_fibers(
             return False
         return dimension(bases[value]) >= 0
 
-    return [(value, bases[value]) for value in _grid_values(f.p, count, keep)]
+    return [(value, bases[value]) for value in _grid_values(f.p, 3, keep)]
 
 
 # -- classify -------------------------------------------------------------------
@@ -217,7 +217,7 @@ def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
 
     # Sampled-value analysis: each fiber at infinity once, read off the
     # scan's basis, then the cones compared.
-    samples = _sample_fibers(f, 3, critical, jelonek, budget)
+    samples = _sample_fibers(f, critical, jelonek, budget)
     reports = tuple(fiber_infinity(basis, value) for value, basis in samples)
     cone = None
     if len(reports) >= 2:
@@ -626,8 +626,11 @@ def lipschitz_gradient_probe(
     }
 
 
-# Step cap of each sphere descent of the tube probe's structured starts, and
-# round cap of its alternating projections.
+# The tube probe's ball radii and its seeded uniform starts per ball; the step
+# cap of each sphere descent of its structured starts, and the round cap of
+# its alternating projections.
+_TUBE_RADII = (10.0, 25.0, 50.0)
+_TUBE_RESTARTS = 12
 _TUBE_MAX_ITER = 150
 
 
@@ -636,16 +639,18 @@ def tube_distance_probe(
     f: PolyMap,
     c: Sequence[float],
     t: Sequence[float],
-    radii: Sequence[float] = (10.0, 25.0, 50.0),
-    restarts: int = 12,
     seed: int = ProbeSchedule.seed,
 ) -> dict:
-    """Estimate the distance between two levels inside growing balls.
+    """Estimate the distance between two levels inside the balls of radii
+    `_TUBE_RADII`, whatever the properness probe's radii are.
 
-    Each start pair is projected onto its fibers by Gauss-Newton, then
-    alternates projections between them (Lewis and Malick, "Alternating
-    projections on manifolds", 2008): a round projects the pair's second
-    point onto {f = c} and that point onto {f = t}, all inside the ball.
+    In each ball it tries `_TUBE_RESTARTS` seeded uniform start pairs, the
+    closest pair found in the ball before and up to 4 near-fiber points from
+    inner spheres.  Each start pair is projected onto its fibers by
+    Gauss-Newton, then alternates projections between them (Lewis and
+    Malick, "Alternating projections on manifolds", 2008): a round projects
+    the pair's second point onto {f = c} and that point onto {f = t}, all
+    inside the ball.
     A round's pair is kept only when it shortens the distance by more than
     1e-4 of it; otherwise, or after `_TUBE_MAX_ITER` rounds, the last kept
     pair stands, so a start's distance never grows.  Only endpoint pairs
@@ -658,7 +663,6 @@ def tube_distance_probe(
     `fiber_project`, which solves each step's one equation in floats; with
     p >= 2 each step is `_gauss_newton_step`'s least-squares solve.
     """
-    check_radii(radii)
     check_value(c, f.p)
     check_value(t, f.p)
     if list(c) == list(t):
@@ -698,11 +702,11 @@ def tube_distance_probe(
     per_radius = []
     dists = []
     warm: list[tuple[list[float], list[float]]] = []
-    for k, radius in enumerate(sorted(radii)):
+    for k, radius in enumerate(_TUBE_RADII):
         rng = np.random.default_rng((seed, 1733, k))
         best = None
         starts = list(warm)
-        for _ in range(restarts):
+        for _ in range(_TUBE_RESTARTS):
             x = [radius * float(v) for v in rng.uniform(-1.0, 1.0, size=n)]
             x = project_ball(x, radius)
             y = [v + 0.05 * radius * float(d) for v, d in zip(x, rng.normal(size=n))]

@@ -57,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help=f"probe seed (default {_PROBE.seed})")
         p.add_argument(
             "--radii", default=None,
-            help="comma-separated increasing probe radii (default "
-            + ",".join(f"{r:g}" for r in _PROBE.radii) + ")",
+            help="comma-separated increasing radii of the sphere properness probe (default "
+            + ",".join(f"{r:g}" for r in _PROBE.radii) + "); the tube probe keeps its own",
         )
         p.add_argument("--tol-zero", type=float, default=_PROBE.tol_zero)
         p.add_argument("--mu-floor", type=float, default=_PROBE.mu_floor)

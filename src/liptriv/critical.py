@@ -25,7 +25,7 @@ from .groebner import (
     real_roots,
 )
 from .polycore import FloatKernel, PolyMap, Polynomial, float_or_inf
-from .properness import ProbeSchedule, _gauss_newton_step, target_ring
+from .properness import ProbeSchedule, _gauss_newton_step, graph_ideal
 
 
 def jacobian(g: PolyMap) -> tuple[tuple[Polynomial, ...], ...]:
@@ -72,17 +72,11 @@ def critical_ideal(
     differential can never be surjective, so every point is critical and the
     result is the closure of the whole image.
     """
-    tvars = target_ring(g.p, g.vars)
-    ring = g.vars + tvars
-    gens = []
-    for i, comp in enumerate(g.components):
-        ti = Polynomial.variable(ring, g.n + i)
-        gens.append(comp.embed(ring) - ti)
+    graph = graph_ideal(g)
     # For p > m, or when all minors vanish identically, every point is
     # critical and only the graph equations remain (Ideal.make drops zeros).
-    gens += [minor.embed(ring) for minor in jacobian_minors(g)]
-    projected = eliminate(Ideal.make(ring, gens), g.vars, budget)
-    return Ideal.make(tvars, projected.generators)
+    minors = [minor.embed(graph.vars) for minor in jacobian_minors(g)]
+    return eliminate(Ideal.make(graph.vars, graph.generators + tuple(minors)), g.vars, budget)
 
 
 @dataclass(frozen=True)

@@ -174,18 +174,6 @@ class Polynomial:
                     acc.pop(e, None)
         return Polynomial(self.vars, _canon(acc))
 
-    def __pow__(self, k: int) -> "Polynomial":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     # -- calculus ------------------------------------------------------------
 
     def partial(self, index: int) -> "Polynomial":

@@ -73,6 +73,13 @@ def target_ring(p: int, taken: Sequence[str], base: str = "t") -> tuple[str, ...
     return tuple(names)
 
 
+def graph_ideal(g: PolyMap) -> Ideal:
+    """The graph (g_i - t_i) of g, in g.vars + target_ring(g.p, g.vars)."""
+    ring = g.vars + target_ring(g.p, g.vars)
+    graph = [comp.embed(ring) - Polynomial.variable(ring, g.n + i) for i, comp in enumerate(g.components)]
+    return Ideal.make(ring, graph)
+
+
 def jelonek_ideal(
     g: PolyMap,
     budget: GroebnerBudget = DEFAULT_BUDGET,
@@ -95,10 +102,9 @@ def jelonek_ideal(
     t_i - c_i, its own top form, so a constant map is not proper exactly
     at its value.
     """
-    tvars = target_ring(g.p, g.vars)
-    ring = g.vars + tvars
-    graph = [comp.embed(ring) - Polynomial.variable(ring, g.n + i) for i, comp in enumerate(g.components)]
-    closed = buchberger(Ideal.make(ring, graph), MonomialOrder.elimination(range(g.n)), budget)
+    graph = graph_ideal(g)
+    ring = graph.vars
+    closed = buchberger(graph, MonomialOrder.elimination(range(g.n)), budget)
     yvars = target_ring(g.n, ring, "y")
     cut_ring = ring + yvars
     no_y = (0,) * g.n
@@ -118,24 +124,31 @@ def check_radii(radii: Sequence[float]) -> None:
         raise ValueError("need radii, each finite and positive")
 
 
+# Seeded restarts on each sphere of the properness probe, and the step cap of
+# each restart's descent.
+_RESTARTS = 32
+_MAX_ITER = 250
+
+
 @dataclass(frozen=True)
 class ProbeSchedule:
-    """Deterministic configuration for the sphere-minimum properness probe."""
+    """The settings of the float probes, one per probe flag of the CLI.
+
+    `radii` are the sphere radii of the properness probe, `seed` seeds every
+    probe, and `tol_zero` and `mu_floor` are the thresholds of the properness
+    verdict.  Each sphere runs `_RESTARTS` restarts of at most `_MAX_ITER`
+    descent steps; the tube probe has its own radii and restarts.
+    """
 
     radii: tuple[float, ...] = (10.0, 100.0, 1000.0, 10000.0)
-    restarts: int = 32
     seed: int = 42
     tol_zero: float = 1e-6
-    max_iter: int = 250
     mu_floor: float = 1e-3
 
     def __post_init__(self):
         check_radii(self.radii)
         if list(self.radii) != sorted(self.radii) or len(set(self.radii)) != len(self.radii):
             raise ValueError("radii must be strictly increasing")
-        # No descent step at all leaves each start where it was drawn.
-        if self.restarts < 1 or self.max_iter < 1:
-            raise ValueError("need at least one restart and one descent step")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not all(isfinite(t) and t > 0 for t in (self.tol_zero, self.mu_floor)):
@@ -391,9 +404,7 @@ def properness_probe_real(
     mus = []
     for k, radius in enumerate(sched.radii):
         rng = np.random.default_rng((sched.seed, k))
-        mu, arg = _sphere_minimize(
-            g.kernel, cvec, radius, rng, sched.restarts, sched.max_iter, sched.tol_zero
-        )
+        mu, arg = _sphere_minimize(g.kernel, cvec, radius, rng, _RESTARTS, _MAX_ITER, sched.tol_zero)
         mus.append(mu)
         trace.append(
             {

@@ -21,6 +21,7 @@ from conftest import (
     inverse,
     normal_form,
     poly,
+    power,
     rand_poly,
     spolynomial,
     subs,
@@ -191,7 +192,7 @@ def _random_reduced_maps(count: int):
 
 def test_criterion_5_suspension_invariance():
     with criterion("5 suspension invariance of the classification"):
-        cfg = AnalysisConfig(ProbeSchedule(radii=(10.0, 100.0), restarts=6, max_iter=80))
+        cfg = AnalysisConfig(ProbeSchedule(radii=(10.0, 100.0)))
         for g in _random_reduced_maps(10):
             for field_name in ("complex", "real"):
                 base = classify(g, field_name, cfg)
@@ -209,7 +210,7 @@ def test_coordinate_change_invariance():
     and generators over R (the real probes sample other points of the same
     fibers, so their tables may differ)."""
     rng = random.Random(1998)
-    cfg = AnalysisConfig(ProbeSchedule(radii=(10.0, 100.0), restarts=6, max_iter=80))
+    cfg = AnalysisConfig(ProbeSchedule(radii=(10.0, 100.0)))
     for g in _random_reduced_maps(40):
         moved = compose_linear(g, unimodular(rng, g.n), g.vars)
         shown = [print_polynomial(c) for c in moved.components]
@@ -456,12 +457,12 @@ def test_criterion_6_groebner_property_suite():
             degree = 0
             for r in roots:
                 mult = rng.randint(1, 2)
-                factor = (poly(tvar, "t") - F(r)) ** mult
+                factor = power(poly(tvar, "t") - F(r), mult)
                 p = p * factor
                 degree += mult
             while degree <= 4 and rng.random() < 0.5:
                 a, b = rng.randint(-2, 2), rng.randint(1, 3)
-                p = p * ((poly(tvar, "t") - a) ** 2 + b * b)
+                p = p * (power(poly(tvar, "t") - a, 2) + b * b)
                 degree += 2
             if degree == 0 or degree > 6:
                 continue
@@ -496,7 +497,7 @@ def test_criterion_7_rational_counterexample(regulous_map):
 
 def test_criterion_8_complexification_containment(simple_map, motzkin_map, cube_map):
     with criterion("8 complexification containment"):
-        cfg = AnalysisConfig(ProbeSchedule(radii=(10.0, 100.0, 1000.0), restarts=12, max_iter=150))
+        cfg = AnalysisConfig(ProbeSchedule(radii=(10.0, 100.0, 1000.0)))
         for mapping in (simple_map, motzkin_map, cube_map):
             real_rep, complex_rep, check = complexification_compare(mapping, cfg)
             assert check.verdict == "PASS"

@@ -13,6 +13,7 @@ from conftest import (
     data_text,
     one_equation_step,
     poly,
+    power,
     rand_poly,
     unimodular,
 )
@@ -45,7 +46,7 @@ from liptriv.properness import (
 from test_acceptance import _random_reduced_maps
 
 F = Fraction
-FAST = ProbeSchedule(radii=(10.0, 100.0, 1000.0), restarts=16, max_iter=150)
+FAST = ProbeSchedule(radii=(10.0, 100.0, 1000.0))
 
 
 def proper_at(g, c):
@@ -127,7 +128,7 @@ def jelonek_by_saturations(g):
     ring = (hom_var,) + g.vars + tvars
     x0 = Polynomial.variable(ring, 0)
     gens = [
-        comp.homogenize(hom_var).embed(ring) - Polynomial.variable(ring, 1 + g.n + i) * x0**comp.degree
+        comp.homogenize(hom_var).embed(ring) - Polynomial.variable(ring, 1 + g.n + i) * power(x0, comp.degree)
         for i, comp in moving
     ]
     closed = saturate(Ideal.make(ring, gens), x0)
@@ -157,7 +158,7 @@ def jelonek_by_x0(g, budget=DEFAULT_BUDGET):
             extra.append(Polynomial.variable(tvars, i) - Polynomial.constant(tvars, comp.constant_value()))
             continue
         ti = Polynomial.variable(ring, 1 + g.n + i)
-        gens.append(comp.homogenize(hom_var).embed(ring) - ti * x0**comp.degree)
+        gens.append(comp.homogenize(hom_var).embed(ring) - ti * power(x0, comp.degree))
     closed = saturate(Ideal.make(ring, gens), x0, budget)
     yvars = target_ring(g.n, ring, "y")
     cut_ring = ring[1:] + yvars
@@ -341,7 +342,7 @@ class TestPropernessProbe:
         # Exact rational rotation (3/5, 4/5; -4/5, 3/5) of the domain.
         rot = [[F(3, 5), F(4, 5)], [F(-4, 5), F(3, 5)]]
         rotated = compose_linear(plane_sextic, rot, new_vars=("x", "y"))
-        sched = ProbeSchedule(radii=(10.0, 100.0), restarts=16, max_iter=150)
+        sched = ProbeSchedule(radii=(10.0, 100.0))
         for c in (0.5, -1.0):
             a = properness_probe_real(plane_sextic, [c], sched, no_certificate)
             b = properness_probe_real(rotated, [c], sched, no_certificate)
@@ -395,8 +396,6 @@ class TestPropernessProbe:
         for radii in ((), (0.0, 10.0), (-1.0, 10.0), (float("nan"), 10.0), (10.0, float("inf"))):
             with pytest.raises(ValueError):
                 ProbeSchedule(radii=radii)
-        with pytest.raises(ValueError):
-            ProbeSchedule(restarts=0)
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 ProbeSchedule(tol_zero=bad)
@@ -404,15 +403,6 @@ class TestPropernessProbe:
                 ProbeSchedule(mu_floor=bad)
         with pytest.raises(ValueError, match="seed"):
             ProbeSchedule(seed=-1)
-
-    def test_max_iter_below_one_rejected(self):
-        # x*y has the unbounded fiber {x*y = 1}; with no descent step the
-        # sphere minima stay at their random starts and read as proper.
-        xy = PolyMap(("x", "y"), (poly(("x", "y"), "x*y"),))
-        assert properness_probe_real(xy, [1.0], FAST, no_certificate).verdict == "non_proper"
-        for bad in (0, -5):
-            with pytest.raises(ValueError, match="descent step"):
-                ProbeSchedule(max_iter=bad)
 
 
 def probe_truth_cases():
@@ -701,8 +691,8 @@ class TestExactRealRules:
 FLOAT_PROBES = [
     lambda g, c: properness_probe_real(g, c, FAST),
     lambda g, c: properness_probe_real(g, c, FAST, no_certificate),
-    lambda g, c: tube_distance_probe(g, c, [2.0, 2.0], radii=(10.0,), restarts=1),
-    lambda g, c: tube_distance_probe(g, [2.0, 2.0], c, radii=(10.0,), restarts=1),
+    lambda g, c: tube_distance_probe(g, c, [2.0, 2.0]),
+    lambda g, c: tube_distance_probe(g, [2.0, 2.0], c),
     lambda g, c: lipschitz_gradient_probe(g, c, radii=(10.0,)),
 ]
 FLOAT_PROBE_IDS = ["real", "real-skip-exact", "tube-c", "tube-t", "gradient"]
@@ -762,7 +752,7 @@ class TestOneKernelPerMap:
     def probes(g):
         return (
             properness_probe_real(g, [1.0], FAST, no_certificate),
-            tube_distance_probe(g, [1.0], [2.0], radii=(10.0, 25.0), restarts=2),
+            tube_distance_probe(g, [1.0], [2.0]),
             lipschitz_gradient_probe(g, [1.0], radii=(10.0, 100.0)),
         )
 

@@ -71,6 +71,6 @@ class TestRegularValueInvariant:
         from liptriv.classifier import AnalysisConfig
         from liptriv.properness import ProbeSchedule
 
-        cfg = AnalysisConfig(ProbeSchedule(radii=(10.0, 100.0), restarts=8, max_iter=80))
+        cfg = AnalysisConfig(ProbeSchedule(radii=(10.0, 100.0)))
         rep = classify(motzkin_map, "real", cfg)
         assert {r.status for r in rep.ltv.critical_candidates} == {"attained"}

@@ -13,6 +13,12 @@ with a read of its own, and a new one fails until it is listed.  An imported
 name counts as read when the module names it; the package's
 __init__ reads nothing, so each name it imports must be listed in __all__.
 
+Every default, of a parameter of a function or method or of a dataclass
+field, is one that some caller sets: a call in src/liptriv or in bench/*.py
+(the benchmark's own tests aside) to a function, method or class of that
+name sets it by keyword, or by a position before any starred argument.  A
+default that no caller sets is one value, and belongs in a constant.
+
 The two sizes the ROADMAP tracks are printed by
 
     PYTHONPATH=src python tests/test_surface.py --count
@@ -27,6 +33,7 @@ from pathlib import Path
 import liptriv
 
 SRC = Path(liptriv.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Definitions reached in a way the name check cannot see, each with its reason.
 ALLOWED = {
@@ -68,6 +75,10 @@ SHARED_FIELDS = {
     "critical.RealCriticalValue.witness": ("critical.RealCriticalValue.status", "self.witness"),
     "infinity.ConeConstancyResult.witness": ("classifier._field_report", "cone_result.witness"),
 }
+
+
+# Defaults that no caller sets, each with its reason.
+ALLOWED_UNSET: dict[str, str] = {}
 
 
 # Functions that import inside their body, each with its reason.
@@ -122,22 +133,30 @@ def test_every_definition_is_used_in_the_package():
     assert not unused, f"defined in src/liptriv but not used there: {unused}"
 
 
-def _fields():
-    """Every dataclass field as (qualified name, field name); a ClassVar is no field."""
-    out = []
+def _dataclasses():
+    """Every dataclass as (qualified name, its field statements in order); a
+    ClassVar is no field."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ClassDef) and any(
                 "dataclass" in ast.unparse(d) for d in node.decorator_list
             ):
-                out += [
-                    (f"{path.stem}.{node.name}.{stmt.target.id}", stmt.target.id)
+                yield f"{path.stem}.{node.name}", [
+                    stmt
                     for stmt in node.body
                     if isinstance(stmt, ast.AnnAssign)
                     and isinstance(stmt.target, ast.Name)
                     and "ClassVar" not in ast.unparse(stmt.annotation)
                 ]
-    return out
+
+
+def _fields():
+    """Every dataclass field as (qualified name, field name)."""
+    return [
+        (f"{qual}.{stmt.target.id}", stmt.target.id)
+        for qual, stmts in _dataclasses()
+        for stmt in stmts
+    ]
 
 
 def test_every_dataclass_field_is_read_in_the_package():
@@ -165,9 +184,78 @@ def test_shared_field_names_are_listed_with_their_own_read():
     assert not missing, f"listed reads not found: {missing}"
 
 
+def _defaults():
+    """Every default as (qualified name, callee name, name, position): the
+    name a call gives the function, method or class, the keyword that sets
+    it, and its position among the call's arguments (a bound method's self
+    is the object called on); a keyword-only parameter has no position."""
+    out = []
+    for qual, is_method, node in _scan()[0]:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = is_method and "staticmethod" not in map(ast.unparse, node.decorator_list)
+        first = len(positional) - len(args.defaults)
+        out += [
+            (f"{qual}.{arg.arg}", node.name, arg.arg, i - bound)
+            for i, arg in enumerate(positional)
+            if i >= first
+        ]
+        out += [
+            (f"{qual}.{arg.arg}", node.name, arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+    for qual, stmts in _dataclasses():
+        out += [
+            (f"{qual}.{stmt.target.id}", qual.rsplit(".", 1)[1], stmt.target.id, i)
+            for i, stmt in enumerate(stmts)
+            if stmt.value is not None
+        ]
+    return out
+
+
+def _calls():
+    """Every call in src/liptriv and bench/*.py, the benchmark's tests aside,
+    as callee name -> [(arguments before any starred one, keyword names)]."""
+    paths = sorted(SRC.glob("*.py")) + [
+        path for path in sorted(BENCH.glob("*.py")) if not path.name.startswith("test_")
+    ]
+    calls = defaultdict(list)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if not isinstance(func, (ast.Name, ast.Attribute)):
+                continue
+            positional = 0
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    break
+                positional += 1
+            keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+            calls[func.id if isinstance(func, ast.Name) else func.attr].append((positional, keywords))
+    return calls
+
+
+def test_every_default_is_set_by_a_caller():
+    calls = _calls()
+    unset = [
+        qual
+        for qual, callee, name, position in _defaults()
+        if qual not in ALLOWED_UNSET
+        and not any(
+            name in keywords or (position is not None and positional > position)
+            for positional, keywords in calls[callee]
+        )
+    ]
+    assert not unset, f"defaults that no call in src/liptriv or bench/*.py sets: {unset}"
+
+
 def test_allowlist_names_existing_definitions():
     defs, _ = _scan()
     assert set(ALLOWED) | set(ALLOWED_LOCAL_IMPORTS) <= {qual for qual, _, _ in defs}
+    assert set(ALLOWED_UNSET) <= {qual for qual, *_ in _defaults()}
 
 
 def _imported_names(tree):
