@@ -390,12 +390,22 @@ class TestPropernessProbe:
         assert mu == float("inf")
         assert len(point) == 2 and all(v != v for v in point)
 
+    @pytest.mark.parametrize(
+        "radii", [(), (0.0, 10.0), (-1.0, 10.0), (float("nan"), 10.0), (10.0, float("inf"))]
+    )
+    def test_bad_radii_rejected(self, radii):
+        with pytest.raises(ValueError, match="radii"):
+            ProbeSchedule(radii=radii)
+
+    def test_hyperbola_fiber_reads_non_proper(self):
+        # x*y has the unbounded fiber {x*y = 1}: the verdict needs the sphere
+        # descents to reach it, below tol_zero, on every radius past the first.
+        xy = PolyMap(("x", "y"), (poly(("x", "y"), "x*y"),))
+        assert properness_probe_real(xy, [1.0], FAST, no_certificate).verdict == "non_proper"
+
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="increasing"):
             ProbeSchedule(radii=(100.0, 10.0))
-        for radii in ((), (0.0, 10.0), (-1.0, 10.0), (float("nan"), 10.0), (10.0, float("inf"))):
-            with pytest.raises(ValueError):
-                ProbeSchedule(radii=radii)
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 ProbeSchedule(tol_zero=bad)
