@@ -82,7 +82,6 @@ class LtvDescription:
     reason: str = ""
     generators: tuple[Polynomial, ...] = ()
     critical_candidates: tuple = ()
-    probe_table: tuple = ()
     note: str = ""
 
 
@@ -243,7 +242,9 @@ def _exact_stages(f: PolyMap, cfg: AnalysisConfig) -> ExactStages:
 
 
 def classify(
-    f: PolyMap | RationalMap, field_name: str = "complex", config: AnalysisConfig | None = None
+    f: PolyMap | RationalMap,
+    field_name: str = "complex",
+    config: AnalysisConfig = AnalysisConfig(),
 ) -> LtvReport:
     """Full decision pipeline; see the module docstring for the stages.
 
@@ -251,10 +252,9 @@ def classify(
     """
     if field_name not in ("real", "complex"):
         raise ValueError("field must be 'real' or 'complex'")
-    cfg = config or AnalysisConfig()
     if isinstance(f, RationalMap):
-        return _rational_report(f, field_name, cfg)
-    return _field_report(_exact_stages(f, cfg), field_name, cfg)
+        return _rational_report(f, field_name, config)
+    return _field_report(_exact_stages(f, config), field_name, config)
 
 
 def _field_report(stages: ExactStages, field_name: str, cfg: AnalysisConfig) -> LtvReport:
@@ -479,7 +479,6 @@ def _real_verdict(
         )
     )
 
-    probe_table = tuple((tuple(e["value"]), e["verdict"], e["mode"]) for e in table)
     if not exact_generators and not any_proper:
         return LtvDescription(
             "undetermined",
@@ -488,13 +487,11 @@ def _real_verdict(
                 "real description needs at least one Lipschitz trivial value"
             ),
             critical_candidates=candidates,
-            probe_table=probe_table,
         )
     return LtvDescription(
         "real_complement",
         generators=exact_generators,
         critical_candidates=candidates,
-        probe_table=probe_table,
         note=note,
     )
 
@@ -771,7 +768,7 @@ def tube_distance_probe(
 
 
 def complexification_compare(
-    f: PolyMap, config: AnalysisConfig | None = None
+    f: PolyMap, config: AnalysisConfig = AnalysisConfig()
 ) -> tuple[LtvReport, LtvReport, CheckResult]:
     """Check Ltv(f_C) intersect R^p inside Ltv(f_R) on sampled rational values.
 
@@ -779,10 +776,9 @@ def complexification_compare(
     certificate and a regularity certificate, which together witness real
     Lipschitz triviality; containment therefore holds value by value.
     """
-    cfg = config or AnalysisConfig()
-    stages = _exact_stages(f, cfg)
-    complex_report = _field_report(stages, "complex", cfg)
-    real_report = _field_report(stages, "real", cfg)
+    stages = _exact_stages(f, config)
+    complex_report = _field_report(stages, "complex", config)
+    real_report = _field_report(stages, "real", config)
     verdict, data = _containment(stages, complex_report.ltv)
     check = CheckResult("complexification_containment", verdict, data)
     return real_report, complex_report, check

@@ -3,15 +3,16 @@
 Subcommands: analyze, factor, jelonek, critical, infinity, probe, compare.
 Exit codes: 0 success, 2 parse/usage error, 3 resource budget exhausted (a
 partial report is still emitted when possible).  Diagnostics go to stderr;
-reports go to stdout, and their JSON to --json-path.  LTV_SEED overrides the
-seed.  The documents themselves are built in report.py.
+reports go to stdout, and their JSON to --json-path.  The probe flags are
+--seed and --radii; the properness verdict's thresholds and the restart and
+step counts are constants of properness.py.  The documents themselves are
+built in report.py.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import re
 import sys
 from fractions import Fraction
@@ -54,14 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--field", choices=("real", "complex"), default="complex",
                 help="coefficient field for the analysis (default complex)",
             )
-        p.add_argument("--seed", type=int, default=None, help=f"probe seed (default {_PROBE.seed})")
+        p.add_argument("--seed", type=int, default=_PROBE.seed, help=f"probe seed (default {_PROBE.seed})")
         p.add_argument(
             "--radii", default=None,
             help="comma-separated increasing radii of the sphere properness probe (default "
             + ",".join(f"{r:g}" for r in _PROBE.radii) + "); the tube probe keeps its own",
         )
-        p.add_argument("--tol-zero", type=float, default=_PROBE.tol_zero)
-        p.add_argument("--mu-floor", type=float, default=_PROBE.mu_floor)
         p.add_argument("--max-basis", type=int, default=DEFAULT_BUDGET.max_basis)
         p.add_argument("--max-degree", type=int, default=DEFAULT_BUDGET.max_degree)
         p.add_argument("--output", choices=("text", "json"), default="text")
@@ -156,14 +155,11 @@ def _parse_tube(text: str, p: int):
 
 
 def _config(args) -> AnalysisConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("LTV_SEED", _PROBE.seed))
     radii = _PROBE.radii
     if args.radii:
         radii = tuple(float(s) for s in args.radii.split(","))
     return AnalysisConfig(
-        ProbeSchedule(radii=radii, seed=seed, tol_zero=args.tol_zero, mu_floor=args.mu_floor),
+        ProbeSchedule(radii=radii, seed=args.seed),
         GroebnerBudget(max_basis=args.max_basis, max_degree=args.max_degree),
     )
 

@@ -14,7 +14,7 @@ that every probe of it shares.  One restart
 of the sphere descent (gradient, tangent, Armijo backtracking with retraction
 to radius R, stop tests) is a single call of its compiled `sphere_descent`;
 only the seeded restarts, the merge by minimum and the stop once a
-radius's mu is below tol_zero stay in Python.  Likewise the Gauss-Newton
+radius's mu is below `_TOL_ZERO` stay in Python.  Likewise the Gauss-Newton
 steps of a scalar map toward a level are one call of its compiled
 `fiber_project`.  The descent's line search starts each step at no more
 than 4x the last accepted step, and a
@@ -128,22 +128,24 @@ def check_radii(radii: Sequence[float]) -> None:
 # each restart's descent.
 _RESTARTS = 32
 _MAX_ITER = 250
+# The properness verdict's thresholds: a sphere's mu below _TOL_ZERO counts
+# as small, and `proper` needs every mu at least _MU_FLOOR.
+_TOL_ZERO = 1e-6
+_MU_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
 class ProbeSchedule:
     """The settings of the float probes, one per probe flag of the CLI.
 
-    `radii` are the sphere radii of the properness probe, `seed` seeds every
-    probe, and `tol_zero` and `mu_floor` are the thresholds of the properness
-    verdict.  Each sphere runs `_RESTARTS` restarts of at most `_MAX_ITER`
-    descent steps; the tube probe has its own radii and restarts.
+    `radii` are the sphere radii of the properness probe and `seed` seeds
+    every probe.  Each sphere runs `_RESTARTS` restarts of at most
+    `_MAX_ITER` descent steps, and the verdict's thresholds are `_TOL_ZERO`
+    and `_MU_FLOOR`; the tube probe has its own radii and restarts.
     """
 
     radii: tuple[float, ...] = (10.0, 100.0, 1000.0, 10000.0)
     seed: int = 42
-    tol_zero: float = 1e-6
-    mu_floor: float = 1e-3
 
     def __post_init__(self):
         check_radii(self.radii)
@@ -151,8 +153,6 @@ class ProbeSchedule:
             raise ValueError("radii must be strictly increasing")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not all(isfinite(t) and t > 0 for t in (self.tol_zero, self.mu_floor)):
-            raise ValueError("tol_zero and mu_floor must each be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -362,15 +362,16 @@ def properness_probe_real(
 ) -> PropernessVerdict:
     """Per-value real properness verdict with full mu(R) evidence.
 
-    mu(R) estimates the minimum of |g(x) - c| over the sphere of radius R.
-    Non-properness needs mu at the largest radius below tol_zero and halving
-    over the last two steps; properness needs mu bounded below by mu_floor
-    and non-decreasing at the end.  A radius's restarts stop at the first
-    whose mu is below tol_zero, the verdict's own test, so no skipped
-    restart could change whether that radius counts as small; its mu is
-    then that restart's, an upper bound on the sphere's minimum.  A radius
-    with no such restart runs them all and gives their minimum.  Only the
-    halving test reads a small radius's mu itself.
+    mu(R) estimates the minimum of |g(x) - c| over the sphere of radius R,
+    for each R of `sched.radii`, with restarts seeded by `sched.seed`.
+    Non-properness needs mu at the largest radius below `_TOL_ZERO` and
+    halving over the last two steps; properness needs mu bounded below by
+    `_MU_FLOOR` and non-decreasing at the end.  A radius's restarts stop at
+    the first whose mu is below `_TOL_ZERO`, the verdict's own test, so no
+    skipped restart could change whether that radius counts as small; its
+    mu is then that restart's, an upper bound on the sphere's minimum.  A
+    radius with no such restart runs them all and gives their minimum.
+    Only the halving test reads a small radius's mu itself.
 
     A complex-properness certificate wins immediately (restricting a proper
     map to a closed subset stays proper).  `certify(value)` gives that
@@ -404,7 +405,7 @@ def properness_probe_real(
     mus = []
     for k, radius in enumerate(sched.radii):
         rng = np.random.default_rng((sched.seed, k))
-        mu, arg = _sphere_minimize(g.kernel, cvec, radius, rng, _RESTARTS, _MAX_ITER, sched.tol_zero)
+        mu, arg = _sphere_minimize(g.kernel, cvec, radius, rng, _RESTARTS, _MAX_ITER, _TOL_ZERO)
         mus.append(mu)
         trace.append(
             {
@@ -414,14 +415,14 @@ def properness_probe_real(
             }
         )
 
-    evidence = {"mu_trace": trace, "tol_zero": sched.tol_zero, "mu_floor": sched.mu_floor}
+    evidence = {"mu_trace": trace, "tol_zero": _TOL_ZERO, "mu_floor": _MU_FLOOR}
     if not all(np.isfinite(mus)):
         return PropernessVerdict("probe_real", "inconclusive", evidence)
 
     # The sphere keeps meeting the fiber (mu ~ 0 throughout: unbounded fiber)
     # or the minima decay geometrically toward an asymptotic value; either way
     # points escape to infinity with images pinned near c.
-    small = [m < sched.tol_zero for m in mus]
+    small = [m < _TOL_ZERO for m in mus]
     halving_tail = (
         len(mus) >= 3
         and mus[-1] < mus[-2] / 2.0
@@ -430,7 +431,7 @@ def properness_probe_real(
     if small[-1] and (all(small[1:]) or halving_tail):
         return PropernessVerdict("probe_real", "non_proper", evidence)
 
-    bounded_below = all(m >= sched.mu_floor for m in mus)
+    bounded_below = all(m >= _MU_FLOOR for m in mus)
     nondecreasing_tail = len(mus) >= 2 and mus[-1] >= 0.99 * mus[-2]
     if bounded_below and nondecreasing_tail:
         return PropernessVerdict("probe_real", "proper", evidence)

@@ -135,13 +135,16 @@ def report_document(report: LtvReport) -> dict:
     doc["critical_generators"] = report.critical.generators if report.critical is not None else None
 
     ltv = report.ltv
+    probe_table = next(
+        (c.data["table"] for c in report.checks if c.name == "properness_probe_table"), []
+    )
     doc["ltv"] = ltv.kind.replace("_", " ")
     if ltv.reason:
         doc["reason"] = ltv.reason
     if ltv.kind == "complement":
         doc["ltv_complement"] = ltv.generators
     if ltv.kind == "real_complement" or (
-        ltv.kind == "undetermined" and (ltv.critical_candidates or ltv.probe_table)
+        ltv.kind == "undetermined" and (ltv.critical_candidates or probe_table)
     ):
         real_block: dict = {}
         if ltv.generators:
@@ -151,10 +154,10 @@ def report_document(report: LtvReport) -> dict:
                 {**_root(r), "witness": list(r.witness) if r.witness else None}
                 for r in ltv.critical_candidates
             ]
-        if ltv.probe_table:
+        if probe_table:
             real_block["probe_table"] = [
-                {"value": list(v), "verdict": verdict, "mode": mode}
-                for v, verdict, mode in ltv.probe_table
+                {"value": e["value"], "verdict": e["verdict"], "mode": e["mode"]}
+                for e in probe_table
             ]
         if ltv.note:
             real_block["note"] = ltv.note

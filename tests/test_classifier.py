@@ -107,7 +107,8 @@ class TestRealBranch:
             (0.0, "attained"),
             (1.0, "attained"),
         ]
-        table = {v[0]: verdict for v, verdict, _ in rep.ltv.probe_table}
+        rows = {c.name: c for c in rep.checks}["properness_probe_table"].data["table"]
+        table = {row["value"][0]: row["verdict"] for row in rows}
         assert table[-1.0] == "proper"
         assert table[0.5] == "proper"
         assert table[2.0] == "non_proper"
@@ -126,7 +127,8 @@ class TestRealBranch:
         rep = classify(simple_map, "real")
         assert rep.ltv.kind == "real_complement"
         assert [print_polynomial(g) for g in rep.ltv.generators] == ["t1"]
-        assert all(verdict == "proper" for _, verdict, _ in rep.ltv.probe_table)
+        table = {c.name: c for c in rep.checks}["properness_probe_table"].data["table"]
+        assert all(row["verdict"] == "proper" for row in table)
 
     def test_exact_part_is_contained_not_equal(self):
         # (0, -1) lies on the exact part's V(t1^2*t2), yet no real fiber near

@@ -33,6 +33,7 @@ from liptriv.groebner import (
 from liptriv.parsing import parse_mapping, print_polynomial
 from liptriv.polycore import FloatKernel, PolyMap, Polynomial, fresh_name
 from liptriv.properness import (
+    _TOL_ZERO,
     ProbeSchedule,
     _gauss_newton_step,
     _coercive_component,
@@ -406,11 +407,6 @@ class TestPropernessProbe:
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             ProbeSchedule(radii=(100.0, 10.0))
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                ProbeSchedule(tol_zero=bad)
-            with pytest.raises(ValueError):
-                ProbeSchedule(mu_floor=bad)
         with pytest.raises(ValueError, match="seed"):
             ProbeSchedule(seed=-1)
 
@@ -472,7 +468,7 @@ class TestRestartsStopAtTolZero:
         mus = [_sphere_minimize(kernel, [1.0], 1e4, rng, 1, 250)[0] for _ in range(32)]
         radii = self.descents(monkeypatch)
         firsts = []
-        for mu_below in (ProbeSchedule().tol_zero, mus[0]):
+        for mu_below in (_TOL_ZERO, mus[0]):
             first = next(k for k, mu in enumerate(mus) if mu < mu_below)
             radii.clear()
             rng = np.random.default_rng((42, 3))
@@ -492,7 +488,7 @@ class TestRestartsStopAtTolZero:
 
         got = {key: properness_probe_real(g, [c]) for key, g, c, _ in probe_truth_cases()}
         monkeypatch.setattr(liptriv.properness, "_sphere_minimize", every_restart)
-        tol = ProbeSchedule().tol_zero
+        tol = _TOL_ZERO
         stopped = 0
         for key, g, c, truth in probe_truth_cases():
             want = properness_probe_real(g, [c])

@@ -17,7 +17,9 @@ Every default, of a parameter of a function or method or of a dataclass
 field, is one that some caller sets: a call in src/liptriv or in bench/*.py
 (the benchmark's own tests aside) to a function, method or class of that
 name sets it by keyword, or by a position before any starred argument.  A
-default that no caller sets is one value, and belongs in a constant.
+default that no caller sets is one value, and belongs in a constant.  Nor
+does src/liptriv read an environment variable, a setting that the count
+below would not see.
 
 The two sizes the ROADMAP tracks are printed by
 
@@ -288,6 +290,26 @@ def test_imports_are_at_module_level():
         and any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(node))
     ]
     assert not local, f"functions in src/liptriv that import inside their body: {local}"
+
+
+_ENVIRONMENT_READS = ("environ", "environb", "getenv", "getenvb")
+
+
+def test_no_environment_variable_is_read():
+    # An environment variable is a setting that --count does not see; a
+    # setting belongs in a parameter, a flag or a constant.
+    reads = [
+        f"{path.stem}.py:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_READS)
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in _ENVIRONMENT_READS for alias in node.names)
+        )
+    ]
+    assert not reads, f"src/liptriv reads the environment at {reads}"
 
 
 def sizes() -> tuple[int, int]:
