@@ -6,6 +6,7 @@ import pytest
 
 from conftest import DATA_DIR, count_calls
 from liptriv.cli import _build_parser, run
+from liptriv.properness import ProbeSchedule
 
 SIMPLE = str(DATA_DIR / "ex_simple.map")
 BAD = str(DATA_DIR / "bad.map")
@@ -65,6 +66,15 @@ class TestAnalyze:
         run(["analyze", "-i", CUBE, "--field", "complex", "--output", "json"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_seed_env_ignored(self, capsys, monkeypatch):
+        # --seed is the one way to set the seed; the environment sets nothing.
+        monkeypatch.setenv("LTV_SEED", "7")
+        _, doc = run_json(capsys, ["analyze", "-i", CUBE, "--field", "complex"])
+        assert doc["seed"] == ProbeSchedule().seed != 7
+        monkeypatch.setenv("LTV_SEED", "abc")
+        assert run(["factor", "-i", CUBE]) == 0
+        capsys.readouterr()
 
     def test_budget_exhaustion_returns_three(self, capsys):
         code, doc = run_json(
@@ -316,6 +326,19 @@ class TestErrors:
         # The infinity subcommand stays exact, so a huge value is fine there.
         assert run(["infinity", "-i", CUBE, "--values", "1e400"]) == 0
         capsys.readouterr()
+
+    def test_removed_tolerance_flags_exit_two(self, capsys, monkeypatch):
+        # The verdict's thresholds are constants, so the flags that set them
+        # are usage errors, even at their old defaults.
+        import liptriv.dependence
+
+        factors = count_calls(monkeypatch, liptriv.dependence, "factor_through_projection")
+        for extra in (["--tol-zero", "1e-6"], ["--mu-floor", "1e-3"]):
+            code = run(["analyze", "-i", CUBE, "--field", "real", *extra])
+            err = capsys.readouterr().err
+            assert code == 2, extra
+            assert f"unrecognized arguments: {' '.join(extra)}" in err, extra
+        assert factors == []
 
     def test_huge_exponent_exit_two(self, capsys, tmp_path):
         # The exponent cap is hit while the parser multiplies; the error
