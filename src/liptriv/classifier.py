@@ -20,10 +20,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import isfinite, sqrt
+from math import isfinite
 from typing import Callable, Iterator, Sequence
-
-import numpy as np
 
 from .critical import RealCriticalValue, critical_ideal, jacobian_minors, real_critical_values
 from .dependence import FactorizationResult, factor_through_projection
@@ -44,11 +42,14 @@ from .properness import (
     ProbeSchedule,
     PropernessVerdict,
     _gauss_newton_step,
+    _largest_singular_value,
+    _norm,
     _sphere_minimize,
     certifier,
     check_radii,
     jelonek_ideal,
     properness_probe_real,
+    seeded_rng,
     target_ring,
 )
 from .rational import RationalMap, indeterminacy_empty_check, rational_invariance_subspace
@@ -539,9 +540,6 @@ def _rational_report(r: RationalMap, field_name: str, cfg: AnalysisConfig) -> Lt
 # -- probes shared by the report layer ---------------------------------------------
 
 
-# In both probes a start's values can grow past a float; a norm of huge
-# finite values is then inf, which drops the start, without a warning.
-@np.errstate(over="ignore")
 def lipschitz_gradient_probe(
     mapping: PolyMap | RationalMap,
     value: Sequence[float],
@@ -562,42 +560,41 @@ def lipschitz_gradient_probe(
         evaluate, jacobian = mapping.evaluate_float, mapping.jacobian_float
     else:
         evaluate, jacobian = mapping.kernel.value, mapping.kernel.jacobian
-    cvals = np.array([float(x) for x in value])
+    cvals = [float(x) for x in value]
+
+    def residual(x):
+        return [a - b for a, b in zip(evaluate(x), cvals)]
 
     def toward_fiber(x, radius):
         """At most 25 Gauss-Newton steps from a sphere start toward the fiber, in the ball."""
-        x = np.array(x, dtype=float)
         for _ in range(25):
-            resid = np.array(evaluate(list(x))) - cvals
-            step = _gauss_newton_step(resid, lambda: jacobian(list(x)), 1e-10)
+            step = _gauss_newton_step(residual(x), lambda: jacobian(x), 1e-10)
             if step is None:
                 break
-            x = x - step
-            norm = float(np.linalg.norm(x))
+            x = [a - s for a, s in zip(x, step)]
+            norm = _norm(x)
             if norm > radius:
-                x = x * (radius / norm)
+                x = [a * (radius / norm) for a in x]
         return x
 
     per_radius = []
     sups = []
     for k, radius in enumerate(sorted(radii)):
-        rng = np.random.default_rng((seed, 977, k))
+        rng = seeded_rng(seed, 977, k)
         best_norm = None
         best_mu = float("inf")
         for _ in range(12):
-            u = rng.normal(size=mapping.n)
-            u_norm = float(np.linalg.norm(u))
+            u = [rng.gauss(0.0, 1.0) for _ in range(mapping.n)]
+            u_norm = _norm(u)
             if u_norm == 0.0:
                 continue
             try:
-                x = toward_fiber(radius * u / u_norm, radius)
-                if not np.all(np.isfinite(x)):
+                x = toward_fiber([radius * v / u_norm for v in u], radius)
+                if not all(isfinite(a) for a in x):
                     continue
-                mu = float(np.linalg.norm(np.array(evaluate(list(x))) - cvals))
-                norm = None
-                if mu < 0.5:
-                    jac = np.array(jacobian(list(x)))
-                    norm = float(np.linalg.svd(jac, compute_uv=False)[0])
+                mu = _norm(residual(x))
+                # A sample with a non-finite Jacobian has no norm.
+                norm = _largest_singular_value(jacobian(x)) if mu < 0.5 else None
             except OverflowError:
                 continue  # a power overflows a float on this start's path
             best_mu = min(best_mu, mu)
@@ -608,7 +605,7 @@ def lipschitz_gradient_probe(
             sups.append(best_norm)
         per_radius.append(entry)
 
-    kept = [s for s in sups if np.isfinite(s)]
+    kept = [s for s in sups if isfinite(s)]
     if len(kept) >= 2 and kept[-1] > 10.0 * max(kept[0], 1e-12) and kept[-1] > kept[-2]:
         verdict = "UNBOUNDED"
     elif kept:
@@ -619,7 +616,7 @@ def lipschitz_gradient_probe(
         "verdict": verdict,
         "bound": max(kept) if kept else None,
         "samples": per_radius,
-        "value": [float(x) for x in cvals],
+        "value": cvals,
     }
 
 
@@ -631,7 +628,6 @@ _TUBE_RESTARTS = 12
 _TUBE_MAX_ITER = 150
 
 
-@np.errstate(over="ignore")
 def tube_distance_probe(
     f: PolyMap,
     c: Sequence[float],
@@ -670,7 +666,7 @@ def tube_distance_probe(
     tv = [float(x) for x in t]
 
     def project_ball(z, radius):
-        norm = sqrt(sum(v * v for v in z))
+        norm = _norm(z)
         if norm <= radius or norm == 0.0:
             return z
         return [radius * v / norm for v in z]
@@ -679,45 +675,41 @@ def tube_distance_probe(
         """At most 12 Gauss-Newton steps toward {f = target}, kept inside the ball."""
         if f.p == 1:
             return kernel.fiber_project(z, target[0], radius, 1e-12, 12)
-        z = list(z)
         for _ in range(12):
-            resid = np.array(kernel.value(z)) - np.array(target)
+            resid = [a - b for a, b in zip(kernel.value(z), target)]
             step = _gauss_newton_step(resid, lambda: kernel.jacobian(z), 1e-12)
             if step is None:
                 break
-            z = project_ball([a - s for a, s in zip(z, step.tolist())], radius)
+            z = project_ball([a - s for a, s in zip(z, step)], radius)
         return z
 
     def dist(x, y):
-        return sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+        return _norm([a - b for a, b in zip(x, y)])
 
     def residual_norms(x, y):
-        rx = sqrt(sum((a - b) ** 2 for a, b in zip(kernel.value(x), cv)))
-        ry = sqrt(sum((a - b) ** 2 for a, b in zip(kernel.value(y), tv)))
-        return rx, ry
+        return dist(kernel.value(x), cv), dist(kernel.value(y), tv)
 
     per_radius = []
     dists = []
     warm: list[tuple[list[float], list[float]]] = []
     for k, radius in enumerate(_TUBE_RADII):
-        rng = np.random.default_rng((seed, 1733, k))
+        rng = seeded_rng(seed, 1733, k)
         best = None
         starts = list(warm)
         for _ in range(_TUBE_RESTARTS):
-            x = [radius * float(v) for v in rng.uniform(-1.0, 1.0, size=n)]
-            x = project_ball(x, radius)
-            y = [v + 0.05 * radius * float(d) for v, d in zip(x, rng.normal(size=n))]
+            x = project_ball([radius * rng.uniform(-1.0, 1.0) for _ in range(n)], radius)
+            y = [v + 0.05 * radius * rng.gauss(0.0, 1.0) for v in x]
             starts.append((x, project_ball(y, radius)))
         # Structured starts: near-fiber points found on inner spheres, each
         # paired with its own projection onto the other fiber; this reaches
         # thin branches that uniform ball sampling misses.
         for frac_idx, frac in enumerate((0.5, 0.95)):
             for target in (cv, tv):
-                sub_rng = np.random.default_rng((seed, 2741, k, frac_idx))
+                sub_rng = seeded_rng(seed, 2741, k, frac_idx)
                 _, point = _sphere_minimize(
                     kernel, target, frac * radius, sub_rng, 8, _TUBE_MAX_ITER
                 )
-                if all(np.isfinite(point)):
+                if all(isfinite(v) for v in point):
                     starts.append((list(point), list(point)))
         for x0, y0 in starts:
             try:

@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isfinite, sqrt
+from math import isfinite
 from typing import Iterator
-
-import numpy as np
 
 from .groebner import (
     DEFAULT_BUDGET,
@@ -25,7 +23,7 @@ from .groebner import (
     real_roots,
 )
 from .polycore import FloatKernel, PolyMap, Polynomial, float_or_inf
-from .properness import ProbeSchedule, _gauss_newton_step, graph_ideal
+from .properness import ProbeSchedule, _gauss_newton_step, _norm, graph_ideal, seeded_rng
 
 
 def jacobian(g: PolyMap) -> tuple[tuple[Polynomial, ...], ...]:
@@ -131,10 +129,6 @@ def real_critical_values(
     return out
 
 
-def _norm(v: list[float]) -> float:
-    return sqrt(sum([a * a for a in v]))
-
-
 def _newton_critical_points(g: PolyMap, seed: int) -> Iterator[list[float]]:
     """Multi-start Newton for the gradient system of a scalar map: yields, in
     start order, the end points whose gradient norm is below _NEWTON_TOL.
@@ -150,17 +144,14 @@ def _newton_critical_points(g: PolyMap, seed: int) -> Iterator[list[float]]:
     comp = g.components[0]
     gmap = FloatKernel([comp.partial(j) for j in range(m)])
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     for _ in range(200):
-        x = rng.uniform(-3.0, 3.0, size=m).tolist()
+        x = [rng.uniform(-3.0, 3.0) for _ in range(m)]
         try:
             for _ in range(60):
-                step = _gauss_newton_step(
-                    np.array(gmap.value(x)), lambda: gmap.jacobian(x), _NEWTON_TOL * 1e-4
-                )
+                step = _gauss_newton_step(gmap.value(x), lambda: gmap.jacobian(x), _NEWTON_TOL * 1e-4)
                 if step is None:
                     break
-                step = step.tolist()
                 x = [a - s for a, s in zip(x, step)]
                 if _norm(step) < 1e-14 * (1.0 + _norm(x)):
                     break

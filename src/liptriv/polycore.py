@@ -432,8 +432,9 @@ class FloatKernel:
     variable order, so a monomial in thousands of variables compiles; the
     Jacobian of such a map is still out of reach, its source growing as
     n^2.  Points are
-    used as given, not converted: a numpy scalar overflows to inf where a
-    Python float raises OverflowError.  `source(name)` names only positional
+    used as given, not converted: the probes pass Python floats, so a power
+    past the float range raises OverflowError, which drops that probe's
+    start, while a product or sum past it is a quiet inf.  `source(name)` names only positional
     locals, integer exponents and indices into the coefficient tuple C,
     never a variable name or coefficient text of the input.
     """

@@ -24,21 +24,29 @@ gradient or tangent, a zero tangent, a failed line search, fx <= 1e-300
 and max_iter steps.  The
 kernel does the same float operations in the same order as term-by-term
 summation and the interpreted reference loop of its tests, so mu, argmin
-and verdict are bit-identical to that loop's.  It stays scalar
-rather than numpy: at n <= 3 a numpy call costs more than the arithmetic,
-and evaluating all restarts as one batch would change the restarts' early
-exit and the order of the sums.
+and verdict are bit-identical to that loop's.
+
+The probes run on Python floats alone, with no numpy: at n <= 3 an array
+call costs more than the arithmetic, and evaluating all restarts as one
+batch would change the restarts' early exit and the order of the sums.
+Their seeded starts come from `seeded_rng`, a `random.Random` per key.
+Every other least-squares step, of the tube probe when p >= 2, the
+gradient probe and the Newton witness search, is `_gauss_newton_step`, a
+minimum-norm solve by a fixed-order one-sided Jacobi SVD (`_jacobi_svd`),
+which also gives the gradient probe its largest singular value.  Every
+sum is added left to right, so no BLAS kernel, LAPACK build or Python
+version's `sum` rounding reaches the bits.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import inf, isfinite, sqrt
+from sys import float_info
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .dependence import factor_through_projection
 from .groebner import (
@@ -202,32 +210,136 @@ def certifier(
     return cache(lambda value: is_proper_at_complex(g, value, ideal, budget))
 
 
-def _gauss_newton_step(resid: np.ndarray, jacobian: Callable[[], list], tol: float):
-    """The minimum-norm least-squares step solving jacobian() @ step = resid
-    by numpy's `lstsq`, or None to stop: |resid| < tol, a failed solve or a
-    step that is not finite.  It stops before LAPACK sees a non-finite
-    input, which it reports on stderr, and the norm of a finite residual
-    past the float range is a quiet inf.  It serves the tube probe when
-    p >= 2, the gradient probe and the Newton witness search; a scalar map's
-    projections are its kernel's compiled `fiber_project`."""
-    with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(resid)) or float(np.linalg.norm(resid)) < tol:
-            return None
-    jac = np.array(jacobian())
-    if not np.all(np.isfinite(jac)):
+def seeded_rng(*key) -> random.Random:
+    """The random stream of one probe's starts, seeded by its key tuple: its
+    items joined by spaces, so (42, 3) and (423,) differ."""
+    return random.Random(" ".join(map(str, key)))
+
+
+def _norm(v: Sequence[float]) -> float:
+    """The Euclidean norm, its squares added left to right from 0.0; past
+    the float range it is a quiet inf."""
+    total = 0.0
+    for a in v:
+        total += a * a
+    return sqrt(total)
+
+
+_EPS = float_info.epsilon
+# Sweeps of `_jacobi_svd` before it gives up; n <= 3 takes a handful.
+_SWEEPS = 30
+
+
+def _jacobi_svd(rows: Sequence[Sequence[float]]):
+    """One-sided Jacobi SVD (Hestenes; Demmel and Veselic, SIAM J. Matrix
+    Anal. Appl. 1992) of a matrix A given by its rows, as (scale, triples),
+    or None when A is not finite or `_SWEEPS` sweeps leave it unconverged.
+
+    A is first divided by scale, its largest |entry|, as `fiber_project`
+    divides its row, so no square of an entry overflows and the largest
+    singular value of A / scale is in [1, sqrt(rows * cols)].  The rotations
+    run on the columns of A / scale, or on its rows when it has fewer rows
+    than columns, so they pair the fewer vectors.  Each sweep visits the
+    pairs (i, j), i < j, in order and rotates a pair whose dot product is
+    above eps times the product of their norms; a pair with a zero vector
+    is skipped.  The result is one triple (x_j, r_j, sigma_j) per vector:
+    A / scale is the sum of r_j x_j^T, each family orthogonal, one vector
+    of each triple of norm 1 and the other of norm sigma_j, so the
+    pseudo-inverse of A / scale is the sum of x_j r_j^T / sigma_j^2.  A zero
+    matrix gives (0.0, []).
+    """
+    flat = [v for row in rows for v in row]
+    if not all(map(isfinite, flat)):
         return None
-    try:
-        step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-    except np.linalg.LinAlgError:
+    scale = max(map(abs, flat))
+    if scale == 0.0:
+        return 0.0, []
+    wide = len(rows) < len(rows[0])
+    if wide:
+        vecs = [[v / scale for v in row] for row in rows]
+    else:
+        vecs = [[row[j] / scale for row in rows] for j in range(len(rows[0]))]
+    k = len(vecs)
+    rot = [[float(i == j) for i in range(k)] for j in range(k)]
+    pairs = [(i, j) for i in range(k - 1) for j in range(i + 1, k)]
+    for _ in range(_SWEEPS):
+        rotated = False
+        for i, j in pairs:
+            a, b = vecs[i], vecs[j]
+            alpha = beta = gamma = 0.0
+            for x, y in zip(a, b):
+                alpha += x * x
+                beta += y * y
+                gamma += x * y
+            if alpha == 0.0 or beta == 0.0 or abs(gamma) <= _EPS * sqrt(alpha) * sqrt(beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2.0 * gamma)
+            if abs(zeta) > 1e150:
+                t = 0.5 / zeta  # zeta^2 would overflow
+            else:
+                t = (1.0 if zeta >= 0.0 else -1.0) / (abs(zeta) + sqrt(1.0 + zeta * zeta))
+            c = 1.0 / sqrt(1.0 + t * t)
+            s = c * t
+            vecs[i] = [c * x - s * y for x, y in zip(a, b)]
+            vecs[j] = [s * x + c * y for x, y in zip(a, b)]
+            a, b = rot[i], rot[j]
+            rot[i] = [c * x - s * y for x, y in zip(a, b)]
+            rot[j] = [s * x + c * y for x, y in zip(a, b)]
+        if not rotated:
+            # On the columns A / scale is the sum of vecs_j rot_j^T, on the
+            # rows the sum of rot_j vecs_j^T.
+            triples = zip(vecs, rot, map(_norm, vecs)) if wide else zip(rot, vecs, map(_norm, vecs))
+            return scale, list(triples)
+    return None
+
+
+def _largest_singular_value(rows: Sequence[Sequence[float]]) -> float | None:
+    """The largest singular value of a matrix, by `_jacobi_svd`, or None
+    where that gives none."""
+    svd = _jacobi_svd(rows)
+    if svd is None:
         return None
-    return step if np.all(np.isfinite(step)) else None
+    scale, triples = svd
+    return scale * max((sigma for _, _, sigma in triples), default=0.0)
+
+
+def _gauss_newton_step(resid: Sequence[float], jacobian: Callable[[], list], tol: float):
+    """The minimum-norm least-squares step solving jacobian() @ step = resid,
+    as a list, or None to stop: a non-finite residual, |resid| < tol, a
+    non-finite Jacobian, an unconverged SVD or a step that is not finite.
+
+    It is numpy's `lstsq` with its default cutoff, in Python floats: by
+    `_jacobi_svd`, a singular value at most eps * max(rows, cols) * sigma_max
+    counts as zero, and the step is the sum of x_j (r_j . resid) / sigma_j^2
+    over the others, divided by the scale.  A zero Jacobian gives the zero
+    step.  It serves the tube probe when p >= 2, the gradient probe and the
+    Newton witness search; a scalar map's projections are its kernel's
+    compiled `fiber_project`."""
+    if not all(map(isfinite, resid)) or _norm(resid) < tol:
+        return None
+    jac = jacobian()
+    svd = _jacobi_svd(jac)
+    if svd is None:
+        return None
+    scale, triples = svd
+    cutoff = _EPS * max(len(jac), len(jac[0])) * max((sigma for _, _, sigma in triples), default=0.0)
+    step = [0.0] * len(jac[0])
+    for x, r, sigma in triples:
+        if sigma > cutoff:
+            coef = 0.0
+            for a, b in zip(r, resid):
+                coef += a * b
+            coef = coef / sigma / sigma / scale
+            step = [a + coef * b for a, b in zip(step, x)]
+    return step if all(map(isfinite, step)) else None
 
 
 def _sphere_minimize(
     kernel: FloatKernel,
     c: Sequence[float],
     radius: float,
-    rng: np.random.Generator,
+    rng: random.Random,
     restarts: int,
     max_iter: int,
     mu_below: float = 0.0,
@@ -247,12 +359,12 @@ def _sphere_minimize(
     best_val = float("inf")
     best_x = [float("nan")] * n
     for _ in range(restarts):
-        u = rng.normal(size=n)
-        norm = float(np.linalg.norm(u))
+        u = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        norm = _norm(u)
         if norm == 0.0:
             continue
         try:
-            fx, x = sphere_descent([radius * float(v) / norm for v in u], radius, cvals, max_iter)
+            fx, x = sphere_descent([radius * v / norm for v in u], radius, cvals, max_iter)
         except OverflowError:
             continue  # a power overflows a float on this restart's path
         if fx < best_val and all(isfinite(xv) for xv in x):
@@ -322,12 +434,12 @@ def _image_witness(f: PolyMap, value: tuple[Fraction, ...], seed: int) -> dict |
     g = fact.g
     c = value[0]
     kernel = g.kernel
-    rng = np.random.default_rng((seed, 4099))
+    rng = seeded_rng(seed, 4099)
     cf = float(c)
     delta = 1e-3 * max(1.0, abs(cf))
     below = above = None
     for _ in range(4):
-        start = [float(v) for v in rng.normal(size=g.n)]
+        start = [rng.gauss(0.0, 1.0) for _ in range(g.n)]
         for target in (cf - delta, cf + delta):
             try:
                 x = kernel.fiber_project(start, target, inf, delta / 2, 60)
@@ -404,7 +516,7 @@ def properness_probe_real(
     trace = []
     mus = []
     for k, radius in enumerate(sched.radii):
-        rng = np.random.default_rng((sched.seed, k))
+        rng = seeded_rng(sched.seed, k)
         mu, arg = _sphere_minimize(g.kernel, cvec, radius, rng, _RESTARTS, _MAX_ITER, _TOL_ZERO)
         mus.append(mu)
         trace.append(
@@ -416,7 +528,7 @@ def properness_probe_real(
         )
 
     evidence = {"mu_trace": trace, "tol_zero": _TOL_ZERO, "mu_floor": _MU_FLOOR}
-    if not all(np.isfinite(mus)):
+    if not all(isfinite(mu) for mu in mus):
         return PropernessVerdict("probe_real", "inconclusive", evidence)
 
     # The sphere keeps meeting the fiber (mu ~ 0 throughout: unbounded fiber)

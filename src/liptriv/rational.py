@@ -58,7 +58,8 @@ class RationalMap:
         return FloatKernel(self.numerators + self.denominators)
 
     def evaluate_float(self, point: Sequence[float]) -> tuple[float, ...]:
-        # Convert to Python floats, which raise on overflow where numpy's give inf.
+        # Python floats: a power past the float range raises OverflowError, which
+        # the gradient probe catches, even for a point of numpy scalars.
         vals = self._float_kernel.value([float(v) for v in point])
         p = self.p
         return tuple(vals[i] / vals[p + i] for i in range(p))

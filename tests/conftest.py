@@ -474,42 +474,55 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def reference_newton_critical_points(g, seed):
+def reference_newton_critical_points(g, seed, solve):
     """Multi-start Newton for the gradient system of a scalar map, on numpy
     arrays: the end points whose gradient norm is below the tolerance.  An
     oracle for critical._newton_critical_points, which runs the same steps
-    on Python floats."""
+    on Python floats: the same seeded starts, stops and updates, with each
+    step `solve(jacobian rows, residual list)`, a list or None to stop."""
     import numpy as np
 
     from liptriv.critical import _NEWTON_TOL
     from liptriv.polycore import FloatKernel
+    from liptriv.properness import seeded_rng
 
     m = g.n
     comp = g.components[0]
     gmap = FloatKernel([comp.partial(j) for j in range(m)])
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     found = []
     for _ in range(200):
-        x = rng.uniform(-3.0, 3.0, size=m)
-        for _ in range(60):
-            val = np.array(gmap.value(list(x)))
-            if not np.all(np.isfinite(val)):
-                break
-            if float(np.linalg.norm(val)) < _NEWTON_TOL * 1e-4:
-                break
-            jac = np.array(gmap.jacobian(list(x)))
-            try:
-                step, *_ = np.linalg.lstsq(jac, -val, rcond=None)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            x = x + step
-            if float(np.linalg.norm(step)) < 1e-14 * (1.0 + float(np.linalg.norm(x))):
-                break
-        val = np.array(gmap.value(list(x)))
+        x = np.array([rng.uniform(-3.0, 3.0) for _ in range(m)])
+        try:
+            for _ in range(60):
+                val = np.array(gmap.value(x.tolist()))
+                if not np.all(np.isfinite(val)):
+                    break
+                if float(np.linalg.norm(val)) < _NEWTON_TOL * 1e-4:
+                    break
+                step = solve(gmap.jacobian(x.tolist()), val.tolist())
+                if step is None or not np.all(np.isfinite(step)):
+                    break
+                x = x - np.array(step)
+                if float(np.linalg.norm(step)) < 1e-14 * (1.0 + float(np.linalg.norm(x))):
+                    break
+            val = np.array(gmap.value(x.tolist()))
+        except OverflowError:
+            continue
         resid = float(np.linalg.norm(val))
         if np.all(np.isfinite(x)) and resid < _NEWTON_TOL:
-            found.append([float(v) for v in x])
+            found.append(x.tolist())
     return found
+
+
+def lstsq_solve(jac, rhs):
+    """numpy's minimum-norm least-squares solution of jac @ step = rhs, as a
+    list, or None where LAPACK fails."""
+    import numpy as np
+
+    try:
+        step, *_ = np.linalg.lstsq(np.array(jac), np.array(rhs), rcond=None)
+    except np.linalg.LinAlgError:
+        return None
+    return step.tolist()

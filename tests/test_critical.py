@@ -14,6 +14,7 @@ from conftest import (
     compose_linear,
     eval_float,
     is_invertible,
+    lstsq_solve,
     poly,
     reference_newton_critical_points,
 )
@@ -23,6 +24,7 @@ from liptriv.classifier import classify
 from liptriv.groebner import buchberger, real_roots
 from liptriv.parsing import parse_mapping, print_polynomial
 from liptriv.polycore import PolyMap, Polynomial
+from liptriv.properness import _gauss_newton_step
 
 F = Fraction
 
@@ -179,7 +181,7 @@ def scalar_maps(draw):
     return PolyMap(ring, (Polynomial.from_dict(ring, coeffs),))
 
 
-# numpy scalars warn where a Newton step overflows.
+# The reference's numpy arrays warn where a Newton step overflows.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=25, deadline=None)
 @given(scalar_maps())
@@ -192,7 +194,7 @@ def scalar_maps(draw):
 @example(scalar_map(XYZ[:1], "x^3 - 3*x"))
 def test_newton_matches_numpy_loop(g):
     got = list(critical._newton_critical_points(g, 42))
-    want = reference_newton_critical_points(g, 42)
+    want = reference_newton_critical_points(g, 42, svd_solve)
     assert [[bits(v) for v in x] for x in got] == [[bits(v) for v in x] for x in want]
 
     # Each root's witness is the first reference end point whose value gap
@@ -216,6 +218,27 @@ def test_newton_matches_numpy_loop(g):
         assert (r.witness and [bits(v) for v in r.witness]) == (
             expected and [bits(v) for v in expected]
         )
+
+
+def svd_solve(jac, rhs):
+    """The package's least-squares step, by its Jacobi SVD."""
+    return _gauss_newton_step(rhs, lambda: jac, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "ring, expr",
+    [(XYZ, "-2*x^2"), (XYZ[:2], "x*y"), (XYZ[:2], "x^2*y"), (XYZ, "x*y"), (XYZ[:1], "x^3 - 3*x")],
+)
+def test_newton_with_lstsq_steps_ends_at_the_same_points(ring, expr):
+    # The same starts with numpy's lstsq for every step end at the same
+    # critical points, singular Hessians included, to 1e-9.
+    g = scalar_map(ring, expr)
+    got = list(critical._newton_critical_points(g, 42))
+    want = reference_newton_critical_points(g, 42, lstsq_solve)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a == pytest.approx(b, rel=0.0, abs=1e-9)
 
 
 # -- the witness search stops when it is done ---------------------------------------
@@ -244,14 +267,15 @@ def taken_points(monkeypatch):
 
 def test_real_analyses_take_only_the_witnessing_end_points(monkeypatch, cube_map, motzkin_map):
     """`cube` real has one critical value, which the first end point attains;
-    `motzkin` real has two, which the 17th attains both.  A search that ran
-    all 200 starts before matching took every end point they found."""
+    `motzkin` real has two: the first end point attains 1 and the 8th 0.  A
+    search that ran all 200 starts before matching took every end point
+    they found."""
     calls = taken_points(monkeypatch)
     classify(cube_map, "real")
     assert [len(taken) for taken in calls] == [1]
     calls.clear()
     classify(motzkin_map, "real")
-    assert [len(taken) for taken in calls] == [17]
+    assert [len(taken) for taken in calls] == [8]
 
 
 def test_no_real_critical_value_starts_no_newton(monkeypatch):

@@ -50,8 +50,8 @@ pytestmark = pytest.mark.skipif(
     RUNNING != MANIFEST["python"],
     reason=(
         f"golden reports were recorded on Python {MANIFEST['python']}, this is "
-        f"{RUNNING}: probe mu values depend on the interpreter's float sum() "
-        "(compensated since 3.12) and the C library's pow"
+        f"{RUNNING}: probe floats depend on the C library's pow that the "
+        "interpreter calls"
     ),
 )
 

@@ -11,6 +11,7 @@ from conftest import (
     compose_linear,
     count_calls,
     data_text,
+    lstsq_solve,
     one_equation_step,
     poly,
     power,
@@ -37,11 +38,13 @@ from liptriv.properness import (
     ProbeSchedule,
     _gauss_newton_step,
     _coercive_component,
+    _largest_singular_value,
     _image_witness,
     _sphere_minimize,
     is_proper_at_complex,
     jelonek_ideal,
     properness_probe_real,
+    seeded_rng,
     target_ring,
 )
 from test_acceptance import _random_reduced_maps
@@ -378,8 +381,7 @@ class TestPropernessProbe:
                 assert not jel.vanishes_at([F(2), F(3)])
             mus = []
             for k, radius in enumerate((10.0, 100.0)):
-                rng_np = np.random.default_rng((59, k))
-                mu, _ = _sphere_minimize(kernel, test_value, radius, rng_np, 12, 150)
+                mu, _ = _sphere_minimize(kernel, test_value, radius, seeded_rng(59, k), 12, 150)
                 mus.append(mu)
             assert mus[-1] > 1e-3
 
@@ -387,7 +389,7 @@ class TestPropernessProbe:
         # On the circle of radius 10, |x| or |y| is at least 7.07, and
         # 7.07^400 overflows a float: every restart is dropped.
         kernel = FloatKernel([poly(("x", "y"), "x^400 + y^400")])
-        mu, point = _sphere_minimize(kernel, [1.0], 10.0, np.random.default_rng(3), 4, 50)
+        mu, point = _sphere_minimize(kernel, [1.0], 10.0, seeded_rng(3), 4, 50)
         assert mu == float("inf")
         assert len(point) == 2 and all(v != v for v in point)
 
@@ -463,7 +465,7 @@ class TestRestartsStopAtTolZero:
     @pytest.mark.parametrize("expr", ["x^2 - y^2", "x^3 - y^2"])
     def test_stop_after_the_first_mu_strictly_below(self, expr, monkeypatch):
         kernel = scalar("x,y", expr).kernel
-        rng = np.random.default_rng((42, 3))
+        rng = seeded_rng(42, 3)
         # One restart per call draws what the k-th restart of one call draws.
         mus = [_sphere_minimize(kernel, [1.0], 1e4, rng, 1, 250)[0] for _ in range(32)]
         radii = self.descents(monkeypatch)
@@ -471,7 +473,7 @@ class TestRestartsStopAtTolZero:
         for mu_below in (_TOL_ZERO, mus[0]):
             first = next(k for k, mu in enumerate(mus) if mu < mu_below)
             radii.clear()
-            rng = np.random.default_rng((42, 3))
+            rng = seeded_rng(42, 3)
             mu, _ = _sphere_minimize(kernel, [1.0], 1e4, rng, 32, 250, mu_below)
             assert (len(radii), mu) == (first + 1, min(mus[: first + 1]))
             firsts.append(first)
@@ -504,12 +506,6 @@ class TestRestartsStopAtTolZero:
         assert stopped > 0
 
 
-def lstsq_step(row, resid):
-    """numpy's minimum-norm least-squares solution of row . step = resid."""
-    step, *_ = np.linalg.lstsq(np.array([row]), np.array([resid]), rcond=None)
-    return step
-
-
 class TestOneEquationStep:
     """The reference step of FloatKernel.fiber_project, conftest's
     one_equation_step, against numpy's lstsq on one row, and its stops
@@ -526,7 +522,7 @@ class TestOneEquationStep:
             row = [0.0 if rng.random() < 0.25 else self.magnitude(rng) for _ in range(n)]
             resid = self.magnitude(rng)
             got = one_equation_step(resid, lambda: row, 0.0)
-            want = lstsq_step(row, resid)
+            want = lstsq_solve([row], [resid])
             case = (row, resid)
             assert (got is not None) == bool(np.all(np.isfinite(want))), case
             if not any(row):
@@ -547,16 +543,16 @@ class TestOneEquationStep:
     )
     def test_past_the_squares_range_as_lstsq(self, row, resid):
         got = one_equation_step(resid, lambda: row, 0.0)
-        want = lstsq_step(row, resid)
+        want = lstsq_solve([row], [resid])
         if not np.all(np.isfinite(want)):
             assert got is None
         else:
-            assert got == pytest.approx(want.tolist(), rel=1e-15, abs=0.0)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_zero_row_gives_the_zero_step(self):
         for n in (1, 2, 4):
             assert one_equation_step(3.0, lambda: [0.0] * n, 1e-12) == [0.0] * n
-            assert lstsq_step([0.0] * n, 3.0).tolist() == [0.0] * n
+            assert lstsq_solve([[0.0] * n], [3.0]) == [0.0] * n
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-10])
     def test_stops_as_gauss_newton_step(self, tol):
@@ -566,10 +562,10 @@ class TestOneEquationStep:
         for resid in residuals:
             for row in rows:
                 got = one_equation_step(resid, lambda: row, tol)
-                want = _gauss_newton_step(np.array([resid]), lambda: [row], tol)
+                want = _gauss_newton_step([resid], lambda: [row], tol)
                 assert (got is None) == (want is None), (resid, row)
                 if got is not None:
-                    assert got == pytest.approx(want.tolist(), rel=1e-15, abs=0.0)
+                    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_row_read_only_past_the_residual_stops(self):
         def row():
@@ -577,6 +573,102 @@ class TestOneEquationStep:
 
         for resid in (nan, inf, 1e-13):
             assert one_equation_step(resid, row, 1e-12) is None
+
+
+class TestJacobiLeastSquares:
+    """_gauss_newton_step's Jacobi SVD solve and _largest_singular_value
+    against numpy's lstsq and svd: each step agrees to 1e-12 of its largest
+    entry, and each largest singular value to 1e-12 of itself, with the
+    same stops."""
+
+    SHAPES = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+
+    @staticmethod
+    def check(rows, resid):
+        got = _gauss_newton_step(resid, lambda: rows, 0.0)
+        want = lstsq_solve(rows, resid)
+        finite = want is not None and all(np.isfinite(want))
+        assert (got is not None) == finite, (rows, resid, got, want)
+        if got is not None:
+            top = max(map(abs, want))
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * top, (rows, resid)
+        sigma = float(np.linalg.svd(np.array(rows), compute_uv=False)[0])
+        assert _largest_singular_value(rows) == pytest.approx(sigma, rel=1e-12, abs=0.0), rows
+
+    @staticmethod
+    def well_conditioned(rng, m, n, scale=1.0):
+        """Normal entries with 4 added on the diagonal: full rank."""
+        return [[scale * (rng.gauss(0.0, 1.0) + 4.0 * (i == j)) for j in range(n)] for i in range(m)]
+
+    def test_seeded_full_rank(self):
+        rng = random.Random(21)
+        for m, n in self.SHAPES:
+            for _ in range(200):
+                rows = self.well_conditioned(rng, m, n)
+                self.check(rows, [rng.gauss(0.0, 1.0) for _ in range(m)])
+
+    @pytest.mark.parametrize(
+        "expr, point", [("-2*x^2", (0.3, -1.0, 2.0)), ("x^2*y", (0.0, 1.5)), ("x^2*y", (0.0, -0.25))]
+    )
+    def test_singular_hessians(self, expr, point):
+        # -2*x^2 in Q[x,y,z] has the Hessian diag(-4, 0, 0) everywhere, and
+        # x^2*y has [[2y, 2x], [2x, 0]], singular on the line x = 0.
+        ring = ("x", "y", "z")[: len(point)]
+        comp = poly(ring, expr)
+        hessian = FloatKernel([comp.partial(j) for j in range(len(ring))]).jacobian
+        rows = hessian(list(point))
+        assert np.linalg.matrix_rank(np.array(rows)) == 1
+        rng = random.Random(22)
+        for _ in range(20):
+            self.check(rows, [rng.gauss(0.0, 1.0) for _ in ring])
+
+    def test_seeded_rank_one(self):
+        rng = random.Random(23)
+        for m, n in self.SHAPES:
+            for _ in range(50):
+                u = [rng.gauss(0.0, 1.0) for _ in range(m)]
+                v = [rng.gauss(0.0, 1.0) for _ in range(n)]
+                self.check([[a * b for b in v] for a in u], [rng.gauss(0.0, 1.0) for _ in range(m)])
+
+    @pytest.mark.parametrize("small", [1e-10, 1e-15, 7e-16, 6e-16, 4e-16, 1e-17])
+    def test_singular_values_at_the_cutoff(self, small):
+        # Orthogonal columns of norms 1 and `small`: lstsq keeps a singular
+        # value above eps * max(rows, cols), 4.4e-16 for 2 x 2 and 6.7e-16
+        # with 3 rows or columns, and drops the others.
+        for rows in (
+            [[1.0, 0.0], [0.0, small]],
+            [[0.0, small], [1.0, 0.0]],
+            [[small, 0.0, 0.0], [0.0, 0.0, 1.0]],
+            [[0.0, 1.0], [small, 0.0], [0.0, 0.0]],
+        ):
+            self.check(rows, [1.0, -2.0, 3.0][: len(rows)])
+
+    def test_zero_matrices(self):
+        for m, n in self.SHAPES:
+            rows = [[0.0] * n for _ in range(m)]
+            assert _gauss_newton_step([1.0] * m, lambda: rows, 0.0) == [0.0] * n
+            assert _largest_singular_value(rows) == 0.0
+            self.check(rows, [1.0] * m)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_entries_near_the_float_range(self, scale):
+        # Scaled by 1e-300 and solved for residuals of 1, 1e9 or 1e-9, the
+        # steps reach past 1e290; most of those for 1e9 overflow, for both
+        # solvers alike.
+        rng = random.Random(24)
+        stops = 0
+        for m, n in self.SHAPES:
+            for size in (1.0, 1e9, 1e-9):
+                rows = self.well_conditioned(rng, m, n, scale)
+                resid = [size * rng.gauss(0.0, 1.0) for _ in range(m)]
+                self.check(rows, resid)
+                stops += _gauss_newton_step(resid, lambda: rows, 0.0) is None
+        assert (stops > 0) == (scale == 1e-300)
+
+    def test_non_finite_matrices_stop(self):
+        for rows in ([[inf, 1.0]], [[1.0], [nan]], [[0.0, -inf], [1.0, 2.0]]):
+            assert _gauss_newton_step([1.0] * len(rows), lambda: rows, 0.0) is None
+            assert _largest_singular_value(rows) is None
 
 
 SEXTIC = "x^4*y^2 + x^2*y^4 - 3*x^2*y^2 + 1"

@@ -19,7 +19,8 @@ field, is one that some caller sets: a call in src/liptriv or in bench/*.py
 name sets it by keyword, or by a position before any starred argument.  A
 default that no caller sets is one value, and belongs in a constant.  Nor
 does src/liptriv read an environment variable, a setting that the count
-below would not see.
+below would not see.  Nor does it import numpy: the probes run on Python
+floats, and a run of every subcommand that probes loads no numpy module.
 
 The two sizes the ROADMAP tracks are printed by
 
@@ -28,6 +29,8 @@ The two sizes the ROADMAP tracks are printed by
 
 import argparse
 import ast
+import os
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -310,6 +313,49 @@ def test_no_environment_variable_is_read():
         )
     ]
     assert not reads, f"src/liptriv reads the environment at {reads}"
+
+
+def test_no_numpy_import():
+    imports = [
+        f"{path.stem}.py:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
+    ]
+    assert not imports, f"src/liptriv imports numpy at {imports}"
+
+
+# Every corpus map analyzed in both fields, then the properness probe at
+# values of a scalar map and the tube probe of a map with p = 2.
+_PROBING_RUNS = """
+import contextlib, io, sys
+from liptriv import cli
+
+data = sys.argv[1]
+runs = [
+    ["analyze", "-i", f"{data}/{name}.map", "--field", field]
+    for name in ("bad", "cube", "ex_simple", "motzkin", "regulous")
+    for field in ("complex", "real")
+]
+runs.append(["probe", "-i", f"{data}/motzkin.map", "--values", "0.5;2"])
+runs.append(["probe", "-i", f"{data}/ex_simple.map", "--values", "1,1", "--tube", "1,0|2,0"])
+codes = []
+for args in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(args))
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_probing_runs_load_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBING_RUNS, str(SRC / "data")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"{[0] * 12} []\n"
 
 
 def sizes() -> tuple[int, int]:
