@@ -356,7 +356,7 @@ class TestPropernessProbe:
     def test_triangular_perturbations_stay_proper(self):
         # Maps (x + q1(y), y + q2(x)) with quadratic leading parts are proper;
         # their non-properness ideal must be empty, and a direct radius-growth
-        # check at off-variety values confirms properness.
+        # check at (1, -1) confirms properness.
         rng = random.Random(59)
         ring = ("x", "y")
         for _ in range(20):
@@ -371,17 +371,11 @@ class TestPropernessProbe:
                     poly(ring, f"y + {b}*x^2 + {c2}*x"),
                 ),
             )
-            jel = jelonek_ideal(g)
-            if jel.has_unit_generator():
-                continue
+            assert jelonek_ideal(g).has_unit_generator(), g
             kernel = FloatKernel(g.components)
-            test_value = [1.0, -1.0]
-            if jel.vanishes_at([F(1), F(-1)]):
-                test_value = [2.0, 3.0]
-                assert not jel.vanishes_at([F(2), F(3)])
             mus = []
             for k, radius in enumerate((10.0, 100.0)):
-                mu, _ = _sphere_minimize(kernel, test_value, radius, seeded_rng(59, k), 12, 150)
+                mu, _ = _sphere_minimize(kernel, [1.0, -1.0], radius, seeded_rng(59, k), 12, 150)
                 mus.append(mu)
             assert mus[-1] > 1e-3
 
