@@ -379,15 +379,21 @@ class FloatKernel:
     - `sphere_descent(x, radius, c, max_iter) -> (fx, x)`: one restart of the
       properness probe's descent of |g - c|^2 on the sphere |x| = radius.
       Each step takes the gradient (skipping components whose residual is
-      0.0), its tangent part, and an Armijo backtracking of at most 60
-      halvings from `alpha = 0.1*radius/|t|`; a trial steps `y = x - alpha*t`
-      and retracts to `radius * y / |y|`.  It stops on a non-finite gradient,
-      a tangent norm <= 1e-300 or non-finite, a failed line search,
-      fx <= 1e-300, a stall, or after max_iter steps.  Stalled means that
-      after a multiple of 25 accepted steps fx is not below (1 - 1e-8)
-      times its value 25 steps before (the start is the first such value):
-      a restart settled at a positive minimum stops there, while one still
-      converging geometrically toward 0 keeps a large relative decrease;
+      0.0), its tangent part t, and an Armijo backtracking of at most 60
+      trials from `alpha = min(0.1*radius/|t|, 4*last)`, where `last` is the
+      step last accepted in the same call; a trial steps `y = x - alpha*t`
+      and retracts to `radius * y / |y|`.  After a rejected trial of finite
+      f the next alpha is the minimizer of the quadratic through (0, fx)
+      with slope -|t|^2 and through (alpha, f),
+      `q = |t|^2 * alpha^2 / (2 * (f - fx + |t|^2 * alpha))`, clipped to
+      [0.1*alpha, 0.5*alpha] (Nocedal and Wright, 2006, section 3.5); a
+      non-finite f, or a q that is not finite or has no positive
+      denominator, halves alpha.  It stops on a non-finite gradient, a
+      tangent norm <= 1e-300 or non-finite, a failed line search,
+      fx <= 1e-300, no progress, or after max_iter steps.  No progress
+      means that the accepted trial's f is not below fx in floats: the
+      Armijo decrease has fallen below fx's rounding, so a restart settled
+      at a positive minimum ends there, at that accepted point;
     - `fiber_project(z, target, radius, tol, steps) -> z`, for a kernel of
       one polynomial q: at most `steps` Gauss-Newton steps toward
       {q = target}.  Each step solves the one equation J . s = r, r = q(z) -
@@ -400,9 +406,10 @@ class FloatKernel:
 
     The descent warm-starts its line search: each step's first trial is
     capped at 4x the step last accepted in the same call, so a descent
-    whose steps shrink does not halve down from the cold size again at
-    every step.  The factor is fixed, not a setting, and so are the stall
-    test's window and tolerance.
+    whose steps shrink does not backtrack down from the cold size again at
+    every step, and a rejected trial interpolates rather than halves, so
+    most steps take one or two trials.  The factor 4, the clip 0.1 and 0.5
+    and the 60 trials are fixed, not settings.
 
     Every function is assembled from the same per-point blocks.  At a point
     with coordinates P0..P{n-1} the power block computes each `Pi ** k` a
@@ -573,7 +580,7 @@ class FloatKernel:
         step += [f"if not ({' and '.join(f'isfinite({g})' for g in gs)}):", "    break"]
         step += [*_add("dot", (f"{g} * {x}" for g, x in zip(gs, xs))), "dot = dot / r2"]
         step += [f"{t} = {g} - dot * {x}" for t, g, x in zip(ts, gs, xs)]
-        step += [*_add("tnorm", (f"{t} * {t}" for t in ts)), "tnorm = sqrt(tnorm)"]
+        step += [*_add("tt", (f"{t} * {t}" for t in ts)), "tnorm = sqrt(tt)"]
         step += ["if tnorm <= 1e-300 or not isfinite(tnorm):", "    break"]
         step.append("alpha = min(0.1 * radius / tnorm, 4.0 * last)")
         trial = [f"{y} = {x} - alpha * {t}" for y, x, t in zip(ys, xs, ts)]
@@ -581,16 +588,17 @@ class FloatKernel:
         trial += [f"{z} = radius * {y} / tn" for z, y in zip(zs, ys)]
         trial += self._value_block("z") + objective("f", "z")
         trial += ["if isfinite(f) and f <= fx - 1e-4 * alpha * tnorm * tnorm:", "    break"]
-        trial.append("alpha *= 0.5")
+        trial += ["den = f - fx + tt * alpha"]
+        trial += ["q = tt * alpha * alpha / (2.0 * den) if isfinite(f) and den > 0.0 else inf"]
+        trial += ["alpha = min(max(q, 0.1 * alpha), 0.5 * alpha) if isfinite(q) else 0.5 * alpha"]
         step += ["for _ in range(60):", *_indent(trial), "else:", "    break", "last = alpha"]
         step += [f"{a} = {b}" for a, b in zip(self._state("x"), self._state("z"))]
-        step += ["fx = f", "if fx <= 1e-300:", "    break"]
-        step += ["if k % 25 == 0:", "    if fx >= 0.99999999 * mark:", "        break", "    mark = fx"]
+        step += ["progress = f < fx", "fx = f", "if fx <= 1e-300 or not progress:", "    break"]
 
         body = [f"{_listing(xs)} = x", f"{_listing(f'c{i}' for i in range(p))} = c"]
         body += ["r2 = radius * radius", "last = inf"]
-        body += self._value_block("x") + objective("fx", "x") + ["mark = fx"]
-        body += ["for k in range(1, max_iter + 1):", *_indent(step), f"return fx, {_listing(xs)}"]
+        body += self._value_block("x") + objective("fx", "x")
+        body += ["for _ in range(max_iter):", *_indent(step), f"return fx, {_listing(xs)}"]
         return "def sphere_descent(x, radius, c, max_iter):", body
 
     def _fiber_project_code(self):

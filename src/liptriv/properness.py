@@ -17,11 +17,11 @@ only the seeded restarts, the merge by minimum and the stop once a
 radius's mu is below `_TOL_ZERO` stay in Python.  Likewise the Gauss-Newton
 steps of a scalar map toward a level are one call of its compiled
 `fiber_project`.  The descent's line search starts each step at no more
-than 4x the last accepted step, and a
-restart stops as stalled when 25 accepted steps have not taken fx below
-(1 - 1e-8) times its value before them; its other exits are a non-finite
-gradient or tangent, a zero tangent, a failed line search, fx <= 1e-300
-and max_iter steps.  The
+than 4x the last accepted step and backtracks by quadratic interpolation,
+clipped to [0.1, 0.5] times the rejected step; a restart stops with no
+progress when an accepted step does not take fx below its value in
+floats.  Its other exits are a non-finite gradient or tangent, a zero
+tangent, a failed line search, fx <= 1e-300 and max_iter steps.  The
 kernel does the same float operations in the same order as term-by-term
 summation and the interpreted reference loop of its tests, so mu, argmin
 and verdict are bit-identical to that loop's.
@@ -348,10 +348,12 @@ def _sphere_minimize(
     returned as mu = sqrt of that minimum and its point.
 
     Each restart draws a seeded start on the sphere and runs one
-    `kernel.sphere_descent`: backtracking Armijo line search along the sphere
-    tangent, retracted by normalization.  Restarts are independent; results
-    merge by minimum, and a restart whose powers overflow a float is dropped.
-    The restarts stop at an exact zero, or once mu is below `mu_below`.
+    `kernel.sphere_descent`: an Armijo line search along the sphere tangent
+    that backtracks by clipped quadratic interpolation, retracted by
+    normalization, until a step no longer lowers |g(x)-c|^2 in floats.
+    Restarts are independent; results merge by minimum, and a restart whose
+    powers overflow a float is dropped.  The restarts stop at an exact zero,
+    or once mu is below `mu_below`.
     """
     n = kernel.n
     cvals = [float(v) for v in c]
