@@ -458,9 +458,9 @@ class TestRestartsStopAtTolZero:
 
     @pytest.mark.parametrize("expr", ["x^2 - y^2", "x^3 - y^2"])
     def test_stop_after_the_first_mu_strictly_below(self, expr, monkeypatch):
-        # The probe's first sphere, radius 10 with seed key (42, 0): a later
-        # restart beats the first restart's mu for both maps.  At radius 1e4
-        # none does for x^2 - y^2, whose first restart ends at its lowest mu.
+        # The probe's first sphere, radius 10 with seed key (42, 0), where a
+        # later restart beats the first restart's mu for both maps (at 1e4
+        # none does for x^2 - y^2).
         kernel = scalar("x,y", expr).kernel
         rng = seeded_rng(42, 0)
         # One restart per call draws what the k-th restart of one call draws.
