@@ -39,6 +39,7 @@ from .groebner import (
 from .infinity import ConeConstancyResult, InfinityReport, cone_constancy_check, fiber_infinity
 from .polycore import PolyMap, Polynomial, check_value
 from .properness import (
+    ProbeRun,
     ProbeSchedule,
     PropernessVerdict,
     _gauss_newton_step,
@@ -454,10 +455,11 @@ def _real_verdict(
     grid = _probe_grid_real(p, candidates)
     # Out of budget, a value is probed without the exact certificate.
     certify = partial(_within_budget, flags, "probe_budget", stages.certify)
+    run = ProbeRun(g, reduced=True)
     table = []
     any_proper = False
     for value in grid:
-        verdict = properness_probe_real(g, value, cfg.probe, certify)
+        verdict = properness_probe_real(g, value, cfg.probe, certify, run=run)
         regular = not _on_locus(critical, [Fraction(x) for x in value])
         certified = verdict.mode in ("exact_complex", "exact_real") and verdict.verdict == "proper"
         if verdict.verdict == "proper" and regular:

@@ -32,7 +32,7 @@ from .groebner import DEFAULT_BUDGET, BudgetExceededError, GroebnerBudget, Ideal
 from .infinity import fiber_infinity
 from .parsing import _MAX_DIGITS, ParseError, parse_input
 from .polycore import PolyMap
-from .properness import ProbeSchedule, certifier, jelonek_ideal, properness_probe_real
+from .properness import ProbeRun, ProbeSchedule, certifier, jelonek_ideal, properness_probe_real
 from .rational import RationalMap
 
 _PROBE = ProbeSchedule()
@@ -228,7 +228,8 @@ def _probe_document(args, poly: PolyMap, cfg: AnalysisConfig) -> dict:
     # coordinates of a suspension make every fiber unbounded.
     g = factor_through_projection(poly).g
     certify = certifier(g, None, cfg.budget)
-    verdicts = [properness_probe_real(g, point, cfg.probe, certify) for point in points]
+    run = ProbeRun(g, reduced=True)
+    verdicts = [properness_probe_real(g, point, cfg.probe, certify, run=run) for point in points]
     return report.probe_document(poly, g, points, verdicts, tube)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import inf, isfinite, sqrt
+from math import inf, isfinite, lcm, sqrt
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -242,6 +242,38 @@ class Polynomial:
             total += term
         return total
 
+    @cached_property
+    def _scaled(self) -> tuple[int, int, tuple]:
+        """(D, d, terms) for `eval_at_floats`: D the lcm of the coefficients'
+        denominators, d the total degree (0 for the zero polynomial), and per
+        term D * c as an integer, its exponent and d minus its degree."""
+        den = lcm(*(c.denominator for _, c in self.terms))
+        d = max(self.degree, 0)
+        return den, d, tuple((c.numerator * (den // c.denominator), e, d - sum(e)) for e, c in self.terms)
+
+    def eval_at_floats(self, point: Sequence[float]) -> Fraction:
+        """eval_exact at a point of finite floats, in integers.
+
+        A float is a dyadic rational, so with 2^s the largest denominator
+        of the coordinates each is n_i / 2^s with n_i an integer, and
+        D * q(x) * 2^(s*d) is the integer sum of D * c_e * n^e * 2^(s*(d - |e|));
+        one `Fraction` at the end divides it out.  The value is exactly
+        eval_exact's, without a `Fraction` operation per term.
+        """
+        if len(point) != self.nvars:
+            raise ValueError("dimension mismatch")
+        den, d, terms = self._scaled
+        ratios = [float(x).as_integer_ratio() for x in point]
+        s = max(b.bit_length() for _, b in ratios) - 1
+        nums = [a << (s - b.bit_length() + 1) for a, b in ratios]
+        total = 0
+        for coeff, exp, gap in terms:
+            for x, k in zip(nums, exp):
+                if k:
+                    coeff *= x**k
+            total += coeff << (s * gap)
+        return Fraction(total, den << (s * d))
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         from .parsing import print_polynomial
 
@@ -365,7 +397,7 @@ def _indent(lines: Iterable[str]) -> list[str]:
 
 
 class FloatKernel:
-    """Polynomials, their Jacobian and two loops compiled to float code.
+    """Polynomials, their Jacobian and three loops compiled to float code.
 
     The probes evaluate a handful of polynomials millions of times at
     n <= 3 variables, inside a descent loop, where interpreted loop code,
@@ -394,6 +426,11 @@ class FloatKernel:
       means that the accepted trial's f is not below fx in floats: the
       Armijo decrease has fallen below fx's rounding, so a restart settled
       at a positive minimum ends there, at that accepted point;
+    - `sphere_extreme(x, radius, sign, max_iter) -> (fx, x)`, for a kernel of
+      one polynomial q: one restart of the descent of sign * q on the same
+      sphere, so sign -1.0 climbs q.  Its steps, line search and stops are
+      `sphere_descent`'s, with gradient sign * dq, except that it has no
+      fx <= 1e-300 stop, since sign * q can be negative;
     - `fiber_project(z, target, radius, tol, steps) -> z`, for a kernel of
       one polynomial q: at most `steps` Gauss-Newton steps toward
       {q = target}.  Each step solves the one equation J . s = r, r = q(z) -
@@ -488,6 +525,10 @@ class FloatKernel:
         return self._compile("sphere_descent")
 
     @cached_property
+    def sphere_extreme(self):
+        return self._compile("sphere_extreme")
+
+    @cached_property
     def fiber_project(self):
         return self._compile("fiber_project")
 
@@ -500,11 +541,12 @@ class FloatKernel:
         return namespace[name]
 
     def source(self, name: str) -> str:
-        """The generated source of one function: value, jacobian, sphere_descent
-        or fiber_project."""
+        """The generated source of one function: value, jacobian, sphere_descent,
+        sphere_extreme or fiber_project."""
         header, body = {
             "value": self._value_code, "jacobian": self._jacobian_code,
-            "sphere_descent": self._sphere_descent_code, "fiber_project": self._fiber_project_code,
+            "sphere_descent": self._sphere_descent_code,
+            "sphere_extreme": self._sphere_extreme_code, "fiber_project": self._fiber_project_code,
         }[name]()
         return "\n".join([header] + _indent(body)) + "\n"
 
@@ -548,7 +590,7 @@ class FloatKernel:
                 lines += self._accumulate(f"d{P}{i}_{j}", table, P)
         return lines
 
-    # -- the four functions -----------------------------------------------------
+    # -- the five functions -----------------------------------------------------
 
     def _value_code(self):
         body = [f"{_listing(self._coords('x'))} = x", *self._value_block("x")]
@@ -561,22 +603,15 @@ class FloatKernel:
         body.append(f"return {_listing(rows)}")
         return "def jacobian(x):", body
 
-    def _sphere_descent_code(self):
-        n, p = self.n, self.p
+    def _sphere_loop(self, setup, objective, gradient, stop):
+        """The body of a sphere descent: `objective(target, P)` sets target to
+        the objective at P, `gradient` sets g0..g{n-1} at x from the value
+        and partial blocks, and `stop` is the test after an accepted step."""
+        n = self.n
         xs, zs = self._coords("x"), self._coords("z")
         ts, ys, gs = ([f"{a}{j}" for j in range(n)] for a in "tyg")
 
-        def objective(target: str, P: str) -> list[str]:
-            lines = [f"{target} = 0.0"]
-            for i in range(p):
-                lines += [f"r = v{P}{i} - c{i}", f"{target} += r * r"]
-            return lines
-
-        step = self._partial_block("x", self._value_powers)
-        step += [f"{g} = 0.0" for g in gs]
-        for i in range(p):
-            step += [f"ri2 = 2.0 * (vx{i} - c{i})", "if ri2 != 0.0:"]
-            step += [f"    {g} += ri2 * dx{i}_{j}" for j, g in enumerate(gs)]
+        step = self._partial_block("x", self._value_powers) + gradient
         step += [f"if not ({' and '.join(f'isfinite({g})' for g in gs)}):", "    break"]
         step += [*_add("dot", (f"{g} * {x}" for g, x in zip(gs, xs))), "dot = dot / r2"]
         step += [f"{t} = {g} - dot * {x}" for t, g, x in zip(ts, gs, xs)]
@@ -593,13 +628,41 @@ class FloatKernel:
         trial += ["alpha = min(max(q, 0.1 * alpha), 0.5 * alpha) if isfinite(q) else 0.5 * alpha"]
         step += ["for _ in range(60):", *_indent(trial), "else:", "    break", "last = alpha"]
         step += [f"{a} = {b}" for a, b in zip(self._state("x"), self._state("z"))]
-        step += ["progress = f < fx", "fx = f", "if fx <= 1e-300 or not progress:", "    break"]
+        step += ["progress = f < fx", "fx = f", f"if {stop}:", "    break"]
 
-        body = [f"{_listing(xs)} = x", f"{_listing(f'c{i}' for i in range(p))} = c"]
-        body += ["r2 = radius * radius", "last = inf"]
+        body = [f"{_listing(xs)} = x", *setup, "r2 = radius * radius", "last = inf"]
         body += self._value_block("x") + objective("fx", "x")
         body += ["for _ in range(max_iter):", *_indent(step), f"return fx, {_listing(xs)}"]
+        return body
+
+    def _sphere_descent_code(self):
+        p = self.p
+        gs = [f"g{j}" for j in range(self.n)]
+
+        def objective(target: str, P: str) -> list[str]:
+            lines = [f"{target} = 0.0"]
+            for i in range(p):
+                lines += [f"r = v{P}{i} - c{i}", f"{target} += r * r"]
+            return lines
+
+        gradient = [f"{g} = 0.0" for g in gs]
+        for i in range(p):
+            gradient += [f"ri2 = 2.0 * (vx{i} - c{i})", "if ri2 != 0.0:"]
+            gradient += [f"    {g} += ri2 * dx{i}_{j}" for j, g in enumerate(gs)]
+        setup = [f"{_listing(f'c{i}' for i in range(p))} = c"]
+        body = self._sphere_loop(setup, objective, gradient, "fx <= 1e-300 or not progress")
         return "def sphere_descent(x, radius, c, max_iter):", body
+
+    def _sphere_extreme_code(self):
+        if self.p != 1:
+            raise ValueError("sphere_extreme needs a kernel of one polynomial")
+
+        def objective(target: str, P: str) -> list[str]:
+            return [f"{target} = sign * v{P}0"]
+
+        gradient = [f"g{j} = sign * dx0_{j}" for j in range(self.n)]
+        body = self._sphere_loop([], objective, gradient, "not progress")
+        return "def sphere_extreme(x, radius, sign, max_iter):", body
 
     def _fiber_project_code(self):
         if self.p != 1:

@@ -6,25 +6,34 @@ the resulting variety is the set of values at which the complex mapping is
 not proper.  Real properness at an individual value is decided exactly
 when one of three certificates applies (complex properness, a coercive
 component, a value of the reduced map of an unreduced scalar map), and
-otherwise probed numerically by minimizing |g(x) - c| over spheres of
-growing radius.
+otherwise probed numerically: mu(c, R), the distance from c to the image
+of the sphere of radius R, over spheres of growing radius.
+
+For a scalar map in m >= 2 variables the sphere is connected, so its image
+is an interval [lo(R), hi(R)], and mu(c, R) is the distance from c to it
+for every c at once.  A `ProbeRun` keeps that interval per sphere
+(`_SphereImage`) for all the values of one probe table: seeded descents of
+g and of -g find its ends, drawn only as values need them, and mu is 0.0
+only where two points found bracket c in exact arithmetic
+(`Polynomial.eval_at_floats`).  Otherwise, when m = 1 or p >= 2, each value
+minimizes |g(x) - c|^2 on each sphere (`_sphere_minimize`).
 
 A mapping compiles once, into its `PolyMap.kernel`, a `polycore.FloatKernel`
-that every probe of it shares.  One restart
-of the sphere descent (gradient, tangent, Armijo backtracking with retraction
-to radius R, stop tests) is a single call of its compiled `sphere_descent`;
-only the seeded restarts, the merge by minimum and the stop once a
-radius's mu is below `_TOL_ZERO` stay in Python.  Likewise the Gauss-Newton
+that every probe of it shares.  One restart of a sphere descent (gradient,
+tangent, Armijo backtracking with retraction to radius R, stop tests) is a
+single call of its compiled `sphere_descent` (of |g - c|^2) or
+`sphere_extreme` (of g or -g); only the seeded restarts, their merge and
+their early stops stay in Python.  Likewise the Gauss-Newton
 steps of a scalar map toward a level are one call of its compiled
 `fiber_project`.  The descent's line search starts each step at no more
 than 4x the last accepted step and backtracks by quadratic interpolation,
 clipped to [0.1, 0.5] times the rejected step; a restart stops with no
 progress when an accepted step does not take fx below its value in
 floats.  Its other exits are a non-finite gradient or tangent, a zero
-tangent, a failed line search, fx <= 1e-300 and max_iter steps.  The
-kernel does the same float operations in the same order as term-by-term
-summation and the interpreted reference loop of its tests, so mu, argmin
-and verdict are bit-identical to that loop's.
+tangent, a failed line search, fx <= 1e-300 (of |g - c|^2 only) and
+max_iter steps.  The kernel does the same float operations in the same
+order as term-by-term summation and the interpreted reference loop of its
+tests, so mu, argmin and verdict are bit-identical to that loop's.
 
 The probes run on Python floats alone, with no numpy: at n <= 3 an array
 call costs more than the arithmetic, and evaluating all restarts as one
@@ -43,8 +52,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import inf, isfinite, sqrt
+from functools import cache, cached_property
+from math import inf, isfinite, nan, sqrt
 from sys import float_info
 from typing import Callable, Sequence
 
@@ -415,9 +424,9 @@ def _coercive_component(g: PolyMap) -> dict | None:
     return None
 
 
-def _image_witness(f: PolyMap, value: tuple[Fraction, ...], seed: int) -> dict | None:
-    """Two points where the reduced map of a scalar f = g o pi with ker pi != 0
-    is <= c and >= c, evaluated exactly, as evidence, or None.
+def _image_witness(g: PolyMap, value: tuple[Fraction, ...], seed: int) -> dict | None:
+    """Two points where g, the reduced map of a scalar f = g o pi with
+    ker pi != 0, is <= c and >= c, evaluated exactly, as evidence, or None.
 
     g(R^m) is connected, so such points put c in g(R^m), and the fiber of f
     at c then contains a line along ker pi: f is not proper at c.  Each of 4
@@ -426,14 +435,8 @@ def _image_witness(f: PolyMap, value: tuple[Fraction, ...], seed: int) -> dict |
     delta = 1e-3 * max(1, |c|), stopping within delta / 2 of the target;
     the end points are read as exact rationals.  The evidence gives the two
     points, the floats of g there and the exact signs of g - c.  None when
-    f is reduced, p >= 2, or no start gives both sides.
+    no start gives both sides.
     """
-    if f.p != 1:
-        return None
-    fact = factor_through_projection(f)
-    if fact.V.is_zero():
-        return None
-    g = fact.g
     c = value[0]
     kernel = g.kernel
     rng = seeded_rng(seed, 4099)
@@ -449,7 +452,7 @@ def _image_witness(f: PolyMap, value: tuple[Fraction, ...], seed: int) -> dict |
                 continue  # a power overflows a float on this start's path
             if not all(isfinite(v) for v in x):
                 continue
-            exact = g.components[0].eval_exact([Fraction(v) for v in x])
+            exact = g.components[0].eval_at_floats(x)
             if exact <= c and below is None:
                 below = (x, exact)
             if exact >= c and above is None:
@@ -468,11 +471,177 @@ def _image_witness(f: PolyMap, value: tuple[Fraction, ...], seed: int) -> dict |
     return None
 
 
+class _Point:
+    """A point of a sphere, the float of g there from the compiled kernel,
+    and the exact value once some value has needed it."""
+
+    __slots__ = ("x", "value", "exact")
+
+    def __init__(self, x: list[float], value: float):
+        self.x, self.value, self.exact = x, value, None
+
+
+class _SphereImage:
+    """The image of a scalar map g in m >= 2 variables on the sphere S_R, as
+    far as its restarts have found it.
+
+    S_R is connected, so g(S_R) is an interval [lo, hi], and mu(c, R) is
+    the distance from c to it for every value c at once.  Two sides find
+    the interval: the low side descends g and the high side -g, each with
+    at most `_RESTARTS` restarts of `kernel.sphere_extreme` (at most
+    `_MAX_ITER` steps) from starts on its own seeded stream.  A restart
+    gives two points of S_R, its start and the end of its descent.  For a
+    value c each side reads its points in order, start then end, and stops
+    at the first that reaches c (g <= c low, g >= c high), so a start that
+    already reaches c is not descended.  Points are drawn and descended
+    only when a value reads them, and kept for the next value; what one
+    value reads does not depend on the values read before it.
+    """
+
+    def __init__(self, g: PolyMap, radius: float, seed: int, k: int):
+        self.poly, self.kernel, self.radius = g.components[0], g.kernel, radius
+        self.sides = [(sign, seeded_rng(seed, k, sign), []) for sign in (1, -1)]
+
+    def _exact(self, point: _Point) -> Fraction:
+        if point.exact is None:
+            point.exact = self.poly.eval_at_floats(point.x)
+        return point.exact
+
+    def _points(self, sign: int, rng: random.Random, kept: list):
+        """The side's points in order, each restart's start and then its end,
+        drawn and descended on first read.  A restart whose draw is zero or
+        whose powers overflow a float gives no point, and neither does a
+        point where g is not finite in floats."""
+        for index in range(2 * _RESTARTS):
+            if index == len(kept):
+                kept.append(self._start(rng, sign) if index % 2 == 0 else self._end(kept[-1], sign))
+            if kept[index] is not None:
+                yield kept[index]
+
+    def _start(self, rng: random.Random, sign: int) -> _Point | None:
+        """A seeded start on the sphere, g there read off a descent of 0
+        steps, so that the probe compiles no other kernel function."""
+        u = [rng.gauss(0.0, 1.0) for _ in range(self.kernel.n)]
+        norm = _norm(u)
+        if norm == 0.0:
+            return None
+        x = [self.radius * v / norm for v in u]
+        return self._point(x, sign, 0)
+
+    def _end(self, start: _Point | None, sign: int) -> _Point | None:
+        return None if start is None else self._point(start.x, sign, _MAX_ITER)
+
+    def _point(self, x: list[float], sign: int, max_iter: int) -> _Point | None:
+        """The end of at most max_iter steps of `sphere_extreme` from x."""
+        try:
+            fx, x = self.kernel.sphere_extreme(x, self.radius, sign, max_iter)
+        except OverflowError:
+            return None  # a power overflows a float on this restart's path
+        if not (isfinite(fx) and all(isfinite(v) for v in x)):
+            return None
+        return _Point(x, sign * fx)
+
+    def _reaches(self, point: _Point, sign: int, c: float, cv: Fraction, checked: dict) -> bool:
+        """g <= c at the point for the low side (sign 1), g >= c for the high
+        side (sign -1), in exact arithmetic; the float is trusted only when
+        it says no.  A point checked goes into `checked`, with its exact
+        value, and `cv` is c as a `Fraction`."""
+        if sign * point.value > sign * c:
+            return False
+        exact = checked[point] = self._exact(point)
+        return exact <= cv if sign > 0 else exact >= cv
+
+    def distance(self, c: float) -> tuple[float, list[float]]:
+        """mu(c, R) and its point.
+
+        mu is 0.0 only on an exact bracket: two points that the sides read
+        for c with g(a) <= c <= g(b) in exact arithmetic, as a when both
+        sides reach c; the point is the one of the two nearer c in floats.
+        Otherwise mu is the float distance from c to the interval that the
+        points' values span, and the point is the end of that interval
+        nearer c.  An end of that interval whose float would put c inside
+        it is checked exactly and counts at its exact value.  Which points
+        count exactly depends on c alone, not on what earlier values
+        checked.  With no point at all mu is inf.
+        """
+        cv = Fraction(c)
+        found, ends, checked = [], [], {}
+        for sign, rng, kept in self.sides:
+            for point in self._points(sign, rng, kept):
+                found.append(point)
+                if self._reaches(point, sign, c, cv, checked):
+                    ends.append(point)
+                    break
+        if len(ends) == 2:
+            a, b = ends
+            return 0.0, (a.x if c - a.value <= b.value - c else b.x)
+        if not found:
+            return inf, [nan] * self.kernel.n
+
+        def key(point: _Point) -> float:
+            return float_or_inf(checked[point]) if point in checked else point.value
+
+        def side(point: _Point) -> int:
+            """The sign of g - c at the point: exact once checked, else the float's."""
+            v, w = (checked[point], cv) if point in checked else (point.value, c)
+            return (v > w) - (v < w)
+
+        while True:
+            lo, hi = min(found, key=key), max(found, key=key)
+            if side(lo) > 0 or side(hi) < 0:
+                break
+            if lo in checked and hi in checked:
+                return 0.0, (lo.x if c - lo.value <= hi.value - c else hi.x)
+            checked[lo], checked[hi] = self._exact(lo), self._exact(hi)
+        end, sign = (lo, 1) if side(lo) > 0 else (hi, -1)
+        if end in checked:
+            return float_or_inf(sign * (checked[end] - cv)), end.x
+        return sign * (end.value - c), end.x
+
+
+class ProbeRun:
+    """What the real properness probes of one map g keep from value to value.
+
+    A run serves one probe table: the classifier builds one per analysis
+    and `liptriv probe` one per invocation, and a lone
+    `properness_probe_real` call builds its own, so nothing outlives it.
+    It reads g's coercive component and, for a scalar g, its reduced map
+    once, and keeps the image of a scalar g in m >= 2 variables on each
+    sphere (`_SphereImage`).  `reduced` says that g is known to be reduced,
+    so no factorization is computed.
+    """
+
+    def __init__(self, g: PolyMap, reduced: bool):
+        self.g = g
+        self.known_reduced = reduced
+        self.spheres: dict[tuple, _SphereImage] = {}
+
+    @cached_property
+    def coercive(self) -> dict | None:
+        return _coercive_component(self.g)
+
+    @cached_property
+    def reduction(self) -> PolyMap | None:
+        """The reduced map of an unreduced scalar g, or None."""
+        if self.g.p != 1 or self.known_reduced:
+            return None
+        fact = factor_through_projection(self.g)
+        return None if fact.V.is_zero() else fact.g
+
+    def sphere(self, seed: int, k: int, radius: float) -> _SphereImage:
+        """The image memo of the k-th radius under this seed."""
+        key = (seed, k, radius)
+        if key not in self.spheres:
+            self.spheres[key] = _SphereImage(self.g, radius, seed, k)
+        return self.spheres[key]
+
+
 def properness_probe_real(
     g: PolyMap,
     c: Sequence[float],
     sched: ProbeSchedule = ProbeSchedule(),
     certify: Callable[[tuple[Fraction, ...]], PropernessVerdict | None] | None = None,
+    run: ProbeRun | None = None,
 ) -> PropernessVerdict:
     """Per-value real properness verdict with full mu(R) evidence.
 
@@ -480,12 +649,17 @@ def properness_probe_real(
     for each R of `sched.radii`, with restarts seeded by `sched.seed`.
     Non-properness needs mu at the largest radius below `_TOL_ZERO` and
     halving over the last two steps; properness needs mu bounded below by
-    `_MU_FLOOR` and non-decreasing at the end.  A radius's restarts stop at
-    the first whose mu is below `_TOL_ZERO`, the verdict's own test, so no
-    skipped restart could change whether that radius counts as small; its
-    mu is then that restart's, an upper bound on the sphere's minimum.  A
-    radius with no such restart runs them all and gives their minimum.
-    Only the halving test reads a small radius's mu itself.
+    `_MU_FLOOR` and non-decreasing at the end.  For a scalar map in m >= 2
+    variables mu is the distance from c to the image interval of the
+    sphere that `run` keeps (`_SphereImage.distance`): 0.0 on an exact
+    bracket of c, else the float distance to the interval found; each side
+    of the interval stops at its first point that reaches c.  Otherwise
+    (`_sphere_minimize`) a radius's restarts stop at the first whose mu is
+    below `_TOL_ZERO`, and its mu is then that restart's, an upper bound on
+    the sphere's minimum; a radius with no such restart runs them all and
+    gives their minimum.  Either way no skipped restart could change
+    whether a radius counts as small, and only the halving test reads a
+    small radius's mu itself.
 
     A complex-properness certificate wins immediately (restricting a proper
     map to a closed subset stays proper).  `certify(value)` gives that
@@ -494,7 +668,8 @@ def properness_probe_real(
     certificates come before the spheres, in mode "exact_real": a coercive
     component (`_coercive_component`) makes g proper, and for an unreduced
     scalar map a value of its reduced map (`_image_witness`) makes it
-    non-proper.
+    non-proper.  `run` is the `ProbeRun` of g that the values of one table
+    share; None builds one for this call alone.
     """
     check_value(c, g.p)
     cvec = tuple(float(x) for x in c)
@@ -508,18 +683,26 @@ def properness_probe_real(
         evidence["certificate"] = "complex properness restricts to the reals"
         return PropernessVerdict("exact_complex", "proper", evidence)
 
-    coercive = _coercive_component(g)
-    if coercive is not None:
-        return PropernessVerdict("exact_real", "proper", coercive)
-    witness = _image_witness(g, value, sched.seed)
-    if witness is not None:
-        return PropernessVerdict("exact_real", "non_proper", witness)
+    if run is None:
+        run = ProbeRun(g, False)
+    elif run.g != g:
+        raise ValueError("the probe run is of another map")
+    if run.coercive is not None:
+        return PropernessVerdict("exact_real", "proper", run.coercive)
+    if run.reduction is not None:
+        witness = _image_witness(run.reduction, value, sched.seed)
+        if witness is not None:
+            return PropernessVerdict("exact_real", "non_proper", witness)
 
+    interval = g.p == 1 and g.n >= 2
     trace = []
     mus = []
     for k, radius in enumerate(sched.radii):
-        rng = seeded_rng(sched.seed, k)
-        mu, arg = _sphere_minimize(g.kernel, cvec, radius, rng, _RESTARTS, _MAX_ITER, _TOL_ZERO)
+        if interval:
+            mu, arg = run.sphere(sched.seed, k, radius).distance(cvec[0])
+        else:
+            rng = seeded_rng(sched.seed, k)
+            mu, arg = _sphere_minimize(g.kernel, cvec, radius, rng, _RESTARTS, _MAX_ITER, _TOL_ZERO)
         mus.append(mu)
         trace.append(
             {

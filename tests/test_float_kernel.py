@@ -19,6 +19,7 @@ from conftest import add, eval_float, poly, reference_fiber_project
 from liptriv.classifier import classify
 from liptriv.parsing import parse_input
 from liptriv.polycore import FloatKernel, Polynomial
+from liptriv.properness import ProbeSchedule
 
 F = Fraction
 NAMES = ("u", "v", "w")
@@ -50,8 +51,12 @@ def reference_value(polys, x):
     return out
 
 
-def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
+def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None, sign=None):
     """One restart of the sphere minimizer as an interpreted loop.
+
+    The objective is |g - c|^2 (`sphere_descent`), or with a sign, sign * q
+    for the kernel's one polynomial q (`sphere_extreme`), which reads no c
+    and has no fx <= 1e-300 stop.
 
     Each step's backtracking starts from the cold step size, capped at 4x
     the last accepted step.  After a rejected trial the next step is the
@@ -66,6 +71,8 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
     n, p = kernel.n, kernel.p
 
     def objective(x):
+        if sign is not None:
+            return sign * kernel.value(x)[0]
         total = 0.0
         for v, cv in zip(kernel.value(x), c):
             r = v - cv
@@ -75,6 +82,8 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
     def gradient(x):
         vals = kernel.value(x)
         jac = kernel.jacobian(x)
+        if sign is not None:
+            return [sign * d for d in jac[0]]
         grad = [0.0] * n
         for i in range(p):
             ri2 = 2.0 * (vals[i] - c[i])
@@ -138,7 +147,7 @@ def reference_sphere_descent(kernel, x, radius, c, max_iter, seen=None):
             break
         progress = ft < fx
         x, fx, last = trial, ft, alpha
-        if fx <= 1e-300:
+        if sign is None and fx <= 1e-300:
             seen.add("converged")
             break
         if not progress:
@@ -246,6 +255,10 @@ SPHERE_EXAMPLES = [
     ([poly(UV, "u*v"), poly(UV, "u")], [0.0, 3.0], 3.0, [0.0, 1.0], 20),  # zero residual
     ([poly(UVW, "u*v*w + w^2")], [1.0, 2.0, 2.0], 3.0, [inf], 20),  # inf start and gradient
     ([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1")], [3.0, 4.0], 5.0, [2.0], 250),  # converged
+    # sphere_extreme: the minimum and the maximum of the sextic, each
+    # ending with no progress (the level is not read).
+    ([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1")], [3.0, 4.0], 5.0, [], 250, 1),
+    ([poly(UV, "u^4*v^2 + u^2*v^4 - 3*u^2*v^2 + 1")], [3.0, 4.0], 5.0, [], 250, -1),
 ]
 
 @st.composite
@@ -256,14 +269,21 @@ def sphere_cases(draw):
         norm = sqrt(sum(float(v) * float(v) for v in x))
         if norm > 0.0:
             x = [radius * v / norm for v in x]
+    # With a sign, the descent of sign * q for the first polynomial q.
+    sign = draw(st.sampled_from([None, 1, -1]))
+    if sign is not None:
+        polys = polys[:1]
     # Up to 150 steps, so that draws reach the exits after many steps too.
-    return polys, x, radius, level(draw, len(polys)), draw(st.integers(0, 150))
+    return polys, x, radius, level(draw, len(polys)), draw(st.integers(0, 150)), sign
 
 
-def check_sphere(polys, x, radius, c, max_iter, seen=None):
+def check_sphere(polys, x, radius, c, max_iter, sign=None, seen=None):
     kernel = FloatKernel(polys)
-    want = outcome(reference_sphere_descent, kernel, list(x), radius, c, max_iter, seen)
-    got = outcome(kernel.sphere_descent, list(x), radius, c, max_iter)
+    want = outcome(reference_sphere_descent, kernel, list(x), radius, c, max_iter, seen, sign)
+    if sign is None:
+        got = outcome(kernel.sphere_descent, list(x), radius, c, max_iter)
+    else:
+        got = outcome(kernel.sphere_extreme, list(x), radius, sign, max_iter)
     assert same_sphere_outcome(got, want), (got, want)
 
 
@@ -352,6 +372,12 @@ def test_fiber_project_needs_one_polynomial():
         kernel.fiber_project
 
 
+def test_sphere_extreme_needs_one_polynomial():
+    kernel = FloatKernel([poly(UV, "u"), poly(UV, "v")])
+    with pytest.raises(ValueError, match="one polynomial"):
+        kernel.sphere_extreme
+
+
 SPHERE_EXITS = {
     "non-finite gradient", "zero tangent", "non-finite tangent", "out of trials", "converged",
     "no progress", "max_iter",
@@ -378,22 +404,26 @@ class CountingKernel:
 def motzkin_real_descents(monkeypatch, motzkin_map):
     """Every sphere restart of the motzkin real analysis, run through the
     reference loop: the values of its probe table, the exits of its
-    restarts, and its restarts, steps and line-search trials."""
+    restarts, and its restarts (per radius too), steps and line-search
+    trials.  The 0-step calls that read a start's value are not counted."""
     exits, work = Counter(), Counter()
 
     def tallied(kernel):
-        def descent(x, radius, c, max_iter):
+        def descent(x, radius, sign, max_iter):
+            if not max_iter:  # a start's value, not a descent
+                return reference_sphere_descent(kernel, x, radius, None, 0, None, sign)
             seen = set()
             work["restarts"] += 1
+            work[radius] += 1
             result = reference_sphere_descent(
-                CountingKernel(kernel, work), x, radius, c, max_iter, seen
+                CountingKernel(kernel, work), x, radius, None, max_iter, seen, sign
             )
             exits.update(seen & SPHERE_EXITS)
             return result
 
         return descent
 
-    monkeypatch.setattr(FloatKernel, "sphere_descent", property(tallied))
+    monkeypatch.setattr(FloatKernel, "sphere_extreme", property(tallied))
     report = classify(motzkin_map, "real")
     work["trials"] = work["values"] - work["restarts"] - work["steps"]
     table = next(c for c in report.checks if c.name == "properness_probe_table")
@@ -401,24 +431,29 @@ def motzkin_real_descents(monkeypatch, motzkin_map):
 
 
 def test_motzkin_real_restarts_stop_without_progress(monkeypatch, motzkin_map):
-    """Most restarts settle at a positive minimum, where an accepted trial
-    no longer lowers fx, and stop there; none runs all 250 steps."""
+    """Most restarts settle at an extreme of g on the sphere, where an
+    accepted trial no longer lowers fx, and stop there; none runs all 250
+    steps."""
     _, exits, work = motzkin_real_descents(monkeypatch, motzkin_map)
-    assert work["restarts"] == sum(exits.values()) == 264, exits
+    assert work["restarts"] == sum(exits.values()) == 128, exits
     assert exits["no progress"] >= 0.9 * work["restarts"], exits
     assert exits["max_iter"] == 0, exits
 
 
 def test_motzkin_real_descent_work(monkeypatch, motzkin_map):
     """The sphere descents of the motzkin real analysis, at the values -1,
-    0.5, 2 and 5 with the probe's seeds and radii, take 7,717 steps and
-    8,602 line-search trials; halving backtracking with a 25-step stall
-    window took 22,278 and 53,304, which these bounds reject."""
+    0.5, 2 and 5 with the probe's seeds and radii: one image interval per
+    sphere serves all four values, so the 32 low-side restarts that the
+    proper values -1 and 0.5 need are all the descents, and the values 2
+    and 5 are bracketed by points already found or by a start.  They take
+    994 steps and 1,347 line-search trials; one descent of |g - c|^2 per
+    value took 264 restarts, 7,717 steps and 8,602 trials."""
     values, _, work = motzkin_real_descents(monkeypatch, motzkin_map)
     assert values == [[-1.0], [0.5], [2.0], [5.0]], values
-    assert work["restarts"] == 264, work
-    assert work["steps"] <= 8000, work
-    assert work["trials"] <= 9000, work
+    assert work["restarts"] == 128, work
+    assert all(work[radius] <= 32 for radius in ProbeSchedule().radii), work
+    assert work["steps"] <= 1050, work
+    assert work["trials"] <= 1400, work
 
 
 def test_one_variable_constant_and_zero_components():
@@ -445,6 +480,9 @@ def test_loops_compile_on_first_use():
     assert "fiber_project" not in vars(scalar)
     scalar.fiber_project([1.0, 2.0], 0.0, 10.0, 1e-12, 1)
     assert "fiber_project" in vars(scalar)
+    assert "sphere_extreme" not in vars(scalar)
+    scalar.sphere_extreme([1.0, 0.0], 1.0, -1, 1)
+    assert "sphere_extreme" in vars(scalar) and "sphere_descent" not in vars(scalar)
 
 
 def test_two_thousand_terms_compile():
@@ -483,15 +521,18 @@ def test_source_holds_no_input_text():
         poly(ring, "foo*C*radius - 2"),
     ]
     functions = ("value", "jacobian", "sphere_descent")
+    scalar_functions = ("sphere_extreme", "fiber_project")
     kernel, scalar = FloatKernel(polys), FloatKernel(polys[:1])
-    sources = [kernel.source(name) for name in functions] + [scalar.source("fiber_project")]
+    sources = [kernel.source(name) for name in functions]
+    sources += [scalar.source(name) for name in scalar_functions]
     source = "".join(sources)
     # Coordinates at the points x, y, z, powers and values at x and z,
     # partials at x and z; tangent, gradient, level, step and unit-row
     # components.
     positional = re.compile(r"[xyztcgsu]\d+|[xz]\d+_\d+|v[xz]\d+|d[xz]\d+_\d+")
     fixed = {
-        *functions, "fiber_project", "x", "z", "c", "radius", "max_iter", "target", "tol", "steps",
+        *functions, *scalar_functions, "x", "z", "c", "sign", "radius", "max_iter", "target", "tol",
+        "steps",
         "C", "sqrt", "isfinite", "range", "abs", "max", "min", "inf", "_", "r2", "fx", "ri2", "dot",
         "tt", "tnorm", "alpha", "tn", "f", "den", "q", "r", "last", "progress", "m", "scale", "norm",
     }
@@ -510,8 +551,8 @@ def test_source_holds_no_input_text():
     assert "foo" not in source
     # Renaming the variables leaves the source as it is.
     renamed = [Polynomial(("a", "b", "e"), q.terms) for q in polys]
-    assert [FloatKernel(renamed).source(name) for name in functions] == sources[:-1]
-    assert FloatKernel(renamed[:1]).source("fiber_project") == sources[-1]
+    assert [FloatKernel(renamed).source(name) for name in functions] == sources[:3]
+    assert [FloatKernel(renamed[:1]).source(name) for name in scalar_functions] == sources[3:]
 
 
 def longest_chain(source: str, *ops) -> int:
@@ -529,7 +570,7 @@ def test_values_and_partials_are_one_assignment_each():
     kernel, scalar = FloatKernel(polys), FloatKernel(polys[:1])
     block = re.compile(r"v[xyzuw]\d+|d[xyzuw]\d+_\d+")
     sources = [kernel.source(name) for name in ("value", "jacobian", "sphere_descent")]
-    for source in sources + [scalar.source("fiber_project")]:
+    for source in sources + [scalar.source(name) for name in ("sphere_extreme", "fiber_project")]:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.AugAssign):
                 assert not block.fullmatch(node.target.id), ast.unparse(node)
@@ -540,7 +581,7 @@ def test_no_expression_grows_with_the_addends():
     # step's sums of products and squares: no expression holds them all.
     ring = tuple(f"a{i}" for i in range(300))
     kernel = FloatKernel([poly(ring, " + ".join(f"{i % 7 + 1}*a{i}^{i % 3 + 1}" for i in range(300)))])
-    for name in ("value", "jacobian", "sphere_descent", "fiber_project"):
+    for name in ("value", "jacobian", "sphere_descent", "sphere_extreme", "fiber_project"):
         assert longest_chain(kernel.source(name), ast.Add, ast.Sub) < 300, name
 
 
@@ -555,7 +596,7 @@ def test_thousands_of_terms_compile():
     for x in ([0.5, -0.75], [1.0, 1.0], [-1.1, 0.3]):
         assert same_bits(kernel.value(x), [eval_float(q, x)])
         assert same_bits(kernel.jacobian(x)[0], [eval_float(q.partial(j), x) for j in range(2)])
-    assert kernel.sphere_descent
+    assert kernel.sphere_descent and kernel.sphere_extreme
 
 
 def test_products_of_thousands_of_factors_compile():

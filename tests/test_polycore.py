@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     apply,
@@ -202,6 +205,46 @@ class TestEvaluate:
             assert eval_float(p, [float(v) for v in x]) == pytest.approx(
                 float(p.eval_exact(x)), rel=1e-12, abs=1e-12
             )
+
+
+# Coefficients of either sign, with denominators that are not powers of
+# two and numerators far past the float range; and float coordinates on a
+# sphere of radius 1e4, the probe's largest, or anywhere, subnormals and
+# -0.0 included.
+exact_coefficients = st.builds(
+    lambda num, big, den: Fraction(num * 7**big, den),
+    st.integers(-1000, 1000).filter(bool),
+    st.sampled_from([0, 0, 400]),
+    st.integers(1, 97),
+)
+
+
+@st.composite
+def points_and_polynomials(draw):
+    n = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n), max_size=6))
+    q = Polynomial.from_dict(XYZ[:n], {tuple(e): draw(exact_coefficients) for e in exps})
+    coords = st.floats(allow_nan=False, allow_infinity=False)
+    x = draw(st.lists(coords, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        norm = sqrt(sum(v * v for v in x))
+        if 0.0 < norm < float("inf"):
+            x = [1e4 * v / norm for v in x]
+    return q, x
+
+
+class TestEvalAtFloats:
+    @settings(max_examples=300, deadline=None)
+    @given(points_and_polynomials())
+    def test_matches_eval_exact(self, case):
+        # The same value, so the same sign of q - c for every c that the
+        # sphere probe's exact checks compare it with.
+        q, x = case
+        assert q.eval_at_floats(x) == q.eval_exact([Fraction(v) for v in x])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            poly(XY, "x*y").eval_at_floats([1.0])
 
 
 class TestCanonicalForm:
