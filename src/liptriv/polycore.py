@@ -428,7 +428,7 @@ class FloatKernel:
       at a positive minimum ends there, at that accepted point;
     - `sphere_extreme(x, radius, sign, max_iter) -> (fx, x)`, for a kernel of
       one polynomial q: one restart of the descent of sign * q on the same
-      sphere, so sign -1.0 climbs q.  Its steps, line search and stops are
+      sphere, so sign -1 climbs q.  Its steps, line search and stops are
       `sphere_descent`'s, with gradient sign * dq, except that it has no
       fx <= 1e-300 stop, since sign * q can be negative;
     - `fiber_project(z, target, radius, tol, steps) -> z`, for a kernel of

@@ -555,7 +555,7 @@ class _SphereImage:
         """mu(c, R) and its point.
 
         mu is 0.0 only on an exact bracket: two points that the sides read
-        for c with g(a) <= c <= g(b) in exact arithmetic, as a when both
+        for c with g(a) <= c <= g(b) in exact arithmetic, as when both
         sides reach c; the point is the one of the two nearer c in floats.
         Otherwise mu is the float distance from c to the interval that the
         points' values span, and the point is the end of that interval
